@@ -30,8 +30,8 @@ import numpy as np
 from .geometry import carleson_box_table
 from .interpolation import GrowthRow, InterpolationSeries, TargetData
 from .numutil import (TWO_PI, adaptive_segment_integral, circle_nodes,
-                      gauss_legendre, golden_section_max, one_minus_abs2,
-                      sample_disc, scaled_contour_mean, wrap_angle)
+                      golden_section_max, one_minus_abs2, sample_disc,
+                      scaled_contour_mean, wrap_angle)
 from .products import CanonicalProduct
 from .scales import GrowthScale, genus_from_scale, psi_tilde
 from .sequences import SharpnessParams, ZeroSequence
@@ -234,30 +234,32 @@ class OscillationBundle:
 
     # -- ODE residual ------------------------------------------------------
 
-    def _spoke_integrals(self, z0: complex, zeta: np.ndarray,
-                         tol: float = 1e-11,
-                         max_panels: int = 16) -> np.ndarray:
-        """Integrals of h from z0 to each circle point, batched composite
-        Gauss-Legendre with panel doubling."""
-        x, w = gauss_legendre(16)
-        d = zeta - z0
-        panels = 2
-        prev = None
-        while panels <= max_panels:
-            starts = np.arange(panels) / panels
-            frac = (starts[:, None] + (x[None, :] + 1.0) / (2.0 * panels))
-            pts = z0 + d[:, None, None] * frac[None, :, :]
-            wts = d[:, None, None] * w[None, None, :] / (2.0 * panels)
-            hv = np.atleast_1d(self.gprime.evaluate(pts.ravel()))
-            vals = np.sum(hv.reshape(pts.shape) * wts, axis=(1, 2))
-            if prev is not None:
-                scale = 1.0 + float(np.max(np.abs(vals)))
-                if float(np.max(np.abs(vals - prev))) <= tol * scale:
-                    return vals
-            prev = vals
-            panels *= 2
-        raise RuntimeError("solution contour's spoke integration did not "
-                           "converge")
+    def _spoke_integrals(self, z0: complex, zeta: np.ndarray) -> np.ndarray:
+        """g(zeta_j) - g(z0) on the trapezoid circle
+        zeta_j = z0 + r e^{i theta_j}, theta_j = 2 pi j / m, from the m
+        values of h on that circle alone.
+
+        h is analytic on the closed disc |z - z0| <= r, so the FFT of its
+        circle values gives c_k ~ h_k r^k, the Taylor coefficients of h at
+        z0 scaled to the circle (exponentially accurate: Trefethen &
+        Weideman, SIAM Rev. 2014).  Integrating term by term,
+
+            g(zeta) - g(z0) = sum_k c_k r e^{i(k+1) theta} / (k+1),
+
+        which one inverse FFT evaluates at every circle point.  Only values
+        of h enter, never the closed-form coefficient.  The accuracy is
+        judged by the caller's m-doubling drift test on f''.
+        """
+        hv = self.gprime.evaluate(zeta)
+        k = np.arange(hv.size)
+        return (zeta - z0) * np.fft.ifft(np.fft.fft(hv) / (k + 1))
+
+    def _circle_log_solution(self, z0: complex, r: float, m: int):
+        """(theta, log f(zeta) - g(z0)) on the m-point circle of radius r."""
+        theta, unit = circle_nodes(m)
+        zeta = z0 + r * unit
+        return theta, (self.product._raw_log_eval(zeta)
+                       + self._spoke_integrals(z0, zeta))
 
     def _probe_residual(self, z0: complex, a0: complex,
                         rel_tol: float = 1e-7,
@@ -266,12 +268,15 @@ class OscillationBundle:
 
         f'' comes from a trapezoid contour second derivative on a circle
         around z0; the shared factor e^{g(z0)} cancels in the ratio, so only
-        spoke integrals of h relative to z0 are needed.  The circle radius
-        starts at min((1-|z0|)/8, half the distance to the nearest node) and
-        is capped by the local log-derivative scale of f: where |a| is large,
-        Re log f would otherwise swing by hundreds across the circle and the
-        second Fourier mode of f drowns in the rounding floor of the peak
-        values.
+        g relative to z0 is needed, which _spoke_integrals takes from the
+        FFT of h on the same circle.  The point count m doubles from 64
+        until f'' drifts by at most rel_tol between rounds.  The circle
+        radius starts at min((1-|z0|)/8, half the distance to the nearest
+        node) and is capped by the local log-derivative scale of f: where
+        |a| is large, Re log f would otherwise swing by hundreds across the
+        circle and the second Fourier mode of f drowns in the rounding floor
+        of the peak values.  A circle too small to be placed in binary64
+        around z0 raises RuntimeError naming the probe and the radius.
         """
         _, dist = self.product.nearest_node(np.asarray([z0]))
         r = (1.0 - abs(z0)) / 8.0
@@ -284,20 +289,33 @@ class OscillationBundle:
         r = min(r, 1.0 / (d1 + 1.0), 1.0 / math.sqrt(abs(a0) + 1.0))
         log_f0 = complex(self.product._raw_log_eval(np.asarray([z0]))[0])
         m = 64
-        prev = None
+        theta, logf = self._circle_log_solution(z0, r, m)
         shrinks = 0
-        while m <= max_points:
-            theta, unit = circle_nodes(m)
-            zeta = z0 + r * unit
-            logf = self.product._raw_log_eval(zeta) + \
-                self._spoke_integrals(z0, zeta)
-            if m == 64 and shrinks < 30 and \
-                    float(np.max(logf.real) - np.min(logf.real)) > 30.0:
-                # caps missed (e.g. near a zero of a); shrink until the
-                # circle's dynamic range is resolvable in binary64
-                r *= 0.5
-                shrinks += 1
-                continue
+        while shrinks < 30 and \
+                float(np.max(logf.real) - np.min(logf.real)) > 30.0:
+            # caps missed (e.g. near a zero of a); shrink until the
+            # circle's dynamic range is resolvable in binary64
+            r *= 0.5
+            shrinks += 1
+            theta, logf = self._circle_log_solution(z0, r, m)
+        # z0 + r e^{i theta} is placed to about eps |z0|, a fraction
+        # blur = eps |z0| / r of the radius, so each sample of f is off by
+        # up to about blur of the circle maximum (the caps keep r |f'|
+        # below that scale).  The second mode averages m <= max_points
+        # samples, which leaves an error of at least about blur / m unless
+        # the rounding errors cancel exactly; past blur = rel_tol *
+        # max_points that floor exceeds the rel_tol the drift test
+        # certifies f'' to.  Far smaller circles (blur >~ 1) collapse onto
+        # a few binary64 points, where f'' reads ~0 and the drift test
+        # would pass a residual of 1.
+        blur = float(np.finfo(float).eps) * abs(z0) / r
+        if blur > rel_tol * max_points:
+            raise RuntimeError(
+                f"ODE residual probe {z0:.6g}: circle radius {r:.3e} is "
+                f"below binary64 resolution (eps*|z0|/r = {blur:.2e} "
+                f"exceeds {rel_tol * max_points:.3g})")
+        prev = None
+        while True:
             mean, scale = scaled_contour_mean(logf, np.exp(-2j * theta))
             fpp = 2.0 * mean / r ** 2
             f0 = np.exp(log_f0 - scale)
@@ -311,9 +329,11 @@ class OscillationBundle:
                     return float(res)
             prev = (scale, fpp)
             m *= 2
-        raise RuntimeError(
-            f"solution contour at probe {z0:.6g} did not converge within "
-            f"{max_points} points")
+            if m > max_points:
+                raise RuntimeError(
+                    f"solution contour at probe {z0:.6g} did not converge "
+                    f"within {max_points} points")
+            theta, logf = self._circle_log_solution(z0, r, m)
 
     def ode_residual(self, probes, rel_tol: float = 1e-7) -> float:
         """Worst relative ODE defect over the probes.

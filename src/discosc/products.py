@@ -176,9 +176,15 @@ class CanonicalProduct:
         return logs
 
     def _raw_log_eval(self, pts: np.ndarray) -> np.ndarray:
+        """Row sums of _factor_logs, one _CHUNK of points at a time, so
+        memory stays O(_CHUNK * n_zeros) however many points are asked."""
         if self.z.size == 0:
             return np.zeros(pts.shape, dtype=complex)
-        return np.sum(self._factor_logs(pts), axis=1)
+        out = np.empty(pts.size, dtype=complex)
+        for lo in range(0, pts.size, _CHUNK):
+            out[lo:lo + _CHUNK] = np.sum(
+                self._factor_logs(pts[lo:lo + _CHUNK]), axis=1)
+        return out
 
     def log_eval(self, z):
         """Sum of factor logs at z; Re is exact log|P(z)|.

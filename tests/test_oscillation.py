@@ -6,6 +6,7 @@ import pytest
 from discosc import (GrowthScale, ResidueCancellationError, ZeroSequence,
                      anorm_estimate, build_coefficient,
                      generate_radial_geometric, sample_probes)
+from discosc.numutil import adaptive_segment_integral, circle_nodes
 
 LOG = GrowthScale.log_power(1.0)
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
@@ -49,6 +50,40 @@ def test_ode_residual_small(geo6_bundle):
     rng = np.random.default_rng(11)
     probes = sample_probes(geo6_bundle.product, rng, 20, r_max=0.85)
     assert geo6_bundle.ode_residual(probes) <= 1e-6
+
+
+def test_ode_residual_genus0_unit_exponents():
+    # damping exponent 1 at every node leaves h with a rounding floor near
+    # 1.6e-11 of |h| in its top circle modes; the residual must not need
+    # h resolved below that floor
+    n = 50
+    bun = build_coefficient(generate_radial_geometric(0.8, n), LOG, genus=0,
+                            exponents=np.ones(n, dtype=int))
+    probes = sample_probes(bun.product, np.random.default_rng(0), 50,
+                           r_max=0.9)
+    assert bun.ode_residual(probes) <= 1e-5
+
+
+def test_spoke_integrals_match_segment_quadrature(geo6_bundle):
+    # the FFT route against Gauss-Legendre along each straight spoke
+    h = geo6_bundle.gprime.evaluate
+    probes = sample_probes(geo6_bundle.product, np.random.default_rng(7), 4,
+                           r_max=0.85)
+    _, unit = circle_nodes(64)
+    for z0 in probes:
+        zeta = z0 + (1.0 - abs(z0)) / 8.0 * unit
+        spectral = geo6_bundle._spoke_integrals(z0, zeta)
+        segment = np.array([adaptive_segment_integral(h, z0, zj, 1e-14)
+                            for zj in zeta])
+        np.testing.assert_allclose(spectral, segment, rtol=0.0, atol=1e-10)
+
+
+def test_probe_residual_names_unresolvable_circle(geo6_bundle):
+    # |a| = 1e40 caps the radius at 1e-20, below one ulp of the probe
+    z0 = complex(sample_probes(geo6_bundle.product,
+                               np.random.default_rng(3), 1)[0])
+    with pytest.raises(RuntimeError, match="below binary64 resolution"):
+        geo6_bundle._probe_residual(z0, 1e40)
 
 
 def test_solution_vanishes_exactly_on_nodes(geo6_bundle):
