@@ -13,9 +13,8 @@ from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
                             choose_exponents, target_bound_constant)
 from .oscillation import (OscillationBundle, ResidueCancellationError,
                           WitnessReport, ZeroCountReport, anorm_estimate,
-                          build_coefficient, carleson_condition_check,
-                          log_derivative_envelope, node_targets,
-                          sample_probes, sharpness_witness,
+                          build_coefficient, log_derivative_envelope,
+                          node_targets, sample_probes, sharpness_witness,
                           targets_from_product)
 from .products import CanonicalProduct, log_primary_factor, primary_factor
 from .scales import (GrowthScale, WeightPair, genus_from_scale,
@@ -37,7 +36,7 @@ __all__ = [
     "target_bound_constant",
     "OscillationBundle", "ResidueCancellationError", "WitnessReport",
     "ZeroCountReport", "anorm_estimate", "build_coefficient",
-    "carleson_condition_check", "log_derivative_envelope", "node_targets",
+    "log_derivative_envelope", "node_targets",
     "sample_probes", "sharpness_witness", "targets_from_product",
     "CanonicalProduct", "log_primary_factor", "primary_factor",
     "GrowthScale", "WeightPair", "genus_from_scale", "polya_doubling",

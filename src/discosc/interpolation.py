@@ -15,7 +15,11 @@ All term arithmetic happens on logs: a term's log is
     log b_n - log P'(z_n) - log(z - z_n) + (s_n - 1) log w_n(z)
 
 plus the shared log P(z), and the sum over n is exponentiated under a
-per-point scale so no intermediate product can overflow or underflow.
+per-point scale so no intermediate product can overflow or underflow.  The
+term logs, log P and (on request) P'/P, P''/P and the derivative sum all come
+from one chunked pass over points x nodes that forms the product's pieces
+(z - z_n, 1 - conj(z_n) z) once per chunk; the coefficient a(z) is assembled
+from that same pass.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numutil import golden_section_max, one_minus_conj_mul
-from .products import CanonicalProduct
+from .numutil import golden_section_max
+from .products import _CHUNK, CanonicalProduct, _poly_part
 from .scales import GrowthScale
 from .sequences import ZeroSequence
 
@@ -38,7 +42,44 @@ __all__ = [
     "target_bound_constant",
 ]
 
-_CHUNK = 1024
+
+def _scaled_sum(t: np.ndarray, factor=None):
+    """Row sums of exp(t - m), and of exp(t - m) * factor when a factor is
+    given, with m the row maximum of Re t; nan and infinite entries of t
+    contribute 0.  Returns (m, sum, weighted sum or None)."""
+    re = np.where(np.isnan(np.real(t)), -math.inf, np.real(t))
+    sm = np.max(re, axis=1)
+    keep = np.isfinite(t)
+    with np.errstate(invalid="ignore"):
+        e = np.exp(t - sm[:, None])
+        weighted = None if factor is None else \
+            np.sum(np.where(keep, e * factor, 0.0), axis=1)
+    return sm, np.sum(np.where(keep, e, 0.0), axis=1), weighted
+
+
+def _unscale(log_p, sm, total, what: str) -> np.ndarray:
+    """exp(log P + m) * total; overflow and non-finite values raise
+    ValueError naming the series quantity."""
+    with np.errstate(invalid="ignore", over="raise"):
+        try:
+            vals = np.exp(log_p + sm) * total
+        except FloatingPointError:
+            raise ValueError(f"series {what} overflows binary64") from None
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"series {what} produced a non-finite value")
+    return vals
+
+
+class SeriesPass(NamedTuple):
+    """One pass over points x nodes: the series is exp(log_p + scale) * total
+    and, when derivatives were asked, its derivative is
+    exp(log_p + scale) * dtotal, with lam = P'/P and lam2 = P''/P."""
+    log_p: np.ndarray
+    scale: np.ndarray
+    total: np.ndarray
+    dtotal: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    lam2: np.ndarray | None = None
 
 
 def target_bound_constant(zeros: ZeroSequence, values, scale: GrowthScale) -> float:
@@ -144,31 +185,47 @@ class InterpolationSeries:
 
     # -- evaluation --------------------------------------------------------
 
-    def _log_parts(self, pts: np.ndarray):
-        """(log P, per-point scaled term sum, log scale) for generic points."""
+    def _term_logs(self, delta: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """log b_n - log P'(z_n) - log(z - z_n) + (s_n - 1) log w_n(z) from
+        the product's pieces (delta, den); the shared log P is not added."""
+        w = self.product._gap2 / den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self._log_b - self._log_dp - np.log(delta)
+                    + (self.exponents - 1) * np.log(w))
+
+    def _pass(self, pts: np.ndarray, derivatives: bool = False) -> SeriesPass:
+        """log P, the scaled term sum and its scale at points outside every
+        exclusion disc, _CHUNK points at a time; with derivatives=True also
+        the scaled derivative sum, P'/P and P''/P from the same pieces.
+
+        Each term's derivative is the term itself times
+
+            P'/P - 1/(z - z_n) + (s_n - 1) conj(z_n)/(1 - conj(z_n) z).
+        """
         prod = self.product
-        z = prod.z
-        log_p = prod._raw_log_eval(pts)
-        smax = np.full(pts.shape, -math.inf)
-        total = np.zeros(pts.shape, dtype=complex)
-        if z.size == 0:
-            return log_p, total, smax
-        for lo in range(0, pts.size, _CHUNK):
-            p = pts[lo:lo + _CHUNK, None]
-            den = one_minus_conj_mul(z[None, :], p)
-            w = prod._gap2[None, :] / den
+        n = pts.size
+        sm = np.full(n, -math.inf)
+        log_p, total = np.zeros((2, n), dtype=complex)
+        dtotal, lam, lam2 = (np.zeros((3, n), dtype=complex) if derivatives
+                             else (None, None, None))
+        if prod.z.size == 0:
+            return SeriesPass(log_p, sm, total, dtotal, lam, lam2)
+        for lo in range(0, n, _CHUNK):
+            sl = slice(lo, lo + _CHUNK)
+            delta, den = prod._pieces(pts[sl])
+            log_p[sl] = np.sum(prod._factor_logs(delta, den), axis=1)
+            t = self._term_logs(delta, den)
+            if not derivatives:
+                sm[sl], total[sl], _ = _scaled_sum(t)
+                continue
+            L, dL = prod._log_derivatives(delta, den)
+            lam[sl] = np.sum(L, axis=1)
+            lam2[sl] = lam[sl] * lam[sl] + np.sum(dL, axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = (self._log_b[None, :] - self._log_dp[None, :]
-                     - np.log(p - z[None, :])
-                     + (self.exponents[None, :] - 1) * np.log(w))
-            re = np.where(np.isnan(np.real(t)), -math.inf, np.real(t))
-            sm = np.max(re, axis=1)
-            smax[lo:lo + _CHUNK] = sm
-            with np.errstate(invalid="ignore"):
-                e = np.exp(t - sm[:, None])
-            e = np.where(np.isfinite(t), e, 0.0)
-            total[lo:lo + _CHUNK] = np.sum(e, axis=1)
-        return log_p, total, smax
+                factor = (lam[sl, None] - 1.0 / delta
+                          + (self.exponents - 1) * (prod._zc / den))
+            sm[sl], total[sl], dtotal[sl] = _scaled_sum(t, factor)
+        return SeriesPass(log_p, sm, total, dtotal, lam, lam2)
 
     def _near_node_term_logs(self, k: int, pts: np.ndarray):
         """Per-term logs at points inside the exclusion disc of node k.
@@ -180,137 +237,77 @@ class InterpolationSeries:
                 = -conj(z_k)/(1 - conj(z_k) z) * exp(sum_{j<=s} w_k^j / j)
 
         so the 0/0 at the node never forms; the remaining terms keep the
-        generic shape, with log P taken from the same stable per-factor
-        logs (relative gaps enter exactly, never as a difference of
-        near-equal products).  At z = z_k every other term carries
+        generic shape, with log P taken from the factor logs at the offset
+        pieces of node k (relative gaps enter exactly, never as a difference
+        of near-equal products).  At z = z_k every other term carries
         log P = -inf and drops out, leaving b_k times a ratio of two
         evaluations of the same closed form.
         """
         prod = self.product
-        zn = prod.z
-        zk = zn[k]
-        rows = prod._offset_factor_logs(k, pts - zk)
+        zk = prod.z[k]
+        rows = prod._factor_logs(*prod._offset_pieces(k, pts - zk))
         log_ek = rows[:, k].copy()
         rows[:, k] = 0.0
         log_bk = np.sum(rows, axis=1)
-        den = one_minus_conj_mul(zn[None, :], pts[:, None])
-        w = prod._gap2[None, :] / den
+        delta, den = prod._pieces(pts)
+        wk = prod._gap2[k] / den[:, k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (self._log_b[None, :] - self._log_dp[None, :]
-                 - np.log(pts[:, None] - zn[None, :])
-                 + (self.exponents[None, :] - 1) * np.log(w)
-                 + (log_bk + log_ek)[:, None])
-            wk = w[:, k]
+            t = self._term_logs(delta, den) + (log_bk + log_ek)[:, None]
             if zk == 0.0:
                 fact = np.zeros(pts.shape, dtype=complex)
             else:
-                s = prod.genus
-                fact = np.log(-np.conj(zk) / den[:, k])
-                acc = np.zeros(pts.shape, dtype=complex)
-                pw = np.ones(pts.shape, dtype=complex)
-                for j in range(1, s + 1):
-                    pw = pw * wk
-                    acc = acc + pw / j
-                fact = fact + acc
+                fact = (np.log(-np.conj(zk) / den[:, k])
+                        + _poly_part(wk, prod.genus))
             t[:, k] = (self._log_b[k] - self._log_dp[k] + log_bk + fact
                        + (self.exponents[k] - 1) * np.log(wk))
         return t
 
-    def _near_node_reduce(self, k: int, pts: np.ndarray):
-        """(scaled term sum, log scale) for near-node points."""
-        t = self._near_node_term_logs(k, pts)
-        re = np.where(np.isnan(np.real(t)), -math.inf, np.real(t))
-        sm = np.max(re, axis=1)
-        with np.errstate(invalid="ignore"):
-            e = np.exp(t - sm[:, None])
-        e = np.where(np.isfinite(t), e, 0.0)
-        return np.sum(e, axis=1), sm
+    def _scaled_parts(self, arr: np.ndarray):
+        """Yield (selection, log P, scale, scaled term sum) for the points
+        outside every exclusion disc, then for the points near each node,
+        where the factored removable form of the node's own term is used
+        (log P is already inside those term logs, so 0 is yielded)."""
+        bad, idx = self.product.in_exclusion(arr)
+        if not np.all(bad):
+            p = self._pass(arr[~bad])
+            yield ~bad, p.log_p, p.scale, p.total
+        for k in np.unique(idx[bad]):
+            sel = bad & (idx == k)
+            sm, total, _ = _scaled_sum(self._near_node_term_logs(int(k),
+                                                                 arr[sel]))
+            yield sel, 0.0, sm, total
 
     def evaluate(self, z):
         """Series values; near-node points (inside an exclusion disc,
         including the nodes themselves) go through the factored removable
-        form of their own term."""
+        form of their own term.  Values that overflow binary64 raise
+        ValueError (log_abs_evaluate stays in log space)."""
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
         out = np.empty(arr.shape, dtype=complex)
-        bad, idx = self.product.in_exclusion(arr)
-        rest = ~bad
-        with np.errstate(invalid="ignore", over="raise"):
-            try:
-                if np.any(rest):
-                    log_p, total, smax = self._log_parts(arr[rest])
-                    vals = np.exp(log_p + smax) * total
-                    if not np.all(np.isfinite(vals)):
-                        raise ValueError("series evaluation produced a "
-                                         "non-finite value")
-                    out[rest] = vals
-                for k in (np.unique(idx[bad]) if np.any(bad) else ()):
-                    sel = bad & (idx == k)
-                    total, sm = self._near_node_reduce(int(k), arr[sel])
-                    out[sel] = np.exp(sm) * total
-            except FloatingPointError:
-                raise ValueError("series value overflows binary64; use "
-                                 "log_abs_evaluate for growth work")
+        for sel, log_p, sm, total in self._scaled_parts(arr):
+            out[sel] = _unscale(log_p, sm, total, "value")
         return out if np.ndim(z) else complex(out[0])
 
-    def evaluate_derivative(self, z, log_derivative=None):
-        """Series derivative via per-term logarithmic differentiation.
-
-        Each term's derivative is the term itself times
-
-            P'/P - 1/(z - z_n) + (s_n - 1) conj(z_n)/(1 - conj(z_n) z),
-
-        summed in the same scaled log space as evaluate().  P'/P may be
-        passed in when the caller already holds it; otherwise it is computed
-        from the product, which requires the points to sit outside every
-        exclusion disc.  Exact nodes are rejected: the removable values
-        there are derivative data this class does not carry.
+    def evaluate_derivative(self, z):
+        """Series derivative via per-term logarithmic differentiation,
+        summed in the same scaled log space as evaluate() and from the same
+        pass.  Points must sit outside every exclusion disc; exact nodes are
+        rejected with their own message, since the removable values there
+        are derivative data this class does not carry.
         """
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
-        _, dist = self.product.nearest_node(arr)
-        if np.any(dist == 0.0):
-            raise ValueError("series derivative at an exact node is not "
-                             "provided")
-        prod = self.product
-        zn = prod.z
-        if zn.size == 0:
-            out = np.zeros(arr.shape, dtype=complex)
-            return out if np.ndim(z) else complex(out[0])
-        if log_derivative is None:
-            lam, _ = prod.log_derivative_sums(arr)
-        else:
-            lam = np.atleast_1d(np.asarray(log_derivative, dtype=complex))
-        log_p = prod._raw_log_eval(arr)
-        out = np.empty(arr.shape, dtype=complex)
-        for lo in range(0, arr.size, _CHUNK):
-            p = arr[lo:lo + _CHUNK, None]
-            den = one_minus_conj_mul(zn[None, :], p)
-            w = prod._gap2[None, :] / den
-            diff = p - zn[None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (self._log_b[None, :] - self._log_dp[None, :]
-                     - np.log(diff)
-                     + (self.exponents[None, :] - 1) * np.log(w))
-                factor = (lam[lo:lo + _CHUNK, None] - 1.0 / diff
-                          + (self.exponents[None, :] - 1)
-                          * (prod._zc[None, :] / den))
-            re = np.where(np.isnan(np.real(t)), -math.inf, np.real(t))
-            sm = np.max(re, axis=1)
-            with np.errstate(invalid="ignore"):
-                e = np.exp(t - sm[:, None]) * factor
-            e = np.where(np.isfinite(t), e, 0.0)
-            tot = np.sum(e, axis=1)
-            with np.errstate(invalid="ignore", over="raise"):
-                try:
-                    out[lo:lo + _CHUNK] = \
-                        np.exp(log_p[lo:lo + _CHUNK] + sm) * tot
-                except FloatingPointError:
-                    raise ValueError("series derivative overflows binary64")
-        if not np.all(np.isfinite(out)):
-            raise ValueError("series derivative produced a non-finite value")
+        bad, idx = self.product.in_exclusion(arr)
+        if np.any(bad):
+            if np.any(arr[bad] == self.product.z[idx[bad]]):
+                raise ValueError("series derivative at an exact node is not "
+                                 "provided")
+            self.product.require_outside_exclusion(arr)
+        p = self._pass(arr, derivatives=True)
+        out = _unscale(p.log_p, p.scale, p.dtotal, "derivative")
         return out if np.ndim(z) else complex(out[0])
 
     def log_abs_evaluate(self, z):
@@ -320,17 +317,9 @@ class InterpolationSeries:
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
         out = np.empty(arr.shape, dtype=float)
-        bad, idx = self.product.in_exclusion(arr)
-        rest = ~bad
-        if np.any(rest):
-            log_p, total, smax = self._log_parts(arr[rest])
+        for sel, log_p, sm, total in self._scaled_parts(arr):
             with np.errstate(divide="ignore"):
-                out[rest] = np.real(log_p) + smax + np.log(np.abs(total))
-        for k in (np.unique(idx[bad]) if np.any(bad) else ()):
-            sel = bad & (idx == k)
-            total, sm = self._near_node_reduce(int(k), arr[sel])
-            with np.errstate(divide="ignore"):
-                out[sel] = sm + np.log(np.abs(total))
+                out[sel] = np.real(log_p) + sm + np.log(np.abs(total))
         return out if np.ndim(z) else float(out[0])
 
     # -- growth ------------------------------------------------------------

@@ -28,12 +28,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import carleson_box_table
-from .interpolation import GrowthRow, InterpolationSeries, TargetData
+from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
+                            _unscale)
 from .numutil import (TWO_PI, adaptive_segment_integral, circle_nodes,
                       golden_section_max, one_minus_abs2, sample_disc,
                       scaled_contour_mean, wrap_angle)
-from .products import CanonicalProduct
-from .scales import GrowthScale, genus_from_scale, psi_tilde
+from .products import _CHUNK, CanonicalProduct
+from .scales import GrowthScale, genus_from_scale
 from .sequences import SharpnessParams, ZeroSequence
 
 __all__ = [
@@ -43,16 +44,12 @@ __all__ = [
     "ZeroCountReport",
     "anorm_estimate",
     "build_coefficient",
-    "carleson_condition_check",
     "log_derivative_envelope",
     "node_targets",
     "sample_probes",
     "sharpness_witness",
     "targets_from_product",
 ]
-
-_ROW_CHUNK = 512
-
 
 class ResidueCancellationError(RuntimeError):
     """The series target disagrees with the contour value of -P''/(2P') at
@@ -89,19 +86,19 @@ def node_targets(product: CanonicalProduct) -> np.ndarray:
     zc = product._zc
     gap2 = product._gap2
     out = np.empty(n, dtype=complex)
-    for lo in range(0, n, _ROW_CHUNK):
-        zk = z[lo:lo + _ROW_CHUNK, None]
-        den = (1.0 - zc[None, :]) + zc[None, :] * (1.0 - zk)
-        u = zc[None, :] / den
-        w = gap2[None, :] / den
-        omw = -zc[None, :] * (zk - z[None, :]) / den
+    for lo in range(0, n, _CHUNK):
+        delta, den = product._pieces(z[lo:lo + _CHUNK])
+        omw = -zc * delta / den
+        # -u w^(s+1) / (1 - w) with u = conj(z_n)/den and w taken from
+        # 1 - |z_n|^2 directly; only these first-derivative terms are formed,
+        # and inline, since at N x N every extra matrix shows in peak memory
         with np.errstate(divide="ignore", invalid="ignore"):
-            L = -u * w ** (s + 1) / omw
+            L = -(zc / den) * (gap2 / den) ** (s + 1) / omw
             if np.any(product._origin):
-                L[:, product._origin] = 1.0 / zk
-        rows = np.arange(lo, min(lo + _ROW_CHUNK, n))
+                L[:, product._origin] = 1.0 / delta[:, product._origin]
+        rows = np.arange(lo, min(lo + _CHUNK, n))
         L[rows - lo, rows] = 0.0
-        out[lo:lo + _ROW_CHUNK] = -np.sum(L, axis=1)
+        out[lo:lo + _CHUNK] = -np.sum(L, axis=1)
     out -= (s + 1) * zc / gap2
     return out
 
@@ -142,10 +139,13 @@ class OscillationBundle:
     # -- coefficient -------------------------------------------------------
 
     def _coefficient_direct(self, pts: np.ndarray) -> np.ndarray:
-        lam, lam2 = self.product.log_derivative_sums(pts)
-        h = np.atleast_1d(self.gprime.evaluate(pts))
-        hp = np.atleast_1d(self.gprime.evaluate_derivative(pts, lam))
-        return -lam2 - 2.0 * h * lam - h * h - hp
+        """a = -P''/P - 2 h P'/P - h^2 - h' at points outside every
+        exclusion disc, from one pass of the series over points x nodes."""
+        self.product.require_outside_exclusion(pts)
+        p = self.gprime._pass(pts, derivatives=True)
+        h = _unscale(p.log_p, p.scale, p.total, "value")
+        hp = _unscale(p.log_p, p.scale, p.dtotal, "derivative")
+        return -p.lam2 - 2.0 * h * p.lam - h * h - hp
 
     def _recover_at_node(self, k: int, z0s: np.ndarray,
                          rel_tol: float = 1e-7,
@@ -344,12 +344,7 @@ class OscillationBundle:
         arr = np.atleast_1d(np.asarray(probes, dtype=complex))
         if np.any(np.abs(arr) > 0.95):
             raise ValueError("probes must satisfy |z| <= 0.95")
-        bad, idx = self.product.in_exclusion(arr)
-        if np.any(bad):
-            j = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"probe {arr[j]:.6g} lies in the exclusion disc of node "
-                f"{int(idx[j])}")
+        self.product.require_outside_exclusion(arr, "probe")
         a_vals = np.atleast_1d(self._coefficient_direct(arr))
         worst = 0.0
         for z0, a0 in zip(arr, a_vals):
@@ -394,7 +389,7 @@ class OscillationBundle:
             if comparator == "weight":
                 comp = float(self.scale.weight.h(r))
             else:
-                comp = psi_tilde(self.scale, 1.0 / (1.0 - r))
+                comp = self.scale.psi_tilde(1.0 / (1.0 - r))
             ratio = log_max / comp if comp > 0.0 else math.nan
             rows.append(GrowthRow(float(r), log_max, comp, ratio))
         return rows
@@ -453,7 +448,8 @@ def _node_residue_mismatch(product: CanonicalProduct, b_k: complex, k: int,
     scale = None
     while m <= max_points:
         theta, unit = circle_nodes(m)
-        logs = np.sum(product._offset_factor_logs(k, r * unit), axis=1)
+        delta, den = product._offset_pieces(k, r * unit)
+        logs = np.sum(product._factor_logs(delta, den), axis=1)
         re = np.real(logs)
         finite = re[np.isfinite(re)]
         if finite.size == 0:
@@ -560,15 +556,6 @@ def log_derivative_envelope(product: CanonicalProduct, radii,
     q1 = float(np.polyfit(x, np.log([m1 for _, m1, _ in rows]), 1)[0])
     q2 = float(np.polyfit(x, np.log([m2 for _, _, m2 in rows]), 1)[0])
     return q1, q2, rows
-
-
-def carleson_condition_check(bundle: OscillationBundle, deltas,
-                             angular_samples: int = 8) -> float:
-    """Worst box mass ratio of the squared-coefficient density
-    |a|^2 (1-|z|^2)^3, the measure whose box-linearity characterises
-    uniformly separated zero sets."""
-    table = bundle.carleson_table(deltas, angular_samples)
-    return max(ratio for _, ratio in table)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,18 @@ evaluation sums per-factor principal logs; moduli are exact and phase
 ambiguities cancel in the ratios consumed downstream (P'/P, P''/P, term
 ratios).
 
+Every per-factor quantity -- the factor logs, the first and second
+log-derivatives, the node targets and the interpolation series' term logs --
+is built from one pair of pieces per point and node, (z - z_n,
+1 - conj(z_n) z).  _pieces forms them at given points; _offset_pieces forms
+them at z_k + d without materialising the sum, which keeps contours around
+deep nodes accurate.  Points x nodes passes run _CHUNK points at a time.
+
 Stability notes baked into the implementation:
 
-* 1 - w_n(z) is always formed as -conj(z_n) (z - z_n) / (1 - conj(z_n) z),
-  which vanishes exactly at the node and never suffers cancellation.
+* 1 - w_n(z) is always formed from the pieces as
+  -conj(z_n) (z - z_n) / (1 - conj(z_n) z), which vanishes exactly at the
+  node and never suffers cancellation.
 * A zero at the origin would make w identically 1, so that point
   contributes a plain factor z instead.
 * Near-boundary denominators use the regrouped 1 - conj(a) b helper.
@@ -32,7 +40,8 @@ __all__ = [
     "harmonic_sum",
 ]
 
-_CHUNK = 2048
+# points per block of every points x nodes pass (products, series, targets)
+_CHUNK = 512
 
 
 def harmonic_sum(s: int) -> float:
@@ -96,9 +105,7 @@ class CanonicalProduct:
         else:
             radii = self._default_radii()
         self.exclusion_radii = radii
-        bs = blaschke_sum(zeros, self.genus)
-        self.tail_bound = bs.tail
-        self.convergence_sum = bs.value
+        self.convergence_sum = blaschke_sum(zeros, self.genus).value
         self._node_logs: dict[int, complex] = {}
 
     # -- geometry ----------------------------------------------------------
@@ -134,56 +141,81 @@ class CanonicalProduct:
             return np.zeros(np.shape(idx), dtype=bool), idx
         return dist <= self.exclusion_radii[idx], idx
 
-    # -- factor logs -------------------------------------------------------
+    def require_outside_exclusion(self, pts, what: str = "point") -> None:
+        """Raise ValueError naming the first point inside an exclusion disc."""
+        pts = np.atleast_1d(pts)
+        bad, idx = self.in_exclusion(pts)
+        if np.any(bad):
+            j = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"{what} {pts.flat[j]:.6g} lies in the exclusion disc of "
+                f"node {int(idx.flat[j])}")
 
-    def _factor_logs(self, pts: np.ndarray) -> np.ndarray:
-        """Matrix of per-factor principal logs, shape (len(pts), n_zeros).
+    # -- per-factor pieces and kernels --------------------------------------
 
-        Exact zeros produce -inf entries; callers mask as appropriate.
-        """
-        z = self.z
-        out = np.empty((pts.size, z.size), dtype=complex)
-        for lo in range(0, pts.size, _CHUNK):
-            p = pts[lo:lo + _CHUNK, None]
-            omw = -self._zc[None, :] * (p - z[None, :]) / \
-                one_minus_conj_mul(z[None, :], p)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logs = np.log(omw) + _poly_part(1.0 - omw, self.genus)
-                if np.any(self._origin):
-                    logs[:, self._origin] = np.log(p)
-            out[lo:lo + _CHUNK] = logs
-        return out
+    def _pieces(self, pts: np.ndarray):
+        """(z - z_n, 1 - conj(z_n) z), shape (len(pts), n_zeros) each."""
+        p = np.asarray(pts, dtype=complex)[:, None]
+        return p - self.z[None, :], one_minus_conj_mul(self.z[None, :], p)
 
-    def _offset_factor_logs(self, k: int, d: np.ndarray) -> np.ndarray:
-        """Per-factor logs at z_k + d computed without forming the sum.
+    def _offset_pieces(self, k: int, d: np.ndarray):
+        """The pieces at z_k + d, computed without forming the sum.
 
         Materialising z_k + d rounds the offset into the gap of z_k, which
         destroys contour accuracy at deep nodes; here every factor uses the
         exact pieces (z_k - z_n) + d and (1 - conj(z_n) z_k) - conj(z_n) d.
         """
-        z = self.z
-        zk = z[k]
-        base_delta = (zk - z)[None, :]
-        base_omcm = one_minus_conj_mul(z, zk)[None, :]
         dd = np.asarray(d, dtype=complex)[:, None]
-        delta = base_delta + dd
-        omcm = base_omcm - self._zc[None, :] * dd
-        omw = -self._zc[None, :] * delta / omcm
+        zk = self.z[k]
+        return ((zk - self.z)[None, :] + dd,
+                one_minus_conj_mul(self.z, zk)[None, :] - self._zc * dd)
+
+    def _factor_logs(self, delta: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """Per-factor principal logs from the pieces (delta, den).
+
+        Exact zeros produce -inf entries; callers mask as appropriate.
+        """
+        omw = -self._zc * delta / den
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(omw) + _poly_part(1.0 - omw, self.genus)
             if np.any(self._origin):
                 logs[:, self._origin] = np.log(delta[:, self._origin])
         return logs
 
+    def _log_derivatives(self, delta: np.ndarray, den: np.ndarray):
+        """Per-factor (dlog E, d2log E) from the pieces (delta, den).
+
+        With u = conj(z_n)/(1 - conj(z_n) z) and w = w_n(z),
+
+            dlog E = -u w^(s+1) / (1 - w)
+            d2log E = -u^2 w^(s+1) [ (s+2)/(1-w) + w/(1-w)^2 ]
+
+        and a node at the origin contributes 1/z and -1/z^2.
+        """
+        s = self.genus
+        u = self._zc / den
+        omw = -self._zc * delta / den
+        w = 1.0 - omw
+        wp = w ** (s + 1)
+        # origin columns produce 0/0 here and are overwritten below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = -u * wp / omw
+            dL = -u * u * wp * ((s + 2.0) / omw + w / omw ** 2)
+        if np.any(self._origin):
+            d0 = delta[:, self._origin]
+            L[:, self._origin] = 1.0 / d0
+            dL[:, self._origin] = -1.0 / d0 ** 2
+        return L, dL
+
     def _raw_log_eval(self, pts: np.ndarray) -> np.ndarray:
-        """Row sums of _factor_logs, one _CHUNK of points at a time, so
+        """Row sums of the factor logs, one _CHUNK of points at a time, so
         memory stays O(_CHUNK * n_zeros) however many points are asked."""
         if self.z.size == 0:
             return np.zeros(pts.shape, dtype=complex)
         out = np.empty(pts.size, dtype=complex)
         for lo in range(0, pts.size, _CHUNK):
             out[lo:lo + _CHUNK] = np.sum(
-                self._factor_logs(pts[lo:lo + _CHUNK]), axis=1)
+                self._factor_logs(*self._pieces(pts[lo:lo + _CHUNK])), axis=1)
         return out
 
     def log_eval(self, z):
@@ -195,12 +227,7 @@ class CanonicalProduct:
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
-        bad, idx = self.in_exclusion(arr)
-        if np.any(bad):
-            j = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"point {arr[j]:.6g} lies in the exclusion disc of node "
-                f"{int(idx[j])}; use deleted_eval or node accessors there")
+        self.require_outside_exclusion(arr)
         vals = self._raw_log_eval(arr)
         return vals if np.ndim(z) else complex(vals[0])
 
@@ -215,7 +242,7 @@ class CanonicalProduct:
         """Log of the product with factor k removed; finite at z = z_k."""
         self._check_index(k)
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        logs = self._factor_logs(arr)
+        logs = self._factor_logs(*self._pieces(arr))
         mask = np.ones(self.z.size, dtype=bool)
         mask[k] = False
         vals = np.sum(logs[:, mask], axis=1)
@@ -274,7 +301,8 @@ class CanonicalProduct:
         m = start_points
         while m <= max_points:
             theta, unit = circle_nodes(m)
-            logs = np.sum(self._offset_factor_logs(k, r * unit), axis=1)
+            delta, den = self._offset_pieces(k, r * unit)
+            logs = np.sum(self._factor_logs(delta, den), axis=1)
             kern = np.exp(-1j * order * theta)
             re = np.real(logs)
             finite = re[np.isfinite(re)]
@@ -320,37 +348,15 @@ class CanonicalProduct:
     def log_derivative_sums(self, pts):
         """(P'/P, P''/P) at points outside all exclusion discs.
 
-        Per-factor closed forms: with u = conj(z_n)/(1 - conj(z_n) z) and
-        w = w_n(z),
-
-            dlog E = -u w^(s+1) / (1 - w)
-            d2log E = -u^2 w^(s+1) [ (s+2)/(1-w) + w/(1-w)^2 ]
-
-        and P''/P = (P'/P)^2 + sum d2log E.
+        Sums of the per-factor _log_derivatives, with
+        P''/P = (P'/P)^2 + sum d2log E.
         """
         arr = np.atleast_1d(np.asarray(pts, dtype=complex))
-        bad, _ = self.in_exclusion(arr)
-        if np.any(bad):
-            raise ValueError("log-derivative sums need points outside "
-                             "exclusion discs")
+        self.require_outside_exclusion(arr)
         lam = np.zeros(arr.shape, dtype=complex)
         dlam = np.zeros(arr.shape, dtype=complex)
-        s = self.genus
-        z = self.z
         for lo in range(0, arr.size, _CHUNK):
-            p = arr[lo:lo + _CHUNK, None]
-            den = one_minus_conj_mul(z[None, :], p)
-            u = self._zc[None, :] / den
-            omw = -self._zc[None, :] * (p - z[None, :]) / den
-            w = 1.0 - omw
-            wp = w ** (s + 1)
-            # origin columns produce 0/0 here and are overwritten below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                L = -u * wp / omw
-                dL = -u * u * wp * ((s + 2.0) / omw + w / omw ** 2)
-            if np.any(self._origin):
-                L[:, self._origin] = 1.0 / p
-                dL[:, self._origin] = -1.0 / p ** 2
+            L, dL = self._log_derivatives(*self._pieces(arr[lo:lo + _CHUNK]))
             lam[lo:lo + _CHUNK] = np.sum(L, axis=1)
             dlam[lo:lo + _CHUNK] = np.sum(dL, axis=1)
         lam2 = lam * lam + dlam

@@ -1,0 +1,129 @@
+"""High-precision oracle for log P, P'/P, P''/P, the node targets, h and a.
+
+The oracle rebuilds the canonical product in mpmath at 50 digits straight
+from its definition, P(z) = prod_n E(w_n(z), s) (a node at the origin
+contributes a plain factor z), and takes every derivative from mp.diff of
+that product or of the series, never from the closed forms the package
+uses.  The series h uses the oracle's own targets b_n = -P''(z_n)/(2P'(z_n))
+and P'(z_n); only the integer damping exponents come from the package.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from mpmath import mp
+
+from discosc import (GrowthScale, ZeroSequence, build_coefficient,
+                     generate_radial_geometric, node_targets)
+
+LOG = GrowthScale.log_power(1.0)
+REL = 1e-10
+
+
+class Oracle:
+    """P, h and a of a built bundle, evaluated in mpmath."""
+
+    def __init__(self, bundle):
+        self.genus = bundle.genus
+        self.nodes = [mp.mpc(complex(z)) for z in bundle.product.z]
+        self.exps = [int(s) for s in bundle.gprime.exponents]
+        self.dp = [mp.diff(self.P, zn, 1) for zn in self.nodes]
+        d2p = [mp.diff(self.P, zn, 2) for zn in self.nodes]
+        self.b = [-q / (2 * p) for p, q in zip(self.dp, d2p)]
+
+    def w(self, zn, z):
+        return (1 - abs(zn) ** 2) / (1 - mp.conj(zn) * z)
+
+    def P(self, z):
+        val = mp.mpc(1)
+        for zn in self.nodes:
+            if zn == 0:
+                val *= z
+                continue
+            w = self.w(zn, z)
+            val *= (1 - w) * mp.exp(sum(w ** j / j
+                                        for j in range(1, self.genus + 1)))
+        return val
+
+    def h(self, z):
+        p = self.P(z)
+        return sum(b / (z - zn) * p / dp * self.w(zn, z) ** (s - 1)
+                   for zn, b, dp, s in zip(self.nodes, self.b, self.dp,
+                                           self.exps))
+
+    def a(self, z):
+        p = self.P(z)
+        lam = mp.diff(self.P, z, 1) / p
+        lam2 = mp.diff(self.P, z, 2) / p
+        h = self.h(z)
+        return -lam2 - 2 * h * lam - h * h - mp.diff(self.h, z, 1)
+
+
+def _close(got, want, what):
+    want = complex(want)
+    err = abs(complex(got) - want) / abs(want)
+    assert err <= REL, f"{what}: relative error {err:.3e}"
+
+
+def _fixture(name):
+    if name == "geo10":
+        return build_coefficient(generate_radial_geometric(0.8, 10), LOG)
+    turned = generate_radial_geometric(0.5, 6).points * np.exp(0.4j)
+    seq = ZeroSequence(np.concatenate([[0j], turned]), label="origin+geo6")
+    return build_coefficient(seq, LOG, genus=0)
+
+
+def _points(prod):
+    """(generic, near-node) points: the generic set holds interior points,
+    near-boundary points at |z| = 0.97 and 0.99, and points 1.1-1.2 r_k
+    from a node; the near-node set sits at 0.3-0.5 r_k, inside the
+    exclusion discs."""
+    z, r = prod.z, prod.exclusion_radii
+    generic = [0.1 - 0.2j, -0.4 + 0.3j, 0.2 + 0.6j, -0.5 - 0.55j]
+    generic += [rad * np.exp(1j * t) for rad in (0.97, 0.99)
+                for t in (2.0, -2.6)]
+    ks = (0, z.size // 2, z.size - 1)
+    generic += [z[k] + f * r[k] * np.exp(1j * t)
+                for k, f, t in zip(ks, (1.1, 1.2, 1.15), (0.7, -2.0, 2.9))]
+    near = [z[k] + f * r[k] * np.exp(1j * t)
+            for k, f, t in zip(ks, (0.3, 0.5, 0.4), (1.3, -0.4, 3.0))]
+    generic, near = np.asarray(generic), np.asarray(near)
+    assert not np.any(prod.in_exclusion(generic)[0])
+    assert np.all(prod.in_exclusion(near)[0])
+    return generic, near
+
+
+@pytest.mark.parametrize("name", ["geo10", "origin-geo6-genus0"])
+def test_oracle_matches_package(name):
+    with mp.workdps(50):
+        _check_fixture(name)
+
+
+def _check_fixture(name):
+    bundle = _fixture(name)
+    prod = bundle.product
+    oracle = Oracle(bundle)
+    generic, near = _points(prod)
+
+    for k, b in enumerate(node_targets(prod)):
+        _close(b, oracle.b[k], f"b_{k}")
+
+    log_p = prod.log_eval(generic)
+    lam, lam2 = prod.log_derivative_sums(generic)
+    for j, z in enumerate(generic):
+        zm = mp.mpc(complex(z))
+        p = oracle.P(zm)
+        want = float(mp.log(abs(p)))
+        assert math.isfinite(want)
+        _close(log_p[j].real, want, f"Re log P at {z:.6g}")
+        _close(lam[j], mp.diff(oracle.P, zm, 1) / p, f"P'/P at {z:.6g}")
+        _close(lam2[j], mp.diff(oracle.P, zm, 2) / p, f"P''/P at {z:.6g}")
+
+    pts = np.concatenate([generic, near])
+    h = bundle.gprime.evaluate(pts)
+    a = bundle.eval_coefficient(pts)
+    for j, z in enumerate(pts):
+        zm = mp.mpc(complex(z))
+        _close(h[j], oracle.h(zm), f"h at {z:.6g}")
+        _close(a[j], oracle.a(zm), f"a at {z:.6g}")

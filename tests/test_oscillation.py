@@ -28,15 +28,20 @@ def test_residue_tolerance_trigger():
         build_coefficient(ONE, LOG, residue_tol=1e-18)
 
 
-def test_coefficient_component_assembly():
-    # a = -(P''/P) - 2 g' (P'/P) - g'^2 - g'' pointwise
-    bun = build_coefficient(ONE, LOG)
-    z = 0.1 - 0.2j
-    lam, lam2 = bun.product.log_derivative_sums(np.array([z]))
-    hval = bun.gprime.evaluate(z)
-    hp = bun.gprime.evaluate_derivative(np.array([z]))[0]
-    manual = -(lam2[0] + 2.0 * hval * lam[0] + hval ** 2 + hp)
-    assert bun.eval_coefficient(z) == pytest.approx(manual, rel=1e-10)
+def test_coefficient_component_assembly(geo6_bundle):
+    # a = -(P''/P) - 2 g' (P'/P) - g'^2 - g'' pointwise, each piece from its
+    # own public route
+    cases = [(build_coefficient(ONE, LOG), [0.1 - 0.2j]),
+             (geo6_bundle, [0.1 - 0.2j, -0.3 + 0.5j, 0.6 + 0.2j,
+                            0.95 * np.exp(2.2j), 0.95 * np.exp(-0.5j)])]
+    for bun, zs in cases:
+        for z in zs:
+            lam, lam2 = bun.product.log_derivative_sums(np.array([z]))
+            hval = bun.gprime.evaluate(z)
+            hp = bun.gprime.evaluate_derivative(np.array([z]))[0]
+            manual = -(lam2[0] + 2.0 * hval * lam[0] + hval ** 2 + hp)
+            assert bun.eval_coefficient(z) == pytest.approx(manual,
+                                                            rel=1e-10)
 
 
 def test_eval_coefficient_shapes():
