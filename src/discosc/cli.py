@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .numutil import format_float
+from .numutil import CONTOUR_MAX_POINTS, CONTOUR_START_POINTS, format_float
 from .oscillation import (ResidueCancellationError, build_coefficient,
                           sample_probes, sharpness_witness)
 from .scales import GrowthScale, WeightPair, weight_to_psi
@@ -32,8 +32,8 @@ from .sequences import (SharpnessParams, ZeroSequence, condition_report,
 
 # Numerical design constants in force; echoed into every report.
 DESIGN = {
-    "contour_start_points": 64,
-    "contour_max_points": 1024,
+    "contour_start_points": CONTOUR_START_POINTS,
+    "contour_max_points": CONTOUR_MAX_POINTS,
     "exclusion_rule": "min(nearest_neighbor/4, (1-|z|)/8)",
     "margin_default": 10.0,
 }

@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numutil import golden_section_max
+from .numutil import (circle_nodes, flat_points, golden_section_max,
+                      like_input)
 from .products import _CHUNK, CanonicalProduct, _poly_part
 from .scales import GrowthScale
 from .sequences import ZeroSequence
@@ -282,13 +283,13 @@ class InterpolationSeries:
         including the nodes themselves) go through the factored removable
         form of their own term.  Values that overflow binary64 raise
         ValueError (log_abs_evaluate stays in log space)."""
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        arr = flat_points(z)
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
         out = np.empty(arr.shape, dtype=complex)
         for sel, log_p, sm, total in self._scaled_parts(arr):
             out[sel] = _unscale(log_p, sm, total, "value")
-        return out if np.ndim(z) else complex(out[0])
+        return like_input(out, z)
 
     def evaluate_derivative(self, z):
         """Series derivative via per-term logarithmic differentiation,
@@ -297,7 +298,7 @@ class InterpolationSeries:
         rejected with their own message, since the removable values there
         are derivative data this class does not carry.
         """
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        arr = flat_points(z)
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
         bad, idx = self.product.in_exclusion(arr)
@@ -307,20 +308,20 @@ class InterpolationSeries:
                                  "provided")
             self.product.require_outside_exclusion(arr)
         p = self._pass(arr, derivatives=True)
-        out = _unscale(p.log_p, p.scale, p.dtotal, "derivative")
-        return out if np.ndim(z) else complex(out[0])
+        return like_input(_unscale(p.log_p, p.scale, p.dtotal, "derivative"),
+                          z)
 
     def log_abs_evaluate(self, z):
         """log|f(z)| computed without leaving log space (-inf at exact
         zeros of the series)."""
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        arr = flat_points(z)
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
         out = np.empty(arr.shape, dtype=float)
         for sel, log_p, sm, total in self._scaled_parts(arr):
             with np.errstate(divide="ignore"):
                 out[sel] = np.real(log_p) + sm + np.log(np.abs(total))
-        return out if np.ndim(z) else float(out[0])
+        return like_input(out, z, float)
 
     # -- growth ------------------------------------------------------------
 
@@ -335,8 +336,8 @@ class InterpolationSeries:
         for r in np.asarray(r_ladder, dtype=float):
             if not (0.0 < r < 1.0):
                 raise ValueError("ladder radii must lie in (0, 1)")
-            theta = 2.0 * np.pi * np.arange(samples) / samples
-            vals = self.log_abs_evaluate(r * np.exp(1j * theta))
+            theta, unit = circle_nodes(samples)
+            vals = self.log_abs_evaluate(r * unit)
             j = int(np.argmax(vals))
             lo = theta[j] - 2.0 * np.pi / samples
             hi = theta[j] + 2.0 * np.pi / samples

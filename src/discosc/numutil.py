@@ -39,25 +39,72 @@ def wrap_angle(x):
     return -(y - np.pi)
 
 
+def flat_points(z) -> np.ndarray:
+    """z (a scalar or an array of any shape) as a 1-D complex array."""
+    return np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+
+
+def like_input(vals: np.ndarray, z, kind=complex):
+    """Values computed on flat_points(z), in the shape of z; a scalar z
+    gives a scalar of the given kind."""
+    return vals.reshape(np.shape(z)) if np.ndim(z) else kind(vals[0])
+
+
 def circle_nodes(m: int):
     """Uniform angles and unit points for an m-point trapezoid contour rule."""
     theta = TWO_PI * np.arange(m) / m
     return theta, np.exp(1j * theta)
 
 
-def scaled_contour_mean(log_values, kernel):
-    """mean(exp(log_values) * kernel) returned as (mean_scaled, log_scale).
+# grid sizes of the node contours: the first round, and the largest
+CONTOUR_START_POINTS = 64
+CONTOUR_MAX_POINTS = 1024
 
-    log_values may have large negative real part; the caller reassembles the
-    integral as mean_scaled * exp(log_scale).  -inf entries (exact zeros of
-    the integrand) contribute 0.
+
+def nested_circle(fn, max_points: int, start: int = CONTOUR_START_POINTS):
+    """Yield (theta, values) on trapezoid grids of start, 2 start, ...,
+    max_points points.
+
+    fn maps unit points to values along the last axis.  Each refinement
+    evaluates fn only at the new odd-indexed angles and interleaves them
+    with the kept values.  The angles 2 pi j / m are exact under doubling,
+    so every round holds bit for bit fn on circle_nodes(m).
     """
-    re = np.real(log_values)
-    scale = np.max(re[np.isfinite(re)]) if np.any(np.isfinite(re)) else 0.0
-    with np.errstate(invalid="ignore"):
-        vals = np.exp(log_values - scale)
-    vals = np.where(np.isfinite(log_values.real), vals, 0.0)
-    return np.mean(vals * kernel), scale
+    theta, unit = circle_nodes(start)
+    values = fn(unit)
+    yield theta, values
+    m = 2 * start
+    while m <= max_points:
+        theta = TWO_PI * np.arange(m) / m
+        fresh = fn(np.exp(1j * theta[1::2]))
+        kept, values = values, np.empty(fresh.shape[:-1] + (m,),
+                                         dtype=fresh.dtype)
+        values[..., 0::2], values[..., 1::2] = kept, fresh
+        yield theta, values
+        m *= 2
+
+
+def circle_modes(theta, logs, orders, scale=None):
+    """(scale, modes) with modes[i] = mean(exp(logs - scale) e^{-i k theta})
+    for k = orders[i], on the trapezoid grid theta.
+
+    scale defaults to the largest finite Re logs; a caller that compares
+    rounds may freeze it at its first value so the modes stay in one unit.
+    Entries at -inf (exact zeros of the integrand) count as 0.  Raises
+    RuntimeError when no entry is finite: the contour then collapses at
+    binary64 resolution.
+    """
+    re = np.real(logs)
+    finite = np.isfinite(re)
+    if not np.any(finite):
+        raise RuntimeError("contour collapses at binary64 resolution: every "
+                           "sample is an exact zero")
+    if scale is None:
+        scale = float(np.max(re[finite]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = np.where(finite, np.exp(logs - scale), 0.0)
+    return scale, np.array([np.mean(q * np.exp(-1j * k * theta))
+                            for k in orders])
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -22,6 +22,7 @@ that shows how fast the log-derivative must blow up when separation fails.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, NamedTuple
 
@@ -30,9 +31,10 @@ import numpy as np
 from .geometry import carleson_box_table
 from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
                             _unscale)
-from .numutil import (TWO_PI, adaptive_segment_integral, circle_nodes,
-                      golden_section_max, one_minus_abs2, sample_disc,
-                      scaled_contour_mean, wrap_angle)
+from .numutil import (TWO_PI, adaptive_segment_integral, circle_modes,
+                      circle_nodes, flat_points, golden_section_max,
+                      like_input, nested_circle, one_minus_abs2, sample_disc,
+                      wrap_angle)
 from .products import _CHUNK, CanonicalProduct
 from .scales import GrowthScale, genus_from_scale
 from .sequences import SharpnessParams, ZeroSequence
@@ -154,20 +156,18 @@ class OscillationBundle:
         interior points; one shared contour serves them all."""
         zk = self.product.z[k]
         r = 1.5 * float(self.product.exclusion_radii[k])
-        m = 64
         prev = None
-        while m <= max_points:
-            theta, unit = circle_nodes(m)
-            zeta = zk + r * unit
-            vals = self._coefficient_direct(zeta)
-            kern = (r * unit)[None, :] / (zeta[None, :] - z0s[:, None])
+        for theta, vals in nested_circle(
+                lambda unit: self._coefficient_direct(zk + r * unit),
+                max_points):
+            unit = np.exp(1j * theta)
+            kern = (r * unit)[None, :] / ((zk + r * unit)[None, :]
+                                          - z0s[:, None])
             cur = np.mean(vals[None, :] * kern, axis=1)
-            if prev is not None:
-                if np.all(np.abs(cur - prev) <=
-                          rel_tol * (np.abs(cur) + 1e-300)):
-                    return cur
+            if prev is not None and np.all(
+                    np.abs(cur - prev) <= rel_tol * (np.abs(cur) + 1e-300)):
+                return cur
             prev = cur
-            m *= 2
         raise RuntimeError(
             f"coefficient recovery circle at node {k} did not converge "
             f"within {max_points} points")
@@ -181,8 +181,7 @@ class OscillationBundle:
         node (a is analytic there by residue cancellation, while the raw
         formula is a catastrophic 0/0).
         """
-        shaped = np.asarray(z, dtype=complex)
-        arr = np.atleast_1d(shaped).ravel()
+        arr = flat_points(z)
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
         out = np.empty(arr.shape, dtype=complex)
@@ -194,7 +193,7 @@ class OscillationBundle:
             for k in np.unique(idx[bad]):
                 sel = bad & (idx == k)
                 out[sel] = self._recover_at_node(int(k), arr[sel])
-        return out.reshape(shaped.shape) if np.ndim(z) else complex(out[0])
+        return like_input(out, z)
 
     # -- solution ----------------------------------------------------------
 
@@ -202,42 +201,41 @@ class OscillationBundle:
         """Antiderivative of h along straight segments from the base point
         (default 0), so g(0) = 0; path independence is free since h is
         analytic in the disc."""
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        arr = flat_points(z)
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
         out = np.empty(arr.shape, dtype=complex)
         for j, zj in enumerate(arr):
             out[j] = adaptive_segment_integral(
                 self.gprime.evaluate, self.integration_base, complex(zj), tol)
-        return out if np.ndim(z) else complex(out[0])
+        return like_input(out, z)
 
     def log_solution(self, z):
         """Complex log of f = P e^g (principal per-factor branches summed);
         real part is exact log|f|.  -inf real part at nodes."""
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        vals = self.product._raw_log_eval(arr) + self.g(arr)
-        return vals if np.ndim(z) else complex(vals[0])
+        arr = flat_points(z)
+        return like_input(self.product._raw_log_eval(arr) + self.g(arr), z)
 
     def eval_solution(self, z):
         """f(z) = P(z) e^{g(z)}; exactly 0 at the nodes."""
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        logs = np.atleast_1d(self.log_solution(arr))
+        arr = flat_points(z)
         with np.errstate(over="raise"):
             try:
-                vals = np.exp(logs)
+                vals = np.exp(self.log_solution(arr))
             except FloatingPointError:
                 raise ValueError("solution value overflows binary64; use "
                                  "log_solution for growth work")
-        exact = np.isin(arr, self.product.z)
-        vals[exact] = 0.0
-        return vals if np.ndim(z) else complex(vals[0])
+        vals[np.isin(arr, self.product.z)] = 0.0
+        return like_input(vals, z)
 
     # -- ODE residual ------------------------------------------------------
 
-    def _spoke_integrals(self, z0: complex, zeta: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _spoke_integrals(z0: complex, zeta: np.ndarray,
+                         hv: np.ndarray) -> np.ndarray:
         """g(zeta_j) - g(z0) on the trapezoid circle
-        zeta_j = z0 + r e^{i theta_j}, theta_j = 2 pi j / m, from the m
-        values of h on that circle alone.
+        zeta_j = z0 + r e^{i theta_j}, theta_j = 2 pi j / m, from the values
+        hv_j = h(zeta_j) on that circle alone.
 
         h is analytic on the closed disc |z - z0| <= r, so the FFT of its
         circle values gives c_k ~ h_k r^k, the Taylor coefficients of h at
@@ -248,18 +246,22 @@ class OscillationBundle:
 
         which one inverse FFT evaluates at every circle point.  Only values
         of h enter, never the closed-form coefficient.  The accuracy is
-        judged by the caller's m-doubling drift test on f''.
+        judged by the caller's drift test on f''.
         """
-        hv = self.gprime.evaluate(zeta)
         k = np.arange(hv.size)
         return (zeta - z0) * np.fft.ifft(np.fft.fft(hv) / (k + 1))
 
-    def _circle_log_solution(self, z0: complex, r: float, m: int):
-        """(theta, log f(zeta) - g(z0)) on the m-point circle of radius r."""
-        theta, unit = circle_nodes(m)
-        zeta = z0 + r * unit
-        return theta, (self.product._raw_log_eval(zeta)
-                       + self._spoke_integrals(z0, zeta))
+    def _solution_rounds(self, z0: complex, r: float, max_points: int):
+        """Yield (theta, log f(zeta) - g(z0)) on the nested_circle rounds
+        of zeta = z0 + r e^{i theta}, taking log P and h once per point."""
+        def log_p_and_h(unit):
+            zeta = z0 + r * unit
+            return np.stack([self.product._raw_log_eval(zeta),
+                             self.gprime.evaluate(zeta)])
+
+        for theta, (log_p, hv) in nested_circle(log_p_and_h, max_points):
+            zeta = z0 + r * np.exp(1j * theta)
+            yield theta, log_p + self._spoke_integrals(z0, zeta, hv)
 
     def _probe_residual(self, z0: complex, a0: complex,
                         rel_tol: float = 1e-7,
@@ -269,35 +271,33 @@ class OscillationBundle:
         f'' comes from a trapezoid contour second derivative on a circle
         around z0; the shared factor e^{g(z0)} cancels in the ratio, so only
         g relative to z0 is needed, which _spoke_integrals takes from the
-        FFT of h on the same circle.  The point count m doubles from 64
-        until f'' drifts by at most rel_tol between rounds.  The circle
-        radius starts at min((1-|z0|)/8, half the distance to the nearest
-        node) and is capped by the local log-derivative scale of f: where
-        |a| is large, Re log f would otherwise swing by hundreds across the
-        circle and the second Fourier mode of f drowns in the rounding floor
-        of the peak values.  A circle too small to be placed in binary64
-        around z0 raises RuntimeError naming the probe and the radius.
+        FFT of h on the same circle.  The nested_circle rounds (64, 128, ...
+        points) run until f'' drifts by at most rel_tol between rounds.  The
+        circle radius starts at min((1-|z0|)/8, half the distance to the
+        nearest node) and is capped by the local log-derivative scale of f:
+        where |a| is large, Re log f would otherwise swing by hundreds across
+        the circle and the second Fourier mode of f drowns in the rounding
+        floor of the peak values.  A circle too small to be placed in
+        binary64 around z0 raises RuntimeError naming the probe and radius.
         """
         _, dist = self.product.nearest_node(np.asarray([z0]))
         r = (1.0 - abs(z0)) / 8.0
         if np.isfinite(dist[0]) and dist[0] > 0.0:
             r = min(r, float(dist[0]) / 2.0)
-        lam1 = np.atleast_1d(
-            self.product.log_derivative_sums(np.asarray([z0]))[0])
-        hval = np.atleast_1d(self.gprime.evaluate(np.asarray([z0])))
-        d1 = abs(complex(lam1[0]) + complex(hval[0]))
+        d1 = abs(self.product.log_derivative_sums(z0)[0]
+                 + self.gprime.evaluate(z0))
         r = min(r, 1.0 / (d1 + 1.0), 1.0 / math.sqrt(abs(a0) + 1.0))
         log_f0 = complex(self.product._raw_log_eval(np.asarray([z0]))[0])
-        m = 64
-        theta, logf = self._circle_log_solution(z0, r, m)
+        rounds = self._solution_rounds(z0, r, max_points)
+        first = next(rounds)
         shrinks = 0
-        while shrinks < 30 and \
-                float(np.max(logf.real) - np.min(logf.real)) > 30.0:
+        while shrinks < 30 and np.ptp(first[1].real) > 30.0:
             # caps missed (e.g. near a zero of a); shrink until the
             # circle's dynamic range is resolvable in binary64
             r *= 0.5
             shrinks += 1
-            theta, logf = self._circle_log_solution(z0, r, m)
+            rounds = self._solution_rounds(z0, r, max_points)
+            first = next(rounds)
         # z0 + r e^{i theta} is placed to about eps |z0|, a fraction
         # blur = eps |z0| / r of the radius, so each sample of f is off by
         # up to about blur of the circle maximum (the caps keep r |f'|
@@ -315,25 +315,21 @@ class OscillationBundle:
                 f"below binary64 resolution (eps*|z0|/r = {blur:.2e} "
                 f"exceeds {rel_tol * max_points:.3g})")
         prev = None
-        while True:
-            mean, scale = scaled_contour_mean(logf, np.exp(-2j * theta))
-            fpp = 2.0 * mean / r ** 2
+        for theta, logf in itertools.chain([first], rounds):
+            scale, (mode,) = circle_modes(theta, logf, (2,))
+            fpp = 2.0 * mode / r ** 2
             f0 = np.exp(log_f0 - scale)
             num = abs(fpp + a0 * f0)
             den = abs(fpp) + abs(a0 * f0) + 1e-300
-            res = num / den
             if prev is not None:
                 ps, pf = prev
                 drift = abs(pf * np.exp(ps - scale) - fpp)
                 if drift <= rel_tol * (abs(fpp) + abs(a0 * f0)) + 1e-300:
-                    return float(res)
+                    return float(num / den)
             prev = (scale, fpp)
-            m *= 2
-            if m > max_points:
-                raise RuntimeError(
-                    f"solution contour at probe {z0:.6g} did not converge "
-                    f"within {max_points} points")
-            theta, logf = self._circle_log_solution(z0, r, m)
+        raise RuntimeError(
+            f"solution contour at probe {z0:.6g} did not converge "
+            f"within {max_points} points")
 
     def ode_residual(self, probes, rel_tol: float = 1e-7) -> float:
         """Worst relative ODE defect over the probes.
@@ -374,9 +370,8 @@ class OscillationBundle:
         for r in np.asarray(r_ladder, dtype=float):
             if not (0.0 < r <= 0.995):
                 raise ValueError("ladder radii must lie in (0, 0.995]")
-            theta = TWO_PI * np.arange(samples) / samples
-            vals = np.abs(np.atleast_1d(
-                self.eval_coefficient(r * np.exp(1j * theta))))
+            theta, unit = circle_nodes(samples)
+            vals = np.abs(self.eval_coefficient(r * unit))
             j = int(np.argmax(vals))
 
             def fmax(t, _r=r):
@@ -429,55 +424,21 @@ class OscillationBundle:
 # construction
 
 
-def _node_residue_mismatch(product: CanonicalProduct, b_k: complex, k: int,
-                           max_points: int = 1024) -> float:
+def _node_residue_mismatch(product: CanonicalProduct, b_k: complex,
+                           k: int) -> float:
     """|P'' + 2 P' b_k| relative to |P''| + |2 P' b_k| at node k.
 
-    Both derivatives come from one trapezoid contour on the exclusion
-    circle, read off as Fourier modes of P in units of the circle maximum:
-    m1 = P' r / S and m2 = P'' r^2 / (2S) with S = max |P| on the circle,
-    so the invariant becomes |m2 + r b_k m1| against |m2| + |r b_k m1|.
-    Ring-symmetric configurations can make both sides vanish to machine
-    precision (the residue is then genuinely zero); the 1e-8 floor, in
-    units of S, absorbs that degenerate case without loosening the check
-    anywhere the terms are resolvable.
+    Both derivatives come from the product's node_modes contour on the
+    exclusion circle, m1 = P' r / S and m2 = P'' r^2 / (2S) in units of
+    the circle maximum S, so the invariant becomes |m2 + r b_k m1| against
+    |m2| + |r b_k m1|.  Ring-symmetric configurations can make both sides
+    vanish to machine precision (the residue is then genuinely zero); the
+    1e-8 floor, in units of S, absorbs that degenerate case without
+    loosening the check anywhere the terms are resolvable.
     """
-    r = float(product.exclusion_radii[k])
-    m = 64
-    prev = None
-    scale = None
-    while m <= max_points:
-        theta, unit = circle_nodes(m)
-        delta, den = product._offset_pieces(k, r * unit)
-        logs = np.sum(product._factor_logs(delta, den), axis=1)
-        re = np.real(logs)
-        finite = re[np.isfinite(re)]
-        if finite.size == 0:
-            raise RuntimeError(
-                f"exclusion circle of node {k} collapses at binary64 "
-                f"resolution")
-        if scale is None:
-            # Frozen across refinements so the Fourier modes stay in one
-            # consistent unit; the sampled circle maximum itself moves as
-            # the grid refines whenever |P| varies along the circle.
-            scale = float(np.max(finite))
-        with np.errstate(invalid="ignore", over="ignore"):
-            q = np.exp(logs - scale)
-        q = np.where(np.isfinite(re), q, 0.0)
-        m1 = np.mean(q * np.exp(-1j * theta))
-        m2 = np.mean(q * np.exp(-2j * theta))
-        if prev is not None:
-            p1, p2 = prev
-            if (abs(m1 - p1) <= 1e-9 * (1.0 + abs(m1)) and
-                    abs(m2 - p2) <= 1e-9 * (1.0 + abs(m2))):
-                cross = r * b_k * m1
-                return float(abs(m2 + cross) /
-                             (abs(m2) + abs(cross) + 1e-8))
-        prev = (m1, m2)
-        m *= 2
-    raise RuntimeError(
-        f"residue contour at node {k} did not converge within "
-        f"{max_points} points")
+    _, m1, m2 = product.node_modes(k)
+    cross = float(product.exclusion_radii[k]) * b_k * m1
+    return float(abs(m2 + cross) / (abs(m2) + abs(cross) + 1e-8))
 
 
 def build_coefficient(zeros: ZeroSequence, scale: GrowthScale,
@@ -546,8 +507,7 @@ def log_derivative_envelope(product: CanonicalProduct, radii,
     """
     rows = []
     for r in np.asarray(radii, dtype=float):
-        theta = TWO_PI * np.arange(samples) / samples
-        pts = r * np.exp(1j * theta)
+        pts = r * circle_nodes(samples)[1]
         bad, _ = product.in_exclusion(pts)
         lam, lam2 = product.log_derivative_sums(pts[~bad])
         rows.append((float(r), float(np.max(np.abs(lam))),

@@ -29,8 +29,9 @@ import math
 
 import numpy as np
 
-from .numutil import (circle_nodes, one_minus_abs, one_minus_abs2,
-                      one_minus_conj_mul)
+from .numutil import (CONTOUR_MAX_POINTS, circle_modes, circle_nodes,
+                      flat_points, like_input, nested_circle, one_minus_abs,
+                      one_minus_abs2, one_minus_conj_mul)
 from .sequences import ZeroSequence, blaschke_sum, log_integrated_count
 
 __all__ = [
@@ -224,29 +225,25 @@ class CanonicalProduct:
         Requires z inside the disc and outside every exclusion disc; use the
         deleted/ratio accessors near nodes.
         """
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        arr = flat_points(z)
         if np.any(np.abs(arr) >= 1.0):
             raise ValueError("evaluation point outside the open disc")
         self.require_outside_exclusion(arr)
-        vals = self._raw_log_eval(arr)
-        return vals if np.ndim(z) else complex(vals[0])
+        return like_input(self._raw_log_eval(arr), z)
 
     def eval(self, z):
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
+        arr = flat_points(z)
         vals = np.exp(self._raw_log_eval(arr))
-        exact = np.isin(arr, self.z)
-        vals[exact] = 0.0
-        return vals if np.ndim(z) else complex(vals[0])
+        vals[np.isin(arr, self.z)] = 0.0
+        return like_input(vals, z)
 
     def deleted_log_eval(self, k: int, z):
         """Log of the product with factor k removed; finite at z = z_k."""
         self._check_index(k)
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        logs = self._factor_logs(*self._pieces(arr))
+        logs = self._factor_logs(*self._pieces(flat_points(z)))
         mask = np.ones(self.z.size, dtype=bool)
         mask[k] = False
-        vals = np.sum(logs[:, mask], axis=1)
-        return vals if np.ndim(z) else complex(vals[0])
+        return like_input(np.sum(logs[:, mask], axis=1), z)
 
     def deleted_eval(self, k: int, z):
         val = self.deleted_log_eval(k, z)
@@ -283,65 +280,55 @@ class CanonicalProduct:
         which case the log form remains usable."""
         return complex(np.exp(self.log_derivative_at_zero(k)))
 
-    def log_contour_derivative_at_zero(self, k: int, order: int = 1,
-                                       start_points: int = 64,
-                                       max_points: int = 1024,
-                                       rel_tol: float = 1e-7):
-        """Trapezoid Cauchy-integral derivative on the exclusion circle.
+    def node_modes(self, k: int):
+        """(scale, m1, m2) with m1 = P'(z_k) r e^-scale and
+        m2 = P''(z_k) r^2 e^-scale / 2, the Fourier modes of P on the
+        exclusion circle (radius r) of node k.
 
-        Returns the complex log of (order!/(2 pi i)) contour P/(dz)^(order+1).
-        The point count doubles until successive values agree to rel_tol.
+        The nested_circle rounds run until both modes move by at most
+        1e-9 (1 + |m|); scale, the first round's maximum of log|P|, stays
+        frozen so that the rounds compare in one unit.
         """
         self._check_index(k)
+        r = float(self.exclusion_radii[k])
+
+        def logs(unit):
+            pieces = self._offset_pieces(k, r * unit)
+            return np.sum(self._factor_logs(*pieces), axis=1)
+
+        scale = prev = None
+        for theta, vals in nested_circle(logs, CONTOUR_MAX_POINTS):
+            try:
+                scale, cur = circle_modes(theta, vals, (1, 2), scale)
+            except RuntimeError as err:
+                raise RuntimeError(f"exclusion circle of node {k}: {err}") \
+                    from None
+            if prev is not None and np.all(
+                    np.abs(cur - prev) <= 1e-9 * (1.0 + np.abs(cur))):
+                return scale, cur[0], cur[1]
+            prev = cur
+        raise RuntimeError(
+            f"exclusion-circle contour at node {k} did not converge within "
+            f"{CONTOUR_MAX_POINTS} points")
+
+    def log_contour_derivative_at_zero(self, k: int, order: int = 1):
+        """Complex log of P^(order)(z_k) from the node_modes contour."""
         if order not in (1, 2):
             raise ValueError("only first and second derivatives are provided")
-        zk = self.z[k]
-        r = self.exclusion_radii[k]
-        prev = None
-        m = start_points
-        while m <= max_points:
-            theta, unit = circle_nodes(m)
-            delta, den = self._offset_pieces(k, r * unit)
-            logs = np.sum(self._factor_logs(delta, den), axis=1)
-            kern = np.exp(-1j * order * theta)
-            re = np.real(logs)
-            finite = re[np.isfinite(re)]
-            if finite.size == 0:
-                raise RuntimeError(
-                    f"exclusion circle of node {k} collapses at binary64 "
-                    f"resolution; use the log-space node accessors")
-            scale = float(np.max(finite))
-            with np.errstate(invalid="ignore"):
-                vals = np.exp(logs - scale)
-            vals = np.where(np.isfinite(re), vals, 0.0)
-            mean = np.mean(vals * kern)
-            fact = 1.0 if order == 1 else 2.0
-            cur = (scale + np.log(complex(fact / r ** order)), mean)
-            if prev is not None:
-                ps, pm = prev
-                cs, cm = cur
-                ref = abs(cm)
-                diff = abs(cm - pm * np.exp(ps - cs))
-                if ref > 0.0 and diff <= rel_tol * ref:
-                    return complex(cs + np.log(complex(cm)))
-                if ref == 0.0 and diff <= 1e-300:
-                    return complex(-math.inf)
-            prev = cur
-            m *= 2
-        raise RuntimeError(
-            f"contour derivative at node {k} did not converge within "
-            f"{max_points} points")
+        scale, *modes = self.node_modes(k)
+        mode = modes[order - 1]
+        if mode == 0.0:
+            return complex(-math.inf)
+        fact = math.factorial(order) / float(self.exclusion_radii[k]) ** order
+        return complex(scale + np.log(complex(fact)) + np.log(complex(mode)))
 
     def contour_derivative_at_zero(self, k: int) -> complex:
         """P'(z_k) by contour integration; log-free convenience form."""
         return complex(np.exp(self.log_contour_derivative_at_zero(k)))
 
-    def log_second_derivative_at_zero(self, k: int) -> complex:
-        return self.log_contour_derivative_at_zero(k, order=2)
-
     def second_derivative_at_zero(self, k: int) -> complex:
         """P''(z_k) by contour integration over the exclusion circle."""
-        return complex(np.exp(self.log_second_derivative_at_zero(k)))
+        return complex(np.exp(self.log_contour_derivative_at_zero(k, 2)))
 
     # -- logarithmic derivative sums --------------------------------------
 
@@ -351,7 +338,7 @@ class CanonicalProduct:
         Sums of the per-factor _log_derivatives, with
         P''/P = (P'/P)^2 + sum d2log E.
         """
-        arr = np.atleast_1d(np.asarray(pts, dtype=complex))
+        arr = flat_points(pts)
         self.require_outside_exclusion(arr)
         lam = np.zeros(arr.shape, dtype=complex)
         dlam = np.zeros(arr.shape, dtype=complex)
@@ -359,10 +346,7 @@ class CanonicalProduct:
             L, dL = self._log_derivatives(*self._pieces(arr[lo:lo + _CHUNK]))
             lam[lo:lo + _CHUNK] = np.sum(L, axis=1)
             dlam[lo:lo + _CHUNK] = np.sum(dL, axis=1)
-        lam2 = lam * lam + dlam
-        if np.ndim(pts):
-            return lam, lam2
-        return complex(lam[0]), complex(lam2[0])
+        return like_input(lam, pts), like_input(lam * lam + dlam, pts)
 
     # -- diagnostics -------------------------------------------------------
 
@@ -393,8 +377,8 @@ class CanonicalProduct:
         from .numutil import golden_section_max
         if not (0.0 < r < 1.0):
             raise ValueError("circle radius must lie in (0, 1)")
-        theta = 2.0 * np.pi * np.arange(samples) / samples
-        vals = np.real(self._raw_log_eval(r * np.exp(1j * theta)))
+        theta, unit = circle_nodes(samples)
+        vals = np.real(self._raw_log_eval(r * unit))
         j = int(np.argmax(vals))
         lo = theta[(j - 1) % samples] if j > 0 else theta[-1] - 2.0 * np.pi
         hi = theta[(j + 1) % samples] if j < samples - 1 else theta[0] + 2.0 * np.pi

@@ -45,10 +45,19 @@ def test_coefficient_component_assembly(geo6_bundle):
 
 
 def test_eval_coefficient_shapes():
+    # every pointwise evaluator keeps the input's shape, with the values it
+    # gives on the flattened points, and maps a scalar to a scalar
     bun = build_coefficient(ONE, LOG)
-    assert np.ndim(bun.eval_coefficient(0.1 + 0.1j)) == 0
     grid = np.array([[0.1, 0.2j], [-0.2, 0.15 + 0.1j]])
-    assert bun.eval_coefficient(grid).shape == grid.shape
+    sums = bun.product.log_derivative_sums
+    for fn in (bun.eval_coefficient, bun.product.log_eval, bun.product.eval,
+               lambda z: sums(z)[0], lambda z: sums(z)[1],
+               bun.gprime.evaluate_derivative, bun.log_solution,
+               bun.eval_solution, bun.g):
+        assert np.ndim(fn(0.1 + 0.1j)) == 0
+        vals = fn(grid)
+        assert vals.shape == grid.shape
+        np.testing.assert_array_equal(vals.ravel(), fn(grid.ravel()))
 
 
 def test_ode_residual_small(geo6_bundle):
@@ -77,7 +86,7 @@ def test_spoke_integrals_match_segment_quadrature(geo6_bundle):
     _, unit = circle_nodes(64)
     for z0 in probes:
         zeta = z0 + (1.0 - abs(z0)) / 8.0 * unit
-        spectral = geo6_bundle._spoke_integrals(z0, zeta)
+        spectral = geo6_bundle._spoke_integrals(z0, zeta, h(zeta))
         segment = np.array([adaptive_segment_integral(h, z0, zj, 1e-14)
                             for zj in zeta])
         np.testing.assert_allclose(spectral, segment, rtol=0.0, atol=1e-10)
