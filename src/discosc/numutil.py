@@ -61,26 +61,26 @@ CONTOUR_START_POINTS = 64
 CONTOUR_MAX_POINTS = 1024
 
 
-def nested_circle(fn, max_points: int, start: int = CONTOUR_START_POINTS):
-    """Yield (theta, values) on trapezoid grids of start, 2 start, ...,
-    max_points points.
+def nested_circle(fn, max_points: int):
+    """Yield (theta, unit, values) on trapezoid grids of
+    CONTOUR_START_POINTS, twice that, ..., max_points points.
 
     fn maps unit points to values along the last axis.  Each refinement
-    evaluates fn only at the new odd-indexed angles and interleaves them
-    with the kept values.  The angles 2 pi j / m are exact under doubling,
-    so every round holds bit for bit fn on circle_nodes(m).
+    evaluates fn only at the new odd-indexed points and interleaves the
+    results with the kept values.  The angles 2 pi j / m are exact under
+    doubling, so every round holds bit for bit fn on circle_nodes(m).
     """
-    theta, unit = circle_nodes(start)
+    theta, unit = circle_nodes(CONTOUR_START_POINTS)
     values = fn(unit)
-    yield theta, values
-    m = 2 * start
+    yield theta, unit, values
+    m = 2 * CONTOUR_START_POINTS
     while m <= max_points:
-        theta = TWO_PI * np.arange(m) / m
-        fresh = fn(np.exp(1j * theta[1::2]))
+        theta, unit = circle_nodes(m)
+        fresh = fn(unit[1::2])
         kept, values = values, np.empty(fresh.shape[:-1] + (m,),
                                          dtype=fresh.dtype)
         values[..., 0::2], values[..., 1::2] = kept, fresh
-        yield theta, values
+        yield theta, unit, values
         m *= 2
 
 

@@ -157,10 +157,9 @@ class OscillationBundle:
         zk = self.product.z[k]
         r = 1.5 * float(self.product.exclusion_radii[k])
         prev = None
-        for theta, vals in nested_circle(
+        for _, unit, vals in nested_circle(
                 lambda unit: self._coefficient_direct(zk + r * unit),
                 max_points):
-            unit = np.exp(1j * theta)
             kern = (r * unit)[None, :] / ((zk + r * unit)[None, :]
                                           - z0s[:, None])
             cur = np.mean(vals[None, :] * kern, axis=1)
@@ -259,8 +258,9 @@ class OscillationBundle:
             return np.stack([self.product._raw_log_eval(zeta),
                              self.gprime.evaluate(zeta)])
 
-        for theta, (log_p, hv) in nested_circle(log_p_and_h, max_points):
-            zeta = z0 + r * np.exp(1j * theta)
+        for theta, unit, (log_p, hv) in nested_circle(log_p_and_h,
+                                                       max_points):
+            zeta = z0 + r * unit
             yield theta, log_p + self._spoke_integrals(z0, zeta, hv)
 
     def _probe_residual(self, z0: complex, a0: complex,

@@ -297,7 +297,7 @@ class CanonicalProduct:
             return np.sum(self._factor_logs(*pieces), axis=1)
 
         scale = prev = None
-        for theta, vals in nested_circle(logs, CONTOUR_MAX_POINTS):
+        for theta, _, vals in nested_circle(logs, CONTOUR_MAX_POINTS):
             try:
                 scale, cur = circle_modes(theta, vals, (1, 2), scale)
             except RuntimeError as err:

@@ -17,11 +17,12 @@ def test_nested_circle_rounds_equal_fresh_grids():
         return fn(unit)
 
     rounds = list(nested_circle(counted, 512))
-    assert [theta.size for theta, _ in rounds] == [64, 128, 256, 512]
-    for theta, vals in rounds:
-        fresh_theta, unit = circle_nodes(theta.size)
+    assert [theta.size for theta, _, _ in rounds] == [64, 128, 256, 512]
+    for theta, unit, vals in rounds:
+        fresh_theta, fresh_unit = circle_nodes(theta.size)
         assert np.array_equal(theta, fresh_theta)
-        assert np.array_equal(vals, fn(unit))
+        assert np.array_equal(unit, fresh_unit)
+        assert np.array_equal(vals, fn(fresh_unit))
     # each point is evaluated once: 64 + 64 + 128 + 256, not 64 + ... + 512
     assert seen == [64, 64, 128, 256]
 
@@ -29,7 +30,7 @@ def test_nested_circle_rounds_equal_fresh_grids():
 def test_nested_circle_stops_at_max_points():
     sizes = []
     rounds = nested_circle(lambda unit: sizes.append(unit.size) or unit, 128)
-    assert [theta.size for theta, _ in rounds] == [64, 128]
+    assert [theta.size for theta, _, _ in rounds] == [64, 128]
     assert sizes == [64, 64]
 
 
