@@ -243,8 +243,7 @@ def cmd_verify(args) -> int:
     probes = sample_probes(bundle.product, rng, args.samples,
                            r_max=args.rmax)
     ode = bundle.ode_residual(probes)
-    count = bundle.count_zeros(radius=args.rmax,
-                               samples=args.contour_points)
+    count = bundle.count_zeros(radius=args.rmax)
     residue_max = (float(np.max(bundle.residue_mismatch))
                    if len(seq) else 0.0)
     checks = {
@@ -259,7 +258,7 @@ def cmd_verify(args) -> int:
         },
         "zero_count": {
             "winding": count.winding, "count": count.count,
-            "nodes_inside": count.nodes_inside, "radius": args.rmax,
+            "nodes_inside": count.nodes_inside, "radius": count.radius,
             "pass": bool(count.matches),
         },
     }
@@ -267,7 +266,6 @@ def cmd_verify(args) -> int:
         "sequence": args.sequence, "scale": args.scale,
         "margin": args.margin, "samples": args.samples,
         "seed": args.seed, "rmax": args.rmax,
-        "contour_points": args.contour_points,
     })
     out["scale_resolved"] = scale.config()
     out["points"] = len(seq)
@@ -383,9 +381,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="random probe count for the ODE residual")
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--rmax", type=float, default=0.9,
-                    help="probe and zero-count radius")
-    vf.add_argument("--contour-points", type=int, default=512,
-                    help="initial samples per winding-contour edge")
+                    help="probe radius and least zero-count radius")
     vf.add_argument("--out", help="report JSON base path")
     vf.set_defaults(func=cmd_verify)
     gr.add_argument("--target", choices=["coefficient", "series"],

@@ -66,6 +66,20 @@ class ResidueCancellationError(RuntimeError):
             f"mismatch {mismatch:.3e} exceeds {tol:g}")
 
 
+# largest grid of the zero-count circle; the N = 368 rho-lattice at radius
+# 0.9 settles at 4096 points
+WINDING_MAX_POINTS = 2 ** 16
+
+
+class ZeroCountReport(NamedTuple):
+    winding: float
+    count: int
+    nodes_inside: int
+    matches: bool
+    radius: float
+    samples: int
+
+
 # ---------------------------------------------------------------------------
 # node targets
 
@@ -391,11 +405,41 @@ class OscillationBundle:
 
     # -- zero counting -----------------------------------------------------
 
-    def count_zeros(self, radius: float = 0.9, cell: float = 0.045,
-                    samples: int = 512, max_samples: int = 8192,
-                    winding_tol: float = 0.02) -> "ZeroCountReport":
-        return _count_zeros(self, radius, cell, samples, max_samples,
-                            winding_tol)
+    def count_zeros(self, radius: float = 0.9) -> ZeroCountReport:
+        """Argument-principle count of the zeros of f = P e^g in |z| < rho.
+
+        e^g has no zeros, so f winds as P does: the count reads only values
+        of log P and node moduli, never h or the closed-form a.  rho is the
+        smallest radius >= radius whose circle stays at least r_k from
+        every node z_k, i.e. misses each band (|z_k| - r_k, |z_k| + r_k) of
+        exclusion radii r_k; r_k <= (1 - |z_k|)/8 keeps rho < 1.  The grid
+        on |z| = rho doubles until every wrapped step of Im log P, the
+        closing step included, is at most pi/4; the winding is then the
+        sum of the steps over 2 pi.  Raises RuntimeError when no grid of up
+        to WINDING_MAX_POINTS points resolves the circle.
+        """
+        if not (0.0 < radius < 1.0):
+            raise ValueError("radius must lie in (0, 1)")
+        prod = self.product
+        mod = np.abs(prod.z)
+        lo, hi = mod - prod.exclusion_radii, mod + prod.exclusion_radii
+        rho = float(radius)
+        while np.any(crossed := (lo < rho) & (rho < hi)):
+            rho = float(np.max(hi[crossed]))
+        for _, _, logs in nested_circle(
+                lambda unit: prod._raw_log_eval(rho * unit),
+                WINDING_MAX_POINTS):
+            im = np.imag(logs)
+            steps = wrap_angle(np.diff(im, append=im[:1]))
+            if np.max(np.abs(steps)) <= np.pi / 4.0:
+                winding = float(np.sum(steps)) / TWO_PI
+                count = round(winding)
+                inside = int(np.sum(mod < rho))
+                return ZeroCountReport(winding, count, inside,
+                                       count == inside, rho, logs.size)
+        raise RuntimeError(
+            f"zero-count circle |z| = {rho!r} unresolved: a wrapped step of "
+            f"arg P exceeds pi/4 at {WINDING_MAX_POINTS} points")
 
     # -- Carleson density --------------------------------------------------
 
@@ -618,127 +662,3 @@ def sharpness_witness(params: SharpnessParams, n: int,
     return WitnessReport(n=n, m=m, eps=eps, i1=i1, i1_abs=abs(i1),
                          i1_floor=i1_floor, i2=i2, i2_abs=abs(i2),
                          i2_upper=i2_upper, logderiv=i1 + i2)
-
-
-# ---------------------------------------------------------------------------
-# argument-principle zero count
-
-
-class ZeroCountReport(NamedTuple):
-    winding: float
-    count: int
-    nodes_inside: int
-    matches: bool
-    cells: int
-    edges: int
-    samples: int
-    h_loop: complex
-    offset: tuple
-
-
-def _grid_offset(coords: np.ndarray, cell: float) -> float:
-    """Offset in [0, cell) putting grid lines as far as possible from the
-    given coordinates (so no winding edge passes near a zero)."""
-    best, best_d = 0.0, -1.0
-    for k in range(16):
-        off = cell * k / 16.0
-        if coords.size == 0:
-            return off
-        frac = np.abs(((coords - off) / cell + 0.5) % 1.0 - 0.5)
-        d = float(np.min(frac))
-        if d > best_d:
-            best, best_d = off, d
-    return best
-
-
-def _count_zeros(bundle: OscillationBundle, radius: float, cell: float,
-                 samples: int, max_samples: int,
-                 winding_tol: float) -> ZeroCountReport:
-    """Winding of f = P e^g around a polyomino of grid cells covering the
-    closed disc of the given radius.
-
-    The boundary is the set of cell edges with exactly one kept neighbour,
-    directed counterclockwise; along each edge the increment of arg f is
-    the wrapped increment of Im log P plus Im of the integral of h.  The
-    point count doubles until the total winding is within winding_tol of
-    an integer.
-    """
-    if not (0.0 < radius < 1.0):
-        raise ValueError("radius must lie in (0, 1)")
-    z = bundle.product.z
-    near = z[np.abs(z) <= radius + 2.0 * cell] if z.size else z
-    ox = _grid_offset(np.real(near), cell)
-    oy = _grid_offset(np.imag(near), cell)
-
-    i0 = int(math.floor((-radius - ox) / cell)) - 1
-    i1 = int(math.ceil((radius - ox) / cell)) + 1
-    j0 = int(math.floor((-radius - oy) / cell)) - 1
-    j1 = int(math.ceil((radius - oy) / cell)) + 1
-    ii, jj = np.meshgrid(np.arange(i0, i1 + 1), np.arange(j0, j1 + 1),
-                         indexing="ij")
-    x_lo = ox + ii * cell
-    y_lo = oy + jj * cell
-    # nearest point of each cell to the origin
-    nx = np.clip(0.0, x_lo, x_lo + cell)
-    ny = np.clip(0.0, y_lo, y_lo + cell)
-    kept = np.hypot(nx, ny) <= radius
-
-    def neighbor(di: int, dj: int) -> np.ndarray:
-        """kept status of the cell displaced by (di, dj)."""
-        out = np.zeros_like(kept)
-        ni, nj = kept.shape
-        out[max(-di, 0):ni + min(-di, 0), max(-dj, 0):nj + min(-dj, 0)] = \
-            kept[max(di, 0):ni + min(di, 0), max(dj, 0):nj + min(dj, 0)]
-        return out
-
-    edges = []  # (start, end) complex, CCW around kept region
-    for (di, dj, s0, s1) in (
-            (0, -1, 0j, 1.0),          # bottom: left -> right
-            (1, 0, 1.0, 1.0 + 1j),     # right: bottom -> top
-            (0, 1, 1.0 + 1j, 1j),      # top: right -> left
-            (-1, 0, 1j, 0j)):          # left: top -> bottom
-        open_side = kept & ~neighbor(di, dj)
-        xs = x_lo[open_side]
-        ys = y_lo[open_side]
-        corners = xs + 1j * ys
-        edges.extend(zip(corners + cell * s0, corners + cell * s1))
-    if not edges:
-        raise ValueError("no cells intersect the requested disc")
-    starts = np.asarray([e[0] for e in edges])
-    ends = np.asarray([e[1] for e in edges])
-
-    # h contribution: one adaptive integral per edge, fixed across
-    # refinements of the log-product sampling
-    h_ints = np.asarray([
-        adaptive_segment_integral(bundle.gprime.evaluate, complex(a),
-                                  complex(b), 1e-9)
-        for a, b in zip(starts, ends)])
-    h_im = float(np.sum(np.imag(h_ints)))
-    h_loop = complex(np.sum(h_ints))
-
-    m = samples
-    while m <= max_samples:
-        t = np.arange(m + 1) / m
-        pts = starts[:, None] + (ends - starts)[:, None] * t[None, :]
-        logs = bundle.product._raw_log_eval(pts.ravel()).reshape(pts.shape)
-        dim = wrap_angle(np.diff(np.imag(logs), axis=1))
-        total = (float(np.sum(dim)) + h_im) / TWO_PI
-        nearest = round(total)
-        if abs(total - nearest) <= winding_tol:
-            count = int(nearest)
-            inside = 0
-            if z.size:
-                ci = np.floor((np.real(z) - ox) / cell).astype(int) - i0
-                cj = np.floor((np.imag(z) - oy) / cell).astype(int) - j0
-                ok = (ci >= 0) & (ci < kept.shape[0]) & \
-                     (cj >= 0) & (cj < kept.shape[1])
-                inside = int(np.sum(kept[ci[ok], cj[ok]]))
-            return ZeroCountReport(
-                winding=total, count=count, nodes_inside=inside,
-                matches=count == inside, cells=int(np.sum(kept)),
-                edges=len(edges), samples=m, h_loop=h_loop,
-                offset=(ox, oy))
-        m *= 2
-    raise RuntimeError(
-        f"winding total failed to settle near an integer within "
-        f"{max_samples} samples per edge")

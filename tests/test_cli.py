@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from discosc import ResidueCancellationError, cli
+from discosc import ResidueCancellationError, cli, oscillation
 
 
 def test_gen_geometric_writes_sequence(tmp_path, capsys):
@@ -125,6 +125,27 @@ def test_verify_passes_on_geometric(tmp_path, capsys):
     assert rep["checks"]["zero_count"]["count"] == 3
     assert len(rep["carleson_measurement"]) == 3
     assert "verification: PASS" in capsys.readouterr().out
+
+
+def test_verify_counts_zeros_near_the_probe_limit(tmp_path):
+    # the count circle at the largest probe radius stays inside the disc
+    seq = _gen_geo(tmp_path)
+    base = tmp_path / "ver"
+    code = cli.main(["verify", "--sequence", str(seq), "--scale", "log",
+                     "--samples", "5", "--rmax", "0.95", "--out", str(base)])
+    assert code == 0
+    rep = json.loads((tmp_path / "ver.json").read_text())
+    assert rep["checks"]["zero_count"]["count"] == 4
+    assert rep["checks"]["zero_count"]["nodes_inside"] == 4
+
+
+def test_verify_unresolved_zero_count_exit_code(tmp_path, monkeypatch):
+    # geo6 at 0.9 settles at 512 points; an unresolved count is exit 3,
+    # never a verification failure
+    seq = _gen_geo(tmp_path)
+    monkeypatch.setattr(oscillation, "WINDING_MAX_POINTS", 64)
+    assert cli.main(["verify", "--sequence", str(seq), "--scale", "log",
+                     "--samples", "5", "--out", str(tmp_path / "v")]) == 3
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

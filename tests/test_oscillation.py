@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from discosc import (GrowthScale, ResidueCancellationError, ZeroSequence,
                      anorm_estimate, build_coefficient,
-                     generate_radial_geometric, sample_probes)
+                     generate_radial_geometric, oscillation, sample_probes)
 from discosc.numutil import adaptive_segment_integral, circle_nodes
 
 LOG = GrowthScale.log_power(1.0)
@@ -130,6 +132,54 @@ def test_zero_count_matches_nodes(geo6_bundle):
     assert rep.nodes_inside == 3
     assert rep.matches
     assert abs(rep.winding - 3.0) <= 0.02
+
+
+@pytest.mark.parametrize("radius, count",
+                         [(0.5, 1), (0.75, 2), (0.875, 3), (0.95, 4)])
+def test_zero_count_radius_clears_every_band(geo6_bundle, radius, count):
+    # geo6 moduli are 1 - 2^-k; radii 0.5, 0.75 and 0.875 fall on a node's
+    # own modulus, so the circle moves out past that node's band
+    prod = geo6_bundle.product
+    rep = geo6_bundle.count_zeros(radius=radius)
+    assert rep.count == rep.nodes_inside == count
+    assert rep.matches
+    assert rep.radius >= radius
+    mod, r = np.abs(prod.z), prod.exclusion_radii
+    assert not np.any((mod - r < rep.radius) & (rep.radius < mod + r))
+
+
+def test_zero_count_unresolved_circle_raises(geo50_bundle, monkeypatch):
+    # geo50 at 0.9 settles at 1024 points; a 64-point cap must fail by
+    # name instead of reporting matches=False
+    monkeypatch.setattr(oscillation, "WINDING_MAX_POINTS", 64)
+    with pytest.raises(RuntimeError, match="unresolved"):
+        geo50_bundle.count_zeros(radius=0.9)
+
+
+def test_zero_count_on_rho_lattice(weight_pipeline):
+    _, _, lattice, bundle = weight_pipeline
+    rep = bundle.count_zeros(radius=0.9)
+    assert rep.count == rep.nodes_inside == len(lattice) == 368
+
+
+@st.composite
+def separated_sets(draw):
+    n = draw(st.integers(1, 8))
+    r = draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n))
+    t = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n))
+    pts = np.asarray(r) * np.exp(1j * np.asarray(t))
+    d = np.abs(pts[:, None] - pts[None, :]) + np.eye(n)
+    assume(np.min(d) >= 0.05)
+    return pts
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(pts=separated_sets(), radius=st.floats(0.3, 0.95))
+def test_zero_count_property(pts, radius):
+    bun = build_coefficient(ZeroSequence(pts), LOG)
+    rep = bun.count_zeros(radius=radius)
+    assert rep.count == rep.nodes_inside
+    assert abs(rep.winding - rep.count) <= 1e-9
 
 
 def test_probe_sampler_determinism_and_support(geo6_bundle):
