@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numutil import (circle_nodes, flat_points, golden_section_max,
+from .numutil import (circle_nodes, clog, flat_points, golden_section_max,
                       like_input)
 from .products import _CHUNK, CanonicalProduct, _poly_part
 from .scales import GrowthScale
@@ -90,24 +90,28 @@ def target_bound_constant(zeros: ZeroSequence, values, scale: GrowthScale) -> fl
     scale is still below 1) from blowing the constant up; for the deep nodes
     that drive exponent growth the clamp is inactive.
     """
-    vals = np.asarray(values, dtype=complex)
-    if vals.shape != zeros.points.shape:
-        raise ValueError("one target value per node is required")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("target values must be finite")
-    x = 1.0 / zeros.gaps()
-    denom = np.maximum(np.asarray([scale.psi_tilde(v) for v in x]), 1.0)
-    return float(np.max(np.log1p(np.abs(vals)) / denom)) if vals.size else 0.0
+    return TargetData(zeros, values, scale).bound_constant
 
 
 class TargetData:
-    """Target values pinned to a zero sequence, plus their growth budget."""
+    """Target values pinned to a zero sequence, plus their growth budget:
+    node_tilde[k] = psi_tilde(1/(1 - |z_k|)), one quadrature per node shared
+    with choose_exponents, and bound_constant (see target_bound_constant)."""
 
     def __init__(self, zeros: ZeroSequence, values, scale: GrowthScale):
+        vals = np.asarray(values, dtype=complex)
+        if vals.shape != zeros.points.shape:
+            raise ValueError("one target value per node is required")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("target values must be finite")
         self.zeros = zeros
-        self.values = np.asarray(values, dtype=complex)
+        self.values = vals
         self.scale = scale
-        self.bound_constant = target_bound_constant(zeros, self.values, scale)
+        self.node_tilde = np.asarray(
+            [scale.psi_tilde(1.0 / g) for g in zeros.gaps()], dtype=float)
+        self.bound_constant = float(np.max(
+            np.log1p(np.abs(vals)) / np.maximum(self.node_tilde, 1.0))) \
+            if vals.size else 0.0
 
     def __len__(self) -> int:
         return self.values.size
@@ -124,17 +128,20 @@ def choose_exponents(product: CanonicalProduct, targets: TargetData,
     bound constant and the deleted-product balance constant.  The first
     piece of C absorbs log|b_n|, the second absorbs log(1/|P'(z_n)|) up to
     the bounded convergence sum, and the 2 log(n+1) gives a summable tail.
-    Exponents are nondecreasing because the gaps are sorted.
+    Exponents are nondecreasing because the gaps are sorted.  The
+    psi_tilde values are the targets' node_tilde, so the targets must be
+    pinned to the product's zeros.
     """
     if margin <= 0.0:
         raise ValueError("margin must be positive")
+    if not np.array_equal(targets.zeros.points, product.z):
+        raise ValueError("targets are pinned to a different zero sequence")
     if balance_constant is None:
         balance_constant = product.balance_constant(0.5)
     c_hat = targets.bound_constant + balance_constant
-    gaps = product.zeros.gaps()
-    n_idx = np.arange(1, gaps.size + 1, dtype=float)
-    tilde = np.asarray([targets.scale.psi_tilde(1.0 / g) for g in gaps])
-    raw = (margin + c_hat * tilde + 2.0 * np.log(n_idx + 1.0)) / math.log(2.0)
+    n_idx = np.arange(1, product.z.size + 1, dtype=float)
+    raw = (margin + c_hat * targets.node_tilde
+           + 2.0 * np.log(n_idx + 1.0)) / math.log(2.0)
     s_n = product.genus + np.ceil(raw).astype(int)
     return s_n
 
@@ -191,8 +198,8 @@ class InterpolationSeries:
         the product's pieces (delta, den); the shared log P is not added."""
         w = self.product._gap2 / den
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (self._log_b - self._log_dp - np.log(delta)
-                    + (self.exponents - 1) * np.log(w))
+            return (self._log_b - self._log_dp - clog(delta)
+                    + (self.exponents - 1) * clog(w))
 
     def _pass(self, pts: np.ndarray, derivatives: bool = False) -> SeriesPass:
         """log P, the scaled term sum and its scale at points outside every
@@ -257,10 +264,10 @@ class InterpolationSeries:
             if zk == 0.0:
                 fact = np.zeros(pts.shape, dtype=complex)
             else:
-                fact = (np.log(-np.conj(zk) / den[:, k])
+                fact = (clog(-np.conj(zk) / den[:, k])
                         + _poly_part(wk, prod.genus))
             t[:, k] = (self._log_b[k] - self._log_dp[k] + log_bk + fact
-                       + (self.exponents[k] - 1) * np.log(wk))
+                       + (self.exponents[k] - 1) * clog(wk))
         return t
 
     def _scaled_parts(self, arr: np.ndarray):

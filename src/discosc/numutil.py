@@ -33,6 +33,25 @@ def one_minus_abs(z):
     return one_minus_abs2(z) / (1.0 + np.abs(z))
 
 
+def clog(z):
+    """Principal log of complex z as log|z| + i atan2(Im z, Re z).
+
+    The same branch cut (-pi, pi] as np.log, with signed zeros
+    (-1 - 0j -> -pi i), and 0 -> -inf + 0j under the same divide warning.
+    numpy's complex log costs seven to fourteen times as much per element
+    (numpy 2.4.6), and every points x nodes pass takes one or two logs per
+    element.  The imaginary part is within 1 ulp of np.log and the real
+    part within 2 eps max(1, |log|z||): 2 ulp for |log|z|| >= 1, and near
+    |z| = 1 3e-16 absolute, no more than the rounding the pieces it is
+    applied to already carry.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    np.log(np.abs(z), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out
+
+
 def wrap_angle(x):
     """Reduce an angle difference to (-pi, pi]."""
     y = np.mod(-np.asarray(x) + np.pi, TWO_PI)

@@ -11,6 +11,7 @@ from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
                      targets_from_product)
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
+PAIR = ZeroSequence(np.array([0.5, -0.5], dtype=complex), label="pair")
 LOG = GrowthScale.log_power(1.0)
 
 
@@ -82,6 +83,8 @@ def test_margin_validation():
     targets = targets_from_product(prod, LOG)
     with pytest.raises(ValueError):
         choose_exponents(prod, targets, margin=0.0)
+    with pytest.raises(ValueError, match="different zero sequence"):
+        choose_exponents(CanonicalProduct(PAIR, 1), targets)
 
 
 def test_explicit_exponent_override():

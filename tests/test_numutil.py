@@ -1,9 +1,58 @@
-"""The nested trapezoid circle and its scaled Fourier modes."""
+"""The principal log, the nested trapezoid circle and its scaled Fourier
+modes."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from discosc.numutil import circle_modes, circle_nodes, nested_circle
+from discosc.numutil import circle_modes, circle_nodes, clog, nested_circle
+
+EPS = np.finfo(float).eps
+
+
+def _assert_clog_close(z):
+    got, want = clog(z), np.log(z)
+    np.testing.assert_array_less(
+        np.abs(got.imag - want.imag), 2.0 * np.spacing(np.abs(want.imag)))
+    np.testing.assert_array_less(
+        np.abs(got.real - want.real),
+        4.0 * EPS * np.maximum(1.0, np.abs(want.real)))
+
+
+def test_clog_matches_np_log():
+    rng = np.random.default_rng(7)
+    moduli = np.logspace(-12.0, 3.0, 2000)
+    _assert_clog_close(moduli * np.exp(1j * rng.uniform(-np.pi, np.pi,
+                                                        moduli.size)))
+    # near z = 1, where log|z| is small and np.log is relatively exact
+    offsets = np.logspace(-14.0, -1.0, 2000)
+    _assert_clog_close(1.0 + offsets * np.exp(1j * rng.uniform(
+        -np.pi, np.pi, offsets.size)))
+
+
+def test_clog_specials_equal_np_log():
+    specials = np.array([0j, complex(-1.0, 0.0), complex(-1.0, -0.0),
+                         complex(0.0, 0.0), complex(-0.0, 0.0),
+                         complex(0.0, -0.0), complex(-0.0, -0.0), 1j, -1j])
+    with np.errstate(divide="ignore"):
+        got, want = clog(specials), np.log(specials)
+    np.testing.assert_array_equal(got, want)
+    # the branch cut and log 0 carry signed zeros and infinities
+    np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
+    np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    assert clog(np.array([[2.0 + 0j]])).shape == (1, 1)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None)
+@given(re=finite, im=finite)
+def test_clog_property(re, im):
+    z = complex(re, im)
+    assume(z != 0)
+    _assert_clog_close(np.array([z]))
 
 
 def test_nested_circle_rounds_equal_fresh_grids():

@@ -8,6 +8,8 @@ import pytest
 from discosc import (CanonicalProduct, ZeroSequence, blaschke_sum,
                      generate_radial_geometric, log_derivative_envelope,
                      log_primary_factor, node_targets, primary_factor)
+from discosc.numutil import circle_nodes, wrap_angle
+from discosc.products import _poly_part
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
 PAIR = ZeroSequence(np.array([0.5, -0.5], dtype=complex), label="pair")
@@ -148,3 +150,23 @@ def test_log_derivative_envelope_shape():
 def test_genus_validation():
     with pytest.raises(ValueError):
         CanonicalProduct(ONE, -1)
+
+
+def test_factor_logs_match_np_log_at_the_deepest_node():
+    # ratio 1/2, 16 points: the last gap is 2^-16 ~ 1.5e-5, and the
+    # exclusion circle of that node is an eighth of it
+    prod = CanonicalProduct(generate_radial_geometric(0.5, 16), 1)
+    k = prod.z.size - 1
+    _, unit = circle_nodes(128)
+    delta, den = prod._offset_pieces(k, prod.exclusion_radii[k] * unit)
+    got = np.sum(prod._factor_logs(delta, den), axis=1)
+    # the same factor logs through numpy's complex log
+    omw = -prod._zc * delta / den
+    logs = np.log(omw) + _poly_part(1.0 - omw, prod.genus)
+    logs[:, prod._origin] = np.log(delta[:, prod._origin])
+    want = np.sum(logs, axis=1)
+    tol = 64 * prod.z.size * np.finfo(float).eps
+    assert np.all(np.isfinite(want))
+    np.testing.assert_array_less(np.abs(got.real - want.real), tol)
+    np.testing.assert_array_less(np.abs(wrap_angle(got.imag - want.imag)),
+                                 tol)
