@@ -6,9 +6,8 @@ growth of a tied to a chosen comparison scale; ships the counting,
 separation, and sharpness diagnostics that certify the construction.
 """
 
-from .geometry import (CarlesonBox, DiscPoint, box_contains,
-                       carleson_box_table, carleson_norm_estimate,
-                       mobius_map, pseudo_distance)
+from .geometry import (CarlesonBox, box_contains, carleson_box_table,
+                       carleson_norm_estimate, mobius_map, pseudo_distance)
 from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
                             choose_exponents, target_bound_constant)
 from .oscillation import (OscillationBundle, ResidueCancellationError,
@@ -30,7 +29,7 @@ from .sequences import (SharpnessParams, ZeroSequence, blaschke_sum,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CarlesonBox", "DiscPoint", "box_contains", "carleson_box_table",
+    "CarlesonBox", "box_contains", "carleson_box_table",
     "carleson_norm_estimate", "mobius_map", "pseudo_distance",
     "GrowthRow", "InterpolationSeries", "TargetData", "choose_exponents",
     "target_bound_constant",

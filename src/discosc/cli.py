@@ -40,7 +40,6 @@ DESIGN = {
 
 RESIDUE_TOL = 1e-6
 ODE_TOL = 1e-5
-CARLESON_DELTAS = (0.1, 0.05, 0.025)
 
 
 def parse_scale(spec: str) -> GrowthScale:
@@ -270,13 +269,6 @@ def cmd_verify(args) -> int:
     out["scale_resolved"] = scale.config()
     out["points"] = len(seq)
     out["checks"] = checks
-    # Carleson box ratios are reported as a measurement, not gated: the
-    # growth the exponent rule forces on the coefficient is super-power in
-    # 1/(1-|z|), so box masses hugging the boundary are expected to climb.
-    # For the default construction these numbers are unresolved grid values.
-    out["carleson_measurement"] = [
-        {"delta": d, "ratio": r}
-        for d, r in bundle.carleson_table(list(CARLESON_DELTAS))]
     ok = all(c["pass"] for c in checks.values())
     out["pass"] = ok
     _write_json(out, args.out + ".json" if args.out else None)

@@ -1,9 +1,7 @@
 """Unit-disc geometry: Mobius maps, pseudohyperbolic distance, Carleson boxes.
 
-Points are plain complex numbers inside the open unit disc.  A thin
-validating wrapper (DiscPoint) is provided for call sites that want the
-membership check enforced at construction time; every function below also
-accepts raw complex input.
+Points are plain complex numbers (or arrays of them) inside the open unit
+disc.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import numpy as np
 from .numutil import one_minus_conj_mul, wrap_angle
 
 __all__ = [
-    "DiscPoint",
     "CarlesonBox",
     "mobius_map",
     "pseudo_distance",
@@ -25,38 +22,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiscPoint:
-    """A point of the open unit disc; construction rejects |value| >= 1."""
-
-    value: complex
-
-    def __post_init__(self):
-        v = complex(self.value)
-        if not np.isfinite(v.real) or not np.isfinite(v.imag):
-            raise ValueError("disc point must be finite")
-        if abs(v) >= 1.0:
-            raise ValueError(f"|z| = {abs(v):.17g} is not inside the unit disc")
-        object.__setattr__(self, "value", v)
-
-
-def _val(z):
-    return z.value if isinstance(z, DiscPoint) else z
-
-
 def mobius_map(z, w):
     """Disc automorphism (z - w) / (1 - conj(z) w).
 
     As a function of w this exchanges 0 and z; it maps the disc onto itself.
     Vectorized over either argument.
     """
-    z, w = _val(z), _val(w)
     return (z - w) / one_minus_conj_mul(z, w)
 
 
 def pseudo_distance(z, w):
     """Pseudohyperbolic distance |z - w| / |1 - conj(z) w|, in [0, 1)."""
-    z, w = _val(z), _val(w)
     return np.abs(z - w) / np.abs(one_minus_conj_mul(z, w))
 
 
@@ -78,9 +54,6 @@ class CarlesonBox:
         if not (0.0 <= self.phi < 2.0 * np.pi):
             raise ValueError(f"box angle must lie in [0, 2*pi), got {self.phi!r}")
 
-    def contains(self, zeta) -> bool:
-        return bool(box_contains(self, zeta))
-
 
 def box_contains(box: CarlesonBox, zeta):
     """Membership test for a Carleson box; vectorized over zeta.
@@ -88,7 +61,7 @@ def box_contains(box: CarlesonBox, zeta):
     The angular gap is reduced to its representative in (-pi, pi], so boxes
     straddling angle 0 behave correctly.
     """
-    zeta = np.asarray(_val(zeta))
+    zeta = np.asarray(zeta)
     radial = np.abs(zeta) >= 1.0 - box.delta
     # arg of 0 is irrelevant: the radial test already fails for delta < 1
     ang = np.abs(wrap_angle(np.angle(zeta) - box.phi)) <= np.pi * box.delta

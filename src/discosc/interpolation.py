@@ -29,8 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numutil import (circle_nodes, clog, flat_points, golden_section_max,
-                      like_input)
+# golden_section_max is looked up here by bench/tracer.py
+from .numutil import (circle_max, clog, flat_points,  # noqa: F401
+                      golden_section_max, like_input)
 from .products import _CHUNK, CanonicalProduct, _poly_part
 from .scales import GrowthScale
 from .sequences import ZeroSequence
@@ -343,17 +344,7 @@ class InterpolationSeries:
         for r in np.asarray(r_ladder, dtype=float):
             if not (0.0 < r < 1.0):
                 raise ValueError("ladder radii must lie in (0, 1)")
-            theta, unit = circle_nodes(samples)
-            vals = self.log_abs_evaluate(r * unit)
-            j = int(np.argmax(vals))
-            lo = theta[j] - 2.0 * np.pi / samples
-            hi = theta[j] + 2.0 * np.pi / samples
-
-            def f(t, _r=r):
-                return self.log_abs_evaluate(_r * np.exp(1j * t))
-
-            _, best = golden_section_max(f, lo, hi)
-            log_max = max(float(vals[j]), float(best))
+            log_max = circle_max(self.log_abs_evaluate, r, samples)
             tilde = self.targets.scale.psi_tilde(1.0 / (1.0 - r))
             ratio = log_max / tilde if tilde > 0.0 else math.nan
             rows.append(GrowthRow(float(r), log_max, float(tilde), ratio))

@@ -194,6 +194,22 @@ def golden_section_max(f, lo: float, hi: float, iters: int = 40):
     return x, f(x)
 
 
+def circle_max(fn, r: float, samples: int) -> float:
+    """Largest value of a real fn on |z| = r.
+
+    fn maps points (an array or a scalar) to real values.  The best of a
+    uniform scan of samples points is refined by golden section between
+    its two neighbours, and the larger of the two values is kept.
+    """
+    theta, unit = circle_nodes(samples)
+    vals = fn(r * unit)
+    j = int(np.argmax(vals))
+    _, best = golden_section_max(lambda t: fn(r * np.exp(1j * t)),
+                                 theta[j] - TWO_PI / samples,
+                                 theta[j] + TWO_PI / samples)
+    return max(float(vals[j]), float(best))
+
+
 def sample_disc(rng: np.random.Generator, n: int, r_max: float = 0.95) -> np.ndarray:
     """n points uniform w.r.t. area on |z| <= r_max."""
     r = r_max * np.sqrt(rng.random(n))

@@ -31,7 +31,9 @@ import numpy as np
 from .geometry import carleson_box_table
 from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
                             _unscale)
-from .numutil import (TWO_PI, adaptive_segment_integral, circle_modes,
+# golden_section_max is looked up here by bench/tracer.py
+from .numutil import (CONTOUR_MAX_POINTS, TWO_PI,  # noqa: F401
+                      adaptive_segment_integral, circle_max, circle_modes,
                       circle_nodes, flat_points, golden_section_max,
                       like_input, nested_circle, one_minus_abs2, sample_disc,
                       wrap_angle)
@@ -69,6 +71,11 @@ class ResidueCancellationError(RuntimeError):
 # largest grid of the zero-count circle; the N = 368 rho-lattice at radius
 # 0.9 settles at 4096 points
 WINDING_MAX_POINTS = 2 ** 16
+# relative drift between rounds at which the near-node recovery of a and
+# the f'' of an ODE-residual probe stop, and the recovery circle's largest
+# grid (a probe circle stops at CONTOUR_MAX_POINTS)
+CONTOUR_REL_TOL = 1e-7
+RECOVERY_MAX_POINTS = 2048
 
 
 class ZeroCountReport(NamedTuple):
@@ -163,9 +170,7 @@ class OscillationBundle:
         hp = _unscale(p.log_p, p.scale, p.dtotal, "derivative")
         return -p.lam2 - 2.0 * h * p.lam - h * h - hp
 
-    def _recover_at_node(self, k: int, z0s: np.ndarray,
-                         rel_tol: float = 1e-7,
-                         max_points: int = 2048) -> np.ndarray:
+    def _recover_at_node(self, k: int, z0s: np.ndarray) -> np.ndarray:
         """Cauchy means of a over a circle around node k for the given
         interior points; one shared contour serves them all."""
         zk = self.product.z[k]
@@ -173,17 +178,18 @@ class OscillationBundle:
         prev = None
         for _, unit, vals in nested_circle(
                 lambda unit: self._coefficient_direct(zk + r * unit),
-                max_points):
+                RECOVERY_MAX_POINTS):
             kern = (r * unit)[None, :] / ((zk + r * unit)[None, :]
                                           - z0s[:, None])
             cur = np.mean(vals[None, :] * kern, axis=1)
             if prev is not None and np.all(
-                    np.abs(cur - prev) <= rel_tol * (np.abs(cur) + 1e-300)):
+                    np.abs(cur - prev)
+                    <= CONTOUR_REL_TOL * (np.abs(cur) + 1e-300)):
                 return cur
             prev = cur
         raise RuntimeError(
             f"coefficient recovery circle at node {k} did not converge "
-            f"within {max_points} points")
+            f"within {RECOVERY_MAX_POINTS} points")
 
     def eval_coefficient(self, z):
         """a(z) anywhere in the open disc.
@@ -264,7 +270,7 @@ class OscillationBundle:
         k = np.arange(hv.size)
         return (zeta - z0) * np.fft.ifft(np.fft.fft(hv) / (k + 1))
 
-    def _solution_rounds(self, z0: complex, r: float, max_points: int):
+    def _solution_rounds(self, z0: complex, r: float):
         """Yield (theta, log f(zeta) - g(z0)) on the nested_circle rounds
         of zeta = z0 + r e^{i theta}, taking log P and h once per point."""
         def log_p_and_h(unit):
@@ -273,20 +279,18 @@ class OscillationBundle:
                              self.gprime.evaluate(zeta)])
 
         for theta, unit, (log_p, hv) in nested_circle(log_p_and_h,
-                                                       max_points):
+                                                       CONTOUR_MAX_POINTS):
             zeta = z0 + r * unit
             yield theta, log_p + self._spoke_integrals(z0, zeta, hv)
 
-    def _probe_residual(self, z0: complex, a0: complex,
-                        rel_tol: float = 1e-7,
-                        max_points: int = 1024) -> float:
+    def _probe_residual(self, z0: complex, a0: complex) -> float:
         """|f'' + a f| / (|f''| + |a f| + 1e-300) at one probe.
 
         f'' comes from a trapezoid contour second derivative on a circle
         around z0; the shared factor e^{g(z0)} cancels in the ratio, so only
         g relative to z0 is needed, which _spoke_integrals takes from the
         FFT of h on the same circle.  The nested_circle rounds (64, 128, ...
-        points) run until f'' drifts by at most rel_tol between rounds.  The
+        points) run until f'' drifts by at most CONTOUR_REL_TOL per round.  The
         circle radius starts at min((1-|z0|)/8, half the distance to the
         nearest node) and is capped by the local log-derivative scale of f:
         where |a| is large, Re log f would otherwise swing by hundreds across
@@ -302,7 +306,7 @@ class OscillationBundle:
                  + self.gprime.evaluate(z0))
         r = min(r, 1.0 / (d1 + 1.0), 1.0 / math.sqrt(abs(a0) + 1.0))
         log_f0 = complex(self.product._raw_log_eval(np.asarray([z0]))[0])
-        rounds = self._solution_rounds(z0, r, max_points)
+        rounds = self._solution_rounds(z0, r)
         first = next(rounds)
         shrinks = 0
         while shrinks < 30 and np.ptp(first[1].real) > 30.0:
@@ -310,24 +314,25 @@ class OscillationBundle:
             # circle's dynamic range is resolvable in binary64
             r *= 0.5
             shrinks += 1
-            rounds = self._solution_rounds(z0, r, max_points)
+            rounds = self._solution_rounds(z0, r)
             first = next(rounds)
         # z0 + r e^{i theta} is placed to about eps |z0|, a fraction
         # blur = eps |z0| / r of the radius, so each sample of f is off by
         # up to about blur of the circle maximum (the caps keep r |f'|
-        # below that scale).  The second mode averages m <= max_points
-        # samples, which leaves an error of at least about blur / m unless
-        # the rounding errors cancel exactly; past blur = rel_tol *
-        # max_points that floor exceeds the rel_tol the drift test
-        # certifies f'' to.  Far smaller circles (blur >~ 1) collapse onto
-        # a few binary64 points, where f'' reads ~0 and the drift test
-        # would pass a residual of 1.
+        # below that scale).  The second mode averages m <=
+        # CONTOUR_MAX_POINTS samples, which leaves an error of at least
+        # about blur / m unless the rounding errors cancel exactly; past
+        # blur = CONTOUR_REL_TOL * CONTOUR_MAX_POINTS that floor exceeds
+        # the CONTOUR_REL_TOL the drift test certifies f'' to.  Far smaller
+        # circles (blur >~ 1) collapse onto a few binary64 points, where
+        # f'' reads ~0 and the drift test would pass a residual of 1.
         blur = float(np.finfo(float).eps) * abs(z0) / r
-        if blur > rel_tol * max_points:
+        limit = CONTOUR_REL_TOL * CONTOUR_MAX_POINTS
+        if blur > limit:
             raise RuntimeError(
                 f"ODE residual probe {z0:.6g}: circle radius {r:.3e} is "
                 f"below binary64 resolution (eps*|z0|/r = {blur:.2e} "
-                f"exceeds {rel_tol * max_points:.3g})")
+                f"exceeds {limit:.3g})")
         prev = None
         for theta, logf in itertools.chain([first], rounds):
             scale, (mode,) = circle_modes(theta, logf, (2,))
@@ -338,14 +343,15 @@ class OscillationBundle:
             if prev is not None:
                 ps, pf = prev
                 drift = abs(pf * np.exp(ps - scale) - fpp)
-                if drift <= rel_tol * (abs(fpp) + abs(a0 * f0)) + 1e-300:
+                if drift <= (CONTOUR_REL_TOL * (abs(fpp) + abs(a0 * f0))
+                             + 1e-300):
                     return float(num / den)
             prev = (scale, fpp)
         raise RuntimeError(
             f"solution contour at probe {z0:.6g} did not converge "
-            f"within {max_points} points")
+            f"within {CONTOUR_MAX_POINTS} points")
 
-    def ode_residual(self, probes, rel_tol: float = 1e-7) -> float:
+    def ode_residual(self, probes) -> float:
         """Worst relative ODE defect over the probes.
 
         Probes must satisfy |z| <= 0.95 and sit outside every exclusion
@@ -359,8 +365,7 @@ class OscillationBundle:
         worst = 0.0
         for z0, a0 in zip(arr, a_vals):
             worst = max(worst,
-                        self._probe_residual(complex(z0), complex(a0),
-                                             rel_tol))
+                        self._probe_residual(complex(z0), complex(a0)))
         return worst
 
     # -- growth ------------------------------------------------------------
@@ -384,16 +389,10 @@ class OscillationBundle:
         for r in np.asarray(r_ladder, dtype=float):
             if not (0.0 < r <= 0.995):
                 raise ValueError("ladder radii must lie in (0, 0.995]")
-            theta, unit = circle_nodes(samples)
-            vals = np.abs(self.eval_coefficient(r * unit))
-            j = int(np.argmax(vals))
-
-            def fmax(t, _r=r):
-                return abs(self.eval_coefficient(_r * np.exp(1j * t)))
-
-            _, best = golden_section_max(
-                fmax, theta[j] - TWO_PI / samples, theta[j] + TWO_PI / samples)
-            amax = max(float(vals[j]), float(best))
+            # builtin abs: on a scalar it can differ from np.abs in the
+            # last bit, and the refinement has always used it
+            amax = circle_max(lambda z: abs(self.eval_coefficient(z)),
+                              r, samples)
             log_max = math.log(amax) if amax > 0.0 else -math.inf
             if comparator == "weight":
                 comp = float(self.scale.weight.h(r))
@@ -452,7 +451,7 @@ class OscillationBundle:
 
         return density
 
-    def carleson_table(self, deltas, angular_samples: int = 8):
+    def carleson_table(self, deltas):
         """carleson_box_table of carleson_density on the default grid.
 
         Fixed-grid midpoint estimates with no accuracy control: on the
@@ -460,8 +459,7 @@ class OscillationBundle:
         ratio(delta) <= (delta'/delta) * ratio(delta') for delta < delta',
         and a table that breaks this is unresolved.
         """
-        return carleson_box_table(self.carleson_density(), deltas,
-                                  angular_samples)
+        return carleson_box_table(self.carleson_density(), deltas)
 
 
 # ---------------------------------------------------------------------------

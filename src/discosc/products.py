@@ -32,8 +32,10 @@ import math
 
 import numpy as np
 
-from .numutil import (CONTOUR_MAX_POINTS, circle_modes, circle_nodes, clog,
-                      flat_points, like_input, nested_circle, one_minus_abs,
+# circle_nodes is looked up here by bench/tracer.py
+from .numutil import (CONTOUR_MAX_POINTS, circle_max,  # noqa: F401
+                      circle_modes, circle_nodes, clog, flat_points,
+                      like_input, nested_circle, one_minus_abs,
                       one_minus_abs2, one_minus_conj_mul)
 from .sequences import ZeroSequence, blaschke_sum, log_integrated_count
 
@@ -377,18 +379,11 @@ class CanonicalProduct:
 
     def circle_log_max(self, r: float, samples: int = 1024) -> float:
         """max over a sampled circle of log|P|, refined by golden section."""
-        from .numutil import golden_section_max
         if not (0.0 < r < 1.0):
             raise ValueError("circle radius must lie in (0, 1)")
-        theta, unit = circle_nodes(samples)
-        vals = np.real(self._raw_log_eval(r * unit))
-        j = int(np.argmax(vals))
-        lo = theta[(j - 1) % samples] if j > 0 else theta[-1] - 2.0 * np.pi
-        hi = theta[(j + 1) % samples] if j < samples - 1 else theta[0] + 2.0 * np.pi
 
-        def f(t):
-            return float(np.real(self._raw_log_eval(
-                np.asarray([r * np.exp(1j * t)])))[0])
+        def log_abs_p(z):
+            return like_input(np.real(self._raw_log_eval(flat_points(z))), z,
+                              float)
 
-        _, best = golden_section_max(f, lo, hi)
-        return max(float(vals[j]), best)
+        return circle_max(log_abs_p, r, samples)

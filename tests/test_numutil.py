@@ -1,12 +1,13 @@
-"""The principal log, the nested trapezoid circle and its scaled Fourier
-modes."""
+"""The principal log, the nested trapezoid circle, its scaled Fourier
+modes and the circle maximum."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from discosc.numutil import circle_modes, circle_nodes, clog, nested_circle
+from discosc.numutil import (circle_max, circle_modes, circle_nodes, clog,
+                             nested_circle)
 
 EPS = np.finfo(float).eps
 
@@ -94,3 +95,15 @@ def test_circle_modes_scale_and_zeros():
     assert frozen[0] == pytest.approx(np.mean(np.exp(logs[1::2])) / 2.0)
     with pytest.raises(RuntimeError, match="collapses at binary64"):
         circle_modes(theta, np.full(64, -np.inf + 0j), (1,))
+
+
+@pytest.mark.parametrize("phi", [0.3, -1e-3, np.pi - 1e-3])
+def test_circle_max_refines_between_grid_points(phi):
+    # Re(z e^{-i phi}) peaks at r off the 16-point grid; phi just below 0
+    # puts the best sample at angle 0, so the search straddles the seam
+    def fn(z):
+        return np.real(z * np.exp(-1j * phi))
+
+    _, unit = circle_nodes(16)
+    assert np.max(fn(0.7 * unit)) < 0.7 * (1.0 - 1e-8)
+    assert circle_max(fn, 0.7, 16) == pytest.approx(0.7, rel=1e-14)
