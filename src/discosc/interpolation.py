@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 # golden_section_max is looked up here by bench/tracer.py
-from .numutil import (circle_max, clog, flat_points,  # noqa: F401
+from .numutil import (circle_max, clog, disc_points,  # noqa: F401
                       golden_section_max, like_input)
 from .products import _CHUNK, CanonicalProduct, _poly_part
 from .scales import GrowthScale
@@ -96,8 +96,9 @@ def target_bound_constant(zeros: ZeroSequence, values, scale: GrowthScale) -> fl
 
 class TargetData:
     """Target values pinned to a zero sequence, plus their growth budget:
-    node_tilde[k] = psi_tilde(1/(1 - |z_k|)), one quadrature per node shared
-    with choose_exponents, and bound_constant (see target_bound_constant)."""
+    node_tilde[k] = psi_tilde(1/(1 - |z_k|)), one quadrature per distinct
+    node gap shared with choose_exponents, and bound_constant (see
+    target_bound_constant)."""
 
     def __init__(self, zeros: ZeroSequence, values, scale: GrowthScale):
         vals = np.asarray(values, dtype=complex)
@@ -108,8 +109,9 @@ class TargetData:
         self.zeros = zeros
         self.values = vals
         self.scale = scale
+        gaps, where = np.unique(zeros.gaps(), return_inverse=True)
         self.node_tilde = np.asarray(
-            [scale.psi_tilde(1.0 / g) for g in zeros.gaps()], dtype=float)
+            [scale.psi_tilde(1.0 / g) for g in gaps], dtype=float)[where]
         self.bound_constant = float(np.max(
             np.log1p(np.abs(vals)) / np.maximum(self.node_tilde, 1.0))) \
             if vals.size else 0.0
@@ -291,9 +293,7 @@ class InterpolationSeries:
         including the nodes themselves) go through the factored removable
         form of their own term.  Values that overflow binary64 raise
         ValueError (log_abs_evaluate stays in log space)."""
-        arr = flat_points(z)
-        if np.any(np.abs(arr) >= 1.0):
-            raise ValueError("evaluation point outside the open disc")
+        arr = disc_points(z)
         out = np.empty(arr.shape, dtype=complex)
         for sel, log_p, sm, total in self._scaled_parts(arr):
             out[sel] = _unscale(log_p, sm, total, "value")
@@ -306,9 +306,7 @@ class InterpolationSeries:
         rejected with their own message, since the removable values there
         are derivative data this class does not carry.
         """
-        arr = flat_points(z)
-        if np.any(np.abs(arr) >= 1.0):
-            raise ValueError("evaluation point outside the open disc")
+        arr = disc_points(z)
         bad, idx = self.product.in_exclusion(arr)
         if np.any(bad):
             if np.any(arr[bad] == self.product.z[idx[bad]]):
@@ -322,9 +320,7 @@ class InterpolationSeries:
     def log_abs_evaluate(self, z):
         """log|f(z)| computed without leaving log space (-inf at exact
         zeros of the series)."""
-        arr = flat_points(z)
-        if np.any(np.abs(arr) >= 1.0):
-            raise ValueError("evaluation point outside the open disc")
+        arr = disc_points(z)
         out = np.empty(arr.shape, dtype=float)
         for sel, log_p, sm, total in self._scaled_parts(arr):
             with np.errstate(divide="ignore"):

@@ -63,6 +63,14 @@ def flat_points(z) -> np.ndarray:
     return np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
 
 
+def disc_points(z) -> np.ndarray:
+    """flat_points(z), refusing any point outside the open disc."""
+    arr = flat_points(z)
+    if np.any(np.abs(arr) >= 1.0):
+        raise ValueError("evaluation point outside the open disc")
+    return arr
+
+
 def like_input(vals: np.ndarray, z, kind=complex):
     """Values computed on flat_points(z), in the shape of z; a scalar z
     gives a scalar of the given kind."""
@@ -80,19 +88,19 @@ CONTOUR_START_POINTS = 64
 CONTOUR_MAX_POINTS = 1024
 
 
-def nested_circle(fn, max_points: int):
-    """Yield (theta, unit, values) on trapezoid grids of
-    CONTOUR_START_POINTS, twice that, ..., max_points points.
+def nested_circle(fn, max_points: int, start: int = CONTOUR_START_POINTS):
+    """Yield (theta, unit, values) on trapezoid grids of start, twice
+    that, ..., max_points points.
 
     fn maps unit points to values along the last axis.  Each refinement
     evaluates fn only at the new odd-indexed points and interleaves the
     results with the kept values.  The angles 2 pi j / m are exact under
     doubling, so every round holds bit for bit fn on circle_nodes(m).
     """
-    theta, unit = circle_nodes(CONTOUR_START_POINTS)
+    theta, unit = circle_nodes(start)
     values = fn(unit)
     yield theta, unit, values
-    m = 2 * CONTOUR_START_POINTS
+    m = 2 * start
     while m <= max_points:
         theta, unit = circle_nodes(m)
         fresh = fn(unit[1::2])

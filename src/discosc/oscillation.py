@@ -34,9 +34,9 @@ from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
 # golden_section_max is looked up here by bench/tracer.py
 from .numutil import (CONTOUR_MAX_POINTS, TWO_PI,  # noqa: F401
                       adaptive_segment_integral, circle_max, circle_modes,
-                      circle_nodes, flat_points, golden_section_max,
-                      like_input, nested_circle, one_minus_abs2, sample_disc,
-                      wrap_angle)
+                      circle_nodes, disc_points, flat_points,
+                      golden_section_max, like_input, nested_circle,
+                      one_minus_abs2, sample_disc, wrap_angle)
 from .products import _CHUNK, CanonicalProduct
 from .scales import GrowthScale, genus_from_scale
 from .sequences import SharpnessParams, ZeroSequence
@@ -117,8 +117,9 @@ def node_targets(product: CanonicalProduct) -> np.ndarray:
         # and inline, since at N x N every extra matrix shows in peak memory
         with np.errstate(divide="ignore", invalid="ignore"):
             L = -(zc / den) * (gap2 / den) ** (s + 1) / omw
-            if np.any(product._origin):
-                L[:, product._origin] = 1.0 / delta[:, product._origin]
+            i = product._origin_idx
+            if i is not None:
+                L[:, i] = 1.0 / delta[:, i]
         rows = np.arange(lo, min(lo + _CHUNK, n))
         L[rows - lo, rows] = 0.0
         out[lo:lo + _CHUNK] = -np.sum(L, axis=1)
@@ -200,9 +201,7 @@ class OscillationBundle:
         node (a is analytic there by residue cancellation, while the raw
         formula is a catastrophic 0/0).
         """
-        arr = flat_points(z)
-        if np.any(np.abs(arr) >= 1.0):
-            raise ValueError("evaluation point outside the open disc")
+        arr = disc_points(z)
         out = np.empty(arr.shape, dtype=complex)
         bad, idx = self.product.in_exclusion(arr)
         good = ~bad
@@ -220,9 +219,7 @@ class OscillationBundle:
         """Antiderivative of h along straight segments from the base point
         (default 0), so g(0) = 0; path independence is free since h is
         analytic in the disc."""
-        arr = flat_points(z)
-        if np.any(np.abs(arr) >= 1.0):
-            raise ValueError("evaluation point outside the open disc")
+        arr = disc_points(z)
         out = np.empty(arr.shape, dtype=complex)
         for j, zj in enumerate(arr):
             out[j] = adaptive_segment_integral(

@@ -34,9 +34,9 @@ import numpy as np
 
 # circle_nodes is looked up here by bench/tracer.py
 from .numutil import (CONTOUR_MAX_POINTS, circle_max,  # noqa: F401
-                      circle_modes, circle_nodes, clog, flat_points,
-                      like_input, nested_circle, one_minus_abs,
-                      one_minus_abs2, one_minus_conj_mul)
+                      circle_modes, circle_nodes, clog, disc_points,
+                      flat_points, like_input, nested_circle,
+                      one_minus_abs, one_minus_abs2, one_minus_conj_mul)
 from .sequences import ZeroSequence, blaschke_sum, log_integrated_count
 
 __all__ = [
@@ -48,6 +48,8 @@ __all__ = [
 
 # points per block of every points x nodes pass (products, series, targets)
 _CHUNK = 512
+# first grid of the exclusion-circle contour in node_modes (see there)
+NODE_CONTOUR_START_POINTS = 32
 
 
 def harmonic_sum(s: int) -> float:
@@ -56,10 +58,12 @@ def harmonic_sum(s: int) -> float:
 
 
 def _poly_part(w, s: int):
-    """w + w^2/2 + ... + w^s/s, elementwise."""
-    acc = np.zeros_like(np.asarray(w, dtype=complex))
-    pw = np.ones_like(acc)
-    for j in range(1, s + 1):
+    """w + w^2/2 + ... + w^s/s, elementwise (zeros for s = 0)."""
+    w = np.asarray(w, dtype=complex)
+    if s == 0:
+        return np.zeros_like(w)
+    acc = pw = w
+    for j in range(2, s + 1):
         pw = pw * w
         acc = acc + pw / j
     return acc
@@ -103,7 +107,9 @@ class CanonicalProduct:
         self._zc = np.conjugate(z)
         self._gap2 = one_minus_abs2(z)          # 1 - |z_n|^2
         self._gap = one_minus_abs(z)            # 1 - |z_n|
-        self._origin = np.abs(z) == 0.0
+        # column of the node at the origin (the zeros are distinct), or None
+        origin = np.flatnonzero(z == 0.0)
+        self._origin_idx = int(origin[0]) if origin.size else None
         if exclusion_radii is not None:
             radii = np.asarray(exclusion_radii, dtype=float)
             if radii.shape != z.shape or np.any(radii <= 0.0):
@@ -184,8 +190,9 @@ class CanonicalProduct:
         omw = -self._zc * delta / den
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = clog(omw) + _poly_part(1.0 - omw, self.genus)
-            if np.any(self._origin):
-                logs[:, self._origin] = clog(delta[:, self._origin])
+            i = self._origin_idx
+            if i is not None:
+                logs[:, i] = clog(delta[:, i])
         return logs
 
     def _log_derivatives(self, delta: np.ndarray, den: np.ndarray):
@@ -207,10 +214,11 @@ class CanonicalProduct:
         with np.errstate(divide="ignore", invalid="ignore"):
             L = -u * wp / omw
             dL = -u * u * wp * ((s + 2.0) / omw + w / omw ** 2)
-        if np.any(self._origin):
-            d0 = delta[:, self._origin]
-            L[:, self._origin] = 1.0 / d0
-            dL[:, self._origin] = -1.0 / d0 ** 2
+        i = self._origin_idx
+        if i is not None:
+            d0 = delta[:, i]
+            L[:, i] = 1.0 / d0
+            dL[:, i] = -1.0 / d0 ** 2
         return L, dL
 
     def _raw_log_eval(self, pts: np.ndarray) -> np.ndarray:
@@ -230,14 +238,12 @@ class CanonicalProduct:
         Requires z inside the disc and outside every exclusion disc; use the
         deleted/ratio accessors near nodes.
         """
-        arr = flat_points(z)
-        if np.any(np.abs(arr) >= 1.0):
-            raise ValueError("evaluation point outside the open disc")
+        arr = disc_points(z)
         self.require_outside_exclusion(arr)
         return like_input(self._raw_log_eval(arr), z)
 
     def eval(self, z):
-        arr = flat_points(z)
+        arr = disc_points(z)
         vals = np.exp(self._raw_log_eval(arr))
         vals[np.isin(arr, self.z)] = 0.0
         return like_input(vals, z)
@@ -245,7 +251,7 @@ class CanonicalProduct:
     def deleted_log_eval(self, k: int, z):
         """Log of the product with factor k removed; finite at z = z_k."""
         self._check_index(k)
-        logs = self._factor_logs(*self._pieces(flat_points(z)))
+        logs = self._factor_logs(*self._pieces(disc_points(z)))
         mask = np.ones(self.z.size, dtype=bool)
         mask[k] = False
         return like_input(np.sum(logs[:, mask], axis=1), z)
@@ -274,7 +280,7 @@ class CanonicalProduct:
         P'(0) = B_k(0).
         """
         self._check_index(k)
-        if self._origin[k]:
+        if k == self._origin_idx:
             return self.node_deleted_log(k)
         coeff = -self._zc[k] / self._gap2[k]
         return (self.node_deleted_log(k) + harmonic_sum(self.genus)
@@ -293,6 +299,19 @@ class CanonicalProduct:
         The nested_circle rounds run until both modes move by at most
         1e-9 (1 + |m|); scale, the first round's maximum of log|P|, stays
         frozen so that the rounds compare in one unit.
+
+        The rounds start at NODE_CONTOUR_START_POINTS = 32, not at the 64
+        of the other contours.  The exclusion rule r <= min(nn/4, (1 -
+        |z_k|)/8) keeps every other zero at least 4r and the unit circle at
+        least 8r from z_k, so P is analytic on the disc of radius 4r about
+        z_k and, by the Cauchy estimate there, mode j of P on the circle is
+        at most M(4r) 4^-j (M = maximum of |P| on a circle about z_k).  The
+        m-point trapezoid rule aliases mode j with mode j + m, so modes 1
+        and 2 carry an error of order (M(4r)/M(r)) 4^-m relative to the
+        circle maximum: 4^-32 ~ 5e-20 at 32 points, far below binary64
+        (Trefethen & Weideman, "The exponentially convergent trapezoidal
+        rule", SIAM Rev. 56, 2014).  The 64-point round still certifies the
+        32-point modes under the same drift test.
         """
         self._check_index(k)
         r = float(self.exclusion_radii[k])
@@ -302,7 +321,8 @@ class CanonicalProduct:
             return np.sum(self._factor_logs(*pieces), axis=1)
 
         scale = prev = None
-        for theta, _, vals in nested_circle(logs, CONTOUR_MAX_POINTS):
+        for theta, _, vals in nested_circle(logs, CONTOUR_MAX_POINTS,
+                                            NODE_CONTOUR_START_POINTS):
             try:
                 scale, cur = circle_modes(theta, vals, (1, 2), scale)
             except RuntimeError as err:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
-                     ZeroSequence, choose_exponents,
-                     generate_radial_geometric, target_bound_constant,
-                     targets_from_product)
+                     TargetData, WeightPair, ZeroSequence, choose_exponents,
+                     generate_radial_geometric, generate_rho_lattice,
+                     target_bound_constant, targets_from_product,
+                     weight_to_psi)
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
 PAIR = ZeroSequence(np.array([0.5, -0.5], dtype=complex), label="pair")
@@ -76,6 +77,22 @@ def test_exponent_rule():
     np.testing.assert_array_equal(exps, manual)
     # deeper nodes never get smaller exponents
     assert np.all(np.diff(exps) >= 0)
+
+
+def test_node_tilde_one_quadrature_per_distinct_gap(monkeypatch):
+    wt = WeightPair.log_power_weight(2.0)
+    scale = weight_to_psi(wt)
+    seq = generate_rho_lattice(wt.rho, 0.8, 0.7)
+    gaps = seq.gaps()
+    per_node = np.asarray([scale.psi_tilde(1.0 / g) for g in gaps],
+                          dtype=float)
+    calls = []
+    quad = scale.psi_tilde
+    monkeypatch.setattr(scale, "psi_tilde",
+                        lambda x: calls.append(x) or quad(x))
+    targets = TargetData(seq, np.zeros(len(seq), dtype=complex), scale)
+    assert np.array_equal(targets.node_tilde, per_node)
+    assert len(calls) == np.unique(gaps).size < len(seq)
 
 
 def test_margin_validation():

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from discosc import (CanonicalProduct, ZeroSequence, blaschke_sum,
-                     generate_radial_geometric, log_derivative_envelope,
-                     log_primary_factor, node_targets, primary_factor)
-from discosc.numutil import circle_nodes, wrap_angle
+from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
+                     WeightPair, ZeroSequence, blaschke_sum,
+                     generate_radial_geometric, generate_rho_lattice,
+                     generate_sharpness, genus_from_scale,
+                     log_derivative_envelope, log_primary_factor,
+                     node_targets, primary_factor, weight_to_psi)
+from discosc.numutil import circle_modes, circle_nodes, wrap_angle
 from discosc.products import _poly_part
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
@@ -90,6 +93,16 @@ def test_deleted_product_identity():
         prod.eval(z)[0], rel=1e-12)
 
 
+def test_evaluators_refuse_points_outside_the_disc():
+    prod = CanonicalProduct(generate_radial_geometric(0.5, 5), 1)
+    for call in (prod.eval, prod.log_eval,
+                 lambda z: prod.deleted_log_eval(0, z),
+                 lambda z: prod.deleted_eval(0, z)):
+        for z in (2.0, np.array([0.1, 1.0]), 1j):
+            with pytest.raises(ValueError, match="outside the open disc"):
+                call(z)
+
+
 def test_deleted_log_at_single_node_is_zero():
     prod = CanonicalProduct(ONE, 1)
     assert np.exp(prod.node_deleted_log(0)) == pytest.approx(1.0, rel=1e-13)
@@ -163,10 +176,65 @@ def test_factor_logs_match_np_log_at_the_deepest_node():
     # the same factor logs through numpy's complex log
     omw = -prod._zc * delta / den
     logs = np.log(omw) + _poly_part(1.0 - omw, prod.genus)
-    logs[:, prod._origin] = np.log(delta[:, prod._origin])
+    assert prod._origin_idx is None     # no origin column to overwrite
     want = np.sum(logs, axis=1)
     tol = 64 * prod.z.size * np.finfo(float).eps
     assert np.all(np.isfinite(want))
     np.testing.assert_array_less(np.abs(got.real - want.real), tol)
     np.testing.assert_array_less(np.abs(wrap_angle(got.imag - want.imag)),
                                  tol)
+
+
+def _old_poly_part(w, s):
+    # the accumulation _poly_part replaced: from zeros and ones
+    acc = np.zeros_like(np.asarray(w, dtype=complex))
+    pw = np.ones_like(acc)
+    for j in range(1, s + 1):
+        pw = pw * w
+        acc = acc + pw / j
+    return acc
+
+
+def test_poly_part_equals_the_old_accumulation():
+    rng = np.random.default_rng(7)
+    w = 1.0 - rng.random(200) ** 4 * np.exp(1j * rng.uniform(-3, 3, 200))
+    for s in range(4):
+        assert np.array_equal(_poly_part(w, s), _old_poly_part(w, s))
+        assert np.array_equal(_poly_part(w[:3, None], s),
+                              _old_poly_part(w[:3, None], s))
+    assert _poly_part(0.5, 0).shape == ()
+
+
+_WEIGHT = WeightPair.log_power_weight(2.0)
+
+
+@pytest.mark.parametrize("seq, scale", [
+    (generate_radial_geometric(0.8, 50), GrowthScale.log_power(1.0)),
+    (generate_sharpness(SharpnessParams(1.0, 1.0, 8)),
+     GrowthScale.log_power(3.0)),
+    (generate_rho_lattice(_WEIGHT.rho, 0.8, 0.7), weight_to_psi(_WEIGHT)),
+], ids=["geo50", "sharp8", "lattice07"])
+def test_node_contour_settles_at_64_points(monkeypatch, seq, scale):
+    # the exclusion-circle contour starts at 32 points; every node settles
+    # on the 64-point round, whose modes match a fresh 128-point grid
+    prod = CanonicalProduct(seq, genus_from_scale(scale))
+    pieces = prod._offset_pieces
+    theta, unit = circle_nodes(128)
+    for k in range(prod.z.size):
+        r = prod.exclusion_radii[k]
+        seen = []
+
+        def counted(kk, d):
+            seen.append(np.size(d))
+            return pieces(kk, d)
+
+        monkeypatch.setattr(prod, "_offset_pieces", counted)
+        scale_k, m1, m2 = prod.node_modes(k)
+        monkeypatch.undo()
+        assert sum(seen) == 64
+        logs = np.sum(prod._factor_logs(*pieces(k, r * unit)), axis=1)
+        ref_scale, want = circle_modes(theta, logs, (1, 2))
+        # both sides in units of the 128-point circle maximum, so the
+        # trapezoid error is measured against the integrand's size
+        got = np.array([m1, m2]) * np.exp(scale_k - ref_scale)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
