@@ -20,6 +20,14 @@ term logs, log P and (on request) P'/P, P''/P and the derivative sum all come
 from one chunked pass over points x nodes that forms the product's pieces
 (z - z_n, 1 - conj(z_n) z) once per chunk; the coefficient a(z) is assembled
 from that same pass.
+
+The damping factors w_n^(s_n - 1) leave a few terms dominant at each point,
+so the pass ranks terms by the real part of their logs (real logs of moduli
+only) and forms the phase, the exponential and the derivative factor only
+for terms within eps/N of the largest (N nodes; for the derivative sum, of
+the largest term times its factor bound).  The skipped terms move the sum
+by less than eps times its largest term, the rounding the sum carries
+anyway; InterpolationSeries._pass gives the bound for both sums.
 """
 
 from __future__ import annotations
@@ -45,18 +53,31 @@ __all__ = [
 ]
 
 
-def _scaled_sum(t: np.ndarray, factor=None):
-    """Row sums of exp(t - m), and of exp(t - m) * factor when a factor is
-    given, with m the row maximum of Re t; nan and infinite entries of t
-    contribute 0.  Returns (m, sum, weighted sum or None)."""
+def _scaled_sum(t: np.ndarray):
+    """Row sums of exp(t - m) with m the row maximum of Re t; nan and
+    infinite entries of t contribute 0.  Returns (m, sum)."""
     re = np.where(np.isnan(np.real(t)), -math.inf, np.real(t))
     sm = np.max(re, axis=1)
     keep = np.isfinite(t)
     with np.errstate(invalid="ignore"):
         e = np.exp(t - sm[:, None])
-        weighted = None if factor is None else \
-            np.sum(np.where(keep, e * factor, 0.0), axis=1)
-    return sm, np.sum(np.where(keep, e, 0.0), axis=1), weighted
+    return sm, np.sum(np.where(keep, e, 0.0), axis=1)
+
+
+def _above_floor(x: np.ndarray, floor: float):
+    """(m, keep): m the row maxima of x ignoring nan, and keep the entries
+    at or above m + floor; a row with no entry above -inf has m = -inf and
+    keeps nothing."""
+    m = np.fmax.reduce(x, axis=1)
+    m[~(m > -math.inf)] = -math.inf
+    thr = np.where(m > -math.inf, m + floor, math.inf)
+    return m, x >= thr[:, None]
+
+
+def _row_sums(rows: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Sums of the complex vals grouped by their row index, n rows."""
+    return (np.bincount(rows, vals.real, n)
+            + 1j * np.bincount(rows, vals.imag, n))
 
 
 def _unscale(log_p, sm, total, what: str) -> np.ndarray:
@@ -184,6 +205,12 @@ class InterpolationSeries:
         if not np.all(np.isfinite(self._log_dp)):
             raise ValueError("product derivative vanishes at a node; the "
                              "series is undefined")
+        # per-node parts of the term logs for _pass: c_n = log b_n -
+        # log P'(z_n), s_n - 1 and the (s_n - 1)|z_n|/(1 - |z_n|^2) of the
+        # derivative-factor bound
+        self._c = self._log_b - self._log_dp
+        self._sm1 = (self.exponents - 1).astype(float)
+        self._bound_coef = self._sm1 * np.abs(product.z) / product._gap2
 
     @classmethod
     def build(cls, product: CanonicalProduct, targets: TargetData,
@@ -212,6 +239,28 @@ class InterpolationSeries:
         Each term's derivative is the term itself times
 
             P'/P - 1/(z - z_n) + (s_n - 1) conj(z_n)/(1 - conj(z_n) z).
+
+        Only terms above the rounding floor are formed.  The log modulus of
+        term n (without the shared log P) is
+
+            Re t_n = Re(log b_n - log P'(z_n)) - log|z - z_n|
+                     + (s_n - 1) log|w_n(z)|,
+
+        from real logs of moduli alone.  With m the row maximum of Re t and
+        N the node count, term n is kept when Re t_n >= m + log(eps/N);
+        with derivatives also when Re t_n + log B_n >= max_j(Re t_j +
+        log B_j) + log(eps/N), where B_n = 1/|z - z_n| + (s_n - 1)|z_n| /
+        |1 - conj(z_n) z| bounds the term's own part of its derivative
+        factor.  The phase Im t_n, the exponential and the factor are taken
+        on kept terms only, by the same operations as _term_logs, so a kept
+        term is the value the all-term sum adds.  The skipped terms, fewer
+        than N and each below eps/N of the largest, move the sum by less
+        than eps max_n |term_n|, and the derivative sum by less than
+        2 eps max_n |term_n| (|P'/P| + B_n): the rounding each sum carries
+        anyway (Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed., SIAM 2002, ch. 4).  Terms with -inf or nan logs (b_n = 0)
+        are never kept, so they add exactly 0, and a row with no finite
+        term log has scale -inf and sums 0.
         """
         prod = self.product
         n = pts.size
@@ -221,21 +270,36 @@ class InterpolationSeries:
                              else (None, None, None))
         if prod.z.size == 0:
             return SeriesPass(log_p, sm, total, dtotal, lam, lam2)
+        floor = math.log(np.finfo(float).eps / prod.z.size)
         for lo in range(0, n, _CHUNK):
             sl = slice(lo, lo + _CHUNK)
             delta, den = prod._pieces(pts[sl])
             log_p[sl] = np.sum(prod._factor_logs(delta, den), axis=1)
-            t = self._term_logs(delta, den)
+            w = prod._gap2c / den
+            ad, aw = np.abs(delta), np.abs(w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                re = self._c.real - np.log(ad) + self._sm1 * np.log(aw)
+                sm[sl], keep = _above_floor(re, floor)
+                if derivatives:
+                    # |den| = (1 - |z_n|^2)/|w_n|
+                    bound = re + np.log(1.0 / ad + self._bound_coef * aw)
+                    keep |= _above_floor(bound, floor)[1]
+            rows, cols = np.nonzero(keep)
+            d = delta[keep]
+            t = np.empty(rows.size, dtype=complex)
+            t.real = re[keep] - sm[lo + rows]
+            t.imag = (self._c.imag[cols] - np.angle(d)
+                      + self._sm1[cols] * np.angle(w[keep]))
+            e = np.exp(t)
+            total[sl] = _row_sums(rows, e, len(delta))
             if not derivatives:
-                sm[sl], total[sl], _ = _scaled_sum(t)
                 continue
             L, dL = prod._log_derivatives(delta, den)
             lam[sl] = np.sum(L, axis=1)
             lam2[sl] = lam[sl] * lam[sl] + np.sum(dL, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factor = (lam[sl, None] - 1.0 / delta
-                          + (self.exponents - 1) * (prod._zc / den))
-            sm[sl], total[sl], dtotal[sl] = _scaled_sum(t, factor)
+            factor = (lam[lo + rows] - 1.0 / d
+                      + self._sm1[cols] * (prod._zc[cols] / den[keep]))
+            dtotal[sl] = _row_sums(rows, e * factor, len(delta))
         return SeriesPass(log_p, sm, total, dtotal, lam, lam2)
 
     def _near_node_term_logs(self, k: int, pts: np.ndarray):
@@ -284,7 +348,7 @@ class InterpolationSeries:
             yield ~bad, p.log_p, p.scale, p.total
         for k in np.unique(idx[bad]):
             sel = bad & (idx == k)
-            sm, total, _ = _scaled_sum(self._near_node_term_logs(int(k),
+            sm, total = _scaled_sum(self._near_node_term_logs(int(k),
                                                                  arr[sel]))
             yield sel, 0.0, sm, total
 

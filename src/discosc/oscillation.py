@@ -163,9 +163,9 @@ class OscillationBundle:
     # -- coefficient -------------------------------------------------------
 
     def _coefficient_direct(self, pts: np.ndarray) -> np.ndarray:
-        """a = -P''/P - 2 h P'/P - h^2 - h' at points outside every
-        exclusion disc, from one pass of the series over points x nodes."""
-        self.product.require_outside_exclusion(pts)
+        """a = -P''/P - 2 h P'/P - h^2 - h' from one pass of the series
+        over points x nodes.  The points must lie outside every exclusion
+        disc; callers classify or check them first."""
         p = self.gprime._pass(pts, derivatives=True)
         h = _unscale(p.log_p, p.scale, p.total, "value")
         hp = _unscale(p.log_p, p.scale, p.dtotal, "derivative")
@@ -176,10 +176,16 @@ class OscillationBundle:
         interior points; one shared contour serves them all."""
         zk = self.product.z[k]
         r = 1.5 * float(self.product.exclusion_radii[k])
+
+        def circle_a(unit):
+            # user-supplied exclusion radii can put this circle inside
+            # another node's disc
+            pts = zk + r * unit
+            self.product.require_outside_exclusion(pts)
+            return self._coefficient_direct(pts)
+
         prev = None
-        for _, unit, vals in nested_circle(
-                lambda unit: self._coefficient_direct(zk + r * unit),
-                RECOVERY_MAX_POINTS):
+        for _, unit, vals in nested_circle(circle_a, RECOVERY_MAX_POINTS):
             kern = (r * unit)[None, :] / ((zk + r * unit)[None, :]
                                           - z0s[:, None])
             cur = np.mean(vals[None, :] * kern, axis=1)

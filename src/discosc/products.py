@@ -107,6 +107,10 @@ class CanonicalProduct:
         self._zc = np.conjugate(z)
         self._gap2 = one_minus_abs2(z)          # 1 - |z_n|^2
         self._gap = one_minus_abs(z)            # 1 - |z_n|
+        # complex 1 - |z_n|^2 and (s+2) conj(z_n)/(1 - |z_n|^2) for the
+        # log-derivative kernel
+        self._gap2c = self._gap2.astype(complex)
+        self._dlog_coef = (self.genus + 2.0) * self._zc / self._gap2
         # column of the node at the origin (the zeros are distinct), or None
         origin = np.flatnonzero(z == 0.0)
         self._origin_idx = int(origin[0]) if origin.size else None
@@ -203,22 +207,19 @@ class CanonicalProduct:
             dlog E = -u w^(s+1) / (1 - w)
             d2log E = -u^2 w^(s+1) [ (s+2)/(1-w) + w/(1-w)^2 ]
 
-        and a node at the origin contributes 1/z and -1/z^2.
+        Since 1 - w = -u (z - z_n) and u = w conj(z_n)/(1 - |z_n|^2), these
+        are dlog E = w^(s+1)/(z - z_n) and d2log E = dlog E * w *
+        ((s+2) conj(z_n)/(1 - |z_n|^2) - 1/(z - z_n)): two complex
+        divisions per factor, w itself taken as (1 - |z_n|^2)/den so small
+        |w| keep full relative accuracy.  A node at the origin (w = 1)
+        gives 1/z and -1/z^2 from the same forms.
         """
-        s = self.genus
-        u = self._zc / den
-        omw = -self._zc * delta / den
-        w = 1.0 - omw
-        wp = w ** (s + 1)
-        # origin columns produce 0/0 here and are overwritten below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            L = -u * wp / omw
-            dL = -u * u * wp * ((s + 2.0) / omw + w / omw ** 2)
-        i = self._origin_idx
-        if i is not None:
-            d0 = delta[:, i]
-            L[:, i] = 1.0 / d0
-            dL[:, i] = -1.0 / d0 ** 2
+        w = self._gap2c / den
+        inv = 1.0 / delta
+        L = w * inv
+        for _ in range(self.genus):
+            L = L * w
+        dL = L * (w * self._dlog_coef - w * inv)
         return L, dL
 
     def _raw_log_eval(self, pts: np.ndarray) -> np.ndarray:

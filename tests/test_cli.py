@@ -1,11 +1,13 @@
 """End-to-end command-line flows and exit-code contract."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from discosc import ResidueCancellationError, cli, oscillation
+from discosc import (CanonicalProduct, ResidueCancellationError, ZeroSequence,
+                     build_coefficient, cli, numutil, oscillation, products)
 
 
 def test_gen_geometric_writes_sequence(tmp_path, capsys):
@@ -232,3 +234,22 @@ def test_parse_scale_forms():
     assert hasattr(cli.parse_scale("weight-log:2"), "weight")
     with pytest.raises(ValueError):
         cli.parse_scale("nope:1")
+
+
+def test_design_block_echoes_the_source_constants():
+    # every value reported under "design" is the constant the code runs on
+    seq = ZeroSequence(np.array([0.5, -0.3j, 0.9 + 0.05j, 0.0]))
+    prod = CanonicalProduct(seq, 1)
+    d = np.abs(seq.points[:, None] - seq.points[None, :]) + np.diag(
+        np.full(len(seq), np.inf))
+    rule = np.minimum(np.min(d, axis=1) / 4.0,
+                      (1.0 - np.abs(seq.points)) / 8.0)
+    margin = inspect.signature(build_coefficient).parameters["margin"]
+    assert cli.DESIGN == {
+        "contour_start_points": numutil.CONTOUR_START_POINTS,
+        "node_contour_start_points": products.NODE_CONTOUR_START_POINTS,
+        "contour_max_points": numutil.CONTOUR_MAX_POINTS,
+        "exclusion_rule": "min(nearest_neighbor/4, (1-|z|)/8)",
+        "margin_default": margin.default,
+    }
+    np.testing.assert_allclose(prod.exclusion_radii, rule, rtol=1e-15)

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discosc import (GrowthScale, ResidueCancellationError, ZeroSequence,
-                     anorm_estimate, build_coefficient,
-                     generate_radial_geometric, oscillation, sample_probes)
+from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
+                     ResidueCancellationError, ZeroSequence, anorm_estimate,
+                     build_coefficient, generate_radial_geometric,
+                     oscillation, sample_probes, targets_from_product)
 from discosc.numutil import adaptive_segment_integral, circle_nodes
+from strategies import separated_sets
 
 LOG = GrowthScale.log_power(1.0)
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
@@ -44,6 +46,30 @@ def test_coefficient_component_assembly(geo6_bundle):
             manual = -(lam2[0] + 2.0 * hval * lam[0] + hval ** 2 + hp)
             assert bun.eval_coefficient(z) == pytest.approx(manual,
                                                             rel=1e-10)
+
+
+def test_eval_coefficient_classifies_points_once(geo6_bundle, monkeypatch):
+    # points outside every disc go straight to the series pass: one
+    # nearest-node search for the whole call
+    prod = geo6_bundle.product
+    pts = sample_probes(prod, np.random.default_rng(3), 40, r_max=0.9)
+    calls = []
+    search = prod.nearest_node
+    monkeypatch.setattr(prod, "nearest_node",
+                        lambda z: calls.append(np.size(z)) or search(z))
+    geo6_bundle.eval_coefficient(pts)
+    assert calls == [pts.size]
+
+
+def test_recovery_circle_keeps_its_exclusion_guard():
+    # user radii can put node 0's recovery circle (radius 1.5 * 0.15) into
+    # the disc of node 1: the circle point 0.225 lies within 0.1 of 0.3
+    seq = ZeroSequence(np.array([0.0, 0.3], dtype=complex))
+    prod = CanonicalProduct(seq, 1, exclusion_radii=[0.15, 0.1])
+    series = InterpolationSeries.build(prod, targets_from_product(prod, LOG))
+    bun = oscillation.OscillationBundle(prod, series, LOG, 10.0, np.zeros(2))
+    with pytest.raises(ValueError, match="exclusion disc of node 1"):
+        bun.eval_coefficient(0.05j)
 
 
 def test_eval_coefficient_shapes():
@@ -160,17 +186,6 @@ def test_zero_count_on_rho_lattice(weight_pipeline):
     _, _, lattice, bundle = weight_pipeline
     rep = bundle.count_zeros(radius=0.9)
     assert rep.count == rep.nodes_inside == len(lattice) == 368
-
-
-@st.composite
-def separated_sets(draw):
-    n = draw(st.integers(1, 8))
-    r = draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n))
-    t = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n))
-    pts = np.asarray(r) * np.exp(1j * np.asarray(t))
-    d = np.abs(pts[:, None] - pts[None, :]) + np.eye(n)
-    assume(np.min(d) >= 0.05)
-    return pts
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
