@@ -277,13 +277,12 @@ class InterpolationSeries:
             log_p[sl] = np.sum(prod._factor_logs(delta, den), axis=1)
             w = prod._gap2c / den
             ad, aw = np.abs(delta), np.abs(w)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                re = self._c.real - np.log(ad) + self._sm1 * np.log(aw)
-                sm[sl], keep = _above_floor(re, floor)
-                if derivatives:
-                    # |den| = (1 - |z_n|^2)/|w_n|
-                    bound = re + np.log(1.0 / ad + self._bound_coef * aw)
-                    keep |= _above_floor(bound, floor)[1]
+            re = self._c.real - np.log(ad) + self._sm1 * np.log(aw)
+            sm[sl], keep = _above_floor(re, floor)
+            if derivatives:
+                # |den| = (1 - |z_n|^2)/|w_n|
+                bound = re + np.log(1.0 / ad + self._bound_coef * aw)
+                keep |= _above_floor(bound, floor)[1]
             rows, cols = np.nonzero(keep)
             d = delta[keep]
             t = np.empty(rows.size, dtype=complex)
