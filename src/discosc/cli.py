@@ -239,6 +239,10 @@ def cmd_build(args) -> int:
 # -- verify ------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not (0.0 < args.rmax <= 0.95):
+        raise ValueError(f"--rmax must lie in (0, 0.95], got {args.rmax:g}")
     seq, scale, bundle = _build_bundle(args)
     rng = np.random.default_rng(args.seed)
     probes = sample_probes(bundle.product, rng, args.samples,

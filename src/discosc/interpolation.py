@@ -40,7 +40,7 @@ import numpy as np
 # golden_section_max is looked up here by bench/tracer.py
 from .numutil import (circle_max, clog, disc_points,  # noqa: F401
                       golden_section_max, like_input)
-from .products import _CHUNK, CanonicalProduct, _poly_part
+from .products import CanonicalProduct, _poly_part
 from .scales import GrowthScale
 from .sequences import ZeroSequence
 
@@ -142,8 +142,7 @@ class TargetData:
 
 
 def choose_exponents(product: CanonicalProduct, targets: TargetData,
-                     margin: float = 10.0,
-                     balance_constant: float | None = None) -> np.ndarray:
+                     margin: float = 10.0) -> np.ndarray:
     """Per-node damping exponents.
 
     s_n = s + ceil((margin + C * psi_tilde(1/(1-|z_n|)) + 2 log(n+1)) / log 2)
@@ -160,9 +159,7 @@ def choose_exponents(product: CanonicalProduct, targets: TargetData,
         raise ValueError("margin must be positive")
     if not np.array_equal(targets.zeros.points, product.z):
         raise ValueError("targets are pinned to a different zero sequence")
-    if balance_constant is None:
-        balance_constant = product.balance_constant(0.5)
-    c_hat = targets.bound_constant + balance_constant
+    c_hat = targets.bound_constant + product.balance_constant(0.5)
     n_idx = np.arange(1, product.z.size + 1, dtype=float)
     raw = (margin + c_hat * targets.node_tilde
            + 2.0 * np.log(n_idx + 1.0)) / math.log(2.0)
@@ -214,11 +211,9 @@ class InterpolationSeries:
 
     @classmethod
     def build(cls, product: CanonicalProduct, targets: TargetData,
-              margin: float = 10.0, exponents=None,
-              balance_constant: float | None = None) -> "InterpolationSeries":
+              margin: float = 10.0, exponents=None) -> "InterpolationSeries":
         if exponents is None:
-            exponents = choose_exponents(product, targets, margin,
-                                         balance_constant)
+            exponents = choose_exponents(product, targets, margin)
         return cls(product, targets, exponents)
 
     # -- evaluation --------------------------------------------------------
@@ -232,8 +227,8 @@ class InterpolationSeries:
                     + (self.exponents - 1) * clog(w))
 
     def _pass(self, pts: np.ndarray, derivatives: bool = False) -> SeriesPass:
-        """log P, the scaled term sum and its scale at points outside every
-        exclusion disc, _CHUNK points at a time; with derivatives=True also
+        """log P, the scaled term sum and its scale at points other than
+        the nodes, over the product's _blocks; with derivatives=True also
         the scaled derivative sum, P'/P and P''/P from the same pieces.
 
         Each term's derivative is the term itself times
@@ -271,9 +266,7 @@ class InterpolationSeries:
         if prod.z.size == 0:
             return SeriesPass(log_p, sm, total, dtotal, lam, lam2)
         floor = math.log(np.finfo(float).eps / prod.z.size)
-        for lo in range(0, n, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            delta, den = prod._pieces(pts[sl])
+        for sl, delta, den in prod._blocks(pts):
             log_p[sl] = np.sum(prod._factor_logs(delta, den), axis=1)
             w = prod._gap2c / den
             ad, aw = np.abs(delta), np.abs(w)
@@ -286,17 +279,17 @@ class InterpolationSeries:
             rows, cols = np.nonzero(keep)
             d = delta[keep]
             t = np.empty(rows.size, dtype=complex)
-            t.real = re[keep] - sm[lo + rows]
+            t.real = re[keep] - sm[sl][rows]
             t.imag = (self._c.imag[cols] - np.angle(d)
                       + self._sm1[cols] * np.angle(w[keep]))
             e = np.exp(t)
             total[sl] = _row_sums(rows, e, len(delta))
             if not derivatives:
                 continue
-            L, dL = prod._log_derivatives(delta, den)
+            L, dL = prod._log_derivatives(delta, w)
             lam[sl] = np.sum(L, axis=1)
             lam2[sl] = lam[sl] * lam[sl] + np.sum(dL, axis=1)
-            factor = (lam[lo + rows] - 1.0 / d
+            factor = (lam[sl][rows] - 1.0 / d
                       + self._sm1[cols] * (prod._zc[cols] / den[keep]))
             dtotal[sl] = _row_sums(rows, e * factor, len(delta))
         return SeriesPass(log_p, sm, total, dtotal, lam, lam2)
@@ -313,17 +306,17 @@ class InterpolationSeries:
         so the 0/0 at the node never forms; the remaining terms keep the
         generic shape, with log P taken from the factor logs at the offset
         pieces of node k (relative gaps enter exactly, never as a difference
-        of near-equal products).  At z = z_k every other term carries
-        log P = -inf and drops out, leaving b_k times a ratio of two
-        evaluations of the same closed form.
+        of near-equal products), and the term logs use the same pieces.  At
+        z = z_k every other term carries log P = -inf and drops out, leaving
+        b_k times a ratio of two evaluations of the same closed form.
         """
         prod = self.product
         zk = prod.z[k]
-        rows = prod._factor_logs(*prod._offset_pieces(k, pts - zk))
+        delta, den = prod._offset_pieces(k, pts - zk)
+        rows = prod._factor_logs(delta, den)
         log_ek = rows[:, k].copy()
         rows[:, k] = 0.0
         log_bk = np.sum(rows, axis=1)
-        delta, den = prod._pieces(pts)
         wk = prod._gap2[k] / den[:, k]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = self._term_logs(delta, den) + (log_bk + log_ek)[:, None]

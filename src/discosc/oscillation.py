@@ -37,7 +37,7 @@ from .numutil import (CONTOUR_MAX_POINTS, TWO_PI,  # noqa: F401
                       circle_nodes, disc_points, flat_points,
                       golden_section_max, like_input, nested_circle,
                       one_minus_abs2, sample_disc, wrap_angle)
-from .products import _CHUNK, CanonicalProduct
+from .products import CanonicalProduct
 from .scales import GrowthScale, genus_from_scale
 from .sequences import SharpnessParams, ZeroSequence
 
@@ -102,15 +102,11 @@ def node_targets(product: CanonicalProduct) -> np.ndarray:
     and its own limit term vanishes.
     """
     z = product.z
-    n = z.size
-    if n == 0:
-        return np.zeros(0, dtype=complex)
     s = product.genus
     zc = product._zc
     gap2 = product._gap2
-    out = np.empty(n, dtype=complex)
-    for lo in range(0, n, _CHUNK):
-        delta, den = product._pieces(z[lo:lo + _CHUNK])
+    out = np.empty(z.size, dtype=complex)
+    for sl, delta, den in product._blocks(z):
         omw = -zc * delta / den
         # -u w^(s+1) / (1 - w) with u = conj(z_n)/den and w taken from
         # 1 - |z_n|^2 directly; only these first-derivative terms are formed,
@@ -120,9 +116,9 @@ def node_targets(product: CanonicalProduct) -> np.ndarray:
             i = product._origin_idx
             if i is not None:
                 L[:, i] = 1.0 / delta[:, i]
-        rows = np.arange(lo, min(lo + _CHUNK, n))
-        L[rows - lo, rows] = 0.0
-        out[lo:lo + _CHUNK] = -np.sum(L, axis=1)
+        rows = np.arange(len(delta))
+        L[rows, sl.start + rows] = 0.0
+        out[sl] = -np.sum(L, axis=1)
     out -= (s + 1) * zc / gap2
     return out
 
@@ -143,14 +139,12 @@ class OscillationBundle:
 
     def __init__(self, product: CanonicalProduct, gprime: InterpolationSeries,
                  scale: GrowthScale, margin: float,
-                 residue_mismatch: np.ndarray,
-                 integration_base: complex = 0j):
+                 residue_mismatch: np.ndarray):
         self.product = product
         self.gprime = gprime
         self.scale = scale
         self.margin = margin
         self.residue_mismatch = residue_mismatch
-        self.integration_base = complex(integration_base)
 
     @property
     def genus(self) -> int:
@@ -162,14 +156,15 @@ class OscillationBundle:
 
     # -- coefficient -------------------------------------------------------
 
-    def _coefficient_direct(self, pts: np.ndarray) -> np.ndarray:
-        """a = -P''/P - 2 h P'/P - h^2 - h' from one pass of the series
-        over points x nodes.  The points must lie outside every exclusion
-        disc; callers classify or check them first."""
+    def _coefficient_direct(self, pts: np.ndarray):
+        """(pass, h, a) with a = -P''/P - 2 h P'/P - h^2 - h' from one
+        derivative pass of the series over points x nodes.  The points must
+        lie outside every exclusion disc; callers classify or check them
+        first."""
         p = self.gprime._pass(pts, derivatives=True)
         h = _unscale(p.log_p, p.scale, p.total, "value")
         hp = _unscale(p.log_p, p.scale, p.dtotal, "derivative")
-        return -p.lam2 - 2.0 * h * p.lam - h * h - hp
+        return p, h, -p.lam2 - 2.0 * h * p.lam - h * h - hp
 
     def _recover_at_node(self, k: int, z0s: np.ndarray) -> np.ndarray:
         """Cauchy means of a over a circle around node k for the given
@@ -182,7 +177,7 @@ class OscillationBundle:
             # another node's disc
             pts = zk + r * unit
             self.product.require_outside_exclusion(pts)
-            return self._coefficient_direct(pts)
+            return self._coefficient_direct(pts)[2]
 
         prev = None
         for _, unit, vals in nested_circle(circle_a, RECOVERY_MAX_POINTS):
@@ -210,26 +205,23 @@ class OscillationBundle:
         arr = disc_points(z)
         out = np.empty(arr.shape, dtype=complex)
         bad, idx = self.product.in_exclusion(arr)
-        good = ~bad
-        if np.any(good):
-            out[good] = self._coefficient_direct(arr[good])
-        if np.any(bad):
-            for k in np.unique(idx[bad]):
-                sel = bad & (idx == k)
-                out[sel] = self._recover_at_node(int(k), arr[sel])
+        if not np.all(bad):
+            out[~bad] = self._coefficient_direct(arr[~bad])[2]
+        for k in np.unique(idx[bad]):
+            sel = bad & (idx == k)
+            out[sel] = self._recover_at_node(int(k), arr[sel])
         return like_input(out, z)
 
     # -- solution ----------------------------------------------------------
 
     def g(self, z, tol: float = 1e-12):
-        """Antiderivative of h along straight segments from the base point
-        (default 0), so g(0) = 0; path independence is free since h is
-        analytic in the disc."""
+        """Antiderivative of h along straight segments from 0, so g(0) = 0;
+        path independence is free since h is analytic in the disc."""
         arr = disc_points(z)
         out = np.empty(arr.shape, dtype=complex)
         for j, zj in enumerate(arr):
             out[j] = adaptive_segment_integral(
-                self.gprime.evaluate, self.integration_base, complex(zj), tol)
+                self.gprime.evaluate, 0j, complex(zj), tol)
         return like_input(out, z)
 
     def log_solution(self, z):
@@ -275,19 +267,25 @@ class OscillationBundle:
 
     def _solution_rounds(self, z0: complex, r: float):
         """Yield (theta, log f(zeta) - g(z0)) on the nested_circle rounds
-        of zeta = z0 + r e^{i theta}, taking log P and h once per point."""
+        of zeta = z0 + r e^{i theta}, taking log P and h from one series
+        pass per round.  r is at most half the nearest-node distance, so no
+        node lies on the circle, and off the nodes the pass matches the
+        near-node form that evaluate() takes inside exclusion discs."""
         def log_p_and_h(unit):
-            zeta = z0 + r * unit
-            return np.stack([self.product._raw_log_eval(zeta),
-                             self.gprime.evaluate(zeta)])
+            p = self.gprime._pass(z0 + r * unit)
+            return np.stack([p.log_p,
+                             _unscale(p.log_p, p.scale, p.total, "value")])
 
         for theta, unit, (log_p, hv) in nested_circle(log_p_and_h,
                                                        CONTOUR_MAX_POINTS):
             zeta = z0 + r * unit
             yield theta, log_p + self._spoke_integrals(z0, zeta, hv)
 
-    def _probe_residual(self, z0: complex, a0: complex) -> float:
-        """|f'' + a f| / (|f''| + |a f| + 1e-300) at one probe.
+    def _probe_residual(self, z0: complex, a0: complex, d1: float,
+                        log_f0: complex, dist: float) -> float:
+        """|f'' + a f| / (|f''| + |a f| + 1e-300) at one probe, given a0 =
+        a(z0), d1 = |P'/P + h|, log_f0 = log P(z0) and the nearest-node
+        distance dist; the only points x nodes work here is on the circle.
 
         f'' comes from a trapezoid contour second derivative on a circle
         around z0; the shared factor e^{g(z0)} cancels in the ratio, so only
@@ -295,20 +293,15 @@ class OscillationBundle:
         FFT of h on the same circle.  The nested_circle rounds (64, 128, ...
         points) run until f'' drifts by at most CONTOUR_REL_TOL per round.  The
         circle radius starts at min((1-|z0|)/8, half the distance to the
-        nearest node) and is capped by the local log-derivative scale of f:
-        where |a| is large, Re log f would otherwise swing by hundreds across
-        the circle and the second Fourier mode of f drowns in the rounding
-        floor of the peak values.  A circle too small to be placed in
-        binary64 around z0 raises RuntimeError naming the probe and radius.
+        nearest node) and is capped by the local log-derivative scale of f,
+        1/(d1 + 1) and 1/sqrt(|a0| + 1): where |a| is large, Re log f would
+        otherwise swing by hundreds across the circle and the second Fourier
+        mode of f drowns in the rounding floor of the peak values.  A circle
+        too small to be placed in binary64 around z0 raises RuntimeError
+        naming the probe and radius.
         """
-        _, dist = self.product.nearest_node(np.asarray([z0]))
-        r = (1.0 - abs(z0)) / 8.0
-        if np.isfinite(dist[0]) and dist[0] > 0.0:
-            r = min(r, float(dist[0]) / 2.0)
-        d1 = abs(self.product.log_derivative_sums(z0)[0]
-                 + self.gprime.evaluate(z0))
-        r = min(r, 1.0 / (d1 + 1.0), 1.0 / math.sqrt(abs(a0) + 1.0))
-        log_f0 = complex(self.product._raw_log_eval(np.asarray([z0]))[0])
+        r = min((1.0 - abs(z0)) / 8.0, dist / 2.0, 1.0 / (d1 + 1.0),
+                1.0 / math.sqrt(abs(a0) + 1.0))
         rounds = self._solution_rounds(z0, r)
         first = next(rounds)
         shrinks = 0
@@ -364,11 +357,15 @@ class OscillationBundle:
         if np.any(np.abs(arr) > 0.95):
             raise ValueError("probes must satisfy |z| <= 0.95")
         self.product.require_outside_exclusion(arr, "probe")
-        a_vals = np.atleast_1d(self._coefficient_direct(arr))
+        _, dist = self.product.nearest_node(arr)
+        p, h, a_vals = self._coefficient_direct(arr)
+        d1 = p.lam + h
         worst = 0.0
-        for z0, a0 in zip(arr, a_vals):
-            worst = max(worst,
-                        self._probe_residual(complex(z0), complex(a0)))
+        for j, z0 in enumerate(arr):
+            # builtin abs: np.abs can differ from it in the last bit
+            worst = max(worst, self._probe_residual(
+                complex(z0), complex(a_vals[j]), abs(complex(d1[j])),
+                complex(p.log_p[j]), float(dist[j])))
         return worst
 
     # -- growth ------------------------------------------------------------
@@ -519,16 +516,19 @@ def build_coefficient(zeros: ZeroSequence, scale: GrowthScale,
 
 def sample_probes(product: CanonicalProduct, rng: np.random.Generator,
                   count: int, r_max: float = 0.9) -> np.ndarray:
-    """Uniform disc probes rejected out of the exclusion discs."""
-    out: list[complex] = []
-    while len(out) < count:
+    """Uniform disc probes rejected out of the exclusion discs.  Raises
+    ValueError when |z| <= r_max lies inside one exclusion disc, the only
+    way (for disjoint discs) every candidate can be rejected."""
+    inside = np.abs(product.z) + r_max <= product.exclusion_radii
+    if np.any(inside):
+        raise ValueError(
+            f"probe disc |z| <= {r_max:g} lies in the exclusion disc of "
+            f"node {int(np.flatnonzero(inside)[0])}")
+    out = np.zeros(0, dtype=complex)
+    while out.size < count:
         cand = sample_disc(rng, count, r_max)
-        bad, _ = product.in_exclusion(cand)
-        for zj in cand[~bad]:
-            out.append(complex(zj))
-            if len(out) == count:
-                break
-    return np.asarray(out, dtype=complex)
+        out = np.concatenate([out, cand[~product.in_exclusion(cand)[0]]])
+    return out[:count]
 
 
 def anorm_estimate(evaluator: Callable, p: float, grid) -> float:

@@ -11,7 +11,7 @@ log-derivatives, the node targets and the interpolation series' term logs --
 is built from one pair of pieces per point and node, (z - z_n,
 1 - conj(z_n) z).  _pieces forms them at given points; _offset_pieces forms
 them at z_k + d without materialising the sum, which keeps contours around
-deep nodes accurate.  Points x nodes passes run _CHUNK points at a time.
+deep nodes accurate.  Points x nodes passes loop over _blocks.
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -174,6 +174,13 @@ class CanonicalProduct:
         p = np.asarray(pts, dtype=complex)[:, None]
         return p - self.z[None, :], one_minus_conj_mul(self.z[None, :], p)
 
+    def _blocks(self, pts: np.ndarray):
+        """Yield (slice, pieces) over pts, _CHUNK points at a time, so memory
+        stays O(_CHUNK * n_zeros) however many points are asked."""
+        for lo in range(0, pts.size, _CHUNK):
+            sl = slice(lo, lo + _CHUNK)
+            yield (sl, *self._pieces(pts[sl]))
+
     def _offset_pieces(self, k: int, d: np.ndarray):
         """The pieces at z_k + d, computed without forming the sum.
 
@@ -199,8 +206,8 @@ class CanonicalProduct:
                 logs[:, i] = clog(delta[:, i])
         return logs
 
-    def _log_derivatives(self, delta: np.ndarray, den: np.ndarray):
-        """Per-factor (dlog E, d2log E) from the pieces (delta, den).
+    def _log_derivatives(self, delta: np.ndarray, w: np.ndarray):
+        """Per-factor (dlog E, d2log E) from z - z_n and w = w_n(z).
 
         With u = conj(z_n)/(1 - conj(z_n) z) and w = w_n(z),
 
@@ -210,11 +217,10 @@ class CanonicalProduct:
         Since 1 - w = -u (z - z_n) and u = w conj(z_n)/(1 - |z_n|^2), these
         are dlog E = w^(s+1)/(z - z_n) and d2log E = dlog E * w *
         ((s+2) conj(z_n)/(1 - |z_n|^2) - 1/(z - z_n)): two complex
-        divisions per factor, w itself taken as (1 - |z_n|^2)/den so small
-        |w| keep full relative accuracy.  A node at the origin (w = 1)
-        gives 1/z and -1/z^2 from the same forms.
+        divisions per factor.  Callers take w as (1 - |z_n|^2)/(1 -
+        conj(z_n) z), so small |w| keep full relative accuracy.  A node at
+        the origin (w = 1) gives 1/z and -1/z^2 from the same forms.
         """
-        w = self._gap2c / den
         inv = 1.0 / delta
         L = w * inv
         for _ in range(self.genus):
@@ -223,14 +229,12 @@ class CanonicalProduct:
         return L, dL
 
     def _raw_log_eval(self, pts: np.ndarray) -> np.ndarray:
-        """Row sums of the factor logs, one _CHUNK of points at a time, so
-        memory stays O(_CHUNK * n_zeros) however many points are asked."""
+        """Row sums of the factor logs over _blocks(pts)."""
         if self.z.size == 0:
             return np.zeros(pts.shape, dtype=complex)
         out = np.empty(pts.size, dtype=complex)
-        for lo in range(0, pts.size, _CHUNK):
-            out[lo:lo + _CHUNK] = np.sum(
-                self._factor_logs(*self._pieces(pts[lo:lo + _CHUNK])), axis=1)
+        for sl, delta, den in self._blocks(pts):
+            out[sl] = np.sum(self._factor_logs(delta, den), axis=1)
         return out
 
     def log_eval(self, z):
@@ -366,12 +370,11 @@ class CanonicalProduct:
         """
         arr = flat_points(pts)
         self.require_outside_exclusion(arr)
-        lam = np.zeros(arr.shape, dtype=complex)
-        dlam = np.zeros(arr.shape, dtype=complex)
-        for lo in range(0, arr.size, _CHUNK):
-            L, dL = self._log_derivatives(*self._pieces(arr[lo:lo + _CHUNK]))
-            lam[lo:lo + _CHUNK] = np.sum(L, axis=1)
-            dlam[lo:lo + _CHUNK] = np.sum(dL, axis=1)
+        lam, dlam = np.zeros((2, arr.size), dtype=complex)
+        for sl, delta, den in self._blocks(arr):
+            L, dL = self._log_derivatives(delta, self._gap2c / den)
+            lam[sl] = np.sum(L, axis=1)
+            dlam[sl] = np.sum(dL, axis=1)
         return like_input(lam, pts), like_input(lam * lam + dlam, pts)
 
     # -- diagnostics -------------------------------------------------------

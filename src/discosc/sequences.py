@@ -16,7 +16,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numutil import one_minus_abs, one_minus_abs2, one_minus_conj_mul
+from .geometry import pseudo_distance
+from .numutil import one_minus_abs
 
 __all__ = [
     "ZeroSequence",
@@ -299,10 +300,8 @@ def log_integrated_count(seq: ZeroSequence, center: complex, r: float) -> float:
 def _pairwise_pseudo(seq: ZeroSequence) -> np.ndarray:
     """Condensed upper-triangle pseudohyperbolic distances."""
     z = seq.points
-    num = np.abs(z[:, None] - z[None, :])
-    den = np.abs(one_minus_conj_mul(z[:, None], z[None, :]))
     iu = np.triu_indices(len(seq), k=1)
-    return num[iu] / den[iu]
+    return pseudo_distance(z[:, None], z[None, :])[iu]
 
 
 def separation_constant(seq: ZeroSequence) -> float:
@@ -317,10 +316,8 @@ def uniform_separation_constant(seq: ZeroSequence) -> float:
     if len(seq) < 2:
         raise ValueError("uniform separation needs at least two points")
     z = seq.points
-    num = np.abs(z[:, None] - z[None, :])
-    den = np.abs(one_minus_conj_mul(z[:, None], z[None, :]))
     with np.errstate(divide="ignore"):
-        logs = np.log(num / den)
+        logs = np.log(pseudo_distance(z[:, None], z[None, :]))
     np.fill_diagonal(logs, 0.0)
     return float(np.exp(np.min(np.sum(logs, axis=1))))
 
@@ -355,10 +352,7 @@ def uniform_density_estimate(seq: ZeroSequence, r_ladder,
         if not (0.5 < r < 1.0):
             raise ValueError("density ladder radii must lie in (1/2, 1)")
     centers = np.concatenate([seq.points, _boundary_grid(n_radii, n_angles)])
-    z = seq.points
-    num = np.abs(centers[:, None] - z[None, :])
-    den = np.abs(one_minus_conj_mul(centers[:, None], z[None, :]))
-    sig = num / den
+    sig = pseudo_distance(centers[:, None], seq.points[None, :])
     out = []
     with np.errstate(divide="ignore"):
         neglog = -np.log(sig)

@@ -195,6 +195,30 @@ def test_input_error_exit_codes(tmp_path):
                      "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--samples", "0"], "--samples"), (["--samples", "-3"], "--samples"),
+    (["--rmax", "0"], "--rmax"), (["--rmax", "0.96"], "--rmax"),
+])
+def test_verify_rejects_probe_settings(tmp_path, capsys, flags, name):
+    # no probes would pass the ODE residual vacuously; the residual takes
+    # probes with |z| <= 0.95 only
+    seq = _gen_geo(tmp_path)
+    assert cli.main(["verify", "--sequence", str(seq), "--scale", "log",
+                     *flags]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_verify_rejects_a_probe_disc_inside_one_exclusion_disc(tmp_path,
+                                                               capsys):
+    # the rho-lattice holds the origin; |z| <= 0.001 lies in its disc
+    seq = tmp_path / "lat.json"
+    cli.main(["gen", "rho-lattice", "--gamma", "2.0", "--spacing", "0.6",
+              "--rmax", "0.5", "--out", str(seq)])
+    assert cli.main(["verify", "--sequence", str(seq), "--scale",
+                     "weight-log:2", "--rmax", "0.001"]) == 2
+    assert "exclusion disc of node 0" in capsys.readouterr().err
+
+
 def test_build_stdout_json(tmp_path, capsys):
     seq = _gen_geo(tmp_path)
     capsys.readouterr()  # drop the gen chatter; only the build output matters

@@ -238,6 +238,25 @@ def test_pass_matches_the_dense_sum(seq):
     _assert_pass_matches_dense(series, _outside_points(series.product, 3))
 
 
+@pytest.mark.parametrize("seq", [
+    generate_radial_geometric(0.8, 50),
+    generate_rho_lattice(WeightPair.log_power_weight(2.0).rho, 0.8, 0.7),
+], ids=["geo50", "rho-lattice-origin"])
+@pytest.mark.parametrize("frac", [0.5, 1e-3])
+def test_pass_matches_the_near_node_form_off_the_nodes(seq, frac):
+    # inside an exclusion disc evaluate() takes the near-node form; the
+    # pass, which the ODE-residual circles use there, agrees off the node
+    series = _series(seq)
+    prod = series.product
+    turn = np.exp(2j * np.pi * np.random.default_rng(5).random(prod.z.size))
+    pts = prod.z + frac * prod.exclusion_radii * turn
+    assert np.all(prod.in_exclusion(pts)[0])
+    p = series._pass(pts)
+    h = np.exp(p.log_p + p.scale) * p.total
+    want = series.evaluate(pts)
+    assert np.all(np.abs(h - want) <= 1e-9 * np.abs(want))
+
+
 # targets drawn apart from the nodes, zeros included: the series
 # interpolates any values.  A node of subnormal modulus is not drawn: its
 # factor 1 - w_n underflows to 0 at the other nodes, so the construction
@@ -297,7 +316,7 @@ def test_zero_targets_give_the_zero_series():
 def test_log_derivatives_match_the_five_division_form(seq, genus):
     prod = CanonicalProduct(seq, genus)
     delta, den = prod._pieces(_outside_points(prod, 7))
-    L, dL = prod._log_derivatives(delta, den)
+    L, dL = prod._log_derivatives(delta, prod._gap2c / den)
     L0, dL0 = _five_division_log_derivatives(prod, delta, den)
     for got, want in ((L, L0), (dL, dL0)):
         err = np.abs(np.sum(got, axis=1) - np.sum(want, axis=1))

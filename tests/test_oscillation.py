@@ -61,6 +61,42 @@ def test_eval_coefficient_classifies_points_once(geo6_bundle, monkeypatch):
     assert calls == [pts.size]
 
 
+def test_ode_residual_makes_one_pass_per_point_set(geo6_bundle, monkeypatch):
+    # the probes' a, P'/P + h and log f come from one batched pass and each
+    # contour round from one series pass: no single-point passes, and at
+    # most the guard's and the radius cap's nearest-node searches
+    probes = sample_probes(geo6_bundle.product, np.random.default_rng(5), 6,
+                           r_max=0.9)
+    calls = {}
+    for cls, name in ((CanonicalProduct, "_raw_log_eval"),
+                      (CanonicalProduct, "log_derivative_sums"),
+                      (CanonicalProduct, "nearest_node"),
+                      (InterpolationSeries, "evaluate")):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _fn=getattr(cls, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    assert geo6_bundle.ode_residual(probes) <= 1e-5
+    assert calls["_raw_log_eval"] == 0
+    assert calls["log_derivative_sums"] == 0
+    assert calls["evaluate"] == 0
+    assert calls["nearest_node"] <= 2
+
+
+def test_sample_probes_names_the_disc_that_holds_every_candidate():
+    # |z_0| + r_max <= r_0: every candidate falls in node 0's disc
+    prod = CanonicalProduct(ZeroSequence(np.array([0.0, 0.5])), 1)
+    assert prod.exclusion_radii[0] == 0.125
+    rng = np.random.default_rng(0)
+    for r_max in (0.001, 0.125):
+        with pytest.raises(ValueError, match="exclusion disc of node 0"):
+            sample_probes(prod, rng, 5, r_max=r_max)
+    assert sample_probes(prod, rng, 5, r_max=0.2).size == 5
+
+
 def test_recovery_circle_keeps_its_exclusion_guard():
     # user radii can put node 0's recovery circle (radius 1.5 * 0.15) into
     # the disc of node 1: the circle point 0.225 lies within 0.1 of 0.3
@@ -122,10 +158,12 @@ def test_spoke_integrals_match_segment_quadrature(geo6_bundle):
 
 def test_probe_residual_names_unresolvable_circle(geo6_bundle):
     # |a| = 1e40 caps the radius at 1e-20, below one ulp of the probe
-    z0 = complex(sample_probes(geo6_bundle.product,
-                               np.random.default_rng(3), 1)[0])
+    prod = geo6_bundle.product
+    z0 = complex(sample_probes(prod, np.random.default_rng(3), 1)[0])
+    _, dist = prod.nearest_node(z0)
     with pytest.raises(RuntimeError, match="below binary64 resolution"):
-        geo6_bundle._probe_residual(z0, 1e40)
+        geo6_bundle._probe_residual(z0, 1e40, 0.0, complex(prod.log_eval(z0)),
+                                    float(dist[0]))
 
 
 def test_solution_vanishes_exactly_on_nodes(geo6_bundle):
