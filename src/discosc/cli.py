@@ -22,7 +22,8 @@ from . import __version__
 from .numutil import CONTOUR_MAX_POINTS, CONTOUR_START_POINTS, format_float
 from .oscillation import (ResidueCancellationError, build_coefficient,
                           sample_probes, sharpness_witness)
-from .products import NODE_CONTOUR_START_POINTS
+from .products import (NODE_CONTOUR_START_POINTS, NODE_FAR_SAMPLES,
+                       NODE_NEAR_RATIO)
 from .scales import GrowthScale, WeightPair, weight_to_psi
 from .sequences import (SharpnessParams, ZeroSequence, condition_report,
                         generate_radial_geometric, generate_rho_lattice,
@@ -35,6 +36,8 @@ from .sequences import (SharpnessParams, ZeroSequence, condition_report,
 DESIGN = {
     "contour_start_points": CONTOUR_START_POINTS,
     "node_contour_start_points": NODE_CONTOUR_START_POINTS,
+    "node_near_ratio": NODE_NEAR_RATIO,
+    "node_far_samples": NODE_FAR_SAMPLES,
     "contour_max_points": CONTOUR_MAX_POINTS,
     "exclusion_rule": "min(nearest_neighbor/4, (1-|z|)/8)",
     "margin_default": 10.0,

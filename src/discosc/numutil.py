@@ -52,6 +52,17 @@ def clog(z):
     return out
 
 
+def clog1p_sum(x, axis: int = -1):
+    """Sum along axis of the principal logs of 1 + x, accurate for small
+    |x|: log|1 + x| = log1p(2 Re x + |x|^2)/2 and arg(1 + x) = atan2(Im x,
+    1 + Re x), so each term's absolute error stays within a few eps |x|
+    where clog(1 + x) would carry the eps of rounding 1 + x.  The real and
+    imaginary parts are summed apart, so no complex array of logs forms."""
+    a, b = x.real, x.imag
+    return (0.5 * np.sum(np.log1p(a * (2.0 + a) + b * b), axis=axis)
+            + 1j * np.sum(np.arctan2(b, 1.0 + a), axis=axis))
+
+
 def wrap_angle(x):
     """Reduce an angle difference to (-pi, pi]."""
     y = np.mod(-np.asarray(x) + np.pi, TWO_PI)
@@ -112,26 +123,30 @@ def nested_circle(fn, max_points: int, start: int = CONTOUR_START_POINTS):
 
 
 def circle_modes(theta, logs, orders, scale=None):
-    """(scale, modes) with modes[i] = mean(exp(logs - scale) e^{-i k theta})
-    for k = orders[i], on the trapezoid grid theta.
+    """(scale, modes) with modes[..., i] = mean(exp(logs - scale) e^{-i k
+    theta}) for k = orders[i], on the trapezoid grid theta.
 
-    scale defaults to the largest finite Re logs; a caller that compares
-    rounds may freeze it at its first value so the modes stay in one unit.
-    Entries at -inf (exact zeros of the integrand) count as 0.  Raises
-    RuntimeError when no entry is finite: the contour then collapses at
-    binary64 resolution.
+    logs holds one circle along its last axis, or one per row: scale and
+    modes then carry the leading axes.  scale defaults to the largest
+    finite Re logs of each circle; a caller that compares rounds may freeze
+    it at its first value so the modes stay in one unit.  Entries at -inf
+    (exact zeros of the integrand) count as 0.  Raises RuntimeError when a
+    circle has no finite entry: the contour then collapses at binary64
+    resolution.
     """
     re = np.real(logs)
     finite = np.isfinite(re)
-    if not np.any(finite):
+    if not np.all(np.any(finite, axis=-1)):
         raise RuntimeError("contour collapses at binary64 resolution: every "
                            "sample is an exact zero")
     if scale is None:
-        scale = float(np.max(re[finite]))
+        scale = np.max(np.where(finite, re, -np.inf), axis=-1)
+        if scale.ndim == 0:
+            scale = float(scale)
     with np.errstate(invalid="ignore", over="ignore"):
-        q = np.where(finite, np.exp(logs - scale), 0.0)
-    return scale, np.array([np.mean(q * np.exp(-1j * k * theta))
-                            for k in orders])
+        q = np.where(finite, np.exp(logs - np.expand_dims(scale, -1)), 0.0)
+    return scale, np.stack([np.mean(q * np.exp(-1j * k * theta), axis=-1)
+                            for k in orders], axis=-1)
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

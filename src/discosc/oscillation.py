@@ -76,6 +76,10 @@ WINDING_MAX_POINTS = 2 ** 16
 # grid (a probe circle stops at CONTOUR_MAX_POINTS)
 CONTOUR_REL_TOL = 1e-7
 RECOVERY_MAX_POINTS = 2048
+# consecutive probe candidates in exclusion discs after which sample_probes
+# gives up: a part of 1e-4 of the probe disc left uncovered is missed with
+# probability e^-10
+PROBE_MAX_REJECTED = 10 ** 5
 
 
 class ZeroCountReport(NamedTuple):
@@ -466,21 +470,25 @@ class OscillationBundle:
 # construction
 
 
-def _node_residue_mismatch(product: CanonicalProduct, b_k: complex,
-                           k: int) -> float:
-    """|P'' + 2 P' b_k| relative to |P''| + |2 P' b_k| at node k.
+def _residue_mismatch(product: CanonicalProduct,
+                      targets: np.ndarray) -> np.ndarray:
+    """|P'' + 2 P' b_k| relative to |P''| + |2 P' b_k| at every node.
 
-    Both derivatives come from the product's node_modes contour on the
-    exclusion circle, m1 = P' r / S and m2 = P'' r^2 / (2S) in units of
+    Both derivatives come from the product's node_contour_modes on the
+    exclusion circles, m1 = P' r / S and m2 = P'' r^2 / (2S) in units of
     the circle maximum S, so the invariant becomes |m2 + r b_k m1| against
     |m2| + |r b_k m1|.  Ring-symmetric configurations can make both sides
     vanish to machine precision (the residue is then genuinely zero); the
     1e-8 floor, in units of S, absorbs that degenerate case without
     loosening the check anywhere the terms are resolvable.
     """
-    _, m1, m2 = product.node_modes(k)
-    cross = float(product.exclusion_radii[k]) * b_k * m1
-    return float(abs(m2 + cross) / (abs(m2) + abs(cross) + 1e-8))
+    def mod(x):
+        # np.hypot, as builtin abs; np.abs can differ from it in the last bit
+        return np.hypot(x.real, x.imag)
+
+    modes = product.node_contour_modes()
+    cross = product.exclusion_radii * targets * modes.m1
+    return mod(modes.m2 + cross) / (mod(modes.m2) + mod(cross) + 1e-8)
 
 
 def build_coefficient(zeros: ZeroSequence, scale: GrowthScale,
@@ -499,12 +507,8 @@ def build_coefficient(zeros: ZeroSequence, scale: GrowthScale,
     targets = targets_from_product(product, scale)
     series = InterpolationSeries.build(product, targets, margin,
                                        exponents=exponents)
-    n = product.z.size
-    mism = np.zeros(n, dtype=float)
-    for k in range(n):
-        mism[k] = _node_residue_mismatch(product, complex(targets.values[k]),
-                                         k)
-    if n and float(np.max(mism)) > residue_tol:
+    mism = _residue_mismatch(product, targets.values)
+    if mism.size and float(np.max(mism)) > residue_tol:
         k = int(np.argmax(mism))
         raise ResidueCancellationError(k, float(mism[k]), residue_tol)
     return OscillationBundle(product, series, scale, margin, mism)
@@ -518,16 +522,25 @@ def sample_probes(product: CanonicalProduct, rng: np.random.Generator,
                   count: int, r_max: float = 0.9) -> np.ndarray:
     """Uniform disc probes rejected out of the exclusion discs.  Raises
     ValueError when |z| <= r_max lies inside one exclusion disc, the only
-    way (for disjoint discs) every candidate can be rejected."""
+    way for disjoint discs to reject every candidate, and when
+    PROBE_MAX_REJECTED candidates in a row are rejected, as when
+    overlapping user radii cover the disc between them."""
     inside = np.abs(product.z) + r_max <= product.exclusion_radii
     if np.any(inside):
         raise ValueError(
             f"probe disc |z| <= {r_max:g} lies in the exclusion disc of "
             f"node {int(np.flatnonzero(inside)[0])}")
     out = np.zeros(0, dtype=complex)
+    rejected = 0
     while out.size < count:
         cand = sample_disc(rng, count, r_max)
-        out = np.concatenate([out, cand[~product.in_exclusion(cand)[0]]])
+        kept = cand[~product.in_exclusion(cand)[0]]
+        rejected = rejected + count if kept.size == 0 else 0
+        if rejected >= PROBE_MAX_REJECTED:
+            raise ValueError(
+                f"probe disc |z| <= {r_max:g}: {rejected} candidates in a "
+                f"row fell in exclusion discs, which appear to cover it")
+        out = np.concatenate([out, kept])
     return out[:count]
 
 

@@ -10,8 +10,9 @@ Every per-factor quantity -- the factor logs, the first and second
 log-derivatives, the node targets and the interpolation series' term logs --
 is built from one pair of pieces per point and node, (z - z_n,
 1 - conj(z_n) z).  _pieces forms them at given points; _offset_pieces forms
-them at z_k + d without materialising the sum, which keeps contours around
-deep nodes accurate.  Points x nodes passes loop over _blocks.
+them at z_k + d without materialising the sum (one node k per row), which
+keeps contours around deep nodes accurate.  Points x nodes passes loop over
+_blocks.
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -29,12 +30,13 @@ Stability notes baked into the implementation:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 # circle_nodes is looked up here by bench/tracer.py
-from .numutil import (CONTOUR_MAX_POINTS, circle_max,  # noqa: F401
-                      circle_modes, circle_nodes, clog, disc_points,
+from .numutil import (CONTOUR_MAX_POINTS, circle_max, circle_modes,
+                      circle_nodes, clog, clog1p_sum, disc_points,
                       flat_points, like_input, nested_circle,
                       one_minus_abs, one_minus_abs2, one_minus_conj_mul)
 from .sequences import ZeroSequence, blaschke_sum, log_integrated_count
@@ -48,8 +50,13 @@ __all__ = [
 
 # points per block of every points x nodes pass (products, series, targets)
 _CHUNK = 512
-# first grid of the exclusion-circle contour in node_modes (see there)
+# first grid of the exclusion-circle contour (see node_contour_modes)
 NODE_CONTOUR_START_POINTS = 32
+# on the exclusion circle of node k, factors with |z_n - z_k| <
+# NODE_NEAR_RATIO r_k are taken exactly at every grid point; the others
+# enter through NODE_FAR_SAMPLES centred samples (see _far_field)
+NODE_NEAR_RATIO = 16.0
+NODE_FAR_SAMPLES = 16
 
 
 def harmonic_sum(s: int) -> float:
@@ -67,6 +74,31 @@ def _poly_part(w, s: int):
         pw = pw * w
         acc = acc + pw / j
     return acc
+
+
+def _poly_diff(w, w0, dw, s: int):
+    """_poly_part(w, s) - _poly_part(w0, s) from dw = w - w0, through
+    w^j - w0^j = w (w^(j-1) - w0^(j-1)) + w0^(j-1) dw, so a small dw keeps
+    its relative accuracy (zeros for s = 0)."""
+    if s == 0:
+        return np.zeros_like(dw)
+    acc = d = dw
+    p0 = 1.0
+    for j in range(2, s + 1):
+        p0 = p0 * w0
+        d = w * d + p0 * dw
+        acc = acc + d / j
+    return acc
+
+
+class NodeModes(NamedTuple):
+    """Fourier modes of P on exclusion circles, one entry per node:
+    m1 = P'(z_k) r_k e^-scale and m2 = P''(z_k) r_k^2 e^-scale / 2, and
+    the grid size of the round on which both settled."""
+    scale: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+    points: np.ndarray
 
 
 def primary_factor(w, s: int):
@@ -104,6 +136,13 @@ class CanonicalProduct:
         self.genus = int(genus)
         z = zeros.points
         self.z = z
+        mod = np.abs(z)
+        sub = (mod > 0.0) & (mod < np.finfo(float).tiny)
+        if np.any(sub):
+            k = int(np.flatnonzero(sub)[0])
+            raise ValueError(
+                f"node {k} has subnormal modulus {mod[k]:.3g}: its factor "
+                f"1 - w_n underflows to 0 in binary64")
         self._zc = np.conjugate(z)
         self._gap2 = one_minus_abs2(z)          # 1 - |z_n|^2
         self._gap = one_minus_abs(z)            # 1 - |z_n|
@@ -122,7 +161,7 @@ class CanonicalProduct:
             radii = self._default_radii()
         self.exclusion_radii = radii
         self.convergence_sum = blaschke_sum(zeros, self.genus).value
-        self._node_logs: dict[int, complex] = {}
+        self._deleted_logs: np.ndarray | None = None
 
     # -- geometry ----------------------------------------------------------
 
@@ -181,29 +220,39 @@ class CanonicalProduct:
             sl = slice(lo, lo + _CHUNK)
             yield (sl, *self._pieces(pts[sl]))
 
-    def _offset_pieces(self, k: int, d: np.ndarray):
+    def _offset_pieces(self, k, d, cols=slice(None)):
         """The pieces at z_k + d, computed without forming the sum.
 
+        k (node indices: one, or one per row) and d broadcast together; the
+        factors (all, or the indices cols) run along a new last axis.
         Materialising z_k + d rounds the offset into the gap of z_k, which
         destroys contour accuracy at deep nodes; here every factor uses the
         exact pieces (z_k - z_n) + d and (1 - conj(z_n) z_k) - conj(z_n) d.
         """
-        dd = np.asarray(d, dtype=complex)[:, None]
-        zk = self.z[k]
-        return ((zk - self.z)[None, :] + dd,
-                one_minus_conj_mul(self.z, zk)[None, :] - self._zc * dd)
+        zk = np.asarray(self.z[k])[..., None]
+        dd = np.asarray(d, dtype=complex)[..., None]
+        zn = self.z[cols]
+        return ((zk - zn) + dd,
+                one_minus_conj_mul(zn, zk) - self._zc[cols] * dd)
 
-    def _factor_logs(self, delta: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """Per-factor principal logs from the pieces (delta, den).
+    def _factor_logs(self, delta: np.ndarray, den: np.ndarray,
+                     cols=None) -> np.ndarray:
+        """Per-factor principal logs from the pieces (delta, den) of every
+        factor, or of the factors indexed by cols (broadcasting with the
+        pieces).
 
         Exact zeros produce -inf entries; callers mask as appropriate.
         """
-        omw = -self._zc * delta / den
+        zc = self._zc if cols is None else self._zc[cols]
+        omw = -zc * delta / den
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = clog(omw) + _poly_part(1.0 - omw, self.genus)
             i = self._origin_idx
-            if i is not None:
-                logs[:, i] = clog(delta[:, i])
+            if i is not None and cols is None:
+                logs[..., i] = clog(delta[..., i])
+            elif i is not None and np.any(cols == i):
+                at = np.broadcast_to(cols == i, logs.shape)
+                logs[at] = clog(delta[at])
         return logs
 
     def _log_derivatives(self, delta: np.ndarray, w: np.ndarray):
@@ -269,11 +318,26 @@ class CanonicalProduct:
         if not (0 <= k < self.z.size):
             raise IndexError(f"node index {k} out of range")
 
+    def node_deleted_logs(self) -> np.ndarray:
+        """Deleted-product logs at every node, sum over n != k of log
+        E_n(z_k), from one blocked nodes x nodes pass (cached).  Each row
+        sums its N - 1 off-diagonal logs contiguously, as deleted_log_eval
+        does at a single node: the logs after the diagonal move one place
+        left, in place."""
+        if self._deleted_logs is None:
+            out = np.empty(self.z.size, dtype=complex)
+            for sl, delta, den in self._blocks(self.z):
+                logs = self._factor_logs(delta, den)
+                for i, row in enumerate(logs, start=sl.start):
+                    row[i:-1] = row[i + 1:]
+                out[sl] = np.sum(logs[:, :-1], axis=1)
+            self._deleted_logs = out
+        return self._deleted_logs
+
     def node_deleted_log(self, k: int) -> complex:
-        """Cached deleted-product log at the node itself."""
-        if k not in self._node_logs:
-            self._node_logs[k] = complex(self.deleted_log_eval(k, self.z[k]))
-        return self._node_logs[k]
+        """Deleted-product log at the node itself."""
+        self._check_index(k)
+        return complex(self.node_deleted_logs()[k])
 
     # -- node derivatives --------------------------------------------------
 
@@ -296,14 +360,121 @@ class CanonicalProduct:
         which case the log form remains usable."""
         return complex(np.exp(self.log_derivative_at_zero(k)))
 
-    def node_modes(self, k: int):
-        """(scale, m1, m2) with m1 = P'(z_k) r e^-scale and
-        m2 = P''(z_k) r^2 e^-scale / 2, the Fourier modes of P on the
-        exclusion circle (radius r) of node k.
+    def _far_tail_bound(self, r, dist, den, far):
+        """Per row, a bound on the error of the NODE_FAR_SAMPLES-point
+        interpolant of the centred far sum F (see _far_field) anywhere on
+        the circle |u| = r, from |z_k - z_n| (dist) and den_n at the node.
 
-        The nested_circle rounds run until both modes move by at most
-        1e-9 (1 + |m|); scale, the first round's maximum of log|P|, stays
-        frozen so that the rounds compare in one unit.
+        The centred log of factor n is log1p(u/(z_k - z_n)) -
+        log1p(-conj(z_n) u/den_n) + poly(w_n(z_k + u)) - poly(w_n(z_k)),
+        with den_n = 1 - conj(z_n) z_k and w_n(z_k + u) = w_n(z_k)/(1 -
+        conj(z_n) u/den_n).  With q = r/|z_k - z_n|, which bounds r
+        |z_n|/|den_n| as well (the reflected pole 1/conj(z_n) lies farther
+        out than z_n), its Taylor coefficients in u, scaled to the circle,
+        are at most q^j/j for each log1p and |w_n(z_k)|^i/i C(j+i-1, i-1)
+        q^j for the term w^i/i of the polynomial part.  With M samples,
+        modes j >= M alias onto modes 0..M-1 and are cut off, so the
+        interpolant is off by at most twice their sum, which C(M+t+i-1,
+        i-1) <= C(M+i-1, i-1) C(t+i-1, i-1) bounds in closed form:
+
+            sum_{j>=M} q^j/j <= q^M/(M (1-q)),
+            sum_{j>=M} C(j+i-1, i-1) q^j <= C(M+i-1, i-1) q^M/(1-q)^i.
+
+        Far factors have q <= 1/NODE_NEAR_RATIO, so at 16 samples each adds
+        at most about 1e-20 (Trefethen & Weideman, "The exponentially
+        convergent trapezoidal rule", SIAM Rev. 56, 2014).
+        """
+        m = NODE_FAR_SAMPLES
+        with np.errstate(divide="ignore"):
+            q = np.where(far, r / dist, 0.0)
+        inv = 1.0 / (1.0 - q)
+        acc = 2.0 / m * inv
+        wq = np.abs(self._gap2 / den) * inv
+        power = 1.0
+        for i in range(1, self.genus + 1):
+            power = power * wq
+            acc += math.comb(m + i - 1, i - 1) / i * power
+        return 2.0 * np.sum(q ** m * acc, axis=1)
+
+    def _far_field(self, nodes: np.ndarray):
+        """(const, coef, near) for the exclusion circles of the given nodes.
+
+        For node k the far factors are those with |z_n - z_k| >=
+        NODE_NEAR_RATIO r_k; near[i] lists the others, node k included.
+        On the circle z_k + u, |u| = r_k, the far factors' log sum is
+        const_k + F_k(u): const_k = sum_far log E_n(z_k) at the node, and
+        the centred F_k(u) = sum_far log1p(u w_n(z_k + u)/(z_k - z_n)) +
+        poly(w_n(z_k + u)) - poly(w_n(z_k)), which is log E_n(z_k + u) -
+        log E_n(z_k) up to 2 pi i since (1 - w_n(z_k + u))/(1 - w_n(z_k)) =
+        1 + u w_n(z_k + u)/(z_k - z_n).  A centred term is at most about
+        |u|/|z_k - z_n| <= 1/NODE_NEAR_RATIO in size and its rounding eps
+        times that, where an uncentred log carries eps |log E_n| (uncentred
+        samples lift the origin-node mismatch of the N = 2686 lattice from
+        4e-7 to 1e-6 and more).  F_k is analytic for |u| < min_far |z_n -
+        z_k|, so it has no negative Fourier modes on the circle; coef[i]
+        holds its modes 0..M-1 from the DFT of M = NODE_FAR_SAMPLES
+        samples.  Raises RuntimeError naming the node when _far_tail_bound
+        exceeds the unit roundoff, i.e. when the interpolant could add more
+        than one rounding to a circle value.  Only factor values enter.
+        """
+        m = NODE_FAR_SAMPLES
+        _, unit = circle_nodes(m)
+        # the m-point DFT as a matrix: mode j of the samples
+        dft = np.conj(np.vander(unit, m, increasing=True)) / m
+        const = np.empty(nodes.size, dtype=complex)
+        coef = np.empty((nodes.size, m), dtype=complex)
+        near = []
+        eps = float(np.finfo(float).eps)
+        step = max(1, _CHUNK // m)
+        for lo in range(0, nodes.size, step):
+            blk = nodes[lo:lo + step]
+            r = self.exclusion_radii[blk][:, None]
+            delta, den = self._pieces(self.z[blk])
+            dist = np.abs(delta)
+            far = dist >= NODE_NEAR_RATIO * r
+            rows, cols = np.nonzero(~far)
+            near += np.split(cols, np.cumsum(np.bincount(
+                rows, minlength=len(blk)))[:-1])
+            bound = self._far_tail_bound(r, dist, den, far)
+            if np.any(bound > eps):
+                i = int(np.flatnonzero(bound > eps)[0])
+                raise RuntimeError(
+                    f"far field of node {int(blk[i])}: Fourier tail bound "
+                    f"{bound[i]:.2e} at {m} samples exceeds the unit "
+                    f"roundoff {eps:.2e}")
+            const[lo:lo + step] = np.sum(
+                np.where(far, self._factor_logs(delta, den), 0.0), axis=1)
+            # near columns get 1/(z_k - z_n) = conj(z_n)/den_n = 0, so they
+            # add exactly 0 below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = np.where(far, 1.0 / delta, 0.0)
+            c = np.where(far, self._zc / den, 0.0)
+            w0 = self._gap2c / den
+            vals = np.empty((len(blk), m), dtype=complex)
+            # one sample at a time keeps the temporaries cache-sized
+            for j, u in enumerate((r * unit).T):
+                v = c * u[:, None]
+                w = w0 / (1.0 - v)
+                vals[:, j] = (clog1p_sum(u[:, None] * inv * w, axis=1)
+                              + np.sum(_poly_diff(w, w0, w * v, self.genus),
+                                       axis=1))
+            coef[lo:lo + step] = vals @ dft
+        return const, coef, near
+
+    def node_contour_modes(self, nodes=None) -> NodeModes:
+        """Fourier modes of P on the exclusion circles of the given nodes
+        (all by default), in one pass over blocks of nodes.
+
+        On the circle z_k + r_k e^{i theta} the factor logs split as in
+        _far_field: the near factors (|z_n - z_k| < NODE_NEAR_RATIO r_k,
+        node k included) are taken exactly at every grid point from the
+        offset pieces and summed along the factor axis, and the far ones
+        add const_k + F_k, with F_k evaluated on each grid from its
+        NODE_FAR_SAMPLES Fourier modes.  The nested_circle rounds run until
+        both modes of a node move by at most 1e-9 (1 + |m|); scale, the
+        first round's maximum of Re log P, stays frozen so that the rounds
+        compare in one unit, and const_k enters only the returned scale and
+        the modes' phase.
 
         The rounds start at NODE_CONTOUR_START_POINTS = 32, not at the 64
         of the other contours.  The exclusion rule r <= min(nn/4, (1 -
@@ -314,43 +485,103 @@ class CanonicalProduct:
         m-point trapezoid rule aliases mode j with mode j + m, so modes 1
         and 2 carry an error of order (M(4r)/M(r)) 4^-m relative to the
         circle maximum: 4^-32 ~ 5e-20 at 32 points, far below binary64
-        (Trefethen & Weideman, "The exponentially convergent trapezoidal
-        rule", SIAM Rev. 56, 2014).  The 64-point round still certifies the
-        32-point modes under the same drift test.
+        (Trefethen & Weideman, SIAM Rev. 56, 2014).  The 64-point round
+        still certifies the 32-point modes under the same drift test.
+
+        The near sums cost (near factors) x 64 per node and the far field
+        N x 16, against N x 64 for all factors on the grid.  A block holds
+        at most _CHUNK / 32 nodes, so the temporaries of its 32-point rounds
+        have _CHUNK rows, as in the other passes, by its longest near list.
+        Its nodes' near counts lie within a factor 1.5 of each other (the
+        lists are padded to the longest with factors that add 0), so padding
+        stays below a third of the near work.
         """
-        self._check_index(k)
-        r = float(self.exclusion_radii[k])
+        nodes = (np.arange(self.z.size) if nodes is None
+                 else np.atleast_1d(np.asarray(nodes, dtype=int)))
+        bad = (nodes < 0) | (nodes >= self.z.size)
+        if np.any(bad):
+            raise IndexError(f"node index {nodes[bad][0]} out of range")
+        const, coef, near = self._far_field(nodes)
+        out = NodeModes(np.empty(nodes.size), np.empty(nodes.size, complex),
+                        np.empty(nodes.size, complex),
+                        np.zeros(nodes.size, dtype=int))
+        counts = np.array([c.size for c in near], dtype=int)
+        order = np.argsort(counts, kind="stable")
+        start = NODE_CONTOUR_START_POINTS
+        lo = 0
+        while lo < order.size:
+            hi = lo + 1
+            while (hi < order.size and (hi + 1 - lo) * start <= _CHUNK
+                   and counts[order[hi]] <= 1.5 * counts[order[lo]]):
+                hi += 1
+            self._near_rounds(nodes, order[lo:hi], near, const, coef, out)
+            lo = hi
+        return out
+
+    def _near_rounds(self, nodes, blk, near, const, coef, out) -> None:
+        """The nested_circle rounds of node_contour_modes for the nodes
+        nodes[blk]; fills out at those positions."""
+        ks = nodes[blk]
+        width = max(near[i].size for i in blk)
+        # pad each near list with node k itself, masked to 0 below
+        cols = np.array([np.concatenate([near[i], np.full(
+            width - near[i].size, nodes[i])]) for i in blk])[:, None, :]
+        valid = (np.arange(width)[None, :]
+                 < np.array([near[i].size for i in blk])[:, None])[:, None, :]
+        r = self.exclusion_radii[ks][:, None]
+        start = NODE_CONTOUR_START_POINTS
 
         def logs(unit):
-            pieces = self._offset_pieces(k, r * unit)
-            return np.sum(self._factor_logs(*pieces), axis=1)
+            vals = []
+            for i in range(0, unit.size, start):
+                part = unit[i:i + start]
+                pieces = self._offset_pieces(ks[:, None], r * part, cols)
+                fl = self._factor_logs(*pieces, cols)
+                vals.append(np.sum(np.where(valid, fl, 0.0), axis=2)
+                            + coef[blk] @ np.vander(part, NODE_FAR_SAMPLES,
+                                                    increasing=True).T)
+            return np.concatenate(vals, axis=1)
 
         scale = prev = None
-        for theta, _, vals in nested_circle(logs, CONTOUR_MAX_POINTS,
-                                            NODE_CONTOUR_START_POINTS):
-            try:
-                scale, cur = circle_modes(theta, vals, (1, 2), scale)
-            except RuntimeError as err:
-                raise RuntimeError(f"exclusion circle of node {k}: {err}") \
-                    from None
-            if prev is not None and np.all(
-                    np.abs(cur - prev) <= 1e-9 * (1.0 + np.abs(cur))):
-                return scale, cur[0], cur[1]
+        done = np.zeros(ks.size, dtype=bool)
+        for theta, _, vals in nested_circle(logs, CONTOUR_MAX_POINTS, start):
+            if scale is None:
+                dead = ~np.any(np.isfinite(vals.real), axis=1)
+                if np.any(dead):
+                    raise RuntimeError(
+                        f"exclusion circle of node {int(ks[dead][0])}: "
+                        f"contour collapses at binary64 resolution: every "
+                        f"sample is an exact zero")
+            scale, cur = circle_modes(theta, vals, (1, 2), scale)
+            if prev is not None:
+                new = ~done & np.all(
+                    np.abs(cur - prev) <= 1e-9 * (1.0 + np.abs(cur)), axis=1)
+                sel = blk[new]
+                phase = np.exp(1j * const[sel].imag)
+                out.scale[sel] = scale[new] + const[sel].real
+                out.m1[sel] = cur[new, 0] * phase
+                out.m2[sel] = cur[new, 1] * phase
+                out.points[sel] = theta.size
+                done |= new
+                if np.all(done):
+                    return
             prev = cur
         raise RuntimeError(
-            f"exclusion-circle contour at node {k} did not converge within "
-            f"{CONTOUR_MAX_POINTS} points")
+            f"exclusion-circle contour at node {int(ks[~done][0])} did not "
+            f"converge within {CONTOUR_MAX_POINTS} points")
 
     def log_contour_derivative_at_zero(self, k: int, order: int = 1):
-        """Complex log of P^(order)(z_k) from the node_modes contour."""
+        """Complex log of P^(order)(z_k) from the node_contour_modes
+        contour."""
         if order not in (1, 2):
             raise ValueError("only first and second derivatives are provided")
-        scale, *modes = self.node_modes(k)
-        mode = modes[order - 1]
+        res = self.node_contour_modes([k])
+        mode = (res.m1, res.m2)[order - 1][0]
         if mode == 0.0:
             return complex(-math.inf)
         fact = math.factorial(order) / float(self.exclusion_radii[k]) ** order
-        return complex(scale + np.log(complex(fact)) + np.log(complex(mode)))
+        return complex(res.scale[0] + np.log(complex(fact))
+                       + np.log(complex(mode)))
 
     def contour_derivative_at_zero(self, k: int) -> complex:
         """P'(z_k) by contour integration; log-free convenience form."""

@@ -272,6 +272,8 @@ def test_design_block_echoes_the_source_constants():
     assert cli.DESIGN == {
         "contour_start_points": numutil.CONTOUR_START_POINTS,
         "node_contour_start_points": products.NODE_CONTOUR_START_POINTS,
+        "node_near_ratio": products.NODE_NEAR_RATIO,
+        "node_far_samples": products.NODE_FAR_SAMPLES,
         "contour_max_points": numutil.CONTOUR_MAX_POINTS,
         "exclusion_rule": "min(nearest_neighbor/4, (1-|z|)/8)",
         "margin_default": margin.default,

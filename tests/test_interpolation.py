@@ -259,8 +259,8 @@ def test_pass_matches_the_near_node_form_off_the_nodes(seq, frac):
 
 # targets drawn apart from the nodes, zeros included: the series
 # interpolates any values.  A node of subnormal modulus is not drawn: its
-# factor 1 - w_n underflows to 0 at the other nodes, so the construction
-# refuses it (a known failure recorded in CHANGES.md).
+# factor 1 - w_n underflows to 0 at the other nodes, so CanonicalProduct
+# refuses it by name (tests/test_products.py).
 target_lists = st.lists(st.complex_numbers(max_magnitude=1e3,
                                            allow_subnormal=False),
                         min_size=8, max_size=8)

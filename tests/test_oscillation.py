@@ -97,6 +97,27 @@ def test_sample_probes_names_the_disc_that_holds_every_candidate():
     assert sample_probes(prod, rng, 5, r_max=0.2).size == 5
 
 
+def test_sample_probes_refuses_a_disc_covered_by_overlapping_discs(
+        monkeypatch):
+    # the two discs overlap and cover |z| <= 0.1 between them while neither
+    # holds it alone; a bound on the candidates drawn keeps the test from
+    # hanging if the cap is lost
+    prod = CanonicalProduct(ZeroSequence(np.array([0.1, -0.1])), 1,
+                            exclusion_radii=[0.15, 0.15])
+    draws = []
+    sample_disc = oscillation.sample_disc
+
+    def bounded(rng, n, r_max):
+        draws.append(n)
+        assert sum(draws) <= 2 * oscillation.PROBE_MAX_REJECTED
+        return sample_disc(rng, n, r_max)
+
+    monkeypatch.setattr(oscillation, "sample_disc", bounded)
+    with pytest.raises(ValueError, match="appear to cover it"):
+        sample_probes(prod, np.random.default_rng(0), 50, r_max=0.1)
+    assert sum(draws) == oscillation.PROBE_MAX_REJECTED
+
+
 def test_recovery_circle_keeps_its_exclusion_guard():
     # user radii can put node 0's recovery circle (radius 1.5 * 0.15) into
     # the disc of node 1: the circle point 0.225 lies within 0.1 of 0.3

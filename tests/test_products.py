@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
                      WeightPair, ZeroSequence, blaschke_sum,
-                     generate_radial_geometric, generate_rho_lattice,
-                     generate_sharpness, genus_from_scale,
-                     log_derivative_envelope, log_primary_factor,
-                     node_targets, primary_factor, weight_to_psi)
+                     build_coefficient, generate_radial_geometric,
+                     generate_rho_lattice, generate_sharpness,
+                     genus_from_scale, log_derivative_envelope,
+                     log_primary_factor, node_targets, primary_factor,
+                     products, weight_to_psi)
 from discosc.numutil import circle_modes, circle_nodes, wrap_angle
 from discosc.products import _poly_part
+from strategies import separated_sets
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
 PAIR = ZeroSequence(np.array([0.5, -0.5], dtype=complex), label="pair")
@@ -208,33 +212,120 @@ def test_poly_part_equals_the_old_accumulation():
 _WEIGHT = WeightPair.log_power_weight(2.0)
 
 
+_LATTICE07 = generate_rho_lattice(_WEIGHT.rho, 0.8, 0.7)
+
+
+def _exact_modes(prod, k, m):
+    """(scale, modes 1 and 2) of P on node k's exclusion circle from an
+    m-point grid of every factor's log at the offset pieces."""
+    theta, unit = circle_nodes(m)
+    pieces = prod._offset_pieces(k, prod.exclusion_radii[k] * unit)
+    logs = np.sum(prod._factor_logs(*pieces), axis=1)
+    return circle_modes(theta, logs, (1, 2))
+
+
+def _assert_modes_match(prod, res, k, m, tol):
+    ref_scale, want = _exact_modes(prod, k, m)
+    # both sides in units of the reference circle maximum, so the error is
+    # measured against the integrand's size
+    got = np.array([res.m1[k], res.m2[k]]) * np.exp(res.scale[k] - ref_scale)
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+
 @pytest.mark.parametrize("seq, scale", [
     (generate_radial_geometric(0.8, 50), GrowthScale.log_power(1.0)),
     (generate_sharpness(SharpnessParams(1.0, 1.0, 8)),
      GrowthScale.log_power(3.0)),
-    (generate_rho_lattice(_WEIGHT.rho, 0.8, 0.7), weight_to_psi(_WEIGHT)),
+    (_LATTICE07, weight_to_psi(_WEIGHT)),
 ], ids=["geo50", "sharp8", "lattice07"])
 def test_node_contour_settles_at_64_points(monkeypatch, seq, scale):
-    # the exclusion-circle contour starts at 32 points; every node settles
-    # on the 64-point round, whose modes match a fresh 128-point grid
+    # the exclusion-circle contour starts at 32 points and takes the far
+    # factors from 16 samples; every node settles on the 64-point round,
+    # whose modes match a fresh 128-point grid of all factors
     prod = CanonicalProduct(seq, genus_from_scale(scale))
-    pieces = prod._offset_pieces
-    theta, unit = circle_nodes(128)
+    far_field = prod._far_field
+    sampled = []
+
+    def counted(nodes):
+        const, coef, near = far_field(nodes)
+        sampled.append(coef.shape)
+        return const, coef, near
+
+    monkeypatch.setattr(prod, "_far_field", counted)
+    res = prod.node_contour_modes()
+    assert sampled == [(prod.z.size, 16)]
+    assert np.all(res.points == 64)
     for k in range(prod.z.size):
-        r = prod.exclusion_radii[k]
-        seen = []
+        _assert_modes_match(prod, res, k, 128, 1e-12)
 
-        def counted(kk, d):
-            seen.append(np.size(d))
-            return pieces(kk, d)
 
-        monkeypatch.setattr(prod, "_offset_pieces", counted)
-        scale_k, m1, m2 = prod.node_modes(k)
-        monkeypatch.undo()
-        assert sum(seen) == 64
-        logs = np.sum(prod._factor_logs(*pieces(k, r * unit)), axis=1)
-        ref_scale, want = circle_modes(theta, logs, (1, 2))
-        # both sides in units of the 128-point circle maximum, so the
-        # trapezoid error is measured against the integrand's size
-        got = np.array([m1, m2]) * np.exp(scale_k - ref_scale)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(pts=separated_sets(allow_subnormal=False), genus=st.integers(0, 3))
+def test_node_contour_matches_the_exact_grid_on_separated_sets(pts, genus):
+    _assert_all_modes_match(CanonicalProduct(ZeroSequence(pts), genus))
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_node_contour_matches_the_exact_grid_on_lattice07(genus):
+    prod = CanonicalProduct(_LATTICE07, genus)
+    # the origin node keeps every factor near; the others have far ones
+    assert prod._origin_idx == 0
+    near = [c.size for c in prod._far_field(np.arange(prod.z.size))[2]]
+    assert near[0] == prod.z.size and max(near[1:]) < prod.z.size
+    _assert_all_modes_match(prod)
+
+
+def _assert_all_modes_match(prod):
+    # the near/far modes against every factor's log on the same grid
+    res = prod.node_contour_modes()
+    for k in range(prod.z.size):
+        _assert_modes_match(prod, res, k, int(res.points[k]), 1e-12)
+
+
+def test_far_field_tail_check_names_the_node(monkeypatch):
+    # below a ratio of 4 every other node is far (the exclusion rule keeps
+    # it at least 4r away), so a neighbour at q = r/|z_n - z_k| near 1/4
+    # puts the 16-sample tail bound far above the unit roundoff
+    monkeypatch.setattr(products, "NODE_NEAR_RATIO", 3.0)
+    prod = CanonicalProduct(generate_radial_geometric(0.8, 50), 1)
+    with pytest.raises(RuntimeError,
+                       match=r"far field of node \d+: Fourier tail bound"):
+        prod.node_contour_modes()
+
+
+def test_node_contour_modes_of_one_node_match_the_full_pass():
+    # a node's modes do not depend on the block it shares with others
+    prod = CanonicalProduct(_LATTICE07, 1)
+    res = prod.node_contour_modes()
+    for k in (0, 5, prod.z.size - 1):
+        one = prod.node_contour_modes([k])
+        assert one.scale[0] == pytest.approx(res.scale[k], abs=1e-12)
+        assert one.m1[0] == pytest.approx(res.m1[k], abs=1e-13)
+        assert one.m2[0] == pytest.approx(res.m2[k], abs=1e-13)
+    with pytest.raises(IndexError, match="node index 41 out of range"):
+        prod.node_contour_modes([41])
+
+
+def test_node_deleted_logs_match_the_single_node_form():
+    # one blocked pass, each row summed as deleted_log_eval sums it
+    prod = CanonicalProduct(_LATTICE07, 1)
+    got = prod.node_deleted_logs()
+    for k in range(prod.z.size):
+        assert got[k] == complex(prod.deleted_log_eval(k, prod.z[k]))
+
+
+_TINY = np.finfo(float).tiny
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(pts=separated_sets(), mod=st.floats(5e-324, _TINY, exclude_max=True),
+       j=st.integers(0, 7))
+def test_subnormal_node_is_refused_by_name(pts, mod, j):
+    pts = pts.copy()
+    pts[j % pts.size] = mod
+    assume(np.unique(pts).size == pts.size)
+    seq = ZeroSequence(pts)
+    mods = np.abs(seq.points)
+    k = int(np.flatnonzero((mods > 0.0) & (mods < _TINY))[0])
+    with pytest.raises(ValueError, match=f"node {k} has subnormal modulus"):
+        build_coefficient(seq, GrowthScale.log_power(1.0))
