@@ -399,16 +399,20 @@ class InterpolationSeries:
     def growth_table(self, r_ladder, samples: int = 1024) -> list[GrowthRow]:
         """Circle maxima of log|f| against the integrated growth scale.
 
-        Each row is (r, max log|f| on |z| = r, psi_tilde(1/(1-r)), ratio);
-        the maximum combines a uniform angular scan with a golden-section
-        refinement around the best sample.
+        Each row is (r, max log|f| on |z| = r, psi_tilde(1/(1-r)), ratio).
+        The radii are checked before any evaluation; circle_max then scans
+        every circle in one call and refines all of them by golden section
+        in lockstep, one point per circle per step.  Rows of the series
+        pass are independent, so each row equals the table of its radius
+        alone.
         """
+        radii = np.asarray(r_ladder, dtype=float)
+        if not np.all((0.0 < radii) & (radii < 1.0)):
+            raise ValueError("ladder radii must lie in (0, 1)")
+        log_max = circle_max(self.log_abs_evaluate, radii, samples)
         rows = []
-        for r in np.asarray(r_ladder, dtype=float):
-            if not (0.0 < r < 1.0):
-                raise ValueError("ladder radii must lie in (0, 1)")
-            log_max = circle_max(self.log_abs_evaluate, r, samples)
+        for r, lm in zip(radii, log_max.tolist()):
             tilde = self.targets.scale.psi_tilde(1.0 / (1.0 - r))
-            ratio = log_max / tilde if tilde > 0.0 else math.nan
-            rows.append(GrowthRow(float(r), log_max, float(tilde), ratio))
+            ratio = lm / tilde if tilde > 0.0 else math.nan
+            rows.append(GrowthRow(float(r), lm, float(tilde), ratio))
         return rows

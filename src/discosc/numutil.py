@@ -197,40 +197,56 @@ def adaptive_segment_integral(f, a: complex, b: complex, tol: float = 1e-12,
         f"segment integral did not settle below {tol:g} within {max_panels} panels")
 
 
-def golden_section_max(f, lo: float, hi: float, iters: int = 40):
-    """Maximize a scalar function on [lo, hi] by golden-section search."""
+def golden_section_max(f, lo, hi, iters: int = 40):
+    """Maximize f by golden-section search on [lo, hi], elementwise.
+
+    lo and hi are floats or arrays of one shape, one bracket per element.
+    f is elementwise: it is called once with the two inner points stacked,
+    shape (2,) + lo.shape, then once per iteration with one new point per
+    bracket, and once at the midpoints.  Each bracket takes the branch the
+    scalar search would (fc >= fd shrinks it from the right; NaN from the
+    left) with the same arithmetic, so every element is bit for bit the
+    search run on its bracket alone.  Returns (x, f(x)).
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f(np.stack([c, d]))
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fnew = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
     x = 0.5 * (a + b)
     return x, f(x)
 
 
-def circle_max(fn, r: float, samples: int) -> float:
-    """Largest value of a real fn on |z| = r.
+def circle_max(fn, radii, samples: int, refine_fn=None):
+    """Largest value of a real fn on each circle |z| = r, r in radii.
 
-    fn maps points (an array or a scalar) to real values.  The best of a
-    uniform scan of samples points is refined by golden section between
-    its two neighbours, and the larger of the two values is kept.
+    fn maps points (an array of any shape) to real values elementwise.  One
+    call scans a uniform grid of samples points on every circle at once,
+    shape (len(radii), samples); then one golden-section search per circle,
+    between the two neighbours of its best sample, runs in lockstep, so
+    each of its calls carries one point per circle.  The larger of the best
+    sample and the refined value is kept (the sample on a tie or a NaN).
+    refine_fn, when given, stands in for fn at the search points.  A scalar
+    radius gives a float, radii an array.
     """
+    r = np.atleast_1d(np.asarray(radii, dtype=float))
     theta, unit = circle_nodes(samples)
-    vals = fn(r * unit)
-    j = int(np.argmax(vals))
-    _, best = golden_section_max(lambda t: fn(r * np.exp(1j * t)),
+    vals = fn(r[:, None] * unit)
+    j = np.argmax(vals, axis=1)
+    peak = vals[np.arange(r.size), j]
+    f = fn if refine_fn is None else refine_fn
+    _, best = golden_section_max(lambda t: f(r * np.exp(1j * t)),
                                  theta[j] - TWO_PI / samples,
                                  theta[j] + TWO_PI / samples)
-    return max(float(vals[j]), float(best))
+    out = np.where(best > peak, best, peak)
+    return float(out[0]) if np.ndim(radii) == 0 else out
 
 
 def sample_disc(rng: np.random.Generator, n: int, r_max: float = 0.95) -> np.ndarray:

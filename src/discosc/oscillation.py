@@ -381,6 +381,12 @@ class OscillationBundle:
         comparator "psi-tilde" uses the integrated scale at 1/(1-r);
         "weight" uses the attached radial weight h(r) (available when the
         scale came from a weight); "auto" picks the weight when present.
+        The radii are checked before any evaluation.  circle_max takes the
+        whole ladder in lockstep: one eval_coefficient call scans every
+        circle, and each golden-section step evaluates one point per
+        circle.  The values are those of a radius-by-radius table, except
+        where two circles cross the same exclusion disc: their points in it
+        then share one recovery contour, which settles on all of them.
         """
         if comparator == "auto":
             comparator = "weight" if hasattr(self.scale, "weight") \
@@ -389,15 +395,22 @@ class OscillationBundle:
             raise ValueError("comparator must be psi-tilde, weight, or auto")
         if comparator == "weight" and not hasattr(self.scale, "weight"):
             raise ValueError("scale carries no radial weight")
+        radii = np.asarray(r_ladder, dtype=float)
+        if not np.all((0.0 < radii) & (radii <= 0.995)):
+            raise ValueError("ladder radii must lie in (0, 0.995]")
+
+        def refine_abs(z):
+            # builtin abs of each value, as the search has always taken it:
+            # hypot, from which np.abs of an array (the scan's) can differ
+            # in the last bit
+            a = self.eval_coefficient(z)
+            return np.hypot(a.real, a.imag)
+
+        amax = circle_max(lambda z: np.abs(self.eval_coefficient(z)), radii,
+                          samples, refine_fn=refine_abs)
         rows = []
-        for r in np.asarray(r_ladder, dtype=float):
-            if not (0.0 < r <= 0.995):
-                raise ValueError("ladder radii must lie in (0, 0.995]")
-            # builtin abs: on a scalar it can differ from np.abs in the
-            # last bit, and the refinement has always used it
-            amax = circle_max(lambda z: abs(self.eval_coefficient(z)),
-                              r, samples)
-            log_max = math.log(amax) if amax > 0.0 else -math.inf
+        for r, am in zip(radii, amax.tolist()):
+            log_max = math.log(am) if am > 0.0 else -math.inf
             if comparator == "weight":
                 comp = float(self.scale.weight.h(r))
             else:

@@ -9,6 +9,7 @@ reports can echo them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -109,12 +110,18 @@ class ZeroSequence:
 
 
 def _duplicate_pairs(pts: np.ndarray) -> list[tuple[int, int]]:
-    if pts.size < 2:
-        return []
-    diff = np.abs(pts[:, None] - pts[None, :])
-    iu = np.triu_indices(pts.size, k=1)
-    hits = np.flatnonzero(diff[iu] == 0.0)
-    return [(int(iu[0][h]), int(iu[1][h])) for h in hits]
+    """Index pairs (i, j), i < j, of equal points (0.0 == -0.0), in
+    upper-triangle order.  One stable sort by (re, im) puts equal points
+    in runs of ascending index, and the members of each run are paired:
+    O(N log N) time, O(N) memory."""
+    order = np.lexsort((pts.imag, pts.real))
+    srt = pts[order]
+    same = (srt.real[1:] == srt.real[:-1]) & (srt.imag[1:] == srt.imag[:-1])
+    edge = np.diff(same.astype(np.int8), prepend=0, append=0)
+    pairs = []
+    for lo, hi in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)):
+        pairs += itertools.combinations(order[lo:hi + 1].tolist(), 2)
+    return sorted(pairs)
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,17 @@ def test_growth_table_rows():
                                           rel=1e-12)
 
 
+def test_growth_table_on_a_ladder_is_the_table_per_radius():
+    # the circles 0.5 and 0.8 run through the exclusion discs of the nodes
+    # 1 - 0.8^3 and 1 - 0.8^7
+    prod = CanonicalProduct(generate_radial_geometric(0.8, 15), 1)
+    series = InterpolationSeries.build(prod, targets_from_product(prod, LOG))
+    ladder = [0.3, 0.5, 0.8, 0.9]
+    rows = series.growth_table(ladder, samples=128)
+    assert rows == [series.growth_table([r], samples=128)[0]
+                    for r in ladder]
+
+
 # -- the skipping series pass against the all-term route -------------------
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from discosc.numutil import (circle_max, circle_modes, circle_nodes, clog,
-                             nested_circle)
+                             golden_section_max, nested_circle)
 
 EPS = np.finfo(float).eps
 
@@ -111,3 +111,60 @@ def test_circle_max_refines_between_grid_points(phi):
     _, unit = circle_nodes(16)
     assert np.max(fn(0.7 * unit)) < 0.7 * (1.0 - 1e-8)
     assert circle_max(fn, 0.7, 16) == pytest.approx(0.7, rel=1e-14)
+
+
+def _scalar_golden_section_max(f, lo, hi, iters=40):
+    # the one-bracket search that golden_section_max runs per element
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(-np.pi, 2.0 * np.pi),
+                          st.floats(1e-9, 1.0),
+                          st.sampled_from([0.0, 0.7, 3.0, np.pi])),
+                min_size=1, max_size=6))
+def test_golden_section_max_is_the_scalar_search_per_bracket(cases):
+    # brackets around 0 or 2 pi straddle the seam of the circle; the
+    # plateaus of the quantised cosine make ties (fc == fd), and NaN below
+    # phase - 2 makes the comparison false, so both branches meet the
+    # comparison's edge cases
+    lo = np.array([c - w for c, w, _ in cases])
+    hi = np.array([c + w for c, w, _ in cases])
+    phase = np.array([p for _, _, p in cases])
+
+    def f(t, phase=phase):
+        v = np.round(8.0 * np.cos(t - phase)) / 8.0
+        return np.where(t - phase < -2.0, np.nan, v)
+
+    x, fx = golden_section_max(f, lo, hi)
+    for i in range(lo.size):
+        want = _scalar_golden_section_max(
+            lambda t: f(t, phase[i]), lo[i], hi[i])
+        assert x[i].tobytes() == np.float64(want[0]).tobytes()
+        assert fx[i].tobytes() == np.float64(want[1]).tobytes()
+
+
+def test_circle_max_on_a_ladder_is_circle_max_per_radius():
+    def fn(z):
+        return np.real(z * np.exp(-0.3j)) + 0.1 * np.abs(z - 0.2) ** 2
+
+    radii = np.array([0.1, 0.45, 0.7, 0.99])
+    got = circle_max(fn, radii, 64)
+    assert got.shape == radii.shape
+    assert got.tolist() == [circle_max(fn, r, 64) for r in radii]
+    assert isinstance(circle_max(fn, 0.7, 64), float)

@@ -276,6 +276,65 @@ def test_coefficient_growth_table_comparators(geo6_bundle):
             LOG.psi_tilde(1.0 / (1.0 - row.r)), rel=1e-12)
 
 
+def _counting_eval(bundle, monkeypatch):
+    calls = []
+    inner = bundle.eval_coefficient
+
+    def counted(z):
+        calls.append(np.size(z))
+        return inner(z)
+
+    monkeypatch.setattr(bundle, "eval_coefficient", counted)
+    return calls
+
+
+def test_coefficient_growth_table_is_the_per_radius_search(geo6_bundle):
+    # the table of a ladder, row by row, against the radius-at-a-time
+    # search it replaced: a 128-point scan taking np.abs, then a scalar
+    # golden-section search taking builtin abs of one value per call
+    from test_numutil import _scalar_golden_section_max
+
+    ladder = [0.3, 0.5, 0.9]
+    rows = geo6_bundle.coefficient_growth_table(ladder, samples=128)
+    theta, unit = circle_nodes(128)
+    for r, row in zip(ladder, rows):
+        assert row == geo6_bundle.coefficient_growth_table(
+            [r], samples=128)[0]
+        vals = np.abs(geo6_bundle.eval_coefficient(r * unit))
+        j = int(np.argmax(vals))
+        _, best = _scalar_golden_section_max(
+            lambda t: abs(geo6_bundle.eval_coefficient(r * np.exp(1j * t))),
+            theta[j] - 2.0 * np.pi / 128, theta[j] + 2.0 * np.pi / 128)
+        assert row.log_max == np.log(max(float(vals[j]), float(best)))
+
+
+def test_coefficient_growth_table_evaluates_in_lockstep(geo6_bundle,
+                                                        monkeypatch):
+    # one scan of all three circles, one call for the two inner points of
+    # every bracket, 40 golden-section steps and the midpoints: 43 calls,
+    # against 44 per radius (132) one radius at a time
+    calls = _counting_eval(geo6_bundle, monkeypatch)
+    geo6_bundle.coefficient_growth_table([0.3, 0.5, 0.9], samples=128)
+    assert len(calls) <= 43
+    assert calls[0] == 3 * 128 and set(calls[2:]) == {3}
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.0, np.nan])
+def test_growth_ladders_are_checked_before_any_evaluation(
+        geo6_bundle, monkeypatch, bad):
+    ladder = [0.3, 0.5, bad]
+    calls = _counting_eval(geo6_bundle, monkeypatch)
+    with pytest.raises(ValueError, match=r"ladder radii must lie in "
+                                         r"\(0, 0\.995\]"):
+        geo6_bundle.coefficient_growth_table(ladder, samples=64)
+    series = geo6_bundle.gprime
+    monkeypatch.setattr(series, "log_abs_evaluate", calls.append)
+    with pytest.raises(ValueError, match=r"ladder radii must lie in "
+                                         r"\(0, 1\)"):
+        series.growth_table(ladder, samples=64)
+    assert calls == []
+
+
 def test_carleson_table_positive(geo6_bundle):
     tab = geo6_bundle.carleson_table([0.2, 0.1])
     assert [d for d, _ in tab] == [0.2, 0.1]

@@ -145,6 +145,29 @@ def test_circle_log_max_one_point():
         math.log(1.0 - 0.75 / 1.4), rel=1e-9)
 
 
+def test_circle_log_max_on_a_ladder_is_the_max_per_radius():
+    prod = CanonicalProduct(generate_radial_geometric(0.5, 6), 1)
+    radii = np.array([0.3, 0.6, 0.8])
+    got = prod.circle_log_max(radii, samples=128)
+    assert got.tolist() == [prod.circle_log_max(r, samples=128)
+                            for r in radii]
+    with pytest.raises(ValueError, match="circle radius"):
+        prod.circle_log_max(np.array([0.3, 1.0]))
+
+
+@pytest.mark.parametrize("which", ["geo50", "lattice368"])
+def test_balance_checks_equal_the_single_node_form(which, geo50_bundle,
+                                                   weight_pipeline):
+    prod = (geo50_bundle if which == "geo50" else weight_pipeline[3]).product
+    for delta in (0.5, 1.0):
+        lhs, rhs = prod.balance_checks(delta)
+        want = np.array([prod.balance_check(k, delta)
+                         for k in range(prod.z.size)])
+        assert lhs.tobytes() == want[:, 0].tobytes()
+        assert rhs.tobytes() == want[:, 1].tobytes()
+        assert prod.balance_constant(delta) == max(want[:, 0] / want[:, 1])
+
+
 def test_balance_constant_consistency():
     prod = CanonicalProduct(generate_radial_geometric(0.8, 20), 1)
     c = prod.balance_constant(0.5)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discosc import (GrowthScale, SharpnessParams, ZeroSequence,
                      condition_report, count_near, generate_radial_geometric,
@@ -12,6 +14,7 @@ from discosc import (GrowthScale, SharpnessParams, ZeroSequence,
                      log_integrated_count, rho_density_estimate,
                      rho_separation, separation_constant,
                      uniform_density_estimate, uniform_separation_constant)
+from discosc.sequences import _duplicate_pairs
 
 
 def _flat_rho(value):
@@ -43,6 +46,35 @@ def test_json_round_trip(tmp_path):
     raw = json.loads(path.read_text())
     assert set(raw) == {"label", "points", "meta"}
     assert all(set(p) == {"re", "im"} for p in raw["points"])
+
+
+def _brute_duplicate_pairs(pts):
+    # every (i, j), i < j, of the N x N difference matrix that vanishes
+    diff = np.abs(pts[:, None] - pts[None, :])
+    iu = np.triu_indices(pts.size, k=1)
+    hits = np.flatnonzero(diff[iu] == 0.0)
+    return [(int(iu[0][h]), int(iu[1][h])) for h in hits]
+
+
+# few distinct coordinates, so draws repeat points (pairs and triples), put
+# signed zeros side by side, and share moduli (0.3, -0.3, 0.3i, ...)
+_COORD = st.sampled_from([0.0, -0.0, 0.3, -0.3, 0.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), max_size=12))
+def test_duplicate_pairs_match_the_brute_force_form(coords):
+    pts = np.array([complex(re, im) for re, im in coords], dtype=complex)
+    assert _duplicate_pairs(pts) == _brute_duplicate_pairs(pts)
+
+
+def test_duplicate_points_are_refused_with_their_sorted_indices():
+    pts = [0.5, 0.1j, -0.5, 0.5, complex(0.0, 0.1), 0.5, complex(-0.0, 0.0),
+           0.0]
+    with pytest.raises(ValueError, match=r"duplicate points at sorted "
+                       r"indices \[\(0, 1\), \(2, 3\), \(4, 6\), "
+                       r"\(4, 7\), \(6, 7\)\]"):
+        ZeroSequence(pts)
 
 
 def test_separation_constant_geometric():
