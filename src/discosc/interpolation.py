@@ -19,7 +19,8 @@ per-point scale so no intermediate product can overflow or underflow.  The
 term logs, log P and (on request) P'/P, P''/P and the derivative sum all come
 from one chunked pass over points x nodes that forms the product's pieces
 (z - z_n, 1 - conj(z_n) z) once per chunk; the coefficient a(z) is assembled
-from that same pass.
+from that same pass.  The series takes the pass at every point but the
+nodes; at node z_k term k alone survives, in its factored removable form.
 
 The damping factors w_n^(s_n - 1) leave a few terms dominant at each point,
 so the pass ranks terms by the real part of their logs (real logs of moduli
@@ -40,7 +41,7 @@ import numpy as np
 # golden_section_max is looked up here by bench/tracer.py
 from .numutil import (circle_max, clog, disc_points,  # noqa: F401
                       golden_section_max, like_input)
-from .products import _CHUNK, CanonicalProduct, _poly_part
+from .products import CanonicalProduct, _poly_part
 from .scales import GrowthScale
 from .sequences import ZeroSequence
 
@@ -51,17 +52,6 @@ __all__ = [
     "choose_exponents",
     "target_bound_constant",
 ]
-
-
-def _scaled_sum(t: np.ndarray):
-    """Row sums of exp(t - m) with m the row maximum of Re t; nan and
-    infinite entries of t contribute 0.  Returns (m, sum)."""
-    re = np.where(np.isnan(np.real(t)), -math.inf, np.real(t))
-    sm = np.max(re, axis=1)
-    keep = np.isfinite(t)
-    with np.errstate(invalid="ignore"):
-        e = np.exp(t - sm[:, None])
-    return sm, np.sum(np.where(keep, e, 0.0), axis=1)
 
 
 def _above_floor(x: np.ndarray, floor: float):
@@ -218,14 +208,6 @@ class InterpolationSeries:
 
     # -- evaluation --------------------------------------------------------
 
-    def _term_logs(self, delta: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """log b_n - log P'(z_n) - log(z - z_n) + (s_n - 1) log w_n(z) from
-        the product's pieces (delta, den); the shared log P is not added."""
-        w = self.product._gap2 / den
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (self._log_b - self._log_dp - clog(delta)
-                    + (self.exponents - 1) * clog(w))
-
     def _pass(self, pts: np.ndarray, derivatives: bool = False) -> SeriesPass:
         """log P, the scaled term sum and its scale at points other than
         the nodes, over the product's _blocks; with derivatives=True also
@@ -247,15 +229,15 @@ class InterpolationSeries:
         log B_j) + log(eps/N), where B_n = 1/|z - z_n| + (s_n - 1)|z_n| /
         |1 - conj(z_n) z| bounds the term's own part of its derivative
         factor.  The phase Im t_n, the exponential and the factor are taken
-        on kept terms only, by the same operations as _term_logs, so a kept
-        term is the value the all-term sum adds.  The skipped terms, fewer
-        than N and each below eps/N of the largest, move the sum by less
-        than eps max_n |term_n|, and the derivative sum by less than
-        2 eps max_n |term_n| (|P'/P| + B_n): the rounding each sum carries
-        anyway (Higham, Accuracy and Stability of Numerical Algorithms,
-        2nd ed., SIAM 2002, ch. 4).  Terms with -inf or nan logs (b_n = 0)
-        are never kept, so they add exactly 0, and a row with no finite
-        term log has scale -inf and sums 0.
+        on kept terms only, so a kept term is the value the all-term sum
+        adds.  The skipped terms, fewer than N and each below eps/N of the
+        largest, move the sum by less than eps max_n |term_n|, and the
+        derivative sum by less than 2 eps max_n |term_n| (|P'/P| + B_n):
+        the rounding each sum carries anyway (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 4).
+        Terms with -inf or nan logs (b_n = 0) are never kept, so they add
+        exactly 0, and a row with no finite term log has scale -inf and
+        sums 0.
         """
         prod = self.product
         n = pts.size
@@ -294,75 +276,55 @@ class InterpolationSeries:
             dtotal[sl] = _row_sums(rows, e * factor, len(delta))
         return SeriesPass(log_p, sm, total, dtotal, lam, lam2)
 
-    def _near_node_term_logs(self, k: np.ndarray, pts: np.ndarray):
-        """Per-term logs at points inside exclusion discs, k[i] the node
-        whose disc holds pts[i].
+    def _node_terms(self, k: np.ndarray):
+        """(Re t, exp(t - Re t)) for t the log of the series at node z_k.
 
-        Term k switches to the factored removable form: with
-        1 - w_k(z) = -conj(z_k)(z - z_k)/(1 - conj(z_k) z),
+        Every term but term k vanishes there.  Term k takes the factored
+        removable form, from 1 - w_k = -conj(z_k)(z - z_k)/(1 - conj(z_k) z):
 
             E(w_k, s)/(z - z_k)
                 = -conj(z_k)/(1 - conj(z_k) z) * exp(sum_{j<=s} w_k^j / j)
 
-        so the 0/0 at the node never forms; the remaining terms keep the
-        generic shape, with log P taken from the factor logs at the offset
-        pieces of node k (relative gaps enter exactly, never as a difference
-        of near-equal products), and the term logs use the same pieces.  At
-        z = z_k every other term carries log P = -inf and drops out, leaving
-        b_k times a ratio of two evaluations of the same closed form.
+        (1 for a node at the origin, a plain factor z), so no 0/0 forms;
+        the rest of P enters as the factor logs at z_k with column k set to
+        0.  b_k = 0 gives -inf and 0.
         """
         prod = self.product
-        rows = np.arange(pts.size)
-        zk = prod.z[k]
-        delta, den = prod._offset_pieces(k, pts - zk)
-        logs = prod._factor_logs(delta, den)
-        log_ek = logs[rows, k]
-        logs[rows, k] = 0.0
-        log_bk = np.sum(logs, axis=1)
-        den_k = den[rows, k]
-        wk = prod._gap2[k] / den_k
+        t = np.empty(k.size, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = self._term_logs(delta, den) + (log_bk + log_ek)[:, None]
-            # a node at the origin enters as a plain factor z, whose
-            # removable form is 1
-            fact = np.where(zk == 0.0, 0.0,
-                            clog(-np.conj(zk) / den_k)
-                            + _poly_part(wk, prod.genus))
-            t[rows, k] = (self._log_b[k] - self._log_dp[k] + log_bk + fact
-                          + (self.exponents[k] - 1) * clog(wk))
-        return t
+            for sl, delta, den in prod._blocks(prod.z[k]):
+                kk, rows = k[sl], np.arange(len(delta))
+                logs = prod._factor_logs(delta, den)
+                logs[rows, kk] = 0.0
+                zk, den_k = prod.z[kk], den[rows, kk]
+                wk = prod._gap2[kk] / den_k
+                fact = np.where(zk == 0.0, 0.0,
+                                clog(-np.conj(zk) / den_k)
+                                + _poly_part(wk, prod.genus))
+                t[sl] = (self._log_b[kk] - self._log_dp[kk]
+                         + np.sum(logs, axis=1) + fact
+                         + (self.exponents[kk] - 1) * clog(wk))
+            return t.real, np.where(np.isfinite(t), np.exp(t - t.real), 0.0)
 
-    def _scaled_parts(self, arr: np.ndarray):
-        """Yield (selection, log P, scale, scaled term sum) for the points
-        outside every exclusion disc, then for the points inside them,
-        where the factored removable form of each point's own node's term
-        is used (log P is already inside those term logs, so 0 is yielded).
-        The near-node points go a quarter _CHUNK at a time: their removable
-        form keeps about four times as many points x nodes temporaries alive
-        as the other passes."""
-        bad, idx = self.product.in_exclusion(arr)
-        if not np.all(bad):
-            p = self._pass(arr[~bad])
-            yield ~bad, p.log_p, p.scale, p.total
-        if np.any(bad):
-            pts, k = arr[bad], idx[bad]
-            sm = np.empty(pts.size)
-            total = np.empty(pts.size, dtype=complex)
-            step = _CHUNK // 4
-            for lo in range(0, pts.size, step):
-                sl = slice(lo, lo + step)
-                sm[sl], total[sl] = _scaled_sum(
-                    self._near_node_term_logs(k[sl], pts[sl]))
-            yield bad, 0.0, sm, total
+    def _parts(self, arr: np.ndarray):
+        """Yield (selection, log P, scale, scaled term sum): one _pass off
+        the nodes, then _node_terms at them (log P inside, so 0)."""
+        k = self.product.node_index(arr)
+        at = k >= 0
+        if not np.all(at):
+            p = self._pass(arr[~at])
+            yield ~at, p.log_p, p.scale, p.total
+        if np.any(at):
+            yield (at, 0.0, *self._node_terms(k[at]))
 
     def evaluate(self, z):
-        """Series values; near-node points (inside an exclusion disc,
-        including the nodes themselves) go through the factored removable
-        form of their own term.  Values that overflow binary64 raise
-        ValueError (log_abs_evaluate stays in log space)."""
+        """Series values: one series pass at every point but the nodes,
+        inside exclusion discs too, and at node z_k the factored removable
+        form of term k.  Values that overflow binary64 raise ValueError
+        (log_abs_evaluate stays in log space)."""
         arr = disc_points(z)
         out = np.empty(arr.shape, dtype=complex)
-        for sel, log_p, sm, total in self._scaled_parts(arr):
+        for sel, log_p, sm, total in self._parts(arr):
             out[sel] = _unscale(log_p, sm, total, "value")
         return like_input(out, z)
 
@@ -374,12 +336,10 @@ class InterpolationSeries:
         are derivative data this class does not carry.
         """
         arr = disc_points(z)
-        bad, idx = self.product.in_exclusion(arr)
-        if np.any(bad):
-            if np.any(arr[bad] == self.product.z[idx[bad]]):
-                raise ValueError("series derivative at an exact node is not "
-                                 "provided")
-            self.product.require_outside_exclusion(arr)
+        if np.any(self.product.node_index(arr) >= 0):
+            raise ValueError("series derivative at an exact node is not "
+                             "provided")
+        self.product.require_outside_exclusion(arr)
         p = self._pass(arr, derivatives=True)
         return like_input(_unscale(p.log_p, p.scale, p.dtotal, "derivative"),
                           z)
@@ -389,7 +349,7 @@ class InterpolationSeries:
         zeros of the series)."""
         arr = disc_points(z)
         out = np.empty(arr.shape, dtype=float)
-        for sel, log_p, sm, total in self._scaled_parts(arr):
+        for sel, log_p, sm, total in self._parts(arr):
             with np.errstate(divide="ignore"):
                 out[sel] = np.real(log_p) + sm + np.log(np.abs(total))
         return like_input(out, z, float)
@@ -402,9 +362,9 @@ class InterpolationSeries:
         Each row is (r, max log|f| on |z| = r, psi_tilde(1/(1-r)), ratio).
         The radii are checked before any evaluation; circle_max then scans
         every circle in one call and refines all of them by golden section
-        in lockstep, one point per circle per step.  Rows of the series
-        pass are independent, so each row equals the table of its radius
-        alone.
+        in lockstep, one point per circle per step.  Each value depends
+        on its own point alone (the series pass, or the removable form at
+        a node), so each row equals the table of its radius alone.
         """
         radii = np.asarray(r_ladder, dtype=float)
         if not np.all((0.0 < radii) & (radii < 1.0)):

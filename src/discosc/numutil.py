@@ -75,9 +75,9 @@ def flat_points(z) -> np.ndarray:
 
 
 def disc_points(z) -> np.ndarray:
-    """flat_points(z), refusing any point outside the open disc."""
+    """flat_points(z), refusing nan and any point outside the open disc."""
     arr = flat_points(z)
-    if np.any(np.abs(arr) >= 1.0):
+    if not np.all(np.abs(arr) < 1.0):
         raise ValueError("evaluation point outside the open disc")
     return arr
 

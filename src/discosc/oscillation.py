@@ -231,7 +231,7 @@ class OscillationBundle:
     def log_solution(self, z):
         """Complex log of f = P e^g (principal per-factor branches summed);
         real part is exact log|f|.  -inf real part at nodes."""
-        arr = flat_points(z)
+        arr = disc_points(z)
         return like_input(self.product._raw_log_eval(arr) + self.g(arr), z)
 
     def eval_solution(self, z):
@@ -243,7 +243,7 @@ class OscillationBundle:
             except FloatingPointError:
                 raise ValueError("solution value overflows binary64; use "
                                  "log_solution for growth work")
-        vals[np.isin(arr, self.product.z)] = 0.0
+        vals[self.product.node_index(arr) >= 0] = 0.0
         return like_input(vals, z)
 
     # -- ODE residual ------------------------------------------------------
@@ -273,8 +273,7 @@ class OscillationBundle:
         """Yield (theta, log f(zeta) - g(z0)) on the nested_circle rounds
         of zeta = z0 + r e^{i theta}, taking log P and h from one series
         pass per round.  r is at most half the nearest-node distance, so no
-        node lies on the circle, and off the nodes the pass matches the
-        near-node form that evaluate() takes inside exclusion discs."""
+        node lies on the circle, and h there is what evaluate() returns."""
         def log_p_and_h(unit):
             p = self.gprime._pass(z0 + r * unit)
             return np.stack([p.log_p,
@@ -358,10 +357,9 @@ class OscillationBundle:
         disc (sample_probes produces such sets).
         """
         arr = np.atleast_1d(np.asarray(probes, dtype=complex))
-        if np.any(np.abs(arr) > 0.95):
+        if not np.all(np.abs(arr) <= 0.95):
             raise ValueError("probes must satisfy |z| <= 0.95")
-        self.product.require_outside_exclusion(arr, "probe")
-        _, dist = self.product.nearest_node(arr)
+        dist = self.product.require_outside_exclusion(arr, "probe")
         p, h, a_vals = self._coefficient_direct(arr)
         d1 = p.lam + h
         worst = 0.0

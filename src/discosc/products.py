@@ -179,32 +179,48 @@ class CanonicalProduct:
         return np.minimum(nn / 4.0, self._gap / 8.0)
 
     def nearest_node(self, pts):
-        """(index, distance) of the closest node for each point."""
+        """(index, distance) of each point's closest node, by _CHUNK points
+        (-1 and inf without nodes)."""
         pts = np.atleast_1d(np.asarray(pts, dtype=complex))
-        if self.z.size == 0:
-            return (np.full(pts.shape, -1, dtype=int),
-                    np.full(pts.shape, math.inf))
         flat = pts.ravel()
-        d = np.abs(flat[:, None] - self.z[None, :])
-        idx = np.argmin(d, axis=1)
-        dist = d[np.arange(flat.size), idx]
+        idx, dist = np.full(flat.size, -1), np.full(flat.size, math.inf)
+        for lo in range(0, flat.size if self.z.size else 0, _CHUNK):
+            d = np.abs(flat[lo:lo + _CHUNK, None] - self.z[None, :])
+            i = np.argmin(d, axis=1)
+            idx[lo:lo + _CHUNK] = i
+            dist[lo:lo + _CHUNK] = d[np.arange(i.size), i]
         return idx.reshape(pts.shape), dist.reshape(pts.shape)
 
-    def in_exclusion(self, pts):
-        idx, dist = self.nearest_node(pts)
-        if self.z.size == 0:
-            return np.zeros(np.shape(idx), dtype=bool), idx
-        return dist <= self.exclusion_radii[idx], idx
+    def node_index(self, pts):
+        """Index of the node equal to each point (signed zeros equal), or
+        -1, from one sort of the nodes and a binary search."""
+        pts = np.asarray(pts, dtype=complex)
+        order = np.argsort(self.z)
+        # nan after the sorted nodes: a search past the last node misses
+        zs, ids = np.append(self.z[order], np.nan), np.append(order, -1)
+        at = np.searchsorted(zs, pts)
+        return np.where(zs[at] == pts, ids[at], -1)
 
-    def require_outside_exclusion(self, pts, what: str = "point") -> None:
-        """Raise ValueError naming the first point inside an exclusion disc."""
+    def _exclusion(self, pts):
+        """(inside its disc, index, distance) of each point's nearest node."""
+        idx, dist = self.nearest_node(pts)
+        radii = self.exclusion_radii[idx] if self.z.size else 0.0
+        return dist <= radii, idx, dist
+
+    def in_exclusion(self, pts):
+        return self._exclusion(pts)[:2]
+
+    def require_outside_exclusion(self, pts, what: str = "point"):
+        """Raise ValueError naming the first point inside an exclusion disc;
+        otherwise return each point's distance to its nearest node."""
         pts = np.atleast_1d(pts)
-        bad, idx = self.in_exclusion(pts)
+        bad, idx, dist = self._exclusion(pts)
         if np.any(bad):
             j = int(np.flatnonzero(bad)[0])
             raise ValueError(
                 f"{what} {pts.flat[j]:.6g} lies in the exclusion disc of "
                 f"node {int(idx.flat[j])}")
+        return dist
 
     # -- per-factor pieces and kernels --------------------------------------
 
@@ -299,7 +315,7 @@ class CanonicalProduct:
     def eval(self, z):
         arr = disc_points(z)
         vals = np.exp(self._raw_log_eval(arr))
-        vals[np.isin(arr, self.z)] = 0.0
+        vals[self.node_index(arr) >= 0] = 0.0
         return like_input(vals, z)
 
     def deleted_log_eval(self, k: int, z):

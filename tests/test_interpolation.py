@@ -12,6 +12,8 @@ from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
                      generate_radial_geometric, generate_rho_lattice,
                      sample_probes, target_bound_constant,
                      targets_from_product, weight_to_psi)
+from discosc.numutil import clog
+from discosc.products import _poly_part
 from strategies import separated_sets
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
@@ -186,6 +188,16 @@ def _five_division_log_derivatives(prod, delta, den):
     return L, dL
 
 
+def _term_logs(series, delta, den):
+    """log b_n - log P'(z_n) - log(z - z_n) + (s_n - 1) log w_n(z) for
+    every term from the product's pieces (delta, den); the shared log P is
+    not added."""
+    w = series.product._gap2 / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (series._log_b - series._log_dp - clog(delta)
+                + (series.exponents - 1) * clog(w))
+
+
 def _dense_sums(series, pts, lam):
     """Every term, none skipped: term logs t_n from _term_logs (the shared
     log P left out, as in the pass), e_n = exp(t_n - M) under the row
@@ -194,7 +206,7 @@ def _dense_sums(series, pts, lam):
     |e_n|, e_n f_n and |e_n f_n|."""
     prod = series.product
     delta, den = prod._pieces(pts)
-    t = series._term_logs(delta, den)
+    t = _term_logs(series, delta, den)
     re = np.where(np.isnan(t.real), -np.inf, t.real)
     big = np.max(re, axis=1)
     with np.errstate(invalid="ignore"):
@@ -249,23 +261,79 @@ def test_pass_matches_the_dense_sum(seq):
     _assert_pass_matches_dense(series, _outside_points(series.product, 3))
 
 
+def _removable_form_reference(series, k, pts):
+    """(scale, scaled sum) of the series at the nodes pts == z_k by the
+    earlier near-node route, kept as a reference: all term logs at the
+    offset pieces of node k, log P from the factor logs there, term k in
+    its factored removable form, and the row summed under its maximum."""
+    prod = series.product
+    rows = np.arange(pts.size)
+    zk = prod.z[k]
+    delta, den = prod._offset_pieces(k, pts - zk)
+    logs = prod._factor_logs(delta, den)
+    log_ek = logs[rows, k]
+    logs[rows, k] = 0.0
+    log_bk = np.sum(logs, axis=1)
+    den_k = den[rows, k]
+    wk = prod._gap2[k] / den_k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _term_logs(series, delta, den) + (log_bk + log_ek)[:, None]
+        fact = np.where(zk == 0.0, 0.0,
+                        clog(-np.conj(zk) / den_k)
+                        + _poly_part(wk, prod.genus))
+        t[rows, k] = (series._log_b[k] - series._log_dp[k] + log_bk + fact
+                      + (series.exponents[k] - 1) * clog(wk))
+        sm = np.max(np.where(np.isnan(t.real), -np.inf, t.real), axis=1)
+        e = np.exp(t - sm[:, None])
+    return sm, np.sum(np.where(np.isfinite(t), e, 0.0), axis=1)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64),
+                          np.asarray(b).view(np.uint64))
+
+
 @pytest.mark.parametrize("seq", [
     generate_radial_geometric(0.8, 50),
     generate_rho_lattice(WeightPair.log_power_weight(2.0).rho, 0.8, 0.7),
 ], ids=["geo50", "rho-lattice-origin"])
-@pytest.mark.parametrize("frac", [0.5, 1e-3])
-def test_pass_matches_the_near_node_form_off_the_nodes(seq, frac):
-    # inside an exclusion disc evaluate() takes the near-node form; the
-    # pass, which the ODE-residual circles use there, agrees off the node
+def test_evaluate_is_the_pass_off_the_nodes_and_the_removable_form_at_them(
+        seq, monkeypatch):
+    # a 2-D batch: the nodes with the signs of their zero parts flipped
+    # (the origin passed as -0 - 0j), points at 0.5 and 1e-3 r_k inside the
+    # exclusion discs, and points outside them
     series = _series(seq)
     prod = series.product
-    turn = np.exp(2j * np.pi * np.random.default_rng(5).random(prod.z.size))
-    pts = prod.z + frac * prod.exclusion_radii * turn
-    assert np.all(prod.in_exclusion(pts)[0])
-    p = series._pass(pts)
-    h = np.exp(p.log_p + p.scale) * p.total
-    want = series.evaluate(pts)
-    assert np.all(np.abs(h - want) <= 1e-9 * np.abs(want))
+    n = prod.z.size
+    nodes = prod.z.copy()
+    nodes.real[nodes.real == 0.0] *= -1.0
+    nodes.imag[nodes.imag == 0.0] *= -1.0
+    assert np.all(np.signbit(nodes[prod.z == 0.0].view(float)))
+    turn = np.exp(2j * np.pi * np.random.default_rng(5).random(n))
+    batch = np.stack([nodes,
+                      prod.z + 0.5 * prod.exclusion_radii * turn,
+                      prod.z + 1e-3 * prod.exclusion_radii * turn,
+                      _outside_points(prod, 8)[:n]])
+    calls = []
+    search = CanonicalProduct.nearest_node
+    monkeypatch.setattr(CanonicalProduct, "nearest_node",
+                        lambda *a: calls.append(1) or search(*a))
+    h = series.evaluate(batch)
+    log_abs = series.log_abs_evaluate(batch)
+    assert calls == []
+    assert h.shape == log_abs.shape == batch.shape
+    sm, total = _removable_form_reference(series, np.arange(n), nodes)
+    assert _same_bits(h[0], np.exp(sm) * total)
+    assert _same_bits(log_abs[0], sm + np.log(np.abs(total)))
+    p = series._pass(batch[1:].ravel())
+    assert _same_bits(h[1:].ravel(), np.exp(p.log_p + p.scale) * p.total)
+    assert _same_bits(log_abs[1:].ravel(),
+                      p.log_p.real + p.scale + np.log(np.abs(p.total)))
+    # the derivative names exact nodes, then keeps the exclusion guard
+    with pytest.raises(ValueError, match="at an exact node"):
+        series.evaluate_derivative(batch)
+    with pytest.raises(ValueError, match="exclusion disc of node"):
+        series.evaluate_derivative(batch[1:])
 
 
 # targets drawn apart from the nodes, zeros included: the series
@@ -304,7 +372,7 @@ def test_pass_keeps_a_small_term_whose_factor_is_large():
     assert not prod.in_exclusion(z)[0][0]
     exps = np.array([1, 100001])
     unit = InterpolationSeries(prod, TargetData(seq, [1.0, 1.0], LOG), exps)
-    t = unit._term_logs(*prod._pieces(z))[0].real
+    t = _term_logs(unit, *prod._pieces(z))[0].real
     b1 = math.exp(t[0] - t[1] + math.log(np.finfo(float).eps / 2) - 1.0)
     series = InterpolationSeries(prod, TargetData(seq, [1.0, b1], LOG), exps)
     _assert_pass_matches_dense(series, z)

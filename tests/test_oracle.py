@@ -75,10 +75,11 @@ def _fixture(name):
 
 
 def _points(prod):
-    """(generic, near-node) points: the generic set holds interior points,
-    near-boundary points at |z| = 0.97 and 0.99, and points 1.1-1.2 r_k
-    from a node; the near-node set sits at 0.3-0.5 r_k, inside the
-    exclusion discs."""
+    """(generic, near-node, close) points: the generic set holds interior
+    points, near-boundary points at |z| = 0.97 and 0.99, and points
+    1.1-1.2 r_k from a node; the near-node set sits at 0.3-0.5 r_k, inside
+    the exclusion discs, and the close set at 1e-3 and 1e-8 r_k by the
+    same three nodes."""
     z, r = prod.z, prod.exclusion_radii
     generic = [0.1 - 0.2j, -0.4 + 0.3j, 0.2 + 0.6j, -0.5 - 0.55j]
     generic += [rad * np.exp(1j * t) for rad in (0.97, 0.99)
@@ -88,10 +89,12 @@ def _points(prod):
                 for k, f, t in zip(ks, (1.1, 1.2, 1.15), (0.7, -2.0, 2.9))]
     near = [z[k] + f * r[k] * np.exp(1j * t)
             for k, f, t in zip(ks, (0.3, 0.5, 0.4), (1.3, -0.4, 3.0))]
+    close = [z[k] + f * r[k] * np.exp(1j * t)
+             for k, t in zip(ks, (0.2, 2.4, -1.1)) for f in (1e-3, 1e-8)]
     generic, near = np.asarray(generic), np.asarray(near)
     assert not np.any(prod.in_exclusion(generic)[0])
     assert np.all(prod.in_exclusion(near)[0])
-    return generic, near
+    return generic, near, np.asarray(close)
 
 
 @pytest.mark.parametrize("name", ["geo10", "origin-geo6-genus0"])
@@ -104,7 +107,7 @@ def _check_fixture(name):
     bundle = _fixture(name)
     prod = bundle.product
     oracle = Oracle(bundle)
-    generic, near = _points(prod)
+    generic, near, close = _points(prod)
 
     for k, b in enumerate(node_targets(prod)):
         _close(b, oracle.b[k], f"b_{k}")
@@ -127,3 +130,7 @@ def _check_fixture(name):
         zm = mp.mpc(complex(z))
         _close(h[j], oracle.h(zm), f"h at {z:.6g}")
         _close(a[j], oracle.a(zm), f"a at {z:.6g}")
+
+    # h alone by the nodes: the series pass, with no near-node branch
+    for z, hz in zip(close, bundle.gprime.evaluate(close)):
+        _close(hz, oracle.h(mp.mpc(complex(z))), f"h at {z:.6g}")

@@ -98,13 +98,41 @@ def test_deleted_product_identity():
 
 
 def test_evaluators_refuse_points_outside_the_disc():
-    prod = CanonicalProduct(generate_radial_geometric(0.5, 5), 1)
+    bundle = build_coefficient(generate_radial_geometric(0.5, 5),
+                               GrowthScale.log_power(1.0))
+    prod, series = bundle.product, bundle.gprime
+    bad = (2.0, np.array([0.1, 1.0]), 1j, np.array([0.1, np.nan]))
     for call in (prod.eval, prod.log_eval,
                  lambda z: prod.deleted_log_eval(0, z),
-                 lambda z: prod.deleted_eval(0, z)):
-        for z in (2.0, np.array([0.1, 1.0]), 1j):
+                 lambda z: prod.deleted_eval(0, z),
+                 series.evaluate, series.evaluate_derivative,
+                 series.log_abs_evaluate, bundle.eval_coefficient,
+                 bundle.g, bundle.log_solution, bundle.eval_solution):
+        for z in bad:
             with pytest.raises(ValueError, match="outside the open disc"):
                 call(z)
+    for z in bad:
+        with pytest.raises(ValueError, match="probes must satisfy"):
+            bundle.ode_residual(z)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(pts=separated_sets(allow_subnormal=False),
+       flips=st.lists(st.booleans(), min_size=16, max_size=16))
+def test_node_index_is_the_equal_node(pts, flips):
+    # each node with the signs of its zero parts flipped as drawn, the
+    # origin both ways, and points off every node
+    prod = CanonicalProduct(ZeroSequence(pts), 1)
+    flipped = pts.copy()
+    flipped.real[(pts.real == 0.0) & flips[:pts.size]] *= -1.0
+    flipped.imag[(pts.imag == 0.0) & flips[8:8 + pts.size]] *= -1.0
+    queries = np.concatenate([flipped, [complex(0.0, 0.0),
+                                        complex(-0.0, -0.0)],
+                              pts + 0.01, pts * (1.0 - 1e-16j)])
+    want = [(np.flatnonzero(prod.z == p).tolist() or [-1])[0]
+            for p in queries]
+    assert prod.node_index(queries).tolist() == want
+    assert prod.node_index(queries[:, None]).tolist() == [[k] for k in want]
 
 
 def test_deleted_log_at_single_node_is_zero():
