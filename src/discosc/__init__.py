@@ -7,18 +7,17 @@ separation, and sharpness diagnostics that certify the construction.
 """
 
 from .geometry import (CarlesonBox, box_contains, carleson_box_table,
-                       carleson_norm_estimate, mobius_map, pseudo_distance)
+                       mobius_map, pseudo_distance)
 from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
-                            choose_exponents, target_bound_constant)
+                            choose_exponents)
 from .oscillation import (OscillationBundle, ResidueCancellationError,
                           WitnessReport, ZeroCountReport, anorm_estimate,
                           build_coefficient, log_derivative_envelope,
                           node_targets, sample_probes, sharpness_witness,
                           targets_from_product)
-from .products import CanonicalProduct, log_primary_factor, primary_factor
+from .products import CanonicalProduct, primary_factor
 from .scales import (GrowthScale, WeightPair, genus_from_scale,
-                     polya_doubling, polya_order_estimate, psi_tilde,
-                     weight_to_psi)
+                     polya_doubling, polya_order_estimate, weight_to_psi)
 from .sequences import (SharpnessParams, ZeroSequence, blaschke_sum,
                         condition_report, count_near, generate_radial_geometric,
                         generate_rho_lattice, generate_sharpness,
@@ -29,17 +28,16 @@ from .sequences import (SharpnessParams, ZeroSequence, blaschke_sum,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CarlesonBox", "box_contains", "carleson_box_table",
-    "carleson_norm_estimate", "mobius_map", "pseudo_distance",
+    "CarlesonBox", "box_contains", "carleson_box_table", "mobius_map",
+    "pseudo_distance",
     "GrowthRow", "InterpolationSeries", "TargetData", "choose_exponents",
-    "target_bound_constant",
     "OscillationBundle", "ResidueCancellationError", "WitnessReport",
     "ZeroCountReport", "anorm_estimate", "build_coefficient",
     "log_derivative_envelope", "node_targets",
     "sample_probes", "sharpness_witness", "targets_from_product",
-    "CanonicalProduct", "log_primary_factor", "primary_factor",
+    "CanonicalProduct", "primary_factor",
     "GrowthScale", "WeightPair", "genus_from_scale", "polya_doubling",
-    "polya_order_estimate", "psi_tilde", "weight_to_psi",
+    "polya_order_estimate", "weight_to_psi",
     "SharpnessParams", "ZeroSequence", "blaschke_sum", "condition_report",
     "count_near", "generate_radial_geometric", "generate_rho_lattice",
     "generate_sharpness", "log_integrated_count", "rho_density_estimate",

@@ -18,7 +18,6 @@ __all__ = [
     "pseudo_distance",
     "box_contains",
     "carleson_box_table",
-    "carleson_norm_estimate",
 ]
 
 
@@ -69,19 +68,18 @@ def box_contains(box: CarlesonBox, zeta):
     return radial & ang & inside
 
 
-def _box_mass(density, delta: float, phi: float, radial_cells: int,
-              angular_cells: int) -> float:
+def _box_mass(density, delta: float, phi: float) -> float:
     """Midpoint-rule mass of density * dA over one box, polar coordinates.
 
     Midpoints keep the rule clear of |zeta| = 1 where densities may blow up.
-    The grid is fixed at radial_cells x angular_cells with no accuracy
+    The grid is fixed at 64 radial x 64 angular cells with no accuracy
     control, so a density concentrated below one radial cell is not
     resolved.
     """
-    dt = delta / radial_cells
-    dth = 2.0 * np.pi * delta / angular_cells
-    t = 1.0 - delta + (np.arange(radial_cells) + 0.5) * dt
-    th = phi - np.pi * delta + (np.arange(angular_cells) + 0.5) * dth
+    dt = delta / 64
+    dth = 2.0 * np.pi * delta / 64
+    t = 1.0 - delta + (np.arange(64) + 0.5) * dt
+    th = phi - np.pi * delta + (np.arange(64) + 0.5) * dth
     zeta = t[:, None] * np.exp(1j * th[None, :])
     vals = np.asarray(density(zeta), dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
@@ -89,14 +87,13 @@ def _box_mass(density, delta: float, phi: float, radial_cells: int,
     return float(np.sum(vals * t[:, None]) * dt * dth)
 
 
-def carleson_box_table(density, deltas, angular_samples: int = 8,
-                       radial_cells: int = 64, angular_cells: int = 64):
+def carleson_box_table(density, deltas):
     """Per-depth Carleson ratios max_phi mass(Q_delta) / delta.
 
     density maps an array of disc points to nonnegative reals.  For each
-    delta the boundary angle phi runs over a uniform grid of
-    angular_samples positions and the worst box is kept.  Returns a list of
-    (delta, ratio) pairs in the order given.
+    delta the boundary angle phi runs over a uniform grid of 8 positions
+    and the worst box is kept.  Returns a list of (delta, ratio) pairs in
+    the order given.
 
     Each mass is a fixed-grid midpoint estimate (see _box_mass) with no
     accuracy control.  The angles are the same at every depth, so the boxes
@@ -104,23 +101,12 @@ def carleson_box_table(density, deltas, angular_samples: int = 8,
     ratio(delta) <= (delta'/delta) * ratio(delta') for delta < delta'; an
     estimate that breaks this is unresolved.
     """
-    if angular_samples < 1:
-        raise ValueError("need at least one boundary angle")
     out = []
     for delta in deltas:
         best = 0.0
-        for j in range(angular_samples):
-            phi = 2.0 * np.pi * j / angular_samples
+        for j in range(8):
+            phi = 2.0 * np.pi * j / 8
             CarlesonBox(delta, phi)  # validates delta
-            best = max(best, _box_mass(density, delta, phi, radial_cells,
-                                       angular_cells) / delta)
+            best = max(best, _box_mass(density, delta, phi) / delta)
         out.append((float(delta), best))
     return out
-
-
-def carleson_norm_estimate(density, deltas, angular_samples: int = 8,
-                           radial_cells: int = 64, angular_cells: int = 64) -> float:
-    """Largest sampled Carleson ratio over the given depth ladder."""
-    table = carleson_box_table(density, deltas, angular_samples,
-                               radial_cells, angular_cells)
-    return max(v for _, v in table)

@@ -50,7 +50,6 @@ __all__ = [
     "InterpolationSeries",
     "GrowthRow",
     "choose_exponents",
-    "target_bound_constant",
 ]
 
 
@@ -95,21 +94,16 @@ class SeriesPass(NamedTuple):
     lam2: np.ndarray | None = None
 
 
-def target_bound_constant(zeros: ZeroSequence, values, scale: GrowthScale) -> float:
-    """sup_k log(1 + |b_k|) / max(psi_tilde(1/(1 - |z_k|)), 1).
-
-    Clamping the denominator at 1 keeps shallow nodes (where the integrated
-    scale is still below 1) from blowing the constant up; for the deep nodes
-    that drive exponent growth the clamp is inactive.
-    """
-    return TargetData(zeros, values, scale).bound_constant
-
-
 class TargetData:
     """Target values pinned to a zero sequence, plus their growth budget:
     node_tilde[k] = psi_tilde(1/(1 - |z_k|)), one quadrature per distinct
-    node gap shared with choose_exponents, and bound_constant (see
-    target_bound_constant)."""
+    node gap shared with choose_exponents, and
+
+        bound_constant = sup_k log(1 + |b_k|) / max(node_tilde[k], 1).
+
+    Clamping the denominator at 1 keeps shallow nodes (where the integrated
+    scale is still below 1) from blowing the constant up; for the deep nodes
+    that drive exponent growth the clamp is inactive."""
 
     def __init__(self, zeros: ZeroSequence, values, scale: GrowthScale):
         vals = np.asarray(values, dtype=complex)
@@ -143,18 +137,23 @@ def choose_exponents(product: CanonicalProduct, targets: TargetData,
     the bounded convergence sum, and the 2 log(n+1) gives a summable tail.
     Exponents are nondecreasing because the gaps are sorted.  The
     psi_tilde values are the targets' node_tilde, so the targets must be
-    pinned to the product's zeros.
+    pinned to the product's zeros.  A margin that is not positive (nan
+    included), or that gives exponents beyond int64 (inf included), raises
+    ValueError naming it.
     """
-    if margin <= 0.0:
-        raise ValueError("margin must be positive")
+    if not margin > 0.0:
+        raise ValueError(f"margin must be positive, got {margin!r}")
     if not np.array_equal(targets.zeros.points, product.z):
         raise ValueError("targets are pinned to a different zero sequence")
     c_hat = targets.bound_constant + product.balance_constant(0.5)
     n_idx = np.arange(1, product.z.size + 1, dtype=float)
     raw = (margin + c_hat * targets.node_tilde
            + 2.0 * np.log(n_idx + 1.0)) / math.log(2.0)
-    s_n = product.genus + np.ceil(raw).astype(int)
-    return s_n
+    s_n = product.genus + np.ceil(raw)
+    if not np.all(s_n < 2.0 ** 63):
+        raise ValueError(f"margin {margin!r} gives damping exponents beyond "
+                         f"int64")
+    return s_n.astype(int)
 
 
 class GrowthRow(NamedTuple):

@@ -174,30 +174,34 @@ def segment_points(a: complex, b: complex, panels: int, order: int):
     return a + (b - a) * t, wt
 
 
-def adaptive_segment_integral(f, a: complex, b: complex, tol: float = 1e-12,
-                              max_panels: int = 256, order: int = 16):
+def adaptive_segment_integral(f, a: complex, b: complex, tol: float = 1e-12):
     """Integrate a vectorized analytic integrand along a straight segment.
 
-    Doubles the panel count until the value moves by less than
-    tol * (1 + |value|).  Raises RuntimeError when the cap is hit first.
+    Doubles the number of 16-point Gauss-Legendre panels until the value
+    moves by less than tol * (1 + |value|).  Raises RuntimeError when 256
+    panels are reached first.
     """
     if a == b:
         return 0.0 + 0.0j
     panels = 1
-    pts, wts = segment_points(a, b, panels, order)
+    pts, wts = segment_points(a, b, panels, 16)
     prev = np.sum(f(pts) * wts)
-    while panels < max_panels:
+    while panels < 256:
         panels *= 2
-        pts, wts = segment_points(a, b, panels, order)
+        pts, wts = segment_points(a, b, panels, 16)
         cur = np.sum(f(pts) * wts)
         if abs(cur - prev) <= tol * (1.0 + abs(cur)):
             return cur
         prev = cur
     raise RuntimeError(
-        f"segment integral did not settle below {tol:g} within {max_panels} panels")
+        f"segment integral did not settle below {tol:g} within 256 panels")
 
 
-def golden_section_max(f, lo, hi, iters: int = 40):
+# golden-section steps: each shrinks the bracket by 0.618, 40 by 4e-9
+GOLDEN_SECTION_STEPS = 40
+
+
+def golden_section_max(f, lo, hi):
     """Maximize f by golden-section search on [lo, hi], elementwise.
 
     lo and hi are floats or arrays of one shape, one bracket per element.
@@ -213,7 +217,7 @@ def golden_section_max(f, lo, hi, iters: int = 40):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(np.stack([c, d]))
-    for _ in range(iters):
+    for _ in range(GOLDEN_SECTION_STEPS):
         left = fc >= fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
@@ -234,8 +238,10 @@ def circle_max(fn, radii, samples: int, refine_fn=None):
     each of its calls carries one point per circle.  The larger of the best
     sample and the refined value is kept (the sample on a tie or a NaN).
     refine_fn, when given, stands in for fn at the search points.  A scalar
-    radius gives a float, radii an array.
+    radius gives a float, radii an array.  samples < 1 raises ValueError.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     r = np.atleast_1d(np.asarray(radii, dtype=float))
     theta, unit = circle_nodes(samples)
     vals = fn(r[:, None] * unit)

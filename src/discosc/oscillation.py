@@ -142,12 +142,10 @@ class OscillationBundle:
     a = -P''/P - 2hP'/P - h^2 - h' is analytic across the nodes."""
 
     def __init__(self, product: CanonicalProduct, gprime: InterpolationSeries,
-                 scale: GrowthScale, margin: float,
-                 residue_mismatch: np.ndarray):
+                 scale: GrowthScale, residue_mismatch: np.ndarray):
         self.product = product
         self.gprime = gprime
         self.scale = scale
-        self.margin = margin
         self.residue_mismatch = residue_mismatch
 
     @property
@@ -164,27 +162,33 @@ class OscillationBundle:
         """(pass, h, a) with a = -P''/P - 2 h P'/P - h^2 - h' from one
         derivative pass of the series over points x nodes.  The points must
         lie outside every exclusion disc; callers classify or check them
-        first."""
+        first.  Values of a beyond binary64 raise ValueError, as the
+        series' own do."""
         p = self.gprime._pass(pts, derivatives=True)
         h = _unscale(p.log_p, p.scale, p.total, "value")
         hp = _unscale(p.log_p, p.scale, p.dtotal, "derivative")
-        return p, h, -p.lam2 - 2.0 * h * p.lam - h * h - hp
+        with np.errstate(over="raise"):
+            try:
+                a = -p.lam2 - 2.0 * h * p.lam - h * h - hp
+            except FloatingPointError:
+                raise ValueError("coefficient a overflows binary64") from None
+        return p, h, a
 
     def _recover_at_node(self, k: int, z0s: np.ndarray) -> np.ndarray:
         """Cauchy means of a over a circle around node k for the given
-        interior points; one shared contour serves them all."""
+        interior points; one shared contour serves them all.
+
+        The circle has radius 1.5 r_k.  Under the exclusion rule its points
+        stay at least |z_j - z_k| - 1.5 |z_j - z_k|/4 = 0.625 |z_j - z_k|
+        from every other node z_j, whose radius r_j is at most |z_j -
+        z_k|/4, and at least 6.5 r_k inside the unit circle, so they need
+        no exclusion check."""
         zk = self.product.z[k]
         r = 1.5 * float(self.product.exclusion_radii[k])
-
-        def circle_a(unit):
-            # user-supplied exclusion radii can put this circle inside
-            # another node's disc
-            pts = zk + r * unit
-            self.product.require_outside_exclusion(pts)
-            return self._coefficient_direct(pts)[2]
-
         prev = None
-        for _, unit, vals in nested_circle(circle_a, RECOVERY_MAX_POINTS):
+        for _, unit, vals in nested_circle(
+                lambda unit: self._coefficient_direct(zk + r * unit)[2],
+                RECOVERY_MAX_POINTS):
             kern = (r * unit)[None, :] / ((zk + r * unit)[None, :]
                                           - z0s[:, None])
             cur = np.mean(vals[None, :] * kern, axis=1)
@@ -218,14 +222,14 @@ class OscillationBundle:
 
     # -- solution ----------------------------------------------------------
 
-    def g(self, z, tol: float = 1e-12):
+    def g(self, z):
         """Antiderivative of h along straight segments from 0, so g(0) = 0;
         path independence is free since h is analytic in the disc."""
         arr = disc_points(z)
         out = np.empty(arr.shape, dtype=complex)
         for j, zj in enumerate(arr):
-            out[j] = adaptive_segment_integral(
-                self.gprime.evaluate, 0j, complex(zj), tol)
+            out[j] = adaptive_segment_integral(self.gprime.evaluate, 0j,
+                                               complex(zj))
         return like_input(out, z)
 
     def log_solution(self, z):
@@ -372,13 +376,12 @@ class OscillationBundle:
 
     # -- growth ------------------------------------------------------------
 
-    def coefficient_growth_table(self, r_ladder, samples: int = 1024,
-                                 comparator: str = "auto") -> list[GrowthRow]:
-        """Circle maxima of log|a| against the growth comparator.
+    def coefficient_growth_table(self, r_ladder,
+                                 samples: int = 1024) -> list[GrowthRow]:
+        """Circle maxima of log|a| against the growth comparator: the
+        radial weight h(r) when the scale came from a weight, otherwise the
+        integrated scale psi_tilde(1/(1-r)).
 
-        comparator "psi-tilde" uses the integrated scale at 1/(1-r);
-        "weight" uses the attached radial weight h(r) (available when the
-        scale came from a weight); "auto" picks the weight when present.
         The radii are checked before any evaluation.  circle_max takes the
         whole ladder in lockstep: one eval_coefficient call scans every
         circle, and each golden-section step evaluates one point per
@@ -386,13 +389,6 @@ class OscillationBundle:
         where two circles cross the same exclusion disc: their points in it
         then share one recovery contour, which settles on all of them.
         """
-        if comparator == "auto":
-            comparator = "weight" if hasattr(self.scale, "weight") \
-                else "psi-tilde"
-        if comparator not in ("psi-tilde", "weight"):
-            raise ValueError("comparator must be psi-tilde, weight, or auto")
-        if comparator == "weight" and not hasattr(self.scale, "weight"):
-            raise ValueError("scale carries no radial weight")
         radii = np.asarray(r_ladder, dtype=float)
         if not np.all((0.0 < radii) & (radii <= 0.995)):
             raise ValueError("ladder radii must lie in (0, 0.995]")
@@ -409,7 +405,7 @@ class OscillationBundle:
         rows = []
         for r, am in zip(radii, amax.tolist()):
             log_max = math.log(am) if am > 0.0 else -math.inf
-            if comparator == "weight":
+            if hasattr(self.scale, "weight"):
                 comp = float(self.scale.weight.h(r))
             else:
                 comp = self.scale.psi_tilde(1.0 / (1.0 - r))
@@ -522,7 +518,7 @@ def build_coefficient(zeros: ZeroSequence, scale: GrowthScale,
     if mism.size and float(np.max(mism)) > residue_tol:
         k = int(np.argmax(mism))
         raise ResidueCancellationError(k, float(mism[k]), residue_tol)
-    return OscillationBundle(product, series, scale, margin, mism)
+    return OscillationBundle(product, series, scale, mism)
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +530,7 @@ def sample_probes(product: CanonicalProduct, rng: np.random.Generator,
     """Uniform disc probes rejected out of the exclusion discs.  Raises
     ValueError when |z| <= r_max lies inside one exclusion disc, the only
     way for disjoint discs to reject every candidate, and when
-    PROBE_MAX_REJECTED candidates in a row are rejected, as when
-    overlapping user radii cover the disc between them."""
+    PROBE_MAX_REJECTED candidates in a row are rejected."""
     inside = np.abs(product.z) + r_max <= product.exclusion_radii
     if np.any(inside):
         raise ValueError(
@@ -617,14 +612,13 @@ def _block_offsets(params: SharpnessParams, j: int):
     return m, eps, u, k * eps / m
 
 
-def sharpness_witness(params: SharpnessParams, n: int,
-                      tail_rel: float = 1e-14) -> WitnessReport:
+def sharpness_witness(params: SharpnessParams, n: int) -> WitnessReport:
     """Log-derivative witness at the base point of block n.
 
     I1 sums the same-block terms 1/(z_{n,0} - z_{n,k}) weighted by
     (1 - |z_{n,k}|^2)/(1 - conj(z_{n,k}) z_{n,0}); I2 sums the cross-block
     terms, with the analytic generator tail appended past the last block
-    that contributes at relative tail_rel.  i1_floor is the closed bound
+    that contributes at relative 1e-14.  i1_floor is the closed bound
     (1/2)(m_n/eps_n) H_{m_n - 1} and i2_upper the cross-block majorant
     sum_{j<n} 4 m_j/(1-|z_{j,0}|) + sum_{j>n,k} 4(1-|z_{j,k}|)/(1-|z_{n,0}|)^2.
 
@@ -662,7 +656,7 @@ def sharpness_witness(params: SharpnessParams, n: int,
         den_jk = u_jk + u0 - u_jk * u0
         i2 += float(np.sum((1.0 / delta) * (u_jk * (2.0 - u_jk) / den_jk)))
         i2_upper += 4.0 * mj / uj
-    # later blocks: run until the terms fall below tail_rel of the sums
+    # later blocks: run until the terms fall below 1e-14 of the sums
     j = n + 1
     while True:
         mj = params.block_count(j)
@@ -678,7 +672,7 @@ def sharpness_witness(params: SharpnessParams, n: int,
                                (u_jk * (2.0 - u_jk) / den_jk)))
             term_up = 4.0 * float(np.sum(u_jk)) / u0 ** 2
             i2_upper += term_up
-            if j > n + 4 and term_up <= tail_rel * i2_upper:
+            if j > n + 4 and term_up <= 1e-14 * i2_upper:
                 break
         if j > n + 500:
             break

@@ -44,8 +44,6 @@ from .sequences import ZeroSequence, blaschke_sum, log_integrated_count
 __all__ = [
     "CanonicalProduct",
     "primary_factor",
-    "log_primary_factor",
-    "harmonic_sum",
 ]
 
 # points per block of every points x nodes pass (products, series, targets)
@@ -109,27 +107,18 @@ def primary_factor(w, s: int):
     return (1.0 - w) * np.exp(_poly_part(w, s))
 
 
-def log_primary_factor(w, s: int):
-    """Principal log of E(w, s); rejects w = 1 where E vanishes."""
-    if s < 0:
-        raise ValueError("genus must be nonnegative")
-    w = np.asarray(w, dtype=complex)
-    if np.any(w == 1.0):
-        raise ValueError("primary factor vanishes at w = 1; log undefined")
-    return clog(1.0 - w) + _poly_part(w, s)
-
-
 class CanonicalProduct:
     """Genus-s product over a zero sequence with per-node exclusion discs.
 
-    Inside the exclusion disc of a node the full product is numerically
-    dominated by its vanishing factor; ratio-form accessors (deleted
-    product, node derivatives) are exact there, while log_eval refuses and
-    asks the caller to use those forms.
+    The exclusion radius of node k is r_k = min(nn_k/4, (1 - |z_k|)/8), nn_k
+    its nearest-neighbour distance; node_contour_modes and the coefficient's
+    recovery circle rely on this rule.  Inside the exclusion disc of a node
+    the full product is numerically dominated by its vanishing factor; the
+    deleted product and the node derivatives are exact there, while
+    log_eval refuses and asks the caller to use those forms.
     """
 
-    def __init__(self, zeros: ZeroSequence, genus: int,
-                 exclusion_radii=None):
+    def __init__(self, zeros: ZeroSequence, genus: int):
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         self.zeros = zeros
@@ -153,19 +142,13 @@ class CanonicalProduct:
         # column of the node at the origin (the zeros are distinct), or None
         origin = np.flatnonzero(z == 0.0)
         self._origin_idx = int(origin[0]) if origin.size else None
-        if exclusion_radii is not None:
-            radii = np.asarray(exclusion_radii, dtype=float)
-            if radii.shape != z.shape or np.any(radii <= 0.0):
-                raise ValueError("exclusion radii must be positive, one per node")
-        else:
-            radii = self._default_radii()
-        self.exclusion_radii = radii
+        self.exclusion_radii = self._exclusion_rule()
         self.convergence_sum = blaschke_sum(zeros, self.genus).value
         self._deleted_logs: np.ndarray | None = None
 
     # -- geometry ----------------------------------------------------------
 
-    def _default_radii(self) -> np.ndarray:
+    def _exclusion_rule(self) -> np.ndarray:
         z = self.z
         n = z.size
         if n == 0:
@@ -326,10 +309,6 @@ class CanonicalProduct:
         mask[k] = False
         return like_input(np.sum(logs[:, mask], axis=1), z)
 
-    def deleted_eval(self, k: int, z):
-        val = self.deleted_log_eval(k, z)
-        return np.exp(val)
-
     def _check_index(self, k: int) -> None:
         if not (0 <= k < self.z.size):
             raise IndexError(f"node index {k} out of range")
@@ -370,11 +349,6 @@ class CanonicalProduct:
         coeff = -self._zc[k] / self._gap2[k]
         return (self.node_deleted_log(k) + harmonic_sum(self.genus)
                 + complex(np.log(complex(coeff))))
-
-    def derivative_at_zero(self, k: int) -> complex:
-        """P'(z_k); may under/overflow binary64 for extreme sequences, in
-        which case the log form remains usable."""
-        return complex(np.exp(self.log_derivative_at_zero(k)))
 
     def _far_tail_bound(self, r, dist, den, far):
         """Per row, a bound on the error of the NODE_FAR_SAMPLES-point
@@ -493,7 +467,7 @@ class CanonicalProduct:
         the modes' phase.
 
         The rounds start at NODE_CONTOUR_START_POINTS = 32, not at the 64
-        of the other contours.  The exclusion rule r <= min(nn/4, (1 -
+        of the other contours.  The exclusion rule r = min(nn/4, (1 -
         |z_k|)/8) keeps every other zero at least 4r and the unit circle at
         least 8r from z_k, so P is analytic on the disc of radius 4r about
         z_k and, by the Cauchy estimate there, mode j of P on the circle is
@@ -585,27 +559,6 @@ class CanonicalProduct:
         raise RuntimeError(
             f"exclusion-circle contour at node {int(ks[~done][0])} did not "
             f"converge within {CONTOUR_MAX_POINTS} points")
-
-    def log_contour_derivative_at_zero(self, k: int, order: int = 1):
-        """Complex log of P^(order)(z_k) from the node_contour_modes
-        contour."""
-        if order not in (1, 2):
-            raise ValueError("only first and second derivatives are provided")
-        res = self.node_contour_modes([k])
-        mode = (res.m1, res.m2)[order - 1][0]
-        if mode == 0.0:
-            return complex(-math.inf)
-        fact = math.factorial(order) / float(self.exclusion_radii[k]) ** order
-        return complex(res.scale[0] + np.log(complex(fact))
-                       + np.log(complex(mode)))
-
-    def contour_derivative_at_zero(self, k: int) -> complex:
-        """P'(z_k) by contour integration; log-free convenience form."""
-        return complex(np.exp(self.log_contour_derivative_at_zero(k)))
-
-    def second_derivative_at_zero(self, k: int) -> complex:
-        """P''(z_k) by contour integration over the exclusion circle."""
-        return complex(np.exp(self.log_contour_derivative_at_zero(k, 2)))
 
     # -- logarithmic derivative sums --------------------------------------
 

@@ -7,8 +7,8 @@ closed forms
     psi = log^p x      ->  psi_tilde = log^(p+1) x / (p+1)
     psi = x^rho        ->  psi_tilde = (x^rho - 1) / rho
 
-while tabulated scales integrate numerically after the substitution
-u = log t, where the integrand psi(e^u) varies slowly.
+while tabulated and weight-induced scales integrate numerically after the
+substitution u = log t, where the integrand psi(e^u) varies slowly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from scipy.integrate import quad
 __all__ = [
     "GrowthScale",
     "WeightPair",
-    "psi_tilde",
     "polya_doubling",
     "polya_order_estimate",
     "genus_from_scale",
@@ -124,10 +123,6 @@ class GrowthScale:
         return {"kind": self.kind, "label": self.label, **self.params}
 
 
-def psi_tilde(scale: GrowthScale, x):
-    return scale.psi_tilde(x)
-
-
 def _check_ladder(ladder, decades: bool = False) -> np.ndarray:
     lad = np.asarray(ladder, dtype=float)
     if lad.size < 2 or np.min(lad) < 1.0:
@@ -176,21 +171,18 @@ def genus_from_scale(scale: GrowthScale) -> int:
 class WeightPair:
     """Radial weight h on [0, 1) with its derived local radius function.
 
-    h must be C^2, increasing, h(0) = 0.  The radial Laplacian
-    (r h')' / r feeds rho = (Lap h)^(-1/2) and sigma = (1-r)^2 / rho^2.
-    Derivatives default to central differences with step (1-r)/64; pass
-    analytic hp/hpp when available.
+    h must be C^2, increasing, h(0) = 0, with analytic derivatives hp and
+    hpp.  The radial Laplacian (r h')' / r feeds rho = (Lap h)^(-1/2) and
+    sigma = (1-r)^2 / rho^2.  config is the rebuild recipe for from_config.
     """
 
-    def __init__(self, h: Callable, hp: Callable | None = None,
-                 hpp: Callable | None = None, label: str = "weight",
-                 config: dict | None = None):
+    def __init__(self, h: Callable, hp: Callable, hpp: Callable, label: str,
+                 config: dict):
         self.h = h
+        self.hp = hp
+        self.hpp = hpp
         self.label = label
-        self._hp = hp
-        self._hpp = hpp
-        # rebuild recipe for from_config; None for ad-hoc callables
-        self.config = dict(config) if config else None
+        self.config = dict(config)
 
     @classmethod
     def log_power_weight(cls, gamma: float) -> "WeightPair":
@@ -224,33 +216,13 @@ class WeightPair:
             return cls.log_power_weight(float(cfg.get("gamma", 2.0)))
         raise ValueError(f"unknown weight form {name!r}")
 
-    def hp(self, r):
-        if self._hp is not None:
-            return self._hp(r)
-        r = np.asarray(r, dtype=float)
-        step = (1.0 - r) / 64.0
-        return (self.h(r + step) - self.h(r - step)) / (2.0 * step)
-
     def laplacian(self, r):
         """(r h')' / r; at r = 0 the rotational limit 2 h''(0)."""
         r = np.asarray(r, dtype=float)
-        if self._hpp is not None:
-            hpp = np.asarray(self._hpp(r), dtype=float)
-            hp = np.asarray(self.hp(r), dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lap = hpp + np.where(r > 0.0, hp / np.where(r > 0.0, r, 1.0), hpp)
-            return lap
-        step = (1.0 - r) / 64.0
-
-        def g(x):
-            return x * self.hp(x)
-
-        deriv = (g(r + step) - g(r - step)) / (2.0 * step)
+        hpp = np.asarray(self.hpp(r), dtype=float)
+        hp = np.asarray(self.hp(r), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lap = np.where(r > 0.0, deriv / np.where(r > 0.0, r, 1.0),
-                           2.0 * (self.h(2.0 * step) - 2.0 * self.h(step)
-                                  + self.h(0.0)) / step ** 2)
-        return lap
+            return hpp + np.where(r > 0.0, hp / np.where(r > 0.0, r, 1.0), hpp)
 
     def rho(self, r):
         lap = np.asarray(self.laplacian(r), dtype=float)
@@ -262,11 +234,11 @@ class WeightPair:
         r = np.asarray(r, dtype=float)
         return (1.0 - r) ** 2 * np.asarray(self.laplacian(r), dtype=float)
 
-    def validate(self, ladder=None) -> dict:
-        """Monotonicity spot-checks; raises on violation, returns diagnostics."""
-        r = np.asarray(ladder if ladder is not None
-                       else 1.0 - np.geomspace(0.5, 0.005, 25), dtype=float)
-        r = np.sort(r)
+    def validate(self) -> dict:
+        """Monotonicity spot-checks on 25 radii from 0.5 to 0.995,
+        accumulating toward the boundary; raises on violation, returns
+        diagnostics."""
+        r = 1.0 - np.geomspace(0.5, 0.005, 25)
         hvals = np.asarray(self.h(r), dtype=float)
         if np.any(np.diff(hvals) <= 0.0):
             raise ValueError("weight must be increasing")
@@ -281,11 +253,12 @@ class WeightPair:
                 "sigma_range": (float(sig[0]), float(sig[-1]))}
 
 
-def weight_to_psi(weight: WeightPair, t_max: float = 1e6) -> GrowthScale:
+def weight_to_psi(weight: WeightPair) -> GrowthScale:
     """Scale psi(t) = Lap h(1 - 1/t) / t^2 induced by a radial weight.
 
-    Checked to be nondecreasing on a log ladder up to t_max; the result is a
-    tabulated scale (psi_tilde by quadrature) carrying the weight object for
+    Checked to be nondecreasing on a log ladder from 1 to 1e6; the result
+    is a scale of kind "weight" (psi_tilde by quadrature, rebuilt by
+    from_config from the weight's config) carrying the weight object for
     growth comparisons against h itself.
     """
 
@@ -293,7 +266,7 @@ def weight_to_psi(weight: WeightPair, t_max: float = 1e6) -> GrowthScale:
         t = np.asarray(t, dtype=float)
         return np.asarray(weight.laplacian(1.0 - 1.0 / t), dtype=float) / t ** 2
 
-    lad = np.geomspace(1.0, t_max, 60)
+    lad = np.geomspace(1.0, 1e6, 60)
     vals = np.asarray(psi(lad), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
         raise ValueError("induced psi must be positive and finite")
@@ -302,12 +275,8 @@ def weight_to_psi(weight: WeightPair, t_max: float = 1e6) -> GrowthScale:
         raise ValueError(
             f"induced psi not monotone near t = {lad[k]:.6g}; "
             "the weight is outside the admissible class")
-    if weight.config is not None:
-        # rebuildable weight: advertise kind "weight" so from_config round-trips
-        scale = GrowthScale("weight", psi, f"from-{weight.label}",
-                            dict(weight.config))
-    else:
-        scale = GrowthScale.tabulated(psi, label=f"from-{weight.label}")
+    scale = GrowthScale("weight", psi, f"from-{weight.label}",
+                        dict(weight.config))
     scale.params["weight"] = weight.label
     scale.weight = weight
     return scale

@@ -228,7 +228,7 @@ def generate_radial_geometric(ratio: float, count: int) -> ZeroSequence:
 
 
 def generate_rho_lattice(rho: Callable[[np.ndarray], np.ndarray], spacing: float,
-                         r_max: float, label: str = "rho-lattice") -> ZeroSequence:
+                         r_max: float) -> ZeroSequence:
     """Polar lattice with local mesh proportional to a radius function rho.
 
     Rings are placed at r_{j+1} = r_j + spacing * rho(r_j) starting from a
@@ -262,7 +262,7 @@ def generate_rho_lattice(rho: Callable[[np.ndarray], np.ndarray], spacing: float
         pts.extend(r_next * np.exp(1j * angles))
         rings.append({"r": r_next, "count": n_ang})
         r = r_next
-    seq = ZeroSequence(pts, label=label,
+    seq = ZeroSequence(pts, label="rho-lattice",
                        meta={"generator": "rho-lattice", "spacing": spacing,
                              "r_max": r_max, "rings": rings})
     if len(seq) >= 2:
@@ -333,24 +333,25 @@ def uniform_separation_constant(seq: ZeroSequence) -> float:
 # densities
 
 
-def _boundary_grid(n_radii: int, n_angles: int, gap_hi: float = 0.5,
+def _boundary_grid(n_radii: int, n_angles: int,
                    gap_lo: float = 0.005) -> np.ndarray:
-    """Polar probe grid accumulating geometrically toward |z| = 1."""
-    gaps = np.geomspace(gap_hi, gap_lo, n_radii)
+    """Polar probe grid accumulating geometrically toward |z| = 1, from
+    boundary gap 1/2 down to gap_lo."""
+    gaps = np.geomspace(0.5, gap_lo, n_radii)
     radii = 1.0 - gaps
     th = 2.0 * np.pi * np.arange(n_angles) / n_angles
     return (radii[:, None] * np.exp(1j * th[None, :])).ravel()
 
 
-def uniform_density_estimate(seq: ZeroSequence, r_ladder,
-                             n_radii: int = 32, n_angles: int = 64):
+def uniform_density_estimate(seq: ZeroSequence, r_ladder):
     """Finite-r lower estimates of the uniform (Seip-type) density.
 
     For each r in the ladder returns
     sup_z sum_{1/2 < sigma(z, z_j) < r} log(1/sigma) / log(1/(1-r)),
     the sup running over the sequence itself plus a boundary-accumulating
-    polar grid.  Values at moderate r understate the r -> 1 limit; the
-    ladder is reported as-is rather than extrapolated.
+    polar grid of 32 radii and 64 angles.  Values at moderate r understate
+    the r -> 1 limit; the ladder is reported as-is rather than
+    extrapolated.
     """
     r_ladder = list(r_ladder)
     if not r_ladder:
@@ -358,7 +359,7 @@ def uniform_density_estimate(seq: ZeroSequence, r_ladder,
     for r in r_ladder:
         if not (0.5 < r < 1.0):
             raise ValueError("density ladder radii must lie in (1/2, 1)")
-    centers = np.concatenate([seq.points, _boundary_grid(n_radii, n_angles)])
+    centers = np.concatenate([seq.points, _boundary_grid(32, 64)])
     sig = pseudo_distance(centers[:, None], seq.points[None, :])
     out = []
     with np.errstate(divide="ignore"):
@@ -370,23 +371,22 @@ def uniform_density_estimate(seq: ZeroSequence, r_ladder,
     return out
 
 
-def rho_density_estimate(seq: ZeroSequence, rho, R_ladder,
-                         n_radii: int = 16, n_angles: int = 32):
+def rho_density_estimate(seq: ZeroSequence, rho, R_ladder):
     """Counting density card(Z cap U(z, R*rho(|z|))) / R^2 along an R ladder.
 
-    The sup runs over sequence points and a polar grid reaching the largest
-    sequence modulus.  A finite sequence undercounts any disc that spills
-    past its truncation radius, which turns the sup into a pure N/R^2
-    saturation artifact once R*rho exceeds the headroom; centers are
-    therefore restricted, per R, to those whose counting disc stays inside
-    the sampled support.  When no center qualifies the unrestricted sup is
-    reported (the caller sees the saturation regime explicitly).
+    The sup runs over sequence points and a polar grid of 16 radii and 32
+    angles reaching the largest sequence modulus.  A finite sequence
+    undercounts any disc that spills past its truncation radius, which
+    turns the sup into a pure N/R^2 saturation artifact once R*rho exceeds
+    the headroom; centers are therefore restricted, per R, to those whose
+    counting disc stays inside the sampled support.  When no center
+    qualifies the unrestricted sup is reported (the caller sees the
+    saturation regime explicitly).
     """
     if len(seq) == 0:
         raise ValueError("empty sequence has no density")
     top = float(np.max(seq.moduli()))
-    grid = _boundary_grid(n_radii, n_angles, gap_hi=0.5,
-                          gap_lo=max(1e-3, 1.0 - top))
+    grid = _boundary_grid(16, 32, gap_lo=max(1e-3, 1.0 - top))
     centers = np.concatenate([seq.points, grid])
     rad = np.asarray(rho(np.abs(centers)), dtype=float)
     dist = np.abs(centers[:, None] - seq.points[None, :])

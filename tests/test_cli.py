@@ -198,12 +198,19 @@ def test_input_error_exit_codes(tmp_path):
 @pytest.mark.parametrize("flags, name", [
     (["--samples", "0"], "--samples"), (["--samples", "-3"], "--samples"),
     (["--rmax", "0"], "--rmax"), (["--rmax", "0.96"], "--rmax"),
+    (["--margin", "nan"], "margin"), (["--margin", "inf"], "margin"),
+    (["--margin", "1e308"], "margin"),
+    (["--target", "coefficient", "--samples", "0"], "samples"),
+    (["--target", "series", "--samples", "-3"], "samples"),
 ])
 def test_verify_rejects_probe_settings(tmp_path, capsys, flags, name):
     # no probes would pass the ODE residual vacuously; the residual takes
-    # probes with |z| <= 0.95 only
+    # probes with |z| <= 0.95 only.  A margin must give finite int64
+    # exponents.  With --target the settings go to growth, whose circle
+    # scans need at least one sample
     seq = _gen_geo(tmp_path)
-    assert cli.main(["verify", "--sequence", str(seq), "--scale", "log",
+    command = "growth" if "--target" in flags else "verify"
+    assert cli.main([command, "--sequence", str(seq), "--scale", "log",
                      *flags]) == 2
     assert name in capsys.readouterr().err
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from discosc import (CarlesonBox, box_contains, carleson_box_table,
-                     carleson_norm_estimate, mobius_map, pseudo_distance)
+                     mobius_map, pseudo_distance)
 
 
 def _disc_sample(rng, n, r=0.9):
@@ -75,13 +75,6 @@ def test_unit_density_mass_is_exact_box_area():
     table = carleson_box_table(lambda z: np.ones_like(np.real(z)), deltas)
     for delta, ratio in table:
         assert ratio == pytest.approx(np.pi * delta * (2.0 - delta), rel=1e-10)
-
-
-def test_norm_estimate_is_table_max():
-    dens = lambda z: 1.0 + np.real(z) ** 2
-    deltas = [0.2, 0.1]
-    table = carleson_box_table(dens, deltas)
-    assert carleson_norm_estimate(dens, deltas) == max(v for _, v in table)
 
 
 def test_boundary_mass_grows_per_unit_area():

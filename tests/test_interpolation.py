@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
                      TargetData, WeightPair, ZeroSequence, choose_exponents,
                      generate_radial_geometric, generate_rho_lattice,
-                     sample_probes, target_bound_constant,
-                     targets_from_product, weight_to_psi)
+                     sample_probes, targets_from_product, weight_to_psi)
 from discosc.numutil import clog
 from discosc.products import _poly_part
 from strategies import separated_sets
@@ -41,14 +40,13 @@ def test_bound_constant_one_point():
     prod = CanonicalProduct(ONE, 1)
     t = targets_from_product(prod, LOG)
     assert t.bound_constant == pytest.approx(math.log(7.0 / 3.0), rel=1e-12)
-    assert target_bound_constant(ONE, t.values, LOG) == t.bound_constant
 
 
 def test_target_validation():
     with pytest.raises(ValueError):
-        target_bound_constant(ONE, np.array([np.inf + 0j]), LOG)
+        TargetData(ONE, np.array([np.inf + 0j]), LOG)
     with pytest.raises(ValueError):
-        target_bound_constant(ONE, np.array([1.0, 2.0], dtype=complex), LOG)
+        TargetData(ONE, np.array([1.0, 2.0], dtype=complex), LOG)
 
 
 def test_node_value_is_interpolated():

@@ -113,14 +113,14 @@ def test_circle_max_refines_between_grid_points(phi):
     assert circle_max(fn, 0.7, 16) == pytest.approx(0.7, rel=1e-14)
 
 
-def _scalar_golden_section_max(f, lo, hi, iters=40):
+def _scalar_golden_section_max(f, lo, hi):
     # the one-bracket search that golden_section_max runs per element
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(40):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
                      ResidueCancellationError, ZeroSequence, anorm_estimate,
                      build_coefficient, generate_radial_geometric,
-                     oscillation, sample_probes, targets_from_product)
+                     oscillation, sample_probes)
 from discosc.numutil import adaptive_segment_integral, circle_nodes
 from strategies import separated_sets
 
@@ -102,34 +102,62 @@ def test_sample_probes_names_the_disc_that_holds_every_candidate():
 
 def test_sample_probes_refuses_a_disc_covered_by_overlapping_discs(
         monkeypatch):
-    # the two discs overlap and cover |z| <= 0.1 between them while neither
-    # holds it alone; a bound on the candidates drawn keeps the test from
+    # candidates that keep landing in exclusion discs, as they would where
+    # overlapping discs cover the probe disc, stop the sampler after
+    # PROBE_MAX_REJECTED in a row; here every candidate is drawn inside the
+    # disc of node 0.  A bound on the candidates drawn keeps the test from
     # hanging if the cap is lost
-    prod = CanonicalProduct(ZeroSequence(np.array([0.1, -0.1])), 1,
-                            exclusion_radii=[0.15, 0.15])
+    prod = CanonicalProduct(ZeroSequence(np.array([0.1, -0.1])), 1)
     draws = []
     sample_disc = oscillation.sample_disc
 
-    def bounded(rng, n, r_max):
+    def in_one_disc(rng, n, r_max):
         draws.append(n)
         assert sum(draws) <= 2 * oscillation.PROBE_MAX_REJECTED
-        return sample_disc(rng, n, r_max)
+        return prod.z[0] + 0.5 * prod.exclusion_radii[0] * sample_disc(
+            rng, n, 1.0)
 
-    monkeypatch.setattr(oscillation, "sample_disc", bounded)
+    monkeypatch.setattr(oscillation, "sample_disc", in_one_disc)
     with pytest.raises(ValueError, match="appear to cover it"):
         sample_probes(prod, np.random.default_rng(0), 50, r_max=0.1)
     assert sum(draws) == oscillation.PROBE_MAX_REJECTED
 
 
-def test_recovery_circle_keeps_its_exclusion_guard():
-    # user radii can put node 0's recovery circle (radius 1.5 * 0.15) into
-    # the disc of node 1: the circle point 0.225 lies within 0.1 of 0.3
-    seq = ZeroSequence(np.array([0.0, 0.3], dtype=complex))
-    prod = CanonicalProduct(seq, 1, exclusion_radii=[0.15, 0.1])
-    series = InterpolationSeries.build(prod, targets_from_product(prod, LOG))
-    bun = oscillation.OscillationBundle(prod, series, LOG, 10.0, np.zeros(2))
-    with pytest.raises(ValueError, match="exclusion disc of node 1"):
-        bun.eval_coefficient(0.05j)
+def _assert_recovery_circles_clear(prod):
+    # every point of each node's recovery circle (radius 1.5 r_k, on its
+    # finest grid) lies in the open disc and outside every exclusion disc,
+    # so _recover_at_node evaluates a there without a check
+    _, unit = circle_nodes(oscillation.RECOVERY_MAX_POINTS)
+    pts = prod.z[:, None] + 1.5 * prod.exclusion_radii[:, None] * unit
+    assert np.all(np.abs(pts) < 1.0)
+    assert not np.any(prod.in_exclusion(pts)[0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(pts=separated_sets(allow_subnormal=False))
+def test_recovery_circles_clear_every_exclusion_disc(pts):
+    _assert_recovery_circles_clear(CanonicalProduct(ZeroSequence(pts), 1))
+
+
+def test_recovery_circles_clear_every_exclusion_disc_at_deep_nodes():
+    # the deepest node sits 2^-48 ~ 3.6e-15 from the unit circle
+    _assert_recovery_circles_clear(
+        CanonicalProduct(generate_radial_geometric(0.5, 48), 1))
+
+
+@pytest.fixture(scope="module")
+def geo_half30_bundle():
+    return build_coefficient(generate_radial_geometric(0.5, 30), LOG)
+
+
+@pytest.mark.parametrize("offset", [1.2, 0.5])
+def test_eval_coefficient_names_binary64_overflow(geo_half30_bundle, offset):
+    # h reaches 1e158 by the deepest node: h^2 overflows just outside its
+    # exclusion disc, and inside it on the recovery circle
+    prod = geo_half30_bundle.product
+    z = prod.z[29] + offset * prod.exclusion_radii[29]
+    with pytest.raises(ValueError, match="coefficient a overflows binary64"):
+        geo_half30_bundle.eval_coefficient(z)
 
 
 def test_eval_coefficient_shapes():

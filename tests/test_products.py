@@ -12,8 +12,7 @@ from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
                      build_coefficient, generate_radial_geometric,
                      generate_rho_lattice, generate_sharpness,
                      genus_from_scale, log_derivative_envelope,
-                     log_primary_factor, node_targets, primary_factor,
-                     products, weight_to_psi)
+                     node_targets, primary_factor, products, weight_to_psi)
 from discosc.numutil import circle_modes, circle_nodes, wrap_angle
 from discosc.products import _poly_part
 from strategies import separated_sets
@@ -22,15 +21,21 @@ ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
 PAIR = ZeroSequence(np.array([0.5, -0.5], dtype=complex), label="pair")
 
 
+def contour_derivatives(prod):
+    """(P'(z_k), P''(z_k)) at every node from one node_contour_modes pass:
+    m1 = P' r_k e^-scale and m2 = P'' r_k^2 e^-scale / 2."""
+    res = prod.node_contour_modes()
+    r = prod.exclusion_radii
+    return (np.exp(res.scale + np.log(1.0 / r) + np.log(res.m1)),
+            np.exp(res.scale + np.log(2.0 / r ** 2) + np.log(res.m2)))
+
+
 def test_primary_factor_values():
     assert primary_factor(0.5, 0) == pytest.approx(0.5, rel=1e-14)
     assert primary_factor(0.5, 1) == pytest.approx(0.5 * math.exp(0.5),
                                                    rel=1e-14)
     assert primary_factor(0.5, 2) == pytest.approx(
         0.5 * math.exp(0.5 + 0.125), rel=1e-14)
-    w = 0.3 + 0.2j
-    assert np.exp(log_primary_factor(w, 3)) == pytest.approx(
-        primary_factor(w, 3), rel=1e-13)
 
 
 def test_one_point_values_genus0():
@@ -38,30 +43,31 @@ def test_one_point_values_genus0():
     prod = CanonicalProduct(ONE, 0)
     assert prod.eval(0.0) == pytest.approx(0.25, rel=1e-13)
     assert abs(prod.eval(0.5)) < 1e-15
-    assert prod.derivative_at_zero(0) == pytest.approx(-2.0 / 3.0, rel=1e-12)
-    assert prod.second_derivative_at_zero(0) == pytest.approx(-8.0 / 9.0,
-                                                              rel=1e-12)
+    assert np.exp(prod.log_derivative_at_zero(0)) == pytest.approx(
+        -2.0 / 3.0, rel=1e-12)
+    assert contour_derivatives(prod)[1][0] == pytest.approx(-8.0 / 9.0,
+                                                            rel=1e-12)
 
 
 def test_one_point_values_genus1():
     prod = CanonicalProduct(ONE, 1)
     assert prod.eval(0.0) == pytest.approx(0.25 * math.exp(0.75), rel=1e-13)
-    assert prod.derivative_at_zero(0) == pytest.approx(-2.0 * math.e / 3.0,
-                                                       rel=1e-12)
+    assert np.exp(prod.log_derivative_at_zero(0)) == pytest.approx(
+        -2.0 * math.e / 3.0, rel=1e-12)
 
 
 def test_contour_derivative_matches_closed_form():
     prod = CanonicalProduct(ONE, 1)
-    assert prod.contour_derivative_at_zero(0) == pytest.approx(
+    assert contour_derivatives(prod)[0][0] == pytest.approx(
         -2.0 * math.e / 3.0, rel=1e-10)
 
 
 def test_derivative_routes_agree_on_geometric():
     prod = CanonicalProduct(generate_radial_geometric(0.8, 20), 1)
+    contour = contour_derivatives(prod)[0]
     for k in (0, 7, 19):
-        direct = prod.derivative_at_zero(k)
-        contour = prod.contour_derivative_at_zero(k)
-        assert contour == pytest.approx(direct, rel=1e-10)
+        direct = np.exp(prod.log_derivative_at_zero(k))
+        assert contour[k] == pytest.approx(direct, rel=1e-10)
 
 
 def test_log_derivative_sums_one_point():
@@ -93,7 +99,7 @@ def test_deleted_product_identity():
     z = np.array([0.2 + 0.1j])
     w0 = (1.0 - 0.25) / (1.0 - 0.5 * z[0])
     factor = primary_factor(w0, 1)
-    assert prod.deleted_eval(0, z)[0] * factor == pytest.approx(
+    assert np.exp(prod.deleted_log_eval(0, z))[0] * factor == pytest.approx(
         prod.eval(z)[0], rel=1e-12)
 
 
@@ -104,7 +110,6 @@ def test_evaluators_refuse_points_outside_the_disc():
     bad = (2.0, np.array([0.1, 1.0]), 1j, np.array([0.1, np.nan]))
     for call in (prod.eval, prod.log_eval,
                  lambda z: prod.deleted_log_eval(0, z),
-                 lambda z: prod.deleted_eval(0, z),
                  series.evaluate, series.evaluate_derivative,
                  series.log_abs_evaluate, bundle.eval_coefficient,
                  bundle.g, bundle.log_solution, bundle.eval_solution):
@@ -158,12 +163,6 @@ def test_exclusion_rule_quarter_neighbour_eighth_gap():
     bad, idx = prod.in_exclusion(np.array([0.5 + 0.05j, 0.5 + 0.1j]))
     assert bad.tolist() == [True, False]
     assert idx[0] == 0
-
-
-def test_exclusion_override():
-    prod = CanonicalProduct(PAIR, 0, exclusion_radii=[0.01, 0.01])
-    bad, _ = prod.in_exclusion(np.array([0.5 + 0.05j]))
-    assert not bad[0]
 
 
 def test_circle_log_max_one_point():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from discosc import (GrowthScale, WeightPair, genus_from_scale,
-                     polya_doubling, polya_order_estimate, psi_tilde,
-                     weight_to_psi)
+                     polya_doubling, polya_order_estimate, weight_to_psi)
 
 
 def test_log_power_closed_forms():
@@ -28,7 +27,6 @@ def test_power_closed_form():
 def test_tabulated_matches_quadrature():
     sc = GrowthScale.tabulated(lambda x: np.log(x))
     assert sc.psi_tilde(math.e ** 2) == pytest.approx(2.0, rel=1e-8)
-    assert psi_tilde(sc, math.e ** 2) == sc.psi_tilde(math.e ** 2)
 
 
 def test_domain_validation():
