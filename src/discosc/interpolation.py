@@ -96,8 +96,8 @@ class SeriesPass(NamedTuple):
 
 class TargetData:
     """Target values pinned to a zero sequence, plus their growth budget:
-    node_tilde[k] = psi_tilde(1/(1 - |z_k|)), one quadrature per distinct
-    node gap shared with choose_exponents, and
+    node_tilde[k] = psi_tilde(1/(1 - |z_k|)), from one psi_tilde call on
+    the distinct node gaps, shared with choose_exponents, and
 
         bound_constant = sup_k log(1 + |b_k|) / max(node_tilde[k], 1).
 
@@ -115,8 +115,8 @@ class TargetData:
         self.values = vals
         self.scale = scale
         gaps, where = np.unique(zeros.gaps(), return_inverse=True)
-        self.node_tilde = np.asarray(
-            [scale.psi_tilde(1.0 / g) for g in gaps], dtype=float)[where]
+        self.node_tilde = np.asarray(scale.psi_tilde(1.0 / gaps),
+                                     dtype=float)[where]
         self.bound_constant = float(np.max(
             np.log1p(np.abs(vals)) / np.maximum(self.node_tilde, 1.0))) \
             if vals.size else 0.0
@@ -369,9 +369,9 @@ class InterpolationSeries:
         if not np.all((0.0 < radii) & (radii < 1.0)):
             raise ValueError("ladder radii must lie in (0, 1)")
         log_max = circle_max(self.log_abs_evaluate, radii, samples)
+        tildes = self.targets.scale.psi_tilde(1.0 / (1.0 - radii))
         rows = []
-        for r, lm in zip(radii, log_max.tolist()):
-            tilde = self.targets.scale.psi_tilde(1.0 / (1.0 - r))
+        for r, lm, tilde in zip(radii, log_max.tolist(), tildes.tolist()):
             ratio = lm / tilde if tilde > 0.0 else math.nan
-            rows.append(GrowthRow(float(r), lm, float(tilde), ratio))
+            rows.append(GrowthRow(float(r), lm, tilde, ratio))
         return rows

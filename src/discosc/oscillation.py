@@ -402,13 +402,11 @@ class OscillationBundle:
 
         amax = circle_max(lambda z: np.abs(self.eval_coefficient(z)), radii,
                           samples, refine_fn=refine_abs)
+        comps = (self.scale.weight.h(radii) if hasattr(self.scale, "weight")
+                 else self.scale.psi_tilde(1.0 / (1.0 - radii)))
         rows = []
-        for r, am in zip(radii, amax.tolist()):
+        for r, am, comp in zip(radii, amax.tolist(), comps.tolist()):
             log_max = math.log(am) if am > 0.0 else -math.inf
-            if hasattr(self.scale, "weight"):
-                comp = float(self.scale.weight.h(r))
-            else:
-                comp = self.scale.psi_tilde(1.0 / (1.0 - r))
             ratio = log_max / comp if comp > 0.0 else math.nan
             rows.append(GrowthRow(float(r), log_max, comp, ratio))
         return rows

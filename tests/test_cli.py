@@ -2,6 +2,10 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,34 @@ def test_gen_geometric_writes_sequence(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "8 points" in out
     assert "separation" in out
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # importing scipy.integrate alone added about 50 MB of RSS to every
+    # discosc process; a later scipy import must be lazy and measured
+    lat, geo = str(tmp_path / "lat"), str(tmp_path / "geo")
+    code = "\n".join([
+        "import sys",
+        "from discosc import cli",
+        f"lat, geo = {lat!r}, {geo!r}",
+        "assert cli.main(['gen', 'rho-lattice', '--spacing', '0.8',"
+        " '--rmax', '0.7', '--out', lat + '.seq.json']) == 0",
+        "assert cli.main(['build', '--sequence', lat + '.seq.json',"
+        " '--scale', 'weight-log:2', '--out', lat]) == 0",
+        "assert cli.main(['gen', 'geometric', '--ratio', '0.5', '--count',"
+        " '8', '--out', geo + '.seq.json']) == 0",
+        "assert cli.main(['verify', '--sequence', geo + '.seq.json',"
+        " '--scale', 'log-power:1', '--samples', '3']) == 0",
+        "print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 def test_gen_rho_lattice(tmp_path):

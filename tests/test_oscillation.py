@@ -279,7 +279,8 @@ def test_zero_count_on_rho_lattice(weight_pipeline):
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
-@given(pts=separated_sets(), radius=st.floats(0.3, 0.95))
+@given(pts=separated_sets(allow_subnormal=False),
+       radius=st.floats(0.3, 0.95))
 def test_zero_count_property(pts, radius):
     bun = build_coefficient(ZeroSequence(pts), LOG)
     rep = bun.count_zeros(radius=radius)

@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from discosc import (GrowthScale, WeightPair, genus_from_scale,
+from discosc import (GrowthScale, WeightPair, generate_rho_lattice,
+                     genus_from_scale,
                      polya_doubling, polya_order_estimate, weight_to_psi)
 
 
@@ -35,6 +37,66 @@ def test_domain_validation():
         sc.psi(0.5)
     with pytest.raises(ValueError):
         sc.psi_tilde(0.5)
+    for scale in (sc, GrowthScale.tabulated(lambda x: np.log(x))):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            scale.psi_tilde([2.0, math.nan])
+
+
+W2 = weight_to_psi(WeightPair.log_power_weight(2.0))
+
+
+@pytest.mark.parametrize("x", [1.0 + 1e-4, 1.5, 3.0, 10.0, 1e3, 1e6])
+def test_weight_psi_tilde_matches_the_closed_form(x):
+    # for gamma = 2, psi(e^u) = 2 + 2u + 2u/(e^u - 1), so with L = log x
+    # psi_tilde(x) = 2L + L^2 + 2 int_0^L u/(e^u - 1) du
+    with mpmath.workdps(30):
+        L = mpmath.log(mpmath.mpf(x))
+        exact = 2 * L + L ** 2 + 2 * mpmath.quad(
+            lambda u: u / mpmath.expm1(u), [0, L])
+    assert W2.psi_tilde(x) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_psi_tilde_matches_adaptive_quadrature():
+    # scipy is the reference here only; discosc itself never imports it
+    from scipy.integrate import quad
+
+    wt = WeightPair.log_power_weight(2.0)
+    gaps = np.unique(generate_rho_lattice(wt.rho, 0.8, 0.9).gaps())
+    cases = ((W2, 1.0 / gaps),
+             (GrowthScale.tabulated(lambda x: np.log(x)),
+              np.geomspace(1.0, 1e12, 25)))
+    for sc, xs in cases:
+        ref = [quad(lambda u: float(sc.psi(math.exp(u))), 0.0, math.log(x),
+                    epsabs=1e-13, epsrel=1e-13, limit=200)[0] for x in xs]
+        np.testing.assert_allclose(sc.psi_tilde(xs), ref, rtol=1e-12,
+                                   atol=1e-13)
+
+
+def test_psi_tilde_batch_equals_its_scalar_calls():
+    xs = np.array([[1.0, 1.5, 1e6], [3.0, 1.0 + 1e-4, 40.0]])
+    got = W2.psi_tilde(xs)
+    assert got.shape == xs.shape
+    assert np.array_equal(got, [[W2.psi_tilde(v) for v in row]
+                                for row in xs])
+    assert isinstance(W2.psi_tilde(2.0), float)
+
+
+def test_psi_tilde_names_a_nonfinite_integrand():
+    sc = GrowthScale.tabulated(lambda x: np.where(x > 2.0, np.nan, 1.0),
+                               label="holey")
+    assert sc.psi_tilde(1.5) == pytest.approx(math.log(1.5), rel=1e-12)
+    with pytest.raises(ValueError,
+                       match=r"'holey' at x = 3\.0: psi is not finite"):
+        sc.psi_tilde([1.5, 3.0])
+
+
+def test_psi_tilde_names_an_unsettled_quadrature():
+    # a kink at t = e inside [1, x]: the rule converges only algebraically
+    sc = GrowthScale.tabulated(lambda x: np.abs(np.log(x) - 1.0),
+                               label="kinked")
+    with pytest.raises(ValueError, match=r"'kinked' at x = 1000000\.0: "
+                                         r"quadrature unsettled"):
+        sc.psi_tilde([2.0, 1e6])
 
 
 def test_polya_doubling_log_ladder():
