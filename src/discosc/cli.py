@@ -74,10 +74,6 @@ def parse_ladder(text: str) -> list[float]:
     return vals
 
 
-def _cplx(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
 def _write_json(obj: dict, path: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
     if path is None:
@@ -352,7 +348,8 @@ def make_parser() -> argparse.ArgumentParser:
     gl = gsub.add_parser("rho-lattice", help="rings spaced by the local "
                                              "radius of a log-power weight")
     gl.add_argument("--gamma", type=float, default=2.0,
-                    help="weight exponent, h = log^gamma(1/(1-r))")
+                    help="weight exponent, h = log^gamma(1/(1-r)); only "
+                         "2 is supported")
     gl.add_argument("--spacing", type=float, required=True)
     gl.add_argument("--rmax", type=float, required=True)
     for p in (gs, gg, gl):

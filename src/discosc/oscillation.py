@@ -224,13 +224,13 @@ class OscillationBundle:
 
     def g(self, z):
         """Antiderivative of h along straight segments from 0, so g(0) = 0;
-        path independence is free since h is analytic in the disc."""
+        path independence is free since h is analytic in the disc.  All
+        points share one numutil.adaptive_segment_integral call (the
+        tanh-sinh rule of psi_tilde), which raises ValueError naming the
+        segment where h is not finite or the rule does not settle."""
         arr = disc_points(z)
-        out = np.empty(arr.shape, dtype=complex)
-        for j, zj in enumerate(arr):
-            out[j] = adaptive_segment_integral(self.gprime.evaluate, 0j,
-                                               complex(zj))
-        return like_input(out, z)
+        return like_input(adaptive_segment_integral(self.gprime.evaluate, 0j,
+                                                    arr), z)
 
     def log_solution(self, z):
         """Complex log of f = P e^g (principal per-factor branches summed);

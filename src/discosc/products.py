@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# circle_nodes is looked up here by bench/tracer.py
 from .numutil import (CONTOUR_MAX_POINTS, circle_max, circle_modes,
                       circle_nodes, clog, clog1p_sum, disc_points,
                       flat_points, like_input, nested_circle,

@@ -8,9 +8,10 @@ closed forms
     psi = x^rho        ->  psi_tilde = (x^rho - 1) / rho
 
 while tabulated and weight-induced scales integrate numerically after the
-substitution u = log t, where the integrand psi(e^u) varies slowly: one
-tanh-sinh rule (Takahasi & Mori, Publ. RIMS 9, 1974) on [0, log x], in
-numpy and vectorised over every x of a call.
+substitution u = log t, where the integrand psi(e^u) varies slowly: the
+package's one quadrature, numutil.adaptive_segment_integral (a tanh-sinh
+rule, shared with the solution's g = int h), on [0, log x] for every x
+of a call at once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import math
 from typing import Callable
 
 import numpy as np
+
+from .numutil import SegmentIntegralError, adaptive_segment_integral
 
 __all__ = [
     "GrowthScale",
@@ -31,25 +34,13 @@ __all__ = [
 
 # spans nine decades and stays clear of x = 1 where log-power scales vanish
 _DEFAULT_LADDER = np.geomspace(1e3, 1e12, 19)
-# psi_tilde by quadrature: the tanh-sinh nodes u = log(x) / (1 + e^(-pi
-# sinh t)) at t = j h for |t| <= _QUAD_T_MAX; beyond it the weights fall
-# below 1e-35 of log x, far under binary64 resolution of the integral.
-_QUAD_T_MAX = 4.0
-# The first level has step 1/2 (17 nodes) and each further one halves it,
-# evaluating only the new nodes.  The error of the rule falls doubly
-# exponentially in 1/h for an integrand analytic near [0, log x] (the
-# weight-induced scales settle at h = 1/16); one still moving at h = 1/256
-# (2049 nodes) has a kink or singularity the rule cannot resolve.
-_QUAD_LEVELS = 8
-# An x is done when two successive levels agree to _QUAD_REL_TOL, or to
-# _QUAD_ABS_TOL where psi_tilde(x) is near 0 (x near 1).  Past the first
-# such agreement the error squares with each level, so smooth integrands
-# come out within a few ulp.  The relative tolerance is what the
-# weight-induced psi can meet: its rounding grows like eps * t, so its
-# levels agree only to about 1e-12 at x = 5e6 and 1e-10 at x = 1e8, and
-# beyond that they may never agree (x = 3.9e8 fails by name).
+# psi_tilde by quadrature settles where two successive levels agree to
+# _QUAD_REL_TOL, or to 1e-12 absolute where psi_tilde(x) is near 0 (x near
+# 1).  That is what the weight-induced psi can meet: its rounding grows
+# like eps * t, so its levels agree only to about 1e-12 at x = 5e6 and
+# 1e-10 at x = 1e8, and beyond that they may never agree (x = 3.9e8 fails
+# by name).
 _QUAD_REL_TOL = 1e-10
-_QUAD_ABS_TOL = 1e-12
 
 
 class GrowthScale:
@@ -116,56 +107,23 @@ class GrowthScale:
         return self._psi(x)
 
     def psi_tilde(self, x):
+        """int_1^x psi(t)/t dt: the closed form where the kind has one, else
+        int_0^log x psi(e^u) du by numutil's tanh-sinh rule, which names
+        the scale and x (ValueError) where psi is not finite at a node or
+        the levels run out."""
         x = np.asarray(x, dtype=float)
         if not np.all(x >= 1.0):
             raise ValueError("scale argument must be >= 1")
         if self._psi_tilde is not None:
             return self._psi_tilde(x)
-        out = self._psi_tilde_quad(x.ravel())
-        return out.reshape(x.shape) if x.shape else float(out[0])
-
-    def _psi_tilde_quad(self, x: np.ndarray) -> np.ndarray:
-        """int_0^log x psi(e^u) du for every x of a 1-D array by the
-        tanh-sinh rule; each level is one psi call on the x not yet settled
-        times the level's new nodes.  Each x keeps the first level at which
-        it settles, so it gets the value a call with it alone would.
-        Raises ValueError naming the scale and x when psi is not finite at
-        a node or the levels run out."""
-        span = np.log(x)
-        out = np.zeros(x.shape)
-        live = np.flatnonzero(span > 0.0)
-        est = None
-        for level in range(_QUAD_LEVELS):
-            if live.size == 0:
-                break
-            h = 0.5 ** (level + 1)
-            n = round(_QUAD_T_MAX / h)
-            t = h * (np.arange(-n, n + 1) if est is None
-                     else np.arange(1 - n, n, 2))
-            s = 0.5 * math.pi * np.sinh(t)
-            frac = 1.0 / (1.0 + np.exp(-2.0 * s))
-            weights = 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
-            vals = np.asarray(self._psi(np.exp(span[live, None] * frac)),
-                              dtype=float)
-            finite = np.all(np.isfinite(vals), axis=1)
-            if not np.all(finite):
-                raise ValueError(
-                    f"psi_tilde of scale {self.label!r} at x = "
-                    f"{float(x[live[~finite][0]])!r}: psi is not finite")
-            part = span[live] * (h * (vals * weights).sum(axis=1))
-            if est is not None:
-                new = 0.5 * est + part
-                done = np.abs(new - est) <= np.maximum(
-                    _QUAD_REL_TOL * np.abs(new), _QUAD_ABS_TOL)
-                out[live[done]] = new[done]
-                live, part = live[~done], new[~done]
-            est = part
-        if live.size:
+        try:
+            return adaptive_segment_integral(lambda u: self._psi(np.exp(u)),
+                                             0.0, np.log(x), _QUAD_REL_TOL)
+        except SegmentIntegralError as err:
             raise ValueError(
                 f"psi_tilde of scale {self.label!r} at x = "
-                f"{float(x[live[0]])!r}: quadrature unsettled at step "
-                f"{0.5 ** _QUAD_LEVELS:g}")
-        return out
+                f"{float(x.flat[err.index])!r}: "
+                f"{err.reason.replace('integrand', 'psi')}") from None
 
     @property
     def polya_order(self) -> float:
@@ -240,9 +198,14 @@ class WeightPair:
 
     @classmethod
     def log_power_weight(cls, gamma: float) -> "WeightPair":
-        """h(r) = log^gamma(1/(1-r)) with analytic derivatives."""
-        if gamma <= 1.0:
-            raise ValueError("gamma must exceed 1 for an increasing C^2 weight")
+        """h(r) = log^gamma(1/(1-r)) with analytic derivatives.  Only gamma
+        = 2 gives rho a finite, positive value at the origin, so any other
+        gamma raises ValueError."""
+        if gamma != 2.0:
+            raise ValueError(
+                f"weight exponent gamma = {gamma:g} is not supported: only "
+                "gamma = 2 gives a finite, positive rho at the origin (Lap "
+                "h(0) is +inf for gamma < 2 and 0 for gamma > 2)")
 
         def L(r):
             return -np.log1p(-np.asarray(r, dtype=float))

@@ -466,9 +466,6 @@ class ConditionReport:
     c_hat_N: float
     table: list = field(default_factory=list)
 
-    def finite(self) -> bool:
-        return math.isfinite(self.c_hat_n) and math.isfinite(self.c_hat_N)
-
 
 def condition_report(seq: ZeroSequence, scale) -> ConditionReport:
     if len(seq) == 0:

@@ -318,3 +318,23 @@ def test_design_block_echoes_the_source_constants():
         "margin_default": margin.default,
     }
     np.testing.assert_allclose(prod.exclusion_radii, rule, rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, gamma", [
+    (["build", "--scale", "weight-log:3"], "3"),
+    (["build", "--scale", "weight-log:1.5"], "1.5"),
+    (["gen", "rho-lattice", "--gamma", "3", "--spacing", "0.8", "--rmax",
+      "0.9"], "3"),
+])
+def test_weight_gamma_other_than_2_exits_2_by_name(tmp_path, capsys, argv,
+                                                   gamma):
+    # rho at the origin is (Lap h(0))^(-1/2): 0 for gamma < 2, +inf above
+    seq = tmp_path / "geo.seq.json"
+    assert cli.main(["gen", "geometric", "--ratio", "0.5", "--count", "4",
+                     "--out", str(seq)]) == 0
+    capsys.readouterr()
+    where = ["--sequence", str(seq)] if argv[0] == "build" else []
+    assert cli.main(argv + where + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"gamma = {gamma} is not supported: only gamma = 2" in err

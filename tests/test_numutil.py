@@ -1,12 +1,13 @@
 """The principal log, the nested trapezoid circle, its scaled Fourier
-modes and the circle maximum."""
+modes, the circle maximum and the segment quadrature."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from discosc.numutil import (circle_max, circle_modes, circle_nodes, clog,
+from discosc.numutil import (SegmentIntegralError, adaptive_segment_integral,
+                             circle_max, circle_modes, circle_nodes, clog,
                              golden_section_max, nested_circle)
 
 EPS = np.finfo(float).eps
@@ -168,3 +169,45 @@ def test_circle_max_on_a_ladder_is_circle_max_per_radius():
     assert got.shape == radii.shape
     assert got.tolist() == [circle_max(fn, r, 64) for r in radii]
     assert isinstance(circle_max(fn, 0.7, 64), float)
+
+
+def test_segment_integral_batch_equals_its_scalar_calls():
+    def f(z):
+        return np.exp(z) / (1.5 - z)
+
+    a = np.array([[0j, 0.2 - 0.3j, 0.5j], [-0.4 + 0.1j, 0.7 + 0.0j, 0j]])
+    b = np.array([[0.6 + 0.6j, 0.2 - 0.3j, -0.9j], [0.9 + 0.1j, 0.0j, 1e-9]])
+    got = adaptive_segment_integral(f, a, b)
+    assert got.shape == a.shape
+    want = [[adaptive_segment_integral(f, complex(u), complex(v))
+             for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+    assert np.array_equal(got, want)
+    assert got[0, 1] == 0.0
+    # an empty segment is 0 without a call, even where f is not finite
+    assert adaptive_segment_integral(lambda z: 1.0 / (z - 0.3j), 0.3j,
+                                     0.3j) == 0.0
+    assert isinstance(adaptive_segment_integral(f, 0j, 0.5 + 0.5j), complex)
+    real = adaptive_segment_integral(np.exp, 0.0, 1.0)
+    assert isinstance(real, float)
+    assert real == pytest.approx(np.e - 1.0, rel=1e-15)
+    assert adaptive_segment_integral(np.exp, 0j, 1j) == pytest.approx(
+        np.exp(1j) - 1.0, rel=1e-15)
+
+
+def test_segment_integral_names_a_nonfinite_integrand():
+    with pytest.raises(SegmentIntegralError,
+                       match=r"over \[0\.0, 3\.0\]: integrand is not "
+                             r"finite") as err:
+        adaptive_segment_integral(lambda x: np.where(x > 2.0, np.nan, 1.0),
+                                  0.0, np.array([1.0, 3.0]))
+    assert isinstance(err.value, ValueError)
+    assert err.value.index == 1
+
+
+def test_segment_integral_names_an_unsettled_segment():
+    # a kink inside the segment: the rule converges only algebraically
+    with pytest.raises(SegmentIntegralError,
+                       match=r"over \[0j, \(3\+0j\)\]: quadrature "
+                             r"unsettled"):
+        adaptive_segment_integral(lambda z: np.abs(z.real - 1.0) + 0j,
+                                  0j, np.array([0.5, 3.0 + 0j]))

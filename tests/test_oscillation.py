@@ -233,6 +233,27 @@ def test_log_solution_consistency():
                                bun.eval_solution(z), rtol=1e-10)
 
 
+@pytest.mark.parametrize("name, zs", [("geo50_bundle", (0.995, 0.999)),
+                                      ("sharp6_bundle", (0.99, 0.999))])
+def test_log_solution_is_finite_near_the_boundary(request, name, zs):
+    bun = request.getfixturevalue(name)
+    assert np.all(np.isfinite(bun.log_solution(np.array(zs))))
+
+
+@pytest.mark.parametrize("name, zs", [("geo50_bundle", (0.995, 0.999)),
+                                      ("sharp6_bundle", (0.99, 0.995))])
+def test_g_is_additive_over_a_split_path(request, name, zs):
+    # sharpness at 0.999 agrees only to 1.2e-12: the rounding of the nodes
+    # nearest z limits g there (README, log_solution)
+    bun = request.getfixturevalue(name)
+    z = np.array(zs)
+    g = bun.g(z)
+    h = bun.gprime.evaluate
+    split = (adaptive_segment_integral(h, 0.0, 0.9 * z)
+             + adaptive_segment_integral(h, 0.9 * z, z))
+    np.testing.assert_array_less(np.abs(g - split), 1e-12 * (1.0 + np.abs(g)))
+
+
 def test_g_is_primitive_of_gprime():
     bun = build_coefficient(ONE, LOG)
     z0 = 0.3 + 0.1j

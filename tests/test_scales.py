@@ -166,6 +166,13 @@ def test_weight_gamma_validation():
         WeightPair.log_power_weight(1.0)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.5, 3.0])
+def test_weight_gamma_other_than_2_is_refused_by_name(gamma):
+    with pytest.raises(ValueError, match=rf"gamma = {gamma:g} is not "
+                                         r"supported: .* rho at the origin"):
+        WeightPair.log_power_weight(gamma)
+
+
 def test_weight_validate_report():
     out = WeightPair.log_power_weight(2.0).validate()
     assert out["max_slow_variation"] > 0.0
