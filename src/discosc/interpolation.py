@@ -85,13 +85,17 @@ def _unscale(log_p, sm, total, what: str) -> np.ndarray:
 class SeriesPass(NamedTuple):
     """One pass over points x nodes: the series is exp(log_p + scale) * total
     and, when derivatives were asked, its derivative is
-    exp(log_p + scale) * dtotal, with lam = P'/P and lam2 = P''/P."""
+    exp(log_p + scale) * dtotal.  node holds the index of the exclusion
+    disc each point lies in (-1 outside every disc).  Outside the discs
+    lam = P'/P and dlam = (P'/P)'; in the disc of node k, where P = (z -
+    z_k) Q, they are Q'/Q and (Q'/Q)', free of the node's pole."""
     log_p: np.ndarray
     scale: np.ndarray
     total: np.ndarray
     dtotal: np.ndarray | None = None
     lam: np.ndarray | None = None
-    lam2: np.ndarray | None = None
+    dlam: np.ndarray | None = None
+    node: np.ndarray | None = None
 
 
 class TargetData:
@@ -210,11 +214,20 @@ class InterpolationSeries:
     def _pass(self, pts: np.ndarray, derivatives: bool = False) -> SeriesPass:
         """log P, the scaled term sum and its scale at points other than
         the nodes, over the product's _blocks; with derivatives=True also
-        the scaled derivative sum, P'/P and P''/P from the same pieces.
+        the scaled derivative sum and the log-derivatives lam, dlam of
+        SeriesPass from the same pieces.
 
         Each term's derivative is the term itself times
 
             P'/P - 1/(z - z_n) + (s_n - 1) conj(z_n)/(1 - conj(z_n) z).
+
+        With derivatives, a point whose |z - z_k| is at most the exclusion
+        radius r_k lies in the disc of node k (the discs are disjoint).
+        There P = u Q with u = z - z_k: column k of the log-derivative sums
+        takes the regular part of factor k (CanonicalProduct._regular_part),
+        so lam = Q'/Q, and the factor above is Q'/Q + 1/u - 1/(z - z_n) +
+        ... for n != k and Q'/Q + (s_k - 1) conj(z_k)/(1 - conj(z_k) z) for
+        term k, whose 1/u cancels exactly.
 
         Only terms above the rounding floor are formed.  The log modulus of
         term n (without the shared log P) is
@@ -227,53 +240,108 @@ class InterpolationSeries:
         with derivatives also when Re t_n + log B_n >= max_j(Re t_j +
         log B_j) + log(eps/N), where B_n = 1/|z - z_n| + (s_n - 1)|z_n| /
         |1 - conj(z_n) z| bounds the term's own part of its derivative
-        factor.  The phase Im t_n, the exponential and the factor are taken
-        on kept terms only, so a kept term is the value the all-term sum
-        adds.  The skipped terms, fewer than N and each below eps/N of the
-        largest, move the sum by less than eps max_n |term_n|, and the
-        derivative sum by less than 2 eps max_n |term_n| (|P'/P| + B_n):
-        the rounding each sum carries anyway (Higham, Accuracy and
-        Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 4).
-        Terms with -inf or nan logs (b_n = 0) are never kept, so they add
-        exactly 0, and a row with no finite term log has scale -inf and
-        sums 0.
+        factor (in the disc of node k, B_n gains 1/|u| for n != k and B_k
+        is the second part alone, the common part being Q'/Q).  The phase
+        Im t_n, the exponential and the factor are taken on kept terms
+        only, so a kept term is the value the all-term sum adds.  The
+        skipped terms, fewer than N and each below eps/N of the largest,
+        move the sum by less than eps max_n |term_n|, and the derivative
+        sum by less than 2 eps max_n |term_n| (|lam| + B_n): the rounding
+        each sum carries anyway (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., SIAM 2002, ch. 4).  Terms with -inf
+        or nan logs (b_n = 0) are never kept, so they add exactly 0, and a
+        row with no finite term log has scale -inf and sums 0.
         """
         prod = self.product
         n = pts.size
         sm = np.full(n, -math.inf)
         log_p, total = np.zeros((2, n), dtype=complex)
-        dtotal, lam, lam2 = (np.zeros((3, n), dtype=complex) if derivatives
+        dtotal, lam, dlam = (np.zeros((3, n), dtype=complex) if derivatives
                              else (None, None, None))
+        node = np.full(n, -1) if derivatives else None
         if prod.z.size == 0:
-            return SeriesPass(log_p, sm, total, dtotal, lam, lam2)
+            return SeriesPass(log_p, sm, total, dtotal, lam, dlam, node)
+        out = (log_p, sm, total, dtotal, lam, dlam, node)
+        # a point within 1e-154 of a node (one at the origin) overflows the
+        # P'/P form, which its second round below replaces; one within a
+        # subnormal distance overflows both, and the non-finite values are
+        # refused by name downstream.  In a disc the own term's bound B_k
+        # is 0 for s_k = 1, and its log -inf.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for sl, vals in self._sums(pts, derivatives):
+                for arr, val in zip(out, vals):
+                    arr[sl] = val
+            inside = np.flatnonzero(node >= 0) if derivatives else []
+            if len(inside):
+                # the few points in exclusion discs again, with the node's
+                # pole divided out
+                for sl, vals in self._sums(pts[inside], True, node[inside]):
+                    for arr, val in zip(out[:6], vals):
+                        arr[inside[sl]] = val
+        return SeriesPass(log_p, sm, total, dtotal, lam, dlam, node)
+
+    def _sums(self, pts: np.ndarray, derivatives: bool, node=None):
+        """Yield (slice, sums) for _pass over the product's _blocks(pts):
+        sums holds log P, the scale and the scaled term sum and, with
+        derivatives, the scaled derivative sum, lam, dlam and the index of
+        the exclusion disc each point lies in (-1 outside).  node, one index
+        per point, takes every point as lying in the disc of that node.
+        The temporaries of a block live until the next block replaces them,
+        as in a plain loop, so the allocator keeps reusing their memory
+        (freed all at once, they went back to the system after every block:
+        about 22,000 page faults per 20,000-point geo50 call, against about
+        3,000)."""
+        prod = self.product
         floor = math.log(np.finfo(float).eps / prod.z.size)
         for sl, delta, den in prod._blocks(pts):
-            log_p[sl] = np.sum(prod._factor_logs(delta, den), axis=1)
+            disc = None if node is None else node[sl]
+            log_p = np.sum(prod._factor_logs(delta, den), axis=1)
             w = prod._gap2c / den
             ad, aw = np.abs(delta), np.abs(w)
             re = self._c.real - np.log(ad) + self._sm1 * np.log(aw)
-            sm[sl], keep = _above_floor(re, floor)
+            sm, keep = _above_floor(re, floor)
             if derivatives:
+                i = np.arange(len(ad))
                 # |den| = (1 - |z_n|^2)/|w_n|
-                bound = re + np.log(1.0 / ad + self._bound_coef * aw)
-                keep |= _above_floor(bound, floor)[1]
-            rows, cols = np.nonzero(keep)
-            d = delta[keep]
+                own = 1.0 / ad + self._bound_coef * aw
+                if disc is not None:
+                    own += 1.0 / ad[i, disc][:, None]
+                    own[i, disc] = self._bound_coef[disc] * aw[i, disc]
+                keep |= _above_floor(re + np.log(own), floor)[1]
+            # flat indices of the kept terms: gathers by index cost a
+            # fraction of boolean-mask ones
+            at = np.flatnonzero(keep)
+            rows, cols = np.divmod(at, prod.z.size)
+            d = delta.ravel()[at]
             t = np.empty(rows.size, dtype=complex)
-            t.real = re[keep] - sm[sl][rows]
+            t.real = re.ravel()[at] - sm[rows]
             t.imag = (self._c.imag[cols] - np.angle(d)
-                      + self._sm1[cols] * np.angle(w[keep]))
+                      + self._sm1[cols] * np.angle(w.ravel()[at]))
             e = np.exp(t)
-            total[sl] = _row_sums(rows, e, len(delta))
+            total = _row_sums(rows, e, len(delta))
             if not derivatives:
+                yield sl, (log_p, sm, total)
                 continue
             L, dL = prod._log_derivatives(delta, w)
-            lam[sl] = np.sum(L, axis=1)
-            lam2[sl] = lam[sl] * lam[sl] + np.sum(dL, axis=1)
-            factor = (lam[sl][rows] - 1.0 / d
-                      + self._sm1[cols] * (prod._zc[cols] / den[keep]))
-            dtotal[sl] = _row_sums(rows, e * factor, len(delta))
-        return SeriesPass(log_p, sm, total, dtotal, lam, lam2)
+            inv = 1.0 / d
+            if disc is None:
+                # a point in disc k has node k nearest: the others lie at
+                # least 3 r_k away
+                near = np.argmin(ad, axis=1)
+                disc_of = np.where(ad[i, near] <= prod.exclusion_radii[near],
+                                   near, -1)
+            else:
+                disc_of = disc
+                L[i, disc], dL[i, disc] = prod._regular_part(
+                    disc, den[i, disc], w[i, disc], 1)
+                # 1/(z - z_n) - 1/u, exactly 0 in column k
+                inv -= 1.0 / delta[i, disc][rows]
+            lam = np.sum(L, axis=1)
+            factor = (lam[rows] - inv
+                      + self._sm1[cols] * (prod._zc[cols] / den.ravel()[at]))
+            yield sl, (log_p, sm, total,
+                       _row_sums(rows, e * factor, len(delta)), lam,
+                       np.sum(dL, axis=1), disc_of)
 
     def _node_terms(self, k: np.ndarray):
         """(Re t, exp(t - Re t)) for t the log of the series at node z_k.
@@ -304,6 +372,71 @@ class InterpolationSeries:
                          + np.sum(logs, axis=1) + fact
                          + (self.exponents[kk] - 1) * clog(wk))
             return t.real, np.where(np.isfinite(t), np.exp(t - t.real), 0.0)
+
+    def _node_jets(self, k: np.ndarray):
+        """(jets, scale) at the nodes k from one blocked pass over the nodes
+        k x all nodes: jets holds F', F'' and F^(3) at z_k, shape (3,
+        len(k)), for F = Q'/Q + h where P = (z - z_k) Q; scale is the sum
+        of |dlog E_n| over n != k plus |R_k| at z_k (R_k the regular part
+        of factor k), the scale of the rounding of Q'/Q.
+
+        Q'/Q and its derivatives sum the factors' log-derivatives with
+        column k taken by the regular part of factor k (the _pass rule).
+        With v = conj(z_n)/(1 - conj(z_n) z), so that v' = v^2, dlog E_n =
+        w_n^(s+1)/(z - z_n) = L has L'/L = g = (s+2) v - w_n/(z - z_n),
+        g' = (s+1) v^2 + 1/(z - z_n)^2 and g'' = 2 (s+1) v^3 - 2/(z -
+        z_n)^3, whence L'' = L (g^2 + g') and L^(3) = L (g^3 + 3 g g' +
+        g'').
+
+        Term n != k of h is (z - z_k) H_n with H_n = C_n Q w_n^(s_n - 1)/(z
+        - z_n), so its j-th derivative at z_k is j H_n^(j-1)(z_k): H_n(z_k)
+        = D_n = exp(log b_n - log P'(z_n) + log P'(z_k) - log(z_k - z_n) +
+        (s_n - 1) log w_n(z_k)), and with psi = log H_n, psi' = Q'/Q +
+        (s_n - 1) v_n - 1/(z - z_n) and psi'' = (Q'/Q)' + (s_n - 1) v_n^2 +
+        1/(z - z_n)^2, H_n' = D_n psi' and H_n'' = D_n (psi'^2 + psi'').
+        Term k is b_k exp(phi(z) - phi(z_k)) with phi = log Q + (s_k - 1)
+        log w_k, whose j-th derivative at z_k is (Q'/Q)^(j-1) + (j-1)! (s_k
+        - 1) v_k^j.  Values beyond binary64 come out infinite or nan; the
+        caller names them.
+        """
+        prod = self.product
+        s = prod.genus
+        sm1 = self._sm1
+        jets = np.empty((3, k.size), dtype=complex)
+        scale = np.empty(k.size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for sl, delta, den in prod._blocks(prod.z[k]):
+                kk, rows = k[sl], np.arange(len(delta))
+                w = prod._gap2c / den
+                v = prod._zc / den
+                inv = 1.0 / delta
+                L = prod._log_derivatives(delta, w)[0]
+                g = (s + 2.0) * v - w * inv
+                g1 = (s + 1.0) * v * v + inv * inv
+                g2 = 2.0 * ((s + 1.0) * v ** 3 - inv ** 3)
+                lq = [L, L * g, L * (g * g + g1),
+                      L * (g ** 3 + 3.0 * g * g1 + g2)]
+                own = prod._regular_part(kk, prod._gap2[kk], 1.0, 3)
+                for x, r in zip(lq, own):
+                    x[rows, kk] = r
+                l0, l1, l2, l3 = (np.sum(x, axis=1) for x in lq)
+                D = np.exp(self._c + self._log_dp[kk][:, None] - clog(delta)
+                           + sm1 * clog(w))
+                p1 = l0[:, None] + sm1 * v - inv
+                p2 = l1[:, None] + sm1 * v * v + inv * inv
+                D[rows, kk] = p1[rows, kk] = p2[rows, kk] = 0.0
+                vk = prod._zc[kk] / prod._gap2[kk]
+                f1 = l0 + sm1[kk] * vk
+                f2 = l1 + sm1[kk] * vk ** 2
+                f3 = l2 + 2.0 * sm1[kk] * vk ** 3
+                b = self.targets.values[kk]
+                jets[0, sl] = l1 + b * f1 + np.sum(D, axis=1)
+                jets[1, sl] = (l2 + b * (f2 + f1 * f1)
+                               + 2.0 * np.sum(D * p1, axis=1))
+                jets[2, sl] = (l3 + b * (f3 + 3.0 * f1 * f2 + f1 ** 3)
+                               + 3.0 * np.sum(D * (p1 * p1 + p2), axis=1))
+                scale[sl] = np.sum(np.abs(L), axis=1)
+        return jets, scale
 
     def _parts(self, arr: np.ndarray):
         """Yield (selection, log P, scale, scaled term sum): one _pass off

@@ -71,15 +71,23 @@ class ResidueCancellationError(RuntimeError):
 # largest grid of the zero-count circle; the N = 368 rho-lattice at radius
 # 0.9 settles at 4096 points
 WINDING_MAX_POINTS = 2 ** 16
-# relative drift between rounds at which the near-node recovery of a and
-# the f'' of an ODE-residual probe stop, and the recovery circle's largest
-# grid (a probe circle stops at CONTOUR_MAX_POINTS)
+# relative drift between rounds at which the f'' of an ODE-residual probe
+# stops (its circle stops at CONTOUR_MAX_POINTS)
 CONTOUR_REL_TOL = 1e-7
-RECOVERY_MAX_POINTS = 2048
+# coordinates below this modulus count as 0 where eval_coefficient matches
+# points to nodes; 1/(z - z_k) overflows once |z - z_k| < 2^-1024 or so
+NODE_SNAP = 2.0 ** -968
 # consecutive probe candidates in exclusion discs after which sample_probes
 # gives up: a part of 1e-4 of the probe disc left uncovered is missed with
 # probability e^-10
 PROBE_MAX_REJECTED = 10 ** 5
+
+
+def _require_finite(a: np.ndarray) -> None:
+    """Values of a beyond binary64 come out infinite or nan: refuse them
+    by name, as the series refuses its own."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("coefficient a overflows binary64")
 
 
 class ZeroCountReport(NamedTuple):
@@ -158,66 +166,90 @@ class OscillationBundle:
 
     # -- coefficient -------------------------------------------------------
 
-    def _coefficient_direct(self, pts: np.ndarray):
-        """(pass, h, a) with a = -P''/P - 2 h P'/P - h^2 - h' from one
-        derivative pass of the series over points x nodes.  The points must
-        lie outside every exclusion disc; callers classify or check them
-        first.  Values of a beyond binary64 raise ValueError, as the
-        series' own do."""
+    def _coefficient(self, pts: np.ndarray):
+        """(pass, h, a) at points other than the nodes, from one derivative
+        pass of the series over points x nodes.
+
+        Outside the exclusion discs a = -P''/P - 2 h P'/P - h^2 - h'.  In
+        the disc of node k, with P = u Q, u = z - z_k and F = Q'/Q + h,
+
+            a = -(F^2 + F' + 2 F/u),
+
+        which has no pole: F(z_k) = 0 since b_k = -Q'(z_k)/Q(z_k).  F and F'
+        come from the pass, free of the node's pole (see SeriesPass).
+        Values of a beyond binary64 raise ValueError, as the series' own
+        do."""
         p = self.gprime._pass(pts, derivatives=True)
         h = _unscale(p.log_p, p.scale, p.total, "value")
         hp = _unscale(p.log_p, p.scale, p.dtotal, "derivative")
-        with np.errstate(over="raise"):
-            try:
-                a = -p.lam2 - 2.0 * h * p.lam - h * h - hp
-            except FloatingPointError:
-                raise ValueError("coefficient a overflows binary64") from None
+        inside = p.node >= 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = -(p.lam * p.lam + p.dlam) - 2.0 * h * p.lam - h * h - hp
+            if np.any(inside):
+                a[inside] = self._coefficient_in_discs(
+                    pts[inside], p.node[inside], p.lam[inside],
+                    p.dlam[inside], h[inside], hp[inside])
+        _require_finite(a)
         return p, h, a
 
-    def _recover_at_node(self, k: int, z0s: np.ndarray) -> np.ndarray:
-        """Cauchy means of a over a circle around node k for the given
-        interior points; one shared contour serves them all.
+    def _coefficient_in_discs(self, pts, k, lam, dlam, h, hp):
+        """-(F^2 + F' + 2 F/u) in the discs of the nodes k (see
+        _coefficient), with F = lam + h and F' = dlam + hp.
 
-        The circle has radius 1.5 r_k.  Under the exclusion rule its points
-        stay at least |z_j - z_k| - 1.5 |z_j - z_k|/4 = 0.625 |z_j - z_k|
-        from every other node z_j, whose radius r_j is at most |z_j -
-        z_k|/4, and at least 6.5 r_k inside the unit circle, so they need
-        no exclusion check."""
-        zk = self.product.z[k]
-        r = 1.5 * float(self.product.exclusion_radii[k])
-        prev = None
-        for _, unit, vals in nested_circle(
-                lambda unit: self._coefficient_direct(zk + r * unit)[2],
-                RECOVERY_MAX_POINTS):
-            kern = (r * unit)[None, :] / ((zk + r * unit)[None, :]
-                                          - z0s[:, None])
-            cur = np.mean(vals[None, :] * kern, axis=1)
-            if prev is not None and np.all(
-                    np.abs(cur - prev)
-                    <= CONTOUR_REL_TOL * (np.abs(cur) + 1e-300)):
-                return cur
-            prev = cur
-        raise RuntimeError(
-            f"coefficient recovery circle at node {k} did not converge "
-            f"within {RECOVERY_MAX_POINTS} points")
+        F carries a rounding of about eps (S_k + |h|), S_k the sum of the
+        moduli behind Q'/Q at z_k (see _node_jets), which F/u divides by
+        |u|.  The node jets give F/u = F' + F'' u/2 + F^(3) u^2/6 + O(u^3)
+        instead.  F is analytic within 4 r_k of z_k (the other nodes are at
+        least that far, the unit circle twice as far), so the next term is
+        about |F^(3) u^2/6| |u|/(4 r_k).  Each point takes the route with
+        the smaller of the two: the jets at the points closest to the node,
+        where a Cauchy mean of a would lose digits across its wide dynamic
+        range near deep nodes (Austin, Kravanja & Trefethen, SIAM J. Numer.
+        Anal. 52, 2014)."""
+        u = pts - self.product.z[k]
+        f, fp = lam + h, dlam + hp
+        nodes, where = np.unique(k, return_inverse=True)
+        jets, scale = self.gprime._node_jets(nodes)
+        f1, f2, f3 = jets[:, where]
+        jet = (np.abs(f3) * np.abs(u) ** 4
+               <= 24.0 * self.product.exclusion_radii[k]
+               * np.finfo(float).eps * (scale[where] + np.abs(h)))
+        fu = np.empty(u.shape, dtype=complex)
+        fu[~jet] = f[~jet] / u[~jet]
+        uj = u[jet]
+        fu[jet] = f1[jet] + uj * (0.5 * f2[jet] + uj * f3[jet] / 6.0)
+        return -(f * f + fp + 2.0 * fu)
 
     def eval_coefficient(self, z):
         """a(z) anywhere in the open disc.
 
-        Outside the exclusion discs the defining formula is summed
-        factor-wise in log space; inside an exclusion disc the value is
-        recovered from the Cauchy integral of a over a circle around the
-        node (a is analytic there by residue cancellation, while the raw
-        formula is a catastrophic 0/0).
+        One derivative pass of the series takes every point but the nodes
+        (_coefficient): outside the exclusion discs the defining formula,
+        inside the disc of node k the same pass with the node's pole
+        divided out of P, and F/u from the jets of F at z_k where it would
+        cancel.  At node z_k itself F vanishes and a = -3 F'(z_k), from
+        the jets alone.  a is analytic across the nodes by residue
+        cancellation, so no contour is needed.
+
+        A coordinate below NODE_SNAP in modulus counts as 0 when the points
+        are matched to the nodes: a point that then matches z_k, where
+        1/(z - z_k) may overflow, takes a(z_k), which differs from a(z) by
+        about |z - z_k| |a'|, far below binary64 resolution.
         """
         arr = disc_points(z)
         out = np.empty(arr.shape, dtype=complex)
-        bad, idx = self.product.in_exclusion(arr)
-        if not np.all(bad):
-            out[~bad] = self._coefficient_direct(arr[~bad])[2]
-        for k in np.unique(idx[bad]):
-            sel = bad & (idx == k)
-            out[sel] = self._recover_at_node(int(k), arr[sel])
+        snap = arr.copy()
+        snap.real[np.abs(snap.real) < NODE_SNAP] = 0.0
+        snap.imag[np.abs(snap.imag) < NODE_SNAP] = 0.0
+        k = self.product.node_index(snap)
+        at = k >= 0
+        if not np.all(at):
+            out[~at] = self._coefficient(arr[~at])[2]
+        if np.any(at):
+            nodes, where = np.unique(k[at], return_inverse=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[at] = -3.0 * self.gprime._node_jets(nodes)[0][0, where]
+            _require_finite(out[at])
         return like_input(out, z)
 
     # -- solution ----------------------------------------------------------
@@ -364,7 +396,7 @@ class OscillationBundle:
         if not np.all(np.abs(arr) <= 0.95):
             raise ValueError("probes must satisfy |z| <= 0.95")
         dist = self.product.require_outside_exclusion(arr, "probe")
-        p, h, a_vals = self._coefficient_direct(arr)
+        p, h, a_vals = self._coefficient(arr)
         d1 = p.lam + h
         worst = 0.0
         for j, z0 in enumerate(arr):
@@ -385,9 +417,8 @@ class OscillationBundle:
         The radii are checked before any evaluation.  circle_max takes the
         whole ladder in lockstep: one eval_coefficient call scans every
         circle, and each golden-section step evaluates one point per
-        circle.  The values are those of a radius-by-radius table, except
-        where two circles cross the same exclusion disc: their points in it
-        then share one recovery contour, which settles on all of them.
+        circle.  Each value of a depends on its own point alone, so the
+        rows are those of a radius-by-radius table.
         """
         radii = np.asarray(r_ladder, dtype=float)
         if not np.all((0.0 < radii) & (radii <= 0.995)):

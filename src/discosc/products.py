@@ -110,11 +110,13 @@ class CanonicalProduct:
     """Genus-s product over a zero sequence with per-node exclusion discs.
 
     The exclusion radius of node k is r_k = min(nn_k/4, (1 - |z_k|)/8), nn_k
-    its nearest-neighbour distance; node_contour_modes and the coefficient's
-    recovery circle rely on this rule.  Inside the exclusion disc of a node
+    its nearest-neighbour distance; node_contour_modes relies on this rule,
+    and the coefficient's node jets on the disc of radius 4 r_k about z_k
+    that it leaves free of other nodes.  Inside the exclusion disc of a node
     the full product is numerically dominated by its vanishing factor; the
-    deleted product and the node derivatives are exact there, while
-    log_eval refuses and asks the caller to use those forms.
+    deleted product, the regular part of the node's own log-derivative and
+    the node derivatives are exact there, while log_eval refuses and asks
+    the caller to use those forms.
     """
 
     def __init__(self, zeros: ZeroSequence, genus: int):
@@ -142,6 +144,11 @@ class CanonicalProduct:
         origin = np.flatnonzero(z == 0.0)
         self._origin_idx = int(origin[0]) if origin.size else None
         self.exclusion_radii = self._exclusion_rule()
+        # the nodes sorted for node_index, with nan after them so that a
+        # search past the last node misses, and their indices (-1 for nan)
+        order = np.argsort(z)
+        self._sorted_nodes = (np.append(z[order], np.nan),
+                              np.append(order, -1))
         self.convergence_sum = blaschke_sum(zeros, self.genus).value
         self._deleted_logs: np.ndarray | None = None
 
@@ -177,9 +184,7 @@ class CanonicalProduct:
         """Index of the node equal to each point (signed zeros equal), or
         -1, from one sort of the nodes and a binary search."""
         pts = np.asarray(pts, dtype=complex)
-        order = np.argsort(self.z)
-        # nan after the sorted nodes: a search past the last node misses
-        zs, ids = np.append(self.z[order], np.nan), np.append(order, -1)
+        zs, ids = self._sorted_nodes
         at = np.searchsorted(zs, pts)
         return np.where(zs[at] == pts, ids[at], -1)
 
@@ -274,6 +279,28 @@ class CanonicalProduct:
             L = L * w
         dL = L * (w * self._dlog_coef - w * inv)
         return L, dL
+
+    def _regular_part(self, k, den, w, order: int):
+        """[R, R', ..., R^(order)] for R = dlog E_k - 1/(z - z_k), the
+        regular part of factor k's log-derivative, from den = 1 - conj(z_k)
+        z and w = w_k(z) (k, den and w broadcast together).
+
+        dlog E_k = w^(s+1)/(z - z_k) and 1 - w = -v (z - z_k) with v =
+        conj(z_k)/den, so R = (w^(s+1) - 1)/(z - z_k) = v sum_{j<=s} w^j
+        with no cancellation; dv/dz = v^2 and dw/dz = v w then give
+
+            R^(m) = m! v^(m+1) sum_{j<=s} C(j+m, m) w^j.
+
+        A node at the origin (a plain factor z) has v = 0: R vanishes.
+        """
+        v = self._zc[k] / den
+        out = []
+        for m in range(order + 1):
+            acc = 0.0
+            for j in range(self.genus, -1, -1):
+                acc = acc * w + math.comb(j + m, m)
+            out.append(math.factorial(m) * v ** (m + 1) * acc)
+        return out
 
     def _raw_log_eval(self, pts: np.ndarray) -> np.ndarray:
         """Row sums of the factor logs over _blocks(pts)."""

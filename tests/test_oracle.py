@@ -59,6 +59,20 @@ class Oracle:
         h = self.h(z)
         return -lam2 - 2 * h * lam - h * h - mp.diff(self.h, z, 1)
 
+    def a_at_node(self, k):
+        """a(z_k) by l'Hopital's rule: a = -N/P with N = P'' + 2 h P' +
+        (h^2 + h') P, and N(z_k) = 0 since h(z_k) = b_k = -P''/(2P'), so
+        a(z_k) = -N'(z_k)/P'(z_k), where N' = P^(3) + 2 h' P' + 2 h P'' +
+        (h^2 + h') P'.  A sample 2^-(prec + addprec) from the node loses
+        about that many bits in 1 - w_k, so the differences take 60 extra
+        bits: at mp.diff's default 10, h' at node 0 of geo50 is off by
+        1e-7."""
+        zk, b = self.nodes[k], self.b[k]
+        d1, d2 = self.dp[k], -2 * b * self.dp[k]
+        d3, h1 = (mp.diff(f, zk, j, addprec=60)
+                  for f, j in ((self.P, 3), (self.h, 1)))
+        return -(d3 + 2 * h1 * d1 + 2 * b * d2 + (b * b + h1) * d1) / d1
+
 
 def _close(got, want, what):
     want = complex(want)
@@ -134,3 +148,23 @@ def _check_fixture(name):
     # h alone by the nodes: the series pass, with no near-node branch
     for z, hz in zip(close, bundle.gprime.evaluate(close)):
         _close(hz, oracle.h(mp.mpc(complex(z))), f"h at {z:.6g}")
+
+
+@pytest.mark.parametrize("count", [12, 16])
+def test_oracle_matches_a_at_and_by_every_node(count):
+    # a at each node z_k (l'Hopital on the oracle's side, the node jets on
+    # the package's) and 1e-12 to 0.4 r_k from it, inside the exclusion
+    # disc, where the series pass divides the node's pole out of P: 1e-4
+    # and 3e-4 r_k lie where the jets' cubic term matters by the shallow
+    # nodes, and 1e-12 r_k rounds onto the deepest nodes themselves
+    bundle = build_coefficient(generate_radial_geometric(0.5, count), LOG)
+    prod = bundle.product
+    offsets = np.array([0.0, 1e-12, 1e-8, 1e-4, 3e-4, 1e-3, 0.4])
+    with mp.workdps(50):
+        oracle = Oracle(bundle)
+        for k, zk in enumerate(prod.z):
+            pts = zk + offsets * prod.exclusion_radii[k] * np.exp(1j * k)
+            for z, a in zip(pts, bundle.eval_coefficient(pts)):
+                want = (oracle.a_at_node(k) if z == zk
+                        else oracle.a(mp.mpc(complex(z))))
+                _close(a, want, f"a at z_{k} + {z - zk:.3g}")

@@ -1,13 +1,16 @@
 """Coefficient assembly: residue cancellation, the ODE, zero counting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
-                     ResidueCancellationError, ZeroSequence, anorm_estimate,
-                     build_coefficient, generate_radial_geometric,
+                     ResidueCancellationError, SharpnessParams, ZeroSequence,
+                     anorm_estimate, build_coefficient,
+                     generate_radial_geometric, generate_sharpness,
                      oscillation, sample_probes)
 from discosc.numutil import adaptive_segment_integral, circle_nodes
 from strategies import separated_sets
@@ -49,19 +52,27 @@ def test_coefficient_component_assembly(geo6_bundle):
 
 
 def test_eval_coefficient_classifies_points_once(geo6_bundle, monkeypatch):
-    # points outside every disc go straight to the series pass: one
-    # nearest-node search for the whole call
+    # the series pass marks the points in exclusion discs from the
+    # distances it forms anyway: no nearest-node search, and one pass for
+    # points outside the discs, inside them and next to a node; exact nodes
+    # take the node jets, which make no pass
     prod = geo6_bundle.product
-    pts = sample_probes(prod, np.random.default_rng(3), 40, r_max=0.9)
-    calls = []
+    pts = np.concatenate([
+        sample_probes(prod, np.random.default_rng(3), 40, r_max=0.9),
+        prod.z + 0.5 * prod.exclusion_radii * np.exp(1j),
+        prod.z + 1e-9 * prod.exclusion_radii, prod.z[:2]])
+    calls = {"nearest_node": 0, "_pass": 0}
     # patched on the class: undoing an instance patch would leave the bound
     # method on the shared bundle, hidden from later class patches
-    search = CanonicalProduct.nearest_node
-    monkeypatch.setattr(CanonicalProduct, "nearest_node",
-                        lambda self, z: calls.append(np.size(z))
-                        or search(self, z))
-    geo6_bundle.eval_coefficient(pts)
-    assert calls == [pts.size]
+    for cls, name in ((CanonicalProduct, "nearest_node"),
+                      (InterpolationSeries, "_pass")):
+        def counted(*args, _name=name, _fn=getattr(cls, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    assert np.all(np.isfinite(geo6_bundle.eval_coefficient(pts)))
+    assert calls == {"nearest_node": 0, "_pass": 1}
 
 
 def test_ode_residual_makes_one_pass_per_point_set(geo6_bundle, monkeypatch):
@@ -123,28 +134,6 @@ def test_sample_probes_refuses_a_disc_covered_by_overlapping_discs(
     assert sum(draws) == oscillation.PROBE_MAX_REJECTED
 
 
-def _assert_recovery_circles_clear(prod):
-    # every point of each node's recovery circle (radius 1.5 r_k, on its
-    # finest grid) lies in the open disc and outside every exclusion disc,
-    # so _recover_at_node evaluates a there without a check
-    _, unit = circle_nodes(oscillation.RECOVERY_MAX_POINTS)
-    pts = prod.z[:, None] + 1.5 * prod.exclusion_radii[:, None] * unit
-    assert np.all(np.abs(pts) < 1.0)
-    assert not np.any(prod.in_exclusion(pts)[0])
-
-
-@settings(derandomize=True, deadline=None, max_examples=50)
-@given(pts=separated_sets(allow_subnormal=False))
-def test_recovery_circles_clear_every_exclusion_disc(pts):
-    _assert_recovery_circles_clear(CanonicalProduct(ZeroSequence(pts), 1))
-
-
-def test_recovery_circles_clear_every_exclusion_disc_at_deep_nodes():
-    # the deepest node sits 2^-48 ~ 3.6e-15 from the unit circle
-    _assert_recovery_circles_clear(
-        CanonicalProduct(generate_radial_geometric(0.5, 48), 1))
-
-
 @pytest.fixture(scope="module")
 def geo_half30_bundle():
     return build_coefficient(generate_radial_geometric(0.5, 30), LOG)
@@ -152,12 +141,61 @@ def geo_half30_bundle():
 
 @pytest.mark.parametrize("offset", [1.2, 0.5])
 def test_eval_coefficient_names_binary64_overflow(geo_half30_bundle, offset):
-    # h reaches 1e158 by the deepest node: h^2 overflows just outside its
-    # exclusion disc, and inside it on the recovery circle
+    # h reaches 1e156 by the deepest node: h^2 overflows just outside its
+    # exclusion disc, and inside it at 0.5 r_29, where F = Q'/Q + h (F(z_29)
+    # = 0, F' ~ 1e166) is 5e155 and |a| ~ F^2 ~ 2e311
     prod = geo_half30_bundle.product
     z = prod.z[29] + offset * prod.exclusion_radii[29]
     with pytest.raises(ValueError, match="coefficient a overflows binary64"):
         geo_half30_bundle.eval_coefficient(z)
+
+
+def test_eval_coefficient_within_a_subnormal_distance_of_a_node(
+        geo6_bundle):
+    # 1/(z - z_k) overflows there; such points match the node and take
+    # a(z_k), as do points at the origin's neighbours for a node at 0
+    zk = geo6_bundle.product.z[2]
+    at = geo6_bundle.eval_coefficient(zk)
+    for u in (1e-310j, 5e-324j, -1e-300j):
+        assert geo6_bundle.eval_coefficient(zk + u) == at
+    bun = build_coefficient(ZeroSequence(np.array([0.0, 0.5])), LOG)
+    assert np.all(bun.eval_coefficient(np.array([1e-310, -5e-324j]))
+                  == bun.eval_coefficient(0.0))
+
+
+def test_eval_coefficient_is_finite_at_every_node(geo50_bundle,
+                                                 weight_pipeline):
+    # a is analytic across the nodes: geo50 and the N = 368 lattice take
+    # a(z_k) = -3 F'(z_k) from the node jets at all of them
+    for bundle in (geo50_bundle, weight_pipeline[3]):
+        assert np.all(np.isfinite(bundle.eval_coefficient(bundle.product.z)))
+
+
+def test_eval_coefficient_at_the_sharpness_nodes_is_finite_or_named():
+    # sharpness(1, 1, 14) under log-power:3: the 28 nodes of the first
+    # blocks take finite values.  By the 81 others |h'| already exceeds
+    # binary64 one ulp from the node (the series pass, in log space), so
+    # a(z_k) = -3 (Q'/Q + h)'(z_k) does too and is refused by name
+    bundle = build_coefficient(
+        generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
+        GrowthScale.log_power(3.0))
+    top = math.log(np.finfo(float).max)
+    finite = 0
+    for k, zk in enumerate(bundle.product.z):
+        try:
+            a = bundle.eval_coefficient(zk)
+        except ValueError as exc:
+            assert str(exc) == "coefficient a overflows binary64"
+            p = bundle.gprime._pass(
+                np.array([complex(np.nextafter(zk.real, 0.0), zk.imag)]),
+                derivatives=True)
+            assert p.node[0] == k
+            assert p.log_p[0].real + p.scale[0] + math.log(
+                abs(p.dtotal[0])) > top + 20.0
+        else:
+            assert np.isfinite(a)
+            finite += 1
+    assert finite == 28
 
 
 def test_eval_coefficient_shapes():
@@ -359,6 +397,22 @@ def test_coefficient_growth_table_is_the_per_radius_search(geo6_bundle):
             lambda t: abs(geo6_bundle.eval_coefficient(r * np.exp(1j * t))),
             theta[j] - 2.0 * np.pi / 128, theta[j] + 2.0 * np.pi / 128)
         assert row.log_max == np.log(max(float(vals[j]), float(best)))
+
+
+def test_growth_table_through_an_exclusion_disc_is_the_table_per_radius(
+        geo50_bundle):
+    # two circles through the disc of node 6 (the first through the node
+    # itself) and one clear of every disc: each value of a depends on its
+    # own point, so the ladder's rows are the per-radius tables bit for bit
+    prod = geo50_bundle.product
+    z6, r6 = abs(prod.z[6]), prod.exclusion_radii[6]
+    ladder = [z6, z6 + 0.3 * r6, 0.9]
+    _, unit = circle_nodes(1024)
+    assert [bool(np.any(prod.in_exclusion(r * unit)[0]))
+            for r in ladder] == [True, True, False]
+    rows = geo50_bundle.coefficient_growth_table(ladder)
+    assert rows == [geo50_bundle.coefficient_growth_table([r])[0]
+                    for r in ladder]
 
 
 def test_coefficient_growth_table_evaluates_in_lockstep(geo6_bundle,
