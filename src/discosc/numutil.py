@@ -116,12 +116,35 @@ def nested_circle(fn, max_points: int, start: int = CONTOUR_START_POINTS):
     m = 2 * start
     while m <= max_points:
         theta, unit = circle_nodes(m)
-        fresh = fn(unit[1::2])
-        kept, values = values, np.empty(fresh.shape[:-1] + (m,),
-                                         dtype=fresh.dtype)
-        values[..., 0::2], values[..., 1::2] = kept, fresh
+        values = refine_circle(values, fn(unit[1::2]))
         yield theta, unit, values
         m *= 2
+
+
+def refine_circle(values, fresh):
+    """Values on the 2m-point trapezoid grid, along the last axis, from
+    values on the m-point grid and fresh ones at the m new odd-indexed
+    points of circle_nodes(2m)."""
+    out = np.empty(fresh.shape[:-1] + (2 * fresh.shape[-1],),
+                   dtype=fresh.dtype)
+    out[..., 0::2], out[..., 1::2] = values, fresh
+    return out
+
+
+def circle_fault(logs):
+    """(index, reason) of the first circle of logs that circle_modes
+    refuses, or None: one with a nan or +inf sample, or one whose samples
+    are all exact zeros (-inf real part).  logs holds one circle along its
+    last axis, or one per row; index counts the circles in C order."""
+    zero = np.real(logs) == -np.inf
+    bad = np.any(~zero & ~np.isfinite(logs), axis=-1).ravel()
+    dead = np.all(zero, axis=-1).ravel()
+    if not np.any(bad | dead):
+        return None
+    i = int(np.flatnonzero(bad | dead)[0])
+    return i, ("contour sample is nan or +inf" if bad[i] else
+               "contour collapses at binary64 resolution: every sample is "
+               "an exact zero")
 
 
 def circle_modes(theta, logs, orders, scale=None):
@@ -130,23 +153,24 @@ def circle_modes(theta, logs, orders, scale=None):
 
     logs holds one circle along its last axis, or one per row: scale and
     modes then carry the leading axes.  scale defaults to the largest
-    finite Re logs of each circle; a caller that compares rounds may freeze
-    it at its first value so the modes stay in one unit.  Entries at -inf
-    (exact zeros of the integrand) count as 0.  Raises RuntimeError when a
-    circle has no finite entry: the contour then collapses at binary64
+    Re logs of each circle; a caller that compares rounds may freeze it at
+    its first value so the modes stay in one unit.  Entries at -inf real
+    part (exact zeros of the integrand) count as 0.  Raises RuntimeError
+    with the reason of circle_fault when a sample is nan or +inf, and when
+    a circle has no nonzero sample: the contour then collapses at binary64
     resolution.
     """
+    fault = circle_fault(logs)
+    if fault is not None:
+        raise RuntimeError(fault[1])
     re = np.real(logs)
-    finite = np.isfinite(re)
-    if not np.all(np.any(finite, axis=-1)):
-        raise RuntimeError("contour collapses at binary64 resolution: every "
-                           "sample is an exact zero")
+    zero = re == -np.inf
     if scale is None:
-        scale = np.max(np.where(finite, re, -np.inf), axis=-1)
+        scale = np.max(re, axis=-1)
         if scale.ndim == 0:
             scale = float(scale)
     with np.errstate(invalid="ignore", over="ignore"):
-        q = np.where(finite, np.exp(logs - np.expand_dims(scale, -1)), 0.0)
+        q = np.where(zero, 0.0, np.exp(logs - np.expand_dims(scale, -1)))
     return scale, np.stack([np.mean(q * np.exp(-1j * k * theta), axis=-1)
                             for k in orders], axis=-1)
 

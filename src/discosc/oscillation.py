@@ -22,7 +22,6 @@ that shows how fast the log-derivative must blow up when separation fails.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, NamedTuple
 
@@ -32,11 +31,13 @@ from .geometry import carleson_box_table
 from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
                             _unscale)
 # golden_section_max is looked up here by bench/tracer.py
-from .numutil import (CONTOUR_MAX_POINTS, TWO_PI,  # noqa: F401
-                      adaptive_segment_integral, circle_max, circle_modes,
-                      circle_nodes, disc_points, flat_points,
+from .numutil import (CONTOUR_MAX_POINTS,  # noqa: F401
+                      CONTOUR_START_POINTS, TWO_PI,
+                      adaptive_segment_integral, circle_fault, circle_max,
+                      circle_modes, circle_nodes, disc_points, flat_points,
                       golden_section_max, like_input, nested_circle,
-                      one_minus_abs2, sample_disc, wrap_angle)
+                      one_minus_abs2, refine_circle, sample_disc,
+                      wrap_angle)
 from .products import CanonicalProduct
 from .scales import GrowthScale, genus_from_scale
 from .sequences import SharpnessParams, ZeroSequence
@@ -88,6 +89,23 @@ def _require_finite(a: np.ndarray) -> None:
     by name, as the series refuses its own."""
     if not np.all(np.isfinite(a)):
         raise ValueError("coefficient a overflows binary64")
+
+
+def _modulus(x: np.ndarray) -> np.ndarray:
+    """|x| by np.hypot, which is what builtin abs and numpy's abs of one
+    complex scalar give; np.abs of a complex array can differ from them in
+    the last bit."""
+    return np.hypot(x.real, x.imag)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b for complex arrays, each part rounded term by term as in the
+    product of two complex scalars; numpy's array product can differ from
+    it in the last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 class ZeroCountReport(NamedTuple):
@@ -285,11 +303,11 @@ class OscillationBundle:
     # -- ODE residual ------------------------------------------------------
 
     @staticmethod
-    def _spoke_integrals(z0: complex, zeta: np.ndarray,
-                         hv: np.ndarray) -> np.ndarray:
+    def _spoke_integrals(z0, zeta: np.ndarray, hv: np.ndarray) -> np.ndarray:
         """g(zeta_j) - g(z0) on the trapezoid circle
         zeta_j = z0 + r e^{i theta_j}, theta_j = 2 pi j / m, from the values
-        hv_j = h(zeta_j) on that circle alone.
+        hv_j = h(zeta_j) on that circle alone: one circle along the last
+        axis, or one per row with one centre z0 per row.
 
         h is analytic on the closed disc |z - z0| <= r, so the FFT of its
         circle values gives c_k ~ h_k r^k, the Taylor coefficients of h at
@@ -302,55 +320,108 @@ class OscillationBundle:
         of h enter, never the closed-form coefficient.  The accuracy is
         judged by the caller's drift test on f''.
         """
-        k = np.arange(hv.size)
-        return (zeta - z0) * np.fft.ifft(np.fft.fft(hv) / (k + 1))
+        k = np.arange(hv.shape[-1])
+        return ((zeta - np.asarray(z0)[..., None])
+                * np.fft.ifft(np.fft.fft(hv) / (k + 1)))
 
-    def _solution_rounds(self, z0: complex, r: float):
-        """Yield (theta, log f(zeta) - g(z0)) on the nested_circle rounds
-        of zeta = z0 + r e^{i theta}, taking log P and h from one series
-        pass per round.  r is at most half the nearest-node distance, so no
-        node lies on the circle, and h there is what evaluate() returns."""
-        def log_p_and_h(unit):
-            p = self.gprime._pass(z0 + r * unit)
-            return np.stack([p.log_p,
-                             _unscale(p.log_p, p.scale, p.total, "value")])
+    def _probe_circles(self, z0: np.ndarray, r: np.ndarray,
+                       unit: np.ndarray):
+        """(vals, fault): vals[i] = (log P, h) at z0_i + r_i unit, shape
+        (probes, 2, unit.size), from one series pass over every point.  r
+        is at most half the nearest-node distance, so no node lies on a
+        circle, and h there is what evaluate() returns.  fault is None, or
+        (i, error) for the first probe i with a value of h beyond binary64:
+        the ValueError that _unscale raises on its circle alone."""
+        p = self.gprime._pass((z0[:, None] + r[:, None] * unit).ravel())
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.exp(p.log_p + p.scale) * p.total
+        vals = np.stack([p.log_p, h]).reshape(2, z0.size, unit.size)
+        bad = np.flatnonzero(~np.all(np.isfinite(vals[1]), axis=1))
+        if bad.size:
+            rows = slice(bad[0] * unit.size, (bad[0] + 1) * unit.size)
+            try:
+                _unscale(p.log_p[rows], p.scale[rows], p.total[rows], "value")
+            except ValueError as exc:
+                return vals.swapaxes(0, 1), (int(bad[0]), exc)
+        return vals.swapaxes(0, 1), None
 
-        for theta, unit, (log_p, hv) in nested_circle(log_p_and_h,
-                                                       CONTOUR_MAX_POINTS):
-            zeta = z0 + r * unit
-            yield theta, log_p + self._spoke_integrals(z0, zeta, hv)
-
-    def _probe_residual(self, z0: complex, a0: complex, d1: float,
-                        log_f0: complex, dist: float) -> float:
-        """|f'' + a f| / (|f''| + |a f| + 1e-300) at one probe, given a0 =
-        a(z0), d1 = |P'/P + h|, log_f0 = log P(z0) and the nearest-node
-        distance dist; the only points x nodes work here is on the circle.
+    def _probe_residuals(self, z0: np.ndarray, a0: np.ndarray,
+                         d1: np.ndarray, log_f0: np.ndarray,
+                         dist: np.ndarray) -> np.ndarray:
+        """|f'' + a f| / (|f''| + |a f| + 1e-300) at every probe z0, given
+        a0 = a(z0), d1 = |P'/P + h|, log_f0 = log P(z0) and the nearest-node
+        distances dist, one entry per probe; the only points x nodes work
+        here is on the circles.
 
         f'' comes from a trapezoid contour second derivative on a circle
         around z0; the shared factor e^{g(z0)} cancels in the ratio, so only
         g relative to z0 is needed, which _spoke_integrals takes from the
-        FFT of h on the same circle.  The nested_circle rounds (64, 128, ...
-        points) run until f'' drifts by at most CONTOUR_REL_TOL per round.  The
-        circle radius starts at min((1-|z0|)/8, half the distance to the
-        nearest node) and is capped by the local log-derivative scale of f,
+        FFT of h on the same circle.  The rounds of 64, 128, ... points run
+        until f'' drifts by at most CONTOUR_REL_TOL per round.  The circle
+        radius starts at min((1-|z0|)/8, half the distance to the nearest
+        node) and is capped by the local log-derivative scale of f,
         1/(d1 + 1) and 1/sqrt(|a0| + 1): where |a| is large, Re log f would
         otherwise swing by hundreds across the circle and the second Fourier
-        mode of f drowns in the rounding floor of the peak values.  A circle
-        too small to be placed in binary64 around z0 raises RuntimeError
-        naming the probe and radius.
+        mode of f drowns in the rounding floor of the peak values.
+
+        The probes run in lockstep: each round takes log P and h on the
+        circles of every running probe from one _probe_circles pass, and a
+        probe leaves once its drift test passes.  Each decision (the caps,
+        the shrinks, the blur limit, the drift test, the last grid) is the
+        probe's own, with the arithmetic of one probe alone, so a residual
+        does not depend on the other probes.  A probe fails on a circle too
+        small to be placed in binary64 around z0 (RuntimeError naming the
+        probe and radius), on a value of h beyond binary64 (ValueError), and
+        on a contour sample that is nan or +inf, a residual that is not
+        finite or a contour that does not settle (RuntimeError naming the
+        probe).  The probes after a failing one stop with it, and the error
+        raised is that of the lowest-index failing probe.
         """
-        r = min((1.0 - abs(z0)) / 8.0, dist / 2.0, 1.0 / (d1 + 1.0),
-                1.0 / math.sqrt(abs(a0) + 1.0))
-        rounds = self._solution_rounds(z0, r)
-        first = next(rounds)
-        shrinks = 0
-        while shrinks < 30 and np.ptp(first[1].real) > 30.0:
-            # caps missed (e.g. near a zero of a); shrink until the
+        out = np.empty(z0.size)
+        error = None
+        live = np.arange(z0.size)
+        r = np.minimum.reduce([(1.0 - _modulus(z0)) / 8.0, dist / 2.0,
+                               1.0 / (d1 + 1.0),
+                               1.0 / np.sqrt(_modulus(a0) + 1.0)])
+
+        def fail(i, exc, *rows):
+            # live[i] fails with exc and the probes after it stop; returns
+            # rows, arrays of one row per live probe, cut to match
+            nonlocal error, live
+            error, live = exc, live[:i]
+            return [x[:i] for x in rows]
+
+        def circle_logs(idx, unit, vals):
+            # log f(zeta) - g(z0) on the circles of the probes idx
+            zeta = z0[idx, None] + r[idx, None] * unit
+            return vals[:, 0] + self._spoke_integrals(z0[idx], zeta,
+                                                      vals[:, 1])
+
+        def named(i, what):
+            return RuntimeError(
+                f"ODE residual probe {complex(z0[live[i]]):.6g}: {what}")
+
+        m = CONTOUR_START_POINTS
+        theta, unit = circle_nodes(m)
+        vals, fault = self._probe_circles(z0, r, unit)
+        if fault is not None:
+            vals, = fail(*fault, vals)
+        logf = circle_logs(live, unit, vals)
+        for _ in range(30):
+            # caps missed (e.g. near a zero of a): shrink until the
             # circle's dynamic range is resolvable in binary64
-            r *= 0.5
-            shrinks += 1
-            rounds = self._solution_rounds(z0, r)
-            first = next(rounds)
+            big = np.flatnonzero(np.ptp(logf.real, axis=1) > 30.0)
+            if big.size == 0:
+                break
+            r[live[big]] *= 0.5
+            fresh, fault = self._probe_circles(z0[live[big]], r[live[big]],
+                                               unit)
+            if fault is not None:
+                j, exc = fault
+                vals, logf = fail(big[j], exc, vals, logf)
+                big, fresh = big[:j], fresh[:j]
+            vals[big] = fresh
+            logf[big] = circle_logs(live[big], unit, fresh)
         # z0 + r e^{i theta} is placed to about eps |z0|, a fraction
         # blur = eps |z0| / r of the radius, so each sample of f is off by
         # up to about blur of the circle maximum (the caps keep r |f'|
@@ -361,33 +432,61 @@ class OscillationBundle:
         # the CONTOUR_REL_TOL the drift test certifies f'' to.  Far smaller
         # circles (blur >~ 1) collapse onto a few binary64 points, where
         # f'' reads ~0 and the drift test would pass a residual of 1.
-        blur = float(np.finfo(float).eps) * abs(z0) / r
+        blur = float(np.finfo(float).eps) * _modulus(z0[live]) / r[live]
         limit = CONTOUR_REL_TOL * CONTOUR_MAX_POINTS
-        if blur > limit:
-            raise RuntimeError(
-                f"ODE residual probe {z0:.6g}: circle radius {r:.3e} is "
-                f"below binary64 resolution (eps*|z0|/r = {blur:.2e} "
-                f"exceeds {limit:.3g})")
-        prev = None
-        for theta, logf in itertools.chain([first], rounds):
-            scale, (mode,) = circle_modes(theta, logf, (2,))
-            fpp = 2.0 * mode / r ** 2
-            f0 = np.exp(log_f0 - scale)
-            num = abs(fpp + a0 * f0)
-            den = abs(fpp) + abs(a0 * f0) + 1e-300
-            if prev is not None:
-                ps, pf = prev
-                drift = abs(pf * np.exp(ps - scale) - fpp)
-                if drift <= (CONTOUR_REL_TOL * (abs(fpp) + abs(a0 * f0))
-                             + 1e-300):
-                    return float(num / den)
-            prev = (scale, fpp)
-        raise RuntimeError(
-            f"solution contour at probe {z0:.6g} did not converge "
-            f"within {CONTOUR_MAX_POINTS} points")
+        over = np.flatnonzero(blur > limit)
+        if over.size:
+            i = over[0]
+            vals, logf = fail(i, named(
+                i, f"circle radius {r[live[i]]:.3e} is below binary64 "
+                   f"resolution (eps*|z0|/r = {blur[i]:.2e} exceeds "
+                   f"{limit:.3g})"), vals, logf)
+        # f'' of the round before: nan fails the first round's drift test
+        ps = pf = np.full(live.size, np.nan)
+        while live.size:
+            fault = circle_fault(logf)
+            if fault is not None:
+                vals, logf, ps, pf = fail(fault[0], named(*fault), vals, logf,
+                                          ps, pf)
+            scale, modes = circle_modes(theta, logf, (2,))
+            # values beyond binary64 read inf or nan here: such a contour
+            # never settles, or its residual is refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                fpp = 2.0 * modes[:, 0] / r[live] ** 2
+                af0 = _product(a0[live], np.exp(log_f0[live] - scale))
+                size = _modulus(fpp) + _modulus(af0)
+                drift = _modulus(pf * np.exp(ps - scale) - fpp)
+                res = _modulus(fpp + af0) / (size + 1e-300)
+            done = drift <= CONTOUR_REL_TOL * size + 1e-300
+            bad = np.flatnonzero(done & ~np.isfinite(res))
+            if bad.size:
+                i = bad[0]
+                vals, scale, fpp, done, res = fail(i, named(
+                    i, f"residual {float(res[i])!r} is not finite"),
+                    vals, scale, fpp, done, res)
+            out[live[done]] = res[done]
+            live, vals = live[~done], vals[~done]
+            ps, pf = scale[~done], fpp[~done]
+            if m == CONTOUR_MAX_POINTS or live.size == 0:
+                break
+            m *= 2
+            theta, unit = circle_nodes(m)
+            fresh, fault = self._probe_circles(z0[live], r[live], unit[1::2])
+            if fault is not None:
+                vals, fresh, ps, pf = fail(*fault, vals, fresh, ps, pf)
+            vals = refine_circle(vals, fresh)
+            logf = circle_logs(live, unit, vals)
+        if live.size:
+            error = RuntimeError(
+                f"solution contour at probe {complex(z0[live[0]]):.6g} did "
+                f"not converge within {CONTOUR_MAX_POINTS} points")
+        if error is not None:
+            raise error
+        return out
 
     def ode_residual(self, probes) -> float:
-        """Worst relative ODE defect over the probes.
+        """Worst relative ODE defect over the probes (_probe_residuals); 0
+        for no probes.
 
         Probes must satisfy |z| <= 0.95 and sit outside every exclusion
         disc (sample_probes produces such sets).
@@ -396,15 +495,9 @@ class OscillationBundle:
         if not np.all(np.abs(arr) <= 0.95):
             raise ValueError("probes must satisfy |z| <= 0.95")
         dist = self.product.require_outside_exclusion(arr, "probe")
-        p, h, a_vals = self._coefficient(arr)
-        d1 = p.lam + h
-        worst = 0.0
-        for j, z0 in enumerate(arr):
-            # builtin abs: np.abs can differ from it in the last bit
-            worst = max(worst, self._probe_residual(
-                complex(z0), complex(a_vals[j]), abs(complex(d1[j])),
-                complex(p.log_p[j]), float(dist[j])))
-        return worst
+        p, h, a0 = self._coefficient(arr)
+        return float(np.max(self._probe_residuals(
+            arr, a0, _modulus(p.lam + h), p.log_p, dist), initial=0.0))
 
     # -- growth ------------------------------------------------------------
 
@@ -425,11 +518,8 @@ class OscillationBundle:
             raise ValueError("ladder radii must lie in (0, 0.995]")
 
         def refine_abs(z):
-            # builtin abs of each value, as the search has always taken it:
-            # hypot, from which np.abs of an array (the scan's) can differ
-            # in the last bit
-            a = self.eval_coefficient(z)
-            return np.hypot(a.real, a.imag)
+            # builtin abs of each value, as the search has always taken it
+            return _modulus(self.eval_coefficient(z))
 
         amax = circle_max(lambda z: np.abs(self.eval_coefficient(z)), radii,
                           samples, refine_fn=refine_abs)
@@ -518,13 +608,10 @@ def _residue_mismatch(product: CanonicalProduct,
     1e-8 floor, in units of S, absorbs that degenerate case without
     loosening the check anywhere the terms are resolvable.
     """
-    def mod(x):
-        # np.hypot, as builtin abs; np.abs can differ from it in the last bit
-        return np.hypot(x.real, x.imag)
-
     modes = product.node_contour_modes()
     cross = product.exclusion_radii * targets * modes.m1
-    return mod(modes.m2 + cross) / (mod(modes.m2) + mod(cross) + 1e-8)
+    return (_modulus(modes.m2 + cross)
+            / (_modulus(modes.m2) + _modulus(cross) + 1e-8))
 
 
 def build_coefficient(zeros: ZeroSequence, scale: GrowthScale,

@@ -12,7 +12,10 @@ is built from one pair of pieces per point and node, (z - z_n,
 1 - conj(z_n) z).  _pieces forms them at given points; _offset_pieces forms
 them at z_k + d without materialising the sum (one node k per row), which
 keeps contours around deep nodes accurate.  Points x nodes passes loop over
-_blocks.
+_blocks, which holds each block to at most _BLOCK_PAIRS points x nodes pairs
+(and _CHUNK points), so a block's temporaries stay cache-sized at any node
+count; the nearest-node search and the exclusion rule take their distances
+over the same blocks.
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -34,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numutil import (CONTOUR_MAX_POINTS, circle_max, circle_modes,
-                      circle_nodes, clog, clog1p_sum, disc_points,
-                      flat_points, like_input, nested_circle,
+from .numutil import (CONTOUR_MAX_POINTS, circle_fault, circle_max,
+                      circle_modes, circle_nodes, clog, clog1p_sum,
+                      disc_points, flat_points, like_input, nested_circle,
                       one_minus_abs, one_minus_abs2, one_minus_conj_mul)
 from .sequences import ZeroSequence, blaschke_sum, log_integrated_count
 
@@ -47,6 +50,10 @@ __all__ = [
 
 # points per block of every points x nodes pass (products, series, targets)
 _CHUNK = 512
+# points x nodes pairs per block: a complex temporary of 2^15 pairs is
+# 512 KB, which stays in cache where a (512, N) one leaves it for N in the
+# hundreds
+_BLOCK_PAIRS = 2 ** 15
 # first grid of the exclusion-circle contour (see node_contour_modes)
 NODE_CONTOUR_START_POINTS = 32
 # on the exclusion circle of node k, factors with |z_n - z_k| <
@@ -155,29 +162,24 @@ class CanonicalProduct:
     # -- geometry ----------------------------------------------------------
 
     def _exclusion_rule(self) -> np.ndarray:
-        z = self.z
-        n = z.size
-        if n == 0:
-            return np.zeros(0)
-        if n == 1:
-            nn = np.array([math.inf])
-        else:
-            d = np.abs(z[:, None] - z[None, :])
-            np.fill_diagonal(d, math.inf)
-            nn = np.min(d, axis=1)
+        """r_k = min(nn_k/4, (1 - |z_k|)/8), with the nearest-neighbour
+        distances nn_k taken over _distances (inf for a lone node)."""
+        nn = np.empty(self.z.size)
+        for sl, d in self._distances(self.z):
+            d[np.arange(d.shape[0]), np.arange(sl.start, sl.stop)] = math.inf
+            nn[sl] = np.min(d, axis=1)
         return np.minimum(nn / 4.0, self._gap / 8.0)
 
     def nearest_node(self, pts):
-        """(index, distance) of each point's closest node, by _CHUNK points
+        """(index, distance) of each point's closest node, over _distances
         (-1 and inf without nodes)."""
         pts = np.atleast_1d(np.asarray(pts, dtype=complex))
         flat = pts.ravel()
         idx, dist = np.full(flat.size, -1), np.full(flat.size, math.inf)
-        for lo in range(0, flat.size if self.z.size else 0, _CHUNK):
-            d = np.abs(flat[lo:lo + _CHUNK, None] - self.z[None, :])
+        for sl, d in self._distances(flat if self.z.size else flat[:0]):
             i = np.argmin(d, axis=1)
-            idx[lo:lo + _CHUNK] = i
-            dist[lo:lo + _CHUNK] = d[np.arange(i.size), i]
+            idx[sl] = i
+            dist[sl] = d[np.arange(i.size), i]
         return idx.reshape(pts.shape), dist.reshape(pts.shape)
 
     def node_index(self, pts):
@@ -216,12 +218,27 @@ class CanonicalProduct:
         p = np.asarray(pts, dtype=complex)[:, None]
         return p - self.z[None, :], one_minus_conj_mul(self.z[None, :], p)
 
+    def _slices(self, size: int):
+        """Slices of size points in blocks of min(_CHUNK, _BLOCK_PAIRS //
+        n_zeros) points, at least one: every block holds at most
+        _BLOCK_PAIRS points x nodes pairs (one point at a time past
+        _BLOCK_PAIRS nodes).  Each point's row is computed on its own, so
+        the block size moves no value; it follows the node count, so at
+        N <= 64 nodes blocks keep _CHUNK points."""
+        step = max(1, min(_CHUNK, _BLOCK_PAIRS // max(self.z.size, 1)))
+        for lo in range(0, size, step):
+            yield slice(lo, min(lo + step, size))
+
     def _blocks(self, pts: np.ndarray):
-        """Yield (slice, pieces) over pts, _CHUNK points at a time, so memory
-        stays O(_CHUNK * n_zeros) however many points are asked."""
-        for lo in range(0, pts.size, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
+        """Yield (slice, pieces) over pts by _slices, so memory stays
+        O(_BLOCK_PAIRS) however many points are asked."""
+        for sl in self._slices(pts.size):
             yield (sl, *self._pieces(pts[sl]))
+
+    def _distances(self, pts: np.ndarray):
+        """Yield (slice, |z - z_n|) over pts by _slices."""
+        for sl in self._slices(pts.size):
+            yield sl, np.abs(pts[sl, None] - self.z[None, :])
 
     def _offset_pieces(self, k, d, cols=slice(None)):
         """The pieces at z_k + d, computed without forming the sum.
@@ -561,13 +578,10 @@ class CanonicalProduct:
         scale = prev = None
         done = np.zeros(ks.size, dtype=bool)
         for theta, _, vals in nested_circle(logs, CONTOUR_MAX_POINTS, start):
-            if scale is None:
-                dead = ~np.any(np.isfinite(vals.real), axis=1)
-                if np.any(dead):
-                    raise RuntimeError(
-                        f"exclusion circle of node {int(ks[dead][0])}: "
-                        f"contour collapses at binary64 resolution: every "
-                        f"sample is an exact zero")
+            fault = circle_fault(vals)
+            if fault is not None:
+                raise RuntimeError(f"exclusion circle of node "
+                                   f"{int(ks[fault[0]])}: {fault[1]}")
             scale, cur = circle_modes(theta, vals, (1, 2), scale)
             if prev is not None:
                 new = ~done & np.all(

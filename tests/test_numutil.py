@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from discosc.numutil import (SegmentIntegralError, adaptive_segment_integral,
-                             circle_max, circle_modes, circle_nodes, clog,
-                             golden_section_max, nested_circle)
+                             circle_fault, circle_max, circle_modes,
+                             circle_nodes, clog, golden_section_max,
+                             nested_circle)
 
 EPS = np.finfo(float).eps
 
@@ -100,6 +101,25 @@ def test_circle_modes_scale_and_zeros():
     assert frozen[0] == pytest.approx(np.mean(np.exp(logs[1::2])) / 2.0)
     with pytest.raises(RuntimeError, match="collapses at binary64"):
         circle_modes(theta, np.full(64, -np.inf + 0j), (1,))
+    # only -inf is an exact zero: nan and +inf are refused, not dropped
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        vals = np.log(3.0 * unit ** 2 + 0.5 * unit)
+        vals[5] = bad
+        with pytest.raises(RuntimeError, match="sample is nan or \\+inf"):
+            circle_modes(theta, vals, (1,))
+
+
+def test_circle_fault_names_the_first_refused_circle():
+    _, unit = circle_nodes(64)
+    logs = np.tile(np.log(2.0 + unit), (4, 1))
+    assert circle_fault(logs) is None
+    logs[3, 0] = np.nan
+    logs[2] = -np.inf
+    assert circle_fault(logs) == (2, "contour collapses at binary64 "
+                                     "resolution: every sample is an exact "
+                                     "zero")
+    assert circle_fault(logs[[0, 3]]) == (1, "contour sample is nan or +inf")
+    assert circle_fault(logs.reshape(2, 2, 64))[0] == 2   # C order
 
 
 @pytest.mark.parametrize("phi", [0.3, -1e-3, np.pi - 1e-3])

@@ -1,6 +1,7 @@
 """Coefficient assembly: residue cancellation, the ODE, zero counting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
-                     ResidueCancellationError, SharpnessParams, ZeroSequence,
-                     anorm_estimate, build_coefficient,
+                     OscillationBundle, ResidueCancellationError,
+                     SharpnessParams, ZeroSequence, anorm_estimate,
+                     build_coefficient,
                      generate_radial_geometric, generate_sharpness,
                      oscillation, sample_probes)
 from discosc.numutil import adaptive_segment_integral, circle_nodes
@@ -77,27 +79,91 @@ def test_eval_coefficient_classifies_points_once(geo6_bundle, monkeypatch):
 
 def test_ode_residual_makes_one_pass_per_point_set(geo6_bundle, monkeypatch):
     # the probes' a, P'/P + h and log f come from one batched pass and each
-    # contour round from one series pass: no single-point passes, and one
-    # nearest-node search serves the guard and the radius cap
-    probes = sample_probes(geo6_bundle.product, np.random.default_rng(5), 6,
+    # contour round from one series pass for all probes: no single-point
+    # passes, one nearest-node search serves the guard and the radius cap,
+    # and four times the probes take no more passes
+    probes = sample_probes(geo6_bundle.product, np.random.default_rng(5), 24,
                            r_max=0.9)
     calls = {}
     for cls, name in ((CanonicalProduct, "_raw_log_eval"),
                       (CanonicalProduct, "log_derivative_sums"),
                       (CanonicalProduct, "nearest_node"),
-                      (InterpolationSeries, "evaluate")):
+                      (InterpolationSeries, "evaluate"),
+                      (InterpolationSeries, "_pass")):
         calls[name] = 0
 
-        def counted(*args, _name=name, _fn=getattr(cls, name)):
+        def counted(*args, _name=name, _fn=getattr(cls, name), **kwargs):
             calls[_name] += 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
-    assert geo6_bundle.ode_residual(probes) <= 1e-5
-    assert calls["_raw_log_eval"] == 0
-    assert calls["log_derivative_sums"] == 0
-    assert calls["evaluate"] == 0
-    assert calls["nearest_node"] == 1
+    passes = []
+    for n in (6, 24):
+        calls.update(dict.fromkeys(calls, 0))
+        assert geo6_bundle.ode_residual(probes[:n]) <= 1e-5
+        assert calls["_raw_log_eval"] == 0
+        assert calls["log_derivative_sums"] == 0
+        assert calls["evaluate"] == 0
+        assert calls["nearest_node"] == 1
+        passes.append(calls["_pass"])
+    assert passes[0] == passes[1]
+    # the batched pass, then one per round of 64 ... 1024 points at most
+    assert passes[1] <= 6
+
+
+def _probe_inputs(bun, probes):
+    """The arguments of _probe_residuals, as ode_residual forms them."""
+    dist = bun.product.require_outside_exclusion(probes, "probe")
+    p, h, a0 = bun._coefficient(probes)
+    return (probes, a0, np.hypot((p.lam + h).real, (p.lam + h).imag),
+            p.log_p, dist)
+
+
+def _one_at_a_time(bun, z0, a0, d1, log_f0, dist):
+    return np.array([bun._probe_residuals(*(x[j:j + 1] for x in (
+        z0, a0, d1, log_f0, dist)))[0] for j in range(z0.size)])
+
+
+def test_lockstep_residuals_equal_single_probe_calls(geo50_bundle):
+    probes = sample_probes(geo50_bundle.product, np.random.default_rng(19),
+                           20, r_max=0.9)
+    args = _probe_inputs(geo50_bundle, probes)
+    lockstep = geo50_bundle._probe_residuals(*args)
+    np.testing.assert_array_equal(lockstep,
+                                  _one_at_a_time(geo50_bundle, *args))
+    assert geo50_bundle.ode_residual(probes) == np.max(lockstep)
+    assert max(geo50_bundle.ode_residual(z) for z in probes) == \
+        np.max(lockstep)
+
+
+def test_lockstep_shrinks_each_probe_on_its_own(geo50_bundle, monkeypatch):
+    # a0 = 0 and d1 = 0 lift the caps 1/sqrt(|a0| + 1) and 1/(d1 + 1), so
+    # the circles of some probes span too wide a range of log f and halve
+    # their radius, each as many times as it needs
+    z0, a0, d1, log_f0, dist = _probe_inputs(
+        geo50_bundle, sample_probes(geo50_bundle.product,
+                                    np.random.default_rng(4), 40,
+                                    r_max=0.95))
+    args = (z0, np.zeros_like(a0), np.zeros_like(d1), log_f0, dist)
+    starts = []
+    real = OscillationBundle._probe_circles
+
+    def recorded(self, z, r, unit):
+        if unit[0] == 1.0:          # a first round, not a refinement
+            starts.append(z.copy())
+        return real(self, z, r, unit)
+
+    monkeypatch.setattr(OscillationBundle, "_probe_circles", recorded)
+    lockstep = geo50_bundle._probe_residuals(*args)
+    shrunk = {z for zs in starts[1:] for z in zs.tolist()}
+    assert 0 < len(shrunk) < z0.size
+    assert len(starts) > 2          # some probes shrink more than once
+    np.testing.assert_array_equal(lockstep,
+                                  _one_at_a_time(geo50_bundle, *args))
+
+
+def test_ode_residual_of_no_probes_is_zero(geo6_bundle):
+    assert geo6_bundle.ode_residual(np.zeros(0, dtype=complex)) == 0.0
 
 
 def test_sample_probes_names_the_disc_that_holds_every_candidate():
@@ -248,12 +314,53 @@ def test_spoke_integrals_match_segment_quadrature(geo6_bundle):
 
 def test_probe_residual_names_unresolvable_circle(geo6_bundle):
     # |a| = 1e40 caps the radius at 1e-20, below one ulp of the probe
-    prod = geo6_bundle.product
-    z0 = complex(sample_probes(prod, np.random.default_rng(3), 1)[0])
-    _, dist = prod.nearest_node(z0)
+    z0, a0, d1, log_f0, dist = _probe_inputs(geo6_bundle, sample_probes(
+        geo6_bundle.product, np.random.default_rng(3), 3))
     with pytest.raises(RuntimeError, match="below binary64 resolution"):
-        geo6_bundle._probe_residual(z0, 1e40, 0.0, complex(prod.log_eval(z0)),
-                                    float(dist[0]))
+        geo6_bundle._probe_residuals(z0[:1], np.array([1e40 + 0j]),
+                                     np.zeros(1), log_f0[:1], dist[:1])
+    # two failing probes: the lower index is named
+    a0[1:] = 1e40
+    with pytest.raises(RuntimeError,
+                       match=f"probe {re.escape(format(z0[1], '.6g'))}: "
+                             f"circle radius"):
+        geo6_bundle._probe_residuals(z0, a0, d1, log_f0, dist)
+
+
+def test_probe_residuals_raise_the_lowest_failing_probe(geo6_bundle,
+                                                        monkeypatch):
+    # probe 2 fails before any round (blur limit) and probe 1 only on the
+    # 128-point round, where its h is made infinite: probe 1's error wins
+    z0, a0, d1, log_f0, dist = _probe_inputs(geo6_bundle, sample_probes(
+        geo6_bundle.product, np.random.default_rng(8), 4, r_max=0.85))
+    a0[2] = 1e40
+    real = InterpolationSeries._pass
+
+    def poisoned(self, pts, derivatives=False):
+        p = real(self, pts, derivatives)
+        if pts.size == 64 * 2:      # the fresh points of probes 0 and 1
+            p.total[64:] = np.inf
+        return p
+
+    monkeypatch.setattr(InterpolationSeries, "_pass", poisoned)
+    with pytest.raises(ValueError, match="series value produced a "
+                                         "non-finite value"):
+        geo6_bundle._probe_residuals(z0, a0, d1, log_f0, dist)
+    monkeypatch.undo()
+    with pytest.raises(RuntimeError, match="below binary64 resolution"):
+        geo6_bundle._probe_residuals(z0, a0, d1, log_f0, dist)
+
+
+def test_probe_residuals_refuse_a_residual_that_is_not_finite(geo6_bundle):
+    # f(z0) beyond binary64 against the circle: a f reads inf + nan i, so
+    # the residual is nan; it is named, not dropped by the maximum
+    z0, a0, d1, log_f0, dist = _probe_inputs(geo6_bundle, sample_probes(
+        geo6_bundle.product, np.random.default_rng(9), 3, r_max=0.85))
+    a0[1], log_f0[1] = 1.0, 1000.0
+    with pytest.raises(RuntimeError,
+                       match=f"probe {re.escape(format(z0[1], '.6g'))}: "
+                             f"residual nan is not finite"):
+        geo6_bundle._probe_residuals(z0, a0, d1, log_f0, dist)
 
 
 def test_solution_vanishes_exactly_on_nodes(geo6_bundle):

@@ -165,6 +165,50 @@ def test_exclusion_rule_quarter_neighbour_eighth_gap():
     assert idx[0] == 0
 
 
+def test_blocks_hold_the_pair_budget_and_move_no_distance(weight_pipeline):
+    # N = 368: blocks of 2^15 // 368 = 89 points, where the dense N x N
+    # distances give the same radii and nearest nodes bit for bit
+    prod = weight_pipeline[3].product
+    n = prod.z.size
+    sizes = [sl.stop - sl.start for sl in prod._slices(1000)]
+    assert sizes[:-1] == [(2 ** 15) // n] * (len(sizes) - 1)
+    assert sum(sizes) == 1000
+    assert [sl.stop - sl.start for sl in CanonicalProduct(PAIR, 0)._slices(
+        1100)] == [512, 512, 76]
+    d = np.abs(prod.z[:, None] - prod.z[None, :])
+    np.fill_diagonal(d, math.inf)
+    np.testing.assert_array_equal(
+        prod.exclusion_radii,
+        np.minimum(np.min(d, axis=1) / 4.0, prod._gap / 8.0))
+    pts = 0.9 * np.exp(1j * np.linspace(0.0, 6.0, 300))
+    d = np.abs(pts[:, None] - prod.z[None, :])
+    idx, dist = prod.nearest_node(pts)
+    np.testing.assert_array_equal(idx, np.argmin(d, axis=1))
+    np.testing.assert_array_equal(dist, np.min(d, axis=1))
+    empty = CanonicalProduct(ZeroSequence(np.zeros(0, dtype=complex)), 0)
+    assert empty.exclusion_radii.size == 0
+    assert empty.nearest_node(pts[:2])[0].tolist() == [-1, -1]
+    assert CanonicalProduct(ONE, 0).exclusion_radii.tolist() == [0.0625]
+
+
+def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
+    # a nan factor log on an exclusion circle is refused, naming the node,
+    # not counted as an exact zero
+    prod = CanonicalProduct(PAIR, 1)
+    real = CanonicalProduct._factor_logs
+
+    def poisoned(self, delta, den, cols=None):
+        logs = real(self, delta, den, cols)
+        if cols is not None:            # the near factors on the circles
+            logs[..., 5, :] = np.nan
+        return logs
+
+    monkeypatch.setattr(CanonicalProduct, "_factor_logs", poisoned)
+    with pytest.raises(RuntimeError, match=r"exclusion circle of node \d: "
+                                           r"contour sample is nan or \+inf"):
+        prod.node_contour_modes()
+
+
 def test_circle_log_max_one_point():
     # |1 - 0.75/(1 - 0.5 z)| on |z| = 0.8 peaks at z = -0.8
     prod = CanonicalProduct(ONE, 0)
