@@ -288,13 +288,16 @@ class InterpolationSeries:
         per point, takes every point as lying in the disc of that node.
         With derivatives, the temporaries of a block live until the next
         block replaces them, as in a plain loop, so the allocator keeps
-        reusing their memory (freed all at once, they went back to the
-        system after every block: about 22,000 page faults per 20,000-point
-        geo50 call, against about 3,000).  Without derivatives they are
-        dropped before the next block forms its own, which keeps the peak
-        at one block's: 2.5 against 3.7 MB for the 1,280 points of a geo50
-        ODE-residual round, and 900 against 3,700 page faults per
-        20,000-point geo50 evaluate() call."""
+        reusing their memory.  Dropping before the next block the ones the
+        pass without derivatives drops gave more minor page faults per
+        geo50 call, not fewer: 4,600 against 3,200 for a 20,257-point
+        eval_coefficient batch and 2,100 against 2,100 for a three-radius
+        coefficient_growth_table; dropping the derivative ones as well gave
+        19,900 and 4,000.  Without derivatives they are dropped before the
+        next block forms its own, which keeps the peak at one block's: 2.5
+        against 3.7 MB for the 1,280 points of a geo50 ODE-residual round,
+        and 900 against 3,700 page faults per 20,000-point geo50 evaluate()
+        call."""
         prod = self.product
         floor = math.log(np.finfo(float).eps / prod.z.size)
         for sl, delta, den in prod._blocks(pts):
@@ -499,9 +502,10 @@ class InterpolationSeries:
         Each row is (r, max log|f| on |z| = r, psi_tilde(1/(1-r)), ratio).
         The radii are checked before any evaluation; circle_max then scans
         every circle in one call and refines all of them by golden section
-        in lockstep, one point per circle per step.  Each value depends
-        on its own point alone (the series pass, or the removable form at
-        a node), so each row equals the table of its radius alone.
+        in lockstep, two steps per call with three points per circle (23
+        calls in all).  Each value depends on its own point alone (the
+        series pass, or the removable form at a node), so each row equals
+        the table of its radius alone.
         """
         radii = np.asarray(r_ladder, dtype=float)
         if not np.all((0.0 < radii) & (radii < 1.0)):

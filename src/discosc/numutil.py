@@ -254,7 +254,8 @@ def adaptive_segment_integral(f, a, b, tol: float = 1e-12):
     return out.reshape(shape) if shape else out[0].item()
 
 
-# golden-section steps: each shrinks the bracket by 0.618, 40 by 4e-9
+# golden-section steps: each shrinks the bracket by 0.618, 40 by 4e-9;
+# golden_section_max takes them two per f call, so the count is even
 GOLDEN_SECTION_STEPS = 40
 
 
@@ -263,24 +264,36 @@ def golden_section_max(f, lo, hi):
 
     lo and hi are floats or arrays of one shape, one bracket per element.
     f is elementwise: it is called once with the two inner points stacked,
-    shape (2,) + lo.shape, then once per iteration with one new point per
-    bracket, and once at the midpoints.  Each bracket takes the branch the
-    scalar search would (fc >= fd shrinks it from the right; NaN from the
-    left) with the same arithmetic, so every element is bit for bit the
-    search run on its bracket alone.  Returns (x, f(x)).
+    shape (2,) + lo.shape, then once per two steps with three points per
+    bracket stacked, shape (3,) + lo.shape, and once at the midpoints.  The
+    first step's branch is known from (fc, fd), so its new point p is fixed
+    before the call; the second step's branch depends only on f(p), so its
+    two possible new points join p in the call and the search keeps the
+    one its branch takes.  Each bracket takes the branch the scalar search
+    would (fc >= fd shrinks it from the right; NaN from the left) with the
+    same arithmetic, so every element is bit for bit the search run on its
+    bracket alone.  Returns (x, f(x)).
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(np.stack([c, d]))
-    for _ in range(GOLDEN_SECTION_STEPS):
+    for _ in range(GOLDEN_SECTION_STEPS // 2):
         left = fc >= fd
         a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fnew = f(new)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
+        p = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        # the second step's new point on its left and on its right branch
+        q_left, q_right = d - invphi * (d - a), c + invphi * (b - c)
+        fp, fq_left, fq_right = f(np.stack([p, q_left, q_right]))
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        q, fq = np.where(left, q_left, q_right), np.where(left, fq_left,
+                                                          fq_right)
+        c, d = np.where(left, q, d), np.where(left, c, q)
+        fc, fd = np.where(left, fq, fd), np.where(left, fc, fq)
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -291,11 +304,13 @@ def circle_max(fn, radii, samples: int, refine_fn=None):
     fn maps points (an array of any shape) to real values elementwise.  One
     call scans a uniform grid of samples points on every circle at once,
     shape (len(radii), samples); then one golden-section search per circle,
-    between the two neighbours of its best sample, runs in lockstep, so
-    each of its calls carries one point per circle.  The larger of the best
-    sample and the refined value is kept (the sample on a tie or a NaN).
-    refine_fn, when given, stands in for fn at the search points.  A scalar
-    radius gives a float, radii an array.  samples < 1 raises ValueError.
+    between the two neighbours of its best sample, runs in lockstep: its 22
+    calls carry every circle at once, three points per circle in each
+    two-step call, so a ladder of any length takes 23 calls.  The larger of
+    the best sample and the refined value is kept (the sample on a tie or a
+    NaN).  refine_fn, when given, stands in for fn at the search points.  A
+    scalar radius gives a float, radii an array.  samples < 1 raises
+    ValueError.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")

@@ -509,9 +509,10 @@ class OscillationBundle:
 
         The radii are checked before any evaluation.  circle_max takes the
         whole ladder in lockstep: one eval_coefficient call scans every
-        circle, and each golden-section step evaluates one point per
-        circle.  Each value of a depends on its own point alone, so the
-        rows are those of a radius-by-radius table.
+        circle, and the golden-section search takes two steps per call with
+        three points per circle, 23 calls in all.  Each value of a depends
+        on its own point alone, so the rows are those of a radius-by-radius
+        table.
         """
         radii = np.asarray(r_ladder, dtype=float)
         if not np.all((0.0 < radii) & (radii <= 0.995)):

@@ -281,6 +281,30 @@ def test_growth_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_a_parse_failure_leaves_the_parser_for_the_next_call(tmp_path,
+                                                            capsys):
+    # the parser is built once per process; an argument error part way
+    # through a sub-command must not change what the next call writes
+    seq = str(_gen_geo(tmp_path))
+    build = ["build", "--sequence", seq, "--scale", "log"]
+    growth = ["growth", "--sequence", seq, "--scale", "log", "--ladder",
+              "0.3,0.5", "--samples", "64"]
+    for tag in "ab":
+        assert cli.main([*build, "--out", str(tmp_path / tag)]) == 0
+        assert cli.main([*growth, "--out", str(tmp_path / f"{tag}.g.csv")]) \
+            == 0
+        for bad in ([*build, "--margin", "ten"], [*growth, "--target", "h"],
+                    ["build", "--scale", "log"], ["nope"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == 2
+    assert cli.make_parser() is cli.make_parser()
+    for suffix in (".json", ".csv", ".g.csv"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == \
+            (tmp_path / f"b{suffix}").read_bytes()
+    assert "invalid float value: 'ten'" in capsys.readouterr().err
+
+
 def test_witness_csv(tmp_path):
     out = tmp_path / "wit.csv"
     assert cli.main(["witness", "--eta1", "1.0", "--eta2", "1.0",

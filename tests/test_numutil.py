@@ -180,6 +180,20 @@ def test_golden_section_max_is_the_scalar_search_per_bracket(cases):
         assert fx[i].tobytes() == np.float64(want[1]).tobytes()
 
 
+def test_golden_section_max_takes_two_steps_per_call():
+    # the two inner points, then three points per bracket for each pair of
+    # the 40 steps, then the midpoints: 22 calls
+    shapes = []
+
+    def f(t):
+        shapes.append(np.shape(t))
+        return np.cos(t - 0.4)
+
+    lo = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    golden_section_max(f, lo, lo + 1.5)
+    assert shapes == [(2, 2, 3)] + [(3, 2, 3)] * 20 + [(2, 3)]
+
+
 def test_circle_max_on_a_ladder_is_circle_max_per_radius():
     def fn(z):
         return np.real(z * np.exp(-0.3j)) + 0.1 * np.abs(z - 0.2) ** 2

@@ -525,12 +525,12 @@ def test_growth_table_through_an_exclusion_disc_is_the_table_per_radius(
 def test_coefficient_growth_table_evaluates_in_lockstep(geo6_bundle,
                                                         monkeypatch):
     # one scan of all three circles, one call for the two inner points of
-    # every bracket, 40 golden-section steps and the midpoints: 43 calls,
-    # against 44 per radius (132) one radius at a time
+    # every bracket, 40 golden-section steps taken two per call with three
+    # points per bracket, and the midpoints: 23 calls, against 44 per
+    # radius (132) one radius at a time
     calls = _counting_eval(geo6_bundle, monkeypatch)
     geo6_bundle.coefficient_growth_table([0.3, 0.5, 0.9], samples=128)
-    assert len(calls) <= 43
-    assert calls[0] == 3 * 128 and set(calls[2:]) == {3}
+    assert calls == [3 * 128, 2 * 3] + [3 * 3] * 20 + [3]
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.0, np.nan])
