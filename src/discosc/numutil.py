@@ -54,15 +54,17 @@ def clog(z):
     return out
 
 
-def clog1p_sum(x, axis: int = -1):
-    """Sum along axis of the principal logs of 1 + x, accurate for small
-    |x|: log|1 + x| = log1p(2 Re x + |x|^2)/2 and arg(1 + x) = atan2(Im x,
-    1 + Re x), so each term's absolute error stays within a few eps |x|
-    where clog(1 + x) would carry the eps of rounding 1 + x.  The real and
-    imaginary parts are summed apart, so no complex array of logs forms."""
+def clog1p(x):
+    """Principal log of 1 + x, accurate for small |x|: log|1 + x| =
+    log1p(2 Re x + |x|^2)/2 and arg(1 + x) = atan2(Im x, 1 + Re x), so the
+    absolute error stays within a few eps |x| where clog(1 + x) would carry
+    the eps of rounding 1 + x.  x is a complex array."""
     a, b = x.real, x.imag
-    return (0.5 * np.sum(np.log1p(a * (2.0 + a) + b * b), axis=axis)
-            + 1j * np.sum(np.arctan2(b, 1.0 + a), axis=axis))
+    out = np.empty(x.shape, dtype=complex)
+    np.log1p(a * (2.0 + a) + b * b, out=out.real)
+    out.real *= 0.5
+    np.arctan2(b, 1.0 + a, out=out.imag)
+    return out
 
 
 def wrap_angle(x):
@@ -101,19 +103,19 @@ CONTOUR_START_POINTS = 64
 CONTOUR_MAX_POINTS = 1024
 
 
-def nested_circle(fn, max_points: int, start: int = CONTOUR_START_POINTS):
-    """Yield (theta, unit, values) on trapezoid grids of start, twice
-    that, ..., max_points points.
+def nested_circle(fn, max_points: int):
+    """Yield (theta, unit, values) on trapezoid grids of
+    CONTOUR_START_POINTS, twice that, ..., max_points points.
 
     fn maps unit points to values along the last axis.  Each refinement
     evaluates fn only at the new odd-indexed points and interleaves the
     results with the kept values.  The angles 2 pi j / m are exact under
     doubling, so every round holds bit for bit fn on circle_nodes(m).
     """
-    theta, unit = circle_nodes(start)
+    theta, unit = circle_nodes(CONTOUR_START_POINTS)
     values = fn(unit)
     yield theta, unit, values
-    m = 2 * start
+    m = 2 * CONTOUR_START_POINTS
     while m <= max_points:
         theta, unit = circle_nodes(m)
         values = refine_circle(values, fn(unit[1::2]))

@@ -9,9 +9,11 @@ ratios).
 Every per-factor quantity -- the factor logs, the first and second
 log-derivatives, the node targets and the interpolation series' term logs --
 is built from one pair of pieces per point and node, (z - z_n,
-1 - conj(z_n) z).  _pieces forms them at given points; _offset_pieces forms
-them at z_k + d without materialising the sum (one node k per row), which
-keeps contours around deep nodes accurate.  Points x nodes passes loop over
+1 - conj(z_n) z), which _pieces forms at given points.  The exclusion-circle
+contours never form z_k + u: node k's own factor is taken from u, and every
+other factor enters centred on the node, as log E_n(z_k + u) - log
+E_n(z_k), through samples of the pieces at z_k, which keeps contours around
+deep nodes accurate (node_contour_modes).  Points x nodes passes loop over
 _blocks, which holds each block to at most _BLOCK_PAIRS points x nodes pairs
 (and _CHUNK points), so a block's temporaries stay cache-sized at any node
 count; the nearest-node search and the exclusion rule take their distances
@@ -38,9 +40,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .numutil import (CONTOUR_MAX_POINTS, circle_fault, circle_max,
-                      circle_modes, circle_nodes, clog, clog1p_sum,
-                      disc_points, flat_points, like_input, nested_circle,
-                      one_minus_abs, one_minus_abs2, one_minus_conj_mul)
+                      circle_modes, circle_nodes, clog, clog1p, disc_points,
+                      flat_points, like_input, one_minus_abs, one_minus_abs2,
+                      one_minus_conj_mul, refine_circle)
 from .sequences import ZeroSequence, blaschke_sum, log_integrated_count
 
 __all__ = [
@@ -56,11 +58,15 @@ _CHUNK = 512
 _BLOCK_PAIRS = 2 ** 15
 # first grid of the exclusion-circle contour (see node_contour_modes)
 NODE_CONTOUR_START_POINTS = 32
-# on the exclusion circle of node k, factors with |z_n - z_k| <
-# NODE_NEAR_RATIO r_k are taken exactly at every grid point; the others
-# enter through NODE_FAR_SAMPLES centred samples (see _far_field)
+# on the exclusion circle of node k, the other factors with |z_n - z_k| <
+# NODE_NEAR_RATIO r_k enter through NODE_CONTOUR_START_POINTS centred
+# samples and the rest through NODE_FAR_SAMPLES (see _centred_modes)
 NODE_NEAR_RATIO = 16.0
 NODE_FAR_SAMPLES = 16
+# factor x sample pairs per step of the exclusion-circle samples: against
+# 2^15, 2^14 took the contours of the N = 368 and N = 964 lattices about 14%
+# and 6% faster, and 2^12 took them 17% and 33% slower
+_SAMPLE_PAIRS = 2 ** 14
 
 
 def harmonic_sum(s: int) -> float:
@@ -80,14 +86,16 @@ def _poly_part(w, s: int):
     return acc
 
 
-def _poly_diff(w, w0, dw, s: int):
-    """_poly_part(w, s) - _poly_part(w0, s) from dw = w - w0, through
-    w^j - w0^j = w (w^(j-1) - w0^(j-1)) + w0^(j-1) dw, so a small dw keeps
-    its relative accuracy (zeros for s = 0)."""
+def _poly_diff(w0, dw, s: int):
+    """_poly_part(w0 + dw, s) - _poly_part(w0, s), through w^j - w0^j =
+    w (w^(j-1) - w0^(j-1)) + w0^(j-1) dw with w = w0 + dw, so a small dw
+    keeps its relative accuracy (zeros for s = 0)."""
     if s == 0:
         return np.zeros_like(dw)
+    if s == 1:
+        return dw
     acc = d = dw
-    p0 = 1.0
+    w, p0 = w0 + dw, 1.0
     for j in range(2, s + 1):
         p0 = p0 * w0
         d = w * d + p0 * dw
@@ -240,39 +248,18 @@ class CanonicalProduct:
         for sl in self._slices(pts.size):
             yield sl, np.abs(pts[sl, None] - self.z[None, :])
 
-    def _offset_pieces(self, k, d, cols=slice(None)):
-        """The pieces at z_k + d, computed without forming the sum.
-
-        k (node indices: one, or one per row) and d broadcast together; the
-        factors (all, or the indices cols) run along a new last axis.
-        Materialising z_k + d rounds the offset into the gap of z_k, which
-        destroys contour accuracy at deep nodes; here every factor uses the
-        exact pieces (z_k - z_n) + d and (1 - conj(z_n) z_k) - conj(z_n) d.
-        """
-        zk = np.asarray(self.z[k])[..., None]
-        dd = np.asarray(d, dtype=complex)[..., None]
-        zn = self.z[cols]
-        return ((zk - zn) + dd,
-                one_minus_conj_mul(zn, zk) - self._zc[cols] * dd)
-
-    def _factor_logs(self, delta: np.ndarray, den: np.ndarray,
-                     cols=None) -> np.ndarray:
+    def _factor_logs(self, delta: np.ndarray, den: np.ndarray) -> np.ndarray:
         """Per-factor principal logs from the pieces (delta, den) of every
-        factor, or of the factors indexed by cols (broadcasting with the
-        pieces).
+        factor.
 
         Exact zeros produce -inf entries; callers mask as appropriate.
         """
-        zc = self._zc if cols is None else self._zc[cols]
-        omw = -zc * delta / den
+        omw = -self._zc * delta / den
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = clog(omw) + _poly_part(1.0 - omw, self.genus)
             i = self._origin_idx
-            if i is not None and cols is None:
+            if i is not None:
                 logs[..., i] = clog(delta[..., i])
-            elif i is not None and np.any(cols == i):
-                at = np.broadcast_to(cols == i, logs.shape)
-                logs[at] = clog(delta[at])
         return logs
 
     def _log_derivatives(self, delta: np.ndarray, w: np.ndarray):
@@ -393,121 +380,164 @@ class CanonicalProduct:
         return (self.node_deleted_log(k) + harmonic_sum(self.genus)
                 + complex(np.log(complex(coeff))))
 
-    def _far_tail_bound(self, r, dist, den, far):
-        """Per row, a bound on the error of the NODE_FAR_SAMPLES-point
-        interpolant of the centred far sum F (see _far_field) anywhere on
-        the circle |u| = r, from |z_k - z_n| (dist) and den_n at the node.
+    def _tail_bound(self, q, qc, w0, m: int):
+        """Per factor, a bound on the error of the m-point interpolant of
+        its centred log on the circle |u| = r about z_k (see
+        _field_samples), from q = r/|z_k - z_n|, qc = r |conj(z_n)/den_n|
+        and w0 = w_n(z_k), with den_n = 1 - conj(z_n) z_k.
 
-        The centred log of factor n is log1p(u/(z_k - z_n)) -
-        log1p(-conj(z_n) u/den_n) + poly(w_n(z_k + u)) - poly(w_n(z_k)),
-        with den_n = 1 - conj(z_n) z_k and w_n(z_k + u) = w_n(z_k)/(1 -
-        conj(z_n) u/den_n).  With q = r/|z_k - z_n|, which bounds r
-        |z_n|/|den_n| as well (the reflected pole 1/conj(z_n) lies farther
-        out than z_n), its Taylor coefficients in u, scaled to the circle,
-        are at most q^j/j for each log1p and |w_n(z_k)|^i/i C(j+i-1, i-1)
-        q^j for the term w^i/i of the polynomial part.  With M samples,
-        modes j >= M alias onto modes 0..M-1 and are cut off, so the
-        interpolant is off by at most twice their sum, which C(M+t+i-1,
-        i-1) <= C(M+i-1, i-1) C(t+i-1, i-1) bounds in closed form:
+        The centred log is log1p(u/(z_k - z_n)) - log1p(-conj(z_n) u/den_n)
+        + poly(w_n(z_k + u)) - poly(w0), with w_n(z_k + u) = w0/(1 -
+        conj(z_n) u/den_n).  Scaled to the circle, its Taylor coefficients in
+        u are at most q^j/j and qc^j/j for the two log1p, and |w0|^i/i
+        C(j+i-1, i-1) qc^j for the term w^i/i of the polynomial part.  With
+        m samples, modes j >= m alias onto modes 0..m-1 and are cut off, so
+        the interpolant is off by at most twice their sum, which C(m+t+i-1,
+        i-1) <= C(m+i-1, i-1) C(t+i-1, i-1) bounds in closed form:
 
-            sum_{j>=M} q^j/j <= q^M/(M (1-q)),
-            sum_{j>=M} C(j+i-1, i-1) q^j <= C(M+i-1, i-1) q^M/(1-q)^i.
+            sum_{j>=m} q^j/j <= q^m/(m (1-q)),
+            sum_{j>=m} C(j+i-1, i-1) qc^j <= C(m+i-1, i-1) qc^m/(1-qc)^i.
 
-        Far factors have q <= 1/NODE_NEAR_RATIO, so at 16 samples each adds
-        at most about 1e-20 (Trefethen & Weideman, "The exponentially
+        The exclusion rule keeps every other zero at least 4r from z_k, so
+        q <= 1/4, and the unit circle at least 8r, so the reflected pole
+        1/conj(z_n), at distance |den_n/conj(z_n)| >= 1 - |z_k| from z_k,
+        gives qc <= 1/8 (Trefethen & Weideman, "The exponentially
         convergent trapezoidal rule", SIAM Rev. 56, 2014).
         """
-        m = NODE_FAR_SAMPLES
-        with np.errstate(divide="ignore"):
-            q = np.where(far, r / dist, 0.0)
-        inv = 1.0 / (1.0 - q)
-        acc = 2.0 / m * inv
-        wq = np.abs(self._gap2 / den) * inv
-        power = 1.0
+        acc = (q ** m / (1.0 - q) + qc ** m / (1.0 - qc)) / m
+        wq = np.abs(w0) / (1.0 - qc)
+        power = qc ** m
         for i in range(1, self.genus + 1):
             power = power * wq
-            acc += math.comb(m + i - 1, i - 1) / i * power
-        return 2.0 * np.sum(q ** m * acc, axis=1)
+            acc = acc + math.comb(m + i - 1, i - 1) / i * power
+        return 2.0 * acc
 
-    def _far_field(self, nodes: np.ndarray):
-        """(const, coef, near) for the exclusion circles of the given nodes.
+    def _field_samples(self, r, delta, den, mask, m: int):
+        """(samples, bound) for the factors in mask on the exclusion
+        circles of a block of nodes, one row per node.
 
-        For node k the far factors are those with |z_n - z_k| >=
-        NODE_NEAR_RATIO r_k; near[i] lists the others, node k included.
-        On the circle z_k + u, |u| = r_k, the far factors' log sum is
-        const_k + F_k(u): const_k = sum_far log E_n(z_k) at the node, and
-        the centred F_k(u) = sum_far log1p(u w_n(z_k + u)/(z_k - z_n)) +
-        poly(w_n(z_k + u)) - poly(w_n(z_k)), which is log E_n(z_k + u) -
-        log E_n(z_k) up to 2 pi i since (1 - w_n(z_k + u))/(1 - w_n(z_k)) =
-        1 + u w_n(z_k + u)/(z_k - z_n).  A centred term is at most about
-        |u|/|z_k - z_n| <= 1/NODE_NEAR_RATIO in size and its rounding eps
-        times that, where an uncentred log carries eps |log E_n| (uncentred
-        samples lift the origin-node mismatch of the N = 2686 lattice from
-        4e-7 to 1e-6 and more).  F_k is analytic for |u| < min_far |z_n -
-        z_k|, so it has no negative Fourier modes on the circle; coef[i]
-        holds its modes 0..M-1 from the DFT of M = NODE_FAR_SAMPLES
-        samples.  Raises RuntimeError naming the node when _far_tail_bound
-        exceeds the unit roundoff, i.e. when the interpolant could add more
-        than one rounding to a circle value.  Only factor values enter.
+        Row i belongs to node k, with radius r[i] and the pieces delta =
+        z_k - z_n and den = 1 - conj(z_n) z_k of every factor n.
+        samples[i, j] sums log E_n(z_k + u) - log E_n(z_k) over the factors
+        of row i in mask at u = r[i] e^{2 pi i j/m}, each centred as
+        log1p(u w_n(z_k + u)/(z_k - z_n)) + poly(w_n(z_k + u)) -
+        poly(w_n(z_k)): (1 - w_n(z_k + u))/(1 - w_n(z_k)) = 1 + u w_n(z_k +
+        u)/(z_k - z_n), so a term is about |u|/|z_k - z_n| in size and its
+        rounding eps times that, where an uncentred log carries eps |log
+        E_n| (centring the near factors as well took the origin-node
+        mismatch of the N = 2686 lattice from 3.2e-7 to 9.2e-8).  With y =
+        u/(1 - conj(z_n) u/den_n) = r/(e^{-2 pi i j/m} - r conj(z_n)/den_n),
+        the log1p argument is w_n(z_k) y/(z_k - z_n) and w_n(z_k + u) -
+        w_n(z_k) = w_n(z_k) conj(z_n) y/den_n, so a sample costs one
+        complex division.  bound[i] sums _tail_bound over the same factors.
+        The pairs in mask are taken in row order, at most _SAMPLE_PAIRS
+        pairs x samples at a time, and summed by row.
         """
-        m = NODE_FAR_SAMPLES
+        rows, cols = np.nonzero(mask)
+        out = np.zeros((mask.shape[0], m), dtype=complex)
+        bound = np.zeros(mask.shape[0])
+        if rows.size == 0:
+            return out, bound
+        delta, den = delta[rows, cols], den[rows, cols]
+        inv, c, w0 = 1.0 / delta, self._zc[cols] / den, self._gap2c[cols] / den
+        rr = r[rows]
+        # the first pair of each row that has any
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        at = rows[starts]
+        bound[at] = np.add.reduceat(
+            self._tail_bound(rr * np.abs(inv), rr * np.abs(c), w0, m), starts)
         _, unit = circle_nodes(m)
-        # the m-point DFT as a matrix: mode j of the samples
-        dft = np.conj(np.vander(unit, m, increasing=True)) / m
-        const = np.empty(nodes.size, dtype=complex)
-        coef = np.empty((nodes.size, m), dtype=complex)
-        near = []
+        a, b, c = rr * inv * w0, rr * c * w0, rr * c
+        step = max(1, _SAMPLE_PAIRS // rows.size)
+        for lo in range(0, m, step):
+            y = 1.0 / (np.conj(unit[lo:lo + step, None]) - c)
+            logs = clog1p(a * y)
+            logs += _poly_diff(w0, b * y, self.genus)
+            out[at, lo:lo + step] = np.add.reduceat(logs, starts, axis=1).T
+        return out, bound
+
+    def _centred_modes(self, nodes: np.ndarray) -> np.ndarray:
+        """Fourier modes 0..K-1 of F_k(e^{i theta}) = sum_{n != k} log
+        E_n(z_k + r_k e^{i theta}) - log E_n(z_k), one row per node, K =
+        max(NODE_FAR_SAMPLES, NODE_CONTOUR_START_POINTS).
+
+        F_k is analytic for |u| < min_n |z_n - z_k|, so it has no negative
+        Fourier modes on the circle.  The far factors (|z_n - z_k| >=
+        NODE_NEAR_RATIO r_k, so q <= 1/16) enter from NODE_FAR_SAMPLES
+        samples and the near ones (q <= 1/4) from NODE_CONTOUR_START_POINTS,
+        each field through the DFT of its samples (_field_samples); a row
+        holds the sum of both.  Raises RuntimeError naming the node and the
+        field when the field's tail bound exceeds the unit roundoff, i.e.
+        when its interpolant could add more than one rounding to a circle
+        value.  Only factor values enter.
+        """
         eps = float(np.finfo(float).eps)
-        step = max(1, _CHUNK // m)
+        fields = (("far", NODE_FAR_SAMPLES),
+                  ("near", NODE_CONTOUR_START_POINTS))
+        coef = np.zeros((nodes.size, max(m for _, m in fields)),
+                        dtype=complex)
+        step = max(1, _SAMPLE_PAIRS // max(self.z.size, 1))
         for lo in range(0, nodes.size, step):
             blk = nodes[lo:lo + step]
-            r = self.exclusion_radii[blk][:, None]
+            r = self.exclusion_radii[blk]
             delta, den = self._pieces(self.z[blk])
-            dist = np.abs(delta)
-            far = dist >= NODE_NEAR_RATIO * r
-            rows, cols = np.nonzero(~far)
-            near += np.split(cols, np.cumsum(np.bincount(
-                rows, minlength=len(blk)))[:-1])
-            bound = self._far_tail_bound(r, dist, den, far)
-            if np.any(bound > eps):
-                i = int(np.flatnonzero(bound > eps)[0])
-                raise RuntimeError(
-                    f"far field of node {int(blk[i])}: Fourier tail bound "
-                    f"{bound[i]:.2e} at {m} samples exceeds the unit "
-                    f"roundoff {eps:.2e}")
-            const[lo:lo + step] = np.sum(
-                np.where(far, self._factor_logs(delta, den), 0.0), axis=1)
-            # near columns get 1/(z_k - z_n) = conj(z_n)/den_n = 0, so they
-            # add exactly 0 below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                inv = np.where(far, 1.0 / delta, 0.0)
-            c = np.where(far, self._zc / den, 0.0)
-            w0 = self._gap2c / den
-            vals = np.empty((len(blk), m), dtype=complex)
-            # one sample at a time keeps the temporaries cache-sized
-            for j, u in enumerate((r * unit).T):
-                v = c * u[:, None]
-                w = w0 / (1.0 - v)
-                vals[:, j] = (clog1p_sum(u[:, None] * inv * w, axis=1)
-                              + np.sum(_poly_diff(w, w0, w * v, self.genus),
-                                       axis=1))
-            coef[lo:lo + step] = vals @ dft
-        return const, coef, near
+            far = np.abs(delta) >= NODE_NEAR_RATIO * r[:, None]
+            near = ~far
+            near[np.arange(blk.size), blk] = False
+            for (field, m), mask in zip(fields, (far, near)):
+                vals, bound = self._field_samples(r, delta, den, mask, m)
+                bad = np.flatnonzero(bound > eps)
+                if bad.size:
+                    i = bad[0]
+                    raise RuntimeError(
+                        f"{field} field of node {int(blk[i])}: Fourier tail "
+                        f"bound {bound[i]:.2e} at {m} samples exceeds the "
+                        f"unit roundoff {eps:.2e}")
+                coef[lo:lo + step, :m] += np.fft.fft(vals, axis=1) / m
+        return coef
+
+    def _circle_logs(self, ks: np.ndarray, coef: np.ndarray, m: int,
+                     pick=slice(None)):
+        """log P(z_k + r_k e^{i theta}) - sum_{n != k} log E_n(z_k) at the
+        points pick of the m-point grid on the exclusion circles of the
+        nodes ks, one row each, from node k's own factor and the modes coef
+        of F_k (_centred_modes).
+
+        The own factor is taken exactly, log(-conj(z_k) u/(1 - |z_k|^2 -
+        conj(z_k) u)) + poly(w_k(z_k + u)), or log u at the origin node;
+        the sum z_k + u is never formed.  F_k comes from its modes by an
+        inverse FFT on a grid of at least K points, which holds the m-point
+        grid.
+        """
+        _, unit = circle_nodes(m)
+        u = self.exclusion_radii[ks][:, None] * unit[pick]
+        t = self._zc[ks][:, None] * u
+        gap2 = self._gap2[ks][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = clog(-t / (gap2 - t)) + _poly_part(gap2 / (gap2 - t),
+                                                      self.genus)
+            at = ks == self._origin_idx
+            logs[at] = clog(u[at])
+        size = max(m, coef.shape[1])
+        grid = size * np.fft.ifft(coef, n=size, axis=1)[:, ::size // m]
+        return logs + grid[:, pick]
 
     def node_contour_modes(self, nodes=None) -> NodeModes:
         """Fourier modes of P on the exclusion circles of the given nodes
-        (all by default), in one pass over blocks of nodes.
+        (all by default).
 
-        On the circle z_k + r_k e^{i theta} the factor logs split as in
-        _far_field: the near factors (|z_n - z_k| < NODE_NEAR_RATIO r_k,
-        node k included) are taken exactly at every grid point from the
-        offset pieces and summed along the factor axis, and the far ones
-        add const_k + F_k, with F_k evaluated on each grid from its
-        NODE_FAR_SAMPLES Fourier modes.  The nested_circle rounds run until
-        both modes of a node move by at most 1e-9 (1 + |m|); scale, the
-        first round's maximum of Re log P, stays frozen so that the rounds
-        compare in one unit, and const_k enters only the returned scale and
-        the modes' phase.
+        On the circle z_k + u, u = r_k e^{i theta}, log P = log E_k(z_k +
+        u) + const_k + F_k(u) up to 2 pi i, with const_k = sum_{n != k} log
+        E_n(z_k) from node_deleted_logs and F_k the centred sum of the
+        other factors, which _centred_modes reads off NODE_FAR_SAMPLES
+        samples for the far factors and NODE_CONTOUR_START_POINTS for the
+        near ones.  A round then evaluates only node k's own factor and
+        adds F_k from its modes (_circle_logs).  The rounds run in lockstep
+        over the nodes still live, refining their grids as nested_circle
+        does, until both modes of a node move by at most 1e-9 (1 + |m|);
+        scale, the first round's maximum of Re(log P - const_k), stays
+        frozen so that the rounds compare in one unit, and const_k enters
+        only the returned scale and the modes' phase.
 
         The rounds start at NODE_CONTOUR_START_POINTS = 32, not at the 64
         of the other contours.  The exclusion rule r = min(nn/4, (1 -
@@ -521,84 +551,61 @@ class CanonicalProduct:
         (Trefethen & Weideman, SIAM Rev. 56, 2014).  The 64-point round
         still certifies the 32-point modes under the same drift test.
 
-        The near sums cost (near factors) x 64 per node and the far field
-        N x 16, against N x 64 for all factors on the grid.  A block holds
-        at most _CHUNK / 32 nodes, so the temporaries of its 32-point rounds
-        have _CHUNK rows, as in the other passes, by its longest near list.
-        Its nodes' near counts lie within a factor 1.5 of each other (the
-        lists are padded to the longest with factors that add 0), so padding
-        stays below a third of the near work.
+        The samples cost N x 16 + (near factors) x 32 factor evaluations
+        per node, against N x 64 for every factor on the grid, and a round
+        one factor per grid point and one inverse FFT of K modes.
         """
         nodes = (np.arange(self.z.size) if nodes is None
                  else np.atleast_1d(np.asarray(nodes, dtype=int)))
         bad = (nodes < 0) | (nodes >= self.z.size)
         if np.any(bad):
             raise IndexError(f"node index {nodes[bad][0]} out of range")
-        const, coef, near = self._far_field(nodes)
+        const = self.node_deleted_logs()
         out = NodeModes(np.empty(nodes.size), np.empty(nodes.size, complex),
                         np.empty(nodes.size, complex),
                         np.zeros(nodes.size, dtype=int))
-        counts = np.array([c.size for c in near], dtype=int)
-        order = np.argsort(counts, kind="stable")
-        start = NODE_CONTOUR_START_POINTS
-        lo = 0
-        while lo < order.size:
-            hi = lo + 1
-            while (hi < order.size and (hi + 1 - lo) * start <= _CHUNK
-                   and counts[order[hi]] <= 1.5 * counts[order[lo]]):
-                hi += 1
-            self._near_rounds(nodes, order[lo:hi], near, const, coef, out)
-            lo = hi
+        # blocks of nodes whose 64-point round holds _BLOCK_PAIRS samples
+        step = _BLOCK_PAIRS // (2 * NODE_CONTOUR_START_POINTS)
+        for lo in range(0, nodes.size, step):
+            blk = nodes[lo:lo + step]
+            coef = self._centred_modes(blk)
+            live = np.arange(blk.size)
+            m = NODE_CONTOUR_START_POINTS
+            vals = self._circle_logs(blk, coef, m)
+            scale = prev = None
+            while True:
+                theta = circle_nodes(m)[0]
+                fault = circle_fault(vals)
+                if fault is not None:
+                    raise RuntimeError(f"exclusion circle of node "
+                                       f"{int(blk[live[fault[0]]])}: "
+                                       f"{fault[1]}")
+                frozen = None if scale is None else scale[live]
+                first, cur = circle_modes(theta, vals, (1, 2), frozen)
+                if scale is None:
+                    scale = first
+                else:
+                    done = np.all(np.abs(cur - prev)
+                                  <= 1e-9 * (1.0 + np.abs(cur)), axis=1)
+                    sel, k = lo + live[done], blk[live[done]]
+                    phase = np.exp(1j * const[k].imag)
+                    out.scale[sel] = scale[live[done]] + const[k].real
+                    out.m1[sel] = cur[done, 0] * phase
+                    out.m2[sel] = cur[done, 1] * phase
+                    out.points[sel] = m
+                    live, vals, cur = live[~done], vals[~done], cur[~done]
+                if live.size == 0:
+                    break
+                if 2 * m > CONTOUR_MAX_POINTS:
+                    raise RuntimeError(
+                        f"exclusion-circle contour at node "
+                        f"{int(blk[live[0]])} did not converge within "
+                        f"{CONTOUR_MAX_POINTS} points")
+                prev = cur
+                m *= 2
+                vals = refine_circle(vals, self._circle_logs(
+                    blk[live], coef[live], m, slice(1, None, 2)))
         return out
-
-    def _near_rounds(self, nodes, blk, near, const, coef, out) -> None:
-        """The nested_circle rounds of node_contour_modes for the nodes
-        nodes[blk]; fills out at those positions."""
-        ks = nodes[blk]
-        width = max(near[i].size for i in blk)
-        # pad each near list with node k itself, masked to 0 below
-        cols = np.array([np.concatenate([near[i], np.full(
-            width - near[i].size, nodes[i])]) for i in blk])[:, None, :]
-        valid = (np.arange(width)[None, :]
-                 < np.array([near[i].size for i in blk])[:, None])[:, None, :]
-        r = self.exclusion_radii[ks][:, None]
-        start = NODE_CONTOUR_START_POINTS
-
-        def logs(unit):
-            vals = []
-            for i in range(0, unit.size, start):
-                part = unit[i:i + start]
-                pieces = self._offset_pieces(ks[:, None], r * part, cols)
-                fl = self._factor_logs(*pieces, cols)
-                vals.append(np.sum(np.where(valid, fl, 0.0), axis=2)
-                            + coef[blk] @ np.vander(part, NODE_FAR_SAMPLES,
-                                                    increasing=True).T)
-            return np.concatenate(vals, axis=1)
-
-        scale = prev = None
-        done = np.zeros(ks.size, dtype=bool)
-        for theta, _, vals in nested_circle(logs, CONTOUR_MAX_POINTS, start):
-            fault = circle_fault(vals)
-            if fault is not None:
-                raise RuntimeError(f"exclusion circle of node "
-                                   f"{int(ks[fault[0]])}: {fault[1]}")
-            scale, cur = circle_modes(theta, vals, (1, 2), scale)
-            if prev is not None:
-                new = ~done & np.all(
-                    np.abs(cur - prev) <= 1e-9 * (1.0 + np.abs(cur)), axis=1)
-                sel = blk[new]
-                phase = np.exp(1j * const[sel].imag)
-                out.scale[sel] = scale[new] + const[sel].real
-                out.m1[sel] = cur[new, 0] * phase
-                out.m2[sel] = cur[new, 1] * phase
-                out.points[sel] = theta.size
-                done |= new
-                if np.all(done):
-                    return
-            prev = cur
-        raise RuntimeError(
-            f"exclusion-circle contour at node {int(ks[~done][0])} did not "
-            f"converge within {CONTOUR_MAX_POINTS} points")
 
     # -- logarithmic derivative sums --------------------------------------
 

@@ -13,6 +13,7 @@ from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
                      sample_probes, targets_from_product, weight_to_psi)
 from discosc.numutil import clog
 from discosc.products import _poly_part
+from references import offset_pieces
 from strategies import separated_sets
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
@@ -270,7 +271,7 @@ def _removable_form_reference(series, k, pts):
     prod = series.product
     rows = np.arange(pts.size)
     zk = prod.z[k]
-    delta, den = prod._offset_pieces(k, pts - zk)
+    delta, den = offset_pieces(prod, k, pts - zk)
     logs = prod._factor_logs(delta, den)
     log_ek = logs[rows, k]
     logs[rows, k] = 0.0

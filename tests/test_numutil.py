@@ -62,25 +62,21 @@ def test_nested_circle_rounds_equal_fresh_grids():
     def fn(unit):
         return np.stack([np.log(2.0 + unit), unit ** 3])
 
-    # the default start (64) and the node contours' start (32)
-    for kwargs, sizes in (({}, [64, 128, 256, 512]),
-                          ({"start": 32}, [32, 64, 128, 256, 512])):
-        seen = []
+    seen = []
 
-        def counted(unit):
-            seen.append(unit.size)
-            return fn(unit)
+    def counted(unit):
+        seen.append(unit.size)
+        return fn(unit)
 
-        rounds = list(nested_circle(counted, 512, **kwargs))
-        assert [theta.size for theta, _, _ in rounds] == sizes
-        for theta, unit, vals in rounds:
-            fresh_theta, fresh_unit = circle_nodes(theta.size)
-            assert np.array_equal(theta, fresh_theta)
-            assert np.array_equal(unit, fresh_unit)
-            assert np.array_equal(vals, fn(fresh_unit))
-        # each point is evaluated once: 64 + 64 + 128 + 256, not 64 + ... +
-        # 512 (and 32 + 32 + 64 + ... from the 32-point start)
-        assert seen == [sizes[0]] + [m // 2 for m in sizes[1:]]
+    rounds = list(nested_circle(counted, 512))
+    assert [theta.size for theta, _, _ in rounds] == [64, 128, 256, 512]
+    for theta, unit, vals in rounds:
+        fresh_theta, fresh_unit = circle_nodes(theta.size)
+        assert np.array_equal(theta, fresh_theta)
+        assert np.array_equal(unit, fresh_unit)
+        assert np.array_equal(vals, fn(fresh_unit))
+    # each point is evaluated once: 64 + 64 + 128 + 256, not 64 + ... + 512
+    assert seen == [64, 64, 128, 256]
 
 
 def test_nested_circle_stops_at_max_points():

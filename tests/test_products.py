@@ -15,6 +15,7 @@ from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
                      node_targets, primary_factor, products, weight_to_psi)
 from discosc.numutil import circle_modes, circle_nodes, wrap_angle
 from discosc.products import _poly_part
+from references import offset_pieces
 from strategies import separated_sets
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
@@ -188,25 +189,33 @@ def test_blocks_hold_the_pair_budget_and_move_no_distance(weight_pipeline):
     empty = CanonicalProduct(ZeroSequence(np.zeros(0, dtype=complex)), 0)
     assert empty.exclusion_radii.size == 0
     assert empty.nearest_node(pts[:2])[0].tolist() == [-1, -1]
+    assert empty.node_contour_modes().points.size == 0
     assert CanonicalProduct(ONE, 0).exclusion_radii.tolist() == [0.0625]
 
 
 def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
-    # a nan factor log on an exclusion circle is refused, naming the node,
-    # not counted as an exact zero
-    prod = CanonicalProduct(PAIR, 1)
-    real = CanonicalProduct._factor_logs
+    # a nan near-field sample on an exclusion circle is refused, naming the
+    # node, not counted as an exact zero
+    prod = CanonicalProduct(_LATTICE07, 1)
+    real = CanonicalProduct._field_samples
+    poisoned_rows = []
 
-    def poisoned(self, delta, den, cols=None):
-        logs = real(self, delta, den, cols)
-        if cols is not None:            # the near factors on the circles
-            logs[..., 5, :] = np.nan
-        return logs
+    def poisoned(self, r, delta, den, mask, m):
+        vals, bound = real(self, r, delta, den, mask, m)
+        if m == products.NODE_CONTOUR_START_POINTS and not poisoned_rows:
+            # the near field of the first block's last node (row i of the
+            # first block is node i)
+            i = mask.shape[0] - 1
+            assert np.any(mask[i])
+            vals[i, 5] = np.nan
+            poisoned_rows.append(i)
+        return vals, bound
 
-    monkeypatch.setattr(CanonicalProduct, "_factor_logs", poisoned)
-    with pytest.raises(RuntimeError, match=r"exclusion circle of node \d: "
-                                           r"contour sample is nan or \+inf"):
+    monkeypatch.setattr(CanonicalProduct, "_field_samples", poisoned)
+    with pytest.raises(RuntimeError) as err:
         prod.node_contour_modes()
+    assert str(err.value) == (f"exclusion circle of node {poisoned_rows[0]}: "
+                              f"contour sample is nan or +inf")
 
 
 def test_circle_log_max_one_point():
@@ -269,7 +278,7 @@ def test_factor_logs_match_np_log_at_the_deepest_node():
     prod = CanonicalProduct(generate_radial_geometric(0.5, 16), 1)
     k = prod.z.size - 1
     _, unit = circle_nodes(128)
-    delta, den = prod._offset_pieces(k, prod.exclusion_radii[k] * unit)
+    delta, den = offset_pieces(prod, k, prod.exclusion_radii[k] * unit)
     got = np.sum(prod._factor_logs(delta, den), axis=1)
     # the same factor logs through numpy's complex log
     omw = -prod._zc * delta / den
@@ -313,7 +322,7 @@ def _exact_modes(prod, k, m):
     """(scale, modes 1 and 2) of P on node k's exclusion circle from an
     m-point grid of every factor's log at the offset pieces."""
     theta, unit = circle_nodes(m)
-    pieces = prod._offset_pieces(k, prod.exclusion_radii[k] * unit)
+    pieces = offset_pieces(prod, k, prod.exclusion_radii[k] * unit)
     logs = np.sum(prod._factor_logs(*pieces), axis=1)
     return circle_modes(theta, logs, (1, 2))
 
@@ -333,21 +342,26 @@ def _assert_modes_match(prod, res, k, m, tol):
     (_LATTICE07, weight_to_psi(_WEIGHT)),
 ], ids=["geo50", "sharp8", "lattice07"])
 def test_node_contour_settles_at_64_points(monkeypatch, seq, scale):
-    # the exclusion-circle contour starts at 32 points and takes the far
-    # factors from 16 samples; every node settles on the 64-point round,
-    # whose modes match a fresh 128-point grid of all factors
+    # the exclusion-circle contour starts at 32 points and takes every
+    # other factor of a node once, the far ones from 16 samples and the
+    # near ones from 32; every node settles on the 64-point round, whose
+    # modes match a fresh 128-point grid of all factors
     prod = CanonicalProduct(seq, genus_from_scale(scale))
-    far_field = prod._far_field
-    sampled = []
+    field_samples = prod._field_samples
+    rows, pairs = {16: 0, 32: 0}, {16: 0, 32: 0}
 
-    def counted(nodes):
-        const, coef, near = far_field(nodes)
-        sampled.append(coef.shape)
-        return const, coef, near
+    def counted(r, delta, den, mask, m):
+        vals, bound = field_samples(r, delta, den, mask, m)
+        assert vals.shape == (mask.shape[0], m)
+        rows[m] += mask.shape[0]
+        pairs[m] += int(np.sum(mask))
+        return vals, bound
 
-    monkeypatch.setattr(prod, "_far_field", counted)
+    monkeypatch.setattr(prod, "_field_samples", counted)
     res = prod.node_contour_modes()
-    assert sampled == [(prod.z.size, 16)]
+    n = prod.z.size
+    assert rows == {16: n, 32: n}
+    assert pairs[16] + pairs[32] == n * (n - 1)
     assert np.all(res.points == 64)
     for k in range(prod.z.size):
         _assert_modes_match(prod, res, k, 128, 1e-12)
@@ -362,10 +376,12 @@ def test_node_contour_matches_the_exact_grid_on_separated_sets(pts, genus):
 @pytest.mark.parametrize("genus", [0, 1, 2])
 def test_node_contour_matches_the_exact_grid_on_lattice07(genus):
     prod = CanonicalProduct(_LATTICE07, genus)
-    # the origin node keeps every factor near; the others have far ones
+    # the origin node has every other factor near; the others have far ones
     assert prod._origin_idx == 0
-    near = [c.size for c in prod._far_field(np.arange(prod.z.size))[2]]
-    assert near[0] == prod.z.size and max(near[1:]) < prod.z.size
+    dist = np.abs(prod.z[:, None] - prod.z[None, :])
+    near = np.sum(dist < products.NODE_NEAR_RATIO
+                  * prod.exclusion_radii[:, None], axis=1) - 1
+    assert near[0] == prod.z.size - 1 and max(near[1:]) < prod.z.size - 1
     _assert_all_modes_match(prod)
 
 
@@ -384,6 +400,17 @@ def test_far_field_tail_check_names_the_node(monkeypatch):
     prod = CanonicalProduct(generate_radial_geometric(0.8, 50), 1)
     with pytest.raises(RuntimeError,
                        match=r"far field of node \d+: Fourier tail bound"):
+        prod.node_contour_modes()
+
+
+def test_near_field_tail_check_names_the_node(monkeypatch):
+    # a neighbour at q = r/|z_n - z_k| = 1/4 leaves a tail of about
+    # (1/4)^8 at 8 samples, far above the unit roundoff
+    monkeypatch.setattr(products, "NODE_CONTOUR_START_POINTS", 8)
+    prod = CanonicalProduct(generate_radial_geometric(0.8, 50), 1)
+    with pytest.raises(RuntimeError,
+                       match=r"near field of node \d+: Fourier tail bound "
+                             r"\S+ at 8 samples"):
         prod.node_contour_modes()
 
 
