@@ -53,6 +53,14 @@ __all__ = [
 ]
 
 
+# numpy error state of the series pass: a point within 1e-154 of a node (one
+# at the origin) overflows the P'/P form, which the pass's disc round
+# replaces; one within a subnormal distance overflows both, and the
+# non-finite values are refused by name downstream.  In a disc the own
+# term's bound B_k is 0 for s_k = 1, and its log -inf.
+_PASS_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
+
+
 def _above_floor(x: np.ndarray, floor: float):
     """(m, keep): m the row maxima of x ignoring nan, and keep the entries
     at or above m + floor; a row with no entry above -inf has m = -inf and
@@ -217,6 +225,14 @@ class InterpolationSeries:
         the scaled derivative sum and the log-derivatives lam, dlam of
         SeriesPass from the same pieces.
 
+        The first round takes every point, over blocks that
+        CanonicalProduct._map_blocks splits over two threads when the pass
+        is large enough (at geo50's N = 50, from 769 points); with
+        derivatives, a second round takes the few points in exclusion
+        discs again, serially.  Each round enters _PASS_ERRSTATE in every
+        thread it runs in.  A point's values depend on that point alone,
+        not on its batch, the block size or the split.
+
         Each term's derivative is the term itself times
 
             P'/P - 1/(z - z_n) + (s_n - 1) conj(z_n)/(1 - conj(z_n) z).
@@ -262,30 +278,33 @@ class InterpolationSeries:
         if prod.z.size == 0:
             return SeriesPass(log_p, sm, total, dtotal, lam, dlam, node)
         out = (log_p, sm, total, dtotal, lam, dlam, node)
-        # a point within 1e-154 of a node (one at the origin) overflows the
-        # P'/P form, which its second round below replaces; one within a
-        # subnormal distance overflows both, and the non-finite values are
-        # refused by name downstream.  In a disc the own term's bound B_k
-        # is 0 for s_k = 1, and its log -inf.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for sl, vals in self._sums(pts, derivatives):
-                for arr, val in zip(out, vals):
-                    arr[sl] = val
-            inside = np.flatnonzero(node >= 0) if derivatives else []
-            if len(inside):
-                # the few points in exclusion discs again, with the node's
-                # pole divided out
-                for sl, vals in self._sums(pts[inside], True, node[inside]):
+
+        def first_round(slices):
+            with np.errstate(**_PASS_ERRSTATE):
+                for sl, vals in self._sums(pts, derivatives, slices):
+                    for arr, val in zip(out, vals):
+                        arr[sl] = val
+
+        prod._map_blocks(first_round, n)
+        inside = np.flatnonzero(node >= 0) if derivatives else []
+        if len(inside):
+            # the few points in exclusion discs again, with the node's
+            # pole divided out
+            with np.errstate(**_PASS_ERRSTATE):
+                for sl, vals in self._sums(pts[inside], True,
+                                           prod._slices(inside.size),
+                                           node[inside]):
                     for arr, val in zip(out[:6], vals):
                         arr[inside[sl]] = val
         return SeriesPass(log_p, sm, total, dtotal, lam, dlam, node)
 
-    def _sums(self, pts: np.ndarray, derivatives: bool, node=None):
-        """Yield (slice, sums) for _pass over the product's _blocks(pts):
-        sums holds log P, the scale and the scaled term sum and, with
-        derivatives, the scaled derivative sum, lam, dlam and the index of
-        the exclusion disc each point lies in (-1 outside).  node, one index
-        per point, takes every point as lying in the disc of that node.
+    def _sums(self, pts: np.ndarray, derivatives: bool, slices, node=None):
+        """Yield (slice, sums) for _pass over the product's _blocks(pts,
+        slices), the blocks of one run of a pass: sums holds log P, the
+        scale and the scaled term sum and, with derivatives, the scaled
+        derivative sum, lam, dlam and the index of the exclusion disc each
+        point lies in (-1 outside).  node, one index per point, takes
+        every point as lying in the disc of that node.
         With derivatives, the temporaries of a block live until the next
         block replaces them, as in a plain loop, so the allocator keeps
         reusing their memory.  Dropping before the next block the ones the
@@ -297,10 +316,13 @@ class InterpolationSeries:
         next block forms its own, which keeps the peak at one block's: 2.5
         against 3.7 MB for the 1,280 points of a geo50 ODE-residual round,
         and 900 against 3,700 page faults per 20,000-point geo50 evaluate()
-        call."""
+        call.  (These counts are for serial 512-point blocks.)  A split
+        pass runs one generator per thread, each over half-size blocks, so
+        the same holds per thread, and the blocks live at once hold the
+        pairs of one serial block."""
         prod = self.product
         floor = math.log(np.finfo(float).eps / prod.z.size)
-        for sl, delta, den in prod._blocks(pts):
+        for sl, delta, den in prod._blocks(pts, slices):
             disc = None if node is None else node[sl]
             log_p = np.sum(prod._factor_logs(delta, den), axis=1)
             w = prod._gap2c / den
@@ -422,8 +444,10 @@ class InterpolationSeries:
                 g = (s + 2.0) * v - w * inv
                 g1 = (s + 1.0) * v * v + inv * inv
                 g2 = 2.0 * ((s + 1.0) * v ** 3 - inv ** 3)
-                lq = [L, L * g, L * (g * g + g1),
-                      L * (g ** 3 + 3.0 * g * g1 + g2)]
+                # np.multiply keeps the operand order at any block size
+                # (see CanonicalProduct._slices)
+                lq = [L, L * g, np.multiply(L, g * g + g1),
+                      np.multiply(L, g ** 3 + 3.0 * g * g1 + g2)]
                 own = prod._regular_part(kk, prod._gap2[kk], 1.0, 3)
                 for x, r in zip(lq, own):
                     x[rows, kk] = r
@@ -442,7 +466,8 @@ class InterpolationSeries:
                 jets[1, sl] = (l2 + b * (f2 + f1 * f1)
                                + 2.0 * np.sum(D * p1, axis=1))
                 jets[2, sl] = (l3 + b * (f3 + 3.0 * f1 * f2 + f1 ** 3)
-                               + 3.0 * np.sum(D * (p1 * p1 + p2), axis=1))
+                               + 3.0 * np.sum(np.multiply(D, p1 * p1 + p2),
+                                              axis=1))
                 scale[sl] = np.sum(np.abs(L), axis=1)
         return jets, scale
 

@@ -235,7 +235,10 @@ class OscillationBundle:
         fu = np.empty(u.shape, dtype=complex)
         fu[~jet] = f[~jet] / u[~jet]
         uj = u[jet]
-        fu[jet] = f1[jet] + uj * (0.5 * f2[jet] + uj * f3[jet] / 6.0)
+        # np.multiply keeps the operand order at any batch size (see
+        # CanonicalProduct._slices)
+        fu[jet] = f1[jet] + np.multiply(
+            uj, 0.5 * f2[jet] + np.multiply(uj, f3[jet]) / 6.0)
         return -(f * f + fp + 2.0 * fu)
 
     def eval_coefficient(self, z):

@@ -17,7 +17,8 @@ deep nodes accurate (node_contour_modes).  Points x nodes passes loop over
 _blocks, which holds each block to at most _BLOCK_PAIRS points x nodes pairs
 (and _CHUNK points), so a block's temporaries stay cache-sized at any node
 count; the nearest-node search and the exclusion rule take their distances
-over the same blocks.
+over the same blocks, and _map_blocks splits the series pass's blocks over
+two threads.
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -35,6 +36,8 @@ Stability notes baked into the implementation:
 from __future__ import annotations
 
 import math
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +59,9 @@ _CHUNK = 512
 # 512 KB, which stays in cache where a (512, N) one leaves it for N in the
 # hundreds
 _BLOCK_PAIRS = 2 ** 15
+# most threads one points x nodes pass is split over (see
+# CanonicalProduct._map_blocks)
+_MAX_WORKERS = 2
 # first grid of the exclusion-circle contour (see node_contour_modes)
 NODE_CONTOUR_START_POINTS = 32
 # on the exclusion circle of node k, the other factors with |z_n - z_k| <
@@ -67,6 +73,14 @@ NODE_FAR_SAMPLES = 16
 # 2^15, 2^14 took the contours of the N = 368 and N = 964 lattices about 14%
 # and 6% faster, and 2^12 took them 17% and 33% slower
 _SAMPLE_PAIRS = 2 ** 14
+
+
+def _worker_count() -> int:
+    """Threads a split pass uses: the CPUs this process may run on, at most
+    _MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(_MAX_WORKERS, len(os.sched_getaffinity(0)))
+    return min(_MAX_WORKERS, os.cpu_count() or 1)
 
 
 def harmonic_sum(s: int) -> float:
@@ -226,21 +240,74 @@ class CanonicalProduct:
         p = np.asarray(pts, dtype=complex)[:, None]
         return p - self.z[None, :], one_minus_conj_mul(self.z[None, :], p)
 
-    def _slices(self, size: int):
-        """Slices of size points in blocks of min(_CHUNK, _BLOCK_PAIRS //
-        n_zeros) points, at least one: every block holds at most
-        _BLOCK_PAIRS points x nodes pairs (one point at a time past
-        _BLOCK_PAIRS nodes).  Each point's row is computed on its own, so
-        the block size moves no value; it follows the node count, so at
-        N <= 64 nodes blocks keep _CHUNK points."""
-        step = max(1, min(_CHUNK, _BLOCK_PAIRS // max(self.z.size, 1)))
+    def _slices(self, size: int, workers: int = 1):
+        """Slices of size points in blocks of max(1, min(_CHUNK,
+        _BLOCK_PAIRS // n_zeros) // workers) points: a block holds at most
+        _BLOCK_PAIRS // workers points x nodes pairs (one point at a time
+        past that many nodes), so the blocks of workers threads together
+        hold no more than one serial block.  The serial size follows the
+        node count, so at N <= 64 nodes serial blocks keep _CHUNK points.
+
+        Each point's row is computed on its own, with the same operations
+        in the same order whatever the block's size, so neither the block
+        size nor the split over workers moves a bit of any value.  (That
+        rules out a commutative operator whose second operand is a
+        temporary, such as x * (y - z): for arrays of 256 KiB or more numpy
+        reuses the temporary and computes (y - z) * x in its place, and its
+        complex product rounds differently from x * (y - z).)"""
+        step = max(1, min(_CHUNK, _BLOCK_PAIRS // max(self.z.size, 1))
+                   // workers)
         for lo in range(0, size, step):
             yield slice(lo, min(lo + step, size))
 
-    def _blocks(self, pts: np.ndarray):
-        """Yield (slice, pieces) over pts by _slices, so memory stays
-        O(_BLOCK_PAIRS) however many points are asked."""
-        for sl in self._slices(pts.size):
+    def _map_blocks(self, fn, size: int) -> None:
+        """Run a pass over the blocks of size points: fn(slices) computes
+        and stores the rows of every block in slices.
+
+        With w = _worker_count() workers and at least two of
+        _slices(size, w)'s blocks per worker, those blocks are cut into w
+        contiguous runs: the calling thread runs fn on the first, and one
+        thread each on the others.  Otherwise fn(_slices(size)) runs in
+        the calling thread alone.  Blocks of 1/w the serial size keep the
+        temporaries live at once, and so the peak memory, at one serial
+        block's worth.  fn must write only the rows of its own slices,
+        enter the np.errstate it needs itself (numpy's error state is per
+        thread), and call nothing that bench/tracer.py wraps (its span
+        stack assumes one thread).  Every run ends before this returns or
+        raises; an error reaches the caller as the serial pass raises it,
+        the one of the first failing run in block order."""
+        workers = _worker_count()
+        slices = list(self._slices(size, workers))
+        if workers < 2 or len(slices) < 2 * workers:
+            fn(self._slices(size))
+            return
+        cut = [len(slices) * i // workers for i in range(workers + 1)]
+        runs = [slices[lo:hi] for lo, hi in zip(cut, cut[1:])]
+        errors = [None] * workers
+
+        def run(i):
+            try:
+                fn(runs[i])
+            except BaseException as exc:  # raised in the calling thread
+                errors[i] = exc
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(1, workers)]
+        for thread in threads:
+            thread.start()
+        try:
+            fn(runs[0])
+        finally:
+            for thread in threads:
+                thread.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+
+    def _blocks(self, pts: np.ndarray, slices=None):
+        """Yield (slice, pieces) over pts by slices (default _slices), so
+        memory stays O(_BLOCK_PAIRS) however many points are asked."""
+        for sl in self._slices(pts.size) if slices is None else slices:
             yield (sl, *self._pieces(pts[sl]))
 
     def _distances(self, pts: np.ndarray):
@@ -271,18 +338,18 @@ class CanonicalProduct:
             d2log E = -u^2 w^(s+1) [ (s+2)/(1-w) + w/(1-w)^2 ]
 
         Since 1 - w = -u (z - z_n) and u = w conj(z_n)/(1 - |z_n|^2), these
-        are dlog E = w^(s+1)/(z - z_n) and d2log E = dlog E * w *
-        ((s+2) conj(z_n)/(1 - |z_n|^2) - 1/(z - z_n)): two complex
-        divisions per factor.  Callers take w as (1 - |z_n|^2)/(1 -
-        conj(z_n) z), so small |w| keep full relative accuracy.  A node at
+        are dlog E = w^(s+1)/(z - z_n) and d2log E = (w (s+2) conj(z_n)/(1 -
+        |z_n|^2) - w/(z - z_n)) dlog E: two complex divisions per factor,
+        and the last product in that operand order at any block size (see
+        _slices).  Callers take w as (1 - |z_n|^2)/(1 - conj(z_n) z), so
+        small |w| keep full relative accuracy.  A node at
         the origin (w = 1) gives 1/z and -1/z^2 from the same forms.
         """
         inv = 1.0 / delta
         L = w * inv
         for _ in range(self.genus):
             L = L * w
-        dL = L * (w * self._dlog_coef - w * inv)
-        return L, dL
+        return L, (w * self._dlog_coef - w * inv) * L
 
     def _regular_part(self, k, den, w, order: int):
         """[R, R', ..., R^(order)] for R = dlog E_k - 1/(z - z_k), the
