@@ -11,8 +11,7 @@ from .geometry import (CarlesonBox, box_contains, carleson_box_table,
 from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
                             choose_exponents)
 from .oscillation import (OscillationBundle, ResidueCancellationError,
-                          WitnessReport, ZeroCountReport, anorm_estimate,
-                          build_coefficient, log_derivative_envelope,
+                          WitnessReport, ZeroCountReport, build_coefficient,
                           node_targets, sample_probes, sharpness_witness,
                           targets_from_product)
 from .products import CanonicalProduct, primary_factor
@@ -32,8 +31,7 @@ __all__ = [
     "pseudo_distance",
     "GrowthRow", "InterpolationSeries", "TargetData", "choose_exponents",
     "OscillationBundle", "ResidueCancellationError", "WitnessReport",
-    "ZeroCountReport", "anorm_estimate", "build_coefficient",
-    "log_derivative_envelope", "node_targets",
+    "ZeroCountReport", "build_coefficient", "node_targets",
     "sample_probes", "sharpness_witness", "targets_from_product",
     "CanonicalProduct", "primary_factor",
     "GrowthScale", "WeightPair", "genus_from_scale", "polya_doubling",

@@ -19,10 +19,13 @@ def one_minus_conj_mul(z, w):
     approach the unit circle (the true value is tiny while conj(z)*w rounds
     near 1).  The regrouped form keeps relative error at machine level as
     long as 1-z and 1-w are themselves accurate, which holds for points
-    generated by 1 - <small> formulas.
+    generated by 1 - <small> formulas.  The product is a ufunc call so
+    that scalars take numpy's array loop, not its scalar arithmetic, whose
+    complex product can differ in the last bit: a batch then equals its
+    elements one at a time.
     """
     zc = np.conjugate(z)
-    return (1.0 - zc) + zc * (1.0 - w)
+    return (1.0 - zc) + np.multiply(zc, 1.0 - w)
 
 
 def one_minus_abs2(z):
@@ -98,39 +101,42 @@ def circle_nodes(m: int):
     return theta, np.exp(1j * theta)
 
 
-# grid sizes of the node contours: the first round, and the largest
+# first grid of the probe and zero-count contours, and the largest grid of
+# the probe and node contours
 CONTOUR_START_POINTS = 64
 CONTOUR_MAX_POINTS = 1024
 
 
-def nested_circle(fn, max_points: int):
-    """Yield (theta, unit, values) on trapezoid grids of
-    CONTOUR_START_POINTS, twice that, ..., max_points points.
+def settle_circles(values, sample, settle, max_points: int) -> np.ndarray:
+    """Refine trapezoid contours until each circle settles; return the
+    indices of those still unsettled when the next grid would exceed
+    max_points (empty when none is).
 
-    fn maps unit points to values along the last axis.  Each refinement
-    evaluates fn only at the new odd-indexed points and interleaves the
-    results with the kept values.  The angles 2 pi j / m are exact under
-    doubling, so every round holds bit for bit fn on circle_nodes(m).
+    values is the first round, one circle per row on circle_nodes(m) along
+    the last axis.  Each round calls settle(live, theta, unit, values) for
+    the rows of the circles live (indices into the first round) and drops
+    those its boolean mask marks settled.  The next round doubles m:
+    sample(live, unit[1::2]) gives values at the new odd-indexed points
+    only, and they are interleaved with the kept ones.  The angles
+    2 pi j / m are exact under doubling, so every round equals a fresh
+    m-point grid bit for bit.  A mask or a sample with fewer rows than live
+    drops the circles after it: the caller has failed those and recorded
+    why, and since each failure cuts off all later circles, the last one it
+    records is the lowest-index one.
     """
-    theta, unit = circle_nodes(CONTOUR_START_POINTS)
-    values = fn(unit)
-    yield theta, unit, values
-    m = 2 * CONTOUR_START_POINTS
-    while m <= max_points:
-        theta, unit = circle_nodes(m)
-        values = refine_circle(values, fn(unit[1::2]))
-        yield theta, unit, values
-        m *= 2
-
-
-def refine_circle(values, fresh):
-    """Values on the 2m-point trapezoid grid, along the last axis, from
-    values on the m-point grid and fresh ones at the m new odd-indexed
-    points of circle_nodes(2m)."""
-    out = np.empty(fresh.shape[:-1] + (2 * fresh.shape[-1],),
-                   dtype=fresh.dtype)
-    out[..., 0::2], out[..., 1::2] = values, fresh
-    return out
+    live = np.arange(len(values))
+    theta, unit = circle_nodes(values.shape[-1])
+    while live.size:
+        done = settle(live, theta, unit, values)
+        live, values = live[:done.size][~done], values[:done.size][~done]
+        if live.size == 0 or 2 * theta.size > max_points:
+            break
+        theta, unit = circle_nodes(2 * theta.size)
+        fresh = sample(live, unit[1::2])
+        live, kept = live[:len(fresh)], values[:len(fresh)]
+        values = np.empty(kept.shape[:-1] + (theta.size,), dtype=fresh.dtype)
+        values[..., 0::2], values[..., 1::2] = kept, fresh
+    return live
 
 
 def circle_fault(logs):

@@ -35,9 +35,8 @@ from .numutil import (CONTOUR_MAX_POINTS,  # noqa: F401
                       CONTOUR_START_POINTS, TWO_PI,
                       adaptive_segment_integral, circle_fault, circle_max,
                       circle_modes, circle_nodes, disc_points, flat_points,
-                      golden_section_max, like_input, nested_circle,
-                      one_minus_abs2, refine_circle, sample_disc,
-                      wrap_angle)
+                      golden_section_max, like_input, one_minus_abs2,
+                      sample_disc, settle_circles, wrap_angle)
 from .products import CanonicalProduct
 from .scales import GrowthScale, genus_from_scale
 from .sequences import SharpnessParams, ZeroSequence
@@ -47,9 +46,7 @@ __all__ = [
     "ResidueCancellationError",
     "WitnessReport",
     "ZeroCountReport",
-    "anorm_estimate",
     "build_coefficient",
-    "log_derivative_envelope",
     "node_targets",
     "sample_probes",
     "sharpness_witness",
@@ -367,9 +364,9 @@ class OscillationBundle:
         otherwise swing by hundreds across the circle and the second Fourier
         mode of f drowns in the rounding floor of the peak values.
 
-        The probes run in lockstep: each round takes log P and h on the
-        circles of every running probe from one _probe_circles pass, and a
-        probe leaves once its drift test passes.  Each decision (the caps,
+        The probes run in lockstep (numutil.settle_circles): each round
+        takes log P and h on the circles of every running probe from one
+        _probe_circles pass, and a probe leaves once its drift test passes.  Each decision (the caps,
         the shrinks, the blur limit, the drift test, the last grid) is the
         probe's own, with the arithmetic of one probe alone, so a residual
         does not depend on the other probes.  A probe fails on a circle too
@@ -382,16 +379,15 @@ class OscillationBundle:
         """
         out = np.empty(z0.size)
         error = None
-        live = np.arange(z0.size)
         r = np.minimum.reduce([(1.0 - _modulus(z0)) / 8.0, dist / 2.0,
                                1.0 / (d1 + 1.0),
                                1.0 / np.sqrt(_modulus(a0) + 1.0)])
 
         def fail(i, exc, *rows):
-            # live[i] fails with exc and the probes after it stop; returns
-            # rows, arrays of one row per live probe, cut to match
-            nonlocal error, live
-            error, live = exc, live[:i]
+            # the probe in row i fails with exc and the probes after it
+            # stop; returns rows, arrays of one row per probe, cut to match
+            nonlocal error
+            error = exc
             return [x[:i] for x in rows]
 
         def circle_logs(idx, unit, vals):
@@ -400,31 +396,31 @@ class OscillationBundle:
             return vals[:, 0] + self._spoke_integrals(z0[idx], zeta,
                                                       vals[:, 1])
 
-        def named(i, what):
+        def named(k, what):
             return RuntimeError(
-                f"ODE residual probe {complex(z0[live[i]]):.6g}: {what}")
+                f"ODE residual probe {complex(z0[k]):.6g}: {what}")
 
-        m = CONTOUR_START_POINTS
-        theta, unit = circle_nodes(m)
+        # placement: the probes still running are the rows of vals, the
+        # first len(vals) probes
+        _, unit = circle_nodes(CONTOUR_START_POINTS)
         vals, fault = self._probe_circles(z0, r, unit)
         if fault is not None:
             vals, = fail(*fault, vals)
-        logf = circle_logs(live, unit, vals)
+        logf = circle_logs(np.arange(len(vals)), unit, vals)
         for _ in range(30):
             # caps missed (e.g. near a zero of a): shrink until the
             # circle's dynamic range is resolvable in binary64
             big = np.flatnonzero(np.ptp(logf.real, axis=1) > 30.0)
             if big.size == 0:
                 break
-            r[live[big]] *= 0.5
-            fresh, fault = self._probe_circles(z0[live[big]], r[live[big]],
-                                               unit)
+            r[big] *= 0.5
+            fresh, fault = self._probe_circles(z0[big], r[big], unit)
             if fault is not None:
                 j, exc = fault
                 vals, logf = fail(big[j], exc, vals, logf)
                 big, fresh = big[:j], fresh[:j]
             vals[big] = fresh
-            logf[big] = circle_logs(live[big], unit, fresh)
+            logf[big] = circle_logs(big, unit, fresh)
         # z0 + r e^{i theta} is placed to about eps |z0|, a fraction
         # blur = eps |z0| / r of the radius, so each sample of f is off by
         # up to about blur of the circle maximum (the caps keep r |f'|
@@ -435,53 +431,58 @@ class OscillationBundle:
         # the CONTOUR_REL_TOL the drift test certifies f'' to.  Far smaller
         # circles (blur >~ 1) collapse onto a few binary64 points, where
         # f'' reads ~0 and the drift test would pass a residual of 1.
-        blur = float(np.finfo(float).eps) * _modulus(z0[live]) / r[live]
+        n = len(vals)
+        blur = float(np.finfo(float).eps) * _modulus(z0[:n]) / r[:n]
         limit = CONTOUR_REL_TOL * CONTOUR_MAX_POINTS
         over = np.flatnonzero(blur > limit)
         if over.size:
             i = over[0]
-            vals, logf = fail(i, named(
-                i, f"circle radius {r[live[i]]:.3e} is below binary64 "
+            vals, = fail(i, named(
+                i, f"circle radius {r[i]:.3e} is below binary64 "
                    f"resolution (eps*|z0|/r = {blur[i]:.2e} exceeds "
-                   f"{limit:.3g})"), vals, logf)
-        # f'' of the round before: nan fails the first round's drift test
-        ps = pf = np.full(live.size, np.nan)
-        while live.size:
+                   f"{limit:.3g})"), vals)
+        # the scale and f'' of each probe's last round: nan fails the first
+        # round's drift test
+        ps = np.full(z0.size, np.nan)
+        pf = np.full(z0.size, np.nan, dtype=complex)
+
+        def settle(idx, theta, unit, vals):
+            # idx: the probes still running, one per row of vals
+            logf = circle_logs(idx, unit, vals)
             fault = circle_fault(logf)
             if fault is not None:
-                vals, logf, ps, pf = fail(fault[0], named(*fault), vals, logf,
-                                          ps, pf)
+                i, what = fault
+                idx, logf = fail(i, named(idx[i], what), idx, logf)
             scale, modes = circle_modes(theta, logf, (2,))
             # values beyond binary64 read inf or nan here: such a contour
             # never settles, or its residual is refused below
             with np.errstate(over="ignore", invalid="ignore"):
-                fpp = 2.0 * modes[:, 0] / r[live] ** 2
-                af0 = _product(a0[live], np.exp(log_f0[live] - scale))
+                fpp = 2.0 * modes[:, 0] / r[idx] ** 2
+                af0 = _product(a0[idx], np.exp(log_f0[idx] - scale))
                 size = _modulus(fpp) + _modulus(af0)
-                drift = _modulus(pf * np.exp(ps - scale) - fpp)
+                drift = _modulus(pf[idx] * np.exp(ps[idx] - scale) - fpp)
                 res = _modulus(fpp + af0) / (size + 1e-300)
             done = drift <= CONTOUR_REL_TOL * size + 1e-300
             bad = np.flatnonzero(done & ~np.isfinite(res))
             if bad.size:
                 i = bad[0]
-                vals, scale, fpp, done, res = fail(i, named(
-                    i, f"residual {float(res[i])!r} is not finite"),
-                    vals, scale, fpp, done, res)
-            out[live[done]] = res[done]
-            live, vals = live[~done], vals[~done]
-            ps, pf = scale[~done], fpp[~done]
-            if m == CONTOUR_MAX_POINTS or live.size == 0:
-                break
-            m *= 2
-            theta, unit = circle_nodes(m)
-            fresh, fault = self._probe_circles(z0[live], r[live], unit[1::2])
+                idx, scale, fpp, done, res = fail(i, named(
+                    idx[i], f"residual {float(res[i])!r} is not finite"),
+                    idx, scale, fpp, done, res)
+            out[idx[done]] = res[done]
+            ps[idx], pf[idx] = scale, fpp
+            return done
+
+        def sample(idx, unit):
+            fresh, fault = self._probe_circles(z0[idx], r[idx], unit)
             if fault is not None:
-                vals, fresh, ps, pf = fail(*fault, vals, fresh, ps, pf)
-            vals = refine_circle(vals, fresh)
-            logf = circle_logs(live, unit, vals)
-        if live.size:
+                fresh, = fail(*fault, fresh)
+            return fresh
+
+        left = settle_circles(vals, sample, settle, CONTOUR_MAX_POINTS)
+        if left.size:
             error = RuntimeError(
-                f"solution contour at probe {complex(z0[live[0]]):.6g} did "
+                f"solution contour at probe {complex(z0[left[0]]):.6g} did "
                 f"not converge within {CONTOUR_MAX_POINTS} points")
         if error is not None:
             raise error
@@ -559,20 +560,30 @@ class OscillationBundle:
         rho = float(radius)
         while np.any(crossed := (lo < rho) & (rho < hi)):
             rho = float(np.max(hi[crossed]))
-        for _, _, logs in nested_circle(
-                lambda unit: prod._raw_log_eval(rho * unit),
-                WINDING_MAX_POINTS):
-            im = np.imag(logs)
+        report = []
+
+        def settle(live, theta, unit, logs):
+            im = np.imag(logs[0])
             steps = wrap_angle(np.diff(im, append=im[:1]))
-            if np.max(np.abs(steps)) <= np.pi / 4.0:
+            done = np.max(np.abs(steps)) <= np.pi / 4.0
+            if done:
                 winding = float(np.sum(steps)) / TWO_PI
                 count = round(winding)
                 inside = int(np.sum(mod < rho))
-                return ZeroCountReport(winding, count, inside,
-                                       count == inside, rho, logs.size)
-        raise RuntimeError(
-            f"zero-count circle |z| = {rho!r} unresolved: a wrapped step of "
-            f"arg P exceeds pi/4 at {WINDING_MAX_POINTS} points")
+                report.append(ZeroCountReport(winding, count, inside,
+                                              count == inside, rho,
+                                              theta.size))
+            return np.array([done])
+
+        def sample(live, unit):
+            return prod._raw_log_eval(rho * unit)[None]
+
+        first = sample(None, circle_nodes(CONTOUR_START_POINTS)[1])
+        if settle_circles(first, sample, settle, WINDING_MAX_POINTS).size:
+            raise RuntimeError(
+                f"zero-count circle |z| = {rho!r} unresolved: a wrapped step "
+                f"of arg P exceeds pi/4 at {WINDING_MAX_POINTS} points")
+        return report[0]
 
     # -- Carleson density --------------------------------------------------
 
@@ -668,38 +679,6 @@ def sample_probes(product: CanonicalProduct, rng: np.random.Generator,
                 f"row fell in exclusion discs, which appear to cover it")
         out = np.concatenate([out, kept])
     return out[:count]
-
-
-def anorm_estimate(evaluator: Callable, p: float, grid) -> float:
-    """Finite-grid lower estimate of sup (1-|z|^2)^p |evaluator(z)|."""
-    if p <= 0.0:
-        raise ValueError("norm exponent must be positive")
-    arr = np.atleast_1d(np.asarray(grid, dtype=complex))
-    if np.any(np.abs(arr) >= 1.0):
-        raise ValueError("grid points must be interior")
-    vals = np.abs(np.atleast_1d(evaluator(arr)))
-    return float(np.max(one_minus_abs2(arr) ** p * vals)) if arr.size else 0.0
-
-
-def log_derivative_envelope(product: CanonicalProduct, radii,
-                            samples: int = 512):
-    """Fitted polynomial envelope for |P'/P| and |P''/P| circle maxima.
-
-    Returns (q1, q2, rows); rows are (r, max|P'/P|, max|P''/P|) over circle
-    samples outside the exclusion discs, and q1, q2 are least-squares
-    slopes of the log maxima against log(1/(1-r)).
-    """
-    rows = []
-    for r in np.asarray(radii, dtype=float):
-        pts = r * circle_nodes(samples)[1]
-        bad, _ = product.in_exclusion(pts)
-        lam, lam2 = product.log_derivative_sums(pts[~bad])
-        rows.append((float(r), float(np.max(np.abs(lam))),
-                     float(np.max(np.abs(lam2)))))
-    x = np.log([1.0 / (1.0 - r) for r, _, _ in rows])
-    q1 = float(np.polyfit(x, np.log([m1 for _, m1, _ in rows]), 1)[0])
-    q2 = float(np.polyfit(x, np.log([m2 for _, _, m2 in rows]), 1)[0])
-    return q1, q2, rows
 
 
 # ---------------------------------------------------------------------------

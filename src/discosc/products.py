@@ -42,11 +42,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numutil import (CONTOUR_MAX_POINTS, circle_fault, circle_max,
-                      circle_modes, circle_nodes, clog, clog1p, disc_points,
-                      flat_points, like_input, one_minus_abs, one_minus_abs2,
-                      one_minus_conj_mul, refine_circle)
-from .sequences import ZeroSequence, blaschke_sum, log_integrated_count
+from .numutil import (CONTOUR_MAX_POINTS, circle_fault, circle_modes,
+                      circle_nodes, clog, clog1p, disc_points, flat_points,
+                      like_input, one_minus_abs, one_minus_abs2,
+                      one_minus_conj_mul, settle_circles)
+from .sequences import ZeroSequence, blaschke_sum
 
 __all__ = [
     "CanonicalProduct",
@@ -398,14 +398,6 @@ class CanonicalProduct:
         vals[self.node_index(arr) >= 0] = 0.0
         return like_input(vals, z)
 
-    def deleted_log_eval(self, k: int, z):
-        """Log of the product with factor k removed; finite at z = z_k."""
-        self._check_index(k)
-        logs = self._factor_logs(*self._pieces(disc_points(z)))
-        mask = np.ones(self.z.size, dtype=bool)
-        mask[k] = False
-        return like_input(np.sum(logs[:, mask], axis=1), z)
-
     def _check_index(self, k: int) -> None:
         if not (0 <= k < self.z.size):
             raise IndexError(f"node index {k} out of range")
@@ -413,9 +405,8 @@ class CanonicalProduct:
     def node_deleted_logs(self) -> np.ndarray:
         """Deleted-product logs at every node, sum over n != k of log
         E_n(z_k), from one blocked nodes x nodes pass (cached).  Each row
-        sums its N - 1 off-diagonal logs contiguously, as deleted_log_eval
-        does at a single node: the logs after the diagonal move one place
-        left, in place."""
+        sums its N - 1 off-diagonal logs contiguously, the logs after the
+        diagonal moved one place left, in place."""
         if self._deleted_logs is None:
             out = np.empty(self.z.size, dtype=complex)
             for sl, delta, den in self._blocks(self.z):
@@ -600,8 +591,8 @@ class CanonicalProduct:
         samples for the far factors and NODE_CONTOUR_START_POINTS for the
         near ones.  A round then evaluates only node k's own factor and
         adds F_k from its modes (_circle_logs).  The rounds run in lockstep
-        over the nodes still live, refining their grids as nested_circle
-        does, until both modes of a node move by at most 1e-9 (1 + |m|);
+        over the nodes still live (numutil.settle_circles), until both
+        modes of a node move by at most 1e-9 (1 + |m|);
         scale, the first round's maximum of Re(log P - const_k), stays
         frozen so that the rounds compare in one unit, and const_k enters
         only the returned scale and the modes' phase.
@@ -636,12 +627,11 @@ class CanonicalProduct:
         for lo in range(0, nodes.size, step):
             blk = nodes[lo:lo + step]
             coef = self._centred_modes(blk)
-            live = np.arange(blk.size)
-            m = NODE_CONTOUR_START_POINTS
-            vals = self._circle_logs(blk, coef, m)
-            scale = prev = None
-            while True:
-                theta = circle_nodes(m)[0]
+            # the first round's scale and the last round's modes, per node
+            scale, prev = None, np.empty((blk.size, 2), dtype=complex)
+
+            def settle(live, theta, unit, vals):
+                nonlocal scale
                 fault = circle_fault(vals)
                 if fault is not None:
                     raise RuntimeError(f"exclusion circle of node "
@@ -649,29 +639,30 @@ class CanonicalProduct:
                                        f"{fault[1]}")
                 frozen = None if scale is None else scale[live]
                 first, cur = circle_modes(theta, vals, (1, 2), frozen)
+                done = np.zeros(live.size, dtype=bool)
                 if scale is None:
                     scale = first
                 else:
-                    done = np.all(np.abs(cur - prev)
+                    done = np.all(np.abs(cur - prev[live])
                                   <= 1e-9 * (1.0 + np.abs(cur)), axis=1)
                     sel, k = lo + live[done], blk[live[done]]
                     phase = np.exp(1j * const[k].imag)
                     out.scale[sel] = scale[live[done]] + const[k].real
                     out.m1[sel] = cur[done, 0] * phase
                     out.m2[sel] = cur[done, 1] * phase
-                    out.points[sel] = m
-                    live, vals, cur = live[~done], vals[~done], cur[~done]
-                if live.size == 0:
-                    break
-                if 2 * m > CONTOUR_MAX_POINTS:
-                    raise RuntimeError(
-                        f"exclusion-circle contour at node "
-                        f"{int(blk[live[0]])} did not converge within "
-                        f"{CONTOUR_MAX_POINTS} points")
-                prev = cur
-                m *= 2
-                vals = refine_circle(vals, self._circle_logs(
-                    blk[live], coef[live], m, slice(1, None, 2)))
+                    out.points[sel] = theta.size
+                prev[live] = cur
+                return done
+
+            left = settle_circles(
+                self._circle_logs(blk, coef, NODE_CONTOUR_START_POINTS),
+                lambda live, unit: self._circle_logs(
+                    blk[live], coef[live], 2 * unit.size, slice(1, None, 2)),
+                settle, CONTOUR_MAX_POINTS)
+            if left.size:
+                raise RuntimeError(
+                    f"exclusion-circle contour at node {int(blk[left[0]])} "
+                    f"did not converge within {CONTOUR_MAX_POINTS} points")
         return out
 
     # -- logarithmic derivative sums --------------------------------------
@@ -693,32 +684,20 @@ class CanonicalProduct:
 
     # -- diagnostics -------------------------------------------------------
 
-    def balance_check(self, k: int, delta: float = 0.5):
-        """(lhs, rhs) of the deleted-product / integrated-count balance.
-
-        lhs = | log|B_k(z_k)| + N_{z_k}(delta (1 - |z_k|)) |,
-        rhs = sum_n |(1 - |z_n|^2)/(1 - conj(z_n) z_k)|^(s+1).
-        The ratio lhs/rhs over nodes estimates the balance constant.
-        """
-        self._check_index(k)
-        if not (0.0 < delta <= 1.0):
-            raise ValueError("delta must lie in (0, 1]")
-        zk = self.z[k]
-        lhs = abs(self.node_deleted_log(k).real
-                  + log_integrated_count(self.zeros, zk,
-                                         delta * self._gap[k]))
-        ratios = np.abs(self._gap2 / one_minus_conj_mul(self.z, zk))
-        rhs = float(np.sum(ratios ** (self.genus + 1)))
-        return float(lhs), rhs
-
     def balance_checks(self, delta: float = 0.5):
-        """(lhs, rhs) of balance_check at every node, as two arrays, from
-        one blocked nodes x nodes pass.  Each node's distances are sorted
-        and its logs and ratios summed in balance_check's order, so every
-        entry equals the single-node form bit for bit."""
+        """(lhs, rhs) of the deleted-product / integrated-count balance at
+        every node, as two arrays, from one blocked nodes x nodes pass:
+
+            lhs_k = | log|B_k(z_k)| + N_{z_k}(delta (1 - |z_k|)) |,
+            rhs_k = sum_n |(1 - |z_n|^2)/(1 - conj(z_n) z_k)|^(s+1).
+
+        The ratio lhs/rhs over nodes estimates the balance constant.  Each
+        node's distances are sorted and its logs summed in the order of
+        log_integrated_count at that node, so every entry equals the
+        single-node form bit for bit."""
         if not (0.0 < delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
-        # before the blocks below, as in balance_check: taken after them,
+        # before the blocks below: taken after them,
         # the deleted-log pass raised ru_maxrss of the N = 368 build by 7 MB
         deleted = self.node_deleted_logs().real
         count, rhs = np.zeros(self.z.size), np.empty(self.z.size)
@@ -747,17 +726,3 @@ class CanonicalProduct:
         """Largest lhs/rhs of balance_checks over the nodes (0 for none)."""
         lhs, rhs = self.balance_checks(delta)
         return float(np.max(lhs / rhs)) if lhs.size else 0.0
-
-    def circle_log_max(self, r, samples: int = 1024):
-        """max of log|P| on |z| = r: a float for one radius, an array for
-        an array of radii, all scanned and refined by golden section in
-        lockstep (circle_max)."""
-        radii = np.asarray(r, dtype=float)
-        if not np.all((0.0 < radii) & (radii < 1.0)):
-            raise ValueError("circle radius must lie in (0, 1)")
-
-        def log_abs_p(z):
-            return like_input(np.real(self._raw_log_eval(flat_points(z))), z,
-                              float)
-
-        return circle_max(log_abs_p, r, samples)

@@ -1,5 +1,5 @@
-"""The principal log, the nested trapezoid circle, its scaled Fourier
-modes, the circle maximum and the segment quadrature."""
+"""Disc algebra, the principal log, the contour refinement driver, scaled
+Fourier modes, the circle maximum and the segment quadrature."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,20 @@ from hypothesis import strategies as st
 from discosc.numutil import (SegmentIntegralError, adaptive_segment_integral,
                              circle_fault, circle_max, circle_modes,
                              circle_nodes, clog, golden_section_max,
-                             nested_circle)
+                             one_minus_abs2, one_minus_conj_mul, sample_disc,
+                             settle_circles)
 
 EPS = np.finfo(float).eps
+
+
+def test_one_minus_conj_mul_batch_equals_its_elements():
+    rng = np.random.default_rng(11)
+    z, w = sample_disc(rng, 1000, 0.999), sample_disc(rng, 1000, 0.999)
+    got = one_minus_conj_mul(z, w)
+    want = [one_minus_conj_mul(a, b) for a, b in zip(z, w)]
+    assert got.tobytes() == np.array(want).tobytes()
+    got = one_minus_abs2(z)
+    assert got.tobytes() == np.array([one_minus_abs2(a) for a in z]).tobytes()
 
 
 def _assert_clog_close(z):
@@ -58,32 +69,69 @@ def test_clog_property(re, im):
     _assert_clog_close(np.array([z]))
 
 
-def test_nested_circle_rounds_equal_fresh_grids():
-    def fn(unit):
-        return np.stack([np.log(2.0 + unit), unit ** 3])
+def _two_fields(rows, unit):
+    # values on the circles rows, two fields along axis 1
+    c = 2.0 + np.asarray(rows, dtype=float)[:, None]
+    return np.stack([np.log(c + unit), (c * unit) ** 3], axis=1)
 
-    seen = []
 
-    def counted(unit):
-        seen.append(unit.size)
-        return fn(unit)
+def test_settle_circles_rounds_equal_fresh_grids():
+    seen, sampled = [], []
 
-    rounds = list(nested_circle(counted, 512))
-    assert [theta.size for theta, _, _ in rounds] == [64, 128, 256, 512]
-    for theta, unit, vals in rounds:
+    def sample(live, unit):
+        sampled.append(unit.size)
+        return _two_fields(live, unit)
+
+    def settle(live, theta, unit, values):
         fresh_theta, fresh_unit = circle_nodes(theta.size)
         assert np.array_equal(theta, fresh_theta)
         assert np.array_equal(unit, fresh_unit)
-        assert np.array_equal(vals, fn(fresh_unit))
+        assert np.array_equal(values, _two_fields(live, fresh_unit))
+        seen.append((theta.size, live.tolist()))
+        return live == 0 if theta.size == 128 else np.zeros(live.size, bool)
+
+    first = _two_fields(np.arange(3), circle_nodes(64)[1])
+    left = settle_circles(first, sample, settle, 512)
+    assert seen == [(64, [0, 1, 2]), (128, [0, 1, 2]), (256, [1, 2]),
+                    (512, [1, 2])]
     # each point is evaluated once: 64 + 64 + 128 + 256, not 64 + ... + 512
-    assert seen == [64, 64, 128, 256]
+    assert sampled == [64, 128, 256]
+    assert left.tolist() == [1, 2]
 
 
-def test_nested_circle_stops_at_max_points():
+def test_settle_circles_stops_at_max_points():
     sizes = []
-    rounds = nested_circle(lambda unit: sizes.append(unit.size) or unit, 128)
-    assert [theta.size for theta, _, _ in rounds] == [64, 128]
-    assert sizes == [64, 64]
+
+    def settle(live, theta, unit, values):
+        sizes.append(theta.size)
+        return np.zeros(live.size, bool)
+
+    first = _two_fields([0], circle_nodes(64)[1])
+    assert settle_circles(first, _two_fields, settle, 128).tolist() == [0]
+    assert sizes == [64, 128]
+    # every circle settled: no refinement, nothing left
+    assert settle_circles(first, None, lambda live, *_: live == 0,
+                          1024).size == 0
+
+
+def test_settle_circles_drops_the_circles_after_a_short_mask_or_sample():
+    seen = []
+
+    def settle(live, theta, unit, values):
+        seen.append((theta.size, live.tolist()))
+        if theta.size == 64:
+            # circle 1 settles; circle 3 fails, which stops circle 4 too
+            return live[:3] == 1
+        return np.zeros(live.size, bool)
+
+    def sample(live, unit):
+        seen.append(("sample", live.tolist()))
+        # circle 2, the second row, fails: one row comes back
+        return _two_fields(live[:1], unit)
+
+    first = _two_fields(np.arange(5), circle_nodes(64)[1])
+    assert settle_circles(first, sample, settle, 128).tolist() == [0]
+    assert seen == [(64, [0, 1, 2, 3, 4]), ("sample", [0, 2]), (128, [0])]
 
 
 def test_circle_modes_scale_and_zeros():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
                      OscillationBundle, ResidueCancellationError,
-                     SharpnessParams, ZeroSequence, anorm_estimate,
-                     build_coefficient,
+                     SharpnessParams, ZeroSequence, build_coefficient,
                      generate_radial_geometric, generate_sharpness,
                      oscillation, sample_probes)
 from discosc.numutil import adaptive_segment_integral, circle_nodes
@@ -351,6 +350,18 @@ def test_probe_residuals_raise_the_lowest_failing_probe(geo6_bundle,
         geo6_bundle._probe_residuals(z0, a0, d1, log_f0, dist)
 
 
+def test_probe_contour_names_the_first_probe_that_does_not_settle(
+        geo6_bundle, monkeypatch):
+    # a 64-point cap leaves no round to compare the first one against
+    probes = sample_probes(geo6_bundle.product, np.random.default_rng(5), 3,
+                           r_max=0.85)
+    monkeypatch.setattr(oscillation, "CONTOUR_MAX_POINTS", 64)
+    with pytest.raises(RuntimeError) as err:
+        geo6_bundle.ode_residual(probes)
+    assert str(err.value) == (f"solution contour at probe {probes[0]:.6g} "
+                              f"did not converge within 64 points")
+
+
 def test_probe_residuals_refuse_a_residual_that_is_not_finite(geo6_bundle):
     # f(z0) beyond binary64 against the circle: a f reads inf + nan i, so
     # the residual is nan; it is named, not dropped by the maximum
@@ -557,13 +568,3 @@ def test_carleson_table_positive(geo6_bundle):
     val = dens(np.array([0.1 + 0.1j]))
     assert np.isfinite(val[0]) and val[0] >= 0.0
 
-
-def test_anorm_estimate_unit_function():
-    rng = np.random.default_rng(3)
-    grid = np.concatenate([[0.0 + 0.0j],
-                           0.9 * rng.uniform(size=50) *
-                           np.exp(2j * np.pi * rng.uniform(size=50))])
-    got = anorm_estimate(lambda z: np.ones_like(z), 2.0, grid)
-    assert got == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        anorm_estimate(lambda z: np.ones_like(z), -1.0, grid)

@@ -11,11 +11,11 @@ from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
                      WeightPair, ZeroSequence, blaschke_sum,
                      build_coefficient, generate_radial_geometric,
                      generate_rho_lattice, generate_sharpness,
-                     genus_from_scale, log_derivative_envelope,
-                     node_targets, primary_factor, products, weight_to_psi)
+                     genus_from_scale, node_targets, primary_factor,
+                     products, weight_to_psi)
 from discosc.numutil import circle_modes, circle_nodes, wrap_angle
 from discosc.products import _poly_part
-from references import offset_pieces
+from references import balance_check, deleted_log_eval, offset_pieces
 from strategies import separated_sets
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
@@ -100,7 +100,7 @@ def test_deleted_product_identity():
     z = np.array([0.2 + 0.1j])
     w0 = (1.0 - 0.25) / (1.0 - 0.5 * z[0])
     factor = primary_factor(w0, 1)
-    assert np.exp(prod.deleted_log_eval(0, z))[0] * factor == pytest.approx(
+    assert np.exp(deleted_log_eval(prod, 0, z))[0] * factor == pytest.approx(
         prod.eval(z)[0], rel=1e-12)
 
 
@@ -109,11 +109,10 @@ def test_evaluators_refuse_points_outside_the_disc():
                                GrowthScale.log_power(1.0))
     prod, series = bundle.product, bundle.gprime
     bad = (2.0, np.array([0.1, 1.0]), 1j, np.array([0.1, np.nan]))
-    for call in (prod.eval, prod.log_eval,
-                 lambda z: prod.deleted_log_eval(0, z),
-                 series.evaluate, series.evaluate_derivative,
-                 series.log_abs_evaluate, bundle.eval_coefficient,
-                 bundle.g, bundle.log_solution, bundle.eval_solution):
+    for call in (prod.eval, prod.log_eval, series.evaluate,
+                 series.evaluate_derivative, series.log_abs_evaluate,
+                 bundle.eval_coefficient, bundle.g, bundle.log_solution,
+                 bundle.eval_solution):
         for z in bad:
             with pytest.raises(ValueError, match="outside the open disc"):
                 call(z)
@@ -193,6 +192,16 @@ def test_blocks_hold_the_pair_budget_and_move_no_distance(weight_pipeline):
     assert CanonicalProduct(ONE, 0).exclusion_radii.tolist() == [0.0625]
 
 
+def test_node_contour_names_the_first_node_that_does_not_settle(
+        monkeypatch):
+    # a 32-point cap leaves no round to compare the first one against
+    monkeypatch.setattr(products, "CONTOUR_MAX_POINTS", 32)
+    with pytest.raises(RuntimeError) as err:
+        CanonicalProduct(_LATTICE07, 1).node_contour_modes()
+    assert str(err.value) == ("exclusion-circle contour at node 0 did not "
+                              "converge within 32 points")
+
+
 def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
     # a nan near-field sample on an exclusion circle is refused, naming the
     # node, not counted as an exact zero
@@ -218,30 +227,13 @@ def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
                               f"contour sample is nan or +inf")
 
 
-def test_circle_log_max_one_point():
-    # |1 - 0.75/(1 - 0.5 z)| on |z| = 0.8 peaks at z = -0.8
-    prod = CanonicalProduct(ONE, 0)
-    assert prod.circle_log_max(0.8) == pytest.approx(
-        math.log(1.0 - 0.75 / 1.4), rel=1e-9)
-
-
-def test_circle_log_max_on_a_ladder_is_the_max_per_radius():
-    prod = CanonicalProduct(generate_radial_geometric(0.5, 6), 1)
-    radii = np.array([0.3, 0.6, 0.8])
-    got = prod.circle_log_max(radii, samples=128)
-    assert got.tolist() == [prod.circle_log_max(r, samples=128)
-                            for r in radii]
-    with pytest.raises(ValueError, match="circle radius"):
-        prod.circle_log_max(np.array([0.3, 1.0]))
-
-
 @pytest.mark.parametrize("which", ["geo50", "lattice368"])
 def test_balance_checks_equal_the_single_node_form(which, geo50_bundle,
                                                    weight_pipeline):
     prod = (geo50_bundle if which == "geo50" else weight_pipeline[3]).product
     for delta in (0.5, 1.0):
         lhs, rhs = prod.balance_checks(delta)
-        want = np.array([prod.balance_check(k, delta)
+        want = np.array([balance_check(prod, k, delta)
                          for k in range(prod.z.size)])
         assert lhs.tobytes() == want[:, 0].tobytes()
         assert rhs.tobytes() == want[:, 1].tobytes()
@@ -253,18 +245,8 @@ def test_balance_constant_consistency():
     c = prod.balance_constant(0.5)
     assert 0.0 < c < 50.0
     for k in (0, 5, 19):
-        lhs, rhs = prod.balance_check(k, 0.5)
+        lhs, rhs = balance_check(prod, k, 0.5)
         assert lhs <= c * rhs + 1e-12
-
-
-def test_log_derivative_envelope_shape():
-    prod = CanonicalProduct(generate_radial_geometric(0.5, 6), 1)
-    q1, q2, rows = log_derivative_envelope(prod, [0.3, 0.6], samples=128)
-    assert np.isfinite(q1) and np.isfinite(q2)
-    assert [r for r, _, _ in rows] == [0.3, 0.6]
-    # the log-derivative singularity strengthens toward the boundary
-    assert rows[1][1] > rows[0][1]
-    assert all(m1 > 0.0 and m2 > 0.0 for _, m1, m2 in rows)
 
 
 def test_genus_validation():
@@ -428,11 +410,11 @@ def test_node_contour_modes_of_one_node_match_the_full_pass():
 
 
 def test_node_deleted_logs_match_the_single_node_form():
-    # one blocked pass, each row summed as deleted_log_eval sums it
+    # one blocked pass, each row summed as the single-node form sums it
     prod = CanonicalProduct(_LATTICE07, 1)
     got = prod.node_deleted_logs()
     for k in range(prod.z.size):
-        assert got[k] == complex(prod.deleted_log_eval(k, prod.z[k]))
+        assert got[k] == complex(deleted_log_eval(prod, k, prod.z[k])[0])
 
 
 _TINY = np.finfo(float).tiny
