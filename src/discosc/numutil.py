@@ -61,13 +61,18 @@ def clog1p(x):
     """Principal log of 1 + x, accurate for small |x|: log|1 + x| =
     log1p(2 Re x + |x|^2)/2 and arg(1 + x) = atan2(Im x, 1 + Re x), so the
     absolute error stays within a few eps |x| where clog(1 + x) would carry
-    the eps of rounding 1 + x.  x is a complex array."""
+    the eps of rounding 1 + x.  x is a complex array, which receives the
+    result in place (and is returned): two real temporaries of its shape
+    are the only memory used."""
     a, b = x.real, x.imag
-    out = np.empty(x.shape, dtype=complex)
-    np.log1p(a * (2.0 + a) + b * b, out=out.real)
-    out.real *= 0.5
-    np.arctan2(b, 1.0 + a, out=out.imag)
-    return out
+    excess = 2.0 + a  # |1 + x|^2 - 1
+    excess *= a
+    excess += b * b
+    a1 = 1.0 + a
+    np.log1p(excess, out=a)
+    a *= 0.5
+    np.arctan2(b, a1, out=b)
+    return x
 
 
 def wrap_angle(x):

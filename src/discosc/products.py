@@ -9,16 +9,17 @@ ratios).
 Every per-factor quantity -- the factor logs, the first and second
 log-derivatives, the node targets and the interpolation series' term logs --
 is built from one pair of pieces per point and node, (z - z_n,
-1 - conj(z_n) z), which _pieces forms at given points.  The exclusion-circle
-contours never form z_k + u: node k's own factor is taken from u, and every
-other factor enters centred on the node, as log E_n(z_k + u) - log
-E_n(z_k), through samples of the pieces at z_k, which keeps contours around
-deep nodes accurate (node_contour_modes).  Points x nodes passes loop over
+1 - conj(z_n) z), which _pieces forms at given points (and _field_samples
+for given node x factor pairs).  The exclusion-circle contours never form z_k +
+u: node k's own factor is taken from u, and every other factor enters
+centred on the node, as log E_n(z_k + u) - log E_n(z_k), through samples
+of the pieces at z_k, which keeps contours around deep nodes accurate
+(node_contour_modes).  Points x nodes passes loop over
 _blocks, which holds each block to at most _BLOCK_PAIRS points x nodes pairs
 (and _CHUNK points), so a block's temporaries stay cache-sized at any node
 count; the nearest-node search and the exclusion rule take their distances
-over the same blocks, and _map_blocks splits the series pass's blocks over
-two threads.
+over the same blocks, and _map_blocks splits the series pass's point blocks
+and the residue contour's node blocks over two threads.
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -69,9 +70,10 @@ NODE_CONTOUR_START_POINTS = 32
 # samples and the rest through NODE_FAR_SAMPLES (see _centred_modes)
 NODE_NEAR_RATIO = 16.0
 NODE_FAR_SAMPLES = 16
-# factor x sample pairs per step of the exclusion-circle samples: against
-# 2^15, 2^14 took the contours of the N = 368 and N = 964 lattices about 14%
-# and 6% faster, and 2^12 took them 17% and 33% slower
+# node x factor pairs per serial node block of the exclusion-circle samples,
+# and factor x sample pairs per step within a block: against 2^15, 2^14 took
+# the contours of the N = 368 and N = 964 lattices about 14% and 6% faster,
+# and 2^12 took them 17% and 33% slower
 _SAMPLE_PAIRS = 2 ** 14
 
 
@@ -240,13 +242,16 @@ class CanonicalProduct:
         p = np.asarray(pts, dtype=complex)[:, None]
         return p - self.z[None, :], one_minus_conj_mul(self.z[None, :], p)
 
-    def _slices(self, size: int, workers: int = 1):
-        """Slices of size points in blocks of max(1, min(_CHUNK,
-        _BLOCK_PAIRS // n_zeros) // workers) points: a block holds at most
-        _BLOCK_PAIRS // workers points x nodes pairs (one point at a time
-        past that many nodes), so the blocks of workers threads together
-        hold no more than one serial block.  The serial size follows the
-        node count, so at N <= 64 nodes serial blocks keep _CHUNK points.
+    def _slices(self, size: int, workers: int = 1, pairs: int | None = None):
+        """Slices of size points (or nodes) in blocks of max(1, min(_CHUNK,
+        pairs // n_zeros) // workers) points: a block holds at most pairs
+        // workers points x nodes pairs (one point at a time past that many
+        nodes), so the blocks of workers threads together hold no more than
+        one serial block.  pairs is the pass's budget: _BLOCK_PAIRS (the
+        default) for the points x nodes passes, _SAMPLE_PAIRS for the node
+        blocks of the exclusion-circle samples (_centred_modes).  The
+        serial size follows the node count, so at N <= 64 nodes serial
+        point blocks keep _CHUNK points.
 
         Each point's row is computed on its own, with the same operations
         in the same order whatever the block's size, so neither the block
@@ -255,31 +260,33 @@ class CanonicalProduct:
         temporary, such as x * (y - z): for arrays of 256 KiB or more numpy
         reuses the temporary and computes (y - z) * x in its place, and its
         complex product rounds differently from x * (y - z).)"""
-        step = max(1, min(_CHUNK, _BLOCK_PAIRS // max(self.z.size, 1))
-                   // workers)
+        if pairs is None:
+            pairs = _BLOCK_PAIRS
+        step = max(1, min(_CHUNK, pairs // max(self.z.size, 1)) // workers)
         for lo in range(0, size, step):
             yield slice(lo, min(lo + step, size))
 
-    def _map_blocks(self, fn, size: int) -> None:
-        """Run a pass over the blocks of size points: fn(slices) computes
-        and stores the rows of every block in slices.
+    def _map_blocks(self, fn, size: int, pairs: int | None = None) -> None:
+        """Run a pass over the blocks of size points (or nodes) under the
+        pair budget pairs (see _slices): fn(slices) computes and stores the
+        rows of every block in slices.
 
         With w = _worker_count() workers and at least two of
-        _slices(size, w)'s blocks per worker, those blocks are cut into w
-        contiguous runs: the calling thread runs fn on the first, and one
-        thread each on the others.  Otherwise fn(_slices(size)) runs in
-        the calling thread alone.  Blocks of 1/w the serial size keep the
-        temporaries live at once, and so the peak memory, at one serial
-        block's worth.  fn must write only the rows of its own slices,
-        enter the np.errstate it needs itself (numpy's error state is per
-        thread), and call nothing that bench/tracer.py wraps (its span
-        stack assumes one thread).  Every run ends before this returns or
-        raises; an error reaches the caller as the serial pass raises it,
-        the one of the first failing run in block order."""
+        _slices(size, w, pairs)'s blocks per worker, those blocks are cut
+        into w contiguous runs: the calling thread runs fn on the first,
+        and one thread each on the others.  Otherwise fn(_slices(size,
+        pairs=pairs)) runs in the calling thread alone.  Blocks of 1/w the
+        serial size keep the temporaries live at once, and so the peak
+        memory, at one serial block's worth.  fn must write only the rows
+        of its own slices, enter the np.errstate it needs itself (numpy's
+        error state is per thread), and call nothing that bench/tracer.py
+        wraps (its span stack assumes one thread).  Every run ends before
+        this returns or raises; an error reaches the caller as the serial
+        pass raises it, the one of the first failing run in block order."""
         workers = _worker_count()
-        slices = list(self._slices(size, workers))
+        slices = list(self._slices(size, workers, pairs))
         if workers < 2 or len(slices) < 2 * workers:
-            fn(self._slices(size))
+            fn(self._slices(size, pairs=pairs))
             return
         cut = [len(slices) * i // workers for i in range(workers + 1)]
         runs = [slices[lo:hi] for lo, hi in zip(cut, cut[1:])]
@@ -438,11 +445,11 @@ class CanonicalProduct:
         return (self.node_deleted_log(k) + harmonic_sum(self.genus)
                 + complex(np.log(complex(coeff))))
 
-    def _tail_bound(self, q, qc, w0, m: int):
+    def _tail_bound(self, q, qc, aw0, m: int):
         """Per factor, a bound on the error of the m-point interpolant of
         its centred log on the circle |u| = r about z_k (see
         _field_samples), from q = r/|z_k - z_n|, qc = r |conj(z_n)/den_n|
-        and w0 = w_n(z_k), with den_n = 1 - conj(z_n) z_k.
+        and aw0 = |w0|, w0 = w_n(z_k), with den_n = 1 - conj(z_n) z_k.
 
         The centred log is log1p(u/(z_k - z_n)) - log1p(-conj(z_n) u/den_n)
         + poly(w_n(z_k + u)) - poly(w0), with w_n(z_k + u) = w0/(1 -
@@ -460,57 +467,98 @@ class CanonicalProduct:
         q <= 1/4, and the unit circle at least 8r, so the reflected pole
         1/conj(z_n), at distance |den_n/conj(z_n)| >= 1 - |z_k| from z_k,
         gives qc <= 1/8 (Trefethen & Weideman, "The exponentially
-        convergent trapezoidal rule", SIAM Rev. 56, 2014).
+        convergent trapezoidal rule", SIAM Rev. 56, 2014).  The bound grows
+        with each of q, qc and aw0.
         """
         acc = (q ** m / (1.0 - q) + qc ** m / (1.0 - qc)) / m
-        wq = np.abs(w0) / (1.0 - qc)
+        wq = aw0 / (1.0 - qc)
         power = qc ** m
         for i in range(1, self.genus + 1):
             power = power * wq
             acc = acc + math.comb(m + i - 1, i - 1) / i * power
         return 2.0 * acc
 
-    def _field_samples(self, r, delta, den, mask, m: int):
-        """(samples, bound) for the factors in mask on the exclusion
-        circles of a block of nodes, one row per node.
+    def _row_tail_bounds(self, q, qc, aw0, starts, m: int):
+        """Per row of pairs (row i from pair starts[i] to the next start),
+        a bound on the sum of _tail_bound over the row's pairs.
 
-        Row i belongs to node k, with radius r[i] and the pieces delta =
-        z_k - z_n and den = 1 - conj(z_n) z_k of every factor n.
-        samples[i, j] sums log E_n(z_k + u) - log E_n(z_k) over the factors
-        of row i in mask at u = r[i] e^{2 pi i j/m}, each centred as
-        log1p(u w_n(z_k + u)/(z_k - z_n)) + poly(w_n(z_k + u)) -
-        poly(w_n(z_k)): (1 - w_n(z_k + u))/(1 - w_n(z_k)) = 1 + u w_n(z_k +
-        u)/(z_k - z_n), so a term is about |u|/|z_k - z_n| in size and its
-        rounding eps times that, where an uncentred log carries eps |log
-        E_n| (centring the near factors as well took the origin-node
-        mismatch of the N = 2686 lattice from 3.2e-7 to 9.2e-8).  With y =
-        u/(1 - conj(z_n) u/den_n) = r/(e^{-2 pi i j/m} - r conj(z_n)/den_n),
-        the log1p argument is w_n(z_k) y/(z_k - z_n) and w_n(z_k + u) -
-        w_n(z_k) = w_n(z_k) conj(z_n) y/den_n, so a sample costs one
-        complex division.  bound[i] sums _tail_bound over the same factors.
+        Since _tail_bound grows with each argument, (pairs in the row) x
+        (_tail_bound at the row's largest q, qc and aw0) bounds the sum.
+        Rows where that exceeds eps/2 (a margin far above its rounding)
+        get the sum itself, so a bound above eps is the exact sum.
+        """
+        counts = np.diff(np.r_[starts, q.size])
+        peak = [np.maximum.reduceat(x, starts) for x in (q, qc, aw0)]
+        bound = counts * self._tail_bound(*peak, m)
+        check = bound > 0.5 * np.finfo(float).eps
+        if np.any(check):
+            sel = np.repeat(check, counts)
+            sums = np.cumsum(counts[check])
+            bound[check] = np.add.reduceat(
+                self._tail_bound(q[sel], qc[sel], aw0[sel], m),
+                sums - counts[check])
+        return bound
+
+    def _field_samples(self, r, zk, mask, unit):
+        """(samples, bound) for the factors in mask on the exclusion
+        circles of a block of nodes, one row per node, at the m points
+        unit = circle_nodes(m)[1].
+
+        Row i belongs to the node z_k = zk[i], with radius r[i], and
+        mask[i, n] selects factor n.  samples[i, j] sums log E_n(z_k + u) -
+        log E_n(z_k) over the factors of row i at u = r[i] e^{2 pi i j/m},
+        each centred as log1p(u w_n(z_k + u)/(z_k - z_n)) + poly(w_n(z_k +
+        u)) - poly(w_n(z_k)): (1 - w_n(z_k + u))/(1 - w_n(z_k)) = 1 + u
+        w_n(z_k + u)/(z_k - z_n), so a term is about |u|/|z_k - z_n| in
+        size and its rounding eps times that, where an uncentred log
+        carries eps |log E_n| (centring the near factors as well took the
+        origin-node mismatch of the N = 2686 lattice from 3.2e-7 to
+        9.2e-8).  With den_n = 1 - conj(z_n) z_k and y = u/(1 - conj(z_n)
+        u/den_n) = r/(e^{-2 pi i j/m} - r conj(z_n)/den_n), the log1p
+        argument is w_n(z_k) y/(z_k - z_n) and w_n(z_k + u) - w_n(z_k) =
+        w_n(z_k) conj(z_n) y/den_n, so a sample costs one complex division.
+        bound[i] bounds the sum of _tail_bound over the same factors
+        (_row_tail_bounds).
+
         The pairs in mask are taken in row order, at most _SAMPLE_PAIRS
-        pairs x samples at a time, and summed by row.
+        pairs x samples at a time, and summed by row.  The pieces z_k - z_n
+        and den_n are formed for these pairs only, each per-pair array is
+        freed after its last use, and every step reuses two buffers.
         """
         rows, cols = np.nonzero(mask)
-        out = np.zeros((mask.shape[0], m), dtype=complex)
+        out = np.zeros((mask.shape[0], unit.size), dtype=complex)
         bound = np.zeros(mask.shape[0])
         if rows.size == 0:
             return out, bound
-        delta, den = delta[rows, cols], den[rows, cols]
-        inv, c, w0 = 1.0 / delta, self._zc[cols] / den, self._gap2c[cols] / den
-        rr = r[rows]
         # the first pair of each row that has any
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
         at = rows[starts]
-        bound[at] = np.add.reduceat(
-            self._tail_bound(rr * np.abs(inv), rr * np.abs(c), w0, m), starts)
-        _, unit = circle_nodes(m)
-        a, b, c = rr * inv * w0, rr * c * w0, rr * c
-        step = max(1, _SAMPLE_PAIRS // rows.size)
-        for lo in range(0, m, step):
-            y = 1.0 / (np.conj(unit[lo:lo + step, None]) - c)
-            logs = clog1p(a * y)
-            logs += _poly_diff(w0, b * y, self.genus)
+        rr, zk = r[rows], zk[rows]
+        zn = self.z[cols]
+        del rows
+        inv = 1.0 / (zk - zn)
+        den = one_minus_conj_mul(zn, zk)
+        del zk, zn
+        c, w0 = self._zc[cols] / den, self._gap2c[cols] / den
+        del cols, den
+        bound[at] = self._row_tail_bounds(
+            rr * np.abs(inv), rr * np.abs(c), np.abs(w0), starts, unit.size)
+        # a = rr inv w0, b = rr c w0 and c = rr c, each product in the
+        # operand order of its written form
+        a = np.multiply(rr, inv, out=inv)
+        a *= w0
+        c = np.multiply(rr, c, out=c)
+        b = c * w0
+        del rr
+        step = min(unit.size, max(1, _SAMPLE_PAIRS // a.size))
+        ys, dws = np.empty((2, step, a.size), dtype=complex)
+        for lo in range(0, unit.size, step):
+            y, dw = ys[:unit.size - lo], dws[:unit.size - lo]
+            np.subtract(np.conj(unit[lo:lo + step, None]), c, out=y)
+            np.divide(1.0, y, out=y)
+            np.multiply(b, y, out=dw)
+            logs = clog1p(np.multiply(a, y, out=y))
+            logs += _poly_diff(w0, dw, self.genus)
             out[at, lo:lo + step] = np.add.reduceat(logs, starts, axis=1).T
         return out, bound
 
@@ -524,34 +572,50 @@ class CanonicalProduct:
         NODE_NEAR_RATIO r_k, so q <= 1/16) enter from NODE_FAR_SAMPLES
         samples and the near ones (q <= 1/4) from NODE_CONTOUR_START_POINTS,
         each field through the DFT of its samples (_field_samples); a row
-        holds the sum of both.  Raises RuntimeError naming the node and the
-        field when the field's tail bound exceeds the unit roundoff, i.e.
-        when its interpolant could add more than one rounding to a circle
-        value.  Only factor values enter.
+        holds the sum of both.  Raises RuntimeError when a field's tail
+        bound exceeds the unit roundoff, i.e. when its interpolant could
+        add more than one rounding to a circle value; it names the first
+        such node, and its far field if both fail.  Only factor values
+        enter.
+
+        The nodes run in blocks of at most _SAMPLE_PAIRS node x factor
+        pairs through _map_blocks, which splits them over two threads by
+        the rule of the series pass; both unit grids are formed here, in
+        the calling thread.  Of the node x factor matrices a block forms
+        only the distances that pick the far factors.
         """
         eps = float(np.finfo(float).eps)
         fields = (("far", NODE_FAR_SAMPLES),
                   ("near", NODE_CONTOUR_START_POINTS))
+        units = [circle_nodes(m)[1] for _, m in fields]
         coef = np.zeros((nodes.size, max(m for _, m in fields)),
                         dtype=complex)
-        step = max(1, _SAMPLE_PAIRS // max(self.z.size, 1))
-        for lo in range(0, nodes.size, step):
-            blk = nodes[lo:lo + step]
-            r = self.exclusion_radii[blk]
-            delta, den = self._pieces(self.z[blk])
-            far = np.abs(delta) >= NODE_NEAR_RATIO * r[:, None]
-            near = ~far
-            near[np.arange(blk.size), blk] = False
-            for (field, m), mask in zip(fields, (far, near)):
-                vals, bound = self._field_samples(r, delta, den, mask, m)
-                bad = np.flatnonzero(bound > eps)
-                if bad.size:
-                    i = bad[0]
+
+        def run(slices):
+            for sl in slices:
+                blk = nodes[sl]
+                r = self.exclusion_radii[blk]
+                zk = self.z[blk]
+                far = (np.abs(zk[:, None] - self.z)
+                       >= NODE_NEAR_RATIO * r[:, None])
+                near = ~far
+                near[np.arange(blk.size), blk] = False
+                samples = [self._field_samples(r, zk, mask, unit)
+                           for mask, unit in zip((far, near), units)]
+                bad = np.array([bound > eps for _, bound in samples])
+                hit = np.flatnonzero(np.any(bad, axis=0))
+                if hit.size:
+                    i = hit[0]
+                    f = int(np.argmax(bad[:, i]))
                     raise RuntimeError(
-                        f"{field} field of node {int(blk[i])}: Fourier tail "
-                        f"bound {bound[i]:.2e} at {m} samples exceeds the "
-                        f"unit roundoff {eps:.2e}")
-                coef[lo:lo + step, :m] += np.fft.fft(vals, axis=1) / m
+                        f"{fields[f][0]} field of node {int(blk[i])}: "
+                        f"Fourier tail bound {samples[f][1][i]:.2e} at "
+                        f"{fields[f][1]} samples exceeds the unit roundoff "
+                        f"{eps:.2e}")
+                for (vals, _), (_, m) in zip(samples, fields):
+                    coef[sl, :m] += np.fft.fft(vals, axis=1) / m
+
+        self._map_blocks(run, nodes.size, _SAMPLE_PAIRS)
         return coef
 
     def _circle_logs(self, ks: np.ndarray, coef: np.ndarray, m: int,

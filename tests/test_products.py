@@ -209,9 +209,10 @@ def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
     real = CanonicalProduct._field_samples
     poisoned_rows = []
 
-    def poisoned(self, r, delta, den, mask, m):
-        vals, bound = real(self, r, delta, den, mask, m)
-        if m == products.NODE_CONTOUR_START_POINTS and not poisoned_rows:
+    def poisoned(self, r, zk, mask, unit):
+        vals, bound = real(self, r, zk, mask, unit)
+        if (unit.size == products.NODE_CONTOUR_START_POINTS
+                and not poisoned_rows):
             # the near field of the first block's last node (row i of the
             # first block is node i)
             i = mask.shape[0] - 1
@@ -332,8 +333,9 @@ def test_node_contour_settles_at_64_points(monkeypatch, seq, scale):
     field_samples = prod._field_samples
     rows, pairs = {16: 0, 32: 0}, {16: 0, 32: 0}
 
-    def counted(r, delta, den, mask, m):
-        vals, bound = field_samples(r, delta, den, mask, m)
+    def counted(r, zk, mask, unit):
+        vals, bound = field_samples(r, zk, mask, unit)
+        m = unit.size
         assert vals.shape == (mask.shape[0], m)
         rows[m] += mask.shape[0]
         pairs[m] += int(np.sum(mask))

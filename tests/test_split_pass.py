@@ -1,9 +1,12 @@
-"""The series pass split over point blocks and worker threads.
+"""The series pass and the residue contour split over blocks and worker
+threads.
 
-Each point's row of InterpolationSeries._pass is computed on its own, so
-the block size and the number of workers (CanonicalProduct._map_blocks)
-must not move a bit of any value, and a split pass must keep the serial
-pass's numpy error state, warnings and exceptions.
+Each point's row of InterpolationSeries._pass, and each node's row of the
+exclusion-circle samples (CanonicalProduct._centred_modes), is computed on
+its own, so the block size and the number of workers
+(CanonicalProduct._map_blocks) must not move a bit of any value, and a
+split pass must keep the serial pass's numpy error state, warnings and
+exceptions.
 """
 
 import sys
@@ -13,7 +16,10 @@ import warnings
 import numpy as np
 import pytest
 
-from discosc import CanonicalProduct, products
+from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
+                     generate_sharpness, genus_from_scale, node_targets,
+                     products)
+from discosc.oscillation import _residue_mismatch
 
 
 def _bits(a):
@@ -172,3 +178,120 @@ def test_a_split_pass_over_more_workers_than_cores_loses_no_row(
     finally:
         sys.setswitchinterval(old)
     _assert_same(got, want)
+
+
+# -- the residue contour ------------------------------------------------------
+
+
+def _contour(prod):
+    """node_contour_modes and the residue mismatch it certifies."""
+    modes = prod.node_contour_modes()
+    return (*modes, _residue_mismatch(prod, node_targets(prod)))
+
+
+@pytest.fixture(scope="module")
+def sharp14_product():
+    # 109 nodes: one serial node block at _SAMPLE_PAIRS = 2^14, split over
+    # two workers from 2^12 down
+    scale = GrowthScale.log_power(3.0)
+    return CanonicalProduct(generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
+                            genus_from_scale(scale))
+
+
+@pytest.mark.parametrize("name", ["lattice368", "sharp14"])
+def test_residue_contour_keeps_its_bits_at_any_node_block_and_worker_count(
+        request, monkeypatch, name):
+    if name == "lattice368":
+        prod = request.getfixturevalue("weight_pipeline")[3].product
+    else:
+        prod = request.getfixturevalue("sharp14_product")
+    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    want = _contour(prod)
+    for pairs in (2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14):
+        monkeypatch.setattr(products, "_SAMPLE_PAIRS", pairs)
+        for workers in (1, 2):
+            monkeypatch.setattr(products, "_worker_count", lambda: workers)
+            got = _contour(prod)
+            for field, a, b in zip(
+                    ("scale", "m1", "m2", "points", "mismatch"), got, want):
+                assert _same_bits(a, b), (pairs, workers, field)
+
+
+def test_a_split_residue_contour_names_the_node_the_serial_one_names(
+        weight_pipeline, monkeypatch):
+    # at 12 far samples every lattice node but the origin fails the far
+    # tail bound, at 13 only some of the inner ones do; in reverse order
+    # the first failing node of the 13-sample pass lies in the worker's run
+    prod = weight_pipeline[3].product
+    n = prod.z.size
+    threads = set()
+    field_samples = CanonicalProduct._field_samples
+
+    def recorded(self, *args):
+        threads.add(threading.current_thread() is threading.main_thread())
+        return field_samples(self, *args)
+
+    monkeypatch.setattr(CanonicalProduct, "_field_samples", recorded)
+    before = threading.active_count()
+    for samples in (12, 13):
+        monkeypatch.setattr(products, "NODE_FAR_SAMPLES", samples)
+        for nodes in (np.arange(n), np.arange(n)[::-1]):
+            errors = []
+            for workers in (1, 2):
+                monkeypatch.setattr(products, "_worker_count",
+                                    lambda: workers)
+                with pytest.raises(RuntimeError,
+                                   match=f"^far field of node .* at "
+                                         f"{samples} samples") as err:
+                    prod.node_contour_modes(nodes)
+                errors.append(str(err.value))
+            assert errors[0] == errors[1], (samples, errors)
+    k = int(errors[1].split()[4].rstrip(":"))
+    assert np.flatnonzero(nodes == k)[0] >= n // 2
+    assert threads == {True, False}
+    # every worker has ended by the time the error reaches the caller
+    assert threading.active_count() == before
+
+
+def test_a_split_residue_contour_forms_its_grids_in_the_calling_thread(
+        weight_pipeline, monkeypatch):
+    # bench/tracer.py wraps products.circle_nodes, and its span stack
+    # assumes one thread
+    prod = weight_pipeline[3].product
+    grids, threads = [], set()
+    nodes = products.circle_nodes
+    field_samples = CanonicalProduct._field_samples
+
+    def recorded_nodes(m):
+        grids.append(threading.current_thread() is threading.main_thread())
+        return nodes(m)
+
+    def recorded_samples(self, *args):
+        threads.add(threading.current_thread() is threading.main_thread())
+        return field_samples(self, *args)
+
+    monkeypatch.setattr(products, "circle_nodes", recorded_nodes)
+    monkeypatch.setattr(CanonicalProduct, "_field_samples", recorded_samples)
+    monkeypatch.setattr(products, "_worker_count", lambda: 2)
+    prod.node_contour_modes()
+    assert threads == {True, False}
+    assert grids and all(grids)
+
+
+def test_a_residue_contour_over_more_workers_than_cores_loses_no_row(
+        weight_pipeline, monkeypatch):
+    # eight workers over blocks of five nodes write disjoint rows of the
+    # shared modes; with a thread switch every microsecond, a lost or
+    # misplaced write would show as a changed bit
+    prod = weight_pipeline[3].product
+    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    want = _contour(prod)
+    monkeypatch.setattr(products, "_worker_count", lambda: 8)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _contour(prod)
+    finally:
+        sys.setswitchinterval(old)
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
