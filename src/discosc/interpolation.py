@@ -40,7 +40,7 @@ import numpy as np
 
 # golden_section_max is looked up here by bench/tracer.py
 from .numutil import (circle_max, clog, disc_points,  # noqa: F401
-                      golden_section_max, like_input)
+                      golden_section_max, like_input, one_minus_conj_mul)
 from .products import CanonicalProduct, _poly_part
 from .scales import GrowthScale
 from .sequences import ZeroSequence
@@ -197,9 +197,7 @@ class InterpolationSeries:
         self.exponents = exps.astype(int)
         with np.errstate(divide="ignore"):
             self._log_b = np.log(targets.values.astype(complex))
-        self._log_dp = np.asarray(
-            [product.log_derivative_at_zero(k) for k in range(product.z.size)],
-            dtype=complex)
+        self._log_dp = product._node_pass().log_dp
         if not np.all(np.isfinite(self._log_dp)):
             raise ValueError("product derivative vanishes at a node; the "
                              "series is undefined")
@@ -383,24 +381,18 @@ class InterpolationSeries:
                 = -conj(z_k)/(1 - conj(z_k) z) * exp(sum_{j<=s} w_k^j / j)
 
         (1 for a node at the origin, a plain factor z), so no 0/0 forms;
-        the rest of P enters as the factor logs at z_k with column k set to
-        0.  b_k = 0 gives -inf and 0.
+        the rest of P enters as the factor logs at z_k summed with column k
+        set to 0 (CanonicalProduct._node_pass).  b_k = 0 gives -inf and 0.
         """
-        prod = self.product
-        t = np.empty(k.size, dtype=complex)
+        prod, zk = self.product, self.product.z[k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for sl, delta, den in prod._blocks(prod.z[k]):
-                kk, rows = k[sl], np.arange(len(delta))
-                logs = prod._factor_logs(delta, den)
-                logs[rows, kk] = 0.0
-                zk, den_k = prod.z[kk], den[rows, kk]
-                wk = prod._gap2[kk] / den_k
-                fact = np.where(zk == 0.0, 0.0,
-                                clog(-np.conj(zk) / den_k)
-                                + _poly_part(wk, prod.genus))
-                t[sl] = (self._log_b[kk] - self._log_dp[kk]
-                         + np.sum(logs, axis=1) + fact
-                         + (self.exponents[kk] - 1) * clog(wk))
+            den_k = one_minus_conj_mul(zk, zk)
+            wk = prod._gap2[k] / den_k
+            fact = np.where(zk == 0.0, 0.0,
+                            clog(-np.conj(zk) / den_k)
+                            + _poly_part(wk, prod.genus))
+            t = (self._log_b[k] - self._log_dp[k] + prod._node_pass().zeroed[k]
+                 + fact + (self.exponents[k] - 1) * clog(wk))
             return t.real, np.where(np.isfinite(t), np.exp(t - t.real), 0.0)
 
     def _node_jets(self, k: np.ndarray):

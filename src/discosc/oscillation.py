@@ -119,35 +119,9 @@ class ZeroCountReport(NamedTuple):
 
 
 def node_targets(product: CanonicalProduct) -> np.ndarray:
-    """b_k = -P''(z_k)/(2 P'(z_k)) for every node, in closed form.
-
-    P'/P = sum_n L_n with L_n = -u_n w_n^{s+1}/(1 - w_n) and
-    u_n = conj(z_n)/(1 - conj(z_n) z); at node k the deleted sum over
-    n != k stays finite and the factor-k limit contributes
-    -(s+1) conj(z_k)/(1 - |z_k|^2), which together give P''/(2P') there.
-    A node at the origin enters as a plain factor z: its column is 1/z_k
-    and its own limit term vanishes.
-    """
-    z = product.z
-    s = product.genus
-    zc = product._zc
-    gap2 = product._gap2
-    out = np.empty(z.size, dtype=complex)
-    for sl, delta, den in product._blocks(z):
-        omw = -zc * delta / den
-        # -u w^(s+1) / (1 - w) with u = conj(z_n)/den and w taken from
-        # 1 - |z_n|^2 directly; only these first-derivative terms are formed,
-        # and inline, since at N x N every extra matrix shows in peak memory
-        with np.errstate(divide="ignore", invalid="ignore"):
-            L = -(zc / den) * (gap2 / den) ** (s + 1) / omw
-            i = product._origin_idx
-            if i is not None:
-                L[:, i] = 1.0 / delta[:, i]
-        rows = np.arange(len(delta))
-        L[rows, sl.start + rows] = 0.0
-        out[sl] = -np.sum(L, axis=1)
-    out -= (s + 1) * zc / gap2
-    return out
+    """b_k = -P''(z_k)/(2 P'(z_k)) for every node, in closed form, from the
+    product's node pass (CanonicalProduct._node_pass)."""
+    return product._node_pass().targets.copy()
 
 
 def targets_from_product(product: CanonicalProduct,

@@ -8,18 +8,17 @@ ratios).
 
 Every per-factor quantity -- the factor logs, the first and second
 log-derivatives, the node targets and the interpolation series' term logs --
-is built from one pair of pieces per point and node, (z - z_n,
-1 - conj(z_n) z), which _pieces forms at given points (and _field_samples
-for given node x factor pairs).  The exclusion-circle contours never form z_k +
-u: node k's own factor is taken from u, and every other factor enters
-centred on the node, as log E_n(z_k + u) - log E_n(z_k), through samples
-of the pieces at z_k, which keeps contours around deep nodes accurate
-(node_contour_modes).  Points x nodes passes loop over
-_blocks, which holds each block to at most _BLOCK_PAIRS points x nodes pairs
-(and _CHUNK points), so a block's temporaries stay cache-sized at any node
-count; the nearest-node search and the exclusion rule take their distances
-over the same blocks, and _map_blocks splits the series pass's point blocks
-and the residue contour's node blocks over two threads.
+is built from one pair of pieces per point and node, (z - z_n, 1 - conj(z_n)
+z), which _pieces forms at given points (and _field_samples for given node x
+factor pairs); at the nodes one pass (_node_pass) takes every per-node
+quantity from one set of pieces.  The exclusion-circle contours never form
+z_k + u: node k's own factor is taken from u, and every other factor enters
+centred on the node, as log E_n(z_k + u) - log E_n(z_k), through samples of
+the pieces at z_k, which keeps contours around deep nodes accurate
+(node_contour_modes).  Points x nodes passes loop over _blocks, at most
+_BLOCK_PAIRS points x nodes pairs (and _CHUNK points) each, so a block's
+temporaries stay cache-sized at any node count; _map_blocks splits the
+series pass, the node pass and the residue contour over two threads.
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -39,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -83,11 +83,6 @@ def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return min(_MAX_WORKERS, len(os.sched_getaffinity(0)))
     return min(_MAX_WORKERS, os.cpu_count() or 1)
-
-
-def harmonic_sum(s: int) -> float:
-    """1 + 1/2 + ... + 1/s (0 for s = 0)."""
-    return float(sum(1.0 / j for j in range(1, s + 1)))
 
 
 def _poly_part(w, s: int):
@@ -137,6 +132,10 @@ def primary_factor(w, s: int):
     return (1.0 - w) * np.exp(_poly_part(w, s))
 
 
+# the arrays of CanonicalProduct._node_pass, one entry per node
+NodePass = namedtuple("NodePass", "targets deleted zeroed log_dp count rhs")
+
+
 class CanonicalProduct:
     """Genus-s product over a zero sequence with per-node exclusion discs.
 
@@ -181,7 +180,7 @@ class CanonicalProduct:
         self._sorted_nodes = (np.append(z[order], np.nan),
                               np.append(order, -1))
         self.convergence_sum = blaschke_sum(zeros, self.genus).value
-        self._deleted_logs: np.ndarray | None = None
+        self._nodes: NodePass | None = None
 
     # -- geometry ----------------------------------------------------------
 
@@ -405,45 +404,102 @@ class CanonicalProduct:
         vals[self.node_index(arr) >= 0] = 0.0
         return like_input(vals, z)
 
-    def _check_index(self, k: int) -> None:
-        if not (0 <= k < self.z.size):
-            raise IndexError(f"node index {k} out of range")
+    def _node_rows(self, slices, ratio: float, out: NodePass):
+        """Rows of out (_node_pass; balance radii ratio (1 - |z_k|)) for the
+        node blocks slices, from one set of pieces and one 1 - w_n(z_k) per
+        block, each value by the operations of its own former pass
+        (tests/references.py).  At most four of a block's complex matrices
+        live at once: the targets reuse the pieces' memory."""
+        s, zc, i = self.genus, self._zc, self._origin_idx
+        for sl in slices:
+            delta, den = self._pieces(self.z[sl])
+            diag = np.eye(len(delta), self.z.size, sl.start, dtype=bool)
+            # balance: the node itself (distance 0) and the others within r;
+            # only these smallest distances are sorted, and the node is dropped
+            dist = np.abs(delta)
+            r = ratio * self._gap[sl, None]
+            inside = np.sum(dist <= r, axis=1) - 1
+            m = int(np.max(inside, initial=0)) + 1
+            if m < dist.shape[1]:
+                dist = np.partition(dist, m, axis=1)[:, :m]
+            logs = np.log(r / np.sort(dist, axis=1)[:, 1:m])
+            del dist
+            # rows of one count together (a set: np.unique imports numpy.ma)
+            for c in set(inside.tolist()) - {0}:
+                at = np.flatnonzero(inside == c)
+                out.count[sl.start + at] = np.sum(logs[at, :c], axis=1)
+            w = np.divide(self._gap2c, den)  # w_n(z_k)
+            aw = np.abs(w)
+            aw **= s + 1
+            out.rhs[sl] = np.sum(aw, axis=1)
+            del logs, aw
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # the origin node's column: 1/(z - z_n) and log(z - z_n)
+                col = None if i is None else (1.0 / delta[:, i],
+                                              clog(delta[:, i]))
+                omw = np.multiply(-zc, delta, out=delta)
+                omw /= den
+                # target terms -u w^(s+1)/(1 - w), u = conj(z_n)/den
+                L = np.negative(np.divide(zc, den, out=den), out=den)
+                w **= s + 1
+                L *= w
+                L /= omw
+                if col:
+                    L[:, i] = col[0]
+                L[diag] = 0.0
+                out.targets[sl] = -np.sum(L, axis=1)
+                del w, L, den, delta
+                logs = clog(omw)  # the factor logs, as _factor_logs forms them
+                logs += _poly_part(np.subtract(1.0, omw, out=omw), s)
+                if col:
+                    logs[:, i] = col[1]
+            out.deleted[sl] = logs[~diag].reshape(len(logs), -1).sum(axis=1)
+            logs[diag] = 0.0
+            out.zeroed[sl] = np.sum(logs, axis=1)
+            del logs, omw
+
+    def _node_pass(self, delta: float = 0.5) -> NodePass:
+        """Every node's targets, logs and balance terms from one blocked
+        nodes x nodes pass (_node_rows under _map_blocks), cached read-only
+        for delta = 0.5, the balance radius of the exponent rule.
+
+        targets: b_k = -P''(z_k)/(2 P'(z_k)), the sum over n != k of dlog
+        E_n = -u_n w_n^(s+1)/(1 - w_n), u_n = conj(z_n)/(1 - conj(z_n) z),
+        less the factor-k limit (s+1) conj(z_k)/(1 - |z_k|^2) (1/z_k and
+        no limit at an origin node, a plain factor z).  deleted: sum over
+        n != k of log E_n(z_k); zeroed: the same N logs summed with 0 on
+        the diagonal (InterpolationSeries._node_terms).  log_dp: log
+        P'(z_k) = deleted + H_s + log(-conj(z_k)/(1 - |z_k|^2)), deleted
+        alone at the origin.  count: N_{z_k}(delta (1 - |z_k|)), and rhs:
+        sum_n |w_n(z_k)|^(s+1) (balance_checks)."""
+        if delta == 0.5 and self._nodes is not None:
+            return self._nodes
+        n, s = self.z.size, self.genus
+        out = NodePass(*np.empty((4, n), dtype=complex), *np.zeros((2, n)))
+        self._map_blocks(lambda run: self._node_rows(run, delta, out), n)
+        out.targets[:] -= (s + 1) * self._zc / self._gap2
+        h_s = sum(1.0 / j for j in range(1, s + 1))
+        with np.errstate(divide="ignore"):
+            out.log_dp[:] = out.deleted + h_s + np.log(-self._zc / self._gap2)
+        np.copyto(out.log_dp, out.deleted, where=self.z == 0.0)
+        if delta == 0.5:
+            for arr in out:
+                arr.flags.writeable = False
+            self._nodes = out
+        return out
 
     def node_deleted_logs(self) -> np.ndarray:
-        """Deleted-product logs at every node, sum over n != k of log
-        E_n(z_k), from one blocked nodes x nodes pass (cached).  Each row
-        sums its N - 1 off-diagonal logs contiguously, the logs after the
-        diagonal moved one place left, in place."""
-        if self._deleted_logs is None:
-            out = np.empty(self.z.size, dtype=complex)
-            for sl, delta, den in self._blocks(self.z):
-                logs = self._factor_logs(delta, den)
-                for i, row in enumerate(logs, start=sl.start):
-                    row[i:-1] = row[i + 1:]
-                out[sl] = np.sum(logs[:, :-1], axis=1)
-            self._deleted_logs = out
-        return self._deleted_logs
-
-    def node_deleted_log(self, k: int) -> complex:
-        """Deleted-product log at the node itself."""
-        self._check_index(k)
-        return complex(self.node_deleted_logs()[k])
+        """sum over n != k of log E_n(z_k) at every node, read-only."""
+        return self._node_pass().deleted
 
     # -- node derivatives --------------------------------------------------
 
     def log_derivative_at_zero(self, k: int) -> complex:
-        """Complex log of P'(z_k) via the deleted-product identity.
-
-        P'(z_k) = -conj(z_k) B_k(z_k) e^{H_s} / (1 - |z_k|^2) for ordinary
-        nodes; a node at the origin contributes a plain factor z, so there
-        P'(0) = B_k(0).
-        """
-        self._check_index(k)
-        if k == self._origin_idx:
-            return self.node_deleted_log(k)
-        coeff = -self._zc[k] / self._gap2[k]
-        return (self.node_deleted_log(k) + harmonic_sum(self.genus)
-                + complex(np.log(complex(coeff))))
+        """Complex log of P'(z_k) by the deleted-product identity: P'(z_k) =
+        -conj(z_k) B_k(z_k) e^{H_s}/(1 - |z_k|^2), B_k(0) at the origin."""
+        if not (0 <= k < self.z.size):
+            raise IndexError(f"node index {k} out of range")
+        return complex(self._node_pass().log_dp[k])
 
     def _tail_bound(self, q, qc, aw0, m: int):
         """Per factor, a bound on the error of the m-point interpolant of
@@ -750,41 +806,17 @@ class CanonicalProduct:
 
     def balance_checks(self, delta: float = 0.5):
         """(lhs, rhs) of the deleted-product / integrated-count balance at
-        every node, as two arrays, from one blocked nodes x nodes pass:
+        every node, as two arrays, from the node pass (_node_pass):
 
             lhs_k = | log|B_k(z_k)| + N_{z_k}(delta (1 - |z_k|)) |,
             rhs_k = sum_n |(1 - |z_n|^2)/(1 - conj(z_n) z_k)|^(s+1).
 
-        The ratio lhs/rhs over nodes estimates the balance constant.  Each
-        node's distances are sorted and its logs summed in the order of
-        log_integrated_count at that node, so every entry equals the
-        single-node form bit for bit."""
+        The ratio lhs/rhs over nodes estimates the balance constant.  Every
+        entry equals the single-node form bit for bit."""
         if not (0.0 < delta <= 1.0):
             raise ValueError("delta must lie in (0, 1]")
-        # before the blocks below: taken after them,
-        # the deleted-log pass raised ru_maxrss of the N = 368 build by 7 MB
-        deleted = self.node_deleted_logs().real
-        count, rhs = np.zeros(self.z.size), np.empty(self.z.size)
-        radius = delta * self._gap
-        for sl, diff, den in self._blocks(self.z):
-            dist = np.abs(diff)
-            r = radius[sl, None]
-            # the node itself (distance 0) and the others within r: only
-            # these smallest distances are sorted, and the node is dropped
-            inside = np.sum(dist <= r, axis=1) - 1
-            m = int(np.max(inside, initial=0)) + 1
-            if m < dist.shape[1]:
-                dist = np.partition(dist, m, axis=1)[:, :m]
-            d = np.sort(dist, axis=1)[:, 1:m]
-            if np.any(d == 0.0):
-                raise ValueError("two sequence points coincide with the "
-                                 "center")
-            logs = np.log(r / d)
-            for i in np.flatnonzero(inside):
-                count[sl.start + i] = np.sum(logs[i, :inside[i]])
-            ratios = np.abs(self._gap2c / den)
-            rhs[sl] = np.sum(ratios ** (self.genus + 1), axis=1)
-        return np.abs(deleted + count), rhs
+        nodes = self._node_pass(delta)
+        return np.abs(nodes.deleted.real + nodes.count), nodes.rhs.copy()
 
     def balance_constant(self, delta: float = 0.5) -> float:
         """Largest lhs/rhs of balance_checks over the nodes (0 for none)."""

@@ -3,7 +3,8 @@ no longer needs but that tests compare its faster routes against."""
 
 import numpy as np
 
-from discosc.numutil import disc_points, one_minus_conj_mul
+from discosc.numutil import clog, disc_points, one_minus_conj_mul
+from discosc.products import _poly_part
 from discosc.sequences import log_integrated_count
 
 
@@ -40,7 +41,114 @@ def balance_check(prod, k, delta=0.5):
         rhs = sum_n |(1 - |z_n|^2)/(1 - conj(z_n) z_k)|^(s+1).
     """
     zk = prod.z[k]
-    lhs = abs(prod.node_deleted_log(k).real
+    lhs = abs(prod.node_deleted_logs()[k].real
               + log_integrated_count(prod.zeros, zk, delta * prod._gap[k]))
     ratios = np.abs(prod._gap2 / one_minus_conj_mul(prod.z, zk))
     return float(lhs), float(np.sum(ratios ** (prod.genus + 1)))
+
+
+# -- the four nodes x nodes passes before CanonicalProduct._node_pass --------
+# Each forms its own pieces over prod._blocks(prod.z); the node pass must
+# give their values bit for bit.
+
+
+def node_targets_pass(prod):
+    """b_k = -P''(z_k)/(2 P'(z_k)) at every node: the deleted sum of the
+    factors' -u w^(s+1)/(1 - w), u = conj(z_n)/(1 - conj(z_n) z), minus
+    the factor-k limit (s+1) conj(z_k)/(1 - |z_k|^2); a node at the origin
+    takes 1/(z - z_n) in its column."""
+    s, zc, gap2 = prod.genus, prod._zc, prod._gap2
+    out = np.empty(prod.z.size, dtype=complex)
+    for sl, delta, den in prod._blocks(prod.z):
+        omw = -zc * delta / den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = -(zc / den) * (gap2 / den) ** (s + 1) / omw
+            i = prod._origin_idx
+            if i is not None:
+                L[:, i] = 1.0 / delta[:, i]
+        rows = np.arange(len(delta))
+        L[rows, sl.start + rows] = 0.0
+        out[sl] = -np.sum(L, axis=1)
+    out -= (s + 1) * zc / gap2
+    return out
+
+
+def node_deleted_logs_pass(prod):
+    """sum over n != k of log E_n(z_k) at every node: each row's logs after
+    the diagonal moved one place left, the first N - 1 summed."""
+    out = np.empty(prod.z.size, dtype=complex)
+    for sl, delta, den in prod._blocks(prod.z):
+        logs = prod._factor_logs(delta, den)
+        for i, row in enumerate(logs, start=sl.start):
+            row[i:-1] = row[i + 1:]
+        out[sl] = np.sum(logs[:, :-1], axis=1)
+    return out
+
+
+def balance_checks_pass(prod, delta=0.5):
+    """(lhs, rhs) of balance_checks at every node, each node's distances
+    sorted and its logs summed in the order of log_integrated_count."""
+    deleted = node_deleted_logs_pass(prod).real
+    count, rhs = np.zeros(prod.z.size), np.empty(prod.z.size)
+    radius = delta * prod._gap
+    for sl, diff, den in prod._blocks(prod.z):
+        dist = np.abs(diff)
+        r = radius[sl, None]
+        inside = np.sum(dist <= r, axis=1) - 1
+        m = int(np.max(inside, initial=0)) + 1
+        if m < dist.shape[1]:
+            dist = np.partition(dist, m, axis=1)[:, :m]
+        d = np.sort(dist, axis=1)[:, 1:m]
+        logs = np.log(r / d)
+        for i in np.flatnonzero(inside):
+            count[sl.start + i] = np.sum(logs[i, :inside[i]])
+        ratios = np.abs(prod._gap2c / den)
+        rhs[sl] = np.sum(ratios ** (prod.genus + 1), axis=1)
+    return np.abs(deleted + count), rhs
+
+
+def node_terms_pass(series, k):
+    """InterpolationSeries._node_terms(k): (Re t, exp(t - Re t)) for t the
+    log of the series at the nodes k, the factor logs at z_k summed with
+    column k set to 0."""
+    prod = series.product
+    t = np.empty(k.size, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sl, delta, den in prod._blocks(prod.z[k]):
+            kk, rows = k[sl], np.arange(len(delta))
+            logs = prod._factor_logs(delta, den)
+            logs[rows, kk] = 0.0
+            zk, den_k = prod.z[kk], den[rows, kk]
+            wk = prod._gap2[kk] / den_k
+            fact = np.where(zk == 0.0, 0.0,
+                            clog(-np.conj(zk) / den_k)
+                            + _poly_part(wk, prod.genus))
+            t[sl] = (series._log_b[kk] - series._log_dp[kk]
+                     + np.sum(logs, axis=1) + fact
+                     + (series.exponents[kk] - 1) * clog(wk))
+        return t.real, np.where(np.isfinite(t), np.exp(t - t.real), 0.0)
+
+
+def log_derivative_at_zero(prod, k):
+    """log P'(z_k) one node at a time, in scalar arithmetic: the deleted
+    log, plus H_s and log(-conj(z_k)/(1 - |z_k|^2)) off the origin."""
+    if k == prod._origin_idx:
+        return complex(prod.node_deleted_logs()[k])
+    coeff = -prod._zc[k] / prod._gap2[k]
+    return (complex(prod.node_deleted_logs()[k])
+            + float(sum(1.0 / j for j in range(1, prod.genus + 1)))
+            + complex(np.log(complex(coeff))))
+
+
+def clog1p(x):
+    """numutil.clog1p on the strided real and imaginary views of x, in
+    place."""
+    a, b = x.real, x.imag
+    excess = 2.0 + a
+    excess *= a
+    excess += b * b
+    a1 = 1.0 + a
+    np.log1p(excess, out=a)
+    a *= 0.5
+    np.arctan2(b, a1, out=b)
+    return x

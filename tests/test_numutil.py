@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from discosc.numutil import (SegmentIntegralError, adaptive_segment_integral,
                              circle_fault, circle_max, circle_modes,
-                             circle_nodes, clog, golden_section_max,
+                             circle_nodes, clog, clog1p, golden_section_max,
                              one_minus_abs2, one_minus_conj_mul, sample_disc,
                              settle_circles)
+
+import references
 
 EPS = np.finfo(float).eps
 
@@ -73,6 +75,25 @@ def _two_fields(rows, unit):
     # values on the circles rows, two fields along axis 1
     c = 2.0 + np.asarray(rows, dtype=float)[:, None]
     return np.stack([np.log(c + unit), (c * unit) ** 3], axis=1)
+
+
+def test_clog1p_keeps_the_bits_of_the_strided_form():
+    # contiguous copies of the parts run the same operations in the same
+    # order as the strided views did
+    rng = np.random.default_rng(13)
+    scale = 10.0 ** rng.uniform(-20.0, 2.0, (3, 4096))
+    x = scale * (rng.standard_normal((3, 4096))
+                 + 1j * rng.standard_normal((3, 4096)))
+    edges = np.array([complex(a, b) for a in (0.0, -0.0, -1.0, 1e-300,
+                                              -1e-300, 1e300, -1e300)
+                      for b in (0.0, -0.0, 1e-300, -1e300, 1e300)])
+    for arr in (x, x[:, ::3], edges, edges[3:4]):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            got = clog1p(arr.copy())
+            want = references.clog1p(arr.copy())
+        assert got.tobytes() == want.tobytes()
+    y = x.copy()
+    assert clog1p(y) is y
 
 
 def test_settle_circles_rounds_equal_fresh_grids():

@@ -142,7 +142,7 @@ def test_node_index_is_the_equal_node(pts, flips):
 
 def test_deleted_log_at_single_node_is_zero():
     prod = CanonicalProduct(ONE, 1)
-    assert np.exp(prod.node_deleted_log(0)) == pytest.approx(1.0, rel=1e-13)
+    assert np.exp(prod.node_deleted_logs()[0]) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_blaschke_sum_geometric_closed_forms():

@@ -1,7 +1,8 @@
-"""The series pass and the residue contour split over blocks and worker
-threads.
+"""The series pass, the node pass and the residue contour split over blocks
+and worker threads.
 
-Each point's row of InterpolationSeries._pass, and each node's row of the
+Each point's row of InterpolationSeries._pass, each node's row of the node
+pass (CanonicalProduct._node_pass) and each node's row of the
 exclusion-circle samples (CanonicalProduct._centred_modes), is computed on
 its own, so the block size and the number of workers
 (CanonicalProduct._map_blocks) must not move a bit of any value, and a
@@ -16,10 +17,13 @@ import warnings
 import numpy as np
 import pytest
 
-from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
-                     generate_sharpness, genus_from_scale, node_targets,
-                     products)
+from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
+                     SharpnessParams, generate_sharpness, genus_from_scale,
+                     node_targets, products, targets_from_product)
+from discosc.interpolation import _unscale
 from discosc.oscillation import _residue_mismatch
+
+import references
 
 
 def _bits(a):
@@ -178,6 +182,130 @@ def test_a_split_pass_over_more_workers_than_cores_loses_no_row(
     finally:
         sys.setswitchinterval(old)
     _assert_same(got, want)
+
+
+# -- the node pass ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sharp14_series():
+    # 109 nodes, genus 3: one serial node block at _BLOCK_PAIRS = 2^15,
+    # split over two workers from 2^12 down
+    scale = GrowthScale.log_power(3.0)
+    prod = CanonicalProduct(generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
+                            genus_from_scale(scale))
+    return InterpolationSeries.build(prod, targets_from_product(prod, scale))
+
+
+def _series(request, name):
+    if name == "lattice368":
+        # one node at the origin
+        return request.getfixturevalue("weight_pipeline")[3].gprime
+    if name == "geo50":
+        return request.getfixturevalue("geo50_bundle").gprime
+    return request.getfixturevalue("sharp14_series")
+
+
+def _node_values(series, deltas):
+    """The four per-node passes of a build from a fresh product on the
+    series' nodes (so its node pass runs anew), and balance_checks at each
+    delta: targets, deleted logs, the series at the nodes (value and the
+    two parts of _node_terms) and (lhs, rhs) per delta."""
+    prod = CanonicalProduct(series.product.zeros, series.product.genus)
+    fresh = InterpolationSeries(prod, series.targets, series.exponents)
+    k = np.arange(prod.z.size)
+    return (node_targets(prod), prod.node_deleted_logs(),
+            fresh.evaluate(prod.z), *fresh._node_terms(k),
+            *(x for d in deltas for x in prod.balance_checks(d)))
+
+
+@pytest.mark.parametrize("name", ["lattice368", "geo50", "sharp14"])
+def test_node_pass_equals_the_four_passes_at_any_block_size_and_worker_count(
+        request, monkeypatch, name):
+    series = _series(request, name)
+    prod = series.product
+    deltas = (0.25, 0.5, 1.0)
+    k = np.arange(prod.z.size)
+    terms = references.node_terms_pass(series, k)
+    want = (references.node_targets_pass(prod),
+            references.node_deleted_logs_pass(prod),
+            _unscale(0.0, *terms, "value"), *terms,
+            *(x for d in deltas
+              for x in references.balance_checks_pass(prod, d)))
+    fields = ("targets", "deleted", "h", "re t", "phase",
+              *(f"{side} {d}" for d in deltas for side in ("lhs", "rhs")))
+    for pairs in (2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14, 2 ** 15):
+        monkeypatch.setattr(products, "_BLOCK_PAIRS", pairs)
+        for workers in (1, 2):
+            monkeypatch.setattr(products, "_worker_count", lambda: workers)
+            got = _node_values(series, deltas)
+            for field, a, b in zip(fields, got, want):
+                assert _same_bits(a, b), (pairs, workers, field)
+
+
+@pytest.mark.parametrize("name", ["lattice368", "geo50", "sharp14"])
+def test_node_log_derivatives_equal_the_one_node_form(request, name):
+    series = _series(request, name)
+    prod = series.product
+    want = [references.log_derivative_at_zero(prod, k)
+            for k in range(prod.z.size)]
+    assert _same_bits(series._log_dp, np.array(want))
+    assert _same_bits(prod.log_derivative_at_zero(3), want[3])
+
+
+def test_the_node_pass_runs_once_and_hands_out_no_writable_cache(
+        weight_pipeline, monkeypatch):
+    bundle = weight_pipeline[3]
+    prod = CanonicalProduct(bundle.product.zeros, bundle.product.genus)
+    runs = []
+    node_rows = CanonicalProduct._node_rows
+
+    def recorded(self, slices, ratio, out):
+        slices = list(slices)
+        runs.extend([ratio] * len(slices))
+        return node_rows(self, slices, ratio, out)
+
+    monkeypatch.setattr(CanonicalProduct, "_node_rows", recorded)
+    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    targets = node_targets(prod)
+    series = InterpolationSeries(prod, bundle.targets,
+                                 bundle.gprime.exponents)
+    series.evaluate(prod.z)
+    prod.balance_constant(0.5)
+    prod.node_contour_modes(np.arange(3))
+    blocks = len(runs)
+    assert blocks == len(list(prod._slices(prod.z.size)))
+    # another balance radius runs the pass again, uncached
+    prod.balance_checks(0.25)
+    prod.balance_checks(0.25)
+    assert len(runs) == 3 * blocks
+    assert set(runs[:blocks]) == {0.5} and set(runs[blocks:]) == {0.25}
+    targets[0] = 0.0
+    assert node_targets(prod)[0] != 0.0
+    for arr in prod._node_pass():
+        assert not arr.flags.writeable
+    lhs, rhs = prod.balance_checks()
+    assert lhs.flags.writeable and rhs.flags.writeable
+
+
+def test_a_node_pass_over_more_workers_than_cores_loses_no_row(
+        weight_pipeline, monkeypatch):
+    # eight workers over blocks of two nodes write disjoint rows of the
+    # shared arrays; with a thread switch every microsecond, a lost or
+    # misplaced write would show as a changed bit
+    series = weight_pipeline[3].gprime
+    monkeypatch.setattr(products, "_BLOCK_PAIRS", 2 ** 13)
+    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    want = _node_values(series, (0.5,))
+    monkeypatch.setattr(products, "_worker_count", lambda: 8)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _node_values(series, (0.5,))
+    finally:
+        sys.setswitchinterval(old)
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
 
 
 # -- the residue contour ------------------------------------------------------
