@@ -61,14 +61,14 @@ __all__ = [
 _PASS_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
-def _above_floor(x: np.ndarray, floor: float):
+def _above_floor(x: np.ndarray, floor: float, out=None):
     """(m, keep): m the row maxima of x ignoring nan, and keep the entries
-    at or above m + floor; a row with no entry above -inf has m = -inf and
-    keeps nothing."""
+    at or above m + floor (in the bool array out when given); a row with no
+    entry above -inf has m = -inf and keeps nothing."""
     m = np.fmax.reduce(x, axis=1)
     m[~(m > -math.inf)] = -math.inf
     thr = np.where(m > -math.inf, m + floor, math.inf)
-    return m, x >= thr[:, None]
+    return m, np.greater_equal(x, thr[:, None], out=out)
 
 
 def _row_sums(rows: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -225,11 +225,13 @@ class InterpolationSeries:
 
         The first round takes every point, over blocks that
         CanonicalProduct._map_blocks splits over two threads when the pass
-        is large enough (at geo50's N = 50, from 769 points); with
-        derivatives, a second round takes the few points in exclusion
-        discs again, serially.  Each round enters _PASS_ERRSTATE in every
-        thread it runs in.  A point's values depend on that point alone,
-        not on its batch, the block size or the split.
+        is large enough: without derivatives into half-size blocks (at
+        geo50's N = 50, from 769 points on), with them into blocks whose
+        buffers hold _SPLIT_BYTES (_pair_bytes; 427 points and from 1,282
+        points on at N = 50).  With derivatives, a second round takes the
+        few points in exclusion discs again, serially.  Each round enters
+        _PASS_ERRSTATE in every thread it runs in.  A point's values depend
+        on that point alone, not on its batch, the block size or the split.
 
         Each term's derivative is the term itself times
 
@@ -283,7 +285,8 @@ class InterpolationSeries:
                     for arr, val in zip(out, vals):
                         arr[sl] = val
 
-        prod._map_blocks(first_round, n)
+        prod._map_blocks(first_round, n, pair_bytes=(
+            self._pair_bytes(True) if derivatives else None))
         inside = np.flatnonzero(node >= 0) if derivatives else []
         if len(inside):
             # the few points in exclusion discs again, with the node's
@@ -296,79 +299,119 @@ class InterpolationSeries:
                         arr[inside[sl]] = val
         return SeriesPass(log_p, sm, total, dtotal, lam, dlam, node)
 
+    def _buffers(self, derivatives: bool):
+        """(dtype, count) of the (rows, N) buffers one run of _sums holds:
+        the pieces, the factor logs and 1 - w_n (then w_n and the
+        log-derivatives), with three more at genus >= 2 for _poly_part;
+        |z - z_n|, |w_n|, the term logs and with derivatives a spare real;
+        the keep masks."""
+        extra = 3 if self.product.genus >= 2 else 0
+        return ((complex, 4 + extra), (float, 4 if derivatives else 3),
+                (bool, 2 if derivatives else 1))
+
+    def _pair_bytes(self, derivatives: bool) -> int:
+        """Bytes per points x nodes pair of _buffers(derivatives)."""
+        return sum(np.dtype(t).itemsize * k
+                   for t, k in self._buffers(derivatives))
+
     def _sums(self, pts: np.ndarray, derivatives: bool, slices, node=None):
-        """Yield (slice, sums) for _pass over the product's _blocks(pts,
-        slices), the blocks of one run of a pass: sums holds log P, the
-        scale and the scaled term sum and, with derivatives, the scaled
-        derivative sum, lam, dlam and the index of the exclusion disc each
-        point lies in (-1 outside).  node, one index per point, takes
-        every point as lying in the disc of that node.
-        With derivatives, the temporaries of a block live until the next
-        block replaces them, as in a plain loop, so the allocator keeps
-        reusing their memory.  Dropping before the next block the ones the
-        pass without derivatives drops gave more minor page faults per
-        geo50 call, not fewer: 4,600 against 3,200 for a 20,257-point
-        eval_coefficient batch and 2,100 against 2,100 for a three-radius
-        coefficient_growth_table; dropping the derivative ones as well gave
-        19,900 and 4,000.  Without derivatives they are dropped before the
-        next block forms its own, which keeps the peak at one block's: 2.5
-        against 3.7 MB for the 1,280 points of a geo50 ODE-residual round,
-        and 900 against 3,700 page faults per 20,000-point geo50 evaluate()
-        call.  (These counts are for serial 512-point blocks.)  A split
-        pass runs one generator per thread, each over half-size blocks, so
-        the same holds per thread, and the blocks live at once hold the
-        pairs of one serial block."""
+        """Yield (slice, sums) for _pass over the blocks slices of pts, the
+        blocks of one run of a pass: sums holds log P, the scale and the
+        scaled term sum and, with derivatives, the scaled derivative sum,
+        lam, dlam and the index of the exclusion disc each point lies in (-1
+        outside).  node, one index per point, takes every point as lying in
+        the disc of that node.
+
+        The run allocates its (rows, N) buffers (_buffers) once, for its
+        largest block, and forms every per-pair array of a block in them
+        by explicit in-place ufuncs, each with the operands and operand
+        order of the plain expression (tests/references.py keeps that
+        form), so no value moves a bit.  A fresh (512, 50) complex
+        temporary is 400 KB, above glibc's 128 KB mmap threshold, so the
+        plain form mapped and faulted in its temporaries anew on every
+        block: a 20,257-point geo50 eval_coefficient call on serial
+        512-point blocks took 2,600-3,300 minor page faults, and takes
+        1,200-1,550 with the buffers (the counts vary between processes),
+        about 600 of them the run's first touch of its 2.5 MB of buffers.
+        The arrays left per block are the kept terms' (about a tenth of the
+        pairs at geo50) and the per-point sums."""
         prod = self.product
-        floor = math.log(np.finfo(float).eps / prod.z.size)
-        for sl, delta, den in prod._blocks(pts, slices):
+        n = prod.z.size
+        floor = math.log(np.finfo(float).eps / n)
+        slices = list(slices)
+        rows_max = max((sl.stop - sl.start for sl in slices), default=0)
+        bufs = [np.empty((k, rows_max, n), dtype=t)
+                for t, k in self._buffers(derivatives)]
+        for sl in slices:
+            m = sl.stop - sl.start
+            delta, den, omw, logs, *work = bufs[0][:, :m]
+            ad, aw, re, *spare = bufs[1][:, :m]
+            masks = bufs[2][:, :m]
             disc = None if node is None else node[sl]
-            log_p = np.sum(prod._factor_logs(delta, den), axis=1)
-            w = prod._gap2c / den
-            ad, aw = np.abs(delta), np.abs(w)
-            re = self._c.real - np.log(ad) + self._sm1 * np.log(aw)
-            sm, keep = _above_floor(re, floor)
+            prod._pieces(pts[sl], out=(delta, den))
+            # |1 - w_n| takes the buffer of |z - z_n| until that is formed
+            log_p = np.sum(prod._factor_logs(delta, den,
+                                             (logs, omw, ad, *work)), axis=1)
+            # the logs are summed: w_n takes their buffer
+            w = np.divide(prod._gap2c, den, out=logs)
+            np.abs(delta, out=ad)
+            np.abs(w, out=aw)
+            # Re t_n = Re c_n - log|z - z_n| + (s_n - 1) log|w_n|
+            np.subtract(self._c.real, np.log(ad, out=re), out=re)
+            # without derivatives |z - z_n| is not needed again
+            spare = spare[0] if derivatives else ad
+            re += np.multiply(self._sm1, np.log(aw, out=spare), out=spare)
+            sm, keep = _above_floor(re, floor, masks[0])
             if derivatives:
-                i = np.arange(len(ad))
+                i = np.arange(m)
+                aw_k = None if disc is None else aw[i, disc]
                 # |den| = (1 - |z_n|^2)/|w_n|
-                own = 1.0 / ad + self._bound_coef * aw
+                own = np.divide(1.0, ad, out=spare)
+                own += np.multiply(self._bound_coef, aw, out=aw)
                 if disc is not None:
                     own += 1.0 / ad[i, disc][:, None]
-                    own[i, disc] = self._bound_coef[disc] * aw[i, disc]
-                keep |= _above_floor(re + np.log(own), floor)[1]
+                    own[i, disc] = self._bound_coef[disc] * aw_k
+                np.add(re, np.log(own, out=own), out=own)
+                keep |= _above_floor(own, floor, masks[1])[1]
             # flat indices of the kept terms: gathers by index cost a
             # fraction of boolean-mask ones
             at = np.flatnonzero(keep)
-            rows, cols = np.divmod(at, prod.z.size)
+            rows, cols = np.divmod(at, n)
             d = delta.ravel()[at]
             t = np.empty(rows.size, dtype=complex)
             t.real = re.ravel()[at] - sm[rows]
             t.imag = (self._c.imag[cols] - np.angle(d)
                       + self._sm1[cols] * np.angle(w.ravel()[at]))
             e = np.exp(t)
-            total = _row_sums(rows, e, len(delta))
+            total = _row_sums(rows, e, m)
             if not derivatives:
-                del w, ad, aw, re, keep, at, rows, cols, d, t, e
                 yield sl, (log_p, sm, total)
                 continue
-            L, dL = prod._log_derivatives(delta, w)
             inv = 1.0 / d
+            den_at = den.ravel()[at]
             if disc is None:
                 # a point in disc k has node k nearest: the others lie at
                 # least 3 r_k away
                 near = np.argmin(ad, axis=1)
                 disc_of = np.where(ad[i, near] <= prod.exclusion_radii[near],
                                    near, -1)
+                regular = None
             else:
                 disc_of = disc
-                L[i, disc], dL[i, disc] = prod._regular_part(
-                    disc, den[i, disc], w[i, disc], 1)
+                regular = prod._regular_part(disc, den[i, disc], w[i, disc],
+                                             1)
                 # 1/(z - z_n) - 1/u, exactly 0 in column k
                 inv -= 1.0 / delta[i, disc][rows]
+            # the gathers of den are done: dlog E and d2log E take the
+            # buffers of 1 - w_n and den
+            L, dL = prod._log_derivatives(delta, w, out=(omw, den))
+            if regular is not None:
+                L[i, disc], dL[i, disc] = regular
             lam = np.sum(L, axis=1)
             factor = (lam[rows] - inv
-                      + self._sm1[cols] * (prod._zc[cols] / den.ravel()[at]))
+                      + self._sm1[cols] * (prod._zc[cols] / den_at))
             yield sl, (log_p, sm, total,
-                       _row_sums(rows, e * factor, len(delta)), lam,
+                       _row_sums(rows, e * factor, m), lam,
                        np.sum(dL, axis=1), disc_of)
 
     def _node_terms(self, k: np.ndarray):

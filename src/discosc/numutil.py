@@ -12,7 +12,7 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def one_minus_conj_mul(z, w):
+def one_minus_conj_mul(z, w, out=None):
     """1 - conj(z)*w, computed as (1 - conj(z)) + conj(z)*(1 - w).
 
     The naive expression loses all relative accuracy when both arguments
@@ -22,10 +22,12 @@ def one_minus_conj_mul(z, w):
     generated by 1 - <small> formulas.  The product is a ufunc call so
     that scalars take numpy's array loop, not its scalar arithmetic, whose
     complex product can differ in the last bit: a batch then equals its
-    elements one at a time.
+    elements one at a time.  out, when given, receives the result.
     """
     zc = np.conjugate(z)
-    return (1.0 - zc) + np.multiply(zc, 1.0 - w)
+    if out is None:
+        return (1.0 - zc) + np.multiply(zc, 1.0 - w)
+    return np.add(1.0 - zc, np.multiply(zc, 1.0 - w, out=out), out=out)
 
 
 def one_minus_abs2(z):
@@ -38,7 +40,7 @@ def one_minus_abs(z):
     return one_minus_abs2(z) / (1.0 + np.abs(z))
 
 
-def clog(z):
+def clog(z, out=None, mod=None):
     """Principal log of complex z as log|z| + i atan2(Im z, Re z).
 
     The same branch cut (-pi, pi] as np.log, with signed zeros
@@ -48,11 +50,13 @@ def clog(z):
     element.  The imaginary part is within 1 ulp of np.log and the real
     part within 2 eps max(1, |log|z||): 2 ulp for |log|z|| >= 1, and near
     |z| = 1 3e-16 absolute, no more than the rounding the pieces it is
-    applied to already carry.
+    applied to already carry.  out (complex) and mod (real), arrays of z's
+    shape, receive the log and |z| when given.
     """
     z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-    np.log(np.abs(z), out=out.real)
+    if out is None:
+        out = np.empty(z.shape, dtype=complex)
+    np.log(np.abs(z, out=mod), out=out.real)
     np.arctan2(z.imag, z.real, out=out.imag)
     return out
 

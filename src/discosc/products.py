@@ -18,7 +18,11 @@ the pieces at z_k, which keeps contours around deep nodes accurate
 (node_contour_modes).  Points x nodes passes loop over _blocks, at most
 _BLOCK_PAIRS points x nodes pairs (and _CHUNK points) each, so a block's
 temporaries stay cache-sized at any node count; _map_blocks splits the
-series pass, the node pass and the residue contour over two threads.
+series pass, the node pass and the residue contour over two threads.  The
+series pass forms its pieces, factor logs and log-derivatives in buffers
+that each run allocates once (the out= forms of _pieces, _factor_logs and
+_log_derivatives), and its derivative pass sizes its worker blocks by the
+bytes of those buffers (_SPLIT_BYTES).
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -63,6 +67,12 @@ _BLOCK_PAIRS = 2 ** 15
 # most threads one points x nodes pass is split over (see
 # CanonicalProduct._map_blocks)
 _MAX_WORKERS = 2
+# buffer bytes per worker block of a split pass that allocates its buffers
+# once per run (the series derivative pass; see CanonicalProduct._slices):
+# the two runs' buffers then hold no more than the plain form's live
+# temporaries of one serial block (about 160 bytes per pair), and at N = 50
+# a block holds 427 points, where 256 took about 17% more wall time
+_SPLIT_BYTES = 2 ** 21
 # first grid of the exclusion-circle contour (see node_contour_modes)
 NODE_CONTOUR_START_POINTS = 32
 # on the exclusion circle of node k, the other factors with |z_n - z_k| <
@@ -85,15 +95,26 @@ def _worker_count() -> int:
     return min(_MAX_WORKERS, os.cpu_count() or 1)
 
 
-def _poly_part(w, s: int):
-    """w + w^2/2 + ... + w^s/s, elementwise (zeros for s = 0)."""
+def _poly_part(w, s: int, work=()):
+    """w + w^2/2 + ... + w^s/s, elementwise (zeros for s = 0).  work, when
+    given, is three complex arrays of w's shape: the powers, the quotients
+    and the sum, which is returned (at s = 0 the scalar 0, which adds as
+    the zeros do)."""
     w = np.asarray(w, dtype=complex)
     if s == 0:
-        return np.zeros_like(w)
-    acc = pw = w
-    for j in range(2, s + 1):
-        pw = pw * w
-        acc = acc + pw / j
+        return 0.0 if work else np.zeros_like(w)
+    if s == 1 or not work:
+        acc = pw = w
+        for j in range(2, s + 1):
+            pw = pw * w
+            acc = acc + pw / j
+        return acc
+    pw, q, acc = work
+    np.multiply(w, w, out=pw)
+    np.add(w, np.divide(pw, 2, out=q), out=acc)
+    for j in range(3, s + 1):
+        pw *= w
+        acc += np.divide(pw, j, out=q)
     return acc
 
 
@@ -236,12 +257,16 @@ class CanonicalProduct:
 
     # -- per-factor pieces and kernels --------------------------------------
 
-    def _pieces(self, pts: np.ndarray):
-        """(z - z_n, 1 - conj(z_n) z), shape (len(pts), n_zeros) each."""
+    def _pieces(self, pts: np.ndarray, out=None):
+        """(z - z_n, 1 - conj(z_n) z), shape (len(pts), n_zeros) each, in
+        the two arrays out when given."""
         p = np.asarray(pts, dtype=complex)[:, None]
-        return p - self.z[None, :], one_minus_conj_mul(self.z[None, :], p)
+        delta, den = (None, None) if out is None else out
+        return (np.subtract(p, self.z[None, :], out=delta),
+                one_minus_conj_mul(self.z[None, :], p, out=den))
 
-    def _slices(self, size: int, workers: int = 1, pairs: int | None = None):
+    def _slices(self, size: int, workers: int = 1, pairs: int | None = None,
+                pair_bytes: int | None = None):
         """Slices of size points (or nodes) in blocks of max(1, min(_CHUNK,
         pairs // n_zeros) // workers) points: a block holds at most pairs
         // workers points x nodes pairs (one point at a time past that many
@@ -252,6 +277,12 @@ class CanonicalProduct:
         serial size follows the node count, so at N <= 64 nodes serial
         point blocks keep _CHUNK points.
 
+        A pass whose runs allocate their buffers once gives pair_bytes, the
+        bytes those buffers hold per pair: its worker blocks (workers > 1)
+        then hold max(1, min(_CHUNK, _SPLIT_BYTES // (pair_bytes *
+        n_zeros))) points each instead, so the buffers of one worker's run
+        hold at most _SPLIT_BYTES.
+
         Each point's row is computed on its own, with the same operations
         in the same order whatever the block's size, so neither the block
         size nor the split over workers moves a bit of any value.  (That
@@ -259,31 +290,38 @@ class CanonicalProduct:
         temporary, such as x * (y - z): for arrays of 256 KiB or more numpy
         reuses the temporary and computes (y - z) * x in its place, and its
         complex product rounds differently from x * (y - z).)"""
-        if pairs is None:
-            pairs = _BLOCK_PAIRS
-        step = max(1, min(_CHUNK, pairs // max(self.z.size, 1)) // workers)
+        n = max(self.z.size, 1)
+        if pair_bytes and workers > 1:
+            step = max(1, min(_CHUNK, _SPLIT_BYTES // (pair_bytes * n)))
+        else:
+            pairs = _BLOCK_PAIRS if pairs is None else pairs
+            step = max(1, min(_CHUNK, pairs // n) // workers)
         for lo in range(0, size, step):
             yield slice(lo, min(lo + step, size))
 
-    def _map_blocks(self, fn, size: int, pairs: int | None = None) -> None:
+    def _map_blocks(self, fn, size: int, pairs: int | None = None,
+                    pair_bytes: int | None = None) -> None:
         """Run a pass over the blocks of size points (or nodes) under the
-        pair budget pairs (see _slices): fn(slices) computes and stores the
-        rows of every block in slices.
+        pair budget pairs or the buffer bytes per pair pair_bytes (see
+        _slices): fn(slices) computes and stores the rows of every block in
+        slices.
 
         With w = _worker_count() workers and at least two of
-        _slices(size, w, pairs)'s blocks per worker, those blocks are cut
-        into w contiguous runs: the calling thread runs fn on the first,
-        and one thread each on the others.  Otherwise fn(_slices(size,
-        pairs=pairs)) runs in the calling thread alone.  Blocks of 1/w the
-        serial size keep the temporaries live at once, and so the peak
-        memory, at one serial block's worth.  fn must write only the rows
-        of its own slices, enter the np.errstate it needs itself (numpy's
-        error state is per thread), and call nothing that bench/tracer.py
-        wraps (its span stack assumes one thread).  Every run ends before
-        this returns or raises; an error reaches the caller as the serial
-        pass raises it, the one of the first failing run in block order."""
+        _slices(size, w, pairs, pair_bytes)'s blocks per worker, those
+        blocks are cut into w contiguous runs: the calling thread runs fn
+        on the first, and one thread each on the others.  Otherwise
+        fn(_slices(size, pairs=pairs)) runs in the calling thread alone.
+        Blocks of 1/w the serial size keep the temporaries live at once,
+        and so the peak memory, at one serial block's worth; blocks sized
+        by pair_bytes keep each run's buffers within _SPLIT_BYTES.  fn must
+        write only the rows of its own slices, enter the np.errstate it
+        needs itself (numpy's error state is per thread), and call nothing
+        that bench/tracer.py wraps (its span stack assumes one thread).
+        Every run ends before this returns or raises; an error reaches the
+        caller as the serial pass raises it, the one of the first failing
+        run in block order."""
         workers = _worker_count()
-        slices = list(self._slices(size, workers, pairs))
+        slices = list(self._slices(size, workers, pairs, pair_bytes))
         if workers < 2 or len(slices) < 2 * workers:
             fn(self._slices(size, pairs=pairs))
             return
@@ -321,22 +359,30 @@ class CanonicalProduct:
         for sl in self._slices(pts.size):
             yield sl, np.abs(pts[sl, None] - self.z[None, :])
 
-    def _factor_logs(self, delta: np.ndarray, den: np.ndarray) -> np.ndarray:
+    def _factor_logs(self, delta: np.ndarray, den: np.ndarray,
+                     out=()) -> np.ndarray:
         """Per-factor principal logs from the pieces (delta, den) of every
-        factor.
+        factor.  out, when given, is buffers of the pieces' shape: the logs
+        (returned), 1 - w_n and |1 - w_n| (real), and at genus >= 2 the
+        three of _poly_part.
 
         Exact zeros produce -inf entries; callers mask as appropriate.
         """
-        omw = -self._zc * delta / den
+        logs, omw, mod, *work = out or (None, None, None)
+        omw = np.multiply(-self._zc, delta, out=omw)
+        omw /= den
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = clog(omw) + _poly_part(1.0 - omw, self.genus)
+            logs = clog(omw, logs, mod)
+            logs += _poly_part(np.subtract(1.0, omw, out=omw), self.genus,
+                               work)
             i = self._origin_idx
             if i is not None:
                 logs[..., i] = clog(delta[..., i])
         return logs
 
-    def _log_derivatives(self, delta: np.ndarray, w: np.ndarray):
-        """Per-factor (dlog E, d2log E) from z - z_n and w = w_n(z).
+    def _log_derivatives(self, delta: np.ndarray, w: np.ndarray, out=None):
+        """Per-factor (dlog E, d2log E) from z - z_n and w = w_n(z), in the
+        two arrays out when given.
 
         With u = conj(z_n)/(1 - conj(z_n) z) and w = w_n(z),
 
@@ -346,16 +392,19 @@ class CanonicalProduct:
         Since 1 - w = -u (z - z_n) and u = w conj(z_n)/(1 - |z_n|^2), these
         are dlog E = w^(s+1)/(z - z_n) and d2log E = (w (s+2) conj(z_n)/(1 -
         |z_n|^2) - w/(z - z_n)) dlog E: two complex divisions per factor,
-        and the last product in that operand order at any block size (see
-        _slices).  Callers take w as (1 - |z_n|^2)/(1 - conj(z_n) z), so
-        small |w| keep full relative accuracy.  A node at
+        w/(z - z_n) formed once, and every product in its operand order at
+        any block size (see _slices).  Callers take w as (1 - |z_n|^2)/(1 -
+        conj(z_n) z), so small |w| keep full relative accuracy.  A node at
         the origin (w = 1) gives 1/z and -1/z^2 from the same forms.
         """
-        inv = 1.0 / delta
-        L = w * inv
+        L, dL = (None, None) if out is None else out
+        L = np.multiply(w, np.divide(1.0, delta, out=L), out=L)
+        dL = np.multiply(w, self._dlog_coef, out=dL)
+        dL -= L
         for _ in range(self.genus):
-            L = L * w
-        return L, (w * self._dlog_coef - w * inv) * L
+            L *= w
+        dL *= L
+        return L, dL
 
     def _regular_part(self, k, den, w, order: int):
         """[R, R', ..., R^(order)] for R = dlog E_k - 1/(z - z_k), the

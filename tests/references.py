@@ -1,8 +1,12 @@
 """Reference forms shared by the test modules: exact forms that the package
 no longer needs but that tests compare its faster routes against."""
 
+import math
+
 import numpy as np
 
+from discosc.interpolation import (_PASS_ERRSTATE, SeriesPass, _above_floor,
+                                   _row_sums)
 from discosc.numutil import clog, disc_points, one_minus_conj_mul
 from discosc.products import _poly_part
 from discosc.sequences import log_integrated_count
@@ -152,3 +156,107 @@ def clog1p(x):
     a *= 0.5
     np.arctan2(b, a1, out=b)
     return x
+
+
+# -- the series pass in its plain form ----------------------------------------
+# InterpolationSeries._pass as one expression per array, each block's
+# temporaries fresh: the pass's buffered form must give its bits.
+
+
+def plain_factor_logs(prod, delta, den):
+    """CanonicalProduct._factor_logs with fresh temporaries."""
+    omw = -prod._zc * delta / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = clog(omw) + _poly_part(1.0 - omw, prod.genus)
+        i = prod._origin_idx
+        if i is not None:
+            logs[..., i] = clog(delta[..., i])
+    return logs
+
+
+def plain_log_derivatives(prod, delta, w):
+    """CanonicalProduct._log_derivatives with fresh temporaries, w/(z -
+    z_n) formed twice."""
+    inv = 1.0 / delta
+    L = w * inv
+    for _ in range(prod.genus):
+        L = L * w
+    return L, (w * prod._dlog_coef - w * inv) * L
+
+
+def _plain_sums(series, pts, derivatives, node=None, rows=256):
+    """Yield (slice, sums) as InterpolationSeries._sums does, over serial
+    blocks of rows points."""
+    prod = series.product
+    floor = math.log(np.finfo(float).eps / prod.z.size)
+    for lo in range(0, pts.size, rows):
+        sl = slice(lo, min(lo + rows, pts.size))
+        p = pts[sl][:, None]
+        delta = p - prod.z[None, :]
+        den = one_minus_conj_mul(prod.z[None, :], p)
+        disc = None if node is None else node[sl]
+        log_p = np.sum(plain_factor_logs(prod, delta, den), axis=1)
+        w = prod._gap2c / den
+        ad, aw = np.abs(delta), np.abs(w)
+        re = series._c.real - np.log(ad) + series._sm1 * np.log(aw)
+        sm, keep = _above_floor(re, floor)
+        if derivatives:
+            i = np.arange(len(ad))
+            own = 1.0 / ad + series._bound_coef * aw
+            if disc is not None:
+                own += 1.0 / ad[i, disc][:, None]
+                own[i, disc] = series._bound_coef[disc] * aw[i, disc]
+            keep |= _above_floor(re + np.log(own), floor)[1]
+        at = np.flatnonzero(keep)
+        rows_at, cols = np.divmod(at, prod.z.size)
+        d = delta.ravel()[at]
+        t = np.empty(rows_at.size, dtype=complex)
+        t.real = re.ravel()[at] - sm[rows_at]
+        t.imag = (series._c.imag[cols] - np.angle(d)
+                  + series._sm1[cols] * np.angle(w.ravel()[at]))
+        e = np.exp(t)
+        total = _row_sums(rows_at, e, len(delta))
+        if not derivatives:
+            yield sl, (log_p, sm, total)
+            continue
+        L, dL = plain_log_derivatives(prod, delta, w)
+        inv = 1.0 / d
+        if disc is None:
+            near = np.argmin(ad, axis=1)
+            disc_of = np.where(ad[i, near] <= prod.exclusion_radii[near],
+                               near, -1)
+        else:
+            disc_of = disc
+            L[i, disc], dL[i, disc] = prod._regular_part(
+                disc, den[i, disc], w[i, disc], 1)
+            inv -= 1.0 / delta[i, disc][rows_at]
+        lam = np.sum(L, axis=1)
+        factor = (lam[rows_at] - inv
+                  + series._sm1[cols] * (prod._zc[cols] / den.ravel()[at]))
+        yield sl, (log_p, sm, total,
+                   _row_sums(rows_at, e * factor, len(delta)), lam,
+                   np.sum(dL, axis=1), disc_of)
+
+
+def series_pass(series, pts, derivatives=False):
+    """InterpolationSeries._pass(pts, derivatives) on one thread, every
+    block in the plain form: every point, then with derivatives the points
+    in exclusion discs again with the node's pole divided out."""
+    n = pts.size
+    sm = np.full(n, -math.inf)
+    log_p, total = np.zeros((2, n), dtype=complex)
+    dtotal, lam, dlam = (np.zeros((3, n), dtype=complex) if derivatives
+                         else (None, None, None))
+    node = np.full(n, -1) if derivatives else None
+    out = (log_p, sm, total, dtotal, lam, dlam, node)
+    with np.errstate(**_PASS_ERRSTATE):
+        for sl, vals in _plain_sums(series, pts, derivatives):
+            for arr, val in zip(out, vals):
+                arr[sl] = val
+        inside = np.flatnonzero(node >= 0) if derivatives else []
+        if len(inside):
+            for sl, vals in _plain_sums(series, pts[inside], True,
+                                        node[inside]):
+                for arr, val in zip(out[:6], vals):
+                    arr[inside[sl]] = val
+    return SeriesPass(*out)

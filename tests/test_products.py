@@ -175,6 +175,13 @@ def test_blocks_hold_the_pair_budget_and_move_no_distance(weight_pipeline):
     assert sum(sizes) == 1000
     assert [sl.stop - sl.start for sl in CanonicalProduct(PAIR, 0)._slices(
         1100)] == [512, 512, 76]
+    # worker blocks sized by buffer bytes: 2 MiB // (98 N) points at N =
+    # 368, capped at 512 points for two nodes; serial blocks ignore them
+    assert [sl.stop - sl.start for sl in prod._slices(
+        200, 2, pair_bytes=98)] == [58, 58, 58, 26]
+    assert [sl.stop - sl.start for sl in CanonicalProduct(PAIR, 0)._slices(
+        600, 2, pair_bytes=98)] == [512, 88]
+    assert list(prod._slices(1000, pair_bytes=98)) == list(prod._slices(1000))
     d = np.abs(prod.z[:, None] - prod.z[None, :])
     np.fill_diagonal(d, math.inf)
     np.testing.assert_array_equal(

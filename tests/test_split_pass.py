@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
-                     SharpnessParams, generate_sharpness, genus_from_scale,
-                     node_targets, products, targets_from_product)
+                     SharpnessParams, build_coefficient, generate_sharpness,
+                     genus_from_scale, node_targets, products,
+                     targets_from_product)
 from discosc.interpolation import _unscale
 from discosc.oscillation import _residue_mismatch
 
@@ -46,10 +47,17 @@ def _disc_points(prod, seed, count):
     return np.concatenate([pts, *near])
 
 
-def _values(bundle, pts):
-    series = bundle.gprime
-    return (series._pass(pts), series._pass(pts, derivatives=True),
-            bundle.eval_coefficient(np.concatenate([pts, bundle.product.z])))
+def _coefficient_values(bundle, pts, nodes=None):
+    """The series derivative pass at pts, and a(z) at pts and the nodes
+    (all of them by default)."""
+    nodes = bundle.product.z if nodes is None else nodes
+    return (bundle.gprime._pass(pts, derivatives=True),
+            bundle.eval_coefficient(np.concatenate([pts, nodes])))
+
+
+def _values(bundle, pts, nodes=None):
+    """Both series passes at pts, and a(z) at pts and the nodes."""
+    return (bundle.gprime._pass(pts), *_coefficient_values(bundle, pts, nodes))
 
 
 def _assert_same(got, want):
@@ -62,28 +70,129 @@ def _assert_same(got, want):
     assert _same_bits(got[2], want[2])
 
 
-def _set_blocks(monkeypatch, chunk, pairs, workers):
+def _set_blocks(monkeypatch, chunk, pairs, workers, split_bytes=2 ** 21):
     monkeypatch.setattr(products, "_CHUNK", chunk)
     monkeypatch.setattr(products, "_BLOCK_PAIRS", pairs)
+    monkeypatch.setattr(products, "_SPLIT_BYTES", split_bytes)
     monkeypatch.setattr(products, "_worker_count", lambda: workers)
 
 
-@pytest.mark.parametrize("name", ["geo50", "lattice368"])
+@pytest.fixture(scope="module")
+def sharp14_genus3():
+    # sharpness(1, 1, 14) under log-power:3 takes genus 1; at genus 3 the
+    # factor logs take _poly_part's buffers
+    return build_coefficient(generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
+                             GrowthScale.log_power(3.0), genus=3)
+
+
+@pytest.fixture(scope="module")
+def geo50_genus0(geo50_bundle):
+    zeros = geo50_bundle.product.zeros
+    return build_coefficient(zeros, geo50_bundle.scale, genus=0,
+                             exponents=np.full(len(zeros), 3))
+
+
+def _bundle(request, name):
+    """(bundle, nodes at which a(z) is taken) of a series-pass bit test."""
+    if name == "lattice368":
+        # one node at the origin
+        return request.getfixturevalue("weight_pipeline")[3], None
+    if name == "sharp14-genus3":
+        # a(z_k) at the other 81 nodes is beyond binary64
+        bundle = request.getfixturevalue("sharp14_genus3")
+        return bundle, bundle.product.z[:28]
+    fixture = {"geo50": "geo50_bundle", "geo50-genus0": "geo50_genus0"}
+    return request.getfixturevalue(fixture[name]), None
+
+
+_BUNDLES = ["geo50", "lattice368", "sharp14-genus3", "geo50-genus0"]
+
+
+@pytest.mark.parametrize("name", _BUNDLES)
 def test_same_bits_at_any_block_size_and_worker_count(
         request, monkeypatch, name):
-    if name == "geo50":
-        bundle, count = request.getfixturevalue("geo50_bundle"), 2000
-    else:
-        bundle, count = request.getfixturevalue("weight_pipeline")[3], 500
-    pts = _disc_points(bundle.product, 3, count)
+    bundle, nodes = _bundle(request, name)
+    series, n = bundle.gprime, bundle.product.z.size
+    pts = _disc_points(bundle.product, 3, 2000 if n < 100 else 500)
     _set_blocks(monkeypatch, 512, 2 ** 15, 1)
-    want = _values(bundle, pts)
+    want = _values(bundle, pts, nodes)
     for chunk, pairs, workers in [(512, 2 ** 15, 2), (256, 2 ** 15, 1),
                                   (256, 2 ** 15, 2), (7, 2 ** 15, 2),
                                   (512, 2 ** 12, 1), (512, 2 ** 12, 2),
                                   (512, 2 ** 17, 2), (1, 1, 2)]:
         _set_blocks(monkeypatch, chunk, pairs, workers)
-        _assert_same(_values(bundle, pts), want)
+        _assert_same(_values(bundle, pts, nodes), want)
+    # the derivative pass's worker blocks sized by its buffers' bytes:
+    # blocks of size points on two workers (two of 1024 points per worker
+    # from 3,073 points on), serial blocks of as many on one; a(z) off the
+    # nodes, the values that pass gives
+    off = bundle.product.z[:0]
+    big = _disc_points(bundle.product, 5, 3100)
+    _set_blocks(monkeypatch, 512, 2 ** 15, 1)
+    small = (pts, _coefficient_values(bundle, pts, off))
+    large = (big, _coefficient_values(bundle, big, off))
+    pair_bytes = series._pair_bytes(True)
+    for size in (1, 7, 384, 512, 1024):
+        at, want = large if size > 7 else small
+        for workers in (1, 2):
+            _set_blocks(monkeypatch, size, 2 ** 20, workers,
+                        size * n * pair_bytes)
+            got = _coefficient_values(bundle, at, off)
+            for field, a, b in zip(got[0]._fields, got[0], want[0]):
+                assert _same_bits(a, b), (size, workers, field)
+            assert _same_bits(got[1], want[1]), (size, workers)
+
+
+@pytest.mark.parametrize("name", _BUNDLES)
+def test_the_series_pass_equals_its_plain_form(request, monkeypatch, name):
+    # every per-pair array of the pass is formed in its run's buffers;
+    # references.series_pass forms each as one plain expression
+    bundle, _ = _bundle(request, name)
+    prod = bundle.product
+    pts = _disc_points(prod, 13, 2000 if prod.z.size < 100 else 500)
+    # a point 1e-200 from a node overflows the P'/P form off the disc round
+    pts = np.append(pts, [prod.z[2] + 1e-200j, prod.z[5] - 1e-200])
+    for workers in (1, 2):
+        monkeypatch.setattr(products, "_worker_count", lambda: workers)
+        for derivatives in (False, True):
+            got = bundle.gprime._pass(pts, derivatives)
+            want = references.series_pass(bundle.gprime, pts, derivatives)
+            for field, a, b in zip(got._fields, got, want):
+                if b is None:
+                    assert a is None, field
+                else:
+                    assert _same_bits(a, b), (workers, derivatives, field)
+
+
+def test_two_calls_at_once_on_one_bundle_get_the_serial_bits(
+        geo50_bundle, monkeypatch):
+    # each run of a pass allocates its own buffers: two threads calling
+    # eval_coefficient on one bundle, each call split over two workers,
+    # with a thread switch every microsecond, must not see each other's
+    prod = geo50_bundle.product
+    batches = [_disc_points(prod, seed, 3000) for seed in (17, 19)]
+    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    want = [geo50_bundle.eval_coefficient(b) for b in batches]
+    monkeypatch.setattr(products, "_worker_count", lambda: 2)
+    got = [None, None]
+
+    def call(i):
+        got[i] = [geo50_bundle.eval_coefficient(batches[i])
+                  for _ in range(3)]
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in (0, 1)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(old)
+    for i in (0, 1):
+        for a in got[i]:
+            assert _same_bits(a, want[i]), i
 
 
 def _row(values, j, count):
@@ -146,11 +255,11 @@ def test_an_error_in_a_block_reaches_the_caller_as_the_serial_pass_raises(
     pts = _disc_points(prod, 9, 4000)
     pieces = CanonicalProduct._pieces
 
-    def poisoned(self, block):
+    def poisoned(self, block, out=None):
         for j in (100, 3500):
             if np.any(block == pts[j]):
                 raise ArithmeticError(f"poisoned point {j}")
-        return pieces(self, block)
+        return pieces(self, block, out)
 
     monkeypatch.setattr(CanonicalProduct, "_pieces", poisoned)
     before = threading.active_count()
@@ -189,7 +298,7 @@ def test_a_split_pass_over_more_workers_than_cores_loses_no_row(
 
 @pytest.fixture(scope="module")
 def sharp14_series():
-    # 109 nodes, genus 3: one serial node block at _BLOCK_PAIRS = 2^15,
+    # 109 nodes, genus 1: one serial node block at _BLOCK_PAIRS = 2^15,
     # split over two workers from 2^12 down
     scale = GrowthScale.log_power(3.0)
     prod = CanonicalProduct(generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
