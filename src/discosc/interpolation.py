@@ -40,7 +40,8 @@ import numpy as np
 
 # golden_section_max is looked up here by bench/tracer.py
 from .numutil import (circle_max, clog, disc_points,  # noqa: F401
-                      golden_section_max, like_input, one_minus_conj_mul)
+                      golden_section_max, like_input, map_blocks,
+                      one_minus_conj_mul, slices)
 from .products import CanonicalProduct, _poly_part
 from .scales import GrowthScale
 from .sequences import ZeroSequence
@@ -224,10 +225,10 @@ class InterpolationSeries:
         SeriesPass from the same pieces.
 
         The first round takes every point, over blocks that
-        CanonicalProduct._map_blocks splits over two threads when the pass
-        is large enough: without derivatives into half-size blocks (at
-        geo50's N = 50, from 769 points on), with them into blocks whose
-        buffers hold _SPLIT_BYTES (_pair_bytes; 427 points and from 1,282
+        numutil.map_blocks splits over two threads when the pass is large
+        enough: without derivatives into half-size blocks (at geo50's N =
+        50, from 769 points on), with them into blocks whose buffers hold
+        numutil._SPLIT_BYTES (_pair_bytes; 427 points and from 1,282
         points on at N = 50).  With derivatives, a second round takes the
         few points in exclusion discs again, serially.  Each round enters
         _PASS_ERRSTATE in every thread it runs in.  A point's values depend
@@ -279,13 +280,13 @@ class InterpolationSeries:
             return SeriesPass(log_p, sm, total, dtotal, lam, dlam, node)
         out = (log_p, sm, total, dtotal, lam, dlam, node)
 
-        def first_round(slices):
+        def first_round(blocks):
             with np.errstate(**_PASS_ERRSTATE):
-                for sl, vals in self._sums(pts, derivatives, slices):
+                for sl, vals in self._sums(pts, derivatives, blocks):
                     for arr, val in zip(out, vals):
                         arr[sl] = val
 
-        prod._map_blocks(first_round, n, pair_bytes=(
+        map_blocks(first_round, n, prod.z.size, pair_bytes=(
             self._pair_bytes(True) if derivatives else None))
         inside = np.flatnonzero(node >= 0) if derivatives else []
         if len(inside):
@@ -293,7 +294,7 @@ class InterpolationSeries:
             # pole divided out
             with np.errstate(**_PASS_ERRSTATE):
                 for sl, vals in self._sums(pts[inside], True,
-                                           prod._slices(inside.size),
+                                           slices(inside.size, prod.z.size),
                                            node[inside]):
                     for arr, val in zip(out[:6], vals):
                         arr[inside[sl]] = val
@@ -480,7 +481,7 @@ class InterpolationSeries:
                 g1 = (s + 1.0) * v * v + inv * inv
                 g2 = 2.0 * ((s + 1.0) * v ** 3 - inv ** 3)
                 # np.multiply keeps the operand order at any block size
-                # (see CanonicalProduct._slices)
+                # (see numutil.slices)
                 lq = [L, L * g, np.multiply(L, g * g + g1),
                       np.multiply(L, g ** 3 + 3.0 * g * g1 + g2)]
                 own = prod._regular_part(kk, prod._gap2[kk], 1.0, 3)

@@ -1,15 +1,35 @@
-"""Shared numerical helpers: boundary-stable disc algebra, contour rules,
-1-D search, and the package's one quadrature (a tanh-sinh rule over many
-segments at once, behind both psi_tilde and the solution's g).
+"""Shared numerical helpers: boundary-stable disc algebra, the blocks of
+every rows x columns pass, contour rules, 1-D search, and the package's one
+quadrature (a tanh-sinh rule over many segments at once, behind both
+psi_tilde and the solution's g).
 
 Everything here is plain numpy and works elementwise on arrays unless noted.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# rows per block of every rows x columns pass (points x nodes in the
+# product and series passes, centres x points in the sequence estimators)
+_CHUNK = 512
+# rows x columns pairs per block: a complex temporary of 2^15 pairs is
+# 512 KB, which stays in cache where a (512, N) one leaves it for N in the
+# hundreds
+_BLOCK_PAIRS = 2 ** 15
+# most threads one pass is split over (see map_blocks)
+_MAX_WORKERS = 2
+# buffer bytes per worker block of a split pass that allocates its buffers
+# once per run (the series derivative pass; see slices): the two runs'
+# buffers then hold no more than the plain form's live temporaries of one
+# serial block (about 160 bytes per pair), and at N = 50 a block holds 427
+# points, where 256 took about 17% more wall time
+_SPLIT_BYTES = 2 ** 21
 
 
 def one_minus_conj_mul(z, w, out=None):
@@ -104,6 +124,94 @@ def like_input(vals: np.ndarray, z, kind=complex):
     """Values computed on flat_points(z), in the shape of z; a scalar z
     gives a scalar of the given kind."""
     return vals.reshape(np.shape(z)) if np.ndim(z) else kind(vals[0])
+
+
+def _worker_count() -> int:
+    """Threads a split pass uses: the CPUs this process may run on, at most
+    _MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(_MAX_WORKERS, len(os.sched_getaffinity(0)))
+    return min(_MAX_WORKERS, os.cpu_count() or 1)
+
+
+def slices(size: int, n: int, workers: int = 1, pairs: int | None = None,
+           pair_bytes: int | None = None):
+    """Slices of size rows of a pass over n columns.  A serial block holds
+    at most _CHUNK rows and the pass's budget of pairs (_BLOCK_PAIRS by
+    default, products._SAMPLE_PAIRS for the exclusion-circle samples), one
+    row past that many columns, and a worker's block 1/workers of that, so
+    the blocks of all workers hold no more than one serial block.  A pass
+    whose runs allocate their buffers once gives pair_bytes, the bytes of
+    those buffers per pair: its worker blocks then hold up to _SPLIT_BYTES
+    of buffers each instead.
+
+    Each row is computed on its own, with the same operations in the same
+    order whatever the block's size, so neither the block size nor the
+    split over workers moves a bit of any value.  (That rules out a
+    commutative operator whose second operand is a temporary, such as x *
+    (y - z): for arrays of 256 KiB or more numpy reuses the temporary and
+    computes (y - z) * x in its place, and its complex product rounds
+    differently from x * (y - z).)"""
+    n = max(n, 1)
+    if pair_bytes and workers > 1:
+        step = max(1, min(_CHUNK, _SPLIT_BYTES // (pair_bytes * n)))
+    else:
+        pairs = _BLOCK_PAIRS if pairs is None else pairs
+        step = max(1, min(_CHUNK, pairs // n) // workers)
+    for lo in range(0, size, step):
+        yield slice(lo, min(lo + step, size))
+
+
+def map_blocks(fn, size: int, n: int, pairs: int | None = None,
+               pair_bytes: int | None = None) -> None:
+    """Run a pass over the blocks of size rows and n columns under the pair
+    budget pairs or the buffer bytes per pair pair_bytes (see slices):
+    fn(blocks) computes and stores the rows of every block in blocks.
+
+    With w = _worker_count() workers and at least two of slices(size, n,
+    w, pairs, pair_bytes)'s blocks per worker, those blocks are cut into w
+    contiguous runs: the calling thread runs fn on the first, and one
+    thread each on the others.  Otherwise fn(slices(size, n, pairs=pairs))
+    runs in the calling thread alone.  fn must write only the rows of its
+    own blocks, enter the np.errstate it needs itself (numpy's error state
+    is per thread), and call nothing that bench/tracer.py wraps (its span
+    stack assumes one thread).  Every run ends before this returns or
+    raises; an error reaches the caller as the serial pass raises it, the
+    one of the first failing run in block order."""
+    workers = _worker_count()
+    blocks = list(slices(size, n, workers, pairs, pair_bytes))
+    if workers < 2 or len(blocks) < 2 * workers:
+        fn(slices(size, n, pairs=pairs))
+        return
+    cut = [len(blocks) * i // workers for i in range(workers + 1)]
+    runs = [blocks[lo:hi] for lo, hi in zip(cut, cut[1:])]
+    errors = [None] * workers
+
+    def run(i):
+        try:
+            fn(runs[i])
+        except BaseException as exc:  # raised in the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        fn(runs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def distance_rows(centres: np.ndarray, points: np.ndarray):
+    """Yield (slice, |centre - point|) over the blocks slices(centres.size,
+    points.size), one row per centre of the block."""
+    for sl in slices(centres.size, points.size):
+        yield sl, np.abs(centres[sl, None] - points[None, :])
 
 
 def circle_nodes(m: int):

@@ -207,7 +207,7 @@ class OscillationBundle:
         fu[~jet] = f[~jet] / u[~jet]
         uj = u[jet]
         # np.multiply keeps the operand order at any batch size (see
-        # CanonicalProduct._slices)
+        # numutil.slices)
         fu[jet] = f1[jet] + np.multiply(
             uj, 0.5 * f2[jet] + np.multiply(uj, f3[jet]) / 6.0)
         return -(f * f + fp + 2.0 * fu)

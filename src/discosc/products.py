@@ -15,14 +15,13 @@ quantity from one set of pieces.  The exclusion-circle contours never form
 z_k + u: node k's own factor is taken from u, and every other factor enters
 centred on the node, as log E_n(z_k + u) - log E_n(z_k), through samples of
 the pieces at z_k, which keeps contours around deep nodes accurate
-(node_contour_modes).  Points x nodes passes loop over _blocks, at most
-_BLOCK_PAIRS points x nodes pairs (and _CHUNK points) each, so a block's
-temporaries stay cache-sized at any node count; _map_blocks splits the
-series pass, the node pass and the residue contour over two threads.  The
-series pass forms its pieces, factor logs and log-derivatives in buffers
-that each run allocates once (the out= forms of _pieces, _factor_logs and
+(node_contour_modes).  Points x nodes passes loop over cache-sized
+blocks (numutil.slices), and numutil.map_blocks splits the series pass,
+the node pass and the residue contour over two threads.  The series pass
+forms its pieces, factor logs and log-derivatives in buffers that each run
+allocates once (the out= forms of _pieces, _factor_logs and
 _log_derivatives), and its derivative pass sizes its worker blocks by the
-bytes of those buffers (_SPLIT_BYTES).
+bytes of those buffers.
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -40,39 +39,23 @@ Stability notes baked into the implementation:
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
 from .numutil import (CONTOUR_MAX_POINTS, circle_fault, circle_modes,
-                      circle_nodes, clog, clog1p, disc_points, flat_points,
-                      like_input, one_minus_abs, one_minus_abs2,
-                      one_minus_conj_mul, settle_circles)
-from .sequences import ZeroSequence, blaschke_sum
+                      circle_nodes, clog, clog1p, disc_points, distance_rows,
+                      flat_points, like_input, map_blocks, one_minus_abs,
+                      one_minus_abs2, one_minus_conj_mul, settle_circles,
+                      slices)
+from .sequences import ZeroSequence, blaschke_sum, near_counts
 
 __all__ = [
     "CanonicalProduct",
     "primary_factor",
 ]
 
-# points per block of every points x nodes pass (products, series, targets)
-_CHUNK = 512
-# points x nodes pairs per block: a complex temporary of 2^15 pairs is
-# 512 KB, which stays in cache where a (512, N) one leaves it for N in the
-# hundreds
-_BLOCK_PAIRS = 2 ** 15
-# most threads one points x nodes pass is split over (see
-# CanonicalProduct._map_blocks)
-_MAX_WORKERS = 2
-# buffer bytes per worker block of a split pass that allocates its buffers
-# once per run (the series derivative pass; see CanonicalProduct._slices):
-# the two runs' buffers then hold no more than the plain form's live
-# temporaries of one serial block (about 160 bytes per pair), and at N = 50
-# a block holds 427 points, where 256 took about 17% more wall time
-_SPLIT_BYTES = 2 ** 21
 # first grid of the exclusion-circle contour (see node_contour_modes)
 NODE_CONTOUR_START_POINTS = 32
 # on the exclusion circle of node k, the other factors with |z_n - z_k| <
@@ -85,14 +68,6 @@ NODE_FAR_SAMPLES = 16
 # the contours of the N = 368 and N = 964 lattices about 14% and 6% faster,
 # and 2^12 took them 17% and 33% slower
 _SAMPLE_PAIRS = 2 ** 14
-
-
-def _worker_count() -> int:
-    """Threads a split pass uses: the CPUs this process may run on, at most
-    _MAX_WORKERS."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(_MAX_WORKERS, len(os.sched_getaffinity(0)))
-    return min(_MAX_WORKERS, os.cpu_count() or 1)
 
 
 def _poly_part(w, s: int, work=()):
@@ -207,20 +182,21 @@ class CanonicalProduct:
 
     def _exclusion_rule(self) -> np.ndarray:
         """r_k = min(nn_k/4, (1 - |z_k|)/8), with the nearest-neighbour
-        distances nn_k taken over _distances (inf for a lone node)."""
+        distances nn_k over distance_rows (inf for a lone node)."""
         nn = np.empty(self.z.size)
-        for sl, d in self._distances(self.z):
+        for sl, d in distance_rows(self.z, self.z):
             d[np.arange(d.shape[0]), np.arange(sl.start, sl.stop)] = math.inf
             nn[sl] = np.min(d, axis=1)
         return np.minimum(nn / 4.0, self._gap / 8.0)
 
     def nearest_node(self, pts):
-        """(index, distance) of each point's closest node, over _distances
-        (-1 and inf without nodes)."""
+        """(index, distance) of each point's closest node, over
+        distance_rows (-1 and inf without nodes)."""
         pts = np.atleast_1d(np.asarray(pts, dtype=complex))
         flat = pts.ravel()
         idx, dist = np.full(flat.size, -1), np.full(flat.size, math.inf)
-        for sl, d in self._distances(flat if self.z.size else flat[:0]):
+        for sl, d in distance_rows(flat if self.z.size else flat[:0],
+                                   self.z):
             i = np.argmin(d, axis=1)
             idx[sl] = i
             dist[sl] = d[np.arange(i.size), i]
@@ -265,99 +241,11 @@ class CanonicalProduct:
         return (np.subtract(p, self.z[None, :], out=delta),
                 one_minus_conj_mul(self.z[None, :], p, out=den))
 
-    def _slices(self, size: int, workers: int = 1, pairs: int | None = None,
-                pair_bytes: int | None = None):
-        """Slices of size points (or nodes) in blocks of max(1, min(_CHUNK,
-        pairs // n_zeros) // workers) points: a block holds at most pairs
-        // workers points x nodes pairs (one point at a time past that many
-        nodes), so the blocks of workers threads together hold no more than
-        one serial block.  pairs is the pass's budget: _BLOCK_PAIRS (the
-        default) for the points x nodes passes, _SAMPLE_PAIRS for the node
-        blocks of the exclusion-circle samples (_centred_modes).  The
-        serial size follows the node count, so at N <= 64 nodes serial
-        point blocks keep _CHUNK points.
-
-        A pass whose runs allocate their buffers once gives pair_bytes, the
-        bytes those buffers hold per pair: its worker blocks (workers > 1)
-        then hold max(1, min(_CHUNK, _SPLIT_BYTES // (pair_bytes *
-        n_zeros))) points each instead, so the buffers of one worker's run
-        hold at most _SPLIT_BYTES.
-
-        Each point's row is computed on its own, with the same operations
-        in the same order whatever the block's size, so neither the block
-        size nor the split over workers moves a bit of any value.  (That
-        rules out a commutative operator whose second operand is a
-        temporary, such as x * (y - z): for arrays of 256 KiB or more numpy
-        reuses the temporary and computes (y - z) * x in its place, and its
-        complex product rounds differently from x * (y - z).)"""
-        n = max(self.z.size, 1)
-        if pair_bytes and workers > 1:
-            step = max(1, min(_CHUNK, _SPLIT_BYTES // (pair_bytes * n)))
-        else:
-            pairs = _BLOCK_PAIRS if pairs is None else pairs
-            step = max(1, min(_CHUNK, pairs // n) // workers)
-        for lo in range(0, size, step):
-            yield slice(lo, min(lo + step, size))
-
-    def _map_blocks(self, fn, size: int, pairs: int | None = None,
-                    pair_bytes: int | None = None) -> None:
-        """Run a pass over the blocks of size points (or nodes) under the
-        pair budget pairs or the buffer bytes per pair pair_bytes (see
-        _slices): fn(slices) computes and stores the rows of every block in
-        slices.
-
-        With w = _worker_count() workers and at least two of
-        _slices(size, w, pairs, pair_bytes)'s blocks per worker, those
-        blocks are cut into w contiguous runs: the calling thread runs fn
-        on the first, and one thread each on the others.  Otherwise
-        fn(_slices(size, pairs=pairs)) runs in the calling thread alone.
-        Blocks of 1/w the serial size keep the temporaries live at once,
-        and so the peak memory, at one serial block's worth; blocks sized
-        by pair_bytes keep each run's buffers within _SPLIT_BYTES.  fn must
-        write only the rows of its own slices, enter the np.errstate it
-        needs itself (numpy's error state is per thread), and call nothing
-        that bench/tracer.py wraps (its span stack assumes one thread).
-        Every run ends before this returns or raises; an error reaches the
-        caller as the serial pass raises it, the one of the first failing
-        run in block order."""
-        workers = _worker_count()
-        slices = list(self._slices(size, workers, pairs, pair_bytes))
-        if workers < 2 or len(slices) < 2 * workers:
-            fn(self._slices(size, pairs=pairs))
-            return
-        cut = [len(slices) * i // workers for i in range(workers + 1)]
-        runs = [slices[lo:hi] for lo, hi in zip(cut, cut[1:])]
-        errors = [None] * workers
-
-        def run(i):
-            try:
-                fn(runs[i])
-            except BaseException as exc:  # raised in the calling thread
-                errors[i] = exc
-
-        threads = [threading.Thread(target=run, args=(i,))
-                   for i in range(1, workers)]
-        for thread in threads:
-            thread.start()
-        try:
-            fn(runs[0])
-        finally:
-            for thread in threads:
-                thread.join()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-
-    def _blocks(self, pts: np.ndarray, slices=None):
-        """Yield (slice, pieces) over pts by slices (default _slices), so
-        memory stays O(_BLOCK_PAIRS) however many points are asked."""
-        for sl in self._slices(pts.size) if slices is None else slices:
+    def _blocks(self, pts: np.ndarray):
+        """Yield (slice, pieces) over pts by numutil.slices, so memory
+        stays O(_BLOCK_PAIRS) however many points are asked."""
+        for sl in slices(pts.size, self.z.size):
             yield (sl, *self._pieces(pts[sl]))
-
-    def _distances(self, pts: np.ndarray):
-        """Yield (slice, |z - z_n|) over pts by _slices."""
-        for sl in self._slices(pts.size):
-            yield sl, np.abs(pts[sl, None] - self.z[None, :])
 
     def _factor_logs(self, delta: np.ndarray, den: np.ndarray,
                      out=()) -> np.ndarray:
@@ -393,9 +281,10 @@ class CanonicalProduct:
         are dlog E = w^(s+1)/(z - z_n) and d2log E = (w (s+2) conj(z_n)/(1 -
         |z_n|^2) - w/(z - z_n)) dlog E: two complex divisions per factor,
         w/(z - z_n) formed once, and every product in its operand order at
-        any block size (see _slices).  Callers take w as (1 - |z_n|^2)/(1 -
-        conj(z_n) z), so small |w| keep full relative accuracy.  A node at
-        the origin (w = 1) gives 1/z and -1/z^2 from the same forms.
+        any block size (see numutil.slices).  Callers take w as (1 -
+        |z_n|^2)/(1 - conj(z_n) z), so small |w| keep full relative
+        accuracy.  A node at the origin (w = 1) gives 1/z and -1/z^2 from
+        the same forms.
         """
         L, dL = (None, None) if out is None else out
         L = np.multiply(w, np.divide(1.0, delta, out=L), out=L)
@@ -453,35 +342,24 @@ class CanonicalProduct:
         vals[self.node_index(arr) >= 0] = 0.0
         return like_input(vals, z)
 
-    def _node_rows(self, slices, ratio: float, out: NodePass):
+    def _node_rows(self, blocks, ratio: float, out: NodePass):
         """Rows of out (_node_pass; balance radii ratio (1 - |z_k|)) for the
-        node blocks slices, from one set of pieces and one 1 - w_n(z_k) per
-        block, each value by the operations of its own former pass
+        node blocks, from one set of pieces and one 1 - w_n(z_k) per block,
+        each value by the operations of its own former pass
         (tests/references.py).  At most four of a block's complex matrices
         live at once: the targets reuse the pieces' memory."""
         s, zc, i = self.genus, self._zc, self._origin_idx
-        for sl in slices:
+        for sl in blocks:
             delta, den = self._pieces(self.z[sl])
             diag = np.eye(len(delta), self.z.size, sl.start, dtype=bool)
-            # balance: the node itself (distance 0) and the others within r;
-            # only these smallest distances are sorted, and the node is dropped
-            dist = np.abs(delta)
-            r = ratio * self._gap[sl, None]
-            inside = np.sum(dist <= r, axis=1) - 1
-            m = int(np.max(inside, initial=0)) + 1
-            if m < dist.shape[1]:
-                dist = np.partition(dist, m, axis=1)[:, :m]
-            logs = np.log(r / np.sort(dist, axis=1)[:, 1:m])
-            del dist
-            # rows of one count together (a set: np.unique imports numpy.ma)
-            for c in set(inside.tolist()) - {0}:
-                at = np.flatnonzero(inside == c)
-                out.count[sl.start + at] = np.sum(logs[at, :c], axis=1)
+            # balance: N_{z_k}(r) from the distances |z_k - z_n|
+            out.count[sl] = near_counts(np.abs(delta),
+                                        ratio * self._gap[sl, None])[1]
             w = np.divide(self._gap2c, den)  # w_n(z_k)
             aw = np.abs(w)
             aw **= s + 1
             out.rhs[sl] = np.sum(aw, axis=1)
-            del logs, aw
+            del aw
             with np.errstate(divide="ignore", invalid="ignore"):
                 # the origin node's column: 1/(z - z_n) and log(z - z_n)
                 col = None if i is None else (1.0 / delta[:, i],
@@ -509,7 +387,7 @@ class CanonicalProduct:
 
     def _node_pass(self, delta: float = 0.5) -> NodePass:
         """Every node's targets, logs and balance terms from one blocked
-        nodes x nodes pass (_node_rows under _map_blocks), cached read-only
+        nodes x nodes pass (_node_rows under map_blocks), cached read-only
         for delta = 0.5, the balance radius of the exponent rule.
 
         targets: b_k = -P''(z_k)/(2 P'(z_k)), the sum over n != k of dlog
@@ -525,7 +403,7 @@ class CanonicalProduct:
             return self._nodes
         n, s = self.z.size, self.genus
         out = NodePass(*np.empty((4, n), dtype=complex), *np.zeros((2, n)))
-        self._map_blocks(lambda run: self._node_rows(run, delta, out), n)
+        map_blocks(lambda run: self._node_rows(run, delta, out), n, n)
         out.targets[:] -= (s + 1) * self._zc / self._gap2
         h_s = sum(1.0 / j for j in range(1, s + 1))
         with np.errstate(divide="ignore"):
@@ -684,7 +562,7 @@ class CanonicalProduct:
         enter.
 
         The nodes run in blocks of at most _SAMPLE_PAIRS node x factor
-        pairs through _map_blocks, which splits them over two threads by
+        pairs through numutil.map_blocks, which splits them over two threads by
         the rule of the series pass; both unit grids are formed here, in
         the calling thread.  Of the node x factor matrices a block forms
         only the distances that pick the far factors.
@@ -720,7 +598,7 @@ class CanonicalProduct:
                 for (vals, _), (_, m) in zip(samples, fields):
                     coef[sl, :m] += np.fft.fft(vals, axis=1) / m
 
-        self._map_blocks(run, nodes.size, _SAMPLE_PAIRS)
+        map_blocks(run, nodes.size, self.z.size, _SAMPLE_PAIRS)
         return coef
 
     def _circle_logs(self, ks: np.ndarray, coef: np.ndarray, m: int,
@@ -792,9 +670,8 @@ class CanonicalProduct:
                         np.empty(nodes.size, complex),
                         np.zeros(nodes.size, dtype=int))
         # blocks of nodes whose 64-point round holds _BLOCK_PAIRS samples
-        step = _BLOCK_PAIRS // (2 * NODE_CONTOUR_START_POINTS)
-        for lo in range(0, nodes.size, step):
-            blk = nodes[lo:lo + step]
+        for sl in slices(nodes.size, 2 * NODE_CONTOUR_START_POINTS):
+            blk = nodes[sl]
             coef = self._centred_modes(blk)
             # the first round's scale and the last round's modes, per node
             scale, prev = None, np.empty((blk.size, 2), dtype=complex)
@@ -814,7 +691,7 @@ class CanonicalProduct:
                 else:
                     done = np.all(np.abs(cur - prev[live])
                                   <= 1e-9 * (1.0 + np.abs(cur)), axis=1)
-                    sel, k = lo + live[done], blk[live[done]]
+                    sel, k = sl.start + live[done], blk[live[done]]
                     phase = np.exp(1j * const[k].imag)
                     out.scale[sel] = scale[live[done]] + const[k].real
                     out.m1[sel] = cur[done, 0] * phase

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import pseudo_distance
-from .numutil import one_minus_abs
+from .numutil import distance_rows, one_minus_abs, slices
 
 __all__ = [
     "ZeroSequence",
@@ -300,22 +300,47 @@ def log_integrated_count(seq: ZeroSequence, center: complex, r: float) -> float:
     return float(np.sum(np.log(r / d)))
 
 
+def near_counts(dist: np.ndarray, r: np.ndarray):
+    """count_near and log_integrated_count, bit for bit, at a block of
+    centres that are sequence points, from dist, their distances to every
+    point, and r, their radii, one row per centre.  Only the count smallest
+    distances of a row are sorted, and rows of one count summed together."""
+    count = np.count_nonzero(dist <= r, axis=1)
+    integrated = np.zeros(len(dist))
+    m = int(np.max(count, initial=1))
+    if m < dist.shape[1]:
+        dist = np.partition(dist, m, axis=1)[:, :m]
+    logs = np.log(r / np.sort(dist, axis=1)[:, 1:m])
+    # a set: np.unique imports numpy.ma
+    for c in set(count.tolist()) - {0, 1}:
+        at = np.flatnonzero(count == c)
+        integrated[at] = np.sum(logs[at, :c - 1], axis=1)
+    return count, integrated
+
+
 # ---------------------------------------------------------------------------
 # separation
 
 
-def _pairwise_pseudo(seq: ZeroSequence) -> np.ndarray:
-    """Condensed upper-triangle pseudohyperbolic distances."""
-    z = seq.points
-    iu = np.triu_indices(len(seq), k=1)
-    return pseudo_distance(z[:, None], z[None, :])[iu]
+def _pair_minimum(n: int, pair_values) -> float:
+    """Smallest value over the pairs i < j of n points, one block of rows
+    at a time: pair_values(sl) gives the values of the rows sl against the
+    points sl.start, sl.start + 1, ...."""
+    best = math.inf
+    for sl in slices(n, n):
+        vals = pair_values(sl)
+        vals[np.tri(*vals.shape, dtype=bool)] = math.inf  # the pairs j <= i
+        best = min(best, float(np.min(vals)))
+    return best
 
 
 def separation_constant(seq: ZeroSequence) -> float:
     """Smallest pairwise pseudohyperbolic distance."""
     if len(seq) < 2:
         raise ValueError("separation needs at least two points")
-    return float(np.min(_pairwise_pseudo(seq)))
+    z = seq.points
+    return _pair_minimum(z.size, lambda sl: pseudo_distance(
+        z[sl, None], z[None, sl.start:]))
 
 
 def uniform_separation_constant(seq: ZeroSequence) -> float:
@@ -323,10 +348,13 @@ def uniform_separation_constant(seq: ZeroSequence) -> float:
     if len(seq) < 2:
         raise ValueError("uniform separation needs at least two points")
     z = seq.points
-    with np.errstate(divide="ignore"):
-        logs = np.log(pseudo_distance(z[:, None], z[None, :]))
-    np.fill_diagonal(logs, 0.0)
-    return float(np.exp(np.min(np.sum(logs, axis=1))))
+    sums = np.empty(z.size)
+    for sl in slices(z.size, z.size):
+        with np.errstate(divide="ignore"):
+            logs = np.log(pseudo_distance(z[sl, None], z[None, :]))
+        logs[np.arange(len(logs)), np.arange(sl.start, sl.stop)] = 0.0
+        sums[sl] = np.sum(logs, axis=1)
+    return float(np.exp(np.min(sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +388,16 @@ def uniform_density_estimate(seq: ZeroSequence, r_ladder):
         if not (0.5 < r < 1.0):
             raise ValueError("density ladder radii must lie in (1/2, 1)")
     centers = np.concatenate([seq.points, _boundary_grid(32, 64)])
-    sig = pseudo_distance(centers[:, None], seq.points[None, :])
-    out = []
-    with np.errstate(divide="ignore"):
-        neglog = -np.log(sig)
-    for r in r_ladder:
-        mask = (sig > 0.5) & (sig < r)
-        sums = np.sum(np.where(mask, neglog, 0.0), axis=1)
-        out.append((float(r), float(np.max(sums) / math.log(1.0 / (1.0 - r)))))
-    return out
+    sums = np.empty((len(r_ladder), centers.size))
+    for sl in slices(centers.size, len(seq)):
+        sig = pseudo_distance(centers[sl, None], seq.points[None, :])
+        with np.errstate(divide="ignore"):
+            neglog = -np.log(sig)
+        for j, r in enumerate(r_ladder):
+            mask = (sig > 0.5) & (sig < r)
+            sums[j, sl] = np.sum(np.where(mask, neglog, 0.0), axis=1)
+    return [(float(r), float(np.max(s) / math.log(1.0 / (1.0 - r))))
+            for r, s in zip(r_ladder, sums)]
 
 
 def rho_density_estimate(seq: ZeroSequence, rho, R_ladder):
@@ -389,14 +418,17 @@ def rho_density_estimate(seq: ZeroSequence, rho, R_ladder):
     grid = _boundary_grid(16, 32, gap_lo=max(1e-3, 1.0 - top))
     centers = np.concatenate([seq.points, grid])
     rad = np.asarray(rho(np.abs(centers)), dtype=float)
-    dist = np.abs(centers[:, None] - seq.points[None, :])
+    if any(R <= 0.0 for R in R_ladder):
+        raise ValueError("R ladder must be positive")
+    counts = np.empty((len(R_ladder), centers.size), dtype=int)
+    for sl, dist in distance_rows(centers, seq.points):
+        for j, R in enumerate(R_ladder):
+            counts[j, sl] = np.count_nonzero(dist <= R * rad[sl, None],
+                                             axis=1)
     out = []
-    for R in R_ladder:
-        if R <= 0.0:
-            raise ValueError("R ladder must be positive")
-        counts = np.count_nonzero(dist <= R * rad[:, None], axis=1)
+    for R, count in zip(R_ladder, counts):
         contained = np.abs(centers) + R * rad <= top
-        pool = counts[contained] if np.any(contained) else counts
+        pool = count[contained] if np.any(contained) else count
         out.append((float(R), float(np.max(pool) / R ** 2)))
     return out
 
@@ -409,10 +441,9 @@ def rho_separation(seq: ZeroSequence, rho) -> float:
     rad = np.asarray(rho(np.abs(z)), dtype=float)
     if np.any(rad <= 0.0):
         raise ValueError("rho must be positive on the sequence moduli")
-    dist = np.abs(z[:, None] - z[None, :])
-    floor = np.minimum(rad[:, None], rad[None, :])
-    iu = np.triu_indices(len(seq), k=1)
-    return float(np.min(dist[iu] / floor[iu]))
+    return _pair_minimum(z.size, lambda sl: (
+        np.abs(z[sl, None] - z[None, sl.start:])
+        / np.minimum(rad[sl, None], rad[None, sl.start:])))
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +505,15 @@ def condition_report(seq: ZeroSequence, scale) -> ConditionReport:
     xs = 1.0 / gaps
     psi = np.asarray(scale.psi(xs), dtype=float)
     psit = np.asarray(scale.psi_tilde(xs), dtype=float)
+    radius = 0.5 * gaps
+    count, integrated = np.empty(len(seq), dtype=int), np.empty(len(seq))
+    for sl, dist in distance_rows(seq.points, seq.points):
+        count[sl], integrated[sl] = near_counts(dist, radius[sl, None])
     rows = []
     worst_n = 0.0
     worst_N = 0.0
     for k, z in enumerate(seq.points):
-        r = 0.5 * gaps[k]
-        nk = count_near(seq, z, r)
-        Nk = log_integrated_count(seq, z, r)
+        r, nk, Nk = radius[k], int(count[k]), float(integrated[k])
         ratio_n = nk / psi[k] if psi[k] > 0.0 else (math.inf if nk > 0 else 0.0)
         ratio_N = Nk / psit[k] if psit[k] > 0.0 else (math.inf if Nk > 0 else 0.0)
         worst_n = max(worst_n, ratio_n)

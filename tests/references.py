@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 
+from discosc.geometry import pseudo_distance
 from discosc.interpolation import (_PASS_ERRSTATE, SeriesPass, _above_floor,
                                    _row_sums)
 from discosc.numutil import clog, disc_points, one_minus_conj_mul
 from discosc.products import _poly_part
-from discosc.sequences import log_integrated_count
+from discosc.sequences import _boundary_grid, log_integrated_count
 
 
 def offset_pieces(prod, k, d):
@@ -260,3 +261,67 @@ def series_pass(series, pts, derivatives=False):
                 for arr, val in zip(out[:6], vals):
                     arr[inside[sl]] = val
     return SeriesPass(*out)
+
+
+# -- the sequence estimators on full N x N matrices ---------------------------
+# The package forms these row by row over numutil.slices blocks; each must
+# give the values of its full-matrix form bit for bit.
+
+
+def separation_constant(seq):
+    """Smallest pseudohyperbolic distance over the upper triangle."""
+    z = seq.points
+    iu = np.triu_indices(len(seq), k=1)
+    return float(np.min(pseudo_distance(z[:, None], z[None, :])[iu]))
+
+
+def uniform_separation_constant(seq):
+    """exp of the smallest row sum of log sigma(z_j, z_n), 0 on the
+    diagonal."""
+    z = seq.points
+    with np.errstate(divide="ignore"):
+        logs = np.log(pseudo_distance(z[:, None], z[None, :]))
+    np.fill_diagonal(logs, 0.0)
+    return float(np.exp(np.min(np.sum(logs, axis=1))))
+
+
+def uniform_density_estimate(seq, r_ladder):
+    """The (r, value) ladder from one centres x points matrix of
+    pseudohyperbolic distances."""
+    centers = np.concatenate([seq.points, _boundary_grid(32, 64)])
+    sig = pseudo_distance(centers[:, None], seq.points[None, :])
+    out = []
+    with np.errstate(divide="ignore"):
+        neglog = -np.log(sig)
+    for r in r_ladder:
+        mask = (sig > 0.5) & (sig < r)
+        sums = np.sum(np.where(mask, neglog, 0.0), axis=1)
+        out.append((float(r), float(np.max(sums) / math.log(1.0 / (1.0 - r)))))
+    return out
+
+
+def rho_density_estimate(seq, rho, R_ladder):
+    """The (R, value) ladder from one centres x points distance matrix."""
+    top = float(np.max(seq.moduli()))
+    grid = _boundary_grid(16, 32, gap_lo=max(1e-3, 1.0 - top))
+    centers = np.concatenate([seq.points, grid])
+    rad = np.asarray(rho(np.abs(centers)), dtype=float)
+    dist = np.abs(centers[:, None] - seq.points[None, :])
+    out = []
+    for R in R_ladder:
+        counts = np.count_nonzero(dist <= R * rad[:, None], axis=1)
+        contained = np.abs(centers) + R * rad <= top
+        pool = counts[contained] if np.any(contained) else counts
+        out.append((float(R), float(np.max(pool) / R ** 2)))
+    return out
+
+
+def rho_separation(seq, rho):
+    """Smallest |z_k - z_n| / min(rho(|z_k|), rho(|z_n|)) over the upper
+    triangle."""
+    z = seq.points
+    rad = np.asarray(rho(np.abs(z)), dtype=float)
+    dist = np.abs(z[:, None] - z[None, :])
+    floor = np.minimum(rad[:, None], rad[None, :])
+    iu = np.triu_indices(len(seq), k=1)
+    return float(np.min(dist[iu] / floor[iu]))

@@ -13,7 +13,7 @@ from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
                      generate_rho_lattice, generate_sharpness,
                      genus_from_scale, node_targets, primary_factor,
                      products, weight_to_psi)
-from discosc.numutil import circle_modes, circle_nodes, wrap_angle
+from discosc.numutil import circle_modes, circle_nodes, slices, wrap_angle
 from discosc.products import _poly_part
 from references import balance_check, deleted_log_eval, offset_pieces
 from strategies import separated_sets
@@ -170,18 +170,17 @@ def test_blocks_hold_the_pair_budget_and_move_no_distance(weight_pipeline):
     # distances give the same radii and nearest nodes bit for bit
     prod = weight_pipeline[3].product
     n = prod.z.size
-    sizes = [sl.stop - sl.start for sl in prod._slices(1000)]
+    sizes = [sl.stop - sl.start for sl in slices(1000, n)]
     assert sizes[:-1] == [(2 ** 15) // n] * (len(sizes) - 1)
     assert sum(sizes) == 1000
-    assert [sl.stop - sl.start for sl in CanonicalProduct(PAIR, 0)._slices(
-        1100)] == [512, 512, 76]
+    assert [sl.stop - sl.start for sl in slices(1100, 2)] == [512, 512, 76]
     # worker blocks sized by buffer bytes: 2 MiB // (98 N) points at N =
     # 368, capped at 512 points for two nodes; serial blocks ignore them
-    assert [sl.stop - sl.start for sl in prod._slices(
-        200, 2, pair_bytes=98)] == [58, 58, 58, 26]
-    assert [sl.stop - sl.start for sl in CanonicalProduct(PAIR, 0)._slices(
-        600, 2, pair_bytes=98)] == [512, 88]
-    assert list(prod._slices(1000, pair_bytes=98)) == list(prod._slices(1000))
+    assert [sl.stop - sl.start for sl in slices(
+        200, n, 2, pair_bytes=98)] == [58, 58, 58, 26]
+    assert [sl.stop - sl.start for sl in slices(
+        600, 2, 2, pair_bytes=98)] == [512, 88]
+    assert list(slices(1000, n, pair_bytes=98)) == list(slices(1000, n))
     d = np.abs(prod.z[:, None] - prod.z[None, :])
     np.fill_diagonal(d, math.inf)
     np.testing.assert_array_equal(

@@ -2,19 +2,22 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discosc import (GrowthScale, SharpnessParams, ZeroSequence,
+from discosc import (GrowthScale, SharpnessParams, WeightPair, ZeroSequence,
                      condition_report, count_near, generate_radial_geometric,
                      generate_rho_lattice, generate_sharpness,
-                     log_integrated_count, rho_density_estimate,
-                     rho_separation, separation_constant,
+                     log_integrated_count, numutil, rho_density_estimate,
+                     rho_separation, separation_constant, sequences,
                      uniform_density_estimate, uniform_separation_constant)
 from discosc.sequences import _duplicate_pairs
+
+import references
 
 
 def _flat_rho(value):
@@ -201,3 +204,94 @@ def test_uniform_density_ladder_validation():
         uniform_density_estimate(seq, [])
     with pytest.raises(ValueError):
         uniform_density_estimate(seq, [0.4, 0.9])
+
+
+# -- the estimators over blocks of rows ---------------------------------------
+
+_RHO = WeightPair.log_power_weight(2.0).rho
+_SCALE = GrowthScale.log_power(1.0)
+
+
+@pytest.fixture(scope="module")
+def estimator_sets():
+    return {"geo50": generate_radial_geometric(0.8, 50),
+            # one point at the origin
+            "lattice368": generate_rho_lattice(_RHO, 0.8, 0.9),
+            "sharp14": generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
+            "two": ZeroSequence(np.array([0.25, 0.5j], dtype=complex))}
+
+
+def _record_slices(monkeypatch):
+    """A list that receives, from now on, the rows of every block of
+    numutil.slices that the sequence estimators and numutil.distance_rows
+    take."""
+    rows = []
+    real = numutil.slices
+
+    def recorded(*args, **kwargs):
+        for sl in real(*args, **kwargs):
+            rows.append(sl.stop - sl.start)
+            yield sl
+
+    monkeypatch.setattr(numutil, "slices", recorded)
+    monkeypatch.setattr(sequences, "slices", recorded)
+    return rows
+
+
+def _estimates(module, seq):
+    """The five blocked estimators of module (sequences or references)."""
+    return (module.separation_constant(seq),
+            module.uniform_separation_constant(seq),
+            module.uniform_density_estimate(seq, [0.9, 0.95, 0.99]),
+            module.rho_density_estimate(seq, _RHO, [0.5, 0.75, 1.0]),
+            module.rho_separation(seq, _RHO))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", ["geo50", "lattice368", "sharp14", "two"])
+def test_blocked_estimators_equal_their_full_matrix_forms(
+        estimator_sets, monkeypatch, name):
+    seq = estimator_sets[name]
+    want = _estimates(references, seq)
+    counts = [(count_near(seq, z, r), log_integrated_count(seq, z, r))
+              for z, r in zip(seq.points, 0.5 * seq.gaps())]
+    rows = _record_slices(monkeypatch)
+    for pairs in (2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14, 2 ** 15):
+        monkeypatch.setattr(numutil, "_BLOCK_PAIRS", pairs)
+        rows.clear()
+        got = _estimates(sequences, seq)
+        table = condition_report(seq, _SCALE).table
+        for field, a, b in zip(("separation", "uniform separation",
+                                "uniform density", "rho density",
+                                "rho separation"), got, want):
+            assert _bits(a) == _bits(b), (pairs, field)
+        assert [(r["count"], r["integrated"]) for r in table] == counts
+        assert _bits([r["integrated"] for r in table]) == _bits(
+            [c[1] for c in counts]), pairs
+        assert 0 < max(rows) <= max(1, min(512, pairs // len(seq))), pairs
+
+
+def test_estimators_hold_no_matrix_of_the_set_at_n_2686():
+    # the full-matrix forms peak at 197-485 MB here (tracemalloc)
+    seq = generate_rho_lattice(_RHO, 0.3, 0.9)
+    assert len(seq) == 2686
+    calls = {"separation_constant": lambda: separation_constant(seq),
+             "uniform_separation_constant":
+                 lambda: uniform_separation_constant(seq),
+             "uniform_density_estimate":
+                 lambda: uniform_density_estimate(seq, [0.9, 0.95, 0.99]),
+             "rho_density_estimate":
+                 lambda: rho_density_estimate(seq, _RHO, [0.5, 0.75, 1.0]),
+             "rho_separation": lambda: rho_separation(seq, _RHO),
+             "condition_report": lambda: condition_report(seq, _SCALE)}
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, (name, peak)

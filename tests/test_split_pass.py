@@ -4,10 +4,11 @@ and worker threads.
 Each point's row of InterpolationSeries._pass, each node's row of the node
 pass (CanonicalProduct._node_pass) and each node's row of the
 exclusion-circle samples (CanonicalProduct._centred_modes), is computed on
-its own, so the block size and the number of workers
-(CanonicalProduct._map_blocks) must not move a bit of any value, and a
-split pass must keep the serial pass's numpy error state, warnings and
-exceptions.
+its own, so the block size (numutil.slices) and the number of workers
+(numutil.map_blocks) must not move a bit of any value, and a split pass
+must keep the serial pass's numpy error state, warnings and exceptions.
+The tests that set a block size also check that the passes ran in blocks
+of that size, so that a setting no pass reads cannot pass for one.
 """
 
 import sys
@@ -19,7 +20,7 @@ import pytest
 
 from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
                      SharpnessParams, build_coefficient, generate_sharpness,
-                     genus_from_scale, node_targets, products,
+                     genus_from_scale, node_targets, numutil, products,
                      targets_from_product)
 from discosc.interpolation import _unscale
 from discosc.oscillation import _residue_mismatch
@@ -71,10 +72,26 @@ def _assert_same(got, want):
 
 
 def _set_blocks(monkeypatch, chunk, pairs, workers, split_bytes=2 ** 21):
-    monkeypatch.setattr(products, "_CHUNK", chunk)
-    monkeypatch.setattr(products, "_BLOCK_PAIRS", pairs)
-    monkeypatch.setattr(products, "_SPLIT_BYTES", split_bytes)
-    monkeypatch.setattr(products, "_worker_count", lambda: workers)
+    monkeypatch.setattr(numutil, "_CHUNK", chunk)
+    monkeypatch.setattr(numutil, "_BLOCK_PAIRS", pairs)
+    monkeypatch.setattr(numutil, "_SPLIT_BYTES", split_bytes)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
+
+
+def _block_rows(monkeypatch, name="_pieces"):
+    """A list that receives, from now on, the rows of every block the
+    passes hand to CanonicalProduct.<name> (its first argument): _pieces
+    takes each block of the series pass, the node pass and the node jets,
+    _field_samples each node block of the residue contour."""
+    rows = []
+    method = getattr(CanonicalProduct, name)
+
+    def recorded(self, block, *args, **kwargs):
+        rows.append(len(block))
+        return method(self, block, *args, **kwargs)
+
+    monkeypatch.setattr(CanonicalProduct, name, recorded)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -116,12 +133,19 @@ def test_same_bits_at_any_block_size_and_worker_count(
     pts = _disc_points(bundle.product, 3, 2000 if n < 100 else 500)
     _set_blocks(monkeypatch, 512, 2 ** 15, 1)
     want = _values(bundle, pts, nodes)
+    rows = _block_rows(monkeypatch)
+    pair_bytes = series._pair_bytes(True)
     for chunk, pairs, workers in [(512, 2 ** 15, 2), (256, 2 ** 15, 1),
                                   (256, 2 ** 15, 2), (7, 2 ** 15, 2),
                                   (512, 2 ** 12, 1), (512, 2 ** 12, 2),
                                   (512, 2 ** 17, 2), (1, 1, 2)]:
         _set_blocks(monkeypatch, chunk, pairs, workers)
+        rows.clear()
         _assert_same(_values(bundle, pts, nodes), want)
+        step = max(1, min(chunk, pairs // n))
+        if workers > 1:  # the derivative pass's blocks sized by bytes
+            step = max(step, min(chunk, 2 ** 21 // (pair_bytes * n)))
+        assert 0 < max(rows) <= step, (chunk, pairs, workers)
     # the derivative pass's worker blocks sized by its buffers' bytes:
     # blocks of size points on two workers (two of 1024 points per worker
     # from 3,073 points on), serial blocks of as many on one; a(z) off the
@@ -131,13 +155,14 @@ def test_same_bits_at_any_block_size_and_worker_count(
     _set_blocks(monkeypatch, 512, 2 ** 15, 1)
     small = (pts, _coefficient_values(bundle, pts, off))
     large = (big, _coefficient_values(bundle, big, off))
-    pair_bytes = series._pair_bytes(True)
     for size in (1, 7, 384, 512, 1024):
         at, want = large if size > 7 else small
         for workers in (1, 2):
             _set_blocks(monkeypatch, size, 2 ** 20, workers,
                         size * n * pair_bytes)
+            rows.clear()
             got = _coefficient_values(bundle, at, off)
+            assert 0 < max(rows) <= size, (size, workers)
             for field, a, b in zip(got[0]._fields, got[0], want[0]):
                 assert _same_bits(a, b), (size, workers, field)
             assert _same_bits(got[1], want[1]), (size, workers)
@@ -153,7 +178,7 @@ def test_the_series_pass_equals_its_plain_form(request, monkeypatch, name):
     # a point 1e-200 from a node overflows the P'/P form off the disc round
     pts = np.append(pts, [prod.z[2] + 1e-200j, prod.z[5] - 1e-200])
     for workers in (1, 2):
-        monkeypatch.setattr(products, "_worker_count", lambda: workers)
+        monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
         for derivatives in (False, True):
             got = bundle.gprime._pass(pts, derivatives)
             want = references.series_pass(bundle.gprime, pts, derivatives)
@@ -171,9 +196,9 @@ def test_two_calls_at_once_on_one_bundle_get_the_serial_bits(
     # with a thread switch every microsecond, must not see each other's
     prod = geo50_bundle.product
     batches = [_disc_points(prod, seed, 3000) for seed in (17, 19)]
-    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     want = [geo50_bundle.eval_coefficient(b) for b in batches]
-    monkeypatch.setattr(products, "_worker_count", lambda: 2)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 2)
     got = [None, None]
 
     def call(i):
@@ -210,7 +235,7 @@ def test_one_point_alone_has_the_bits_it_has_in_a_20k_batch(
     # operators in place on a temporary operand; a single point never does
     pts = _disc_points(geo50_bundle.product, 5, 20000)
     for workers in (1, 2):
-        monkeypatch.setattr(products, "_worker_count", lambda: workers)
+        monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
         batch = _values(geo50_bundle, pts)
         for j in [*range(0, 20000, 331), 19999, 20000, 20011, 20019]:
             _assert_same(_values(geo50_bundle, pts[j:j + 1]),
@@ -240,9 +265,9 @@ def test_a_split_pass_keeps_the_error_state_and_raises_no_warning(
     pts = _disc_points(prod, 7, 4000)
     pts[10] = prod.z[3] + 1e-200j
     pts[-30] = prod.z[4] - 1e-200j
-    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     want = _values(geo50_bundle, pts[:-20])
-    monkeypatch.setattr(products, "_worker_count", lambda: 2)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = _values(geo50_bundle, pts[:-20])
@@ -265,7 +290,7 @@ def test_an_error_in_a_block_reaches_the_caller_as_the_serial_pass_raises(
     before = threading.active_count()
     for sub, j in ((pts, 100), (pts[200:], 3500)):
         for workers in (1, 2):
-            monkeypatch.setattr(products, "_worker_count",
+            monkeypatch.setattr(numutil, "_worker_count",
                                 lambda: workers)
             for derivatives in (False, True):
                 with pytest.raises(ArithmeticError,
@@ -281,9 +306,9 @@ def test_a_split_pass_over_more_workers_than_cores_loses_no_row(
     # and a thread switch every microsecond, a lost or misplaced write
     # would show as a changed bit
     pts = _disc_points(geo50_bundle.product, 11, 3000)
-    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     want = _values(geo50_bundle, pts)
-    monkeypatch.setattr(products, "_worker_count", lambda: 8)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 8)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -343,11 +368,14 @@ def test_node_pass_equals_the_four_passes_at_any_block_size_and_worker_count(
               for x in references.balance_checks_pass(prod, d)))
     fields = ("targets", "deleted", "h", "re t", "phase",
               *(f"{side} {d}" for d in deltas for side in ("lhs", "rhs")))
+    rows = _block_rows(monkeypatch)
     for pairs in (2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14, 2 ** 15):
-        monkeypatch.setattr(products, "_BLOCK_PAIRS", pairs)
+        monkeypatch.setattr(numutil, "_BLOCK_PAIRS", pairs)
         for workers in (1, 2):
-            monkeypatch.setattr(products, "_worker_count", lambda: workers)
+            monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
+            rows.clear()
             got = _node_values(series, deltas)
+            assert 0 < max(rows) <= min(512, pairs // prod.z.size), pairs
             for field, a, b in zip(fields, got, want):
                 assert _same_bits(a, b), (pairs, workers, field)
 
@@ -375,7 +403,7 @@ def test_the_node_pass_runs_once_and_hands_out_no_writable_cache(
         return node_rows(self, slices, ratio, out)
 
     monkeypatch.setattr(CanonicalProduct, "_node_rows", recorded)
-    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     targets = node_targets(prod)
     series = InterpolationSeries(prod, bundle.targets,
                                  bundle.gprime.exponents)
@@ -383,7 +411,7 @@ def test_the_node_pass_runs_once_and_hands_out_no_writable_cache(
     prod.balance_constant(0.5)
     prod.node_contour_modes(np.arange(3))
     blocks = len(runs)
-    assert blocks == len(list(prod._slices(prod.z.size)))
+    assert blocks == len(list(numutil.slices(prod.z.size, prod.z.size)))
     # another balance radius runs the pass again, uncached
     prod.balance_checks(0.25)
     prod.balance_checks(0.25)
@@ -403,10 +431,10 @@ def test_a_node_pass_over_more_workers_than_cores_loses_no_row(
     # shared arrays; with a thread switch every microsecond, a lost or
     # misplaced write would show as a changed bit
     series = weight_pipeline[3].gprime
-    monkeypatch.setattr(products, "_BLOCK_PAIRS", 2 ** 13)
-    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    monkeypatch.setattr(numutil, "_BLOCK_PAIRS", 2 ** 13)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     want = _node_values(series, (0.5,))
-    monkeypatch.setattr(products, "_worker_count", lambda: 8)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 8)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -442,13 +470,16 @@ def test_residue_contour_keeps_its_bits_at_any_node_block_and_worker_count(
         prod = request.getfixturevalue("weight_pipeline")[3].product
     else:
         prod = request.getfixturevalue("sharp14_product")
-    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     want = _contour(prod)
+    rows = _block_rows(monkeypatch, "_field_samples")
     for pairs in (2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14):
         monkeypatch.setattr(products, "_SAMPLE_PAIRS", pairs)
         for workers in (1, 2):
-            monkeypatch.setattr(products, "_worker_count", lambda: workers)
+            monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
+            rows.clear()
             got = _contour(prod)
+            assert 0 < max(rows) <= min(512, pairs // prod.z.size), pairs
             for field, a, b in zip(
                     ("scale", "m1", "m2", "points", "mismatch"), got, want):
                 assert _same_bits(a, b), (pairs, workers, field)
@@ -475,7 +506,7 @@ def test_a_split_residue_contour_names_the_node_the_serial_one_names(
         for nodes in (np.arange(n), np.arange(n)[::-1]):
             errors = []
             for workers in (1, 2):
-                monkeypatch.setattr(products, "_worker_count",
+                monkeypatch.setattr(numutil, "_worker_count",
                                     lambda: workers)
                 with pytest.raises(RuntimeError,
                                    match=f"^far field of node .* at "
@@ -509,7 +540,7 @@ def test_a_split_residue_contour_forms_its_grids_in_the_calling_thread(
 
     monkeypatch.setattr(products, "circle_nodes", recorded_nodes)
     monkeypatch.setattr(CanonicalProduct, "_field_samples", recorded_samples)
-    monkeypatch.setattr(products, "_worker_count", lambda: 2)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 2)
     prod.node_contour_modes()
     assert threads == {True, False}
     assert grids and all(grids)
@@ -521,9 +552,9 @@ def test_a_residue_contour_over_more_workers_than_cores_loses_no_row(
     # shared modes; with a thread switch every microsecond, a lost or
     # misplaced write would show as a changed bit
     prod = weight_pipeline[3].product
-    monkeypatch.setattr(products, "_worker_count", lambda: 1)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     want = _contour(prod)
-    monkeypatch.setattr(products, "_worker_count", lambda: 8)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 8)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
