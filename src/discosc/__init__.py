@@ -10,9 +10,10 @@ from .geometry import (CarlesonBox, box_contains, carleson_box_table,
                        mobius_map, pseudo_distance)
 from .interpolation import (GrowthRow, InterpolationSeries, TargetData,
                             choose_exponents)
-from .oscillation import (OscillationBundle, ResidueCancellationError,
-                          WitnessReport, ZeroCountReport, build_coefficient,
-                          node_targets, sample_probes, sharpness_witness,
+from .oscillation import (OdeResidualReport, OscillationBundle,
+                          ResidueCancellationError, WitnessReport,
+                          ZeroCountReport, build_coefficient, node_targets,
+                          sample_probes, sharpness_witness,
                           targets_from_product)
 from .products import CanonicalProduct, primary_factor
 from .scales import (GrowthScale, WeightPair, genus_from_scale,
@@ -22,7 +23,8 @@ from .sequences import (SharpnessParams, ZeroSequence, blaschke_sum,
                         generate_rho_lattice, generate_sharpness,
                         log_integrated_count, rho_density_estimate,
                         rho_separation, separation_constant,
-                        uniform_density_estimate, uniform_separation_constant)
+                        uniform_density_estimate, uniform_separation_constant,
+                        uniform_separation_log)
 
 __version__ = "0.1.0"
 
@@ -30,8 +32,8 @@ __all__ = [
     "CarlesonBox", "box_contains", "carleson_box_table", "mobius_map",
     "pseudo_distance",
     "GrowthRow", "InterpolationSeries", "TargetData", "choose_exponents",
-    "OscillationBundle", "ResidueCancellationError", "WitnessReport",
-    "ZeroCountReport", "build_coefficient", "node_targets",
+    "OdeResidualReport", "OscillationBundle", "ResidueCancellationError",
+    "WitnessReport", "ZeroCountReport", "build_coefficient", "node_targets",
     "sample_probes", "sharpness_witness", "targets_from_product",
     "CanonicalProduct", "primary_factor",
     "GrowthScale", "WeightPair", "genus_from_scale", "polya_doubling",
@@ -40,6 +42,6 @@ __all__ = [
     "count_near", "generate_radial_geometric", "generate_rho_lattice",
     "generate_sharpness", "log_integrated_count", "rho_density_estimate",
     "rho_separation", "separation_constant", "uniform_density_estimate",
-    "uniform_separation_constant",
+    "uniform_separation_constant", "uniform_separation_log",
     "__version__",
 ]

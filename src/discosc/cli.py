@@ -23,20 +23,17 @@ from . import __version__
 from .numutil import CONTOUR_MAX_POINTS, CONTOUR_START_POINTS, format_float
 from .oscillation import (ResidueCancellationError, build_coefficient,
                           sample_probes, sharpness_witness)
-from .products import (NODE_CONTOUR_START_POINTS, NODE_FAR_SAMPLES,
-                       NODE_NEAR_RATIO)
+from .products import NODE_FAR_SAMPLES, NODE_NEAR_RATIO
 from .scales import GrowthScale, WeightPair, weight_to_psi
 from .sequences import (SharpnessParams, ZeroSequence, condition_report,
                         generate_radial_geometric, generate_rho_lattice,
                         generate_sharpness, rho_density_estimate,
                         rho_separation, separation_constant,
-                        uniform_density_estimate,
-                        uniform_separation_constant)
+                        uniform_density_estimate, uniform_separation_log)
 
 # Numerical design constants in force; echoed into every report.
 DESIGN = {
     "contour_start_points": CONTOUR_START_POINTS,
-    "node_contour_start_points": NODE_CONTOUR_START_POINTS,
     "node_near_ratio": NODE_NEAR_RATIO,
     "node_far_samples": NODE_FAR_SAMPLES,
     "contour_max_points": CONTOUR_MAX_POINTS,
@@ -137,8 +134,9 @@ def cmd_gen(args) -> int:
     print(f"wrote {args.out}: {len(seq)} points, "
           f"max modulus {max(abs(z) for z in seq.points):.6f}")
     if len(seq) >= 2:
+        log_us = uniform_separation_log(seq)
         print(f"separation {separation_constant(seq):.6g}, "
-              f"uniform separation {uniform_separation_constant(seq):.6g}")
+              f"uniform separation {np.exp(log_us):.6g} (log {log_us:.6g})")
     return 0
 
 
@@ -158,11 +156,14 @@ def cmd_analyze(args) -> int:
     out["points"] = len(seq)
     out["c_hat_n"] = rep.c_hat_n
     out["c_hat_N"] = rep.c_hat_N
+    out["psi_tilde_zero_nodes"] = rep.psi_tilde_zero
     out["uniform_density_ladder"] = [
         {"r": r, "value": v} for r, v in uniform_density_estimate(seq, ladder)]
     if len(seq) >= 2:
         out["separation"] = separation_constant(seq)
-        out["uniform_separation"] = uniform_separation_constant(seq)
+        log_us = uniform_separation_log(seq)
+        out["uniform_separation"] = float(np.exp(log_us))
+        out["uniform_separation_log"] = log_us
     if hasattr(scale, "weight"):
         weight = scale.weight
         # R kept below 1 so R*rho stays well under the distance to the
@@ -257,14 +258,14 @@ def cmd_verify(args) -> int:
             "pass": residue_max <= RESIDUE_TOL,
         },
         "ode_residual": {
-            "value": ode, "tol": ODE_TOL, "probes": args.samples,
-            "r_max": args.rmax, "seed": args.seed,
-            "pass": ode <= ODE_TOL,
+            "value": ode.value, "tol": ODE_TOL, "probes": args.samples,
+            "points": ode.points, "r_max": args.rmax, "seed": args.seed,
+            "pass": ode.value <= ODE_TOL,
         },
         "zero_count": {
             "winding": count.winding, "count": count.count,
             "nodes_inside": count.nodes_inside, "radius": count.radius,
-            "pass": bool(count.matches),
+            "points": count.points, "pass": bool(count.matches),
         },
     }
     out = _report("verify", {

@@ -220,9 +220,9 @@ def circle_nodes(m: int):
     return theta, np.exp(1j * theta)
 
 
-# first grid of the probe and zero-count contours, and the largest grid of
-# the probe and node contours
-CONTOUR_START_POINTS = 64
+# first grid of every adaptive contour (probe, zero-count and exclusion
+# circles), and the largest grid of the probe and node contours
+CONTOUR_START_POINTS = 32
 CONTOUR_MAX_POINTS = 1024
 
 

@@ -42,6 +42,7 @@ from .scales import GrowthScale, genus_from_scale
 from .sequences import SharpnessParams, ZeroSequence
 
 __all__ = [
+    "OdeResidualReport",
     "OscillationBundle",
     "ResidueCancellationError",
     "WitnessReport",
@@ -111,7 +112,12 @@ class ZeroCountReport(NamedTuple):
     nodes_inside: int
     matches: bool
     radius: float
-    samples: int
+    points: int
+
+
+class OdeResidualReport(NamedTuple):
+    value: float    # worst relative ODE defect over the probes
+    points: int     # largest settled grid over the probes
 
 
 # ---------------------------------------------------------------------------
@@ -321,22 +327,31 @@ class OscillationBundle:
 
     def _probe_residuals(self, z0: np.ndarray, a0: np.ndarray,
                          d1: np.ndarray, log_f0: np.ndarray,
-                         dist: np.ndarray) -> np.ndarray:
-        """|f'' + a f| / (|f''| + |a f| + 1e-300) at every probe z0, given
-        a0 = a(z0), d1 = |P'/P + h|, log_f0 = log P(z0) and the nearest-node
-        distances dist, one entry per probe; the only points x nodes work
-        here is on the circles.
+                         dist: np.ndarray):
+        """(residuals, points): |f'' + a f| / (|f''| + |a f| + 1e-300) and
+        the settled grid at every probe z0, given a0 = a(z0), d1 = |P'/P +
+        h|, log_f0 = log P(z0) and the nearest-node distances dist, one
+        entry per probe; the only points x nodes work is on the circles.
 
         f'' comes from a trapezoid contour second derivative on a circle
         around z0; the shared factor e^{g(z0)} cancels in the ratio, so only
         g relative to z0 is needed, which _spoke_integrals takes from the
-        FFT of h on the same circle.  The rounds of 64, 128, ... points run
-        until f'' drifts by at most CONTOUR_REL_TOL per round.  The circle
-        radius starts at min((1-|z0|)/8, half the distance to the nearest
-        node) and is capped by the local log-derivative scale of f,
-        1/(d1 + 1) and 1/sqrt(|a0| + 1): where |a| is large, Re log f would
-        otherwise swing by hundreds across the circle and the second Fourier
-        mode of f drowns in the rounding floor of the peak values.
+        FFT of h on the same circle.  The circle radius starts at
+        min((1-|z0|)/8, half the distance to the nearest node) and is capped
+        by the local log-derivative scale of f, 1/(d1 + 1) and 1/sqrt(|a0| +
+        1): where |a| is large, Re log f would otherwise swing by hundreds
+        across the circle and the second Fourier mode of f drowns in the
+        rounding floor of the peak values.
+
+        The rounds of 32, 64, ... points (CONTOUR_START_POINTS on) run until
+        f'' drifts by at most CONTOUR_REL_TOL per round; the residual is the
+        last round's.  r <= (1-|z0|)/8 keeps f = P e^g and h analytic on
+        the disc of radius 8r about z0, so mode j on the circle is at most
+        M(8r) 8^-j (Cauchy; M the maximum modulus on a circle about z0), and
+        the m-point rule, which aliases mode j with mode j + m, is off by
+        about 8^-m M(8r)/M(r) (Trefethen & Weideman, SIAM Rev. 56, 2014):
+        8^-32 ~ 1e-29.  The 64-point round certifies that, and the drift
+        test doubles the grid on where M(8r)/M(r) is large.
 
         The probes run in lockstep (numutil.settle_circles): each round
         takes log P and h on the circles of every running probe from one
@@ -351,7 +366,7 @@ class OscillationBundle:
         probe).  The probes after a failing one stop with it, and the error
         raised is that of the lowest-index failing probe.
         """
-        out = np.empty(z0.size)
+        out, points = np.empty(z0.size), np.zeros(z0.size, dtype=int)
         error = None
         r = np.minimum.reduce([(1.0 - _modulus(z0)) / 8.0, dist / 2.0,
                                1.0 / (d1 + 1.0),
@@ -443,7 +458,7 @@ class OscillationBundle:
                 idx, scale, fpp, done, res = fail(i, named(
                     idx[i], f"residual {float(res[i])!r} is not finite"),
                     idx, scale, fpp, done, res)
-            out[idx[done]] = res[done]
+            out[idx[done]], points[idx[done]] = res[done], theta.size
             ps[idx], pf[idx] = scale, fpp
             return done
 
@@ -460,11 +475,12 @@ class OscillationBundle:
                 f"not converge within {CONTOUR_MAX_POINTS} points")
         if error is not None:
             raise error
-        return out
+        return out, points
 
-    def ode_residual(self, probes) -> float:
-        """Worst relative ODE defect over the probes (_probe_residuals); 0
-        for no probes.
+    def ode_residual(self, probes) -> OdeResidualReport:
+        """Worst relative ODE defect over the probes and the largest grid
+        their contours settled on (_probe_residuals); 0 and 0 for no
+        probes.
 
         Probes must satisfy |z| <= 0.95 and sit outside every exclusion
         disc (sample_probes produces such sets).
@@ -474,8 +490,10 @@ class OscillationBundle:
             raise ValueError("probes must satisfy |z| <= 0.95")
         dist = self.product.require_outside_exclusion(arr, "probe")
         p, h, a0 = self._coefficient(arr)
-        return float(np.max(self._probe_residuals(
-            arr, a0, _modulus(p.lam + h), p.log_p, dist), initial=0.0))
+        res, points = self._probe_residuals(arr, a0, _modulus(p.lam + h),
+                                            p.log_p, dist)
+        return OdeResidualReport(float(np.max(res, initial=0.0)),
+                                 int(np.max(points, initial=0)))
 
     # -- growth ------------------------------------------------------------
 
@@ -523,8 +541,13 @@ class OscillationBundle:
         exclusion radii r_k; r_k <= (1 - |z_k|)/8 keeps rho < 1.  The grid
         on |z| = rho doubles until every wrapped step of Im log P, the
         closing step included, is at most pi/4; the winding is then the
-        sum of the steps over 2 pi.  Raises RuntimeError when no grid of up
-        to WINDING_MAX_POINTS points resolves the circle.
+        sum of the steps over 2 pi, and points the grid it was read on.
+        Steps of at most pi/4 on m points wind at most m/8 times, so the
+        first grid is the smallest of CONTOUR_START_POINTS, twice that, ...
+        with 8 points per node inside: a coarser one could only alias the
+        count (99 nodes wind 3 times on 32 points of the N = 368 lattice's
+        circle |z| = 0.8).  Raises RuntimeError when no grid of up to
+        WINDING_MAX_POINTS points resolves the circle.
         """
         if not (0.0 < radius < 1.0):
             raise ValueError("radius must lie in (0, 1)")
@@ -534,6 +557,7 @@ class OscillationBundle:
         rho = float(radius)
         while np.any(crossed := (lo < rho) & (rho < hi)):
             rho = float(np.max(hi[crossed]))
+        inside = int(np.sum(mod < rho))
         report = []
 
         def settle(live, theta, unit, logs):
@@ -543,7 +567,6 @@ class OscillationBundle:
             if done:
                 winding = float(np.sum(steps)) / TWO_PI
                 count = round(winding)
-                inside = int(np.sum(mod < rho))
                 report.append(ZeroCountReport(winding, count, inside,
                                               count == inside, rho,
                                               theta.size))
@@ -552,7 +575,10 @@ class OscillationBundle:
         def sample(live, unit):
             return prod._raw_log_eval(rho * unit)[None]
 
-        first = sample(None, circle_nodes(CONTOUR_START_POINTS)[1])
+        m = CONTOUR_START_POINTS
+        while m < 8 * inside and m < WINDING_MAX_POINTS:
+            m *= 2
+        first = sample(None, circle_nodes(m)[1])
         if settle_circles(first, sample, settle, WINDING_MAX_POINTS).size:
             raise RuntimeError(
                 f"zero-count circle |z| = {rho!r} unresolved: a wrapped step "

@@ -44,11 +44,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numutil import (CONTOUR_MAX_POINTS, circle_fault, circle_modes,
-                      circle_nodes, clog, clog1p, disc_points, distance_rows,
-                      flat_points, like_input, map_blocks, one_minus_abs,
-                      one_minus_abs2, one_minus_conj_mul, settle_circles,
-                      slices)
+from .numutil import (CONTOUR_MAX_POINTS, CONTOUR_START_POINTS,
+                      circle_fault, circle_modes, circle_nodes, clog, clog1p,
+                      disc_points, distance_rows, flat_points, like_input,
+                      map_blocks, one_minus_abs, one_minus_abs2,
+                      one_minus_conj_mul, settle_circles, slices)
 from .sequences import ZeroSequence, blaschke_sum, near_counts
 
 __all__ = [
@@ -56,11 +56,9 @@ __all__ = [
     "primary_factor",
 ]
 
-# first grid of the exclusion-circle contour (see node_contour_modes)
-NODE_CONTOUR_START_POINTS = 32
 # on the exclusion circle of node k, the other factors with |z_n - z_k| <
-# NODE_NEAR_RATIO r_k enter through NODE_CONTOUR_START_POINTS centred
-# samples and the rest through NODE_FAR_SAMPLES (see _centred_modes)
+# NODE_NEAR_RATIO r_k enter through CONTOUR_START_POINTS centred samples
+# and the rest through NODE_FAR_SAMPLES (see _centred_modes)
 NODE_NEAR_RATIO = 16.0
 NODE_FAR_SAMPLES = 16
 # node x factor pairs per serial node block of the exclusion-circle samples,
@@ -548,12 +546,12 @@ class CanonicalProduct:
     def _centred_modes(self, nodes: np.ndarray) -> np.ndarray:
         """Fourier modes 0..K-1 of F_k(e^{i theta}) = sum_{n != k} log
         E_n(z_k + r_k e^{i theta}) - log E_n(z_k), one row per node, K =
-        max(NODE_FAR_SAMPLES, NODE_CONTOUR_START_POINTS).
+        max(NODE_FAR_SAMPLES, CONTOUR_START_POINTS).
 
         F_k is analytic for |u| < min_n |z_n - z_k|, so it has no negative
         Fourier modes on the circle.  The far factors (|z_n - z_k| >=
         NODE_NEAR_RATIO r_k, so q <= 1/16) enter from NODE_FAR_SAMPLES
-        samples and the near ones (q <= 1/4) from NODE_CONTOUR_START_POINTS,
+        samples and the near ones (q <= 1/4) from CONTOUR_START_POINTS,
         each field through the DFT of its samples (_field_samples); a row
         holds the sum of both.  Raises RuntimeError when a field's tail
         bound exceeds the unit roundoff, i.e. when its interpolant could
@@ -569,7 +567,7 @@ class CanonicalProduct:
         """
         eps = float(np.finfo(float).eps)
         fields = (("far", NODE_FAR_SAMPLES),
-                  ("near", NODE_CONTOUR_START_POINTS))
+                  ("near", CONTOUR_START_POINTS))
         units = [circle_nodes(m)[1] for _, m in fields]
         coef = np.zeros((nodes.size, max(m for _, m in fields)),
                         dtype=complex)
@@ -635,26 +633,23 @@ class CanonicalProduct:
         u) + const_k + F_k(u) up to 2 pi i, with const_k = sum_{n != k} log
         E_n(z_k) from node_deleted_logs and F_k the centred sum of the
         other factors, which _centred_modes reads off NODE_FAR_SAMPLES
-        samples for the far factors and NODE_CONTOUR_START_POINTS for the
-        near ones.  A round then evaluates only node k's own factor and
-        adds F_k from its modes (_circle_logs).  The rounds run in lockstep
-        over the nodes still live (numutil.settle_circles), until both
-        modes of a node move by at most 1e-9 (1 + |m|);
-        scale, the first round's maximum of Re(log P - const_k), stays
-        frozen so that the rounds compare in one unit, and const_k enters
-        only the returned scale and the modes' phase.
+        samples for the far factors and CONTOUR_START_POINTS for the near
+        ones.  A round then evaluates only node k's own factor and adds F_k
+        from its modes (_circle_logs).  The rounds run in lockstep over the
+        nodes still live (numutil.settle_circles), until both modes of a
+        node move by at most 1e-9 (1 + |m|); scale, the first round's
+        maximum of Re(log P - const_k), stays frozen so that the rounds
+        compare in one unit, and const_k enters only the returned scale and
+        the modes' phase.
 
-        The rounds start at NODE_CONTOUR_START_POINTS = 32, not at the 64
-        of the other contours.  The exclusion rule r = min(nn/4, (1 -
-        |z_k|)/8) keeps every other zero at least 4r and the unit circle at
-        least 8r from z_k, so P is analytic on the disc of radius 4r about
-        z_k and, by the Cauchy estimate there, mode j of P on the circle is
-        at most M(4r) 4^-j (M = maximum of |P| on a circle about z_k).  The
-        m-point trapezoid rule aliases mode j with mode j + m, so modes 1
-        and 2 carry an error of order (M(4r)/M(r)) 4^-m relative to the
-        circle maximum: 4^-32 ~ 5e-20 at 32 points, far below binary64
-        (Trefethen & Weideman, SIAM Rev. 56, 2014).  The 64-point round
-        still certifies the 32-point modes under the same drift test.
+        The rounds start at CONTOUR_START_POINTS = 32.  The exclusion rule
+        r = min(nn/4, (1 - |z_k|)/8) keeps every other zero at least 4r and
+        the unit circle at least 8r from z_k, so mode j of P on the circle
+        is at most M(4r) 4^-j (Cauchy; M the maximum of |P| on a circle
+        about z_k), and the m-point rule, which aliases mode j with mode j +
+        m, leaves modes 1 and 2 off by about 4^-m M(4r)/M(r) of the circle
+        maximum (Trefethen & Weideman, SIAM Rev. 56, 2014): 4^-32 ~ 5e-20.
+        The 64-point round certifies that under the same drift test.
 
         The samples cost N x 16 + (near factors) x 32 factor evaluations
         per node, against N x 64 for every factor on the grid, and a round
@@ -670,7 +665,7 @@ class CanonicalProduct:
                         np.empty(nodes.size, complex),
                         np.zeros(nodes.size, dtype=int))
         # blocks of nodes whose 64-point round holds _BLOCK_PAIRS samples
-        for sl in slices(nodes.size, 2 * NODE_CONTOUR_START_POINTS):
+        for sl in slices(nodes.size, 2 * CONTOUR_START_POINTS):
             blk = nodes[sl]
             coef = self._centred_modes(blk)
             # the first round's scale and the last round's modes, per node
@@ -701,7 +696,7 @@ class CanonicalProduct:
                 return done
 
             left = settle_circles(
-                self._circle_logs(blk, coef, NODE_CONTOUR_START_POINTS),
+                self._circle_logs(blk, coef, CONTOUR_START_POINTS),
                 lambda live, unit: self._circle_logs(
                     blk[live], coef[live], 2 * unit.size, slice(1, None, 2)),
                 settle, CONTOUR_MAX_POINTS)

@@ -32,6 +32,7 @@ __all__ = [
     "log_integrated_count",
     "separation_constant",
     "uniform_separation_constant",
+    "uniform_separation_log",
     "uniform_density_estimate",
     "rho_density_estimate",
     "rho_separation",
@@ -344,7 +345,15 @@ def separation_constant(seq: ZeroSequence) -> float:
 
 
 def uniform_separation_constant(seq: ZeroSequence) -> float:
-    """inf_j prod_{n != j} sigma(z_n, z_j), evaluated in log space."""
+    """inf_j prod_{n != j} sigma(z_n, z_j), the exp of
+    uniform_separation_log; 0 where that log lies below about -745."""
+    return float(np.exp(uniform_separation_log(seq)))
+
+
+def uniform_separation_log(seq: ZeroSequence) -> float:
+    """log inf_j prod_{n != j} sigma(z_n, z_j), the smallest row sum of
+    log sigma: finite where the constant underflows binary64, as it does
+    on the rho-lattices from N = 6258 on."""
     if len(seq) < 2:
         raise ValueError("uniform separation needs at least two points")
     z = seq.points
@@ -354,7 +363,7 @@ def uniform_separation_constant(seq: ZeroSequence) -> float:
             logs = np.log(pseudo_distance(z[sl, None], z[None, :]))
         logs[np.arange(len(logs)), np.arange(sl.start, sl.stop)] = 0.0
         sums[sl] = np.sum(logs, axis=1)
-    return float(np.exp(np.min(sums)))
+    return float(np.min(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +498,16 @@ class ConditionReport:
     """Empirical constants tying local counting to a growth scale.
 
     c_hat_n bounds count_near at radius (1-|z_k|)/2 against psi(1/(1-|z_k|));
-    c_hat_N does the same for the integrated count against psi_tilde.
-    Per-point tables are kept for CSV emission.
+    c_hat_N does the same for the integrated count against psi_tilde, over
+    the points where psi_tilde > 0.  psi_tilde_zero lists the others by
+    index: a point at the origin has psi_tilde(1) = 0, and its integrated
+    count may be positive.  Per-point tables are kept for CSV emission.
     """
 
     c_hat_n: float
     c_hat_N: float
     table: list = field(default_factory=list)
+    psi_tilde_zero: list = field(default_factory=list)
 
 
 def condition_report(seq: ZeroSequence, scale) -> ConditionReport:
@@ -512,13 +524,15 @@ def condition_report(seq: ZeroSequence, scale) -> ConditionReport:
     rows = []
     worst_n = 0.0
     worst_N = 0.0
+    zero = np.flatnonzero(~(psit > 0.0)).tolist()
     for k, z in enumerate(seq.points):
         r, nk, Nk = radius[k], int(count[k]), float(integrated[k])
         ratio_n = nk / psi[k] if psi[k] > 0.0 else (math.inf if nk > 0 else 0.0)
         ratio_N = Nk / psit[k] if psit[k] > 0.0 else (math.inf if Nk > 0 else 0.0)
         worst_n = max(worst_n, ratio_n)
-        worst_N = max(worst_N, ratio_N)
+        if psit[k] > 0.0:
+            worst_N = max(worst_N, ratio_N)
         rows.append({"k": k, "z": complex(z), "radius": float(r),
                      "count": int(nk), "integrated": float(Nk),
                      "ratio_n": float(ratio_n), "ratio_N": float(ratio_N)})
-    return ConditionReport(float(worst_n), float(worst_N), rows)
+    return ConditionReport(float(worst_n), float(worst_N), rows, zero)

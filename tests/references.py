@@ -275,14 +275,18 @@ def separation_constant(seq):
     return float(np.min(pseudo_distance(z[:, None], z[None, :])[iu]))
 
 
-def uniform_separation_constant(seq):
-    """exp of the smallest row sum of log sigma(z_j, z_n), 0 on the
-    diagonal."""
+def uniform_separation_log(seq):
+    """The smallest row sum of log sigma(z_j, z_n), 0 on the diagonal."""
     z = seq.points
     with np.errstate(divide="ignore"):
         logs = np.log(pseudo_distance(z[:, None], z[None, :]))
     np.fill_diagonal(logs, 0.0)
-    return float(np.exp(np.min(np.sum(logs, axis=1))))
+    return float(np.min(np.sum(logs, axis=1)))
+
+
+def uniform_separation_constant(seq):
+    """exp of uniform_separation_log."""
+    return float(np.exp(uniform_separation_log(seq)))
 
 
 def uniform_density_estimate(seq, r_ladder):

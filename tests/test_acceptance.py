@@ -94,7 +94,7 @@ def test_06_residue_cancellation_ode_and_zero_count(geo50_bundle):
     assert float(np.max(geo50_bundle.residue_mismatch)) <= 1e-6
     rng = np.random.default_rng(2026)
     probes = sample_probes(geo50_bundle.product, rng, 50, r_max=0.9)
-    assert geo50_bundle.ode_residual(probes) <= 1e-5
+    assert geo50_bundle.ode_residual(probes).value <= 1e-5
     rep = geo50_bundle.count_zeros(radius=0.9)
     assert rep.matches
     assert rep.count == rep.nodes_inside == 10

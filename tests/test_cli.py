@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from discosc import (CanonicalProduct, ResidueCancellationError, ZeroSequence,
-                     build_coefficient, cli, numutil, oscillation, products)
+                     build_coefficient, cli, numutil, oscillation, products,
+                     uniform_separation_constant, uniform_separation_log)
 
 
 def test_gen_geometric_writes_sequence(tmp_path, capsys):
@@ -22,7 +24,11 @@ def test_gen_geometric_writes_sequence(tmp_path, capsys):
     assert len(data["points"]) == 8
     out = capsys.readouterr().out
     assert "8 points" in out
-    assert "separation" in out
+    # the uniform separation with its log, which stays finite where the
+    # value underflows
+    sep = ZeroSequence.load(path)
+    assert (f"uniform separation {uniform_separation_constant(sep):.6g} "
+            f"(log {uniform_separation_log(sep):.6g})") in out
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -117,6 +123,11 @@ def test_analyze_weight_scale_adds_rho_report(tmp_path):
     rep = json.loads((tmp_path / "wa.json").read_text())
     assert "rho_density_ladder" in rep
     assert "rho_separation" in rep
+    # the origin node (psi_tilde(1) = 0) is named, not an infinite c_hat_N
+    assert rep["psi_tilde_zero_nodes"] == [0]
+    assert 0.0 < rep["c_hat_N"] < math.inf
+    assert rep["uniform_separation"] == pytest.approx(
+        math.exp(rep["uniform_separation_log"]), rel=1e-15)
 
 
 def test_analyze_is_deterministic_across_out_paths(tmp_path):
@@ -157,6 +168,10 @@ def test_verify_passes_on_geometric(tmp_path, capsys):
     assert set(rep["checks"]) == {"residue_cancellation", "ode_residual",
                                   "zero_count"}
     assert rep["checks"]["zero_count"]["count"] == 3
+    # the settled grids: geo6 at 0.9 winds on 512 points (see below)
+    assert rep["checks"]["zero_count"]["points"] == 512
+    points = rep["checks"]["ode_residual"]["points"]
+    assert numutil.CONTOUR_START_POINTS < points <= numutil.CONTOUR_MAX_POINTS
     assert "carleson_measurement" not in rep
     assert "verification: PASS" in capsys.readouterr().out
 
@@ -334,13 +349,15 @@ def test_design_block_echoes_the_source_constants():
     margin = inspect.signature(build_coefficient).parameters["margin"]
     assert cli.DESIGN == {
         "contour_start_points": numutil.CONTOUR_START_POINTS,
-        "node_contour_start_points": products.NODE_CONTOUR_START_POINTS,
         "node_near_ratio": products.NODE_NEAR_RATIO,
         "node_far_samples": products.NODE_FAR_SAMPLES,
         "contour_max_points": numutil.CONTOUR_MAX_POINTS,
         "exclusion_rule": "min(nearest_neighbor/4, (1-|z|)/8)",
         "margin_default": margin.default,
     }
+    # the probe, winding and exclusion-circle contours start on one grid
+    assert (oscillation.CONTOUR_START_POINTS == products.CONTOUR_START_POINTS
+            == numutil.CONTOUR_START_POINTS)
     np.testing.assert_allclose(prod.exclusion_radii, rule, rtol=1e-15)
 
 

@@ -99,14 +99,14 @@ def test_ode_residual_makes_one_pass_per_point_set(geo6_bundle, monkeypatch):
     passes = []
     for n in (6, 24):
         calls.update(dict.fromkeys(calls, 0))
-        assert geo6_bundle.ode_residual(probes[:n]) <= 1e-5
+        assert geo6_bundle.ode_residual(probes[:n]).value <= 1e-5
         assert calls["_raw_log_eval"] == 0
         assert calls["log_derivative_sums"] == 0
         assert calls["evaluate"] == 0
         assert calls["nearest_node"] == 1
         passes.append(calls["_pass"])
     assert passes[0] == passes[1]
-    # the batched pass, then one per round of 64 ... 1024 points at most
+    # the batched pass, then one per round of 32, 64, ... points
     assert passes[1] <= 6
 
 
@@ -119,20 +119,23 @@ def _probe_inputs(bun, probes):
 
 
 def _one_at_a_time(bun, z0, a0, d1, log_f0, dist):
-    return np.array([bun._probe_residuals(*(x[j:j + 1] for x in (
-        z0, a0, d1, log_f0, dist)))[0] for j in range(z0.size)])
+    """(residuals, points) of _probe_residuals, one probe per call."""
+    return tuple(np.array(col) for col in zip(*(
+        [x[0] for x in bun._probe_residuals(*(y[j:j + 1] for y in (
+            z0, a0, d1, log_f0, dist)))] for j in range(z0.size))))
 
 
 def test_lockstep_residuals_equal_single_probe_calls(geo50_bundle):
     probes = sample_probes(geo50_bundle.product, np.random.default_rng(19),
                            20, r_max=0.9)
     args = _probe_inputs(geo50_bundle, probes)
-    lockstep = geo50_bundle._probe_residuals(*args)
-    np.testing.assert_array_equal(lockstep,
-                                  _one_at_a_time(geo50_bundle, *args))
-    assert geo50_bundle.ode_residual(probes) == np.max(lockstep)
-    assert max(geo50_bundle.ode_residual(z) for z in probes) == \
-        np.max(lockstep)
+    res, points = geo50_bundle._probe_residuals(*args)
+    one_res, one_points = _one_at_a_time(geo50_bundle, *args)
+    np.testing.assert_array_equal(res, one_res)
+    np.testing.assert_array_equal(points, one_points)
+    rep = geo50_bundle.ode_residual(probes)
+    assert rep == (np.max(res), np.max(points))
+    assert max(geo50_bundle.ode_residual(z) for z in probes) == rep
 
 
 def test_lockstep_shrinks_each_probe_on_its_own(geo50_bundle, monkeypatch):
@@ -157,12 +160,12 @@ def test_lockstep_shrinks_each_probe_on_its_own(geo50_bundle, monkeypatch):
     shrunk = {z for zs in starts[1:] for z in zs.tolist()}
     assert 0 < len(shrunk) < z0.size
     assert len(starts) > 2          # some probes shrink more than once
-    np.testing.assert_array_equal(lockstep,
-                                  _one_at_a_time(geo50_bundle, *args))
+    for got, want in zip(lockstep, _one_at_a_time(geo50_bundle, *args)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_ode_residual_of_no_probes_is_zero(geo6_bundle):
-    assert geo6_bundle.ode_residual(np.zeros(0, dtype=complex)) == 0.0
+    assert geo6_bundle.ode_residual(np.zeros(0, dtype=complex)) == (0.0, 0)
 
 
 def test_sample_probes_names_the_disc_that_holds_every_candidate():
@@ -236,14 +239,19 @@ def test_eval_coefficient_is_finite_at_every_node(geo50_bundle,
         assert np.all(np.isfinite(bundle.eval_coefficient(bundle.product.z)))
 
 
-def test_eval_coefficient_at_the_sharpness_nodes_is_finite_or_named():
+@pytest.fixture(scope="module")
+def sharp14_bundle():
+    return build_coefficient(generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
+                             GrowthScale.log_power(3.0))
+
+
+def test_eval_coefficient_at_the_sharpness_nodes_is_finite_or_named(
+        sharp14_bundle):
     # sharpness(1, 1, 14) under log-power:3: the 28 nodes of the first
     # blocks take finite values.  By the 81 others |h'| already exceeds
     # binary64 one ulp from the node (the series pass, in log space), so
     # a(z_k) = -3 (Q'/Q + h)'(z_k) does too and is refused by name
-    bundle = build_coefficient(
-        generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
-        GrowthScale.log_power(3.0))
+    bundle = sharp14_bundle
     top = math.log(np.finfo(float).max)
     finite = 0
     for k, zk in enumerate(bundle.product.z):
@@ -282,7 +290,7 @@ def test_eval_coefficient_shapes():
 def test_ode_residual_small(geo6_bundle):
     rng = np.random.default_rng(11)
     probes = sample_probes(geo6_bundle.product, rng, 20, r_max=0.85)
-    assert geo6_bundle.ode_residual(probes) <= 1e-6
+    assert geo6_bundle.ode_residual(probes).value <= 1e-6
 
 
 def test_ode_residual_genus0_unit_exponents():
@@ -294,7 +302,7 @@ def test_ode_residual_genus0_unit_exponents():
                             exponents=np.ones(n, dtype=int))
     probes = sample_probes(bun.product, np.random.default_rng(0), 50,
                            r_max=0.9)
-    assert bun.ode_residual(probes) <= 1e-5
+    assert bun.ode_residual(probes).value <= 1e-5
 
 
 def test_spoke_integrals_match_segment_quadrature(geo6_bundle):
@@ -309,6 +317,50 @@ def test_spoke_integrals_match_segment_quadrature(geo6_bundle):
         segment = np.array([adaptive_segment_integral(h, z0, zj, 1e-14)
                             for zj in zeta])
         np.testing.assert_allclose(spectral, segment, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name, count, seed", [("geo50_bundle", 20, 1),
+                                               ("sharp14_bundle", 50, 0)])
+def test_settled_probe_contours_match_a_1024_point_contour(
+        request, monkeypatch, name, count, seed):
+    # the contours start at CONTOUR_START_POINTS: each probe's settled f''
+    # agrees with the 1024-point contour on its own circle to the drift
+    # test's CONTOUR_REL_TOL of |f''| + |a f|, in the settled round's scale
+    bun = request.getfixturevalue(name)
+    args = _probe_inputs(bun, sample_probes(
+        bun.product, np.random.default_rng(seed), count, r_max=0.9))
+    circles, rounds = [], []
+    real_circles, real_modes = (OscillationBundle._probe_circles,
+                                oscillation.circle_modes)
+
+    def circle(self, z, r, unit):
+        circles.append((unit[0], r.copy()))
+        return real_circles(self, z, r, unit)
+
+    def modes(theta, logs, orders, scale=None):
+        got = real_modes(theta, logs, orders, scale)
+        rounds.append((theta.size, got))
+        return got
+
+    monkeypatch.setattr(OscillationBundle, "_probe_circles", circle)
+    monkeypatch.setattr(oscillation, "circle_modes", modes)
+    theta, unit = circle_nodes(oscillation.CONTOUR_MAX_POINTS)
+    tol = oscillation.CONTOUR_REL_TOL
+    for z0, a0, d1, log_f0, dist in zip(*(x[:, None] for x in args)):
+        circles.clear()
+        rounds.clear()
+        points = bun._probe_residuals(z0, a0, d1, log_f0, dist)[1][0]
+        # the last placement's radius; the last round is the settled one
+        r = [r for first, r in circles if first == 1.0][-1]
+        m, (scale, settled) = rounds[-1]
+        assert m == points < oscillation.CONTOUR_MAX_POINTS
+        vals = real_circles(bun, z0, r, unit)[0]
+        logf = vals[:, 0] + bun._spoke_integrals(
+            z0, z0[:, None] + r[:, None] * unit, vals[:, 1])
+        fine = real_modes(theta, logf, (2,), scale)[1]
+        fpp, ref = 2.0 * settled[0, 0] / r ** 2, 2.0 * fine[0, 0] / r ** 2
+        size = abs(fpp) + abs(a0[0] * np.exp(log_f0[0] - scale[0]))
+        assert abs(fpp - ref[0]) <= tol * size
 
 
 def test_probe_residual_names_unresolvable_circle(geo6_bundle):
@@ -329,16 +381,17 @@ def test_probe_residual_names_unresolvable_circle(geo6_bundle):
 def test_probe_residuals_raise_the_lowest_failing_probe(geo6_bundle,
                                                         monkeypatch):
     # probe 2 fails before any round (blur limit) and probe 1 only on the
-    # 128-point round, where its h is made infinite: probe 1's error wins
+    # second round, where its h is made infinite: probe 1's error wins
     z0, a0, d1, log_f0, dist = _probe_inputs(geo6_bundle, sample_probes(
         geo6_bundle.product, np.random.default_rng(8), 4, r_max=0.85))
     a0[2] = 1e40
     real = InterpolationSeries._pass
+    start = oscillation.CONTOUR_START_POINTS
 
     def poisoned(self, pts, derivatives=False):
         p = real(self, pts, derivatives)
-        if pts.size == 64 * 2:      # the fresh points of probes 0 and 1
-            p.total[64:] = np.inf
+        if pts.size == start * 2:   # the fresh points of probes 0 and 1
+            p.total[start:] = np.inf
         return p
 
     monkeypatch.setattr(InterpolationSeries, "_pass", poisoned)
@@ -352,14 +405,16 @@ def test_probe_residuals_raise_the_lowest_failing_probe(geo6_bundle,
 
 def test_probe_contour_names_the_first_probe_that_does_not_settle(
         geo6_bundle, monkeypatch):
-    # a 64-point cap leaves no round to compare the first one against
+    # a cap equal to the start leaves no round to compare the first one
+    # against
     probes = sample_probes(geo6_bundle.product, np.random.default_rng(5), 3,
                            r_max=0.85)
-    monkeypatch.setattr(oscillation, "CONTOUR_MAX_POINTS", 64)
+    start = oscillation.CONTOUR_START_POINTS
+    monkeypatch.setattr(oscillation, "CONTOUR_MAX_POINTS", start)
     with pytest.raises(RuntimeError) as err:
         geo6_bundle.ode_residual(probes)
     assert str(err.value) == (f"solution contour at probe {probes[0]:.6g} "
-                              f"did not converge within 64 points")
+                              f"did not converge within {start} points")
 
 
 def test_probe_residuals_refuse_a_residual_that_is_not_finite(geo6_bundle):
@@ -453,6 +508,17 @@ def test_zero_count_on_rho_lattice(weight_pipeline):
     _, _, lattice, bundle = weight_pipeline
     rep = bundle.count_zeros(radius=0.9)
     assert rep.count == rep.nodes_inside == len(lattice) == 368
+
+
+def test_zero_count_grid_holds_eight_points_per_node_inside(
+        weight_pipeline):
+    # steps of at most pi/4 on m points wind at most m/8 times: on the
+    # lattice's circle |z| = 0.8 the 99 nodes inside wind 3 times on 32
+    # points (99 = 3 mod 32), so the count starts on a grid that can show 99
+    rep = weight_pipeline[3].count_zeros(radius=0.8)
+    assert rep.count == rep.nodes_inside == 99
+    assert rep.matches
+    assert rep.points >= 8 * 99
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

@@ -217,7 +217,7 @@ def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
 
     def poisoned(self, r, zk, mask, unit):
         vals, bound = real(self, r, zk, mask, unit)
-        if (unit.size == products.NODE_CONTOUR_START_POINTS
+        if (unit.size == products.CONTOUR_START_POINTS
                 and not poisoned_rows):
             # the near field of the first block's last node (row i of the
             # first block is node i)
@@ -396,7 +396,7 @@ def test_far_field_tail_check_names_the_node(monkeypatch):
 def test_near_field_tail_check_names_the_node(monkeypatch):
     # a neighbour at q = r/|z_n - z_k| = 1/4 leaves a tail of about
     # (1/4)^8 at 8 samples, far above the unit roundoff
-    monkeypatch.setattr(products, "NODE_CONTOUR_START_POINTS", 8)
+    monkeypatch.setattr(products, "CONTOUR_START_POINTS", 8)
     prod = CanonicalProduct(generate_radial_geometric(0.8, 50), 1)
     with pytest.raises(RuntimeError,
                        match=r"near field of node \d+: Fourier tail bound "

@@ -14,7 +14,8 @@ from discosc import (GrowthScale, SharpnessParams, WeightPair, ZeroSequence,
                      generate_rho_lattice, generate_sharpness,
                      log_integrated_count, numutil, rho_density_estimate,
                      rho_separation, separation_constant, sequences,
-                     uniform_density_estimate, uniform_separation_constant)
+                     uniform_density_estimate, uniform_separation_constant,
+                     uniform_separation_log, weight_to_psi)
 from discosc.sequences import _duplicate_pairs
 
 import references
@@ -95,6 +96,19 @@ def test_uniform_separation_two_points():
     assert uniform_separation_constant(two) <= separation_constant(two)
 
 
+def test_uniform_separation_log_where_the_constant_underflows():
+    # 300 points 2e-4 apart on a small circle: each row sums about 300
+    # logs near -8, far below the -745 where exp underflows
+    seq = ZeroSequence(0.3 + 0.01 * np.exp(2j * np.pi * np.arange(300) / 300))
+    log = uniform_separation_log(seq)
+    assert -3000.0 < log < -1000.0
+    assert log == references.uniform_separation_log(seq)
+    assert uniform_separation_constant(seq) == 0.0
+    two = ZeroSequence(np.array([0.25, 0.5], dtype=complex))
+    assert uniform_separation_log(two) == pytest.approx(math.log(2.0 / 7.0),
+                                                        rel=1e-13)
+
+
 def test_counting_functions_small_sequence():
     seq = ZeroSequence(np.array([0.5, 0.25, 0.125], dtype=complex), label="t")
     assert count_near(seq, 0.5, 0.3) == 2
@@ -111,6 +125,23 @@ def test_condition_report_single_point():
     assert rep.c_hat_n == pytest.approx(1.0 / math.log(2.0), rel=1e-13)
     assert rep.c_hat_N == 0.0
     assert len(rep.table) == 1
+
+
+def test_condition_report_leaves_psi_tilde_zero_out_of_c_hat_N():
+    # the lattice's origin node has psi_tilde(1) = 0 and a positive
+    # integrated count: its ratio is infinite, and c_hat_N is the largest
+    # ratio over the other nodes
+    lat = generate_rho_lattice(_RHO, 0.6, 0.5)
+    for scale in (GrowthScale.log_power(1.0),
+                  weight_to_psi(WeightPair.log_power_weight(2.0))):
+        rep = condition_report(lat, scale)
+        assert rep.psi_tilde_zero == [0] and lat.points[0] == 0.0
+        assert rep.table[0]["integrated"] > 0.0
+        assert rep.table[0]["ratio_N"] == math.inf
+        assert rep.c_hat_N == max(r["ratio_N"] for r in rep.table[1:])
+        assert 0.0 < rep.c_hat_N < math.inf
+    assert condition_report(generate_radial_geometric(0.8, 12),
+                            _SCALE).psi_tilde_zero == []
 
 
 def test_condition_report_halving_special_case():
@@ -239,9 +270,10 @@ def _record_slices(monkeypatch):
 
 
 def _estimates(module, seq):
-    """The five blocked estimators of module (sequences or references)."""
+    """The blocked estimators of module (sequences or references)."""
     return (module.separation_constant(seq),
             module.uniform_separation_constant(seq),
+            module.uniform_separation_log(seq),
             module.uniform_density_estimate(seq, [0.9, 0.95, 0.99]),
             module.rho_density_estimate(seq, _RHO, [0.5, 0.75, 1.0]),
             module.rho_separation(seq, _RHO))
@@ -265,8 +297,8 @@ def test_blocked_estimators_equal_their_full_matrix_forms(
         got = _estimates(sequences, seq)
         table = condition_report(seq, _SCALE).table
         for field, a, b in zip(("separation", "uniform separation",
-                                "uniform density", "rho density",
-                                "rho separation"), got, want):
+                                "uniform separation log", "uniform density",
+                                "rho density", "rho separation"), got, want):
             assert _bits(a) == _bits(b), (pairs, field)
         assert [(r["count"], r["integrated"]) for r in table] == counts
         assert _bits([r["integrated"] for r in table]) == _bits(
