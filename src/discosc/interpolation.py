@@ -41,7 +41,7 @@ import numpy as np
 # golden_section_max is looked up here by bench/tracer.py
 from .numutil import (circle_max, clog, disc_points,  # noqa: F401
                       golden_section_max, like_input, map_blocks,
-                      one_minus_conj_mul, slices)
+                      one_minus_conj_mul)
 from .products import CanonicalProduct, _poly_part
 from .scales import GrowthScale
 from .sequences import ZeroSequence
@@ -55,10 +55,10 @@ __all__ = [
 
 
 # numpy error state of the series pass: a point within 1e-154 of a node (one
-# at the origin) overflows the P'/P form, which the pass's disc round
-# replaces; one within a subnormal distance overflows both, and the
-# non-finite values are refused by name downstream.  In a disc the own
-# term's bound B_k is 0 for s_k = 1, and its log -inf.
+# at the origin) overflows the P'/P form, whose column k the pass replaces
+# for a point in the disc of node k; one within a subnormal distance
+# overflows both, and the non-finite values are refused by name downstream.
+# In a disc the own term's bound B_k is 0 for s_k = 1, and its log -inf.
 _PASS_ERRSTATE = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
@@ -224,15 +224,16 @@ class InterpolationSeries:
         the scaled derivative sum and the log-derivatives lam, dlam of
         SeriesPass from the same pieces.
 
-        The first round takes every point, over blocks that
+        The pass takes every point once, in one round over blocks that
         numutil.map_blocks splits over two threads when the pass is large
         enough: without derivatives into half-size blocks (at geo50's N =
         50, from 769 points on), with them into blocks whose buffers hold
         numutil._SPLIT_BYTES (_pair_bytes; 427 points and from 1,282
-        points on at N = 50).  With derivatives, a second round takes the
-        few points in exclusion discs again, serially.  Each round enters
-        _PASS_ERRSTATE in every thread it runs in.  A point's values depend
-        on that point alone, not on its batch, the block size or the split.
+        points on at N = 50).  Points in exclusion discs take their
+        pole-free form in the block that holds them (_sums).  The round
+        enters _PASS_ERRSTATE in every thread it runs in.  A point's values
+        depend on that point alone, not on its batch, the block size or the
+        split.
 
         Each term's derivative is the term itself times
 
@@ -276,36 +277,27 @@ class InterpolationSeries:
         dtotal, lam, dlam = (np.zeros((3, n), dtype=complex) if derivatives
                              else (None, None, None))
         node = np.full(n, -1) if derivatives else None
-        if prod.z.size == 0:
-            return SeriesPass(log_p, sm, total, dtotal, lam, dlam, node)
         out = (log_p, sm, total, dtotal, lam, dlam, node)
+        if prod.z.size == 0:
+            return SeriesPass(*out)
 
-        def first_round(blocks):
+        def run(blocks):
             with np.errstate(**_PASS_ERRSTATE):
                 for sl, vals in self._sums(pts, derivatives, blocks):
                     for arr, val in zip(out, vals):
                         arr[sl] = val
 
-        map_blocks(first_round, n, prod.z.size, pair_bytes=(
+        map_blocks(run, n, prod.z.size, pair_bytes=(
             self._pair_bytes(True) if derivatives else None))
-        inside = np.flatnonzero(node >= 0) if derivatives else []
-        if len(inside):
-            # the few points in exclusion discs again, with the node's
-            # pole divided out
-            with np.errstate(**_PASS_ERRSTATE):
-                for sl, vals in self._sums(pts[inside], True,
-                                           slices(inside.size, prod.z.size),
-                                           node[inside]):
-                    for arr, val in zip(out[:6], vals):
-                        arr[inside[sl]] = val
-        return SeriesPass(log_p, sm, total, dtotal, lam, dlam, node)
+        return SeriesPass(*out)
 
     def _buffers(self, derivatives: bool):
         """(dtype, count) of the (rows, N) buffers one run of _sums holds:
         the pieces, the factor logs and 1 - w_n (then w_n and the
         log-derivatives), with three more at genus >= 2 for _poly_part;
         |z - z_n|, |w_n|, the term logs and with derivatives a spare real;
-        the keep masks."""
+        the keep masks, the second of which first holds the exclusion-disc
+        test."""
         extra = 3 if self.product.genus >= 2 else 0
         return ((complex, 4 + extra), (float, 4 if derivatives else 3),
                 (bool, 2 if derivatives else 1))
@@ -315,13 +307,15 @@ class InterpolationSeries:
         return sum(np.dtype(t).itemsize * k
                    for t, k in self._buffers(derivatives))
 
-    def _sums(self, pts: np.ndarray, derivatives: bool, slices, node=None):
-        """Yield (slice, sums) for _pass over the blocks slices of pts, the
-        blocks of one run of a pass: sums holds log P, the scale and the
-        scaled term sum and, with derivatives, the scaled derivative sum,
-        lam, dlam and the index of the exclusion disc each point lies in (-1
-        outside).  node, one index per point, takes every point as lying in
-        the disc of that node.
+    def _sums(self, pts: np.ndarray, derivatives: bool, blocks):
+        """Yield (slice, sums) for _pass over the blocks of pts, the blocks
+        of one run of a pass: sums holds log P, the scale and the scaled
+        term sum and, with derivatives, the scaled derivative sum, lam,
+        dlam and the index of the exclusion disc each point lies in (-1
+        outside).  With derivatives a block decides its rows' discs as soon
+        as |z - z_n| is formed, and its rows in discs take the pole-free
+        form of _pass (the bound B_n, the factor's 1/u and column k of the
+        log-derivative sums) by row index within the block.
 
         The run allocates its (rows, N) buffers (_buffers) once, for its
         largest block, and forms every per-pair array of a block in them
@@ -339,16 +333,15 @@ class InterpolationSeries:
         prod = self.product
         n = prod.z.size
         floor = math.log(np.finfo(float).eps / n)
-        slices = list(slices)
-        rows_max = max((sl.stop - sl.start for sl in slices), default=0)
+        blocks = list(blocks)
+        rows_max = max((sl.stop - sl.start for sl in blocks), default=0)
         bufs = [np.empty((k, rows_max, n), dtype=t)
                 for t, k in self._buffers(derivatives)]
-        for sl in slices:
+        for sl in blocks:
             m = sl.stop - sl.start
             delta, den, omw, logs, *work = bufs[0][:, :m]
             ad, aw, re, *spare = bufs[1][:, :m]
             masks = bufs[2][:, :m]
-            disc = None if node is None else node[sl]
             prod._pieces(pts[sl], out=(delta, den))
             # |1 - w_n| takes the buffer of |z - z_n| until that is formed
             log_p = np.sum(prod._factor_logs(delta, den,
@@ -364,14 +357,20 @@ class InterpolationSeries:
             re += np.multiply(self._sm1, np.log(aw, out=spare), out=spare)
             sm, keep = _above_floor(re, floor, masks[0])
             if derivatives:
-                i = np.arange(m)
-                aw_k = None if disc is None else aw[i, disc]
+                # j, the block's rows in exclusion discs, and k, their
+                # nodes: the discs are disjoint, and a point in disc k has
+                # every other node at least 3 r_k away
+                j, k = np.divmod(np.flatnonzero(np.less_equal(
+                    ad, prod.exclusion_radii, out=masks[1])), n)
+                disc = np.full(m, -1)
+                disc[j] = k
                 # |den| = (1 - |z_n|^2)/|w_n|
                 own = np.divide(1.0, ad, out=spare)
                 own += np.multiply(self._bound_coef, aw, out=aw)
-                if disc is not None:
-                    own += 1.0 / ad[i, disc][:, None]
-                    own[i, disc] = self._bound_coef[disc] * aw_k
+                if j.size:
+                    own[j] += 1.0 / ad[j, k][:, None]
+                    # B_k is the second part alone, which aw now holds
+                    own[j, k] = aw[j, k]
                 np.add(re, np.log(own, out=own), out=own)
                 keep |= _above_floor(own, floor, masks[1])[1]
             # flat indices of the kept terms: gathers by index cost a
@@ -390,30 +389,24 @@ class InterpolationSeries:
                 continue
             inv = 1.0 / d
             den_at = den.ravel()[at]
-            if disc is None:
-                # a point in disc k has node k nearest: the others lie at
-                # least 3 r_k away
-                near = np.argmin(ad, axis=1)
-                disc_of = np.where(ad[i, near] <= prod.exclusion_radii[near],
-                                   near, -1)
-                regular = None
-            else:
-                disc_of = disc
-                regular = prod._regular_part(disc, den[i, disc], w[i, disc],
-                                             1)
-                # 1/(z - z_n) - 1/u, exactly 0 in column k
-                inv -= 1.0 / delta[i, disc][rows]
+            if j.size:
+                regular = prod._regular_part(k, den[j, k], w[j, k], 1)
+                # 1/(z - z_n) - 1/u on the kept terms of rows in discs,
+                # exactly 0 in column k (x - 0 is x on the other rows)
+                inv_u = np.zeros(m, dtype=complex)
+                inv_u[j] = 1.0 / delta[j, k]
+                inv -= inv_u[rows]
             # the gathers of den are done: dlog E and d2log E take the
             # buffers of 1 - w_n and den
             L, dL = prod._log_derivatives(delta, w, out=(omw, den))
-            if regular is not None:
-                L[i, disc], dL[i, disc] = regular
+            if j.size:
+                L[j, k], dL[j, k] = regular
             lam = np.sum(L, axis=1)
             factor = (lam[rows] - inv
                       + self._sm1[cols] * (prod._zc[cols] / den_at))
             yield sl, (log_p, sm, total,
                        _row_sums(rows, e * factor, m), lam,
-                       np.sum(dL, axis=1), disc_of)
+                       np.sum(dL, axis=1), disc)
 
     def _node_terms(self, k: np.ndarray):
         """(Re t, exp(t - Re t)) for t the log of the series at node z_k.

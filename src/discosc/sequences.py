@@ -400,11 +400,11 @@ def uniform_density_estimate(seq: ZeroSequence, r_ladder):
     sums = np.empty((len(r_ladder), centers.size))
     for sl in slices(centers.size, len(seq)):
         sig = pseudo_distance(centers[sl, None], seq.points[None, :])
+        # the radii share the sigma > 1/2 test: -log sigma there, else 0
         with np.errstate(divide="ignore"):
-            neglog = -np.log(sig)
+            neglog = np.where(sig > 0.5, -np.log(sig), 0.0)
         for j, r in enumerate(r_ladder):
-            mask = (sig > 0.5) & (sig < r)
-            sums[j, sl] = np.sum(np.where(mask, neglog, 0.0), axis=1)
+            sums[j, sl] = np.sum(np.where(sig < r, neglog, 0.0), axis=1)
     return [(float(r), float(np.max(s) / math.log(1.0 / (1.0 - r))))
             for r, s in zip(r_ladder, sums)]
 

@@ -38,7 +38,7 @@ def _same_bits(a, b):
 
 def _disc_points(prod, seed, count):
     """count points uniform on |z| <= 0.95, then two points in each of the
-    first ten exclusion discs (the pass's disc round)."""
+    first ten exclusion discs (the pass's pole-free form)."""
     rng = np.random.default_rng(seed)
     pts = 0.95 * np.sqrt(rng.random(count)) * np.exp(
         2j * np.pi * rng.random(count))
@@ -175,7 +175,8 @@ def test_the_series_pass_equals_its_plain_form(request, monkeypatch, name):
     bundle, _ = _bundle(request, name)
     prod = bundle.product
     pts = _disc_points(prod, 13, 2000 if prod.z.size < 100 else 500)
-    # a point 1e-200 from a node overflows the P'/P form off the disc round
+    # a point 1e-200 from a node overflows the P'/P form that its disc's
+    # pole-free form replaces
     pts = np.append(pts, [prod.z[2] + 1e-200j, prod.z[5] - 1e-200])
     for workers in (1, 2):
         monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
@@ -187,6 +188,19 @@ def test_the_series_pass_equals_its_plain_form(request, monkeypatch, name):
                     assert a is None, field
                 else:
                     assert _same_bits(a, b), (workers, derivatives, field)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_derivative_pass_forms_each_point_once(geo50_bundle, monkeypatch,
+                                                 workers):
+    # points in exclusion discs take their pole-free form in the block
+    # that holds them, not in a second round over those points
+    pts = _disc_points(geo50_bundle.product, 7, 3000)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
+    rows = _block_rows(monkeypatch)
+    p = geo50_bundle.gprime._pass(pts, derivatives=True)
+    assert np.count_nonzero(p.node >= 0) >= 20
+    assert sum(rows) == pts.size
 
 
 def test_two_calls_at_once_on_one_bundle_get_the_serial_bits(
