@@ -23,7 +23,8 @@ from . import __version__
 from .numutil import CONTOUR_MAX_POINTS, CONTOUR_START_POINTS, format_float
 from .oscillation import (ResidueCancellationError, build_coefficient,
                           sample_probes, sharpness_witness)
-from .products import NODE_FAR_SAMPLES, NODE_NEAR_RATIO
+from .products import (NODE_FAR_SAMPLES, NODE_NEAR_RATIO, NODE_PROXY_MARGIN,
+                       NODE_PROXY_RATIO, NODE_PROXY_SAVING)
 from .scales import GrowthScale, WeightPair, weight_to_psi
 from .sequences import (SharpnessParams, ZeroSequence, condition_report,
                         generate_radial_geometric, generate_rho_lattice,
@@ -36,6 +37,9 @@ DESIGN = {
     "contour_start_points": CONTOUR_START_POINTS,
     "node_near_ratio": NODE_NEAR_RATIO,
     "node_far_samples": NODE_FAR_SAMPLES,
+    "node_proxy_ratio": NODE_PROXY_RATIO,
+    "node_proxy_margin": NODE_PROXY_MARGIN,
+    "node_proxy_saving": NODE_PROXY_SAVING,
     "contour_max_points": CONTOUR_MAX_POINTS,
     "exclusion_rule": "min(nearest_neighbor/4, (1-|z|)/8)",
     "margin_default": 10.0,

@@ -15,13 +15,15 @@ quantity from one set of pieces.  The exclusion-circle contours never form
 z_k + u: node k's own factor is taken from u, and every other factor enters
 centred on the node, as log E_n(z_k + u) - log E_n(z_k), through samples of
 the pieces at z_k, which keeps contours around deep nodes accurate
-(node_contour_modes).  Points x nodes passes loop over cache-sized
-blocks (numutil.slices), and numutil.map_blocks splits the series pass,
-the node pass and the residue contour over two threads.  The series pass
-forms its pieces, factor logs and log-derivatives in buffers that each run
-allocates once (the out= forms of _pieces, _factor_logs and
-_log_derivatives), and its derivative pass sizes its worker blocks by the
-bytes of those buffers.
+(node_contour_modes); a far factor that a whole cluster of nodes sees from
+afar enters them all through one proxy circle about the cluster, whose
+interpolant each member reads at its own circle (_proxies).  Points x nodes
+passes loop over cache-sized blocks (numutil.slices), and numutil.map_blocks
+splits the series pass, the node pass and the residue contour over two
+threads.  The series pass forms its pieces, factor logs and log-derivatives
+in buffers that each run allocates once (the out= forms of _pieces,
+_factor_logs and _log_derivatives), and its derivative pass sizes its worker
+blocks by the bytes of those buffers.
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -61,6 +63,14 @@ __all__ = [
 # and the rest through NODE_FAR_SAMPLES (see _centred_modes)
 NODE_NEAR_RATIO = 16.0
 NODE_FAR_SAMPLES = 16
+# a far factor enters every member of a node cluster through the cluster's
+# proxy circle, of radius NODE_PROXY_MARGIN times the members' reach, when
+# its zero and its reflected pole lie NODE_PROXY_RATIO proxy radii or more
+# from the centre; a cluster takes its proxy when that saves more than
+# NODE_PROXY_SAVING samples (see _clusters and _proxies)
+NODE_PROXY_RATIO = 4.0
+NODE_PROXY_MARGIN = 1.25
+NODE_PROXY_SAVING = 4096
 # node x factor pairs per serial node block of the exclusion-circle samples,
 # and factor x sample pairs per step within a block: against 2^15, 2^14 took
 # the contours of the N = 368 and N = 964 lattices about 14% and 6% faster,
@@ -130,6 +140,32 @@ def primary_factor(w, s: int):
 NodePass = namedtuple("NodePass", "targets deleted zeroed log_dp count rhs")
 
 
+class Clusters(NamedTuple):
+    """The node clusters of CanonicalProduct._clusters: node k lies in
+    cluster of[k]; cluster i has the seed node seed[i], the proxy radius
+    rho[i] and the members members[starts[i]:starts[i + 1]], in ascending
+    node order."""
+    of: np.ndarray
+    seed: np.ndarray
+    rho: np.ndarray
+    members: np.ndarray
+    starts: np.ndarray
+
+
+class Proxies(NamedTuple):
+    """The proxy circles of one residue contour (CanonicalProduct._proxies),
+    one row per cluster that takes one: node k's row is slot[k] (-1 for
+    none); a row's circle has the centre centre and the radius rho, modes
+    holds its interpolant's modes 0..CONTOUR_START_POINTS-1, and covered
+    the factors it carries as packed bits, with one more row of zeros that
+    slot -1 picks."""
+    slot: np.ndarray
+    centre: np.ndarray
+    rho: np.ndarray
+    modes: np.ndarray
+    covered: np.ndarray
+
+
 class CanonicalProduct:
     """Genus-s product over a zero sequence with per-node exclusion discs.
 
@@ -157,6 +193,10 @@ class CanonicalProduct:
             raise ValueError(
                 f"node {k} has subnormal modulus {mod[k]:.3g}: its factor "
                 f"1 - w_n underflows to 0 in binary64")
+        # nodes so near the origin that 1 - w_n(z_k), about |z_n| |z_k -
+        # z_n|, can fall below 2^-1024, where numpy's complex division by it
+        # overflows (_node_rows)
+        self._tiny = np.flatnonzero((mod > 0.0) & (mod < 2.0 ** -960))
         self._zc = np.conjugate(z)
         self._gap2 = one_minus_abs2(z)          # 1 - |z_n|^2
         self._gap = one_minus_abs(z)            # 1 - |z_n|
@@ -175,6 +215,7 @@ class CanonicalProduct:
                               np.append(order, -1))
         self.convergence_sum = blaschke_sum(zeros, self.genus).value
         self._nodes: NodePass | None = None
+        self._partition: Clusters | None = None
 
     # -- geometry ----------------------------------------------------------
 
@@ -368,7 +409,13 @@ class CanonicalProduct:
                 L = np.negative(np.divide(zc, den, out=den), out=den)
                 w **= s + 1
                 L *= w
+                t = self._tiny
+                if t.size:  # the quotient of both scaled by 2^64 is exact
+                    L[:, t] *= 2.0 ** 64
+                    omw[:, t] *= 2.0 ** 64
                 L /= omw
+                if t.size:
+                    omw[:, t] /= 2.0 ** 64
                 if col:
                     L[:, i] = col[0]
                 L[diag] = 0.0
@@ -481,24 +528,25 @@ class CanonicalProduct:
         return bound
 
     def _field_samples(self, r, zk, mask, unit):
-        """(samples, bound) for the factors in mask on the exclusion
-        circles of a block of nodes, one row per node, at the m points
-        unit = circle_nodes(m)[1].
+        """(samples, bound) for the factors in mask on circles about a
+        block of nodes, one row per circle, at the m points unit =
+        circle_nodes(m)[1]: the exclusion circles of _centred_modes and the
+        proxy circles of _proxies.
 
         Row i belongs to the node z_k = zk[i], with radius r[i], and
-        mask[i, n] selects factor n.  samples[i, j] sums log E_n(z_k + u) -
-        log E_n(z_k) over the factors of row i at u = r[i] e^{2 pi i j/m},
-        each centred as log1p(u w_n(z_k + u)/(z_k - z_n)) + poly(w_n(z_k +
-        u)) - poly(w_n(z_k)): (1 - w_n(z_k + u))/(1 - w_n(z_k)) = 1 + u
-        w_n(z_k + u)/(z_k - z_n), so a term is about |u|/|z_k - z_n| in
-        size and its rounding eps times that, where an uncentred log
-        carries eps |log E_n| (centring the near factors as well took the
-        origin-node mismatch of the N = 2686 lattice from 3.2e-7 to
-        9.2e-8).  With den_n = 1 - conj(z_n) z_k and y = u/(1 - conj(z_n)
-        u/den_n) = r/(e^{-2 pi i j/m} - r conj(z_n)/den_n), the log1p
-        argument is w_n(z_k) y/(z_k - z_n) and w_n(z_k + u) - w_n(z_k) =
-        w_n(z_k) conj(z_n) y/den_n, so a sample costs one complex division.
-        bound[i] bounds the sum of _tail_bound over the same factors
+        mask[i, n] selects factor n (never node k's own).  samples[i, j]
+        sums log E_n(z_k + u) - log E_n(z_k) over the factors of row i at
+        u = r[i] e^{2 pi i j/m}, each centred as log1p(u w_n(z_k + u)/(z_k -
+        z_n)) + poly(w_n(z_k + u)) - poly(w_n(z_k)): (1 - w_n(z_k + u))/(1 -
+        w_n(z_k)) = 1 + u w_n(z_k + u)/(z_k - z_n), so a term is about
+        |u|/|z_k - z_n| in size and its rounding eps times that, where an
+        uncentred log carries eps |log E_n| (centring the near factors as
+        well took the origin-node mismatch of the N = 2686 lattice from
+        3.2e-7 to 9.2e-8).  With den_n = 1 - conj(z_n) z_k and y = u/(1 -
+        conj(z_n) u/den_n) = r/(e^{-2 pi i j/m} - r conj(z_n)/den_n), the
+        log1p argument is w_n(z_k) y/(z_k - z_n) and w_n(z_k + u) - w_n(z_k)
+        = w_n(z_k) conj(z_n) y/den_n, so a sample costs one complex
+        division.  bound[i] bounds the sum of _tail_bound over the same factors
         (_row_tail_bounds).
 
         The pairs in mask are taken in row order, at most _SAMPLE_PAIRS
@@ -543,27 +591,173 @@ class CanonicalProduct:
             out[at, lo:lo + step] = np.add.reduceat(logs, starts, axis=1).T
         return out, bound
 
-    def _centred_modes(self, nodes: np.ndarray) -> np.ndarray:
+    def _clusters(self) -> Clusters:
+        """The nodes' partition into clusters, cached: the deepest free node
+        c (least 1 - |c|, lowest index first) seeds a cluster that takes
+        every free node within 1 - |c| of it, until no node is free.  The
+        proxy radius is NODE_PROXY_MARGIN max_k(|z_k - c| + r_k) over the
+        members, so every exclusion circle of the cluster lies in the proxy
+        disc at a margin."""
+        if self._partition is None:
+            of = np.full(self.z.size, -1)
+            seed = []
+            free = np.argsort(self._gap, kind="stable")  # deepest first
+            while free.size:
+                c = free[0]
+                near = np.abs(self.z[free] - self.z[c]) <= self._gap[c]
+                of[free[near]] = len(seed)
+                seed.append(c)
+                free = free[~near]
+            seed = np.array(seed, dtype=int)
+            members = np.argsort(of, kind="stable")
+            starts = np.searchsorted(of[members], np.arange(seed.size + 1))
+            reach = np.abs(self.z - self.z[seed[of]]) + self.exclusion_radii
+            rho = NODE_PROXY_MARGIN * (np.maximum.reduceat(
+                reach[members], starts[:-1]) if seed.size else reach)
+            self._partition = Clusters(of, seed, rho, members, starts)
+        return self._partition
+
+    def _proxies(self, nodes: np.ndarray) -> Proxies:
+        """The proxy circles of the clusters of the given nodes.
+
+        A factor n qualifies for cluster B (centre c, proxy radius rho)
+        when it is far (|z_n - z_k| >= NODE_NEAR_RATIO r_k) for every
+        member k and its zero z_n and reflected pole 1/conj(z_n) both lie at
+        least NODE_PROXY_RATIO rho from c.  B takes a proxy when members x
+        sources x NODE_FAR_SAMPLES direct samples exceed the proxy's sources
+        x CONTOUR_START_POINTS by more than NODE_PROXY_SAVING.  The proxy's
+        centred field G_B(v) = sum_n log E_n(c + v) - log E_n(c) is sampled
+        on |v| = rho by _field_samples, one row per cluster; its zeros and
+        poles lie at least NODE_PROXY_RATIO rho away, so q, qc <= 1/4, and
+        a _tail_bound sum above eps/2 (a member's value takes two values of
+        the interpolant, _member_modes) raises RuntimeError naming the
+        cluster's lowest-index node, as does a nan or inf sample.
+
+        The clusters run in blocks through numutil.map_blocks by the rule of
+        the node blocks; a block forms its members' distances to every node
+        at most _SAMPLE_PAIRS at a time, and each cluster is computed on its
+        own, so no value depends on the block, the worker count or the other
+        nodes asked for.
+        """
+        part = self._clusters()
+        n, m = self.z.size, CONTOUR_START_POINTS
+        sizes = np.diff(part.starts)
+        need = np.flatnonzero(np.bincount(part.of[nodes],
+                                          minlength=part.seed.size))
+        # no cluster saves more than all other factors as its sources would
+        need = need[(n - sizes[need]) * (sizes[need] * NODE_FAR_SAMPLES - m)
+                    > NODE_PROXY_SAVING]
+        unit = circle_nodes(m)[1]
+        half_eps = 0.5 * float(np.finfo(float).eps)
+        modes = np.zeros((need.size, m), dtype=complex)
+        covered = np.zeros((need.size + 1, -(-n // 8)), dtype=np.uint8)
+        used = np.zeros(need.size, dtype=bool)
+        step = max(1, _SAMPLE_PAIRS // max(n, 1))
+
+        def run(slices):
+            for sl in slices:
+                ids = need[sl]
+                lo, size = part.starts[ids], sizes[ids]
+                first = np.cumsum(size) - size
+                rows = part.members[np.repeat(lo - first, size)
+                                    + np.arange(size.sum())]
+                owner = np.repeat(np.arange(ids.size), size)
+                # far for every member, over at most step members at a time
+                qual = np.ones((ids.size, n), dtype=bool)
+                for a in range(0, rows.size, step):
+                    r, o = rows[a:a + step], owner[a:a + step]
+                    cut = np.flatnonzero(np.diff(o, prepend=-1))
+                    qual[o[cut]] &= np.logical_and.reduceat(
+                        np.abs(self.z[r, None] - self.z)
+                        >= NODE_NEAR_RATIO * self.exclusion_radii[r, None],
+                        cut, axis=0)
+                c, rho = self.z[part.seed[ids]], part.rho[ids]
+                gap = NODE_PROXY_RATIO * rho[:, None]
+                qual &= np.abs(self.z - c[:, None]) >= gap
+                qual &= (np.abs(one_minus_conj_mul(self.z, c[:, None]))
+                         >= gap * np.abs(self.z))
+                sources = np.count_nonzero(qual, axis=1)
+                saving = sources * (size * NODE_FAR_SAMPLES - m)
+                take = np.flatnonzero(saving > NODE_PROXY_SAVING)
+                if take.size == 0:
+                    continue
+                vals, bound = self._field_samples(rho[take], c[take],
+                                                  qual[take], unit)
+                fault = ~np.all(np.isfinite(vals), axis=1)
+                hit = np.flatnonzero(fault | (bound > half_eps))
+                if hit.size:
+                    i = hit[0]
+                    why = ("a sample is nan or inf" if fault[i] else
+                           f"Fourier tail bound {bound[i]:.2e} at {m} "
+                           f"samples exceeds half the unit roundoff "
+                           f"{half_eps:.2e}")
+                    raise RuntimeError(f"proxy circle of node "
+                                       f"{int(rows[first[take[i]]])}: {why}")
+                at = sl.start + take
+                used[at] = True
+                modes[at] = np.fft.fft(vals, axis=1) / m
+                covered[at] = np.packbits(qual[take], axis=1)
+
+        map_blocks(run, need.size, n, _SAMPLE_PAIRS)
+        slot = np.full(part.seed.size, -1)
+        slot[need[used]] = np.arange(np.count_nonzero(used))
+        keep = np.flatnonzero(used)
+        return Proxies(slot[part.of], self.z[part.seed[need[keep]]],
+                       part.rho[need[keep]], modes[keep],
+                       covered[np.append(keep, -1)])
+
+    def _member_modes(self, ks: np.ndarray, rows: np.ndarray,
+                      prox: Proxies, unit: np.ndarray) -> np.ndarray:
+        """Modes 0..M-1 (M = unit.size = CONTOUR_START_POINTS) of p(d_k + u)
+        - p(d_k) on the exclusion circle u = r_k e^{i theta} of each node
+        ks[i], p the interpolant of proxy row rows[i] and d_k = z_k - c.
+
+        With s = d_k/rho, t = u/rho and p(v) = sum_j a_j (v/rho)^j, Horner's
+        rule gives p(s) = B_0 by B_j = a_j + s B_(j+1), and the difference
+        D_j = (s + t)(...) - s(...) of the two Horner sums by D_j = (s + t)
+        D_(j+1) + t B_(j+1), the Horner form of (s + t)^j - s^j = (s + t)
+        ((s + t)^(j-1) - s^(j-1)) + t s^(j-1): every term carries t, so a
+        small t keeps its relative accuracy.  The values are a polynomial
+        of degree < M in u, so the DFT of the M values on the grid unit
+        holds them exactly.  |d_k + u| <= rho/NODE_PROXY_MARGIN, so by the
+        maximum-modulus principle each value, and with it each mode, is off
+        by at most twice the proxy's tail bound."""
+        rho = prox.rho[rows][:, None]
+        s = (self.z[ks] - prox.centre[rows])[:, None] / rho
+        t = (self.exclusion_radii[ks][:, None] / rho) * unit
+        a = prox.modes[rows]
+        st = s + t
+        horner = a[:, -1:]
+        diff = np.zeros_like(t)
+        for j in range(unit.size - 2, -1, -1):
+            diff = st * diff + t * horner
+            horner = a[:, j:j + 1] + s * horner
+        return np.fft.fft(diff, axis=1) / unit.size
+
+    def _centred_modes(self, nodes: np.ndarray,
+                       prox: Proxies) -> np.ndarray:
         """Fourier modes 0..K-1 of F_k(e^{i theta}) = sum_{n != k} log
         E_n(z_k + r_k e^{i theta}) - log E_n(z_k), one row per node, K =
         max(NODE_FAR_SAMPLES, CONTOUR_START_POINTS).
 
         F_k is analytic for |u| < min_n |z_n - z_k|, so it has no negative
         Fourier modes on the circle.  The far factors (|z_n - z_k| >=
-        NODE_NEAR_RATIO r_k, so q <= 1/16) enter from NODE_FAR_SAMPLES
-        samples and the near ones (q <= 1/4) from CONTOUR_START_POINTS,
-        each field through the DFT of its samples (_field_samples); a row
-        holds the sum of both.  Raises RuntimeError when a field's tail
-        bound exceeds the unit roundoff, i.e. when its interpolant could
-        add more than one rounding to a circle value; it names the first
-        such node, and its far field if both fail.  Only factor values
-        enter.
+        NODE_NEAR_RATIO r_k, so q <= 1/16) that node k's cluster carries on
+        its proxy circle (prox, from _proxies) enter from the proxy's
+        interpolant (_member_modes); the other far factors enter from
+        NODE_FAR_SAMPLES samples and the near ones (q <= 1/4) from
+        CONTOUR_START_POINTS, each field through the DFT of its samples
+        (_field_samples); a row holds the sum of the three.  Raises
+        RuntimeError when a field's tail bound exceeds the unit roundoff,
+        i.e. when its interpolant could add more than one rounding to a
+        circle value; it names the first such node, and its far field if
+        both fail.  Only factor values enter.
 
         The nodes run in blocks of at most _SAMPLE_PAIRS node x factor
         pairs through numutil.map_blocks, which splits them over two threads by
-        the rule of the series pass; both unit grids are formed here, in
-        the calling thread.  Of the node x factor matrices a block forms
-        only the distances that pick the far factors.
+        the rule of the series pass; the unit grids and the proxy modes are
+        formed here, in the calling thread.  Of the node x factor matrices a
+        block forms only the distances that pick the far factors.
         """
         eps = float(np.finfo(float).eps)
         fields = (("far", NODE_FAR_SAMPLES),
@@ -571,6 +765,11 @@ class CanonicalProduct:
         units = [circle_nodes(m)[1] for _, m in fields]
         coef = np.zeros((nodes.size, max(m for _, m in fields)),
                         dtype=complex)
+        slot = prox.slot[nodes]
+        on = np.flatnonzero(slot >= 0)
+        if on.size:
+            coef[on, :CONTOUR_START_POINTS] = self._member_modes(
+                nodes[on], slot[on], prox, units[1])
 
         def run(slices):
             for sl in slices:
@@ -581,6 +780,9 @@ class CanonicalProduct:
                        >= NODE_NEAR_RATIO * r[:, None])
                 near = ~far
                 near[np.arange(blk.size), blk] = False
+                if on.size:
+                    far &= ~np.unpackbits(prox.covered[slot[sl]], axis=1,
+                                          count=self.z.size).view(bool)
                 samples = [self._field_samples(r, zk, mask, unit)
                            for mask, unit in zip((far, near), units)]
                 bad = np.array([bound > eps for _, bound in samples])
@@ -633,8 +835,10 @@ class CanonicalProduct:
         u) + const_k + F_k(u) up to 2 pi i, with const_k = sum_{n != k} log
         E_n(z_k) from node_deleted_logs and F_k the centred sum of the
         other factors, which _centred_modes reads off NODE_FAR_SAMPLES
-        samples for the far factors and CONTOUR_START_POINTS for the near
-        ones.  A round then evaluates only node k's own factor and adds F_k
+        samples for the far factors, CONTOUR_START_POINTS for the near ones
+        and, for the far factors its cluster carries, the interpolant of
+        the cluster's proxy circle (_proxies, computed once per call).  A
+        round then evaluates only node k's own factor and adds F_k
         from its modes (_circle_logs).  The rounds run in lockstep over the
         nodes still live (numutil.settle_circles), until both modes of a
         node move by at most 1e-9 (1 + |m|); scale, the first round's
@@ -651,9 +855,11 @@ class CanonicalProduct:
         maximum (Trefethen & Weideman, SIAM Rev. 56, 2014): 4^-32 ~ 5e-20.
         The 64-point round certifies that under the same drift test.
 
-        The samples cost N x 16 + (near factors) x 32 factor evaluations
-        per node, against N x 64 for every factor on the grid, and a round
-        one factor per grid point and one inverse FFT of K modes.
+        The samples cost (direct far factors) x 16 + (near factors) x 32
+        factor evaluations per node, against N x 64 for every factor on the
+        grid, and (proxy factors) x 32 per proxy circle, which stands for
+        16 per member and factor; a round costs one factor per grid point
+        and one inverse FFT of K modes.
         """
         nodes = (np.arange(self.z.size) if nodes is None
                  else np.atleast_1d(np.asarray(nodes, dtype=int)))
@@ -661,13 +867,14 @@ class CanonicalProduct:
         if np.any(bad):
             raise IndexError(f"node index {nodes[bad][0]} out of range")
         const = self.node_deleted_logs()
+        prox = self._proxies(nodes)
         out = NodeModes(np.empty(nodes.size), np.empty(nodes.size, complex),
                         np.empty(nodes.size, complex),
                         np.zeros(nodes.size, dtype=int))
         # blocks of nodes whose 64-point round holds _BLOCK_PAIRS samples
         for sl in slices(nodes.size, 2 * CONTOUR_START_POINTS):
             blk = nodes[sl]
-            coef = self._centred_modes(blk)
+            coef = self._centred_modes(blk, prox)
             # the first round's scale and the last round's modes, per node
             scale, prev = None, np.empty((blk.size, 2), dtype=complex)
 

@@ -17,4 +17,8 @@ def separated_sets(draw, allow_subnormal=True):
     pts = np.asarray(r) * np.exp(1j * np.asarray(t))
     d = np.abs(pts[:, None] - pts[None, :]) + np.eye(n)
     assume(np.min(d) >= 0.05)
+    if not allow_subnormal:
+        # r e^{it} can round a normal r to a subnormal modulus
+        mod = np.abs(pts)
+        assume(np.all((mod == 0.0) | (mod >= np.finfo(float).tiny)))
     return pts

@@ -351,6 +351,9 @@ def test_design_block_echoes_the_source_constants():
         "contour_start_points": numutil.CONTOUR_START_POINTS,
         "node_near_ratio": products.NODE_NEAR_RATIO,
         "node_far_samples": products.NODE_FAR_SAMPLES,
+        "node_proxy_ratio": products.NODE_PROXY_RATIO,
+        "node_proxy_margin": products.NODE_PROXY_MARGIN,
+        "node_proxy_saving": products.NODE_PROXY_SAVING,
         "contour_max_points": numutil.CONTOUR_MAX_POINTS,
         "exclusion_rule": "min(nearest_neighbor/4, (1-|z|)/8)",
         "margin_default": margin.default,

@@ -1,6 +1,7 @@
 """Canonical products: primary factors, derivatives at zeros, balance."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
                      WeightPair, ZeroSequence, blaschke_sum,
                      build_coefficient, generate_radial_geometric,
                      generate_rho_lattice, generate_sharpness,
-                     genus_from_scale, node_targets, primary_factor,
-                     products, weight_to_psi)
+                     genus_from_scale, node_targets, numutil,
+                     primary_factor, products, weight_to_psi)
 from discosc.numutil import circle_modes, circle_nodes, slices, wrap_angle
 from discosc.products import _poly_part
 from references import balance_check, deleted_log_eval, offset_pieces
@@ -208,6 +209,12 @@ def test_node_contour_names_the_first_node_that_does_not_settle(
                               "converge within 32 points")
 
 
+def _proxy_call(prod, r):
+    """Whether a _field_samples call with the radii r samples proxy circles
+    (CanonicalProduct._proxies) rather than exclusion circles."""
+    return bool(np.all(np.isin(r, prod._clusters().rho)))
+
+
 def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
     # a nan near-field sample on an exclusion circle is refused, naming the
     # node, not counted as an exact zero
@@ -218,7 +225,7 @@ def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
     def poisoned(self, r, zk, mask, unit):
         vals, bound = real(self, r, zk, mask, unit)
         if (unit.size == products.CONTOUR_START_POINTS
-                and not poisoned_rows):
+                and not _proxy_call(self, r) and not poisoned_rows):
             # the near field of the first block's last node (row i of the
             # first block is node i)
             i = mask.shape[0] - 1
@@ -324,34 +331,48 @@ def _assert_modes_match(prod, res, k, m, tol):
     np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
-@pytest.mark.parametrize("seq, scale", [
-    (generate_radial_geometric(0.8, 50), GrowthScale.log_power(1.0)),
+@pytest.mark.parametrize("seq, scale, proxies", [
+    (generate_radial_geometric(0.8, 50), GrowthScale.log_power(1.0), False),
     (generate_sharpness(SharpnessParams(1.0, 1.0, 8)),
-     GrowthScale.log_power(3.0)),
-    (_LATTICE07, weight_to_psi(_WEIGHT)),
-], ids=["geo50", "sharp8", "lattice07"])
-def test_node_contour_settles_at_64_points(monkeypatch, seq, scale):
+     GrowthScale.log_power(3.0), False),
+    (_LATTICE07, weight_to_psi(_WEIGHT), False),
+    (generate_rho_lattice(_WEIGHT.rho, 0.8, 0.9), weight_to_psi(_WEIGHT),
+     True),
+    (generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
+     GrowthScale.log_power(3.0), True),
+], ids=["geo50", "sharp8", "lattice07", "lattice368", "sharp14"])
+def test_node_contour_settles_at_64_points(monkeypatch, seq, scale, proxies):
     # the exclusion-circle contour starts at 32 points and takes every
-    # other factor of a node once, the far ones from 16 samples and the
-    # near ones from 32; every node settles on the 64-point round, whose
-    # modes match a fresh 128-point grid of all factors
+    # other factor of a node once: the far ones its cluster's proxy circle
+    # carries through that circle, the other far ones from 16 samples and
+    # the near ones from 32; every node settles on the 64-point round,
+    # whose modes match a fresh 128-point grid of all factors
     prod = CanonicalProduct(seq, genus_from_scale(scale))
+    part = prod._clusters()
     field_samples = prod._field_samples
-    rows, pairs = {16: 0, 32: 0}, {16: 0, 32: 0}
+    # one thread, so that no count is lost between two workers
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
+    rows, pairs = {16: 0, 32: 0}, {16: 0, 32: 0, "proxy": 0}
 
     def counted(r, zk, mask, unit):
         vals, bound = field_samples(r, zk, mask, unit)
         m = unit.size
         assert vals.shape == (mask.shape[0], m)
-        rows[m] += mask.shape[0]
-        pairs[m] += int(np.sum(mask))
+        if _proxy_call(prod, r):
+            # each factor a proxy carries enters every member of its cluster
+            members = np.diff(part.starts)[part.of[prod.node_index(zk)]]
+            pairs["proxy"] += int(members @ np.sum(mask, axis=1))
+        else:
+            rows[m] += mask.shape[0]
+            pairs[m] += int(np.sum(mask))
         return vals, bound
 
     monkeypatch.setattr(prod, "_field_samples", counted)
     res = prod.node_contour_modes()
     n = prod.z.size
     assert rows == {16: n, 32: n}
-    assert pairs[16] + pairs[32] == n * (n - 1)
+    assert sum(pairs.values()) == n * (n - 1)
+    assert (pairs["proxy"] > 0) == proxies
     assert np.all(res.points == 64)
     for k in range(prod.z.size):
         _assert_modes_match(prod, res, k, 128, 1e-12)
@@ -361,6 +382,26 @@ def test_node_contour_settles_at_64_points(monkeypatch, seq, scale):
 @given(pts=separated_sets(allow_subnormal=False), genus=st.integers(0, 3))
 def test_node_contour_matches_the_exact_grid_on_separated_sets(pts, genus):
     _assert_all_modes_match(CanonicalProduct(ZeroSequence(pts), genus))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(pts=separated_sets(allow_subnormal=False), genus=st.integers(0, 3))
+def test_proxy_modes_match_the_exact_grid_on_separated_sets(pts, genus):
+    # every cluster that has a source takes its proxy, however little it
+    # saves
+    prod = CanonicalProduct(ZeroSequence(pts), genus)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(products, "NODE_PROXY_SAVING", -math.inf)
+        assume(_proxy_pairs(prod) > 0)
+        _assert_all_modes_match(prod)
+
+
+def _proxy_pairs(prod):
+    """The (member, factor) pairs that proxy circles carry in a contour of
+    every node of prod."""
+    prox = prod._proxies(np.arange(prod.z.size))
+    covered = np.unpackbits(prox.covered, axis=1, count=prod.z.size)
+    return int(np.sum(covered[prox.slot]))
 
 
 @pytest.mark.parametrize("genus", [0, 1, 2])
@@ -393,6 +434,65 @@ def test_far_field_tail_check_names_the_node(monkeypatch):
         prod.node_contour_modes()
 
 
+def _lowest_member(prod, k):
+    """The lowest-index node of node k's cluster."""
+    part = prod._clusters()
+    return int(part.members[part.starts[part.of[k]]])
+
+
+def test_proxy_tail_check_names_the_clusters_lowest_node(weight_pipeline,
+                                                         monkeypatch):
+    # at a separation of 1.5 proxy radii a source has q up to 2/3, whose
+    # 32-sample tail is far above half the unit roundoff
+    prod = weight_pipeline[3].product
+    monkeypatch.setattr(products, "NODE_PROXY_RATIO", 1.5)
+    with pytest.raises(RuntimeError, match=r"^proxy circle of node \d+: "
+                       r"Fourier tail bound \S+ at 32 samples exceeds half "
+                       r"the unit roundoff") as err:
+        prod.node_contour_modes()
+    k = int(str(err.value).split()[4].rstrip(":"))
+    assert k == _lowest_member(prod, k)
+
+
+def test_proxy_nan_sample_names_the_clusters_lowest_node(weight_pipeline,
+                                                        monkeypatch):
+    # a nan on the proxy circle of a cluster late in the order: on two
+    # workers its block runs in the second worker, and the error is the
+    # serial one
+    prod = weight_pipeline[3].product
+    part = prod._clusters()
+    seeds = part.seed[_proxy_seeds(prod)]
+    target = prod.z[seeds[3 * seeds.size // 4]]
+    real = CanonicalProduct._field_samples
+    threads = set()
+
+    def poisoned(self, r, zk, mask, unit):
+        vals, bound = real(self, r, zk, mask, unit)
+        if _proxy_call(self, r) and np.any(zk == target):
+            vals[np.flatnonzero(zk == target)[0], 7] = np.nan
+            threads.add(threading.current_thread() is
+                        threading.main_thread())
+        return vals, bound
+
+    monkeypatch.setattr(CanonicalProduct, "_field_samples", poisoned)
+    monkeypatch.setattr(products, "_SAMPLE_PAIRS", 2 ** 12)
+    k = _lowest_member(prod, int(prod.node_index(target)))
+    for workers in (1, 2):
+        monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
+        with pytest.raises(RuntimeError) as err:
+            prod.node_contour_modes()
+        assert str(err.value) == (f"proxy circle of node {k}: a sample is "
+                                  f"nan or inf")
+    assert threads == {True, False}
+
+
+def _proxy_seeds(prod):
+    """The clusters of prod that take a proxy in a contour of every node."""
+    prox = prod._proxies(np.arange(prod.z.size))
+    return np.flatnonzero(np.isin(prod._clusters().seed,
+                                  prod.node_index(prox.centre)))
+
+
 def test_near_field_tail_check_names_the_node(monkeypatch):
     # a neighbour at q = r/|z_n - z_k| = 1/4 leaves a tail of about
     # (1/4)^8 at 8 samples, far above the unit roundoff
@@ -404,17 +504,29 @@ def test_near_field_tail_check_names_the_node(monkeypatch):
         prod.node_contour_modes()
 
 
-def test_node_contour_modes_of_one_node_match_the_full_pass():
-    # a node's modes do not depend on the block it shares with others
-    prod = CanonicalProduct(_LATTICE07, 1)
+def _assert_one_node_bits(prod, ks):
+    # a node's modes do not depend on the block it shares with others, nor
+    # on the other nodes of its cluster being asked for
     res = prod.node_contour_modes()
-    for k in (0, 5, prod.z.size - 1):
+    for k in ks:
         one = prod.node_contour_modes([k])
-        assert one.scale[0] == pytest.approx(res.scale[k], abs=1e-12)
-        assert one.m1[0] == pytest.approx(res.m1[k], abs=1e-13)
-        assert one.m2[0] == pytest.approx(res.m2[k], abs=1e-13)
+        for a, b in zip(one, res):
+            assert np.array_equal(a.view(np.uint8),
+                                  b[k:k + 1].view(np.uint8)), (k, a, b[k])
+
+
+def test_node_contour_modes_of_one_node_match_the_full_pass():
+    prod = CanonicalProduct(_LATTICE07, 1)
+    _assert_one_node_bits(prod, (0, 5, prod.z.size - 1))
     with pytest.raises(IndexError, match="node index 41 out of range"):
         prod.node_contour_modes([41])
+
+
+def test_proxy_members_alone_match_the_full_pass(weight_pipeline):
+    prod = weight_pipeline[3].product
+    ks = np.flatnonzero(np.isin(prod._clusters().of, _proxy_seeds(prod)))
+    assert ks.size > 300
+    _assert_one_node_bits(prod, ks[::60])
 
 
 def test_node_deleted_logs_match_the_single_node_form():

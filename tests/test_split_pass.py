@@ -560,6 +560,29 @@ def test_a_split_residue_contour_forms_its_grids_in_the_calling_thread(
     assert grids and all(grids)
 
 
+def test_a_proxy_stage_over_more_workers_than_cores_loses_no_row(
+        weight_pipeline, monkeypatch):
+    # eight workers over blocks of one cluster write disjoint rows of the
+    # proxies' modes and covered factors; with a thread switch every
+    # microsecond, a lost or misplaced write would show as a changed bit
+    prod = weight_pipeline[3].product
+    nodes = np.arange(prod.z.size)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
+    want = prod._proxies(nodes)
+    rows = _block_rows(monkeypatch, "_field_samples")
+    monkeypatch.setattr(products, "_SAMPLE_PAIRS", 2 ** 11)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 8)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = prod._proxies(nodes)
+    finally:
+        sys.setswitchinterval(old)
+    assert max(rows) == 1 and len(rows) > 16
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
 def test_a_residue_contour_over_more_workers_than_cores_loses_no_row(
         weight_pipeline, monkeypatch):
     # eight workers over blocks of five nodes write disjoint rows of the
