@@ -22,9 +22,7 @@ from .sequences import (SharpnessParams, ZeroSequence, blaschke_sum,
                         condition_report, count_near, generate_radial_geometric,
                         generate_rho_lattice, generate_sharpness,
                         log_integrated_count, rho_density_estimate,
-                        rho_separation, separation_constant,
-                        uniform_density_estimate, uniform_separation_constant,
-                        uniform_separation_log)
+                        rho_separation, sigma_report)
 
 __version__ = "0.1.0"
 
@@ -41,7 +39,6 @@ __all__ = [
     "SharpnessParams", "ZeroSequence", "blaschke_sum", "condition_report",
     "count_near", "generate_radial_geometric", "generate_rho_lattice",
     "generate_sharpness", "log_integrated_count", "rho_density_estimate",
-    "rho_separation", "separation_constant", "uniform_density_estimate",
-    "uniform_separation_constant", "uniform_separation_log",
+    "rho_separation", "sigma_report",
     "__version__",
 ]

@@ -21,16 +21,15 @@ import numpy as np
 
 from . import __version__
 from .numutil import CONTOUR_MAX_POINTS, CONTOUR_START_POINTS, format_float
-from .oscillation import (ResidueCancellationError, build_coefficient,
-                          sample_probes, sharpness_witness)
+from .oscillation import (RESIDUE_TOL, ResidueCancellationError,
+                          build_coefficient, sample_probes, sharpness_witness)
 from .products import (NODE_FAR_SAMPLES, NODE_NEAR_RATIO, NODE_PROXY_MARGIN,
                        NODE_PROXY_RATIO, NODE_PROXY_SAVING)
 from .scales import GrowthScale, WeightPair, weight_to_psi
 from .sequences import (SharpnessParams, ZeroSequence, condition_report,
                         generate_radial_geometric, generate_rho_lattice,
                         generate_sharpness, rho_density_estimate,
-                        rho_separation, separation_constant,
-                        uniform_density_estimate, uniform_separation_log)
+                        rho_separation, sigma_report)
 
 # Numerical design constants in force; echoed into every report.
 DESIGN = {
@@ -45,7 +44,6 @@ DESIGN = {
     "margin_default": 10.0,
 }
 
-RESIDUE_TOL = 1e-6
 ODE_TOL = 1e-5
 
 
@@ -138,8 +136,9 @@ def cmd_gen(args) -> int:
     print(f"wrote {args.out}: {len(seq)} points, "
           f"max modulus {max(abs(z) for z in seq.points):.6f}")
     if len(seq) >= 2:
-        log_us = uniform_separation_log(seq)
-        print(f"separation {separation_constant(seq):.6g}, "
+        sig = sigma_report(seq)
+        log_us = sig.uniform_separation_log
+        print(f"separation {sig.separation:.6g}, "
               f"uniform separation {np.exp(log_us):.6g} (log {log_us:.6g})")
     return 0
 
@@ -161,11 +160,12 @@ def cmd_analyze(args) -> int:
     out["c_hat_n"] = rep.c_hat_n
     out["c_hat_N"] = rep.c_hat_N
     out["psi_tilde_zero_nodes"] = rep.psi_tilde_zero
+    sig = sigma_report(seq, ladder)
     out["uniform_density_ladder"] = [
-        {"r": r, "value": v} for r, v in uniform_density_estimate(seq, ladder)]
+        {"r": r, "value": v} for r, v in sig.density]
     if len(seq) >= 2:
-        out["separation"] = separation_constant(seq)
-        log_us = uniform_separation_log(seq)
+        out["separation"] = sig.separation
+        log_us = sig.uniform_separation_log
         out["uniform_separation"] = float(np.exp(log_us))
         out["uniform_separation_log"] = log_us
     if hasattr(scale, "weight"):

@@ -158,7 +158,7 @@ def choose_exponents(product: CanonicalProduct, targets: TargetData,
         raise ValueError(f"margin must be positive, got {margin!r}")
     if not np.array_equal(targets.zeros.points, product.z):
         raise ValueError("targets are pinned to a different zero sequence")
-    c_hat = targets.bound_constant + product.balance_constant(0.5)
+    c_hat = targets.bound_constant + product.balance_constant()
     n_idx = np.arange(1, product.z.size + 1, dtype=float)
     raw = (margin + c_hat * targets.node_tilde
            + 2.0 * np.log(n_idx + 1.0)) / math.log(2.0)
@@ -294,12 +294,10 @@ class InterpolationSeries:
     def _buffers(self, derivatives: bool):
         """(dtype, count) of the (rows, N) buffers one run of _sums holds:
         the pieces, the factor logs and 1 - w_n (then w_n and the
-        log-derivatives), with three more at genus >= 2 for _poly_part;
-        |z - z_n|, |w_n|, the term logs and with derivatives a spare real;
-        the keep masks, the second of which first holds the exclusion-disc
-        test."""
-        extra = 3 if self.product.genus >= 2 else 0
-        return ((complex, 4 + extra), (float, 4 if derivatives else 3),
+        log-derivatives); |z - z_n|, |w_n|, the term logs and with
+        derivatives a spare real; the keep masks, the second of which first
+        holds the exclusion-disc test."""
+        return ((complex, 4), (float, 4 if derivatives else 3),
                 (bool, 2 if derivatives else 1))
 
     def _pair_bytes(self, derivatives: bool) -> int:
@@ -339,13 +337,13 @@ class InterpolationSeries:
                 for t, k in self._buffers(derivatives)]
         for sl in blocks:
             m = sl.stop - sl.start
-            delta, den, omw, logs, *work = bufs[0][:, :m]
+            delta, den, omw, logs = bufs[0][:, :m]
             ad, aw, re, *spare = bufs[1][:, :m]
             masks = bufs[2][:, :m]
             prod._pieces(pts[sl], out=(delta, den))
             # |1 - w_n| takes the buffer of |z - z_n| until that is formed
             log_p = np.sum(prod._factor_logs(delta, den,
-                                             (logs, omw, ad, *work)), axis=1)
+                                             (logs, omw, ad)), axis=1)
             # the logs are summed: w_n takes their buffer
             w = np.divide(prod._gap2c, den, out=logs)
             np.abs(delta, out=ad)

@@ -67,6 +67,9 @@ class ResidueCancellationError(RuntimeError):
             f"mismatch {mismatch:.3e} exceeds {tol:g}")
 
 
+# largest node residue mismatch (_residue_mismatch) that build_coefficient
+# accepts by default, and the gate that verify reports
+RESIDUE_TOL = 1e-6
 # largest grid of the zero-count circle; the N = 368 rho-lattice at radius
 # 0.9 settles at 4096 points
 WINDING_MAX_POINTS = 2 ** 16
@@ -631,7 +634,7 @@ def _residue_mismatch(product: CanonicalProduct,
 
 def build_coefficient(zeros: ZeroSequence, scale: GrowthScale,
                       margin: float = 10.0, genus: int | None = None,
-                      residue_tol: float = 1e-6,
+                      residue_tol: float = RESIDUE_TOL,
                       exponents=None) -> OscillationBundle:
     """Full pipeline: product -> targets -> series -> residue check.
 

@@ -78,26 +78,15 @@ NODE_PROXY_SAVING = 4096
 _SAMPLE_PAIRS = 2 ** 14
 
 
-def _poly_part(w, s: int, work=()):
-    """w + w^2/2 + ... + w^s/s, elementwise (zeros for s = 0).  work, when
-    given, is three complex arrays of w's shape: the powers, the quotients
-    and the sum, which is returned (at s = 0 the scalar 0, which adds as
-    the zeros do)."""
+def _poly_part(w, s: int):
+    """w + w^2/2 + ... + w^s/s, elementwise (zeros for s = 0)."""
     w = np.asarray(w, dtype=complex)
     if s == 0:
-        return 0.0 if work else np.zeros_like(w)
-    if s == 1 or not work:
-        acc = pw = w
-        for j in range(2, s + 1):
-            pw = pw * w
-            acc = acc + pw / j
-        return acc
-    pw, q, acc = work
-    np.multiply(w, w, out=pw)
-    np.add(w, np.divide(pw, 2, out=q), out=acc)
-    for j in range(3, s + 1):
-        pw *= w
-        acc += np.divide(pw, j, out=q)
+        return np.zeros_like(w)
+    acc = pw = w
+    for j in range(2, s + 1):
+        pw = pw * w
+        acc = acc + pw / j
     return acc
 
 
@@ -290,18 +279,16 @@ class CanonicalProduct:
                      out=()) -> np.ndarray:
         """Per-factor principal logs from the pieces (delta, den) of every
         factor.  out, when given, is buffers of the pieces' shape: the logs
-        (returned), 1 - w_n and |1 - w_n| (real), and at genus >= 2 the
-        three of _poly_part.
+        (returned), 1 - w_n and |1 - w_n| (real).
 
         Exact zeros produce -inf entries; callers mask as appropriate.
         """
-        logs, omw, mod, *work = out or (None, None, None)
+        logs, omw, mod = out or (None, None, None)
         omw = np.multiply(-self._zc, delta, out=omw)
         omw /= den
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = clog(omw, logs, mod)
-            logs += _poly_part(np.subtract(1.0, omw, out=omw), self.genus,
-                               work)
+            logs += _poly_part(np.subtract(1.0, omw, out=omw), self.genus)
             i = self._origin_idx
             if i is not None:
                 logs[..., i] = clog(delta[..., i])
@@ -375,25 +362,19 @@ class CanonicalProduct:
         self.require_outside_exclusion(arr)
         return like_input(self._raw_log_eval(arr), z)
 
-    def eval(self, z):
-        arr = disc_points(z)
-        vals = np.exp(self._raw_log_eval(arr))
-        vals[self.node_index(arr) >= 0] = 0.0
-        return like_input(vals, z)
-
-    def _node_rows(self, blocks, ratio: float, out: NodePass):
-        """Rows of out (_node_pass; balance radii ratio (1 - |z_k|)) for the
-        node blocks, from one set of pieces and one 1 - w_n(z_k) per block,
-        each value by the operations of its own former pass
-        (tests/references.py).  At most four of a block's complex matrices
-        live at once: the targets reuse the pieces' memory."""
+    def _node_rows(self, blocks, out: NodePass):
+        """Rows of out (_node_pass) for the node blocks, from one set of
+        pieces and one 1 - w_n(z_k) per block, each value by the operations
+        of its own former pass (tests/references.py).  At most four of a
+        block's complex matrices live at once: the targets reuse the
+        pieces' memory."""
         s, zc, i = self.genus, self._zc, self._origin_idx
         for sl in blocks:
             delta, den = self._pieces(self.z[sl])
             diag = np.eye(len(delta), self.z.size, sl.start, dtype=bool)
             # balance: N_{z_k}(r) from the distances |z_k - z_n|
             out.count[sl] = near_counts(np.abs(delta),
-                                        ratio * self._gap[sl, None])[1]
+                                        0.5 * self._gap[sl, None])[1]
             w = np.divide(self._gap2c, den)  # w_n(z_k)
             aw = np.abs(w)
             aw **= s + 1
@@ -430,10 +411,10 @@ class CanonicalProduct:
             out.zeroed[sl] = np.sum(logs, axis=1)
             del logs, omw
 
-    def _node_pass(self, delta: float = 0.5) -> NodePass:
+    def _node_pass(self) -> NodePass:
         """Every node's targets, logs and balance terms from one blocked
-        nodes x nodes pass (_node_rows under map_blocks), cached read-only
-        for delta = 0.5, the balance radius of the exponent rule.
+        nodes x nodes pass (_node_rows under map_blocks), run once per
+        product and cached read-only.
 
         targets: b_k = -P''(z_k)/(2 P'(z_k)), the sum over n != k of dlog
         E_n = -u_n w_n^(s+1)/(1 - w_n), u_n = conj(z_n)/(1 - conj(z_n) z),
@@ -442,22 +423,22 @@ class CanonicalProduct:
         n != k of log E_n(z_k); zeroed: the same N logs summed with 0 on
         the diagonal (InterpolationSeries._node_terms).  log_dp: log
         P'(z_k) = deleted + H_s + log(-conj(z_k)/(1 - |z_k|^2)), deleted
-        alone at the origin.  count: N_{z_k}(delta (1 - |z_k|)), and rhs:
-        sum_n |w_n(z_k)|^(s+1) (balance_checks)."""
-        if delta == 0.5 and self._nodes is not None:
+        alone at the origin.  count: N_{z_k}((1 - |z_k|)/2), at the balance
+        radius of the exponent rule, and rhs: sum_n |w_n(z_k)|^(s+1)
+        (balance_checks)."""
+        if self._nodes is not None:
             return self._nodes
         n, s = self.z.size, self.genus
         out = NodePass(*np.empty((4, n), dtype=complex), *np.zeros((2, n)))
-        map_blocks(lambda run: self._node_rows(run, delta, out), n, n)
+        map_blocks(lambda run: self._node_rows(run, out), n, n)
         out.targets[:] -= (s + 1) * self._zc / self._gap2
         h_s = sum(1.0 / j for j in range(1, s + 1))
         with np.errstate(divide="ignore"):
             out.log_dp[:] = out.deleted + h_s + np.log(-self._zc / self._gap2)
         np.copyto(out.log_dp, out.deleted, where=self.z == 0.0)
-        if delta == 0.5:
-            for arr in out:
-                arr.flags.writeable = False
-            self._nodes = out
+        for arr in out:
+            arr.flags.writeable = False
+        self._nodes = out
         return out
 
     def node_deleted_logs(self) -> np.ndarray:
@@ -932,21 +913,19 @@ class CanonicalProduct:
 
     # -- diagnostics -------------------------------------------------------
 
-    def balance_checks(self, delta: float = 0.5):
+    def balance_checks(self):
         """(lhs, rhs) of the deleted-product / integrated-count balance at
         every node, as two arrays, from the node pass (_node_pass):
 
-            lhs_k = | log|B_k(z_k)| + N_{z_k}(delta (1 - |z_k|)) |,
+            lhs_k = | log|B_k(z_k)| + N_{z_k}((1 - |z_k|)/2) |,
             rhs_k = sum_n |(1 - |z_n|^2)/(1 - conj(z_n) z_k)|^(s+1).
 
         The ratio lhs/rhs over nodes estimates the balance constant.  Every
         entry equals the single-node form bit for bit."""
-        if not (0.0 < delta <= 1.0):
-            raise ValueError("delta must lie in (0, 1]")
-        nodes = self._node_pass(delta)
+        nodes = self._node_pass()
         return np.abs(nodes.deleted.real + nodes.count), nodes.rhs.copy()
 
-    def balance_constant(self, delta: float = 0.5) -> float:
+    def balance_constant(self) -> float:
         """Largest lhs/rhs of balance_checks over the nodes (0 for none)."""
-        lhs, rhs = self.balance_checks(delta)
+        lhs, rhs = self.balance_checks()
         return float(np.max(lhs / rhs)) if lhs.size else 0.0

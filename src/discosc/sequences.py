@@ -5,6 +5,12 @@ A ZeroSequence is a finite multiset-free list of distinct disc points kept
 sorted by modulus.  Generators attach their parameters (and closed-form
 tail information where available) to the sequence metadata so downstream
 reports can echo them.
+
+The estimators are blocked row reductions over numutil.slices, so none
+forms an N x N matrix.  sigma_report takes the separation, the uniform
+separation and the uniform density from one pass of the pseudohyperbolic
+distance; rho_separation, rho_density_estimate and condition_report take
+Euclidean distances.
 """
 
 from __future__ import annotations
@@ -30,10 +36,8 @@ __all__ = [
     "generate_rho_lattice",
     "count_near",
     "log_integrated_count",
-    "separation_constant",
-    "uniform_separation_constant",
-    "uniform_separation_log",
-    "uniform_density_estimate",
+    "SigmaReport",
+    "sigma_report",
     "rho_density_estimate",
     "rho_separation",
     "blaschke_sum",
@@ -320,54 +324,7 @@ def near_counts(dist: np.ndarray, r: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# separation
-
-
-def _pair_minimum(n: int, pair_values) -> float:
-    """Smallest value over the pairs i < j of n points, one block of rows
-    at a time: pair_values(sl) gives the values of the rows sl against the
-    points sl.start, sl.start + 1, ...."""
-    best = math.inf
-    for sl in slices(n, n):
-        vals = pair_values(sl)
-        vals[np.tri(*vals.shape, dtype=bool)] = math.inf  # the pairs j <= i
-        best = min(best, float(np.min(vals)))
-    return best
-
-
-def separation_constant(seq: ZeroSequence) -> float:
-    """Smallest pairwise pseudohyperbolic distance."""
-    if len(seq) < 2:
-        raise ValueError("separation needs at least two points")
-    z = seq.points
-    return _pair_minimum(z.size, lambda sl: pseudo_distance(
-        z[sl, None], z[None, sl.start:]))
-
-
-def uniform_separation_constant(seq: ZeroSequence) -> float:
-    """inf_j prod_{n != j} sigma(z_n, z_j), the exp of
-    uniform_separation_log; 0 where that log lies below about -745."""
-    return float(np.exp(uniform_separation_log(seq)))
-
-
-def uniform_separation_log(seq: ZeroSequence) -> float:
-    """log inf_j prod_{n != j} sigma(z_n, z_j), the smallest row sum of
-    log sigma: finite where the constant underflows binary64, as it does
-    on the rho-lattices from N = 6258 on."""
-    if len(seq) < 2:
-        raise ValueError("uniform separation needs at least two points")
-    z = seq.points
-    sums = np.empty(z.size)
-    for sl in slices(z.size, z.size):
-        with np.errstate(divide="ignore"):
-            logs = np.log(pseudo_distance(z[sl, None], z[None, :]))
-        logs[np.arange(len(logs)), np.arange(sl.start, sl.stop)] = 0.0
-        sums[sl] = np.sum(logs, axis=1)
-    return float(np.min(sums))
-
-
-# ---------------------------------------------------------------------------
-# densities
+# separation and densities
 
 
 def _boundary_grid(n_radii: int, n_angles: int,
@@ -380,33 +337,59 @@ def _boundary_grid(n_radii: int, n_angles: int,
     return (radii[:, None] * np.exp(1j * th[None, :])).ravel()
 
 
-def uniform_density_estimate(seq: ZeroSequence, r_ladder):
-    """Finite-r lower estimates of the uniform (Seip-type) density.
+class SigmaReport(NamedTuple):
+    """The pseudohyperbolic estimators of sigma_report."""
+    separation: float
+    uniform_separation_log: float
+    density: list
 
-    For each r in the ladder returns
-    sup_z sum_{1/2 < sigma(z, z_j) < r} log(1/sigma) / log(1/(1-r)),
-    the sup running over the sequence itself plus a boundary-accumulating
-    polar grid of 32 radii and 64 angles.  Values at moderate r understate
-    the r -> 1 limit; the ladder is reported as-is rather than
+
+def sigma_report(seq: ZeroSequence, r_ladder=()) -> SigmaReport:
+    """The estimators of the pseudohyperbolic distance sigma from one
+    blocked pass of sigma over the sequence's rows, and with a ladder the
+    rows of a boundary-accumulating polar grid of 32 radii and 64 angles.
+
+    separation: the smallest sigma(z_i, z_j) over the pairs i < j (inf for
+    one point).  uniform_separation_log: log inf_j prod_{n != j} sigma(z_n,
+    z_j), the smallest row sum of log sigma (0 for one point), finite
+    where the constant underflows binary64, as it does on the rho-lattices
+    from N = 6258 on.  density: (r, value) for each r of r_ladder, the
+    finite-r lower estimate of the uniform (Seip-type) density
+    sup_z sum_{1/2 < sigma(z, z_j) < r} log(1/sigma) / log(1/(1-r)), the
+    sup running over the sequence and the grid.  Values at moderate r
+    understate the r -> 1 limit; the ladder is reported as-is rather than
     extrapolated.
     """
     r_ladder = list(r_ladder)
-    if not r_ladder:
-        raise ValueError("density ladder is empty")
     for r in r_ladder:
         if not (0.5 < r < 1.0):
             raise ValueError("density ladder radii must lie in (1/2, 1)")
-    centers = np.concatenate([seq.points, _boundary_grid(32, 64)])
-    sums = np.empty((len(r_ladder), centers.size))
-    for sl in slices(centers.size, len(seq)):
-        sig = pseudo_distance(centers[sl, None], seq.points[None, :])
-        # the radii share the sigma > 1/2 test: -log sigma there, else 0
+    z = seq.points
+    n = z.size
+    centres = np.concatenate([z, _boundary_grid(32, 64)]) if r_ladder else z
+    sep, row_logs = math.inf, np.empty(n)
+    dens = np.empty((len(r_ladder), centres.size))
+    for sl in slices(centres.size, n):
+        sig = pseudo_distance(centres[sl, None], z[None, :])
         with np.errstate(divide="ignore"):
-            neglog = np.where(sig > 0.5, -np.log(sig), 0.0)
-        for j, r in enumerate(r_ladder):
-            sums[j, sl] = np.sum(np.where(sig < r, neglog, 0.0), axis=1)
-    return [(float(r), float(np.max(s) / math.log(1.0 / (1.0 - r))))
-            for r, s in zip(r_ladder, sums)]
+            logs = np.log(sig)
+        k = max(0, min(sl.stop, n) - sl.start)  # the block's sequence rows
+        if k:
+            pairs = sig[:k, sl.start:]
+            above = ~np.tri(*pairs.shape, dtype=bool)  # the pairs j > i
+            sep = min(sep, float(np.min(pairs, initial=math.inf,
+                                        where=above)))
+            logs[np.arange(k), np.arange(sl.start, sl.start + k)] = 0.0
+            row_logs[sl.start:sl.start + k] = np.sum(logs[:k], axis=1)
+        if r_ladder:
+            # the radii share the sigma > 1/2 test: -log sigma there, else 0
+            neglog = np.where(sig > 0.5, -logs, 0.0)
+            for j, r in enumerate(r_ladder):
+                dens[j, sl] = np.sum(np.where(sig < r, neglog, 0.0), axis=1)
+    return SigmaReport(
+        sep, float(np.min(row_logs, initial=0.0)),
+        [(float(r), float(np.max(s) / math.log(1.0 / (1.0 - r))))
+         for r, s in zip(r_ladder, dens)])
 
 
 def rho_density_estimate(seq: ZeroSequence, rho, R_ladder):
@@ -450,9 +433,14 @@ def rho_separation(seq: ZeroSequence, rho) -> float:
     rad = np.asarray(rho(np.abs(z)), dtype=float)
     if np.any(rad <= 0.0):
         raise ValueError("rho must be positive on the sequence moduli")
-    return _pair_minimum(z.size, lambda sl: (
-        np.abs(z[sl, None] - z[None, sl.start:])
-        / np.minimum(rad[sl, None], rad[None, sl.start:])))
+    best = math.inf
+    for sl in slices(z.size, z.size):
+        # the rows sl against the points sl.start, sl.start + 1, ...
+        vals = (np.abs(z[sl, None] - z[None, sl.start:])
+                / np.minimum(rad[sl, None], rad[None, sl.start:]))
+        vals[np.tri(*vals.shape, dtype=bool)] = math.inf  # the pairs j <= i
+        best = min(best, float(np.min(vals)))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def test_03_derivative_at_zero_contour_identity(geo100, sharp6):
 def test_04_index_constant_stable_under_doubling(geo100):
     # C(1/2, 1) = max_k lhs/rhs of the deleted-product balance inequality
     half = generate_radial_geometric(0.8, 50)
-    c50 = CanonicalProduct(half, 1).balance_constant(0.5)
-    c100 = CanonicalProduct(geo100, 1).balance_constant(0.5)
+    c50 = CanonicalProduct(half, 1).balance_constant()
+    c100 = CanonicalProduct(geo100, 1).balance_constant()
     assert np.isfinite(c50) and np.isfinite(c100)
     assert 0.8 <= c100 / c50 <= 1.2
 

@@ -13,7 +13,7 @@ import pytest
 
 from discosc import (CanonicalProduct, ResidueCancellationError, ZeroSequence,
                      build_coefficient, cli, numutil, oscillation, products,
-                     uniform_separation_constant, uniform_separation_log)
+                     sequences, sigma_report)
 
 
 def test_gen_geometric_writes_sequence(tmp_path, capsys):
@@ -26,9 +26,32 @@ def test_gen_geometric_writes_sequence(tmp_path, capsys):
     assert "8 points" in out
     # the uniform separation with its log, which stays finite where the
     # value underflows
-    sep = ZeroSequence.load(path)
-    assert (f"uniform separation {uniform_separation_constant(sep):.6g} "
-            f"(log {uniform_separation_log(sep):.6g})") in out
+    sig = sigma_report(ZeroSequence.load(path))
+    log_us = sig.uniform_separation_log
+    assert (f"separation {sig.separation:.6g}, uniform separation "
+            f"{math.exp(log_us):.6g} (log {log_us:.6g})") in out
+
+
+def test_gen_and_analyze_each_take_one_pass_of_sigma(tmp_path, monkeypatch):
+    # gen forms sigma on the set's rows once, and analyze on those and the
+    # 32 x 64 rows of the density grid
+    rows = []
+    real = sequences.pseudo_distance
+
+    def recorded(z, w):
+        rows.append(len(z))
+        return real(z, w)
+
+    monkeypatch.setattr(sequences, "pseudo_distance", recorded)
+    path = tmp_path / "lat.json"
+    assert cli.main(["gen", "rho-lattice", "--spacing", "0.8", "--rmax",
+                     "0.9", "--out", str(path)]) == 0
+    n = len(ZeroSequence.load(path))
+    assert n == 368 and sum(rows) == n
+    rows.clear()
+    assert cli.main(["analyze", "--sequence", str(path), "--scale",
+                     "weight-log:2", "--out", str(tmp_path / "an")]) == 0
+    assert sum(rows) == n + 32 * 64
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -130,6 +153,19 @@ def test_analyze_weight_scale_adds_rho_report(tmp_path):
         math.exp(rep["uniform_separation_log"]), rel=1e-15)
 
 
+def test_analyze_of_one_point_writes_the_density_ladder_alone(tmp_path):
+    seq = tmp_path / "one.json"
+    ZeroSequence(np.array([0.5j])).save(seq)
+    assert cli.main(["analyze", "--sequence", str(seq), "--scale", "log",
+                     "--out", str(tmp_path / "one")]) == 0
+    rep = json.loads((tmp_path / "one.json").read_text())
+    ladder = rep["uniform_density_ladder"]
+    assert [row["r"] for row in ladder] == [0.9, 0.95, 0.99]
+    assert all(0.0 < row["value"] < math.inf for row in ladder)
+    assert not {"separation", "uniform_separation",
+                "uniform_separation_log"} & set(rep)
+
+
 def test_analyze_is_deterministic_across_out_paths(tmp_path):
     seq = _gen_geo(tmp_path, count=8)
     cli.main(["analyze", "--sequence", str(seq), "--scale", "log",
@@ -174,6 +210,16 @@ def test_verify_passes_on_geometric(tmp_path, capsys):
     assert numutil.CONTOUR_START_POINTS < points <= numutil.CONTOUR_MAX_POINTS
     assert "carleson_measurement" not in rep
     assert "verification: PASS" in capsys.readouterr().out
+
+
+def test_verify_reports_the_residue_gate_of_the_build(tmp_path):
+    seq = _gen_geo(tmp_path)
+    assert cli.main(["verify", "--sequence", str(seq), "--scale", "log",
+                     "--samples", "3", "--out", str(tmp_path / "v")]) == 0
+    rep = json.loads((tmp_path / "v.json").read_text())
+    gate = inspect.signature(build_coefficient).parameters["residue_tol"]
+    assert rep["checks"]["residue_cancellation"]["tol"] == gate.default
+    assert gate.default is oscillation.RESIDUE_TOL
 
 
 def test_verify_counts_zeros_near_the_probe_limit(tmp_path):

@@ -72,7 +72,7 @@ def test_exponent_rule():
     prod = CanonicalProduct(seq, 1)
     targets = targets_from_product(prod, LOG)
     exps = choose_exponents(prod, targets, margin=10.0)
-    c_hat = targets.bound_constant + prod.balance_constant(0.5)
+    c_hat = targets.bound_constant + prod.balance_constant()
     gaps = seq.gaps()
     tilde = np.asarray([LOG.psi_tilde(1.0 / g) for g in gaps])
     n_idx = np.arange(1, len(seq) + 1, dtype=float)

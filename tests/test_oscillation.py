@@ -277,7 +277,7 @@ def test_eval_coefficient_shapes():
     bun = build_coefficient(ONE, LOG)
     grid = np.array([[0.1, 0.2j], [-0.2, 0.15 + 0.1j]])
     sums = bun.product.log_derivative_sums
-    for fn in (bun.eval_coefficient, bun.product.log_eval, bun.product.eval,
+    for fn in (bun.eval_coefficient, bun.product.log_eval,
                lambda z: sums(z)[0], lambda z: sums(z)[1],
                bun.gprime.evaluate_derivative, bun.log_solution,
                bun.eval_solution, bun.g):

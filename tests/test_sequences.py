@@ -13,9 +13,7 @@ from discosc import (GrowthScale, SharpnessParams, WeightPair, ZeroSequence,
                      condition_report, count_near, generate_radial_geometric,
                      generate_rho_lattice, generate_sharpness,
                      log_integrated_count, numutil, rho_density_estimate,
-                     rho_separation, separation_constant, sequences,
-                     uniform_density_estimate, uniform_separation_constant,
-                     uniform_separation_log, weight_to_psi)
+                     rho_separation, sequences, sigma_report, weight_to_psi)
 from discosc.sequences import _duplicate_pairs
 
 import references
@@ -85,28 +83,32 @@ def test_separation_constant_geometric():
     # consecutive pseudo-distance is (1-q)/(1+q-q^{k+1}), smallest at the
     # deepest pair of the truncation
     seq = generate_radial_geometric(0.5, 5)
-    assert separation_constant(seq) == pytest.approx(0.5 / (1.5 - 0.5 ** 5),
-                                                     rel=1e-13)
+    assert sigma_report(seq).separation == pytest.approx(
+        0.5 / (1.5 - 0.5 ** 5), rel=1e-13)
 
 
 def test_uniform_separation_two_points():
-    two = ZeroSequence(np.array([0.25, 0.5], dtype=complex), label="pair")
-    assert uniform_separation_constant(two) == pytest.approx(2.0 / 7.0,
-                                                             rel=1e-13)
-    assert uniform_separation_constant(two) <= separation_constant(two)
+    two = sigma_report(ZeroSequence(np.array([0.25, 0.5], dtype=complex),
+                                    label="pair"))
+    uniform = math.exp(two.uniform_separation_log)
+    assert uniform == pytest.approx(2.0 / 7.0, rel=1e-13)
+    assert uniform <= two.separation
+    # one point: the empty minimum and the empty sum
+    one = sigma_report(ZeroSequence(np.array([0.5j])))
+    assert one.separation == math.inf and one.uniform_separation_log == 0.0
 
 
 def test_uniform_separation_log_where_the_constant_underflows():
     # 300 points 2e-4 apart on a small circle: each row sums about 300
     # logs near -8, far below the -745 where exp underflows
     seq = ZeroSequence(0.3 + 0.01 * np.exp(2j * np.pi * np.arange(300) / 300))
-    log = uniform_separation_log(seq)
+    log = sigma_report(seq).uniform_separation_log
     assert -3000.0 < log < -1000.0
     assert log == references.uniform_separation_log(seq)
-    assert uniform_separation_constant(seq) == 0.0
+    assert np.exp(log) == 0.0
     two = ZeroSequence(np.array([0.25, 0.5], dtype=complex))
-    assert uniform_separation_log(two) == pytest.approx(math.log(2.0 / 7.0),
-                                                        rel=1e-13)
+    assert sigma_report(two).uniform_separation_log == pytest.approx(
+        math.log(2.0 / 7.0), rel=1e-13)
 
 
 def test_counting_functions_small_sequence():
@@ -223,18 +225,19 @@ def test_rho_separation_two_points():
 
 def test_uniform_density_geometric_bounded():
     seq = generate_radial_geometric(0.5, 30)
-    table = uniform_density_estimate(seq, [0.9, 0.99, 0.999])
+    table = sigma_report(seq, [0.9, 0.99, 0.999]).density
     vals = [v for _, v in table]
     assert all(0.0 < v < 2.0 for v in vals)
     assert vals[2] < vals[0]
 
 
 def test_uniform_density_ladder_validation():
+    # an empty ladder is the pass without the grid, as gen takes it
     seq = generate_radial_geometric(0.5, 10)
-    with pytest.raises(ValueError):
-        uniform_density_estimate(seq, [])
-    with pytest.raises(ValueError):
-        uniform_density_estimate(seq, [0.4, 0.9])
+    assert sigma_report(seq, []) == sigma_report(seq)
+    assert sigma_report(seq).density == []
+    with pytest.raises(ValueError, match=r"lie in \(1/2, 1\)"):
+        sigma_report(seq, [0.4, 0.9])
 
 
 # -- the estimators over blocks of rows ---------------------------------------
@@ -269,14 +272,24 @@ def _record_slices(monkeypatch):
     return rows
 
 
-def _estimates(module, seq):
-    """The blocked estimators of module (sequences or references)."""
-    return (module.separation_constant(seq),
-            module.uniform_separation_constant(seq),
-            module.uniform_separation_log(seq),
-            module.uniform_density_estimate(seq, [0.9, 0.95, 0.99]),
-            module.rho_density_estimate(seq, _RHO, [0.5, 0.75, 1.0]),
-            module.rho_separation(seq, _RHO))
+def _estimates(seq):
+    """The blocked estimators: sigma_report's fields with a ladder and
+    without, and the two rho estimators."""
+    with_ladder = sigma_report(seq, [0.9, 0.95, 0.99])
+    return (*with_ladder, *sigma_report(seq)[:2],
+            rho_density_estimate(seq, _RHO, [0.5, 0.75, 1.0]),
+            rho_separation(seq, _RHO))
+
+
+def _references(seq):
+    """The full-matrix forms of _estimates."""
+    sigma = (references.separation_constant(seq),
+             references.uniform_separation_log(seq))
+    return (*sigma,
+            references.uniform_density_estimate(seq, [0.9, 0.95, 0.99]),
+            *sigma, references.rho_density_estimate(seq, _RHO,
+                                                    [0.5, 0.75, 1.0]),
+            references.rho_separation(seq, _RHO))
 
 
 def _bits(x):
@@ -287,17 +300,18 @@ def _bits(x):
 def test_blocked_estimators_equal_their_full_matrix_forms(
         estimator_sets, monkeypatch, name):
     seq = estimator_sets[name]
-    want = _estimates(references, seq)
+    want = _references(seq)
     counts = [(count_near(seq, z, r), log_integrated_count(seq, z, r))
               for z, r in zip(seq.points, 0.5 * seq.gaps())]
     rows = _record_slices(monkeypatch)
     for pairs in (2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14, 2 ** 15):
         monkeypatch.setattr(numutil, "_BLOCK_PAIRS", pairs)
         rows.clear()
-        got = _estimates(sequences, seq)
+        got = _estimates(seq)
         table = condition_report(seq, _SCALE).table
-        for field, a, b in zip(("separation", "uniform separation",
-                                "uniform separation log", "uniform density",
+        for field, a, b in zip(("separation", "uniform separation log",
+                                "uniform density", "separation, no ladder",
+                                "uniform separation log, no ladder",
                                 "rho density", "rho separation"), got, want):
             assert _bits(a) == _bits(b), (pairs, field)
         assert [(r["count"], r["integrated"]) for r in table] == counts
@@ -310,11 +324,9 @@ def test_estimators_hold_no_matrix_of_the_set_at_n_2686():
     # the full-matrix forms peak at 197-485 MB here (tracemalloc)
     seq = generate_rho_lattice(_RHO, 0.3, 0.9)
     assert len(seq) == 2686
-    calls = {"separation_constant": lambda: separation_constant(seq),
-             "uniform_separation_constant":
-                 lambda: uniform_separation_constant(seq),
-             "uniform_density_estimate":
-                 lambda: uniform_density_estimate(seq, [0.9, 0.95, 0.99]),
+    calls = {"sigma_report": lambda: sigma_report(seq),
+             "sigma_report with a ladder":
+                 lambda: sigma_report(seq, [0.9, 0.95, 0.99]),
              "rho_density_estimate":
                  lambda: rho_density_estimate(seq, _RHO, [0.5, 0.75, 1.0]),
              "rho_separation": lambda: rho_separation(seq, _RHO),

@@ -97,7 +97,7 @@ def _block_rows(monkeypatch, name="_pieces"):
 @pytest.fixture(scope="module")
 def sharp14_genus3():
     # sharpness(1, 1, 14) under log-power:3 takes genus 1; at genus 3 the
-    # factor logs take _poly_part's buffers
+    # factor logs add _poly_part's two powers
     return build_coefficient(generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
                              GrowthScale.log_power(3.0), genus=3)
 
@@ -354,17 +354,17 @@ def _series(request, name):
     return request.getfixturevalue("sharp14_series")
 
 
-def _node_values(series, deltas):
+def _node_values(series):
     """The four per-node passes of a build from a fresh product on the
-    series' nodes (so its node pass runs anew), and balance_checks at each
-    delta: targets, deleted logs, the series at the nodes (value and the
-    two parts of _node_terms) and (lhs, rhs) per delta."""
+    series' nodes (so its node pass runs anew), and balance_checks:
+    targets, deleted logs, the series at the nodes (value and the two
+    parts of _node_terms) and (lhs, rhs)."""
     prod = CanonicalProduct(series.product.zeros, series.product.genus)
     fresh = InterpolationSeries(prod, series.targets, series.exponents)
     k = np.arange(prod.z.size)
     return (node_targets(prod), prod.node_deleted_logs(),
             fresh.evaluate(prod.z), *fresh._node_terms(k),
-            *(x for d in deltas for x in prod.balance_checks(d)))
+            *prod.balance_checks())
 
 
 @pytest.mark.parametrize("name", ["lattice368", "geo50", "sharp14"])
@@ -372,23 +372,20 @@ def test_node_pass_equals_the_four_passes_at_any_block_size_and_worker_count(
         request, monkeypatch, name):
     series = _series(request, name)
     prod = series.product
-    deltas = (0.25, 0.5, 1.0)
     k = np.arange(prod.z.size)
     terms = references.node_terms_pass(series, k)
     want = (references.node_targets_pass(prod),
             references.node_deleted_logs_pass(prod),
             _unscale(0.0, *terms, "value"), *terms,
-            *(x for d in deltas
-              for x in references.balance_checks_pass(prod, d)))
-    fields = ("targets", "deleted", "h", "re t", "phase",
-              *(f"{side} {d}" for d in deltas for side in ("lhs", "rhs")))
+            *references.balance_checks_pass(prod))
+    fields = ("targets", "deleted", "h", "re t", "phase", "lhs", "rhs")
     rows = _block_rows(monkeypatch)
     for pairs in (2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14, 2 ** 15):
         monkeypatch.setattr(numutil, "_BLOCK_PAIRS", pairs)
         for workers in (1, 2):
             monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
             rows.clear()
-            got = _node_values(series, deltas)
+            got = _node_values(series)
             assert 0 < max(rows) <= min(512, pairs // prod.z.size), pairs
             for field, a, b in zip(fields, got, want):
                 assert _same_bits(a, b), (pairs, workers, field)
@@ -411,10 +408,10 @@ def test_the_node_pass_runs_once_and_hands_out_no_writable_cache(
     runs = []
     node_rows = CanonicalProduct._node_rows
 
-    def recorded(self, slices, ratio, out):
+    def recorded(self, slices, out):
         slices = list(slices)
-        runs.extend([ratio] * len(slices))
-        return node_rows(self, slices, ratio, out)
+        runs.extend(slices)
+        return node_rows(self, slices, out)
 
     monkeypatch.setattr(CanonicalProduct, "_node_rows", recorded)
     monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
@@ -422,15 +419,10 @@ def test_the_node_pass_runs_once_and_hands_out_no_writable_cache(
     series = InterpolationSeries(prod, bundle.targets,
                                  bundle.gprime.exponents)
     series.evaluate(prod.z)
-    prod.balance_constant(0.5)
+    prod.balance_constant()
+    prod.balance_checks()
     prod.node_contour_modes(np.arange(3))
-    blocks = len(runs)
-    assert blocks == len(list(numutil.slices(prod.z.size, prod.z.size)))
-    # another balance radius runs the pass again, uncached
-    prod.balance_checks(0.25)
-    prod.balance_checks(0.25)
-    assert len(runs) == 3 * blocks
-    assert set(runs[:blocks]) == {0.5} and set(runs[blocks:]) == {0.25}
+    assert runs == list(numutil.slices(prod.z.size, prod.z.size))
     targets[0] = 0.0
     assert node_targets(prod)[0] != 0.0
     for arr in prod._node_pass():
@@ -447,12 +439,12 @@ def test_a_node_pass_over_more_workers_than_cores_loses_no_row(
     series = weight_pipeline[3].gprime
     monkeypatch.setattr(numutil, "_BLOCK_PAIRS", 2 ** 13)
     monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
-    want = _node_values(series, (0.5,))
+    want = _node_values(series)
     monkeypatch.setattr(numutil, "_worker_count", lambda: 8)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _node_values(series, (0.5,))
+        got = _node_values(series)
     finally:
         sys.setswitchinterval(old)
     for a, b in zip(got, want):
