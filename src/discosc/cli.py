@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .numutil import CONTOUR_MAX_POINTS, CONTOUR_START_POINTS, format_float
+from .numutil import CONTOUR_MAX_POINTS, CONTOUR_START_POINTS
 from .oscillation import (RESIDUE_TOL, ResidueCancellationError,
                           build_coefficient, sample_probes, sharpness_witness)
 from .products import (NODE_FAR_SAMPLES, NODE_NEAR_RATIO, NODE_PROXY_MARGIN,
@@ -84,13 +84,18 @@ def _write_json(obj: dict, path: str | None) -> None:
 
 
 def _write_csv(header: list[str], rows: list[list], path: str | None) -> None:
-    def cell(v):
-        if isinstance(v, float):
-            return format_float(v)
-        return str(v)
-
+    """Each row through one str.format template per sequence of cell
+    types: a float cell takes 17 significant digits, any other cell its
+    str."""
     lines = [",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
+    templates = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(
+                "{:.17g}" if issubclass(t, float) else "{}" for t in kinds)
+        lines.append(template.format(*row))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)

@@ -22,7 +22,7 @@ _CHUNK = 512
 # 512 KB, which stays in cache where a (512, N) one leaves it for N in the
 # hundreds
 _BLOCK_PAIRS = 2 ** 15
-# most threads one pass is split over (see map_blocks)
+# most threads one pass is split over (see map_blocks and map_work)
 _MAX_WORKERS = 2
 # buffer bytes per worker block of a split pass that allocates its buffers
 # once per run (the series derivative pass; see slices): the two runs'
@@ -138,8 +138,8 @@ def slices(size: int, n: int, workers: int = 1, pairs: int | None = None,
            pair_bytes: int | None = None):
     """Slices of size rows of a pass over n columns.  A serial block holds
     at most _CHUNK rows and the pass's budget of pairs (_BLOCK_PAIRS by
-    default, products._SAMPLE_PAIRS for the exclusion-circle samples), one
-    row past that many columns, and a worker's block 1/workers of that, so
+    default, products._SAMPLE_PAIRS for the proxies' near-factor search),
+    one row past that many columns, and a worker's block 1/workers of that, so
     the blocks of all workers hold no more than one serial block.  A pass
     whose runs allocate their buffers once gives pair_bytes, the bytes of
     those buffers per pair: its worker blocks then hold up to _SPLIT_BYTES
@@ -170,22 +170,71 @@ def map_blocks(fn, size: int, n: int, pairs: int | None = None,
 
     With w = _worker_count() workers and at least two of slices(size, n,
     w, pairs, pair_bytes)'s blocks per worker, those blocks are cut into w
-    contiguous runs: the calling thread runs fn on the first, and one
-    thread each on the others.  Otherwise fn(slices(size, n, pairs=pairs))
-    runs in the calling thread alone.  fn must write only the rows of its
-    own blocks, enter the np.errstate it needs itself (numpy's error state
-    is per thread), and call nothing that bench/tracer.py wraps (its span
-    stack assumes one thread).  Every run ends before this returns or
-    raises; an error reaches the caller as the serial pass raises it, the
-    one of the first failing run in block order."""
+    runs of as many blocks each, which _run_split hands to the threads.
+    Otherwise fn(slices(size, n, pairs=pairs)) runs in the calling thread
+    alone.  fn must write only the rows of its own blocks, enter the
+    np.errstate it needs itself (numpy's error state is per thread), and
+    call nothing that bench/tracer.py wraps (its span stack assumes one
+    thread)."""
     workers = _worker_count()
     blocks = list(slices(size, n, workers, pairs, pair_bytes))
     if workers < 2 or len(blocks) < 2 * workers:
         fn(slices(size, n, pairs=pairs))
         return
     cut = [len(blocks) * i // workers for i in range(workers + 1)]
-    runs = [blocks[lo:hi] for lo, hi in zip(cut, cut[1:])]
-    errors = [None] * workers
+    _run_split(fn, [blocks[lo:hi] for lo, hi in zip(cut, cut[1:])])
+
+
+def work_runs(work: np.ndarray, budget: int, parts: int = 1) -> list:
+    """The rows of a pass, row i costing work[i] units, as up to parts
+    contiguous runs of about equal work, each a list of block slices.  Row
+    i goes to run min(floor(parts s_i/total), parts - 1), s_i the units of
+    the rows before it, and a run's block closes once it holds budget units
+    or more: every block but a run's last holds at least budget units, and
+    less than budget plus its last row's.  Runs without rows are left out,
+    and a pass of less than budget units is one run of one block."""
+    total = int(np.sum(work))
+    if total < budget:
+        return [[slice(0, len(work))]] if len(work) else []
+    start = np.cumsum(work) - work
+    run = np.minimum(start * parts // total, parts - 1).tolist()
+    edges, fresh, held = [], [], budget
+    for i, w in enumerate(np.asarray(work).tolist()):
+        first = i == 0 or run[i] != run[i - 1]
+        if first or held >= budget:
+            edges.append(i)
+            fresh.append(first)
+            held = 0
+        held += w
+    runs = []
+    for lo, hi, first in zip(edges, edges[1:] + [len(run)], fresh):
+        if first:
+            runs.append([])
+        runs[-1].append(slice(lo, hi))
+    return runs
+
+
+def map_work(fn, work: np.ndarray, budget: int) -> None:
+    """Run a pass over len(work) rows, row i costing work[i] units:
+    fn(blocks) computes and stores the rows of every block in blocks,
+    under map_blocks' rules for fn.
+
+    A pass of less than budget units, or one with a single worker, runs in
+    the blocks work_runs(work, budget) in the calling thread alone (one
+    block if it holds less than budget units).  A larger pass is cut into
+    w = _worker_count() runs of about equal work, each in blocks of at
+    most about budget units, which _run_split hands to the threads."""
+    workers = _worker_count()
+    split = workers > 1 and np.sum(work) >= budget
+    _run_split(fn, work_runs(work, budget, workers if split else 1) or [[]])
+
+
+def _run_split(fn, runs: list) -> None:
+    """fn(runs[0]) in the calling thread and fn(runs[i]) in a thread of its
+    own for every other run (none for a single run).  Every run ends before this returns or raises;
+    an error reaches the caller as the serial pass raises it, the one of
+    the first failing run in block order."""
+    errors = [None] * len(runs)
 
     def run(i):
         try:
@@ -194,7 +243,7 @@ def map_blocks(fn, size: int, n: int, pairs: int | None = None,
             errors[i] = exc
 
     threads = [threading.Thread(target=run, args=(i,))
-               for i in range(1, workers)]
+               for i in range(1, len(runs))]
     for thread in threads:
         thread.start()
     try:
@@ -460,7 +509,3 @@ def sample_disc(rng: np.random.Generator, n: int, r_max: float = 0.95) -> np.nda
     th = TWO_PI * rng.random(n)
     return r * np.exp(1j * th)
 
-
-def format_float(x: float) -> str:
-    """17-significant-digit text form used in CSV artifacts."""
-    return f"{x:.17g}"

@@ -18,9 +18,10 @@ the pieces at z_k, which keeps contours around deep nodes accurate
 (node_contour_modes); a far factor that a whole cluster of nodes sees from
 afar enters them all through one proxy circle about the cluster, whose
 interpolant each member reads at its own circle (_proxies).  Points x nodes
-passes loop over cache-sized blocks (numutil.slices), and numutil.map_blocks
-splits the series pass, the node pass and the residue contour over two
-threads.  The series pass forms its pieces, factor logs and log-derivatives
+passes loop over cache-sized blocks (numutil.slices); numutil.map_blocks
+splits the series pass and the node pass over two threads, and
+numutil.map_work the residue contour, by the samples each node or cluster
+takes.  The series pass forms its pieces, factor logs and log-derivatives
 in buffers that each run allocates once (the out= forms of _pieces,
 _factor_logs and _log_derivatives), and its derivative pass sizes its worker
 blocks by the bytes of those buffers.
@@ -49,7 +50,7 @@ import numpy as np
 from .numutil import (CONTOUR_MAX_POINTS, CONTOUR_START_POINTS,
                       circle_fault, circle_modes, circle_nodes, clog, clog1p,
                       disc_points, distance_rows, flat_points, like_input,
-                      map_blocks, one_minus_abs, one_minus_abs2,
+                      map_blocks, map_work, one_minus_abs, one_minus_abs2,
                       one_minus_conj_mul, settle_circles, slices)
 from .sequences import ZeroSequence, blaschke_sum, near_counts
 
@@ -71,11 +72,20 @@ NODE_FAR_SAMPLES = 16
 NODE_PROXY_RATIO = 4.0
 NODE_PROXY_MARGIN = 1.25
 NODE_PROXY_SAVING = 4096
-# node x factor pairs per serial node block of the exclusion-circle samples,
-# and factor x sample pairs per step within a block: against 2^15, 2^14 took
-# the contours of the N = 368 and N = 964 lattices about 14% and 6% faster,
-# and 2^12 took them 17% and 33% slower
+# factor x sample pairs per step of the exclusion- and proxy-circle samples
+# (_field_samples), and node x node pairs per step of the proxies' search
+# for near factors: against 2^15, 2^14 took the contours of the N = 368 and
+# N = 964 lattices about 14% and 6% faster, and 2^12 took them 17% and 33%
+# slower
 _SAMPLE_PAIRS = 2 ** 14
+# direct samples per node or cluster block of the residue contour
+# (numutil.map_work), whatever N: the N = 368 lattice's nodes take 855,552,
+# two blocks for each of two workers, where 2^14 // N // 2 nodes per block
+# made 22 nodes at N = 368 and 1 above N = 4096.  2^19 took that contour
+# 11% faster than 2^18 on two CPUs but raised a lattice368-build run's
+# peak RSS by 2.0 MB; 2^20 took N = 2686 14% faster, and its build's peak
+# RSS from 38 to 54 MB
+_BLOCK_SAMPLES = 2 ** 18
 
 
 def _poly_part(w, s: int):
@@ -146,13 +156,14 @@ class Proxies(NamedTuple):
     one row per cluster that takes one: node k's row is slot[k] (-1 for
     none); a row's circle has the centre centre and the radius rho, modes
     holds its interpolant's modes 0..CONTOUR_START_POINTS-1, and covered
-    the factors it carries as packed bits, with one more row of zeros that
-    slot -1 picks."""
+    the factors it carries as packed bits and sources their count, each
+    with one more row of zeros that slot -1 picks."""
     slot: np.ndarray
     centre: np.ndarray
     rho: np.ndarray
     modes: np.ndarray
     covered: np.ndarray
+    sources: np.ndarray
 
 
 class CanonicalProduct:
@@ -196,7 +207,7 @@ class CanonicalProduct:
         # column of the node at the origin (the zeros are distinct), or None
         origin = np.flatnonzero(z == 0.0)
         self._origin_idx = int(origin[0]) if origin.size else None
-        self.exclusion_radii = self._exclusion_rule()
+        self.exclusion_radii, self._near = self._exclusion_rule()
         # the nodes sorted for node_index, with nan after them so that a
         # search past the last node misses, and their indices (-1 for nan)
         order = np.argsort(z)
@@ -208,14 +219,19 @@ class CanonicalProduct:
 
     # -- geometry ----------------------------------------------------------
 
-    def _exclusion_rule(self) -> np.ndarray:
-        """r_k = min(nn_k/4, (1 - |z_k|)/8), with the nearest-neighbour
-        distances nn_k over distance_rows (inf for a lone node)."""
-        nn = np.empty(self.z.size)
+    def _exclusion_rule(self):
+        """(r, near): r_k = min(nn_k/4, (1 - |z_k|)/8), with the
+        nearest-neighbour distances nn_k over distance_rows (inf for a lone
+        node), and near_k the count of the other nodes within
+        NODE_NEAR_RATIO r_k of z_k, the near factors of _centred_modes."""
+        r = np.empty(self.z.size)
+        near = np.empty(self.z.size, dtype=int)
         for sl, d in distance_rows(self.z, self.z):
             d[np.arange(d.shape[0]), np.arange(sl.start, sl.stop)] = math.inf
-            nn[sl] = np.min(d, axis=1)
-        return np.minimum(nn / 4.0, self._gap / 8.0)
+            r[sl] = np.minimum(np.min(d, axis=1) / 4.0, self._gap[sl] / 8.0)
+            near[sl] = np.count_nonzero(d < NODE_NEAR_RATIO * r[sl, None],
+                                        axis=1)
+        return r, near
 
     def nearest_node(self, pts):
         """(index, distance) of each point's closest node, over
@@ -531,9 +547,11 @@ class CanonicalProduct:
         (_row_tail_bounds).
 
         The pairs in mask are taken in row order, at most _SAMPLE_PAIRS
-        pairs x samples at a time, and summed by row.  The pieces z_k - z_n
-        and den_n are formed for these pairs only, each per-pair array is
-        freed after its last use, and every step reuses two buffers.
+        pairs x samples at a time (one sample of every pair when there are
+        more pairs), and summed by row.  The pieces z_k - z_n and den_n are
+        formed for these pairs only, in place where a piece's memory is free,
+        each per-pair array is freed after its last use, and every step
+        reuses two buffers.
         """
         rows, cols = np.nonzero(mask)
         out = np.zeros((mask.shape[0], unit.size), dtype=complex)
@@ -546,13 +564,20 @@ class CanonicalProduct:
         rr, zk = r[rows], zk[rows]
         zn = self.z[cols]
         del rows
-        inv = 1.0 / (zk - zn)
-        den = one_minus_conj_mul(zn, zk)
+        inv = np.subtract(zk, zn)
+        np.divide(1.0, inv, out=inv)
+        den = one_minus_conj_mul(zn, zk, out=zk)
         del zk, zn
-        c, w0 = self._zc[cols] / den, self._gap2c[cols] / den
-        del cols, den
-        bound[at] = self._row_tail_bounds(
-            rr * np.abs(inv), rr * np.abs(c), np.abs(w0), starts, unit.size)
+        c, w0 = self._zc[cols], self._gap2c[cols]
+        del cols
+        c /= den
+        w0 /= den
+        del den
+        q, qc = np.abs(inv), np.abs(c)
+        q *= rr
+        qc *= rr
+        bound[at] = self._row_tail_bounds(q, qc, np.abs(w0), starts, unit.size)
+        del q, qc
         # a = rr inv w0, b = rr c w0 and c = rr c, each product in the
         # operand order of its written form
         a = np.multiply(rr, inv, out=inv)
@@ -614,11 +639,13 @@ class CanonicalProduct:
         the interpolant, _member_modes) raises RuntimeError naming the
         cluster's lowest-index node, as does a nan or inf sample.
 
-        The clusters run in blocks through numutil.map_blocks by the rule of
-        the node blocks; a block forms its members' distances to every node
-        at most _SAMPLE_PAIRS at a time, and each cluster is computed on its
-        own, so no value depends on the block, the worker count or the other
-        nodes asked for.
+        The clusters run through numutil.map_work, each counted at (n -
+        members) x CONTOUR_START_POINTS samples, the most its sources can
+        take, in blocks of about _BLOCK_SAMPLES.  A block finds its members'
+        near factors from their distances to every node, _SAMPLE_PAIRS at a
+        time, and clears them from its clusters' sources.  Each cluster is
+        computed on its own, so no value depends on the block, the worker
+        count or the other nodes asked for.
         """
         part = self._clusters()
         n, m = self.z.size, CONTOUR_START_POINTS
@@ -632,26 +659,26 @@ class CanonicalProduct:
         half_eps = 0.5 * float(np.finfo(float).eps)
         modes = np.zeros((need.size, m), dtype=complex)
         covered = np.zeros((need.size + 1, -(-n // 8)), dtype=np.uint8)
+        count = np.zeros(need.size + 1, dtype=int)
         used = np.zeros(need.size, dtype=bool)
-        step = max(1, _SAMPLE_PAIRS // max(n, 1))
 
-        def run(slices):
-            for sl in slices:
+        def run(blocks):
+            for sl in blocks:
                 ids = need[sl]
                 lo, size = part.starts[ids], sizes[ids]
                 first = np.cumsum(size) - size
                 rows = part.members[np.repeat(lo - first, size)
                                     + np.arange(size.sum())]
                 owner = np.repeat(np.arange(ids.size), size)
-                # far for every member, over at most step members at a time
+                # far for every member: clear the near pairs, found in
+                # blocks of members by numutil.slices
                 qual = np.ones((ids.size, n), dtype=bool)
-                for a in range(0, rows.size, step):
-                    r, o = rows[a:a + step], owner[a:a + step]
-                    cut = np.flatnonzero(np.diff(o, prepend=-1))
-                    qual[o[cut]] &= np.logical_and.reduceat(
+                for ms in slices(rows.size, n, pairs=_SAMPLE_PAIRS):
+                    r = rows[ms]
+                    k, j = np.nonzero(
                         np.abs(self.z[r, None] - self.z)
-                        >= NODE_NEAR_RATIO * self.exclusion_radii[r, None],
-                        cut, axis=0)
+                        < NODE_NEAR_RATIO * self.exclusion_radii[r, None])
+                    qual[owner[ms.start + k], j] = False
                 c, rho = self.z[part.seed[ids]], part.rho[ids]
                 gap = NODE_PROXY_RATIO * rho[:, None]
                 qual &= np.abs(self.z - c[:, None]) >= gap
@@ -678,14 +705,16 @@ class CanonicalProduct:
                 used[at] = True
                 modes[at] = np.fft.fft(vals, axis=1) / m
                 covered[at] = np.packbits(qual[take], axis=1)
+                count[at] = sources[take]
 
-        map_blocks(run, need.size, n, _SAMPLE_PAIRS)
+        map_work(run, (n - sizes[need]) * m, _BLOCK_SAMPLES)
         slot = np.full(part.seed.size, -1)
         slot[need[used]] = np.arange(np.count_nonzero(used))
         keep = np.flatnonzero(used)
         return Proxies(slot[part.of], self.z[part.seed[need[keep]]],
                        part.rho[need[keep]], modes[keep],
-                       covered[np.append(keep, -1)])
+                       covered[np.append(keep, -1)],
+                       count[np.append(keep, -1)])
 
     def _member_modes(self, ks: np.ndarray, rows: np.ndarray,
                       prox: Proxies, unit: np.ndarray) -> np.ndarray:
@@ -734,11 +763,15 @@ class CanonicalProduct:
         circle value; it names the first such node, and its far field if
         both fail.  Only factor values enter.
 
-        The nodes run in blocks of at most _SAMPLE_PAIRS node x factor
-        pairs through numutil.map_blocks, which splits them over two threads by
-        the rule of the series pass; the unit grids and the proxy modes are
-        formed here, in the calling thread.  Of the node x factor matrices a
-        block forms only the distances that pick the far factors.
+        The nodes run through numutil.map_work, each counted at the samples
+        it takes: NODE_FAR_SAMPLES per far factor that its proxy does not
+        carry (prox.sources) and CONTOUR_START_POINTS per near one (counted
+        by _exclusion_rule).  map_work cuts them into blocks of about
+        _BLOCK_SAMPLES samples and, on two workers, into two runs of about
+        equal samples; the unit grids and the proxy modes are formed here,
+        in the calling thread.  Of the node x factor matrices a block forms
+        only the distances that pick the far factors, in the row slices of
+        numutil.distance_rows.
         """
         eps = float(np.finfo(float).eps)
         fields = (("far", NODE_FAR_SAMPLES),
@@ -752,13 +785,15 @@ class CanonicalProduct:
             coef[on, :CONTOUR_START_POINTS] = self._member_modes(
                 nodes[on], slot[on], prox, units[1])
 
-        def run(slices):
-            for sl in slices:
+        def run(blocks):
+            for sl in blocks:
                 blk = nodes[sl]
                 r = self.exclusion_radii[blk]
                 zk = self.z[blk]
-                far = (np.abs(zk[:, None] - self.z)
-                       >= NODE_NEAR_RATIO * r[:, None])
+                far = np.empty((blk.size, self.z.size), dtype=bool)
+                for rs, d in distance_rows(zk, self.z):
+                    np.greater_equal(d, NODE_NEAR_RATIO * r[rs, None],
+                                     out=far[rs])
                 near = ~far
                 near[np.arange(blk.size), blk] = False
                 if on.size:
@@ -779,7 +814,10 @@ class CanonicalProduct:
                 for (vals, _), (_, m) in zip(samples, fields):
                     coef[sl, :m] += np.fft.fft(vals, axis=1) / m
 
-        map_blocks(run, nodes.size, self.z.size, _SAMPLE_PAIRS)
+        near = self._near[nodes]
+        far = self.z.size - 1 - near - prox.sources[slot]
+        map_work(run, NODE_FAR_SAMPLES * far + CONTOUR_START_POINTS * near,
+                 _BLOCK_SAMPLES)
         return coef
 
     def _circle_logs(self, ks: np.ndarray, coef: np.ndarray, m: int,

@@ -342,6 +342,21 @@ def test_growth_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_csv_rows_keep_the_text_of_their_cells_one_at_a_time(tmp_path):
+    # one template per sequence of cell types writes what formatting each
+    # cell on its own wrote: a float (numpy's too, nan, inf and -0.0) at 17
+    # significant digits, any other cell by str
+    rows = [[0, 0.1, -0.0, np.float64(np.nan), -np.inf, np.int64(7), "a"],
+            [1, 2, 3.0, np.inf, 1e-300, np.int64(-1), True],
+            [2, 0.1, -0.0, np.float64(2.5), 5e-324, np.int64(8), "b"]]
+    out = tmp_path / "t.csv"
+    cli._write_csv(list("abcdefg"), rows, str(out))
+    cells = [",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                      for v in row) for row in rows]
+    assert out.read_text() == "\n".join(["a,b,c,d,e,f,g", *cells]) + "\n"
+    assert "nan,-inf,7" in out.read_text()
+
+
 def test_a_parse_failure_leaves_the_parser_for_the_next_call(tmp_path,
                                                             capsys):
     # the parser is built once per process; an argument error part way

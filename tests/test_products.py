@@ -481,7 +481,7 @@ def test_proxy_nan_sample_names_the_clusters_lowest_node(weight_pipeline,
         return vals, bound
 
     monkeypatch.setattr(CanonicalProduct, "_field_samples", poisoned)
-    monkeypatch.setattr(products, "_SAMPLE_PAIRS", 2 ** 12)
+    monkeypatch.setattr(products, "_BLOCK_SAMPLES", 2 ** 12)
     k = _lowest_member(prod, int(prod.node_index(target)))
     for workers in (1, 2):
         monkeypatch.setattr(numutil, "_worker_count", lambda: workers)

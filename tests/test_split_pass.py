@@ -462,11 +462,41 @@ def _contour(prod):
 
 @pytest.fixture(scope="module")
 def sharp14_product():
-    # 109 nodes: one serial node block at _SAMPLE_PAIRS = 2^14, split over
-    # two workers from 2^12 down
+    # 109 nodes, 42,784 direct samples: one serial node block at
+    # _BLOCK_SAMPLES = 2^18, split over two workers from 2^15 down
     scale = GrowthScale.log_power(3.0)
     return CanonicalProduct(generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
                             genus_from_scale(scale))
+
+
+def _record_runs(monkeypatch):
+    """A list that receives, from now on, (work, budget, runs) of every
+    numutil.work_runs call: the runs and blocks of the residue contour's
+    cluster and node stages (numutil.map_work)."""
+    calls = []
+    work_runs = numutil.work_runs
+
+    def recorded(work, budget, parts=1):
+        runs = work_runs(work, budget, parts)
+        calls.append((np.asarray(work), budget, runs))
+        return runs
+
+    monkeypatch.setattr(numutil, "work_runs", recorded)
+    return calls
+
+
+def _assert_block_rule(work, budget, runs, workers):
+    """runs tile the rows in order; every block but a run's last holds at
+    least budget units, and every block less than budget plus its last
+    row's; a pass of budget units or more takes one run per worker."""
+    blocks = [b for run in runs for b in run]
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == work.size
+    for run in runs:
+        assert all(np.sum(work[b]) >= budget for b in run[:-1])
+        assert all(np.sum(work[b][:-1]) < budget for b in run)
+    split = workers > 1 and np.sum(work) >= budget
+    assert len(runs) == (workers if split else 1)
 
 
 @pytest.mark.parametrize("name", ["lattice368", "sharp14"])
@@ -478,17 +508,79 @@ def test_residue_contour_keeps_its_bits_at_any_node_block_and_worker_count(
         prod = request.getfixturevalue("sharp14_product")
     monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     want = _contour(prod)
-    rows = _block_rows(monkeypatch, "_field_samples")
-    for pairs in (2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14):
+    calls = _record_runs(monkeypatch)
+    # (factor x sample pairs per step, samples per block)
+    for pairs, samples in ((2 ** 10, 2 ** 12), (2 ** 12, 2 ** 14),
+                           (2 ** 14, 2 ** 16), (2 ** 14, 2 ** 18),
+                           (2 ** 14, 2 ** 20)):
         monkeypatch.setattr(products, "_SAMPLE_PAIRS", pairs)
+        monkeypatch.setattr(products, "_BLOCK_SAMPLES", samples)
         for workers in (1, 2):
             monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
-            rows.clear()
+            calls.clear()
             got = _contour(prod)
-            assert 0 < max(rows) <= min(512, pairs // prod.z.size), pairs
+            # the cluster stage and the nodes, for both contours
+            assert len(calls) == 4
+            for work, budget, runs in calls:
+                assert budget == samples
+                _assert_block_rule(work, budget, runs, workers)
             for field, a, b in zip(
                     ("scale", "m1", "m2", "points", "mismatch"), got, want):
-                assert _same_bits(a, b), (pairs, workers, field)
+                assert _same_bits(a, b), (pairs, samples, workers, field)
+
+
+def test_a_node_block_counts_the_samples_it_takes(weight_pipeline,
+                                                  monkeypatch):
+    # the node stage counts each node at NODE_FAR_SAMPLES per far factor
+    # its proxy does not carry and CONTOUR_START_POINTS per near one, and
+    # that is exactly what _field_samples takes for it; a cluster's count
+    # bounds its proxy circle's samples
+    prod = weight_pipeline[3].product
+    rho = prod._clusters().rho
+    # one thread, so that the far and near calls of a block come in turn
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
+    calls = _record_runs(monkeypatch)
+    taken = {"proxy": [], "node": []}
+    field_samples = CanonicalProduct._field_samples
+
+    def counted(self, r, zk, mask, unit):
+        kind = "proxy" if np.all(np.isin(r, rho)) else "node"
+        taken[kind].append(np.count_nonzero(mask, axis=1) * unit.size)
+        return field_samples(self, r, zk, mask, unit)
+
+    monkeypatch.setattr(CanonicalProduct, "_field_samples", counted)
+    prod.node_contour_modes()
+    (cluster_work, _, _), (node_work, _, runs) = calls
+    # far and near calls alternate, block by block in row order
+    node = taken["node"]
+    assert len(node) == 2 * sum(len(run) for run in runs)
+    samples = np.concatenate([f + n for f, n in zip(node[::2], node[1::2])])
+    np.testing.assert_array_equal(samples, node_work)
+    assert np.sum(np.concatenate(taken["proxy"])) <= np.sum(cluster_work)
+
+
+@pytest.mark.parametrize("n", [50, 2686, 11324])
+def test_residue_contour_blocks_hold_many_nodes_at_any_size(monkeypatch, n):
+    # the block rule alone: at most NODE_FAR_SAMPLES (N - 1) samples a node
+    # at N = 2686 and 11324 (every other factor far and sampled directly),
+    # where the rule of 2^14 // N // 2 nodes gave blocks of 3 and 1 node;
+    # at most CONTOUR_START_POINTS (N - 1) (every factor near) at N = 50,
+    # which stays one serial block on two workers
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 2)
+    near = n == 50
+    per_node = (products.CONTOUR_START_POINTS if near
+                else products.NODE_FAR_SAMPLES) * (n - 1)
+    work = np.full(min(n, 512), per_node)
+    runs = []
+    numutil.map_work(runs.append, work, products._BLOCK_SAMPLES)
+    runs.sort(key=lambda run: run[0].start)
+    _assert_block_rule(work, products._BLOCK_SAMPLES, runs, 2)
+    blocks = [b.stop - b.start for run in runs for b in run]
+    if near:
+        assert blocks == [n]
+    else:
+        assert min(blocks) >= 2
+        assert len(runs) == 2
 
 
 def test_a_split_residue_contour_names_the_node_the_serial_one_names(
@@ -562,7 +654,7 @@ def test_a_proxy_stage_over_more_workers_than_cores_loses_no_row(
     monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     want = prod._proxies(nodes)
     rows = _block_rows(monkeypatch, "_field_samples")
-    monkeypatch.setattr(products, "_SAMPLE_PAIRS", 2 ** 11)
+    monkeypatch.setattr(products, "_BLOCK_SAMPLES", 2 ** 11)
     monkeypatch.setattr(numutil, "_worker_count", lambda: 8)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -577,9 +669,9 @@ def test_a_proxy_stage_over_more_workers_than_cores_loses_no_row(
 
 def test_a_residue_contour_over_more_workers_than_cores_loses_no_row(
         weight_pipeline, monkeypatch):
-    # eight workers over blocks of five nodes write disjoint rows of the
-    # shared modes; with a thread switch every microsecond, a lost or
-    # misplaced write would show as a changed bit
+    # eight workers, each over an eighth of the samples, write disjoint
+    # rows of the shared modes; with a thread switch every microsecond, a
+    # lost or misplaced write would show as a changed bit
     prod = weight_pipeline[3].product
     monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     want = _contour(prod)
