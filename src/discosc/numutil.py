@@ -162,42 +162,42 @@ def slices(size: int, n: int, workers: int = 1, pairs: int | None = None,
         yield slice(lo, min(lo + step, size))
 
 
-def map_blocks(fn, size: int, n: int, pairs: int | None = None,
-               pair_bytes: int | None = None) -> None:
-    """Run a pass over the blocks of size rows and n columns under the pair
-    budget pairs or the buffer bytes per pair pair_bytes (see slices):
-    fn(blocks) computes and stores the rows of every block in blocks.
+def map_blocks(fn, size: int, n: int, pair_bytes: int | None = None) -> None:
+    """Run a pass over the blocks of size rows and n columns, under the
+    buffer bytes per pair pair_bytes if given (see slices): fn(blocks)
+    computes and stores the rows of every block in blocks.
 
     With w = _worker_count() workers and at least two of slices(size, n,
-    w, pairs, pair_bytes)'s blocks per worker, those blocks are cut into w
-    runs of as many blocks each, which _run_split hands to the threads.
-    Otherwise fn(slices(size, n, pairs=pairs)) runs in the calling thread
+    w, pair_bytes=pair_bytes)'s blocks per worker, those blocks are cut
+    into w runs of as many blocks each, which _run_split hands to the
+    threads.  Otherwise fn(slices(size, n)) runs in the calling thread
     alone.  fn must write only the rows of its own blocks, enter the
     np.errstate it needs itself (numpy's error state is per thread), and
     call nothing that bench/tracer.py wraps (its span stack assumes one
     thread)."""
     workers = _worker_count()
-    blocks = list(slices(size, n, workers, pairs, pair_bytes))
+    blocks = list(slices(size, n, workers, pair_bytes=pair_bytes))
     if workers < 2 or len(blocks) < 2 * workers:
-        fn(slices(size, n, pairs=pairs))
+        fn(slices(size, n))
         return
     cut = [len(blocks) * i // workers for i in range(workers + 1)]
     _run_split(fn, [blocks[lo:hi] for lo, hi in zip(cut, cut[1:])])
 
 
 def work_runs(work: np.ndarray, budget: int, parts: int = 1) -> list:
-    """The rows of a pass, row i costing work[i] units, as up to parts
-    contiguous runs of about equal work, each a list of block slices.  Row
-    i goes to run min(floor(parts s_i/total), parts - 1), s_i the units of
-    the rows before it, and a run's block closes once it holds budget units
-    or more: every block but a run's last holds at least budget units, and
-    less than budget plus its last row's.  Runs without rows are left out,
-    and a pass of less than budget units is one run of one block."""
+    """The rows of a pass, row i costing work[i] units, as up to p
+    contiguous runs of about equal work, each a list of block slices: p =
+    parts for a pass of budget units or more, 1 otherwise.  Row i goes to
+    run min(floor(p s_i/total), p - 1), s_i the units of the rows before
+    it, and a run's block closes once it holds budget units or more: every
+    block but a run's last holds at least budget units, and less than
+    budget plus its last row's, so a pass of less than budget units is one
+    block.  Runs without rows are left out."""
     total = int(np.sum(work))
     if total < budget:
-        return [[slice(0, len(work))]] if len(work) else []
+        parts = 1
     start = np.cumsum(work) - work
-    run = np.minimum(start * parts // total, parts - 1).tolist()
+    run = np.minimum(start * parts // max(total, 1), parts - 1).tolist()
     edges, fresh, held = [], [], budget
     for i, w in enumerate(np.asarray(work).tolist()):
         first = i == 0 or run[i] != run[i - 1]
@@ -217,23 +217,20 @@ def work_runs(work: np.ndarray, budget: int, parts: int = 1) -> list:
 def map_work(fn, work: np.ndarray, budget: int) -> None:
     """Run a pass over len(work) rows, row i costing work[i] units:
     fn(blocks) computes and stores the rows of every block in blocks,
-    under map_blocks' rules for fn.
-
-    A pass of less than budget units, or one with a single worker, runs in
-    the blocks work_runs(work, budget) in the calling thread alone (one
-    block if it holds less than budget units).  A larger pass is cut into
-    w = _worker_count() runs of about equal work, each in blocks of at
-    most about budget units, which _run_split hands to the threads."""
-    workers = _worker_count()
-    split = workers > 1 and np.sum(work) >= budget
-    _run_split(fn, work_runs(work, budget, workers if split else 1) or [[]])
+    under map_blocks' rules for fn.  The blocks are work_runs(work, budget,
+    _worker_count()): a pass of less than budget units, or one with a
+    single worker, runs in the calling thread alone, and a larger one in
+    w = _worker_count() runs of about equal work, which _run_split hands
+    to the threads."""
+    _run_split(fn, work_runs(work, budget, _worker_count()) or [[]])
 
 
 def _run_split(fn, runs: list) -> None:
     """fn(runs[0]) in the calling thread and fn(runs[i]) in a thread of its
-    own for every other run (none for a single run).  Every run ends before this returns or raises;
-    an error reaches the caller as the serial pass raises it, the one of
-    the first failing run in block order."""
+    own for every other run (none for a single run).  Every run ends
+    before this returns or raises; an error reaches the caller as the
+    serial pass raises it, the one of the first failing run in block
+    order."""
     errors = [None] * len(runs)
 
     def run(i):

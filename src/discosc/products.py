@@ -88,6 +88,15 @@ _SAMPLE_PAIRS = 2 ** 14
 _BLOCK_SAMPLES = 2 ** 18
 
 
+def _near_factors(d: np.ndarray, r: np.ndarray, out=None) -> np.ndarray:
+    """The near factors of a block of nodes: d[i, n] = |z_n - z_k| for the
+    node k of row i, r their exclusion radii.  Factor n is near node k
+    where d < NODE_NEAR_RATIO r_k (k itself too, where d = 0) and far
+    elsewhere; _exclusion_rule counts them, _proxies clears them from a
+    cluster's sources and _centred_modes samples them apart."""
+    return np.less(d, NODE_NEAR_RATIO * r[:, None], out=out)
+
+
 def _poly_part(w, s: int):
     """w + w^2/2 + ... + w^s/s, elementwise (zeros for s = 0)."""
     w = np.asarray(w, dtype=complex)
@@ -223,14 +232,13 @@ class CanonicalProduct:
         """(r, near): r_k = min(nn_k/4, (1 - |z_k|)/8), with the
         nearest-neighbour distances nn_k over distance_rows (inf for a lone
         node), and near_k the count of the other nodes within
-        NODE_NEAR_RATIO r_k of z_k, the near factors of _centred_modes."""
+        NODE_NEAR_RATIO r_k of z_k (_near_factors)."""
         r = np.empty(self.z.size)
         near = np.empty(self.z.size, dtype=int)
         for sl, d in distance_rows(self.z, self.z):
             d[np.arange(d.shape[0]), np.arange(sl.start, sl.stop)] = math.inf
             r[sl] = np.minimum(np.min(d, axis=1) / 4.0, self._gap[sl] / 8.0)
-            near[sl] = np.count_nonzero(d < NODE_NEAR_RATIO * r[sl, None],
-                                        axis=1)
+            near[sl] = np.count_nonzero(_near_factors(d, r[sl]), axis=1)
         return r, near
 
     def nearest_node(self, pts):
@@ -675,9 +683,9 @@ class CanonicalProduct:
                 qual = np.ones((ids.size, n), dtype=bool)
                 for ms in slices(rows.size, n, pairs=_SAMPLE_PAIRS):
                     r = rows[ms]
-                    k, j = np.nonzero(
-                        np.abs(self.z[r, None] - self.z)
-                        < NODE_NEAR_RATIO * self.exclusion_radii[r, None])
+                    k, j = np.nonzero(_near_factors(
+                        np.abs(self.z[r, None] - self.z),
+                        self.exclusion_radii[r]))
                     qual[owner[ms.start + k], j] = False
                 c, rho = self.z[part.seed[ids]], part.rho[ids]
                 gap = NODE_PROXY_RATIO * rho[:, None]
@@ -790,11 +798,10 @@ class CanonicalProduct:
                 blk = nodes[sl]
                 r = self.exclusion_radii[blk]
                 zk = self.z[blk]
-                far = np.empty((blk.size, self.z.size), dtype=bool)
+                near = np.empty((blk.size, self.z.size), dtype=bool)
                 for rs, d in distance_rows(zk, self.z):
-                    np.greater_equal(d, NODE_NEAR_RATIO * r[rs, None],
-                                     out=far[rs])
-                near = ~far
+                    _near_factors(d, r[rs], out=near[rs])
+                far = ~near
                 near[np.arange(blk.size), blk] = False
                 if on.size:
                     far &= ~np.unpackbits(prox.covered[slot[sl]], axis=1,
