@@ -39,8 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 # golden_section_max is looked up here by bench/tracer.py
+from . import numutil
 from .numutil import (circle_max, clog, disc_points,  # noqa: F401
-                      golden_section_max, like_input, map_blocks,
+                      golden_section_max, like_input, map_work,
                       one_minus_conj_mul)
 from .products import CanonicalProduct, _poly_part
 from .scales import GrowthScale
@@ -220,20 +221,21 @@ class InterpolationSeries:
 
     def _pass(self, pts: np.ndarray, derivatives: bool = False) -> SeriesPass:
         """log P, the scaled term sum and its scale at points other than
-        the nodes, over the product's _blocks; with derivatives=True also
-        the scaled derivative sum and the log-derivatives lam, dlam of
-        SeriesPass from the same pieces.
+        the nodes; with derivatives=True also the scaled derivative sum and
+        the log-derivatives lam, dlam of SeriesPass from the same pieces.
 
-        The pass takes every point once, in one round over blocks that
-        numutil.map_blocks splits over two threads when the pass is large
-        enough: without derivatives into half-size blocks (at geo50's N =
-        50, from 769 points on), with them into blocks whose buffers hold
-        numutil._SPLIT_BYTES (_pair_bytes; 427 points and from 1,282
-        points on at N = 50).  Points in exclusion discs take their
-        pole-free form in the block that holds them (_sums).  The round
-        enters _PASS_ERRSTATE in every thread it runs in.  A point's values
-        depend on that point alone, not on its batch, the block size or the
-        split.
+        The pass takes every point once, in one round through
+        numutil.map_work, each point costing the bytes of its row of the
+        run's buffers (_pair_bytes x N) against a budget of
+        numutil._SPLIT_BYTES: a serial block holds at most numutil._CHUNK
+        points and 4 MiB of buffers, and a pass of 4 MiB or more is split
+        over two threads into blocks of 2 MiB each.  At geo50's N = 50
+        that splits the pass without derivatives from 943 points on, in
+        blocks of 472, and the derivative pass from 856 points on, in
+        blocks of 428.  Points in exclusion discs take their pole-free form
+        in the block that holds them (_sums).  The round enters
+        _PASS_ERRSTATE in every thread it runs in.  A point's values depend
+        on that point alone, not on its batch, the block size or the split.
 
         Each term's derivative is the term itself times
 
@@ -287,8 +289,8 @@ class InterpolationSeries:
                     for arr, val in zip(out, vals):
                         arr[sl] = val
 
-        map_blocks(run, n, prod.z.size, pair_bytes=(
-            self._pair_bytes(True) if derivatives else None))
+        row_bytes = self._pair_bytes(derivatives) * prod.z.size
+        map_work(run, np.full(n, row_bytes), numutil._SPLIT_BYTES)
         return SeriesPass(*out)
 
     def _buffers(self, derivatives: bool):

@@ -16,20 +16,22 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # rows per block of every rows x columns pass (points x nodes in the
-# product and series passes, centres x points in the sequence estimators)
+# product and series passes, centres x points in the sequence estimators,
+# nodes in the residue contour)
 _CHUNK = 512
-# rows x columns pairs per block: a complex temporary of 2^15 pairs is
-# 512 KB, which stays in cache where a (512, N) one leaves it for N in the
-# hundreds
+# rows x columns pairs per serial block (slices) and per node pass
+# (map_work): a complex temporary of 2^15 pairs is 512 KB, which stays in
+# cache where a (512, N) one leaves it for N in the hundreds
 _BLOCK_PAIRS = 2 ** 15
-# most threads one pass is split over (see map_blocks and map_work)
+# most threads one pass is split over (see map_work)
 _MAX_WORKERS = 2
-# buffer bytes per worker block of a split pass that allocates its buffers
-# once per run (the series derivative pass; see slices): the two runs'
-# buffers then hold no more than the plain form's live temporaries of one
-# serial block (about 160 bytes per pair), and at N = 50 a block holds 427
-# points, where 256 took about 17% more wall time
-_SPLIT_BYTES = 2 ** 21
+# the series pass's budget of buffer bytes (InterpolationSeries._pass,
+# whose runs allocate their buffers once): split over two threads, each
+# run's buffers hold 2^21 bytes, no more than the plain form's live
+# temporaries of one 2^15-pair block (about 160 bytes per pair), and at
+# N = 50 a derivative block holds 428 points, where 256 took about 17%
+# more wall time
+_SPLIT_BYTES = 2 ** 22
 
 
 def one_minus_conj_mul(z, w, out=None):
@@ -134,103 +136,74 @@ def _worker_count() -> int:
     return min(_MAX_WORKERS, os.cpu_count() or 1)
 
 
-def slices(size: int, n: int, workers: int = 1, pairs: int | None = None,
-           pair_bytes: int | None = None):
-    """Slices of size rows of a pass over n columns.  A serial block holds
-    at most _CHUNK rows and the pass's budget of pairs (_BLOCK_PAIRS by
-    default, products._SAMPLE_PAIRS for the proxies' near-factor search),
-    one row past that many columns, and a worker's block 1/workers of that, so
-    the blocks of all workers hold no more than one serial block.  A pass
-    whose runs allocate their buffers once gives pair_bytes, the bytes of
-    those buffers per pair: its worker blocks then hold up to _SPLIT_BYTES
-    of buffers each instead.
+def slices(size: int, n: int):
+    """Slices of size rows of a serial pass over n columns: a block holds
+    at most _CHUNK rows and _BLOCK_PAIRS pairs, one row past that many
+    columns.
 
     Each row is computed on its own, with the same operations in the same
     order whatever the block's size, so neither the block size nor the
-    split over workers moves a bit of any value.  (That rules out a
-    commutative operator whose second operand is a temporary, such as x *
-    (y - z): for arrays of 256 KiB or more numpy reuses the temporary and
-    computes (y - z) * x in its place, and its complex product rounds
-    differently from x * (y - z).)"""
-    n = max(n, 1)
-    if pair_bytes and workers > 1:
-        step = max(1, min(_CHUNK, _SPLIT_BYTES // (pair_bytes * n)))
-    else:
-        pairs = _BLOCK_PAIRS if pairs is None else pairs
-        step = max(1, min(_CHUNK, pairs // n) // workers)
+    split over threads (map_work) moves a bit of any value.  (That rules
+    out a commutative operator whose second operand is a temporary, such
+    as x * (y - z): for arrays of 256 KiB or more numpy reuses the
+    temporary and computes (y - z) * x in its place, and its complex
+    product rounds differently from x * (y - z).)"""
+    step = max(1, min(_CHUNK, _BLOCK_PAIRS // max(n, 1)))
     for lo in range(0, size, step):
         yield slice(lo, min(lo + step, size))
 
 
-def map_blocks(fn, size: int, n: int, pair_bytes: int | None = None) -> None:
-    """Run a pass over the blocks of size rows and n columns, under the
-    buffer bytes per pair pair_bytes if given (see slices): fn(blocks)
-    computes and stores the rows of every block in blocks.
-
-    With w = _worker_count() workers and at least two of slices(size, n,
-    w, pair_bytes=pair_bytes)'s blocks per worker, those blocks are cut
-    into w runs of as many blocks each, which _run_split hands to the
-    threads.  Otherwise fn(slices(size, n)) runs in the calling thread
-    alone.  fn must write only the rows of its own blocks, enter the
-    np.errstate it needs itself (numpy's error state is per thread), and
-    call nothing that bench/tracer.py wraps (its span stack assumes one
-    thread)."""
-    workers = _worker_count()
-    blocks = list(slices(size, n, workers, pair_bytes=pair_bytes))
-    if workers < 2 or len(blocks) < 2 * workers:
-        fn(slices(size, n))
-        return
-    cut = [len(blocks) * i // workers for i in range(workers + 1)]
-    _run_split(fn, [blocks[lo:hi] for lo, hi in zip(cut, cut[1:])])
-
-
 def work_runs(work: np.ndarray, budget: int, parts: int = 1) -> list:
-    """The rows of a pass, row i costing work[i] units, as up to p
+    """The rows of a pass, row i costing work[i] >= 0 units, as up to p
     contiguous runs of about equal work, each a list of block slices: p =
     parts for a pass of budget units or more, 1 otherwise.  Row i goes to
     run min(floor(p s_i/total), p - 1), s_i the units of the rows before
-    it, and a run's block closes once it holds budget units or more: every
-    block but a run's last holds at least budget units, and less than
-    budget plus its last row's, so a pass of less than budget units is one
-    block.  Runs without rows are left out."""
-    total = int(np.sum(work))
-    if total < budget:
-        parts = 1
-    start = np.cumsum(work) - work
-    run = np.minimum(start * parts // max(total, 1), parts - 1).tolist()
-    edges, fresh, held = [], [], budget
-    for i, w in enumerate(np.asarray(work).tolist()):
-        first = i == 0 or run[i] != run[i - 1]
-        if first or held >= budget:
-            edges.append(i)
-            fresh.append(first)
-            held = 0
-        held += w
+    it, and a run's block closes once it holds budget // p units or _CHUNK
+    rows, so the p runs' blocks together hold about one budget.  Every
+    block but a run's last holds at least budget // p units or _CHUNK
+    rows, and past its first row less than budget // p plus its last
+    row's.  Runs without rows are left out.
+
+    Both kinds of edge come from a binary search of the cumulative work:
+    the cost grows with the blocks, not the rows."""
+    cum = work.cumsum()
+    size = cum.size
+    total = int(cum[-1]) if size else 0
+    p = parts if total >= budget else 1
+    limit, whole = budget // p, max(total, 1)
+    # run j starts at the first row i >= 1 with p s_i >= j total, s_i =
+    # cum[i - 1]
+    edges = [0] + [min(int(cum.searchsorted(-(-j * whole // p))) + 1, size)
+                   for j in range(1, p)] + [size]
     runs = []
-    for lo, hi, first in zip(edges, edges[1:] + [len(run)], fresh):
-        if first:
-            runs.append([])
-        runs[-1].append(slice(lo, hi))
+    for lo, hi in zip(edges, edges[1:]):
+        run = []
+        while lo < hi:
+            held = int(cum[lo - 1]) if lo else 0
+            stop = int(cum.searchsorted(held + limit)) + 1
+            stop = min(max(stop, lo + 1), lo + _CHUNK, hi)
+            run.append(slice(lo, stop))
+            lo = stop
+        if run:
+            runs.append(run)
     return runs
 
 
 def map_work(fn, work: np.ndarray, budget: int) -> None:
     """Run a pass over len(work) rows, row i costing work[i] units:
-    fn(blocks) computes and stores the rows of every block in blocks,
-    under map_blocks' rules for fn.  The blocks are work_runs(work, budget,
-    _worker_count()): a pass of less than budget units, or one with a
-    single worker, runs in the calling thread alone, and a larger one in
-    w = _worker_count() runs of about equal work, which _run_split hands
-    to the threads."""
-    _run_split(fn, work_runs(work, budget, _worker_count()) or [[]])
+    fn(blocks) computes and stores the rows of every block in blocks.
 
-
-def _run_split(fn, runs: list) -> None:
-    """fn(runs[0]) in the calling thread and fn(runs[i]) in a thread of its
-    own for every other run (none for a single run).  Every run ends
-    before this returns or raises; an error reaches the caller as the
-    serial pass raises it, the one of the first failing run in block
-    order."""
+    The blocks are work_runs(work, budget, w), w = _worker_count(): a pass
+    of less than budget units, or one with a single worker, is one run in
+    the calling thread, and a larger one w runs of about equal work.
+    fn(runs[0]) runs in the calling thread and every other run in a thread
+    of its own.  Every run ends before this returns or raises; an error
+    reaches the caller as the serial pass raises it, the one of the first
+    failing run in block order.  fn must write only the rows of its own
+    blocks, enter the np.errstate it needs itself (numpy's error state is
+    per thread), and call nothing that bench/tracer.py wraps (its span
+    stack assumes one thread)."""
+    runs = work_runs(work, budget, _worker_count()) or [[]]
     errors = [None] * len(runs)
 
     def run(i):

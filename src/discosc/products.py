@@ -18,13 +18,14 @@ the pieces at z_k, which keeps contours around deep nodes accurate
 (node_contour_modes); a far factor that a whole cluster of nodes sees from
 afar enters them all through one proxy circle about the cluster, whose
 interpolant each member reads at its own circle (_proxies).  Points x nodes
-passes loop over cache-sized blocks (numutil.slices); numutil.map_blocks
-splits the series pass and the node pass over two threads, and
-numutil.map_work the residue contour, by the samples each node or cluster
-takes.  The series pass forms its pieces, factor logs and log-derivatives
-in buffers that each run allocates once (the out= forms of _pieces,
-_factor_logs and _log_derivatives), and its derivative pass sizes its worker
-blocks by the bytes of those buffers.
+passes loop over cache-sized blocks (numutil.slices); numutil.map_work
+splits the series pass, the node pass and the residue contour over two
+threads, each row counted by its cost: a series point by the bytes of its
+row of the pass's buffers, a node of the node pass by its N pairs, and a
+node or cluster of the contour by the samples it takes.  The series pass
+forms its pieces, factor logs and log-derivatives in buffers that each run
+allocates once (the out= forms of _pieces, _factor_logs and
+_log_derivatives).
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -47,10 +48,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numutil
 from .numutil import (CONTOUR_MAX_POINTS, CONTOUR_START_POINTS,
                       circle_fault, circle_modes, circle_nodes, clog, clog1p,
                       disc_points, distance_rows, flat_points, like_input,
-                      map_blocks, map_work, one_minus_abs, one_minus_abs2,
+                      map_work, one_minus_abs, one_minus_abs2,
                       one_minus_conj_mul, settle_circles, slices)
 from .sequences import ZeroSequence, blaschke_sum, near_counts
 
@@ -73,19 +75,19 @@ NODE_PROXY_RATIO = 4.0
 NODE_PROXY_MARGIN = 1.25
 NODE_PROXY_SAVING = 4096
 # factor x sample pairs per step of the exclusion- and proxy-circle samples
-# (_field_samples), and node x node pairs per step of the proxies' search
-# for near factors: against 2^15, 2^14 took the contours of the N = 368 and
+# (_field_samples): against 2^15, 2^14 took the contours of the N = 368 and
 # N = 964 lattices about 14% and 6% faster, and 2^12 took them 17% and 33%
 # slower
 _SAMPLE_PAIRS = 2 ** 14
-# direct samples per node or cluster block of the residue contour
-# (numutil.map_work), whatever N: the N = 368 lattice's nodes take 855,552,
-# two blocks for each of two workers, where 2^14 // N // 2 nodes per block
-# made 22 nodes at N = 368 and 1 above N = 4096.  2^19 took that contour
-# 11% faster than 2^18 on two CPUs but raised a lattice368-build run's
-# peak RSS by 2.0 MB; 2^20 took N = 2686 14% faster, and its build's peak
-# RSS from 38 to 54 MB
-_BLOCK_SAMPLES = 2 ** 18
+# direct samples per stage of the residue contour (numutil.map_work), whose
+# node and cluster blocks then hold 2^18 samples on two workers and 2^19 on
+# one, whatever N: the N = 368 lattice's nodes take 855,552, two blocks for
+# each of two workers, where 2^14 // N // 2 nodes per block made 22 nodes at
+# N = 368 and 1 above N = 4096.  Blocks of 2^19 took that contour 11%
+# faster than 2^18 on two CPUs but raised a lattice368-build run's peak RSS
+# by 2.0 MB; 2^20 took N = 2686 14% faster, and its build's peak RSS from
+# 38 to 54 MB
+_BLOCK_SAMPLES = 2 ** 19
 
 
 def _near_factors(d: np.ndarray, r: np.ndarray, out=None) -> np.ndarray:
@@ -437,7 +439,8 @@ class CanonicalProduct:
 
     def _node_pass(self) -> NodePass:
         """Every node's targets, logs and balance terms from one blocked
-        nodes x nodes pass (_node_rows under map_blocks), run once per
+        nodes x nodes pass (_node_rows under numutil.map_work, each node
+        counted at its N pairs against numutil._BLOCK_PAIRS), run once per
         product and cached read-only.
 
         targets: b_k = -P''(z_k)/(2 P'(z_k)), the sum over n != k of dlog
@@ -454,7 +457,8 @@ class CanonicalProduct:
             return self._nodes
         n, s = self.z.size, self.genus
         out = NodePass(*np.empty((4, n), dtype=complex), *np.zeros((2, n)))
-        map_blocks(lambda run: self._node_rows(run, out), n, n)
+        map_work(lambda run: self._node_rows(run, out), np.full(n, n),
+                 numutil._BLOCK_PAIRS)
         out.targets[:] -= (s + 1) * self._zc / self._gap2
         h_s = sum(1.0 / j for j in range(1, s + 1))
         with np.errstate(divide="ignore"):
@@ -649,11 +653,12 @@ class CanonicalProduct:
 
         The clusters run through numutil.map_work, each counted at (n -
         members) x CONTOUR_START_POINTS samples, the most its sources can
-        take, in blocks of about _BLOCK_SAMPLES.  A block finds its members'
-        near factors from their distances to every node, _SAMPLE_PAIRS at a
-        time, and clears them from its clusters' sources.  Each cluster is
-        computed on its own, so no value depends on the block, the worker
-        count or the other nodes asked for.
+        take, against a budget of _BLOCK_SAMPLES.  A block finds its
+        members' near factors from their distances to every node, in the
+        row slices of numutil.distance_rows, and clears them from its
+        clusters' sources.  Each cluster is computed on its own, so no
+        value depends on the block, the worker count or the other nodes
+        asked for.
         """
         part = self._clusters()
         n, m = self.z.size, CONTOUR_START_POINTS
@@ -678,14 +683,11 @@ class CanonicalProduct:
                 rows = part.members[np.repeat(lo - first, size)
                                     + np.arange(size.sum())]
                 owner = np.repeat(np.arange(ids.size), size)
-                # far for every member: clear the near pairs, found in
-                # blocks of members by numutil.slices
+                # far for every member: clear the near pairs
                 qual = np.ones((ids.size, n), dtype=bool)
-                for ms in slices(rows.size, n, pairs=_SAMPLE_PAIRS):
-                    r = rows[ms]
+                for ms, d in distance_rows(self.z[rows], self.z):
                     k, j = np.nonzero(_near_factors(
-                        np.abs(self.z[r, None] - self.z),
-                        self.exclusion_radii[r]))
+                        d, self.exclusion_radii[rows[ms]]))
                     qual[owner[ms.start + k], j] = False
                 c, rho = self.z[part.seed[ids]], part.rho[ids]
                 gap = NODE_PROXY_RATIO * rho[:, None]
@@ -774,12 +776,13 @@ class CanonicalProduct:
         The nodes run through numutil.map_work, each counted at the samples
         it takes: NODE_FAR_SAMPLES per far factor that its proxy does not
         carry (prox.sources) and CONTOUR_START_POINTS per near one (counted
-        by _exclusion_rule).  map_work cuts them into blocks of about
-        _BLOCK_SAMPLES samples and, on two workers, into two runs of about
-        equal samples; the unit grids and the proxy modes are formed here,
-        in the calling thread.  Of the node x factor matrices a block forms
-        only the distances that pick the far factors, in the row slices of
-        numutil.distance_rows.
+        by _exclusion_rule).  On two workers map_work cuts a stage of
+        _BLOCK_SAMPLES samples or more into two runs of about equal
+        samples, in blocks of about half that many, and otherwise into
+        blocks of about _BLOCK_SAMPLES; the unit grids and the proxy modes
+        are formed here, in the calling thread.  Of the node x factor
+        matrices a block forms only the distances that pick the far
+        factors, in the row slices of numutil.distance_rows.
         """
         eps = float(np.finfo(float).eps)
         fields = (("far", NODE_FAR_SAMPLES),

@@ -61,8 +61,9 @@ class GrowthScale:
 
     @classmethod
     def log_power(cls, p: float) -> "GrowthScale":
-        if p < 0.0:
-            raise ValueError("log-power exponent must be nonnegative")
+        if not (math.isfinite(p) and p >= 0.0):
+            raise ValueError(f"log-power exponent must be finite and "
+                             f"nonnegative, got {p!r}")
 
         def psi(x):
             return np.log(x) ** p
@@ -74,8 +75,9 @@ class GrowthScale:
 
     @classmethod
     def power(cls, rho: float) -> "GrowthScale":
-        if rho <= 0.0:
-            raise ValueError("power exponent must be positive")
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise ValueError(f"power exponent must be finite and positive, "
+                             f"got {rho!r}")
 
         def psi(x):
             return np.asarray(x, dtype=float) ** rho

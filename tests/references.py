@@ -8,6 +8,7 @@ import numpy as np
 from discosc.geometry import pseudo_distance
 from discosc.interpolation import (_PASS_ERRSTATE, SeriesPass, _above_floor,
                                    _row_sums)
+from discosc import numutil
 from discosc.numutil import clog, disc_points, one_minus_conj_mul
 from discosc.products import _poly_part
 from discosc.sequences import _boundary_grid, log_integrated_count
@@ -329,3 +330,32 @@ def rho_separation(seq, rho):
     floor = np.minimum(rad[:, None], rad[None, :])
     iu = np.triu_indices(len(seq), k=1)
     return float(np.min(dist[iu] / floor[iu]))
+
+
+# -- the block rule of numutil.map_work, one row at a time --------------------
+
+
+def work_runs(work, budget, parts=1):
+    """numutil.work_runs by one Python loop over the rows: each row is given
+    its run, and opens a block when it starts its run or when the block
+    before it holds budget // p units or numutil._CHUNK rows."""
+    total = int(np.sum(work))
+    if total < budget:
+        parts = 1
+    limit = budget // parts
+    start = np.cumsum(work) - work
+    run = np.minimum(start * parts // max(total, 1), parts - 1).tolist()
+    edges, fresh, held = [], [], 0
+    for i, w in enumerate(np.asarray(work).tolist()):
+        first = i == 0 or run[i] != run[i - 1]
+        if first or held >= limit or i - edges[-1] == numutil._CHUNK:
+            edges.append(i)
+            fresh.append(first)
+            held = 0
+        held += w
+    runs = []
+    for lo, hi, first in zip(edges, edges[1:] + [len(run)], fresh):
+        if first:
+            runs.append([])
+        runs[-1].append(slice(lo, hi))
+    return runs

@@ -399,6 +399,29 @@ def test_parse_scale_forms():
         cli.parse_scale("nope:1")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, message", [
+    ("log-power:nan", "log-power exponent must be finite and nonnegative, "
+                      "got nan"),
+    ("log-power:inf", "log-power exponent must be finite and nonnegative, "
+                      "got inf"),
+    ("log-power:-1", "log-power exponent must be finite and nonnegative, "
+                     "got -1.0"),
+    ("power:inf", "power exponent must be finite and positive, got inf"),
+    ("power:nan", "power exponent must be finite and positive, got nan"),
+    ("power:0", "power exponent must be finite and positive, got 0.0"),
+])
+def test_a_scale_exponent_out_of_range_exits_2_by_name(tmp_path, capsys,
+                                                       scale, message):
+    # nan < 0 is False: a nan or inf exponent once reached genus selection
+    # and failed there under a RuntimeWarning
+    seq = _gen_geo(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["build", "--sequence", str(seq), "--scale", scale,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_design_block_echoes_the_source_constants():
     # every value reported under "design" is the constant the code runs on
     seq = ZeroSequence(np.array([0.5, -0.3j, 0.9 + 0.05j, 0.0]))

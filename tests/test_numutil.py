@@ -1,16 +1,20 @@
-"""Disc algebra, the principal log, the contour refinement driver, scaled
-Fourier modes, the circle maximum and the segment quadrature."""
+"""Disc algebra, the principal log, the block rule of a split pass, the
+contour refinement driver, scaled Fourier modes, the circle maximum and the
+segment quadrature."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from discosc import numutil
 from discosc.numutil import (SegmentIntegralError, adaptive_segment_integral,
                              circle_fault, circle_max, circle_modes,
                              circle_nodes, clog, clog1p, golden_section_max,
                              one_minus_abs2, one_minus_conj_mul, sample_disc,
-                             settle_circles)
+                             settle_circles, work_runs)
 
 import references
 
@@ -94,6 +98,20 @@ def test_clog1p_keeps_the_bits_of_the_strided_form():
         assert got.tobytes() == want.tobytes()
     y = x.copy()
     assert clog1p(y) is y
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(work=st.lists(st.one_of(st.just(0), st.integers(0, 50),
+                               st.integers(0, 10 ** 6)), max_size=60),
+       budget=st.one_of(st.integers(1, 200), st.integers(1, 10 ** 7)),
+       parts=st.integers(1, 5), chunk=st.integers(1, 9))
+def test_work_runs_equals_its_row_loop(work, budget, parts, chunk):
+    # the cumulative-work search against the loop over every row, with
+    # passes under their budget (one run), empty runs and zero-work rows
+    work = np.array(work, dtype=np.int64)
+    with mock.patch.object(numutil, "_CHUNK", chunk):
+        assert (work_runs(work, budget, parts)
+                == references.work_runs(work, budget, parts))
 
 
 def test_settle_circles_rounds_equal_fresh_grids():

@@ -14,7 +14,8 @@ from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
                      generate_rho_lattice, generate_sharpness,
                      genus_from_scale, node_targets, numutil,
                      primary_factor, products, weight_to_psi)
-from discosc.numutil import circle_modes, circle_nodes, slices, wrap_angle
+from discosc.numutil import (circle_modes, circle_nodes, slices, work_runs,
+                             wrap_angle)
 from discosc.products import _poly_part
 from references import balance_check, deleted_log_eval, offset_pieces
 from strategies import separated_sets
@@ -183,13 +184,18 @@ def test_blocks_hold_the_pair_budget_and_move_no_distance(weight_pipeline):
     assert sizes[:-1] == [(2 ** 15) // n] * (len(sizes) - 1)
     assert sum(sizes) == 1000
     assert [sl.stop - sl.start for sl in slices(1100, 2)] == [512, 512, 76]
-    # worker blocks sized by buffer bytes: 2 MiB // (98 N) points at N =
-    # 368, capped at 512 points for two nodes; serial blocks ignore them
-    assert [sl.stop - sl.start for sl in slices(
-        200, n, 2, pair_bytes=98)] == [58, 58, 58, 26]
-    assert [sl.stop - sl.start for sl in slices(
-        600, 2, 2, pair_bytes=98)] == [512, 88]
-    assert list(slices(1000, n, pair_bytes=98)) == list(slices(1000, n))
+    # the series pass's blocks sized by buffer bytes, 98 a pair: on two
+    # workers blocks of 2 MiB, 59 points at N = 368; on one, of 4 MiB (117
+    # points); a pass of two nodes under 4 MiB stays serial, in blocks of
+    # 512 points
+    def sizes(work, parts):
+        return [[b.stop - b.start for b in run]
+                for run in work_runs(work, numutil._SPLIT_BYTES, parts)]
+
+    assert numutil._SPLIT_BYTES == 2 ** 22
+    assert sizes(np.full(200, 98 * n), 2) == [[59, 41], [59, 41]]
+    assert sizes(np.full(200, 98 * n), 1) == [[117, 83]]
+    assert sizes(np.full(600, 98 * 2), 2) == [[512, 88]]
     d = np.abs(prod.z[:, None] - prod.z[None, :])
     np.fill_diagonal(d, math.inf)
     np.testing.assert_array_equal(

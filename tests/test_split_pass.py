@@ -4,11 +4,12 @@ and worker threads.
 Each point's row of InterpolationSeries._pass, each node's row of the node
 pass (CanonicalProduct._node_pass) and each node's row of the
 exclusion-circle samples (CanonicalProduct._centred_modes), is computed on
-its own, so the block size (numutil.slices) and the number of workers
-(numutil.map_blocks) must not move a bit of any value, and a split pass
-must keep the serial pass's numpy error state, warnings and exceptions.
-The tests that set a block size also check that the passes ran in blocks
-of that size, so that a setting no pass reads cannot pass for one.
+its own, so the block size and the number of workers (numutil.map_work)
+must not move a bit of any value, and a split pass must keep the serial
+pass's numpy error state, warnings and exceptions.  The tests that set a
+block size also check that the passes ran in blocks of that size, by one
+block rule for all four split passes (_assert_block_rule), so that a
+setting no pass reads cannot pass for one.
 """
 
 import sys
@@ -71,11 +72,60 @@ def _assert_same(got, want):
     assert _same_bits(got[2], want[2])
 
 
-def _set_blocks(monkeypatch, chunk, pairs, workers, split_bytes=2 ** 21):
+def _set_blocks(monkeypatch, chunk, pairs, split_bytes, workers):
     monkeypatch.setattr(numutil, "_CHUNK", chunk)
     monkeypatch.setattr(numutil, "_BLOCK_PAIRS", pairs)
     monkeypatch.setattr(numutil, "_SPLIT_BYTES", split_bytes)
     monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
+
+
+def _record_runs(monkeypatch):
+    """A list that receives, from now on, (work, budget, runs) of every
+    numutil.work_runs call: the runs and blocks of every pass that
+    numutil.map_work splits (the series passes, the node pass, and the
+    residue contour's cluster and node stages)."""
+    calls = []
+    work_runs = numutil.work_runs
+
+    def recorded(work, budget, parts=1):
+        runs = work_runs(work, budget, parts)
+        calls.append((np.asarray(work), budget, runs))
+        return runs
+
+    monkeypatch.setattr(numutil, "work_runs", recorded)
+    return calls
+
+
+def _assert_block_rule(work, budget, runs, workers):
+    """runs tile the rows in order; a pass of budget units or more takes p
+    = workers runs (fewer only when it has fewer rows), a smaller one p =
+    1; every block but a run's last holds at least budget // p units or
+    numutil._CHUNK rows, and every block at most _CHUNK rows and, past its
+    first row, less than budget // p plus its last row's."""
+    blocks = [b for run in runs for b in run]
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == work.size
+    p = workers if np.sum(work) >= budget else 1
+    assert len(runs) == min(p, work.size)
+    limit, chunk = budget // p, numutil._CHUNK
+    for run in runs:
+        assert all(np.sum(work[b]) >= limit or b.stop - b.start == chunk
+                   for b in run[:-1])
+        assert all(b.stop - b.start <= chunk for b in run)
+        assert all(np.sum(work[b][:-1]) < limit for b in run
+                   if b.stop - b.start > 1)
+
+
+def _assert_series_blocks(calls, series, workers):
+    """The series passes of calls cost each point its bytes of buffers
+    (_pair_bytes x N) against numutil._SPLIT_BYTES, by the block rule."""
+    n = series.product.z.size
+    costs = {series._pair_bytes(d) * n for d in (False, True)}
+    assert calls
+    for work, budget, runs in calls:
+        assert budget == numutil._SPLIT_BYTES
+        assert work.size and set(work.tolist()) <= costs
+        _assert_block_rule(work, budget, runs, workers)
 
 
 def _block_rows(monkeypatch, name="_pieces"):
@@ -131,38 +181,45 @@ def test_same_bits_at_any_block_size_and_worker_count(
     bundle, nodes = _bundle(request, name)
     series, n = bundle.gprime, bundle.product.z.size
     pts = _disc_points(bundle.product, 3, 2000 if n < 100 else 500)
-    _set_blocks(monkeypatch, 512, 2 ** 15, 1)
+    _set_blocks(monkeypatch, 512, 2 ** 15, 2 ** 22, 1)
     want = _values(bundle, pts, nodes)
     rows = _block_rows(monkeypatch)
-    pair_bytes = series._pair_bytes(True)
-    for chunk, pairs, workers in [(512, 2 ** 15, 2), (256, 2 ** 15, 1),
-                                  (256, 2 ** 15, 2), (7, 2 ** 15, 2),
-                                  (512, 2 ** 12, 1), (512, 2 ** 12, 2),
-                                  (512, 2 ** 17, 2), (1, 1, 2)]:
-        _set_blocks(monkeypatch, chunk, pairs, workers)
+    calls = _record_runs(monkeypatch)
+    for chunk, pairs, split_bytes, workers in [
+            (512, 2 ** 15, 2 ** 22, 2), (256, 2 ** 15, 2 ** 22, 1),
+            (256, 2 ** 15, 2 ** 22, 2), (7, 2 ** 15, 2 ** 22, 2),
+            (512, 2 ** 12, 2 ** 18, 1), (512, 2 ** 12, 2 ** 18, 2),
+            (512, 2 ** 17, 2 ** 24, 2), (1, 1, 1, 2)]:
+        _set_blocks(monkeypatch, chunk, pairs, split_bytes, workers)
         rows.clear()
+        calls.clear()
         _assert_same(_values(bundle, pts, nodes), want)
+        _assert_series_blocks(calls, series, workers)
+        # the series passes' blocks, and the node jets' serial ones
         step = max(1, min(chunk, pairs // n))
-        if workers > 1:  # the derivative pass's blocks sized by bytes
-            step = max(step, min(chunk, 2 ** 21 // (pair_bytes * n)))
-        assert 0 < max(rows) <= step, (chunk, pairs, workers)
-    # the derivative pass's worker blocks sized by its buffers' bytes:
-    # blocks of size points on two workers (two of 1024 points per worker
-    # from 3,073 points on), serial blocks of as many on one; a(z) off the
-    # nodes, the values that pass gives
+        split = max(b.stop - b.start for _, _, runs in calls
+                    for run in runs for b in run)
+        assert 0 < max(rows) <= max(step, split), (chunk, pairs, workers)
+    # blocks of size points, split or not: serial blocks of at most size
+    # points on one worker, and on two, a pass of two blocks' buffers or
+    # more split into blocks of size points (from 2 size points on); a(z)
+    # off the nodes, the values the derivative pass gives
+    pair_bytes = series._pair_bytes(True)
     off = bundle.product.z[:0]
     big = _disc_points(bundle.product, 5, 3100)
-    _set_blocks(monkeypatch, 512, 2 ** 15, 1)
+    _set_blocks(monkeypatch, 512, 2 ** 15, 2 ** 22, 1)
     small = (pts, _coefficient_values(bundle, pts, off))
     large = (big, _coefficient_values(bundle, big, off))
     for size in (1, 7, 384, 512, 1024):
         at, want = large if size > 7 else small
         for workers in (1, 2):
-            _set_blocks(monkeypatch, size, 2 ** 20, workers,
-                        size * n * pair_bytes)
+            _set_blocks(monkeypatch, size, 2 ** 20,
+                        2 * size * n * pair_bytes, workers)
             rows.clear()
+            calls.clear()
             got = _coefficient_values(bundle, at, off)
-            assert 0 < max(rows) <= size, (size, workers)
+            _assert_series_blocks(calls, series, workers)
+            assert max(rows) == size, (size, workers)
             for field, a, b in zip(got[0]._fields, got[0], want[0]):
                 assert _same_bits(a, b), (size, workers, field)
             assert _same_bits(got[1], want[1]), (size, workers)
@@ -338,7 +395,7 @@ def test_a_split_pass_over_more_workers_than_cores_loses_no_row(
 @pytest.fixture(scope="module")
 def sharp14_series():
     # 109 nodes, genus 1: one serial node block at _BLOCK_PAIRS = 2^15,
-    # split over two workers from 2^12 down
+    # split over two workers from 2^13 down
     scale = GrowthScale.log_power(3.0)
     prod = CanonicalProduct(generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
                             genus_from_scale(scale))
@@ -380,13 +437,21 @@ def test_node_pass_equals_the_four_passes_at_any_block_size_and_worker_count(
             *references.balance_checks_pass(prod))
     fields = ("targets", "deleted", "h", "re t", "phase", "lhs", "rhs")
     rows = _block_rows(monkeypatch)
+    calls = _record_runs(monkeypatch)
+    n = prod.z.size
     for pairs in (2 ** 10, 2 ** 11, 2 ** 12, 2 ** 13, 2 ** 14, 2 ** 15):
         monkeypatch.setattr(numutil, "_BLOCK_PAIRS", pairs)
         for workers in (1, 2):
             monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
             rows.clear()
+            calls.clear()
             got = _node_values(series)
-            assert 0 < max(rows) <= min(512, pairs // prod.z.size), pairs
+            # one pass, each node counted at its N pairs
+            ((work, budget, runs),) = calls
+            assert budget == pairs and set(work.tolist()) == {n}
+            _assert_block_rule(work, budget, runs, workers)
+            assert sorted(rows) == sorted(b.stop - b.start for run in runs
+                                          for b in run), pairs
             for field, a, b in zip(fields, got, want):
                 assert _same_bits(a, b), (pairs, workers, field)
 
@@ -422,7 +487,8 @@ def test_the_node_pass_runs_once_and_hands_out_no_writable_cache(
     prod.balance_constant()
     prod.balance_checks()
     prod.node_contour_modes(np.arange(3))
-    assert runs == list(numutil.slices(prod.z.size, prod.z.size))
+    n = prod.z.size
+    assert [runs] == numutil.work_runs(np.full(n, n), numutil._BLOCK_PAIRS)
     targets[0] = 0.0
     assert node_targets(prod)[0] != 0.0
     for arr in prod._node_pass():
@@ -433,7 +499,7 @@ def test_the_node_pass_runs_once_and_hands_out_no_writable_cache(
 
 def test_a_node_pass_over_more_workers_than_cores_loses_no_row(
         weight_pipeline, monkeypatch):
-    # eight workers over blocks of two nodes write disjoint rows of the
+    # eight workers over blocks of three nodes write disjoint rows of the
     # shared arrays; with a thread switch every microsecond, a lost or
     # misplaced write would show as a changed bit
     series = weight_pipeline[3].gprime
@@ -463,40 +529,10 @@ def _contour(prod):
 @pytest.fixture(scope="module")
 def sharp14_product():
     # 109 nodes, 42,784 direct samples: one serial node block at
-    # _BLOCK_SAMPLES = 2^18, split over two workers from 2^15 down
+    # _BLOCK_SAMPLES = 2^19, split over two workers from 2^15 down
     scale = GrowthScale.log_power(3.0)
     return CanonicalProduct(generate_sharpness(SharpnessParams(1.0, 1.0, 14)),
                             genus_from_scale(scale))
-
-
-def _record_runs(monkeypatch):
-    """A list that receives, from now on, (work, budget, runs) of every
-    numutil.work_runs call: the runs and blocks of the residue contour's
-    cluster and node stages (numutil.map_work)."""
-    calls = []
-    work_runs = numutil.work_runs
-
-    def recorded(work, budget, parts=1):
-        runs = work_runs(work, budget, parts)
-        calls.append((np.asarray(work), budget, runs))
-        return runs
-
-    monkeypatch.setattr(numutil, "work_runs", recorded)
-    return calls
-
-
-def _assert_block_rule(work, budget, runs, workers):
-    """runs tile the rows in order; every block but a run's last holds at
-    least budget units, and every block less than budget plus its last
-    row's; a pass of budget units or more takes one run per worker."""
-    blocks = [b for run in runs for b in run]
-    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
-    assert blocks[-1].stop == work.size
-    for run in runs:
-        assert all(np.sum(work[b]) >= budget for b in run[:-1])
-        assert all(np.sum(work[b][:-1]) < budget for b in run)
-    split = workers > 1 and np.sum(work) >= budget
-    assert len(runs) == (workers if split else 1)
 
 
 @pytest.mark.parametrize("name", ["lattice368", "sharp14"])
@@ -561,11 +597,12 @@ def test_a_node_block_counts_the_samples_it_takes(weight_pipeline,
 
 @pytest.mark.parametrize("n", [50, 2686, 11324])
 def test_residue_contour_blocks_hold_many_nodes_at_any_size(monkeypatch, n):
-    # the block rule alone: at most NODE_FAR_SAMPLES (N - 1) samples a node
-    # at N = 2686 and 11324 (every other factor far and sampled directly),
-    # where the rule of 2^14 // N // 2 nodes gave blocks of 3 and 1 node;
-    # at most CONTOUR_START_POINTS (N - 1) (every factor near) at N = 50,
-    # which stays one serial block on two workers
+    # the block rule alone, on two workers: blocks of _BLOCK_SAMPLES // 2
+    # samples at most NODE_FAR_SAMPLES (N - 1) samples a node at N = 2686
+    # and 11324 (every other factor far and sampled directly), where the
+    # rule of 2^14 // N // 2 nodes gave blocks of 3 and 1 node; at most
+    # CONTOUR_START_POINTS (N - 1) (every factor near) at N = 50, which
+    # stays one serial block
     monkeypatch.setattr(numutil, "_worker_count", lambda: 2)
     near = n == 50
     per_node = (products.CONTOUR_START_POINTS if near
