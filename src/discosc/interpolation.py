@@ -225,17 +225,18 @@ class InterpolationSeries:
         the log-derivatives lam, dlam of SeriesPass from the same pieces.
 
         The pass takes every point once, in one round through
-        numutil.map_work, each point costing the bytes of its row of the
-        run's buffers (_pair_bytes x N) against a budget of
-        numutil._SPLIT_BYTES: a serial block holds at most numutil._CHUNK
-        points and 4 MiB of buffers, and a pass of 4 MiB or more is split
-        over two threads into blocks of 2 MiB each.  At geo50's N = 50
-        that splits the pass without derivatives from 943 points on, in
-        blocks of 472, and the derivative pass from 856 points on, in
-        blocks of 428.  Points in exclusion discs take their pole-free form
-        in the block that holds them (_sums).  The round enters
-        _PASS_ERRSTATE in every thread it runs in.  A point's values depend
-        on that point alone, not on its batch, the block size or the split.
+        numutil.map_work, each point costing its N pairs against
+        numutil._BLOCK_PAIRS, or with derivatives the bytes of its row of
+        the run's buffers (_pair_bytes x N) against numutil._SPLIT_BYTES:
+        a serial block holds at most numutil._CHUNK points and the budget,
+        and a pass of a budget or more is split over two threads into
+        blocks of at most half of it.  At geo50's N = 50 that splits the
+        pass without derivatives from 656 points on, in blocks of 327, and
+        the derivative pass from 856 points on, in blocks of 427.  Points
+        in exclusion discs take their pole-free form in the block that
+        holds them (_sums).  The round enters _PASS_ERRSTATE in every
+        thread it runs in.  A point's values depend on that point alone,
+        not on its batch, the block size or the split.
 
         Each term's derivative is the term itself times
 
@@ -289,8 +290,10 @@ class InterpolationSeries:
                     for arr, val in zip(out, vals):
                         arr[sl] = val
 
-        row_bytes = self._pair_bytes(derivatives) * prod.z.size
-        map_work(run, np.full(n, row_bytes), numutil._SPLIT_BYTES)
+        row, budget = prod.z.size, numutil._BLOCK_PAIRS
+        if derivatives:
+            row, budget = self._pair_bytes() * row, numutil._SPLIT_BYTES
+        map_work(run, np.full(n, row), budget)
         return SeriesPass(*out)
 
     def _buffers(self, derivatives: bool):
@@ -302,10 +305,10 @@ class InterpolationSeries:
         return ((complex, 4), (float, 4 if derivatives else 3),
                 (bool, 2 if derivatives else 1))
 
-    def _pair_bytes(self, derivatives: bool) -> int:
-        """Bytes per points x nodes pair of _buffers(derivatives)."""
-        return sum(np.dtype(t).itemsize * k
-                   for t, k in self._buffers(derivatives))
+    def _pair_bytes(self) -> int:
+        """Bytes per points x nodes pair of the derivative pass's buffers,
+        _buffers(True)."""
+        return sum(np.dtype(t).itemsize * k for t, k in self._buffers(True))
 
     def _sums(self, pts: np.ndarray, derivatives: bool, blocks):
         """Yield (slice, sums) for _pass over the blocks of pts, the blocks

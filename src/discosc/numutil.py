@@ -19,18 +19,19 @@ TWO_PI = 2.0 * np.pi
 # product and series passes, centres x points in the sequence estimators,
 # nodes in the residue contour)
 _CHUNK = 512
-# rows x columns pairs per serial block (slices) and per node pass
-# (map_work): a complex temporary of 2^15 pairs is 512 KB, which stays in
-# cache where a (512, N) one leaves it for N in the hundreds
+# rows x columns pairs per serial block (slices), and the budget of the
+# node pass and of the series pass without derivatives (map_work): a
+# complex temporary of 2^15 pairs is 512 KB, which stays in cache where a
+# (512, N) one leaves it for N in the hundreds
 _BLOCK_PAIRS = 2 ** 15
 # most threads one pass is split over (see map_work)
 _MAX_WORKERS = 2
-# the series pass's budget of buffer bytes (InterpolationSeries._pass,
-# whose runs allocate their buffers once): split over two threads, each
-# run's buffers hold 2^21 bytes, no more than the plain form's live
-# temporaries of one 2^15-pair block (about 160 bytes per pair), and at
-# N = 50 a derivative block holds 428 points, where 256 took about 17%
-# more wall time
+# the series derivative pass's budget of buffer bytes
+# (InterpolationSeries._pass, whose runs allocate their buffers once):
+# split over two threads, each run's buffers hold at most 2^21 bytes, no
+# more than the plain form's live temporaries of one 2^15-pair block
+# (about 160 bytes per pair), and at N = 50 a block holds 427 points,
+# where 256 took about 17% more wall time
 _SPLIT_BYTES = 2 ** 22
 
 
@@ -158,11 +159,12 @@ def work_runs(work: np.ndarray, budget: int, parts: int = 1) -> list:
     contiguous runs of about equal work, each a list of block slices: p =
     parts for a pass of budget units or more, 1 otherwise.  Row i goes to
     run min(floor(p s_i/total), p - 1), s_i the units of the rows before
-    it, and a run's block closes once it holds budget // p units or _CHUNK
-    rows, so the p runs' blocks together hold about one budget.  Every
-    block but a run's last holds at least budget // p units or _CHUNK
-    rows, and past its first row less than budget // p plus its last
-    row's.  Runs without rows are left out.
+    it, and a run's block closes before a row that would take it past
+    budget // p units, or at _CHUNK rows, so the p runs' blocks together
+    hold at most one budget.  Every block holds at most budget // p units
+    (a row of more is a block of its own) and _CHUNK rows, and every block
+    but a run's last would pass budget // p units with the row after it,
+    or holds _CHUNK rows.  Runs without rows are left out.
 
     Both kinds of edge come from a binary search of the cumulative work:
     the cost grows with the blocks, not the rows."""
@@ -180,7 +182,7 @@ def work_runs(work: np.ndarray, budget: int, parts: int = 1) -> list:
         run = []
         while lo < hi:
             held = int(cum[lo - 1]) if lo else 0
-            stop = int(cum.searchsorted(held + limit)) + 1
+            stop = int(cum.searchsorted(held + limit, side="right"))
             stop = min(max(stop, lo + 1), lo + _CHUNK, hi)
             run.append(slice(lo, stop))
             lo = stop

@@ -20,12 +20,12 @@ afar enters them all through one proxy circle about the cluster, whose
 interpolant each member reads at its own circle (_proxies).  Points x nodes
 passes loop over cache-sized blocks (numutil.slices); numutil.map_work
 splits the series pass, the node pass and the residue contour over two
-threads, each row counted by its cost: a series point by the bytes of its
-row of the pass's buffers, a node of the node pass by its N pairs, and a
-node or cluster of the contour by the samples it takes.  The series pass
-forms its pieces, factor logs and log-derivatives in buffers that each run
-allocates once (the out= forms of _pieces, _factor_logs and
-_log_derivatives).
+threads, each row counted by its cost: a series point and a node of the
+node pass by its N pairs (a series point of the derivative pass by the
+bytes of its row of the pass's buffers), and a node or cluster of the
+contour by the samples it takes.  The series pass forms its pieces,
+factor logs and log-derivatives in buffers that each run allocates once
+(the out= forms of _pieces, _factor_logs and _log_derivatives).
 Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
 the branch cut and signed zeros of np.log at a fraction of the cost, and
 accurate to the absolute rounding the pieces already carry.
@@ -80,13 +80,13 @@ NODE_PROXY_SAVING = 4096
 # slower
 _SAMPLE_PAIRS = 2 ** 14
 # direct samples per stage of the residue contour (numutil.map_work), whose
-# node and cluster blocks then hold 2^18 samples on two workers and 2^19 on
-# one, whatever N: the N = 368 lattice's nodes take 855,552, two blocks for
-# each of two workers, where 2^14 // N // 2 nodes per block made 22 nodes at
-# N = 368 and 1 above N = 4096.  Blocks of 2^19 took that contour 11%
-# faster than 2^18 on two CPUs but raised a lattice368-build run's peak RSS
-# by 2.0 MB; 2^20 took N = 2686 14% faster, and its build's peak RSS from
-# 38 to 54 MB
+# node and cluster blocks then hold up to 2^18 samples on two workers and
+# 2^19 on one, whatever N: the N = 368 lattice's nodes take 855,552, two
+# blocks for each of two workers, where 2^14 // N // 2 nodes per block
+# made 22 nodes at N = 368 and 1 above N = 4096.  Blocks of 2^19 took that
+# contour 11% faster than 2^18 on two CPUs but raised a lattice368-build
+# run's peak RSS by 2.0 MB; 2^20 took N = 2686 14% faster, and its build's
+# peak RSS from 38 to 54 MB
 _BLOCK_SAMPLES = 2 ** 19
 
 
@@ -778,8 +778,8 @@ class CanonicalProduct:
         carry (prox.sources) and CONTOUR_START_POINTS per near one (counted
         by _exclusion_rule).  On two workers map_work cuts a stage of
         _BLOCK_SAMPLES samples or more into two runs of about equal
-        samples, in blocks of about half that many, and otherwise into
-        blocks of about _BLOCK_SAMPLES; the unit grids and the proxy modes
+        samples, in blocks of at most half that many, and otherwise into
+        blocks of at most _BLOCK_SAMPLES; the unit grids and the proxy modes
         are formed here, in the calling thread.  Of the node x factor
         matrices a block forms only the distances that pick the far
         factors, in the row slices of numutil.distance_rows.

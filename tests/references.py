@@ -337,8 +337,9 @@ def rho_separation(seq, rho):
 
 def work_runs(work, budget, parts=1):
     """numutil.work_runs by one Python loop over the rows: each row is given
-    its run, and opens a block when it starts its run or when the block
-    before it holds budget // p units or numutil._CHUNK rows."""
+    its run, and opens a block when it starts its run, when it would take
+    the block before it past budget // p units, or when that block holds
+    numutil._CHUNK rows."""
     total = int(np.sum(work))
     if total < budget:
         parts = 1
@@ -348,7 +349,7 @@ def work_runs(work, budget, parts=1):
     edges, fresh, held = [], [], 0
     for i, w in enumerate(np.asarray(work).tolist()):
         first = i == 0 or run[i] != run[i - 1]
-        if first or held >= limit or i - edges[-1] == numutil._CHUNK:
+        if first or held + w > limit or i - edges[-1] == numutil._CHUNK:
             edges.append(i)
             fresh.append(first)
             held = 0

@@ -184,18 +184,22 @@ def test_blocks_hold_the_pair_budget_and_move_no_distance(weight_pipeline):
     assert sizes[:-1] == [(2 ** 15) // n] * (len(sizes) - 1)
     assert sum(sizes) == 1000
     assert [sl.stop - sl.start for sl in slices(1100, 2)] == [512, 512, 76]
-    # the series pass's blocks sized by buffer bytes, 98 a pair: on two
-    # workers blocks of 2 MiB, 59 points at N = 368; on one, of 4 MiB (117
-    # points); a pass of two nodes under 4 MiB stays serial, in blocks of
-    # 512 points
-    def sizes(work, parts):
+    # the series derivative pass's blocks sized by buffer bytes, 98 a pair:
+    # on two workers blocks of at most 2 MiB, 58 points at N = 368; on one,
+    # of 4 MiB (116 points); a pass of two nodes under 4 MiB stays serial,
+    # in blocks of 512 points.  Counted in pairs against 2^15, as the pass
+    # without derivatives is, two workers take the serial blocks' halves.
+    def sizes(work, budget, parts):
         return [[b.stop - b.start for b in run]
-                for run in work_runs(work, numutil._SPLIT_BYTES, parts)]
+                for run in work_runs(work, budget, parts)]
 
     assert numutil._SPLIT_BYTES == 2 ** 22
-    assert sizes(np.full(200, 98 * n), 2) == [[59, 41], [59, 41]]
-    assert sizes(np.full(200, 98 * n), 1) == [[117, 83]]
-    assert sizes(np.full(600, 98 * 2), 2) == [[512, 88]]
+    split = numutil._SPLIT_BYTES
+    assert sizes(np.full(200, 98 * n), split, 2) == [[58, 42], [58, 42]]
+    assert sizes(np.full(200, 98 * n), split, 1) == [[116, 84]]
+    assert sizes(np.full(600, 98 * 2), split, 2) == [[512, 88]]
+    assert sizes(np.full(200, n), 2 ** 15, 2) == [[44, 44, 12], [44, 44, 12]]
+    assert sizes(np.full(200, n), 2 ** 15, 1) == [[89, 89, 22]]
     d = np.abs(prod.z[:, None] - prod.z[None, :])
     np.fill_diagonal(d, math.inf)
     np.testing.assert_array_equal(

@@ -99,9 +99,9 @@ def _record_runs(monkeypatch):
 def _assert_block_rule(work, budget, runs, workers):
     """runs tile the rows in order; a pass of budget units or more takes p
     = workers runs (fewer only when it has fewer rows), a smaller one p =
-    1; every block but a run's last holds at least budget // p units or
-    numutil._CHUNK rows, and every block at most _CHUNK rows and, past its
-    first row, less than budget // p plus its last row's."""
+    1; every block holds at most numutil._CHUNK rows and, past its first
+    row, at most budget // p units, and every block but a run's last holds
+    _CHUNK rows or would pass budget // p units with the row after it."""
     blocks = [b for run in runs for b in run]
     assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
     assert blocks[-1].stop == work.size
@@ -109,22 +109,25 @@ def _assert_block_rule(work, budget, runs, workers):
     assert len(runs) == min(p, work.size)
     limit, chunk = budget // p, numutil._CHUNK
     for run in runs:
-        assert all(np.sum(work[b]) >= limit or b.stop - b.start == chunk
-                   for b in run[:-1])
+        assert all(np.sum(work[b.start:b.stop + 1]) > limit
+                   or b.stop - b.start == chunk for b in run[:-1])
         assert all(b.stop - b.start <= chunk for b in run)
-        assert all(np.sum(work[b][:-1]) < limit for b in run
+        assert all(np.sum(work[b]) <= limit for b in run
                    if b.stop - b.start > 1)
 
 
 def _assert_series_blocks(calls, series, workers):
-    """The series passes of calls cost each point its bytes of buffers
-    (_pair_bytes x N) against numutil._SPLIT_BYTES, by the block rule."""
+    """The series passes of calls follow the block rule: the pass without
+    derivatives costs each point its N pairs against numutil._BLOCK_PAIRS,
+    the derivative pass its bytes of buffers (_pair_bytes x N) against
+    numutil._SPLIT_BYTES."""
     n = series.product.z.size
-    costs = {series._pair_bytes(d) * n for d in (False, True)}
+    costs = {(numutil._BLOCK_PAIRS, n),
+             (numutil._SPLIT_BYTES, series._pair_bytes() * n)}
     assert calls
     for work, budget, runs in calls:
-        assert budget == numutil._SPLIT_BYTES
-        assert work.size and set(work.tolist()) <= costs
+        assert work.size and (budget, work[0]) in costs
+        assert np.all(work == work[0])
         _assert_block_rule(work, budget, runs, workers)
 
 
@@ -195,6 +198,10 @@ def test_same_bits_at_any_block_size_and_worker_count(
         calls.clear()
         _assert_same(_values(bundle, pts, nodes), want)
         _assert_series_blocks(calls, series, workers)
+        # the pass without derivatives counted in pairs, the derivative
+        # pass in bytes
+        assert {(budget, work[0]) for work, budget, _ in calls} == {
+            (pairs, n), (split_bytes, series._pair_bytes() * n)}
         # the series passes' blocks, and the node jets' serial ones
         step = max(1, min(chunk, pairs // n))
         split = max(b.stop - b.start for _, _, runs in calls
@@ -204,7 +211,7 @@ def test_same_bits_at_any_block_size_and_worker_count(
     # points on one worker, and on two, a pass of two blocks' buffers or
     # more split into blocks of size points (from 2 size points on); a(z)
     # off the nodes, the values the derivative pass gives
-    pair_bytes = series._pair_bytes(True)
+    pair_bytes = series._pair_bytes()
     off = bundle.product.z[:0]
     big = _disc_points(bundle.product, 5, 3100)
     _set_blocks(monkeypatch, 512, 2 ** 15, 2 ** 22, 1)
@@ -597,12 +604,13 @@ def test_a_node_block_counts_the_samples_it_takes(weight_pipeline,
 
 @pytest.mark.parametrize("n", [50, 2686, 11324])
 def test_residue_contour_blocks_hold_many_nodes_at_any_size(monkeypatch, n):
-    # the block rule alone, on two workers: blocks of _BLOCK_SAMPLES // 2
-    # samples at most NODE_FAR_SAMPLES (N - 1) samples a node at N = 2686
-    # and 11324 (every other factor far and sampled directly), where the
-    # rule of 2^14 // N // 2 nodes gave blocks of 3 and 1 node; at most
-    # CONTOUR_START_POINTS (N - 1) (every factor near) at N = 50, which
-    # stays one serial block
+    # the block rule alone, on two workers: blocks of at most
+    # _BLOCK_SAMPLES // 2 samples at most NODE_FAR_SAMPLES (N - 1) samples
+    # a node at N = 2686 and 11324 (every other factor far and sampled
+    # directly), where the rule of 2^14 // N // 2 nodes gave blocks of 3
+    # and 1 node: every block but a run's last holds more than half of
+    # that, at any N; at most CONTOUR_START_POINTS (N - 1) (every factor
+    # near) at N = 50, which stays one serial block
     monkeypatch.setattr(numutil, "_worker_count", lambda: 2)
     near = n == 50
     per_node = (products.CONTOUR_START_POINTS if near
@@ -616,7 +624,9 @@ def test_residue_contour_blocks_hold_many_nodes_at_any_size(monkeypatch, n):
     if near:
         assert blocks == [n]
     else:
-        assert min(blocks) >= 2
+        assert all(np.sum(work[b]) > products._BLOCK_SAMPLES // 4
+                   for run in runs for b in run[:-1])
+        assert n > 2686 or min(blocks) >= 2
         assert len(runs) == 2
 
 
