@@ -74,13 +74,20 @@ def parse_ladder(text: str) -> list[float]:
     return vals
 
 
-def _write_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+def _write(text: str, path: str | None) -> None:
+    """text to the file path (stdout for None), or ValueError naming it."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(obj: dict, path: str | None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=1) + "\n", path)
 
 
 def _write_csv(header: list[str], rows: list[list], path: str | None) -> None:
@@ -96,12 +103,7 @@ def _write_csv(header: list[str], rows: list[list], path: str | None) -> None:
             template = templates[kinds] = ",".join(
                 "{:.17g}" if issubclass(t, float) else "{}" for t in kinds)
         lines.append(template.format(*row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", path)
 
 
 def _report(command: str, config: dict) -> dict:
@@ -137,7 +139,7 @@ def cmd_gen(args) -> int:
         print("warning: generator produced no points; nothing written",
               file=sys.stderr)
         return 0
-    seq.save(args.out)
+    _write(json.dumps(seq.to_json(), indent=1) + "\n", args.out)
     print(f"wrote {args.out}: {len(seq)} points, "
           f"max modulus {max(abs(z) for z in seq.points):.6f}")
     if len(seq) >= 2:

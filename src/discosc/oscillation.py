@@ -705,13 +705,8 @@ def _block_offsets(params: SharpnessParams, j: int):
     """(m_j, eps_j, base gap 3^-j, offsets k eps/m) straight from the
     defining formulas; no sequence materialisation, so the exact requested
     widths survive even where they sit below the binary64 grid near 1."""
-    m = params.block_count(j)
-    u = 3.0 ** (-j)
-    if m == 0:
-        return 0, 0.0, u, np.zeros(0)
-    eps = params.block_width(j)
-    k = np.arange(m, dtype=float)
-    return m, eps, u, k * eps / m
+    m, eps = params.block_count(j), params.block_width(j)
+    return m, eps, 3.0 ** (-j), np.arange(m, dtype=float) * eps / m
 
 
 def sharpness_witness(params: SharpnessParams, n: int) -> WitnessReport:
@@ -730,7 +725,7 @@ def sharpness_witness(params: SharpnessParams, n: int) -> WitnessReport:
     """
     if not (2 <= n <= params.n_max):
         raise ValueError(f"block index must lie in [2, {params.n_max}]")
-    if (n * math.log(3.0)) ** (1.0 + params.eta2) > 600.0:
+    if params.block_width(n) < math.exp(-600.0):
         raise ValueError(
             f"block {n} width underflows binary64; the witness is out of "
             f"desk range for these parameters")
@@ -746,32 +741,29 @@ def sharpness_witness(params: SharpnessParams, n: int) -> WitnessReport:
     i1 = complex(np.sum((-1.0 / a_k) * (num / den)))
     i1_floor = 0.5 * (m / eps) * float(np.sum(1.0 / k))
 
+    def cross(u_jk):
+        """The cross terms of block j, from its gaps u_jk = 1 - z_{j,k}."""
+        den_jk = u_jk + u0 - u_jk * u0
+        return float(np.sum((1.0 / (u0 - u_jk))  # 1/(z_{j,k} - z_{n,0})
+                            * (u_jk * (2.0 - u_jk) / den_jk)))
+
     i2 = 0.0
     i2_upper = 0.0
     # earlier blocks: every point, exact formulas
     for j in range(1, n):
         mj, epsj, uj, offsj = _block_offsets(params, j)
-        if mj == 0:
-            continue
-        u_jk = uj - offsj
-        delta = u0 - u_jk                       # z_{j,k} - z_{n,0}
-        den_jk = u_jk + u0 - u_jk * u0
-        i2 += float(np.sum((1.0 / delta) * (u_jk * (2.0 - u_jk) / den_jk)))
+        i2 += cross(uj - offsj)
         i2_upper += 4.0 * mj / uj
     # later blocks: run until the terms fall below 1e-14 of the sums
     j = n + 1
     while True:
         mj = params.block_count(j)
         if mj:
-            tau = (j * math.log(3.0)) ** (1.0 + params.eta2)
-            epsj = math.exp(-tau) if tau <= 700.0 else 0.0
+            epsj = params.block_width(j)
             uj = 3.0 ** (-j)
             offsj = np.arange(mj, dtype=float) * (epsj / mj)
             u_jk = uj - offsj
-            delta = u0 - u_jk
-            den_jk = u_jk + u0 - u_jk * u0
-            i2 += float(np.sum((1.0 / delta) *
-                               (u_jk * (2.0 - u_jk) / den_jk)))
+            i2 += cross(u_jk)
             term_up = 4.0 * float(np.sum(u_jk)) / u0 ** 2
             i2_upper += term_up
             if j > n + 4 and term_up <= 1e-14 * i2_upper:

@@ -10,25 +10,24 @@ Every per-factor quantity -- the factor logs, the first and second
 log-derivatives, the node targets and the interpolation series' term logs --
 is built from one pair of pieces per point and node, (z - z_n, 1 - conj(z_n)
 z), which _pieces forms at given points (and _field_samples for given node x
-factor pairs); at the nodes one pass (_node_pass) takes every per-node
-quantity from one set of pieces.  The exclusion-circle contours never form
-z_k + u: node k's own factor is taken from u, and every other factor enters
-centred on the node, as log E_n(z_k + u) - log E_n(z_k), through samples of
-the pieces at z_k, which keeps contours around deep nodes accurate
-(node_contour_modes); a far factor that a whole cluster of nodes sees from
-afar enters them all through one proxy circle about the cluster, whose
-interpolant each member reads at its own circle (_proxies).  Points x nodes
-passes loop over cache-sized blocks (numutil.slices); numutil.map_work
-splits the series pass, the node pass and the residue contour over two
-threads, each row counted by its cost: a series point and a node of the
-node pass by its N pairs (a series point of the derivative pass by the
-bytes of its row of the pass's buffers), and a node or cluster of the
-contour by the samples it takes.  The series pass forms its pieces,
-factor logs and log-derivatives in buffers that each run allocates once
-(the out= forms of _pieces, _factor_logs and _log_derivatives).
-Their principal logs come from numutil.clog, log|z| + i atan2(Im z, Re z):
-the branch cut and signed zeros of np.log at a fraction of the cost, and
-accurate to the absolute rounding the pieces already carry.
+factor pairs); at the nodes one pass (_node_pass) takes every node x node
+quantity from one set of pieces, the exclusion radii and each node's near
+factors from the distances |z_k - z_n| in them.  The exclusion-circle
+contours never form z_k + u: node k's own factor is taken from u, and every
+other factor enters centred on the node, as log E_n(z_k + u) - log E_n(z_k),
+through samples of the pieces at z_k, which keeps contours around deep nodes
+accurate (node_contour_modes); a far factor that a whole cluster of nodes
+sees from afar enters them all through one proxy circle about the cluster,
+whose interpolant each member reads at its own circle (_proxies).  Points
+x nodes passes loop over cache-sized blocks (numutil.slices);
+numutil.map_work splits the series pass, the node pass and the residue
+contour over two threads, each row counted by its cost.  The series pass
+forms its pieces, factor logs and log-derivatives in buffers that each run
+allocates once (the out= forms of _pieces, _factor_logs and
+_log_derivatives).  Their principal logs come from numutil.clog, log|z| +
+i atan2(Im z, Re z): the branch cut and signed zeros of np.log at a
+fraction of the cost, and accurate to the absolute rounding the pieces
+already carry.
 
 Stability notes baked into the implementation:
 
@@ -90,15 +89,6 @@ _SAMPLE_PAIRS = 2 ** 14
 _BLOCK_SAMPLES = 2 ** 19
 
 
-def _near_factors(d: np.ndarray, r: np.ndarray, out=None) -> np.ndarray:
-    """The near factors of a block of nodes: d[i, n] = |z_n - z_k| for the
-    node k of row i, r their exclusion radii.  Factor n is near node k
-    where d < NODE_NEAR_RATIO r_k (k itself too, where d = 0) and far
-    elsewhere; _exclusion_rule counts them, _proxies clears them from a
-    cluster's sources and _centred_modes samples them apart."""
-    return np.less(d, NODE_NEAR_RATIO * r[:, None], out=out)
-
-
 def _poly_part(w, s: int):
     """w + w^2/2 + ... + w^s/s, elementwise (zeros for s = 0)."""
     w = np.asarray(w, dtype=complex)
@@ -146,8 +136,19 @@ def primary_factor(w, s: int):
     return (1.0 - w) * np.exp(_poly_part(w, s))
 
 
-# the arrays of CanonicalProduct._node_pass, one entry per node
-NodePass = namedtuple("NodePass", "targets deleted zeroed log_dp count rhs")
+# the arrays of CanonicalProduct._node_pass
+NodePass = namedtuple("NodePass", "targets deleted zeroed log_dp count rhs "
+                                  "radii near near_cols")
+
+
+def _lists(count: np.ndarray, flat: np.ndarray, ids: np.ndarray):
+    """(i, v) for each entry v of list ids[i], in row order, of the lists
+    that flat holds one after another, count[j] entries for list j: the
+    members of clusters and the near factors of nodes."""
+    c = count[ids]
+    i = np.repeat(np.arange(ids.size), c)
+    ends = np.cumsum(count)[ids] - np.cumsum(c)
+    return i, flat[np.repeat(ends, c) + np.arange(i.size)]
 
 
 class Clusters(NamedTuple):
@@ -183,11 +184,13 @@ class CanonicalProduct:
     The exclusion radius of node k is r_k = min(nn_k/4, (1 - |z_k|)/8), nn_k
     its nearest-neighbour distance; node_contour_modes relies on this rule,
     and the coefficient's node jets on the disc of radius 4 r_k about z_k
-    that it leaves free of other nodes.  Inside the exclusion disc of a node
-    the full product is numerically dominated by its vanishing factor; the
-    deleted product, the regular part of the node's own log-derivative and
-    the node derivatives are exact there, while log_eval refuses and asks
-    the caller to use those forms.
+    that it leaves free of other nodes.  The radii come from the node pass
+    (_node_pass), run on first use, so a product used only for log_eval or
+    in_exclusion pays for that whole pass.  Inside the exclusion disc of a
+    node the full product is numerically dominated by its vanishing factor;
+    the deleted product, the regular part of the node's own log-derivative
+    and the node derivatives are exact there, while log_eval refuses and
+    asks the caller to use those forms.
     """
 
     def __init__(self, zeros: ZeroSequence, genus: int):
@@ -218,7 +221,6 @@ class CanonicalProduct:
         # column of the node at the origin (the zeros are distinct), or None
         origin = np.flatnonzero(z == 0.0)
         self._origin_idx = int(origin[0]) if origin.size else None
-        self.exclusion_radii, self._near = self._exclusion_rule()
         # the nodes sorted for node_index, with nan after them so that a
         # search past the last node misses, and their indices (-1 for nan)
         order = np.argsort(z)
@@ -230,18 +232,10 @@ class CanonicalProduct:
 
     # -- geometry ----------------------------------------------------------
 
-    def _exclusion_rule(self):
-        """(r, near): r_k = min(nn_k/4, (1 - |z_k|)/8), with the
-        nearest-neighbour distances nn_k over distance_rows (inf for a lone
-        node), and near_k the count of the other nodes within
-        NODE_NEAR_RATIO r_k of z_k (_near_factors)."""
-        r = np.empty(self.z.size)
-        near = np.empty(self.z.size, dtype=int)
-        for sl, d in distance_rows(self.z, self.z):
-            d[np.arange(d.shape[0]), np.arange(sl.start, sl.stop)] = math.inf
-            r[sl] = np.minimum(np.min(d, axis=1) / 4.0, self._gap[sl] / 8.0)
-            near[sl] = np.count_nonzero(_near_factors(d, r[sl]), axis=1)
-        return r, near
+    @property
+    def exclusion_radii(self) -> np.ndarray:
+        """The exclusion radii, read-only, from the node pass."""
+        return self._node_pass().radii
 
     def nearest_node(self, pts):
         """(index, distance) of each point's closest node, over
@@ -388,19 +382,27 @@ class CanonicalProduct:
         self.require_outside_exclusion(arr)
         return like_input(self._raw_log_eval(arr), z)
 
-    def _node_rows(self, blocks, out: NodePass):
+    def _node_rows(self, blocks, out: NodePass, cols: dict):
         """Rows of out (_node_pass) for the node blocks, from one set of
         pieces and one 1 - w_n(z_k) per block, each value by the operations
-        of its own former pass (tests/references.py).  At most four of a
-        block's complex matrices live at once: the targets reuse the
-        pieces' memory."""
+        of its own former pass (tests/references.py), and cols[block start]
+        the block's near_cols.  At most four of a block's complex matrices
+        live at once: the targets reuse the pieces' memory."""
         s, zc, i = self.genus, self._zc, self._origin_idx
         for sl in blocks:
             delta, den = self._pieces(self.z[sl])
             diag = np.eye(len(delta), self.z.size, sl.start, dtype=bool)
-            # balance: N_{z_k}(r) from the distances |z_k - z_n|
-            out.count[sl] = near_counts(np.abs(delta),
-                                        0.5 * self._gap[sl, None])[1]
+            # from |z_k - z_n|: the balance count N_{z_k}(r), and off the
+            # diagonal the exclusion radius and the near factors
+            d = np.abs(delta)
+            out.count[sl] = near_counts(d, 0.5 * self._gap[sl, None])[1]
+            d[diag] = math.inf
+            r = out.radii[sl] = np.minimum(np.min(d, axis=1) / 4.0,
+                                           self._gap[sl] / 8.0)
+            near = np.less(d, NODE_NEAR_RATIO * r[:, None])
+            out.near[sl] = np.count_nonzero(near, axis=1)
+            cols[sl.start] = np.nonzero(near)[1].astype(np.int32)
+            del d, near
             w = np.divide(self._gap2c, den)  # w_n(z_k)
             aw = np.abs(w)
             aw **= s + 1
@@ -438,10 +440,10 @@ class CanonicalProduct:
             del logs, omw
 
     def _node_pass(self) -> NodePass:
-        """Every node's targets, logs and balance terms from one blocked
-        nodes x nodes pass (_node_rows under numutil.map_work, each node
-        counted at its N pairs against numutil._BLOCK_PAIRS), run once per
-        product and cached read-only.
+        """Every node x node quantity from one blocked nodes x nodes pass
+        (_node_rows under numutil.map_work, each node counted at its N pairs
+        against numutil._BLOCK_PAIRS), run once per product, on first use,
+        and cached read-only.
 
         targets: b_k = -P''(z_k)/(2 P'(z_k)), the sum over n != k of dlog
         E_n = -u_n w_n^(s+1)/(1 - w_n), u_n = conj(z_n)/(1 - conj(z_n) z),
@@ -452,13 +454,20 @@ class CanonicalProduct:
         P'(z_k) = deleted + H_s + log(-conj(z_k)/(1 - |z_k|^2)), deleted
         alone at the origin.  count: N_{z_k}((1 - |z_k|)/2), at the balance
         radius of the exponent rule, and rhs: sum_n |w_n(z_k)|^(s+1)
-        (balance_checks)."""
+        (balance_checks).  radii: r_k = min(nn_k/4, (1 - |z_k|)/8), nn_k
+        the least |z_k - z_n|, n != k (inf for none); near: the count of
+        the n != k with |z_k - z_n| < NODE_NEAR_RATIO r_k, and near_cols
+        those n, ascending, node after node (_lists)."""
         if self._nodes is not None:
             return self._nodes
         n, s = self.z.size, self.genus
-        out = NodePass(*np.empty((4, n), dtype=complex), *np.zeros((2, n)))
-        map_work(lambda run: self._node_rows(run, out), np.full(n, n),
+        out = NodePass(*np.empty((4, n), dtype=complex), *np.zeros((3, n)),
+                       np.empty(n, dtype=int), None)
+        cols = {}
+        map_work(lambda run: self._node_rows(run, out, cols), np.full(n, n),
                  numutil._BLOCK_PAIRS)
+        out = out._replace(near_cols=np.concatenate(
+            [cols[k] for k in sorted(cols)] or [np.zeros(0, np.int32)]))
         out.targets[:] -= (s + 1) * self._zc / self._gap2
         h_s = sum(1.0 / j for j in range(1, s + 1))
         with np.errstate(divide="ignore"):
@@ -653,14 +662,14 @@ class CanonicalProduct:
 
         The clusters run through numutil.map_work, each counted at (n -
         members) x CONTOUR_START_POINTS samples, the most its sources can
-        take, against a budget of _BLOCK_SAMPLES.  A block finds its
-        members' near factors from their distances to every node, in the
-        row slices of numutil.distance_rows, and clears them from its
+        take, against a budget of _BLOCK_SAMPLES.  A block clears its
+        members' near factors, the near lists of the node pass, from its
         clusters' sources.  Each cluster is computed on its own, so no
         value depends on the block, the worker count or the other nodes
         asked for.
         """
         part = self._clusters()
+        npass = self._node_pass()
         n, m = self.z.size, CONTOUR_START_POINTS
         sizes = np.diff(part.starts)
         need = np.flatnonzero(np.bincount(part.of[nodes],
@@ -678,24 +687,18 @@ class CanonicalProduct:
         def run(blocks):
             for sl in blocks:
                 ids = need[sl]
-                lo, size = part.starts[ids], sizes[ids]
-                first = np.cumsum(size) - size
-                rows = part.members[np.repeat(lo - first, size)
-                                    + np.arange(size.sum())]
-                owner = np.repeat(np.arange(ids.size), size)
+                owner, rows = _lists(sizes, part.members, ids)
                 # far for every member: clear the near pairs
                 qual = np.ones((ids.size, n), dtype=bool)
-                for ms, d in distance_rows(self.z[rows], self.z):
-                    k, j = np.nonzero(_near_factors(
-                        d, self.exclusion_radii[rows[ms]]))
-                    qual[owner[ms.start + k], j] = False
+                k, j = _lists(npass.near, npass.near_cols, rows)
+                qual[owner[k], j] = False
                 c, rho = self.z[part.seed[ids]], part.rho[ids]
                 gap = NODE_PROXY_RATIO * rho[:, None]
                 qual &= np.abs(self.z - c[:, None]) >= gap
                 qual &= (np.abs(one_minus_conj_mul(self.z, c[:, None]))
                          >= gap * np.abs(self.z))
                 sources = np.count_nonzero(qual, axis=1)
-                saving = sources * (size * NODE_FAR_SAMPLES - m)
+                saving = sources * (sizes[ids] * NODE_FAR_SAMPLES - m)
                 take = np.flatnonzero(saving > NODE_PROXY_SAVING)
                 if take.size == 0:
                     continue
@@ -709,8 +712,8 @@ class CanonicalProduct:
                            f"Fourier tail bound {bound[i]:.2e} at {m} "
                            f"samples exceeds half the unit roundoff "
                            f"{half_eps:.2e}")
-                    raise RuntimeError(f"proxy circle of node "
-                                       f"{int(rows[first[take[i]]])}: {why}")
+                    first = part.members[part.starts[ids[take[i]]]]
+                    raise RuntimeError(f"proxy circle of node {first}: {why}")
                 at = sl.start + take
                 used[at] = True
                 modes[at] = np.fft.fft(vals, axis=1) / m
@@ -773,16 +776,12 @@ class CanonicalProduct:
         circle value; it names the first such node, and its far field if
         both fail.  Only factor values enter.
 
-        The nodes run through numutil.map_work, each counted at the samples
-        it takes: NODE_FAR_SAMPLES per far factor that its proxy does not
-        carry (prox.sources) and CONTOUR_START_POINTS per near one (counted
-        by _exclusion_rule).  On two workers map_work cuts a stage of
-        _BLOCK_SAMPLES samples or more into two runs of about equal
-        samples, in blocks of at most half that many, and otherwise into
-        blocks of at most _BLOCK_SAMPLES; the unit grids and the proxy modes
-        are formed here, in the calling thread.  Of the node x factor
-        matrices a block forms only the distances that pick the far
-        factors, in the row slices of numutil.distance_rows.
+        The nodes run through numutil.map_work against _BLOCK_SAMPLES,
+        each counted at the samples it takes: NODE_FAR_SAMPLES per far
+        factor that its proxy does not carry (prox.sources) and
+        CONTOUR_START_POINTS per near one.  A block's near and far masks
+        come from the near lists of the node pass; the unit grids and the
+        proxy modes are formed here, in the calling thread.
         """
         eps = float(np.finfo(float).eps)
         fields = (("far", NODE_FAR_SAMPLES),
@@ -790,7 +789,7 @@ class CanonicalProduct:
         units = [circle_nodes(m)[1] for _, m in fields]
         coef = np.zeros((nodes.size, max(m for _, m in fields)),
                         dtype=complex)
-        slot = prox.slot[nodes]
+        npass, slot = self._node_pass(), prox.slot[nodes]
         on = np.flatnonzero(slot >= 0)
         if on.size:
             coef[on, :CONTOUR_START_POINTS] = self._member_modes(
@@ -799,13 +798,11 @@ class CanonicalProduct:
         def run(blocks):
             for sl in blocks:
                 blk = nodes[sl]
-                r = self.exclusion_radii[blk]
-                zk = self.z[blk]
-                near = np.empty((blk.size, self.z.size), dtype=bool)
-                for rs, d in distance_rows(zk, self.z):
-                    _near_factors(d, r[rs], out=near[rs])
+                r, zk = npass.radii[blk], self.z[blk]
+                near = np.zeros((blk.size, self.z.size), dtype=bool)
+                near[_lists(npass.near, npass.near_cols, blk)] = True
                 far = ~near
-                near[np.arange(blk.size), blk] = False
+                far[np.arange(blk.size), blk] = False
                 if on.size:
                     far &= ~np.unpackbits(prox.covered[slot[sl]], axis=1,
                                           count=self.z.size).view(bool)
@@ -824,7 +821,7 @@ class CanonicalProduct:
                 for (vals, _), (_, m) in zip(samples, fields):
                     coef[sl, :m] += np.fft.fft(vals, axis=1) / m
 
-        near = self._near[nodes]
+        near = npass.near[nodes]
         far = self.z.size - 1 - near - prox.sources[slot]
         map_work(run, NODE_FAR_SAMPLES * far + CONTOUR_START_POINTS * near,
                  _BLOCK_SAMPLES)

@@ -143,16 +143,24 @@ class SharpnessParams:
     n_max: int
 
     def __post_init__(self):
-        if not (self.eta1 > 0.0 and self.eta2 > 0.0):
-            raise ValueError("eta1 and eta2 must be positive")
+        for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
+            if not 0.0 < eta < math.inf:
+                raise ValueError(f"{name} = {eta} must be positive and finite")
         if not (1 <= self.n_max <= 30):
             raise ValueError("n_max must lie in 1..30")
 
+    def _power(self, n: int, p: float, what: str) -> float:
+        """(n log 3)^p, or ValueError naming block n when it overflows."""
+        try:
+            return (n * LN3) ** p
+        except OverflowError:
+            raise ValueError(f"block {n}: {what} overflows binary64") from None
+
     def block_count(self, n: int) -> int:
-        return int(math.floor((n * LN3) ** self.eta1))
+        return int(math.floor(self._power(n, self.eta1, "point count")))
 
     def block_width(self, n: int) -> float:
-        return math.exp(-((n * LN3) ** (1.0 + self.eta2)))
+        return math.exp(-self._power(n, 1.0 + self.eta2, "width exponent"))
 
 
 def generate_sharpness(params: SharpnessParams) -> ZeroSequence:

@@ -10,7 +10,7 @@ from discosc.interpolation import (_PASS_ERRSTATE, SeriesPass, _above_floor,
                                    _row_sums)
 from discosc import numutil
 from discosc.numutil import clog, disc_points, one_minus_conj_mul
-from discosc.products import _poly_part
+from discosc.products import NODE_NEAR_RATIO, _poly_part
 from discosc.sequences import _boundary_grid, log_integrated_count
 
 
@@ -89,6 +89,21 @@ def node_deleted_logs_pass(prod):
             row[i:-1] = row[i + 1:]
         out[sl] = np.sum(logs[:, :-1], axis=1)
     return out
+
+
+def exclusion_rule(prod):
+    """(r, near) at every node: r_k = min(nn_k/4, (1 - |z_k|)/8), with the
+    nearest-neighbour distances nn_k over numutil.distance_rows (inf for a
+    lone node), and near[k, n] = (|z_k - z_n| < NODE_NEAR_RATIO r_k) for n
+    != k: the serial nearest-neighbour pass that products ran at
+    construction before the node pass took the radii and near lists."""
+    n = prod.z.size
+    r, near = np.empty(n), np.empty((n, n), dtype=bool)
+    for sl, d in numutil.distance_rows(prod.z, prod.z):
+        d[np.arange(d.shape[0]), np.arange(sl.start, sl.stop)] = math.inf
+        r[sl] = np.minimum(np.min(d, axis=1) / 4.0, prod._gap[sl] / 8.0)
+        np.less(d, NODE_NEAR_RATIO * r[sl, None], out=near[sl])
+    return r, near
 
 
 def balance_checks_pass(prod, delta=0.5):

@@ -466,3 +466,51 @@ def test_weight_gamma_other_than_2_exits_2_by_name(tmp_path, capsys, argv,
     assert cli.main(argv + where + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"gamma = {gamma} is not supported: only gamma = 2" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, messages", [
+    (["gen", "sharpness", "--eta1", "inf", "--eta2", "1", "--nmax", "3",
+      "--out", "x.json"], ["eta1 = inf must be positive and finite"]),
+    (["gen", "sharpness", "--eta1", "1", "--eta2", "nan", "--nmax", "3",
+      "--out", "x.json"], ["eta2 = nan must be positive and finite"]),
+    (["witness", "--eta1", "1", "--eta2=-inf", "--nmax", "3"],
+     ["eta2 = -inf must be positive and finite"]),
+    # (2 log 3)^1000 and (2 log 3)^1001 overflow binary64: each block is
+    # skipped by name, and then no block is left
+    (["witness", "--eta1", "1000", "--eta2", "1", "--nmax", "3"],
+     ["block 2 skipped: block 2: point count overflows binary64",
+      "block 3 skipped: block 3: point count overflows binary64",
+      "no witness block is computable"]),
+    (["witness", "--eta1", "1", "--eta2", "1000", "--nmax", "3"],
+     ["block 2 skipped: block 2: width exponent overflows binary64",
+      "no witness block is computable"]),
+])
+def test_sharpness_parameters_out_of_range_exit_2_by_name(tmp_path, capsys,
+                                                          monkeypatch, argv,
+                                                          messages):
+    # eta1 = inf and 1000 once left block_count with an OverflowError
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages), err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["gen", "geometric", "--ratio", "0.5", "--count", "4"], ""),
+    (["analyze", "--scale", "log"], ".json"),
+    (["build", "--scale", "log"], ".json"),
+    (["verify", "--scale", "log", "--samples", "2"], ".json"),
+    (["growth", "--scale", "log", "--ladder", "0.5", "--samples", "64"], ""),
+    (["witness", "--eta1", "1", "--eta2", "1", "--nmax", "3"], ""),
+])
+def test_an_output_path_that_cannot_be_written_exits_2_by_name(
+        tmp_path, capsys, argv, written):
+    # a missing directory once left a FileNotFoundError traceback (exit 1)
+    where = [] if argv[0] in ("gen", "witness") else [
+        "--sequence", str(_gen_geo(tmp_path))]
+    out = str(tmp_path / "missing" / "out")
+    capsys.readouterr()
+    assert cli.main(argv + where + ["--out", out]) == 2
+    assert f"error: cannot write {out}{written}: " in capsys.readouterr().err

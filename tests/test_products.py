@@ -13,11 +13,12 @@ from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
                      build_coefficient, generate_radial_geometric,
                      generate_rho_lattice, generate_sharpness,
                      genus_from_scale, node_targets, numutil,
-                     primary_factor, products, weight_to_psi)
+                     primary_factor, products, sequences, weight_to_psi)
 from discosc.numutil import (circle_modes, circle_nodes, slices, work_runs,
                              wrap_angle)
 from discosc.products import _poly_part
-from references import balance_check, deleted_log_eval, offset_pieces
+from references import (balance_check, deleted_log_eval, exclusion_rule,
+                        offset_pieces)
 from strategies import separated_sets
 
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
@@ -173,6 +174,54 @@ def test_exclusion_rule_quarter_neighbour_eighth_gap():
     bad, idx = prod.in_exclusion(np.array([0.5 + 0.05j, 0.5 + 0.1j]))
     assert bad.tolist() == [True, False]
     assert idx[0] == 0
+    # the node pass takes the rule's radii and near lists, bit for bit, for
+    # two nodes, one (no neighbour: the gap alone) and none
+    empty = ZeroSequence(np.zeros(0, dtype=complex))
+    for seq, radii in ((PAIR, [0.0625, 0.0625]), (ONE, [0.0625]),
+                       (empty, [])):
+        prod = CanonicalProduct(seq, 0)
+        r, near = exclusion_rule(prod)
+        nodes = prod._node_pass()
+        assert prod.exclusion_radii.tolist() == r.tolist() == radii
+        assert nodes.near.tolist() == np.count_nonzero(near, axis=1).tolist()
+        assert nodes.near_cols.tolist() == np.nonzero(near)[1].tolist()
+    assert prod.in_exclusion(np.array([0.5]))[0].tolist() == [False]
+
+
+def test_a_build_forms_the_node_distances_in_one_node_pass(weight_pipeline,
+                                                           monkeypatch):
+    # lattice368: constructing a product neither searches distances nor
+    # runs the node pass; a whole build runs _node_rows once over every
+    # node, which forms |z_k - z_n|, and hands no node x node search to
+    # numutil.distance_rows
+    _, scale, lattice, _ = weight_pipeline
+    searches, runs = [], []
+    distance_rows = numutil.distance_rows
+
+    def search(centres, points):
+        searches.append((centres.size, np.array_equal(points, lattice.points)))
+        return distance_rows(centres, points)
+
+    for module in (numutil, products, sequences):
+        monkeypatch.setattr(module, "distance_rows", search)
+    node_rows = CanonicalProduct._node_rows
+
+    def recorded(self, blocks, *args):
+        blocks = list(blocks)
+        runs.append(blocks)
+        return node_rows(self, blocks, *args)
+
+    monkeypatch.setattr(CanonicalProduct, "_node_rows", recorded)
+    monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
+    genus = genus_from_scale(scale)
+    CanonicalProduct(lattice, genus)
+    assert searches == [] and runs == []
+    build_coefficient(lattice, scale, genus=genus)
+    (blocks,) = runs
+    assert np.array_equal(np.concatenate([np.arange(len(lattice))[b]
+                                          for b in blocks]),
+                          np.arange(len(lattice)))
+    assert not any(nodes for _, nodes in searches), searches
 
 
 def test_blocks_hold_the_pair_budget_and_move_no_distance(weight_pipeline):

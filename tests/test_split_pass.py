@@ -30,7 +30,7 @@ import references
 
 
 def _bits(a):
-    return np.ascontiguousarray(np.atleast_1d(a)).view(np.uint64)
+    return np.ascontiguousarray(np.atleast_1d(a)).view(np.uint8)
 
 
 def _same_bits(a, b):
@@ -420,15 +420,17 @@ def _series(request, name):
 
 def _node_values(series):
     """The four per-node passes of a build from a fresh product on the
-    series' nodes (so its node pass runs anew), and balance_checks:
-    targets, deleted logs, the series at the nodes (value and the two
-    parts of _node_terms) and (lhs, rhs)."""
+    series' nodes (so its node pass runs anew), balance_checks and the
+    exclusion rule: targets, deleted logs, the series at the nodes (value
+    and the two parts of _node_terms), (lhs, rhs), the exclusion radii and
+    the near lists (counts and columns)."""
     prod = CanonicalProduct(series.product.zeros, series.product.genus)
     fresh = InterpolationSeries(prod, series.targets, series.exponents)
     k = np.arange(prod.z.size)
     return (node_targets(prod), prod.node_deleted_logs(),
             fresh.evaluate(prod.z), *fresh._node_terms(k),
-            *prod.balance_checks())
+            *prod.balance_checks(), prod.exclusion_radii,
+            prod._node_pass().near, prod._node_pass().near_cols)
 
 
 @pytest.mark.parametrize("name", ["lattice368", "geo50", "sharp14"])
@@ -438,11 +440,15 @@ def test_node_pass_equals_the_four_passes_at_any_block_size_and_worker_count(
     prod = series.product
     k = np.arange(prod.z.size)
     terms = references.node_terms_pass(series, k)
+    radii, near = references.exclusion_rule(prod)
     want = (references.node_targets_pass(prod),
             references.node_deleted_logs_pass(prod),
             _unscale(0.0, *terms, "value"), *terms,
-            *references.balance_checks_pass(prod))
-    fields = ("targets", "deleted", "h", "re t", "phase", "lhs", "rhs")
+            *references.balance_checks_pass(prod), radii,
+            np.count_nonzero(near, axis=1),
+            np.nonzero(near)[1].astype(np.int32))
+    fields = ("targets", "deleted", "h", "re t", "phase", "lhs", "rhs",
+              "radii", "near", "near_cols")
     rows = _block_rows(monkeypatch)
     calls = _record_runs(monkeypatch)
     n = prod.z.size
@@ -480,10 +486,10 @@ def test_the_node_pass_runs_once_and_hands_out_no_writable_cache(
     runs = []
     node_rows = CanonicalProduct._node_rows
 
-    def recorded(self, slices, out):
+    def recorded(self, slices, *args):
         slices = list(slices)
         runs.extend(slices)
-        return node_rows(self, slices, out)
+        return node_rows(self, slices, *args)
 
     monkeypatch.setattr(CanonicalProduct, "_node_rows", recorded)
     monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
