@@ -20,11 +20,11 @@ import sys
 import numpy as np
 
 from . import __version__
+from .contour import (NODE_FAR_SAMPLES, NODE_NEAR_RATIO, NODE_PROXY_MARGIN,
+                      NODE_PROXY_RATIO, NODE_PROXY_SAVING)
 from .numutil import CONTOUR_MAX_POINTS, CONTOUR_START_POINTS
 from .oscillation import (RESIDUE_TOL, ResidueCancellationError,
                           build_coefficient, sample_probes, sharpness_witness)
-from .products import (NODE_FAR_SAMPLES, NODE_NEAR_RATIO, NODE_PROXY_MARGIN,
-                       NODE_PROXY_RATIO, NODE_PROXY_SAVING)
 from .scales import GrowthScale, WeightPair, weight_to_psi
 from .sequences import (SharpnessParams, ZeroSequence, condition_report,
                         generate_radial_geometric, generate_rho_lattice,

@@ -42,8 +42,8 @@ import numpy as np
 from . import numutil
 from .numutil import (circle_max, clog, disc_points,  # noqa: F401
                       golden_section_max, like_input, map_work,
-                      one_minus_conj_mul)
-from .products import CanonicalProduct, _poly_part
+                      one_minus_conj_mul, poly_part)
+from .products import CanonicalProduct
 from .scales import GrowthScale
 from .sequences import ZeroSequence
 
@@ -430,7 +430,7 @@ class InterpolationSeries:
             wk = prod._gap2[k] / den_k
             fact = np.where(zk == 0.0, 0.0,
                             clog(-np.conj(zk) / den_k)
-                            + _poly_part(wk, prod.genus))
+                            + poly_part(wk, prod.genus))
             t = (self._log_b[k] - self._log_dp[k] + prod._node_pass().zeroed[k]
                  + fact + (self.exponents[k] - 1) * clog(wk))
             return t.real, np.where(np.isfinite(t), np.exp(t - t.real), 0.0)

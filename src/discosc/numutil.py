@@ -63,6 +63,35 @@ def one_minus_abs(z):
     return one_minus_abs2(z) / (1.0 + np.abs(z))
 
 
+def poly_part(w, s: int):
+    """w + w^2/2 + ... + w^s/s, elementwise (zeros for s = 0)."""
+    w = np.asarray(w, dtype=complex)
+    if s == 0:
+        return np.zeros_like(w)
+    acc = pw = w
+    for j in range(2, s + 1):
+        pw = pw * w
+        acc = acc + pw / j
+    return acc
+
+
+def poly_diff(w0, dw, s: int):
+    """poly_part(w0 + dw, s) - poly_part(w0, s), through w^j - w0^j =
+    w (w^(j-1) - w0^(j-1)) + w0^(j-1) dw with w = w0 + dw, so a small dw
+    keeps its relative accuracy (zeros for s = 0)."""
+    if s == 0:
+        return np.zeros_like(dw)
+    if s == 1:
+        return dw
+    acc = d = dw
+    w, p0 = w0 + dw, 1.0
+    for j in range(2, s + 1):
+        p0 = p0 * w0
+        d = w * d + p0 * dw
+        acc = acc + d / j
+    return acc
+
+
 def clog(z, out=None, mod=None):
     """Principal log of complex z as log|z| + i atan2(Im z, Re z).
 
@@ -204,7 +233,9 @@ def map_work(fn, work: np.ndarray, budget: int) -> None:
     failing run in block order.  fn must write only the rows of its own
     blocks, enter the np.errstate it needs itself (numpy's error state is
     per thread), and call nothing that bench/tracer.py wraps (its span
-    stack assumes one thread)."""
+    stack assumes one thread).  The callers: the series and node passes
+    (InterpolationSeries._pass, CanonicalProduct._node_pass) and the
+    residue contour's two sampling stages (contour._stage)."""
     runs = work_runs(work, budget, _worker_count()) or [[]]
     errors = [None] * len(runs)
 

@@ -45,6 +45,17 @@ __all__ = [
 ]
 
 LN3 = math.log(3.0)
+# the most points a generator builds, far above the largest pinned set (N =
+# 11,324): each counts its points before it forms any (_counted)
+MAX_POINTS = 2 ** 20
+
+
+def _counted(count, what: str):
+    """count, or ValueError naming what when it passes MAX_POINTS."""
+    if count > MAX_POINTS:
+        raise ValueError(f"{what}: point count {count} exceeds the point "
+                         f"limit {MAX_POINTS}")
+    return count
 
 
 class ZeroSequence:
@@ -157,7 +168,8 @@ class SharpnessParams:
             raise ValueError(f"block {n}: {what} overflows binary64") from None
 
     def block_count(self, n: int) -> int:
-        return int(math.floor(self._power(n, self.eta1, "point count")))
+        m = int(math.floor(self._power(n, self.eta1, "point count")))
+        return _counted(m, f"block {n}")
 
     def block_width(self, n: int) -> float:
         return math.exp(-self._power(n, 1.0 + self.eta2, "width exponent"))
@@ -171,11 +183,12 @@ def generate_sharpness(params: SharpnessParams) -> ZeroSequence:
     the guard keeps degenerate parameter choices from silently producing a
     wrong sequence).
     """
+    counts = [params.block_count(n) for n in range(1, params.n_max + 1)]
+    _counted(sum(counts), f"blocks 1..{params.n_max}")
     pts: list[float] = []
     blocks = []
     skipped = []
-    for n in range(1, params.n_max + 1):
-        m = params.block_count(n)
+    for n, m in enumerate(counts, start=1):
         if m == 0:
             skipped.append(n)
             continue
@@ -228,6 +241,7 @@ def generate_radial_geometric(ratio: float, count: int) -> ZeroSequence:
         raise ValueError("ratio must lie in (0, 1)")
     if count < 1:
         raise ValueError("count must be positive")
+    _counted(count, "geometric")
     vals = 1.0 - ratio ** np.arange(1, count + 1, dtype=float)
     if np.any(vals >= 1.0) or np.any(np.diff(vals) <= 0.0):
         raise ValueError(
@@ -247,15 +261,15 @@ def generate_rho_lattice(rho: Callable[[np.ndarray], np.ndarray], spacing: float
     Rings are placed at r_{j+1} = r_j + spacing * rho(r_j) starting from a
     single point at the origin; ring j holds points spaced roughly
     spacing * rho(r_j) along the circle.  Stops at r_max; raises if the
-    radial step underflows first.
+    radial step underflows first, or if a ring would take the count past
+    MAX_POINTS: the rings are counted before any point is formed.
     """
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
     if not (0.0 < r_max < 1.0):
         raise ValueError("r_max must lie in (0, 1)")
-    pts: list[complex] = [0j]
     rings = [{"r": 0.0, "count": 1}]
-    r = 0.0
+    total, r = 1, 0.0
     while True:
         step = spacing * float(np.asarray(rho(np.asarray([r])))[0])
         if not (step > 0.0 and np.isfinite(step)):
@@ -269,12 +283,17 @@ def generate_rho_lattice(rho: Callable[[np.ndarray], np.ndarray], spacing: float
         # angular mesh follows rho at the ring's own radius
         step_ang = spacing * float(np.asarray(rho(np.asarray([r_next])))[0])
         n_ang = max(1, int(math.floor(2.0 * math.pi * r_next / step_ang)))
-        # stagger rings so neighbours are not radially aligned
-        offset = 2.0 * math.pi * ((len(rings) * 0.381966) % 1.0)
-        angles = offset + 2.0 * math.pi * np.arange(n_ang) / n_ang
-        pts.extend(r_next * np.exp(1j * angles))
+        total = _counted(total + n_ang,
+                         f"ring {len(rings)} at r = {r_next:.6g}")
         rings.append({"r": r_next, "count": n_ang})
         r = r_next
+    pts: list[complex] = [0j]
+    for j, ring in enumerate(rings[1:], start=1):
+        # stagger rings so neighbours are not radially aligned
+        offset = 2.0 * math.pi * ((j * 0.381966) % 1.0)
+        n_ang = ring["count"]
+        angles = offset + 2.0 * math.pi * np.arange(n_ang) / n_ang
+        pts.extend(ring["r"] * np.exp(1j * angles))
     seq = ZeroSequence(pts, label="rho-lattice",
                        meta={"generator": "rho-lattice", "spacing": spacing,
                              "r_max": r_max, "rings": rings})

@@ -9,8 +9,8 @@ from discosc.geometry import pseudo_distance
 from discosc.interpolation import (_PASS_ERRSTATE, SeriesPass, _above_floor,
                                    _row_sums)
 from discosc import numutil
-from discosc.numutil import clog, disc_points, one_minus_conj_mul
-from discosc.products import NODE_NEAR_RATIO, _poly_part
+from discosc.contour import NODE_NEAR_RATIO
+from discosc.numutil import clog, disc_points, one_minus_conj_mul, poly_part
 from discosc.sequences import _boundary_grid, log_integrated_count
 
 
@@ -143,7 +143,7 @@ def node_terms_pass(series, k):
             wk = prod._gap2[kk] / den_k
             fact = np.where(zk == 0.0, 0.0,
                             clog(-np.conj(zk) / den_k)
-                            + _poly_part(wk, prod.genus))
+                            + poly_part(wk, prod.genus))
             t[sl] = (series._log_b[kk] - series._log_dp[kk]
                      + np.sum(logs, axis=1) + fact
                      + (series.exponents[kk] - 1) * clog(wk))
@@ -184,7 +184,7 @@ def plain_factor_logs(prod, delta, den):
     """CanonicalProduct._factor_logs with fresh temporaries."""
     omw = -prod._zc * delta / den
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = clog(omw) + _poly_part(1.0 - omw, prod.genus)
+        logs = clog(omw) + poly_part(1.0 - omw, prod.genus)
         i = prod._origin_idx
         if i is not None:
             logs[..., i] = clog(delta[..., i])

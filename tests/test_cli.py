@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from discosc import (CanonicalProduct, ResidueCancellationError, ZeroSequence,
-                     build_coefficient, cli, numutil, oscillation, products,
+                     build_coefficient, cli, contour, numutil, oscillation,
                      sequences, sigma_report)
 
 
@@ -433,17 +433,17 @@ def test_design_block_echoes_the_source_constants():
     margin = inspect.signature(build_coefficient).parameters["margin"]
     assert cli.DESIGN == {
         "contour_start_points": numutil.CONTOUR_START_POINTS,
-        "node_near_ratio": products.NODE_NEAR_RATIO,
-        "node_far_samples": products.NODE_FAR_SAMPLES,
-        "node_proxy_ratio": products.NODE_PROXY_RATIO,
-        "node_proxy_margin": products.NODE_PROXY_MARGIN,
-        "node_proxy_saving": products.NODE_PROXY_SAVING,
+        "node_near_ratio": contour.NODE_NEAR_RATIO,
+        "node_far_samples": contour.NODE_FAR_SAMPLES,
+        "node_proxy_ratio": contour.NODE_PROXY_RATIO,
+        "node_proxy_margin": contour.NODE_PROXY_MARGIN,
+        "node_proxy_saving": contour.NODE_PROXY_SAVING,
         "contour_max_points": numutil.CONTOUR_MAX_POINTS,
         "exclusion_rule": "min(nearest_neighbor/4, (1-|z|)/8)",
         "margin_default": margin.default,
     }
     # the probe, winding and exclusion-circle contours start on one grid
-    assert (oscillation.CONTOUR_START_POINTS == products.CONTOUR_START_POINTS
+    assert (oscillation.CONTOUR_START_POINTS == contour.CONTOUR_START_POINTS
             == numutil.CONTOUR_START_POINTS)
     np.testing.assert_allclose(prod.exclusion_radii, rule, rtol=1e-15)
 
@@ -490,6 +490,34 @@ def test_sharpness_parameters_out_of_range_exit_2_by_name(tmp_path, capsys,
                                                           monkeypatch, argv,
                                                           messages):
     # eta1 = inf and 1000 once left block_count with an OverflowError
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(m in err for m in messages), err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, messages", [
+    # (2 log 3)^20 and (3 log 3)^20 points: refused from the closed-form
+    # block counts, before any point is formed
+    (["gen", "sharpness", "--eta1", "20", "--eta2", "1", "--nmax", "3",
+      "--out", "x.json"],
+     ["block 2: point count 6878424 exceeds the point limit 1048576"]),
+    (["witness", "--eta1", "20", "--eta2", "1", "--nmax", "3"],
+     ["block 2 skipped: block 2: point count 6878424 exceeds the point "
+      "limit 1048576",
+      "block 3 skipped: block 3: point count 22872526833 exceeds the point "
+      "limit 1048576", "no witness block is computable"]),
+    # the rings are counted before any point is formed
+    (["gen", "rho-lattice", "--gamma", "2", "--spacing", "1e-6", "--rmax",
+      "0.9", "--out", "x.json"],
+     ["ring 578 at r = 0.000288953: point count 1051198 exceeds the point "
+      "limit 1048576"]),
+])
+def test_point_counts_above_the_limit_exit_2_by_name(tmp_path, capsys,
+                                                     monkeypatch, argv,
+                                                     messages):
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

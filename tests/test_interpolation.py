@@ -11,8 +11,7 @@ from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
                      TargetData, WeightPair, ZeroSequence, choose_exponents,
                      generate_radial_geometric, generate_rho_lattice,
                      sample_probes, targets_from_product, weight_to_psi)
-from discosc.numutil import clog
-from discosc.products import _poly_part
+from discosc.numutil import clog, poly_part
 from references import offset_pieces
 from strategies import separated_sets
 
@@ -282,7 +281,7 @@ def _removable_form_reference(series, k, pts):
         t = _term_logs(series, delta, den) + (log_bk + log_ek)[:, None]
         fact = np.where(zk == 0.0, 0.0,
                         clog(-np.conj(zk) / den_k)
-                        + _poly_part(wk, prod.genus))
+                        + poly_part(wk, prod.genus))
         t[rows, k] = (series._log_b[k] - series._log_dp[k] + log_bk + fact
                       + (series.exponents[k] - 1) * clog(wk))
         sm = np.max(np.where(np.isnan(t.real), -np.inf, t.real), axis=1)

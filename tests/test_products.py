@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from discosc import (CanonicalProduct, GrowthScale, SharpnessParams,
                      WeightPair, ZeroSequence, blaschke_sum,
-                     build_coefficient, generate_radial_geometric,
+                     build_coefficient, contour, generate_radial_geometric,
                      generate_rho_lattice, generate_sharpness,
                      genus_from_scale, node_targets, numutil,
                      primary_factor, products, sequences, weight_to_psi)
-from discosc.numutil import (circle_modes, circle_nodes, slices, work_runs,
-                             wrap_angle)
-from discosc.products import _poly_part
+from discosc.numutil import (circle_modes, circle_nodes, poly_part, slices,
+                             work_runs, wrap_angle)
 from references import (balance_check, deleted_log_eval, exclusion_rule,
                         offset_pieces)
 from strategies import separated_sets
@@ -269,7 +268,7 @@ def test_blocks_hold_the_pair_budget_and_move_no_distance(weight_pipeline):
 def test_node_contour_names_the_first_node_that_does_not_settle(
         monkeypatch):
     # a 32-point cap leaves no round to compare the first one against
-    monkeypatch.setattr(products, "CONTOUR_MAX_POINTS", 32)
+    monkeypatch.setattr(contour, "CONTOUR_MAX_POINTS", 32)
     with pytest.raises(RuntimeError) as err:
         CanonicalProduct(_LATTICE07, 1).node_contour_modes()
     assert str(err.value) == ("exclusion-circle contour at node 0 did not "
@@ -278,21 +277,21 @@ def test_node_contour_names_the_first_node_that_does_not_settle(
 
 def _proxy_call(prod, r):
     """Whether a _field_samples call with the radii r samples proxy circles
-    (CanonicalProduct._proxies) rather than exclusion circles."""
-    return bool(np.all(np.isin(r, prod._clusters().rho)))
+    (contour._proxies) rather than exclusion circles."""
+    return bool(np.all(np.isin(r, prod._contour().clusters.rho)))
 
 
 def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
     # a nan near-field sample on an exclusion circle is refused, naming the
     # node, not counted as an exact zero
     prod = CanonicalProduct(_LATTICE07, 1)
-    real = CanonicalProduct._field_samples
+    real = contour._field_samples
     poisoned_rows = []
 
-    def poisoned(self, r, zk, mask, unit):
-        vals, bound = real(self, r, zk, mask, unit)
-        if (unit.size == products.CONTOUR_START_POINTS
-                and not _proxy_call(self, r) and not poisoned_rows):
+    def poisoned(geo, r, zk, mask, unit):
+        vals, bound = real(geo, r, zk, mask, unit)
+        if (unit.size == contour.CONTOUR_START_POINTS
+                and not _proxy_call(prod, r) and not poisoned_rows):
             # the near field of the first block's last node (row i of the
             # first block is node i)
             i = mask.shape[0] - 1
@@ -301,7 +300,7 @@ def test_node_contour_names_the_node_of_a_nan_sample(monkeypatch):
             poisoned_rows.append(i)
         return vals, bound
 
-    monkeypatch.setattr(CanonicalProduct, "_field_samples", poisoned)
+    monkeypatch.setattr(contour, "_field_samples", poisoned)
     with pytest.raises(RuntimeError) as err:
         prod.node_contour_modes()
     assert str(err.value) == (f"exclusion circle of node {poisoned_rows[0]}: "
@@ -343,7 +342,7 @@ def test_factor_logs_match_np_log_at_the_deepest_node():
     got = np.sum(prod._factor_logs(delta, den), axis=1)
     # the same factor logs through numpy's complex log
     omw = -prod._zc * delta / den
-    logs = np.log(omw) + _poly_part(1.0 - omw, prod.genus)
+    logs = np.log(omw) + poly_part(1.0 - omw, prod.genus)
     assert prod._origin_idx is None     # no origin column to overwrite
     want = np.sum(logs, axis=1)
     tol = 64 * prod.z.size * np.finfo(float).eps
@@ -354,7 +353,7 @@ def test_factor_logs_match_np_log_at_the_deepest_node():
 
 
 def _old_poly_part(w, s):
-    # the accumulation _poly_part replaced: from zeros and ones
+    # the accumulation poly_part replaced: from zeros and ones
     acc = np.zeros_like(np.asarray(w, dtype=complex))
     pw = np.ones_like(acc)
     for j in range(1, s + 1):
@@ -367,10 +366,10 @@ def test_poly_part_equals_the_old_accumulation():
     rng = np.random.default_rng(7)
     w = 1.0 - rng.random(200) ** 4 * np.exp(1j * rng.uniform(-3, 3, 200))
     for s in range(4):
-        assert np.array_equal(_poly_part(w, s), _old_poly_part(w, s))
-        assert np.array_equal(_poly_part(w[:3, None], s),
+        assert np.array_equal(poly_part(w, s), _old_poly_part(w, s))
+        assert np.array_equal(poly_part(w[:3, None], s),
                               _old_poly_part(w[:3, None], s))
-    assert _poly_part(0.5, 0).shape == ()
+    assert poly_part(0.5, 0).shape == ()
 
 
 _WEIGHT = WeightPair.log_power_weight(2.0)
@@ -413,14 +412,14 @@ def test_node_contour_settles_at_64_points(monkeypatch, seq, scale, proxies):
     # the near ones from 32; every node settles on the 64-point round,
     # whose modes match a fresh 128-point grid of all factors
     prod = CanonicalProduct(seq, genus_from_scale(scale))
-    part = prod._clusters()
-    field_samples = prod._field_samples
+    part = prod._contour().clusters
+    field_samples = contour._field_samples
     # one thread, so that no count is lost between two workers
     monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     rows, pairs = {16: 0, 32: 0}, {16: 0, 32: 0, "proxy": 0}
 
-    def counted(r, zk, mask, unit):
-        vals, bound = field_samples(r, zk, mask, unit)
+    def counted(geo, r, zk, mask, unit):
+        vals, bound = field_samples(geo, r, zk, mask, unit)
         m = unit.size
         assert vals.shape == (mask.shape[0], m)
         if _proxy_call(prod, r):
@@ -432,7 +431,7 @@ def test_node_contour_settles_at_64_points(monkeypatch, seq, scale, proxies):
             pairs[m] += int(np.sum(mask))
         return vals, bound
 
-    monkeypatch.setattr(prod, "_field_samples", counted)
+    monkeypatch.setattr(contour, "_field_samples", counted)
     res = prod.node_contour_modes()
     n = prod.z.size
     assert rows == {16: n, 32: n}
@@ -456,7 +455,7 @@ def test_proxy_modes_match_the_exact_grid_on_separated_sets(pts, genus):
     # saves
     prod = CanonicalProduct(ZeroSequence(pts), genus)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(products, "NODE_PROXY_SAVING", -math.inf)
+        patch.setattr(contour, "NODE_PROXY_SAVING", -math.inf)
         assume(_proxy_pairs(prod) > 0)
         _assert_all_modes_match(prod)
 
@@ -464,7 +463,7 @@ def test_proxy_modes_match_the_exact_grid_on_separated_sets(pts, genus):
 def _proxy_pairs(prod):
     """The (member, factor) pairs that proxy circles carry in a contour of
     every node of prod."""
-    prox = prod._proxies(np.arange(prod.z.size))
+    prox = contour._proxies(prod._contour(), np.arange(prod.z.size))
     covered = np.unpackbits(prox.covered, axis=1, count=prod.z.size)
     return int(np.sum(covered[prox.slot]))
 
@@ -475,7 +474,7 @@ def test_node_contour_matches_the_exact_grid_on_lattice07(genus):
     # the origin node has every other factor near; the others have far ones
     assert prod._origin_idx == 0
     dist = np.abs(prod.z[:, None] - prod.z[None, :])
-    near = np.sum(dist < products.NODE_NEAR_RATIO
+    near = np.sum(dist < contour.NODE_NEAR_RATIO
                   * prod.exclusion_radii[:, None], axis=1) - 1
     assert near[0] == prod.z.size - 1 and max(near[1:]) < prod.z.size - 1
     _assert_all_modes_match(prod)
@@ -492,7 +491,7 @@ def test_far_field_tail_check_names_the_node(monkeypatch):
     # below a ratio of 4 every other node is far (the exclusion rule keeps
     # it at least 4r away), so a neighbour at q = r/|z_n - z_k| near 1/4
     # puts the 16-sample tail bound far above the unit roundoff
-    monkeypatch.setattr(products, "NODE_NEAR_RATIO", 3.0)
+    monkeypatch.setattr(contour, "NODE_NEAR_RATIO", 3.0)
     prod = CanonicalProduct(generate_radial_geometric(0.8, 50), 1)
     with pytest.raises(RuntimeError,
                        match=r"far field of node \d+: Fourier tail bound"):
@@ -501,7 +500,7 @@ def test_far_field_tail_check_names_the_node(monkeypatch):
 
 def _lowest_member(prod, k):
     """The lowest-index node of node k's cluster."""
-    part = prod._clusters()
+    part = prod._contour().clusters
     return int(part.members[part.starts[part.of[k]]])
 
 
@@ -510,7 +509,7 @@ def test_proxy_tail_check_names_the_clusters_lowest_node(weight_pipeline,
     # at a separation of 1.5 proxy radii a source has q up to 2/3, whose
     # 32-sample tail is far above half the unit roundoff
     prod = weight_pipeline[3].product
-    monkeypatch.setattr(products, "NODE_PROXY_RATIO", 1.5)
+    monkeypatch.setattr(contour, "NODE_PROXY_RATIO", 1.5)
     with pytest.raises(RuntimeError, match=r"^proxy circle of node \d+: "
                        r"Fourier tail bound \S+ at 32 samples exceeds half "
                        r"the unit roundoff") as err:
@@ -525,22 +524,22 @@ def test_proxy_nan_sample_names_the_clusters_lowest_node(weight_pipeline,
     # workers its block runs in the second worker, and the error is the
     # serial one
     prod = weight_pipeline[3].product
-    part = prod._clusters()
+    part = prod._contour().clusters
     seeds = part.seed[_proxy_seeds(prod)]
     target = prod.z[seeds[3 * seeds.size // 4]]
-    real = CanonicalProduct._field_samples
+    real = contour._field_samples
     threads = set()
 
-    def poisoned(self, r, zk, mask, unit):
-        vals, bound = real(self, r, zk, mask, unit)
-        if _proxy_call(self, r) and np.any(zk == target):
+    def poisoned(geo, r, zk, mask, unit):
+        vals, bound = real(geo, r, zk, mask, unit)
+        if _proxy_call(prod, r) and np.any(zk == target):
             vals[np.flatnonzero(zk == target)[0], 7] = np.nan
             threads.add(threading.current_thread() is
                         threading.main_thread())
         return vals, bound
 
-    monkeypatch.setattr(CanonicalProduct, "_field_samples", poisoned)
-    monkeypatch.setattr(products, "_BLOCK_SAMPLES", 2 ** 12)
+    monkeypatch.setattr(contour, "_field_samples", poisoned)
+    monkeypatch.setattr(contour, "_BLOCK_SAMPLES", 2 ** 12)
     k = _lowest_member(prod, int(prod.node_index(target)))
     for workers in (1, 2):
         monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
@@ -553,15 +552,14 @@ def test_proxy_nan_sample_names_the_clusters_lowest_node(weight_pipeline,
 
 def _proxy_seeds(prod):
     """The clusters of prod that take a proxy in a contour of every node."""
-    prox = prod._proxies(np.arange(prod.z.size))
-    return np.flatnonzero(np.isin(prod._clusters().seed,
-                                  prod.node_index(prox.centre)))
+    slot = contour._proxies(prod._contour(), np.arange(prod.z.size)).slot
+    return np.unique(slot[slot >= 0])
 
 
 def test_near_field_tail_check_names_the_node(monkeypatch):
     # a neighbour at q = r/|z_n - z_k| = 1/4 leaves a tail of about
     # (1/4)^8 at 8 samples, far above the unit roundoff
-    monkeypatch.setattr(products, "CONTOUR_START_POINTS", 8)
+    monkeypatch.setattr(contour, "CONTOUR_START_POINTS", 8)
     prod = CanonicalProduct(generate_radial_geometric(0.8, 50), 1)
     with pytest.raises(RuntimeError,
                        match=r"near field of node \d+: Fourier tail bound "
@@ -589,7 +587,8 @@ def test_node_contour_modes_of_one_node_match_the_full_pass():
 
 def test_proxy_members_alone_match_the_full_pass(weight_pipeline):
     prod = weight_pipeline[3].product
-    ks = np.flatnonzero(np.isin(prod._clusters().of, _proxy_seeds(prod)))
+    ks = np.flatnonzero(np.isin(prod._contour().clusters.of,
+                               _proxy_seeds(prod)))
     assert ks.size > 300
     _assert_one_node_bits(prod, ks[::60])
 

@@ -177,6 +177,40 @@ def test_sharpness_param_validation():
         SharpnessParams(1.0, 1.0, 31)
 
 
+def test_generators_refuse_a_count_above_the_point_limit_unformed():
+    # each count is refused from its closed form, or the lattice's from its
+    # rings, before any point is formed: SharpnessParams(20, 1, 3) asks
+    # 22,872,526,833 points of block 3 (and 6,878,424 of block 2), (4, 1,
+    # 29) holds every block under the limit but 6,502,805 points in all,
+    # and spacing 1e-6 passes the limit after 578 rings
+    assert sequences.MAX_POINTS == 2 ** 20
+    assert SharpnessParams(4.0, 1.0, 29).block_count(29) == 1030314
+    rho = WeightPair.log_power_weight(2.0).rho
+    cases = [
+        (lambda: SharpnessParams(20.0, 1.0, 3).block_count(3),
+         "block 3: point count 22872526833 exceeds the point limit 1048576"),
+        (lambda: generate_sharpness(SharpnessParams(20.0, 1.0, 3)),
+         "block 2: point count 6878424 exceeds the point limit 1048576"),
+        (lambda: generate_sharpness(SharpnessParams(4.0, 1.0, 29)),
+         "blocks 1..29: point count 6502805 exceeds the point limit 1048576"),
+        (lambda: generate_rho_lattice(rho, 1e-6, 0.9),
+         "ring 578 at r = 0.000288953: point count 1051198 exceeds the point "
+         "limit 1048576"),
+        (lambda: generate_radial_geometric(0.5, 2 ** 20 + 1),
+         "geometric: point count 1048577 exceeds the point limit 1048576"),
+    ]
+    tracemalloc.start()
+    try:
+        for call, message in cases:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_rho_lattice_respects_truncation():
     lat = generate_rho_lattice(_flat_rho(0.05), 1.0, 0.6)
     assert len(lat) > 50

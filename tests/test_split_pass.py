@@ -3,7 +3,7 @@ and worker threads.
 
 Each point's row of InterpolationSeries._pass, each node's row of the node
 pass (CanonicalProduct._node_pass) and each node's row of the
-exclusion-circle samples (CanonicalProduct._centred_modes), is computed on
+exclusion-circle samples (contour._centred_modes), is computed on
 its own, so the block size and the number of workers (numutil.map_work)
 must not move a bit of any value, and a split pass must keep the serial
 pass's numpy error state, warnings and exceptions.  The tests that set a
@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
-                     SharpnessParams, build_coefficient, generate_sharpness,
-                     genus_from_scale, node_targets, numutil, products,
-                     targets_from_product)
+                     SharpnessParams, build_coefficient, contour,
+                     generate_sharpness, genus_from_scale, node_targets,
+                     numutil, targets_from_product)
 from discosc.interpolation import _unscale
 from discosc.oscillation import _residue_mismatch
 
@@ -131,19 +131,20 @@ def _assert_series_blocks(calls, series, workers):
         _assert_block_rule(work, budget, runs, workers)
 
 
-def _block_rows(monkeypatch, name="_pieces"):
+def _block_rows(monkeypatch, name="_pieces", owner=CanonicalProduct):
     """A list that receives, from now on, the rows of every block the
-    passes hand to CanonicalProduct.<name> (its first argument): _pieces
-    takes each block of the series pass, the node pass and the node jets,
-    _field_samples each node block of the residue contour."""
+    passes hand to owner.<name> (its argument after the first): the method
+    CanonicalProduct._pieces takes each block of the series pass, the node
+    pass and the node jets, the function contour._field_samples each block
+    of the residue contour."""
     rows = []
-    method = getattr(CanonicalProduct, name)
+    method = getattr(owner, name)
 
-    def recorded(self, block, *args, **kwargs):
+    def recorded(first, block, *args, **kwargs):
         rows.append(len(block))
-        return method(self, block, *args, **kwargs)
+        return method(first, block, *args, **kwargs)
 
-    monkeypatch.setattr(CanonicalProduct, name, recorded)
+    monkeypatch.setattr(owner, name, recorded)
     return rows
 
 
@@ -562,8 +563,8 @@ def test_residue_contour_keeps_its_bits_at_any_node_block_and_worker_count(
     for pairs, samples in ((2 ** 10, 2 ** 12), (2 ** 12, 2 ** 14),
                            (2 ** 14, 2 ** 16), (2 ** 14, 2 ** 18),
                            (2 ** 14, 2 ** 20)):
-        monkeypatch.setattr(products, "_SAMPLE_PAIRS", pairs)
-        monkeypatch.setattr(products, "_BLOCK_SAMPLES", samples)
+        monkeypatch.setattr(contour, "_SAMPLE_PAIRS", pairs)
+        monkeypatch.setattr(contour, "_BLOCK_SAMPLES", samples)
         for workers in (1, 2):
             monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
             calls.clear()
@@ -585,19 +586,19 @@ def test_a_node_block_counts_the_samples_it_takes(weight_pipeline,
     # that is exactly what _field_samples takes for it; a cluster's count
     # bounds its proxy circle's samples
     prod = weight_pipeline[3].product
-    rho = prod._clusters().rho
+    rho = prod._contour().clusters.rho
     # one thread, so that the far and near calls of a block come in turn
     monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
     calls = _record_runs(monkeypatch)
     taken = {"proxy": [], "node": []}
-    field_samples = CanonicalProduct._field_samples
+    field_samples = contour._field_samples
 
-    def counted(self, r, zk, mask, unit):
+    def counted(geo, r, zk, mask, unit):
         kind = "proxy" if np.all(np.isin(r, rho)) else "node"
         taken[kind].append(np.count_nonzero(mask, axis=1) * unit.size)
-        return field_samples(self, r, zk, mask, unit)
+        return field_samples(geo, r, zk, mask, unit)
 
-    monkeypatch.setattr(CanonicalProduct, "_field_samples", counted)
+    monkeypatch.setattr(contour, "_field_samples", counted)
     prod.node_contour_modes()
     (cluster_work, _, _), (node_work, _, runs) = calls
     # far and near calls alternate, block by block in row order
@@ -619,18 +620,18 @@ def test_residue_contour_blocks_hold_many_nodes_at_any_size(monkeypatch, n):
     # near) at N = 50, which stays one serial block
     monkeypatch.setattr(numutil, "_worker_count", lambda: 2)
     near = n == 50
-    per_node = (products.CONTOUR_START_POINTS if near
-                else products.NODE_FAR_SAMPLES) * (n - 1)
+    per_node = (contour.CONTOUR_START_POINTS if near
+                else contour.NODE_FAR_SAMPLES) * (n - 1)
     work = np.full(min(n, 512), per_node)
     runs = []
-    numutil.map_work(runs.append, work, products._BLOCK_SAMPLES)
+    numutil.map_work(runs.append, work, contour._BLOCK_SAMPLES)
     runs.sort(key=lambda run: run[0].start)
-    _assert_block_rule(work, products._BLOCK_SAMPLES, runs, 2)
+    _assert_block_rule(work, contour._BLOCK_SAMPLES, runs, 2)
     blocks = [b.stop - b.start for run in runs for b in run]
     if near:
         assert blocks == [n]
     else:
-        assert all(np.sum(work[b]) > products._BLOCK_SAMPLES // 4
+        assert all(np.sum(work[b]) > contour._BLOCK_SAMPLES // 4
                    for run in runs for b in run[:-1])
         assert n > 2686 or min(blocks) >= 2
         assert len(runs) == 2
@@ -644,16 +645,16 @@ def test_a_split_residue_contour_names_the_node_the_serial_one_names(
     prod = weight_pipeline[3].product
     n = prod.z.size
     threads = set()
-    field_samples = CanonicalProduct._field_samples
+    field_samples = contour._field_samples
 
-    def recorded(self, *args):
+    def recorded(*args):
         threads.add(threading.current_thread() is threading.main_thread())
-        return field_samples(self, *args)
+        return field_samples(*args)
 
-    monkeypatch.setattr(CanonicalProduct, "_field_samples", recorded)
+    monkeypatch.setattr(contour, "_field_samples", recorded)
     before = threading.active_count()
     for samples in (12, 13):
-        monkeypatch.setattr(products, "NODE_FAR_SAMPLES", samples)
+        monkeypatch.setattr(contour, "NODE_FAR_SAMPLES", samples)
         for nodes in (np.arange(n), np.arange(n)[::-1]):
             errors = []
             for workers in (1, 2):
@@ -674,23 +675,23 @@ def test_a_split_residue_contour_names_the_node_the_serial_one_names(
 
 def test_a_split_residue_contour_forms_its_grids_in_the_calling_thread(
         weight_pipeline, monkeypatch):
-    # bench/tracer.py wraps products.circle_nodes, and its span stack
-    # assumes one thread
+    # bench/tracer.py wraps numutil.circle_nodes, which the contour looks
+    # up at call time, and its span stack assumes one thread
     prod = weight_pipeline[3].product
     grids, threads = [], set()
-    nodes = products.circle_nodes
-    field_samples = CanonicalProduct._field_samples
+    nodes = numutil.circle_nodes
+    field_samples = contour._field_samples
 
     def recorded_nodes(m):
         grids.append(threading.current_thread() is threading.main_thread())
         return nodes(m)
 
-    def recorded_samples(self, *args):
+    def recorded_samples(*args):
         threads.add(threading.current_thread() is threading.main_thread())
-        return field_samples(self, *args)
+        return field_samples(*args)
 
-    monkeypatch.setattr(products, "circle_nodes", recorded_nodes)
-    monkeypatch.setattr(CanonicalProduct, "_field_samples", recorded_samples)
+    monkeypatch.setattr(numutil, "circle_nodes", recorded_nodes)
+    monkeypatch.setattr(contour, "_field_samples", recorded_samples)
     monkeypatch.setattr(numutil, "_worker_count", lambda: 2)
     prod.node_contour_modes()
     assert threads == {True, False}
@@ -705,14 +706,14 @@ def test_a_proxy_stage_over_more_workers_than_cores_loses_no_row(
     prod = weight_pipeline[3].product
     nodes = np.arange(prod.z.size)
     monkeypatch.setattr(numutil, "_worker_count", lambda: 1)
-    want = prod._proxies(nodes)
-    rows = _block_rows(monkeypatch, "_field_samples")
-    monkeypatch.setattr(products, "_BLOCK_SAMPLES", 2 ** 11)
+    want = contour._proxies(prod._contour(), nodes)
+    rows = _block_rows(monkeypatch, "_field_samples", contour)
+    monkeypatch.setattr(contour, "_BLOCK_SAMPLES", 2 ** 11)
     monkeypatch.setattr(numutil, "_worker_count", lambda: 8)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = prod._proxies(nodes)
+        got = contour._proxies(prod._contour(), nodes)
     finally:
         sys.setswitchinterval(old)
     assert max(rows) == 1 and len(rows) > 16
