@@ -139,9 +139,9 @@ def cmd_gen(args) -> int:
         print("warning: generator produced no points; nothing written",
               file=sys.stderr)
         return 0
-    _write(json.dumps(seq.to_json(), indent=1) + "\n", args.out)
+    _write(seq.to_text(), args.out)
     print(f"wrote {args.out}: {len(seq)} points, "
-          f"max modulus {max(abs(z) for z in seq.points):.6f}")
+          f"max modulus {np.max(seq.moduli()):.6f}")
     if len(seq) >= 2:
         sig = sigma_report(seq)
         log_us = sig.uniform_separation_log

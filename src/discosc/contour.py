@@ -34,9 +34,9 @@ import numpy as np
 # numutil.circle_nodes is looked up at call time: bench/tracer.py counts it
 from . import numutil
 from .numutil import (CONTOUR_MAX_POINTS, CONTOUR_START_POINTS, circle_fault,
-                      circle_modes, clog, clog1p, map_work, one_minus_abs,
-                      one_minus_abs2, one_minus_conj_mul, poly_diff,
-                      poly_part, settle_circles, slices)
+                      circle_modes, clog, clog1p, distance_rows, map_work,
+                      one_minus_abs, one_minus_abs2, one_minus_conj_mul,
+                      poly_diff, poly_part, settle_circles, slices)
 
 # on the exclusion circle of node k the factors with |z_n - z_k| <
 # NODE_NEAR_RATIO r_k (the node pass's near lists) enter through
@@ -298,8 +298,9 @@ def _proxies(geo: Geometry, nodes: np.ndarray) -> Proxies:
     c.  B takes a proxy when members x sources x NODE_FAR_SAMPLES direct
     samples exceed the proxy's sources x CONTOUR_START_POINTS by more than
     NODE_PROXY_SAVING.  The proxy's centred field G_B(v) = sum_n log E_n(c +
-    v) - log E_n(c) is sampled on |v| = rho, a row of _stage counted at (n -
-    members) x CONTOUR_START_POINTS samples, the most its sources can take.
+    v) - log E_n(c) is sampled on |v| = rho, a row of _stage counted at
+    CONTOUR_START_POINTS samples per node NODE_PROXY_RATIO rho or more from
+    c, a set that holds every source.
     Its zeros and poles lie at least NODE_PROXY_RATIO rho away, so q, qc <=
     1/4, and a _tail_bound sum above eps/2 (a member's value takes two values
     of the interpolant) or a nan or inf sample, which would otherwise pass
@@ -315,6 +316,10 @@ def _proxies(geo: Geometry, nodes: np.ndarray) -> Proxies:
     # no cluster saves more than all other factors as its sources would
     need = need[(n - sizes[need]) * (sizes[need] * NODE_FAR_SAMPLES - m)
                 > NODE_PROXY_SAVING]
+    reach = np.empty(need.size, dtype=int)
+    for sl, dist in distance_rows(z[part.seed[need]], z):
+        reach[sl] = np.count_nonzero(
+            dist >= NODE_PROXY_RATIO * part.rho[need[sl], None], axis=1)
     slot = np.full(part.seed.size, -1)
     modes = np.zeros((part.seed.size, m), dtype=complex)
     covered = np.zeros((part.seed.size + 1, -(-n // 8)), dtype=np.uint8)
@@ -344,7 +349,7 @@ def _proxies(geo: Geometry, nodes: np.ndarray) -> Proxies:
 
     _stage(geo, [("proxy circle", numutil.circle_nodes(m)[1])],
            (0.5 * _EPS, "half the unit roundoff"), True,
-           (n - sizes[need]) * m, block, modes)
+           reach * m, block, modes)
     return Proxies(slot[part.of], modes, covered, count)
 
 

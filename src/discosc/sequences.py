@@ -106,18 +106,65 @@ class ZeroSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ZeroSequence":
+        """The sequence of a to_json object; a ValueError names a malformed
+        object, or a point count above MAX_POINTS before any point is
+        formed."""
         try:
-            pts = [complex(p["re"], p["im"]) for p in obj["points"]]
+            raw = obj["points"]
+            _counted(len(raw), "sequence")
+            pts = [complex(p["re"], p["im"]) for p in raw]
             label = str(obj.get("label", ""))
             meta = obj.get("meta", {})
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed sequence object: {exc}") from exc
         return cls(pts, label=label, meta=meta)
 
+    def to_text(self) -> str:
+        """The text of the sequence file, the one encoding of a sequence
+        that save and discosc gen write: byte for byte what
+        json.dump(self.to_json(), fh, indent=1) writes, plus a newline.
+
+        Schema: one object with the keys "label" (a string), "points" (a
+        list of {"re": x, "im": y}, in the order of self.points, by
+        increasing modulus) and "meta" (the generator's parameters), in
+        that order.  Layout, json's for indent=1: a line per key and per
+        list entry, one space of indent per level, "," at the end of every
+        line but a container's last, ": " after every key, [] and {} for
+        empty containers, strings in ASCII with json's escapes, and every
+        float as its repr, which reads back to the same bits (-0.0 and
+        subnormals too).  geometric(0.5, 1) is
+
+            {
+             "label": "geometric(ratio=0.5,count=1)",
+             "points": [
+              {
+               "re": 0.5,
+               "im": 0.0
+              }
+             ],
+             "meta": {
+              "generator": "geometric",
+              "ratio": 0.5,
+              "count": 1
+             }
+            }
+
+        The label and meta go through json.dumps(..., indent=1), each as
+        the only key of an object, so json sets their indent at depth 1;
+        the points, which json's pure-Python indent encoder spends most of
+        its time on, fill one template per point."""
+        head = json.dumps({"label": self.label}, indent=1)[:-2]
+        tail = json.dumps({"meta": self.meta}, indent=1)[2:]
+        rows = ",\n".join([f'  {{\n   "re": {x!r},\n   "im": {y!r}\n  }}'
+                           for x, y in zip(self.points.real.tolist(),
+                                           self.points.imag.tolist())])
+        points = f"[\n{rows}\n ]" if rows else "[]"
+        return f'{head},\n "points": {points},\n{tail}\n'
+
     def save(self, path) -> None:
+        """Write the sequence file (to_text) to path."""
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+            fh.write(self.to_text())
 
     @classmethod
     def load(cls, path) -> "ZeroSequence":

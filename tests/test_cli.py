@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from discosc import (CanonicalProduct, ResidueCancellationError, ZeroSequence,
-                     build_coefficient, cli, contour, numutil, oscillation,
-                     sequences, sigma_report)
+                     WeightPair, build_coefficient, cli, contour, numutil,
+                     oscillation, sequences, sigma_report)
 
 
 def test_gen_geometric_writes_sequence(tmp_path, capsys):
@@ -523,6 +523,52 @@ def test_point_counts_above_the_limit_exit_2_by_name(tmp_path, capsys,
     err = capsys.readouterr().err
     assert all(m in err for m in messages), err
     assert not (tmp_path / "x.json").exists()
+
+
+def _lattice(spacing, rmax):
+    """The rho-lattice of gen rho-lattice --gamma 2."""
+    seq = sequences.generate_rho_lattice(
+        WeightPair.log_power_weight(2.0).rho, spacing, rmax)
+    seq.meta["weight_gamma"] = 2.0
+    return seq
+
+
+@pytest.mark.parametrize("argv, seq", [
+    (["geometric", "--ratio", "0.8", "--count", "50"],
+     lambda: sequences.generate_radial_geometric(0.8, 50)),
+    (["sharpness", "--eta1", "1", "--eta2", "1", "--nmax", "6"],
+     lambda: sequences.generate_sharpness(
+         sequences.SharpnessParams(1.0, 1.0, 6))),
+    (["rho-lattice", "--spacing", "0.8", "--rmax", "0.9"],
+     lambda: _lattice(0.8, 0.9)),
+])
+def test_gen_writes_the_file_of_save_and_its_summary_line(tmp_path, capsys,
+                                                          argv, seq):
+    seq = seq()
+    gen, saved = tmp_path / "gen.json", tmp_path / "saved.json"
+    assert cli.main(["gen"] + argv + ["--out", str(gen)]) == 0
+    seq.save(saved)
+    assert gen.read_bytes() == saved.read_bytes()
+    # the modulus as the summary line printed it before numpy took it
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == (f"wrote {gen}: {len(seq)} points, max modulus "
+                    f"{max(abs(z) for z in seq.points):.6f}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--scale", "log"],
+    ["verify", "--scale", "log", "--samples", "2"],
+    ["growth", "--scale", "log", "--ladder", "0.5", "--samples", "64"],
+    ["analyze", "--scale", "log"],
+])
+def test_a_sequence_file_above_the_point_limit_exits_2_by_name(
+        tmp_path, capsys, monkeypatch, argv):
+    path = _gen_geo(tmp_path, count=8)
+    monkeypatch.setattr(sequences, "MAX_POINTS", 7)
+    capsys.readouterr()
+    assert cli.main(argv + ["--sequence", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: sequence: point count 8 exceeds the point limit 7\n")
 
 
 @pytest.mark.parametrize("argv, written", [

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from discosc import (GrowthScale, SharpnessParams, WeightPair, ZeroSequence,
@@ -48,6 +48,61 @@ def test_json_round_trip(tmp_path):
     raw = json.loads(path.read_text())
     assert set(raw) == {"label", "points", "meta"}
     assert all(set(p) == {"re", "im"} for p in raw["points"])
+
+
+# coordinates at the edges of repr: signed zeros, subnormals, the least
+# normal, 17 significant digits, and any float of (-0.7, 0.7), so every
+# point lies in the disc
+_EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     0.1, 1.0 / 3.0, -0.6999999999999998, 1e-17]),
+    st.floats(-0.7, 0.7))
+# the writer's own fragments, and quotes, backslashes, newlines, control
+# characters and non-ASCII from both planes
+_FRAGMENTS = ['"points": []', '"points": [', "[]", '\n ]', '\n  }',
+              '  {\n   "re": ', ',\n   "im": ', '{\n "label": ',
+              '\n "meta": ']
+_TEXT = st.one_of(st.sampled_from(_FRAGMENTS), st.text(
+    st.sampled_from('"\\\n\t\x00 a{}[],:é☃\U0001f600'), max_size=8))
+_META = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_EDGE, _EDGE), max_size=6, unique=True), _TEXT,
+       st.dictionaries(_TEXT, _META, max_size=4))
+def test_the_sequence_file_is_json_indent_1_and_reads_back_bit_for_bit(
+        tmp_path, coords, label, meta):
+    # unique treats 0.0 and -0.0 as equal, as ZeroSequence does
+    seq = ZeroSequence([complex(x, y) for x, y in coords], label=label,
+                       meta=meta)
+    text = seq.to_text()
+    assert text == json.dumps(seq.to_json(), indent=1) + "\n"
+    path = tmp_path / "seq.json"
+    seq.save(path)
+    assert path.read_bytes() == text.encode("ascii")
+    back = ZeroSequence.load(path)
+    assert (back.points.view(np.int64).tobytes()
+            == seq.points.view(np.int64).tobytes())
+    assert back.label == label and back.meta == meta
+
+
+def test_a_file_above_the_point_limit_is_refused_by_count(monkeypatch):
+    obj = generate_radial_geometric(0.5, 8).to_json()
+    monkeypatch.setattr(sequences, "MAX_POINTS", 8)
+    assert len(ZeroSequence.from_json(obj)) == 8
+    monkeypatch.setattr(sequences, "MAX_POINTS", 7)
+    # counted before any point is formed: a malformed entry is never read
+    obj["points"][-1] = None
+    with pytest.raises(ValueError) as err:
+        ZeroSequence.from_json(obj)
+    assert str(err.value) == ("sequence: point count 8 exceeds the point "
+                              "limit 7")
 
 
 def _brute_duplicate_pairs(pts):
