@@ -79,17 +79,30 @@ def _row_sums(rows: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
             + 1j * np.bincount(rows, vals.imag, n))
 
 
-def _unscale(log_p, sm, total, what: str) -> np.ndarray:
+def _arg(x: np.ndarray) -> np.ndarray:
+    """np.angle of a complex array, without its argument checks."""
+    return np.arctan2(x.imag, x.real)
+
+
+def _unscale(log_p, sm, total, what: str, dtotal=None):
     """exp(log P + m) * total; overflow and non-finite values raise
-    ValueError naming the series quantity."""
-    with np.errstate(invalid="ignore", over="raise"):
-        try:
-            vals = np.exp(log_p + sm) * total
-        except FloatingPointError:
-            raise ValueError(f"series {what} overflows binary64") from None
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"series {what} produced a non-finite value")
-    return vals
+    ValueError naming the series quantity.  With dtotal, the pair of that
+    and the series derivative exp(log P + m) * dtotal, from the same
+    exponential and checked after it."""
+    out, e = [], None
+    for t, name in ((total, what), (dtotal, "derivative")):
+        if t is None:
+            break
+        with np.errstate(invalid="ignore", over="raise"):
+            try:
+                e = np.exp(log_p + sm) if e is None else e
+                out.append(e * t)
+            except FloatingPointError:
+                raise ValueError(f"series {name} overflows binary64") \
+                    from None
+        if not np.all(np.isfinite(out[-1])):
+            raise ValueError(f"series {name} produced a non-finite value")
+    return out[0] if dtotal is None else out
 
 
 class SeriesPass(NamedTuple):
@@ -299,10 +312,11 @@ class InterpolationSeries:
     def _buffers(self, derivatives: bool):
         """(dtype, count) of the (rows, N) buffers one run of _sums holds:
         the pieces, the factor logs and 1 - w_n (then w_n and the
-        log-derivatives); |z - z_n|, |w_n|, the term logs and with
-        derivatives a spare real; the keep masks, the second of which first
-        holds the exclusion-disc test."""
-        return ((complex, 4), (float, 4 if derivatives else 3),
+        log-derivatives); |1 - w_n|, then |z - z_n|, and with derivatives
+        |w_n|, the term logs and a spare real (without, these take the
+        memory of den and 1 - w_n, idle by then); the keep masks, the
+        second of which first holds the exclusion-disc test."""
+        return ((complex, 4), (float, 4 if derivatives else 1),
                 (bool, 2 if derivatives else 1))
 
     def _pair_bytes(self) -> int:
@@ -343,28 +357,37 @@ class InterpolationSeries:
         for sl in blocks:
             m = sl.stop - sl.start
             delta, den, omw, logs = bufs[0][:, :m]
-            ad, aw, re, *spare = bufs[1][:, :m]
+            ad, *reals = bufs[1][:, :m]
             masks = bufs[2][:, :m]
             prod._pieces(pts[sl], out=(delta, den))
             # |1 - w_n| takes the buffer of |z - z_n| until that is formed
-            log_p = np.sum(prod._factor_logs(delta, den,
-                                             (logs, omw, ad)), axis=1)
+            log_p = prod._factor_logs(delta, den, (logs, omw, ad)).sum(
+                axis=1)
             # the logs are summed: w_n takes their buffer
             w = np.divide(prod._gap2c, den, out=logs)
+            if derivatives:
+                aw, re, spare = reals
+            else:
+                # den and 1 - w_n are not read again: |w_n| and the term
+                # logs take their memory, as C-contiguous (m, N) views (a
+                # log over another layout can round differently), and the
+                # spare is |z - z_n|, not needed after its log
+                aw = den.view(float).reshape(2, m, n)[0]
+                re = omw.view(float).reshape(2, m, n)[0]
+                spare = ad
             np.abs(delta, out=ad)
             np.abs(w, out=aw)
             # Re t_n = Re c_n - log|z - z_n| + (s_n - 1) log|w_n|
             np.subtract(self._c.real, np.log(ad, out=re), out=re)
-            # without derivatives |z - z_n| is not needed again
-            spare = spare[0] if derivatives else ad
             re += np.multiply(self._sm1, np.log(aw, out=spare), out=spare)
             sm, keep = _above_floor(re, floor, masks[0])
             if derivatives:
                 # j, the block's rows in exclusion discs, and k, their
                 # nodes: the discs are disjoint, and a point in disc k has
                 # every other node at least 3 r_k away
-                j, k = np.divmod(np.flatnonzero(np.less_equal(
-                    ad, prod.exclusion_radii, out=masks[1])), n)
+                inside = np.less_equal(ad, prod.exclusion_radii,
+                                       out=masks[1])
+                j, k = np.divmod(inside.ravel().nonzero()[0], n)
                 disc = np.full(m, -1)
                 disc[j] = k
                 # |den| = (1 - |z_n|^2)/|w_n|
@@ -378,13 +401,13 @@ class InterpolationSeries:
                 keep |= _above_floor(own, floor, masks[1])[1]
             # flat indices of the kept terms: gathers by index cost a
             # fraction of boolean-mask ones
-            at = np.flatnonzero(keep)
+            at = keep.ravel().nonzero()[0]
             rows, cols = np.divmod(at, n)
             d = delta.ravel()[at]
             t = np.empty(rows.size, dtype=complex)
             t.real = re.ravel()[at] - sm[rows]
-            t.imag = (self._c.imag[cols] - np.angle(d)
-                      + self._sm1[cols] * np.angle(w.ravel()[at]))
+            t.imag = (self._c.imag[cols] - _arg(d)
+                      + self._sm1[cols] * _arg(w.ravel()[at]))
             e = np.exp(t)
             total = _row_sums(rows, e, m)
             if not derivatives:
@@ -404,12 +427,12 @@ class InterpolationSeries:
             L, dL = prod._log_derivatives(delta, w, out=(omw, den))
             if j.size:
                 L[j, k], dL[j, k] = regular
-            lam = np.sum(L, axis=1)
+            lam = L.sum(axis=1)
             factor = (lam[rows] - inv
                       + self._sm1[cols] * (prod._zc[cols] / den_at))
             yield sl, (log_p, sm, total,
                        _row_sums(rows, e * factor, m), lam,
-                       np.sum(dL, axis=1), disc)
+                       dL.sum(axis=1), disc)
 
     def _node_terms(self, k: np.ndarray):
         """(Re t, exp(t - Re t)) for t the log of the series at node z_k.

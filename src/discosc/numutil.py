@@ -195,12 +195,16 @@ def work_runs(work: np.ndarray, budget: int, parts: int = 1) -> list:
     but a run's last would pass budget // p units with the row after it,
     or holds _CHUNK rows.  Runs without rows are left out.
 
-    Both kinds of edge come from a binary search of the cumulative work:
-    the cost grows with the blocks, not the rows."""
+    A pass under budget is one run of _CHUNK-row blocks.  Otherwise both
+    kinds of edge come from a binary search of the cumulative work: the
+    cost grows with the blocks, not the rows."""
     cum = work.cumsum()
     size = cum.size
     total = int(cum[-1]) if size else 0
-    p = parts if total >= budget else 1
+    if total < budget:
+        return [[slice(lo, min(lo + _CHUNK, size))
+                 for lo in range(0, size, _CHUNK)]] if size else []
+    p = parts
     limit, whole = budget // p, max(total, 1)
     # run j starts at the first row i >= 1 with p s_i >= j total, s_i =
     # cum[i - 1]
@@ -235,7 +239,8 @@ def map_work(fn, work: np.ndarray, budget: int) -> None:
     per thread), and call nothing that bench/tracer.py wraps (its span
     stack assumes one thread).  The callers: the series and node passes
     (InterpolationSeries._pass, CanonicalProduct._node_pass) and the
-    residue contour's two sampling stages (contour._stage)."""
+    residue contour's two sampling stages (contour._stage), and the
+    factor-log sums of the winding count (CanonicalProduct._raw_log_eval)."""
     runs = work_runs(work, budget, _worker_count()) or [[]]
     errors = [None] * len(runs)
 

@@ -178,8 +178,7 @@ class OscillationBundle:
         Values of a beyond binary64 raise ValueError, as the series' own
         do."""
         p = self.gprime._pass(pts, derivatives=True)
-        h = _unscale(p.log_p, p.scale, p.total, "value")
-        hp = _unscale(p.log_p, p.scale, p.dtotal, "derivative")
+        h, hp = _unscale(p.log_p, p.scale, p.total, "value", p.dtotal)
         inside = p.node >= 0
         with np.errstate(over="ignore", invalid="ignore"):
             a = -(p.lam * p.lam + p.dlam) - 2.0 * h * p.lam - h * h - hp
@@ -309,24 +308,25 @@ class OscillationBundle:
 
     def _probe_circles(self, z0: np.ndarray, r: np.ndarray,
                        unit: np.ndarray):
-        """(vals, fault): vals[i] = (log P, h) at z0_i + r_i unit, shape
+        """(vals, why): vals[i] = (log P, h) at z0_i + r_i unit, shape
         (probes, 2, unit.size), from one series pass over every point.  r
         is at most half the nearest-node distance, so no node lies on a
-        circle, and h there is what evaluate() returns.  fault is None, or
-        (i, error) for the first probe i with a value of h beyond binary64:
-        the ValueError that _unscale raises on its circle alone."""
+        circle, and h there is what evaluate() returns where it is finite.
+        why(i, cols) is the ValueError that _unscale raises on the points
+        unit[cols] of circle i alone (all of them by default), for a circle
+        with a value of h beyond binary64 there."""
         p = self.gprime._pass((z0[:, None] + r[:, None] * unit).ravel())
         with np.errstate(over="ignore", invalid="ignore"):
             h = np.exp(p.log_p + p.scale) * p.total
         vals = np.stack([p.log_p, h]).reshape(2, z0.size, unit.size)
-        bad = np.flatnonzero(~np.all(np.isfinite(vals[1]), axis=1))
-        if bad.size:
-            rows = slice(bad[0] * unit.size, (bad[0] + 1) * unit.size)
+
+        def why(i, cols=slice(None)):
+            rows = np.arange(i * unit.size, (i + 1) * unit.size)[cols]
             try:
                 _unscale(p.log_p[rows], p.scale[rows], p.total[rows], "value")
             except ValueError as exc:
-                return vals.swapaxes(0, 1), (int(bad[0]), exc)
-        return vals.swapaxes(0, 1), None
+                return exc
+        return vals.swapaxes(0, 1), why
 
     def _probe_residuals(self, z0: np.ndarray, a0: np.ndarray,
                          d1: np.ndarray, log_f0: np.ndarray,
@@ -358,16 +358,20 @@ class OscillationBundle:
 
         The probes run in lockstep (numutil.settle_circles): each round
         takes log P and h on the circles of every running probe from one
-        _probe_circles pass, and a probe leaves once its drift test passes.  Each decision (the caps,
-        the shrinks, the blur limit, the drift test, the last grid) is the
-        probe's own, with the arithmetic of one probe alone, so a residual
-        does not depend on the other probes.  A probe fails on a circle too
-        small to be placed in binary64 around z0 (RuntimeError naming the
-        probe and radius), on a value of h beyond binary64 (ValueError), and
-        on a contour sample that is nan or +inf, a residual that is not
-        finite or a contour that does not settle (RuntimeError naming the
-        probe).  The probes after a failing one stop with it, and the error
-        raised is that of the lowest-index failing probe.
+        _probe_circles pass, and a probe leaves once its drift test passes.
+        Rounds 1 and 2 share one pass: it places every probe on the 64
+        points of both, and round 2 reads the odd ones for each probe whose
+        radius has not shrunk since.  Each decision (the caps, the shrinks,
+        the blur limit, the drift test, the last grid) is the probe's own,
+        with the arithmetic of one probe alone, so a residual does not
+        depend on the other probes.  A probe fails on a circle too small to
+        be placed in binary64 around z0 (RuntimeError naming the probe and
+        radius), on a value of h beyond binary64 in the round that reads it
+        (ValueError), and on a contour sample that is nan or +inf, a
+        residual that is not finite or a contour that does not settle
+        (RuntimeError naming the probe).  The probes after a failing one
+        stop with it, and the error raised is that of the lowest-index
+        failing probe.
         """
         out, points = np.empty(z0.size), np.zeros(z0.size, dtype=int)
         error = None
@@ -392,13 +396,28 @@ class OscillationBundle:
             return RuntimeError(
                 f"ODE residual probe {complex(z0[k]):.6g}: {what}")
 
-        # placement: the probes still running are the rows of vals, the
+        def first_bad(vals):
+            # row of the first circle of vals with a value of h beyond
+            # binary64, or None
+            bad = np.flatnonzero(~np.all(np.isfinite(vals[:, 1]), axis=1))
+            return int(bad[0]) if bad.size else None
+
+        # placement: every probe on the grid of 2m points, m =
+        # CONTOUR_START_POINTS, from one pass.  Its even points are the
+        # m-point grid of round 1 bit for bit (settle_circles), and round 2
+        # reads its odd points (sample) for the probes still at this
+        # radius.  The probes still running are the rows of vals, the
         # first len(vals) probes
-        _, unit = circle_nodes(CONTOUR_START_POINTS)
-        vals, fault = self._probe_circles(z0, r, unit)
-        if fault is not None:
-            vals, = fail(*fault, vals)
+        m = CONTOUR_START_POINTS
+        _, unit = circle_nodes(m)
+        placed, placed_why = self._probe_circles(z0, r,
+                                                 circle_nodes(2 * m)[1])
+        vals = placed[..., 0::2].copy()
+        i = first_bad(vals)
+        if i is not None:
+            vals, = fail(i, placed_why(i, slice(0, None, 2)), vals)
         logf = circle_logs(np.arange(len(vals)), unit, vals)
+        shrunk = np.zeros(z0.size, dtype=bool)
         for _ in range(30):
             # caps missed (e.g. near a zero of a): shrink until the
             # circle's dynamic range is resolvable in binary64
@@ -406,10 +425,11 @@ class OscillationBundle:
             if big.size == 0:
                 break
             r[big] *= 0.5
-            fresh, fault = self._probe_circles(z0[big], r[big], unit)
-            if fault is not None:
-                j, exc = fault
-                vals, logf = fail(big[j], exc, vals, logf)
+            shrunk[big] = True
+            fresh, why = self._probe_circles(z0[big], r[big], unit)
+            j = first_bad(fresh)
+            if j is not None:
+                vals, logf = fail(big[j], why(j), vals, logf)
                 big, fresh = big[:j], fresh[:j]
             vals[big] = fresh
             logf[big] = circle_logs(big, unit, fresh)
@@ -466,9 +486,22 @@ class OscillationBundle:
             return done
 
         def sample(idx, unit):
-            fresh, fault = self._probe_circles(z0[idx], r[idx], unit)
-            if fault is not None:
-                fresh, = fail(*fault, fresh)
+            # round 2 (m new points) takes the odd points of the placement
+            # pass for the probes not shrunk since; the other probes, and
+            # every probe from round 3 on, take a pass of their own
+            fresh = np.empty((idx.size, 2, unit.size), dtype=complex)
+            new = np.ones(idx.size, dtype=bool)
+            if unit.size == m:
+                new = shrunk[idx]
+                fresh[~new] = placed[idx[~new], :, 1::2]
+            if np.any(new):
+                fresh[new], why = self._probe_circles(z0[idx[new]],
+                                                      r[idx[new]], unit)
+            i = first_bad(fresh)
+            if i is not None:
+                fresh, = fail(i, why(np.count_nonzero(new[:i])) if new[i]
+                              else placed_why(idx[i], slice(1, None, 2)),
+                              fresh)
             return fresh
 
         left = settle_circles(vals, sample, settle, CONTOUR_MAX_POINTS)

@@ -16,6 +16,12 @@ from discosc import (CanonicalProduct, GrowthScale, InterpolationSeries,
 from discosc.numutil import adaptive_segment_integral, circle_nodes
 from strategies import separated_sets
 
+
+def _same_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint8),
+                          np.ascontiguousarray(b).view(np.uint8))
+
+
 LOG = GrowthScale.log_power(1.0)
 ONE = ZeroSequence(np.array([0.5], dtype=complex), label="one")
 
@@ -390,8 +396,9 @@ def test_probe_residuals_raise_the_lowest_failing_probe(geo6_bundle,
 
     def poisoned(self, pts, derivatives=False):
         p = real(self, pts, derivatives)
-        if pts.size == start * 2:   # the fresh points of probes 0 and 1
-            p.total[start:] = np.inf
+        if pts.size == 4 * start * 2:   # the placement pass, 2m points each
+            # probe 1's odd points, which round 2 reads
+            p.total[2 * start + 1:4 * start:2] = np.inf
         return p
 
     monkeypatch.setattr(InterpolationSeries, "_pass", poisoned)
@@ -401,6 +408,102 @@ def test_probe_residuals_raise_the_lowest_failing_probe(geo6_bundle,
     monkeypatch.undo()
     with pytest.raises(RuntimeError, match="below binary64 resolution"):
         geo6_bundle._probe_residuals(z0, a0, d1, log_f0, dist)
+
+
+def test_an_odd_point_fault_of_a_probe_cut_by_the_blur_limit_is_not_raised(
+        geo6_bundle, monkeypatch):
+    # probe 2's h is infinite only on the odd points of its placement pass,
+    # which round 2 would read; the blur limit cuts probe 2 before any
+    # round, so the error is the blur limit's, not the series'
+    z0, a0, d1, log_f0, dist = _probe_inputs(geo6_bundle, sample_probes(
+        geo6_bundle.product, np.random.default_rng(8), 4, r_max=0.85))
+    a0[2] = 1e40
+    real = InterpolationSeries._pass
+    start = oscillation.CONTOUR_START_POINTS
+    poisoned = []
+
+    def poison(self, pts, derivatives=False):
+        p = real(self, pts, derivatives)
+        if pts.size == 4 * start * 2:
+            p.total[4 * start + 1:6 * start:2] = np.inf
+            poisoned.append(pts.size)
+        return p
+
+    monkeypatch.setattr(InterpolationSeries, "_pass", poison)
+    with pytest.raises(RuntimeError,
+                       match=f"probe {re.escape(format(z0[2], '.6g'))}: "
+                             f"circle radius"):
+        geo6_bundle._probe_residuals(z0, a0, d1, log_f0, dist)
+    assert poisoned
+
+
+@pytest.mark.parametrize("name, r_max, lifted", [
+    ("geo50_bundle", 0.9, False), ("weight_pipeline", 0.8, False),
+    ("sharp14_bundle", 0.95, False), ("geo50_bundle", 0.95, True)])
+def test_the_first_two_rounds_equal_a_pass_of_their_own(
+        request, monkeypatch, name, r_max, lifted):
+    # the placement pass samples each probe on 2m points: round 1 takes
+    # its even points, round 2 its odd ones (a fresh pass for a probe that
+    # shrank), each bit for bit what a pass over those points alone gives.
+    # Lifted caps (a0 = 0, d1 = 0) make some probes shrink
+    bun = request.getfixturevalue(name)
+    bun = bun[3] if name == "weight_pipeline" else bun
+    z0, a0, d1, log_f0, dist = _probe_inputs(bun, sample_probes(
+        bun.product, np.random.default_rng(4 if lifted else 2), 40,
+        r_max=r_max))
+    if lifted:
+        a0, d1 = np.zeros_like(a0), np.zeros_like(d1)
+    args = z0, a0, d1, log_f0, dist
+    real_circles, real_settle = (OscillationBundle._probe_circles,
+                                 oscillation.settle_circles)
+    radius, rounds, placed = {}, [], []
+
+    def circles(self, z, r, unit):
+        if unit[0] == 1.0:          # a placement, not a refinement
+            radius.update(zip(z.tolist(), r.tolist()))
+            placed.append(r.copy())
+        return real_circles(self, z, r, unit)
+
+    def settle_circles(values, sample, settle, max_points):
+        rounds.append((np.arange(len(values)), values.copy()))
+
+        def recorded(idx, unit):
+            fresh = sample(idx, unit)
+            rounds.append((idx[:len(fresh)], fresh.copy(), unit))
+            return fresh
+        return real_settle(values, recorded, settle, max_points)
+
+    monkeypatch.setattr(OscillationBundle, "_probe_circles", circles)
+    monkeypatch.setattr(oscillation, "settle_circles", settle_circles)
+    bun._probe_residuals(*args)
+    m = oscillation.CONTOUR_START_POINTS
+    unit = circle_nodes(2 * m)[1]
+    (idx1, vals1), (idx2, vals2, unit2) = rounds[:2]
+    assert idx2.size and _same_bits(unit2, unit[1::2])
+    for idx, vals, grid in ((idx1, vals1, circle_nodes(m)[1]),
+                            (idx2, vals2, unit2)):
+        r = np.array([radius[x] for x in z0[idx].tolist()])
+        assert _same_bits(vals, real_circles(bun, z0[idx], r, grid)[0])
+    shrunk = r != placed[0][idx2]
+    assert np.any(shrunk) == lifted and not np.all(shrunk)
+
+
+def test_verify_probes_take_one_pass_for_their_first_two_rounds(
+        geo50_bundle, monkeypatch):
+    # 20 probes as geo50 verify draws them: the coefficient at the probes
+    # and one placement pass, whose odd points serve round 2
+    probes = sample_probes(geo50_bundle.product, np.random.default_rng(1),
+                           20, r_max=0.9)
+    real = InterpolationSeries._pass
+    calls = []
+
+    def counted(self, pts, derivatives=False):
+        calls.append(pts.size)
+        return real(self, pts, derivatives)
+
+    monkeypatch.setattr(InterpolationSeries, "_pass", counted)
+    assert geo50_bundle.ode_residual(probes).points == 64
+    assert calls == [20, 20 * 64]
 
 
 def test_probe_contour_names_the_first_probe_that_does_not_settle(

@@ -148,6 +148,23 @@ def _block_rows(monkeypatch, name="_pieces", owner=CanonicalProduct):
     return rows
 
 
+def test_factor_log_sums_have_the_same_bits_on_one_and_two_workers(
+        weight_pipeline, monkeypatch):
+    # the winding count's log P pass on the N = 368 lattice's circle at
+    # 0.9, here 1024 points: over budget, so two workers take a run each
+    prod = weight_pipeline[3].product
+    pts = 0.9 * np.exp(2j * np.pi * np.arange(1024) / 1024)
+    want = np.sum(prod._factor_logs(*prod._pieces(pts)), axis=1)
+    calls = _record_runs(monkeypatch)
+    for workers in (1, 2):
+        monkeypatch.setattr(numutil, "_worker_count", lambda: workers)
+        calls.clear()
+        assert _same_bits(prod._raw_log_eval(pts), want), workers
+        ((work, budget, runs),) = calls
+        assert np.sum(work) > budget == numutil._BLOCK_PAIRS
+        _assert_block_rule(work, budget, runs, workers)
+
+
 @pytest.fixture(scope="module")
 def sharp14_genus3():
     # sharpness(1, 1, 14) under log-power:3 takes genus 1; at genus 3 the
