@@ -141,7 +141,8 @@ def cmd_gen(args) -> int:
         return 0
     _write(seq.to_text(), args.out)
     print(f"wrote {args.out}: {len(seq)} points, "
-          f"max modulus {np.max(seq.moduli()):.6f}")
+          f"max modulus {np.max(seq.moduli()):.6f}, "
+          f"least 1 - |z| {np.min(seq.gaps()):.3e}")
     if len(seq) >= 2:
         sig = sigma_report(seq)
         log_us = sig.uniform_separation_log

@@ -113,7 +113,7 @@ class CanonicalProduct:
         order = np.argsort(z)
         self._sorted_nodes = (np.append(z[order], np.nan),
                               np.append(order, -1))
-        self.convergence_sum = blaschke_sum(zeros, self.genus).value
+        self.convergence_sum = blaschke_sum(zeros, self.genus)
         self._nodes: NodePass | None = None
         self._geometry: contour.Geometry | None = None
 

@@ -26,7 +26,6 @@ from .numutil import SegmentIntegralError, adaptive_segment_integral
 __all__ = [
     "GrowthScale",
     "WeightPair",
-    "polya_doubling",
     "polya_order_estimate",
     "genus_from_scale",
     "weight_to_psi",
@@ -46,7 +45,7 @@ _QUAD_REL_TOL = 1e-10
 class GrowthScale:
     """Comparison scale with cached doubling order.
 
-    Use the constructors log_power, power, tabulated, or from_config.
+    Use the constructors log_power, power or tabulated.
     """
 
     def __init__(self, kind: str, psi_fn: Callable, label: str,
@@ -91,17 +90,6 @@ class GrowthScale:
     def tabulated(cls, psi_fn: Callable, label: str = "tabulated") -> "GrowthScale":
         return cls("tabulated", psi_fn, label)
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "GrowthScale":
-        kind = cfg.get("kind")
-        if kind == "log-power":
-            return cls.log_power(float(cfg["p"]))
-        if kind == "power":
-            return cls.power(float(cfg["rho"]))
-        if kind == "weight":
-            return weight_to_psi(WeightPair.from_config(cfg))
-        raise ValueError(f"unknown scale kind {kind!r}")
-
     def psi(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x < 1.0):
@@ -137,29 +125,14 @@ class GrowthScale:
         return {"kind": self.kind, "label": self.label, **self.params}
 
 
-def _check_ladder(ladder, decades: bool = False) -> np.ndarray:
-    lad = np.asarray(ladder, dtype=float)
-    if lad.size < 2 or np.min(lad) < 1.0:
-        raise ValueError("ladder must contain at least two points >= 1")
-    if decades and np.max(lad) / np.min(lad) < 1e3:
-        raise ValueError("ladder must span at least three decades")
-    return lad
-
-
-def polya_doubling(scale: GrowthScale, ladder=None) -> float:
-    """sup over the ladder of psi(2x)/psi(x); bounded for doubling scales."""
-    lad = _check_ladder(_DEFAULT_LADDER if ladder is None else ladder)
-    lo = np.asarray(scale.psi(lad), dtype=float)
-    hi = np.asarray(scale.psi(2.0 * lad), dtype=float)
-    if np.any(lo <= 0.0):
-        raise ValueError("psi vanishes on the ladder; move the ladder right")
-    return float(np.max(hi / lo))
-
-
 def polya_order_estimate(scale: GrowthScale, ladder=None) -> float:
     """sup over ladder points and C in {2,4,8} of log(psi(Cx)/psi(x))/log C."""
-    lad = _check_ladder(_DEFAULT_LADDER if ladder is None else ladder,
-                        decades=True)
+    lad = np.asarray(_DEFAULT_LADDER if ladder is None else ladder,
+                     dtype=float)
+    if lad.size < 2 or np.min(lad) < 1.0:
+        raise ValueError("ladder must contain at least two points >= 1")
+    if np.max(lad) / np.min(lad) < 1e3:
+        raise ValueError("ladder must span at least three decades")
     lo = np.asarray(scale.psi(lad), dtype=float)
     if np.any(lo <= 0.0):
         raise ValueError("psi vanishes on the ladder; move the ladder right")
@@ -186,8 +159,9 @@ class WeightPair:
     """Radial weight h on [0, 1) with its derived local radius function.
 
     h must be C^2, increasing, h(0) = 0, with analytic derivatives hp and
-    hpp.  The radial Laplacian (r h')' / r feeds rho = (Lap h)^(-1/2) and
-    sigma = (1-r)^2 / rho^2.  config is the rebuild recipe for from_config.
+    hpp.  The radial Laplacian (r h')' / r feeds rho = (Lap h)^(-1/2).
+    config names the weight's form and parameters, which the config of
+    its induced scale (weight_to_psi) echoes.
     """
 
     def __init__(self, h: Callable, hp: Callable, hpp: Callable, label: str,
@@ -228,13 +202,6 @@ class WeightPair:
         return cls(h, hp, hpp, label=f"log^{gamma:g}-weight",
                    config={"h": "log-power-of-one-minus-r", "gamma": gamma})
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "WeightPair":
-        name = cfg.get("h")
-        if name == "log-power-of-one-minus-r":
-            return cls.log_power_weight(float(cfg.get("gamma", 2.0)))
-        raise ValueError(f"unknown weight form {name!r}")
-
     def laplacian(self, r):
         """(r h')' / r; at r = 0 the rotational limit 2 h''(0)."""
         r = np.asarray(r, dtype=float)
@@ -249,36 +216,14 @@ class WeightPair:
             raise ValueError("weight Laplacian must be positive")
         return lap ** -0.5
 
-    def sigma(self, r):
-        r = np.asarray(r, dtype=float)
-        return (1.0 - r) ** 2 * np.asarray(self.laplacian(r), dtype=float)
-
-    def validate(self) -> dict:
-        """Monotonicity spot-checks on 25 radii from 0.5 to 0.995,
-        accumulating toward the boundary; raises on violation, returns
-        diagnostics."""
-        r = 1.0 - np.geomspace(0.5, 0.005, 25)
-        hvals = np.asarray(self.h(r), dtype=float)
-        if np.any(np.diff(hvals) <= 0.0):
-            raise ValueError("weight must be increasing")
-        rho = self.rho(r)
-        if np.any(np.diff(rho) > 1e-12):
-            raise ValueError("rho must be nonincreasing on the working range")
-        sig = self.sigma(r)
-        if np.any(np.diff(sig) < -1e-9 * np.abs(sig[1:])):
-            raise ValueError("sigma must be nondecreasing on the working range")
-        slow = (1.0 - r) * np.asarray(self.hp(r), dtype=float) / hvals
-        return {"max_slow_variation": float(np.max(slow)),
-                "sigma_range": (float(sig[0]), float(sig[-1]))}
-
 
 def weight_to_psi(weight: WeightPair) -> GrowthScale:
     """Scale psi(t) = Lap h(1 - 1/t) / t^2 induced by a radial weight.
 
     Checked to be nondecreasing on a log ladder from 1 to 1e6; the result
-    is a scale of kind "weight" (psi_tilde by the tanh-sinh rule, rebuilt by
-    from_config from the weight's config) carrying the weight object for
-    growth comparisons against h itself.
+    is a scale of kind "weight" (psi_tilde by the tanh-sinh rule, config
+    echoing the weight's) carrying the weight object for growth
+    comparisons against h itself.
     """
 
     def psi(t):

@@ -2,9 +2,9 @@
 and density diagnostics.
 
 A ZeroSequence is a finite multiset-free list of distinct disc points kept
-sorted by modulus.  Generators attach their parameters (and closed-form
-tail information where available) to the sequence metadata so downstream
-reports can echo them.
+sorted by modulus.  Generators attach their parameters to the sequence
+metadata, so a sequence file records how it was made; no command reads
+them from a file.
 
 The estimators are blocked row reductions over numutil.slices, so none
 forms an N x N matrix.  sigma_report takes the separation, the uniform
@@ -29,7 +29,6 @@ from .numutil import distance_rows, one_minus_abs, slices
 __all__ = [
     "ZeroSequence",
     "SharpnessParams",
-    "BlaschkeSum",
     "ConditionReport",
     "generate_sharpness",
     "generate_radial_geometric",
@@ -117,6 +116,9 @@ class ZeroSequence:
             meta = obj.get("meta", {})
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed sequence object: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise ValueError(f"malformed sequence object: meta must be a "
+                             f"JSON object, not {type(meta).__name__}")
         return cls(pts, label=label, meta=meta)
 
     def to_text(self) -> str:
@@ -521,34 +523,11 @@ def rho_separation(seq: ZeroSequence, rho) -> float:
 # convergence-exponent material
 
 
-class BlaschkeSum(NamedTuple):
-    value: float
-    tail: float | None
-
-
-def blaschke_sum(seq: ZeroSequence, s: int) -> BlaschkeSum:
-    """sum_k (1 - |z_k|)^(s+1), plus a generator tail estimate if available.
-
-    The tail field bounds the mass the generator would add beyond the stored
-    truncation (None when no closed form is attached).
-    """
+def blaschke_sum(seq: ZeroSequence, s: int) -> float:
+    """sum_k (1 - |z_k|)^(s+1), the convergence sum of genus s."""
     if s < 0:
         raise ValueError("genus must be nonnegative")
-    value = float(np.sum(seq.gaps() ** (s + 1)))
-    tail = None
-    g = seq.meta.get("generator")
-    if g == "geometric":
-        q = float(seq.meta["ratio"]) ** (s + 1)
-        n = int(seq.meta["count"])
-        tail = q ** (n + 1) / (1.0 - q)
-    elif g == "sharpness":
-        eta1 = float(seq.meta["eta1"])
-        n0 = int(seq.meta["n_max"])
-        # m_n <= (n log 3)^eta1 and 1 - z_{n,k} <= 3^-n
-        tail = 0.0
-        for n in range(n0 + 1, n0 + 200):
-            tail += (n * LN3) ** eta1 * 3.0 ** (-n * (s + 1))
-    return BlaschkeSum(value, tail)
+    return float(np.sum(seq.gaps() ** (s + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_11_carleson_box_estimator(geo50_bundle):
     # Clause 3: Groehn, Nicolau & Raettyae (J. Anal. Math. 2018) realise a
     # uniformly separated zero set by f = B e^g, B the Blaschke product, with
     # |a|^2 (1-|z|^2)^3 dA a Carleson measure.  That is the genus-0 product
-    # (blaschke_sum(geo50, 0) = 4.0, generator tail 5.7e-5) with exponent s
+    # (blaschke_sum(geo50, 0) = 4.0) with exponent s
     # chosen from a bound, not from the masses: on a separated set
     # |b_n| (1-|z_n|^2) and 1/(|B'(z_n)| (1-|z_n|^2)) are bounded and
     # |B(z)/(z - z_n)| <= 1/|1 - conj(z_n) z|, so term n of h is

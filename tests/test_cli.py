@@ -525,6 +525,40 @@ def test_point_counts_above_the_limit_exit_2_by_name(tmp_path, capsys,
     assert not (tmp_path / "x.json").exists()
 
 
+def test_a_sequence_file_whose_meta_is_not_an_object_exits_2_by_name(
+        tmp_path, capsys):
+    path = _gen_geo(tmp_path)
+    obj = json.loads(path.read_text())
+    obj["meta"] = [1, 2]
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["build", "--sequence", str(path), "--scale", "log",
+                     "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed sequence object: meta must be a JSON object, not "
+        "list\n")
+
+
+@pytest.mark.parametrize("meta", [
+    {"generator": "geometric"},
+    {"generator": "geometric", "ratio": 1.0, "count": 6},
+    {"generator": "sharpness", "eta1": 1e300, "eta2": 1.0, "n_max": 3},
+])
+def test_build_does_not_read_the_generator_parameters_in_meta(tmp_path,
+                                                              meta):
+    # a generator tail estimated from these once raised KeyError,
+    # ZeroDivisionError and OverflowError out of build
+    obj = json.loads(_gen_geo(tmp_path).read_text())
+    for name, m in (("edited", meta), ("plain", {})):
+        obj["meta"] = m
+        path = tmp_path / f"{name}.seq.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["build", "--sequence", str(path), "--scale", "log",
+                         "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "edited.csv").read_bytes()
+            == (tmp_path / "plain.csv").read_bytes())
+
+
 def _lattice(spacing, rmax):
     """The rho-lattice of gen rho-lattice --gamma 2."""
     seq = sequences.generate_rho_lattice(
@@ -549,10 +583,12 @@ def test_gen_writes_the_file_of_save_and_its_summary_line(tmp_path, capsys,
     assert cli.main(["gen"] + argv + ["--out", str(gen)]) == 0
     seq.save(saved)
     assert gen.read_bytes() == saved.read_bytes()
-    # the modulus as the summary line printed it before numpy took it
+    # the modulus as the summary line printed it before numpy took it, and
+    # the least distance to the boundary, which :.6f rounds away near 1
     line = capsys.readouterr().out.splitlines()[0]
     assert line == (f"wrote {gen}: {len(seq)} points, max modulus "
-                    f"{max(abs(z) for z in seq.points):.6f}")
+                    f"{max(abs(z) for z in seq.points):.6f}, least 1 - |z| "
+                    f"{min(seq.gaps()):.3e}")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,11 @@
 """Disc geometry: Mobius maps, pseudo-hyperbolic distance, Carleson boxes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from discosc import (CarlesonBox, box_contains, carleson_box_table,
-                     mobius_map, pseudo_distance)
+from discosc import carleson_box_table, mobius_map, pseudo_distance
 
 
 def _disc_sample(rng, n, r=0.9):
@@ -45,26 +46,13 @@ def test_pseudo_distance_symmetry_and_range():
     assert np.all((0.0 <= s) & (s < 1.0))
 
 
-def test_box_membership():
-    box = CarlesonBox(0.2, np.pi / 2)
-    assert box_contains(box, 0.95j)
-    assert not box_contains(box, 0.5j)  # below the inner radius 1 - delta
-    half = np.pi * 0.2
-    assert box_contains(box, 0.9 * np.exp(1j * (np.pi / 2 + 0.999 * half)))
-    assert not box_contains(box, 0.9 * np.exp(1j * (np.pi / 2 + 1.01 * half)))
-
-
-def test_box_wraps_around_angle_zero():
-    box = CarlesonBox(0.1, 0.05)
-    # angle -0.2 is within pi*0.1 of 0.05 only through the wrap
-    assert box_contains(box, 0.97 * np.exp(-0.2j))
-    assert not box_contains(box, 0.97 * np.exp(-0.4j))
-
-
-def test_box_parameter_validation():
-    for delta, phi in ((0.0, 0.0), (1.5, 0.0), (0.5, -1.0), (0.5, 7.0)):
-        with pytest.raises(ValueError):
-            CarlesonBox(delta, phi)
+def test_carleson_box_table_refuses_a_depth_outside_0_1():
+    for delta in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError) as err:
+            carleson_box_table(lambda z: np.ones_like(np.real(z)),
+                               [0.5, delta])
+        assert str(err.value) == (f"box depth must lie in (0, 1], got "
+                                  f"{delta!r}")
 
 
 def test_unit_density_mass_is_exact_box_area():

@@ -105,6 +105,19 @@ def test_a_file_above_the_point_limit_is_refused_by_count(monkeypatch):
                               "limit 7")
 
 
+@pytest.mark.parametrize("meta, kind", [([1, 2], "list"), ("ab", "str"),
+                                        (3, "int"), (None, "NoneType")])
+def test_a_meta_that_is_not_an_object_is_refused_by_name(meta, kind):
+    # a list once reached dict(meta) as a TypeError, and a string as an
+    # error that named neither the field nor the object
+    obj = generate_radial_geometric(0.5, 3).to_json()
+    obj["meta"] = meta
+    with pytest.raises(ValueError) as err:
+        ZeroSequence.from_json(obj)
+    assert str(err.value) == ("malformed sequence object: meta must be a "
+                              f"JSON object, not {kind}")
+
+
 def _brute_duplicate_pairs(pts):
     # every (i, j), i < j, of the N x N difference matrix that vanishes
     diff = np.abs(pts[:, None] - pts[None, :])
